@@ -100,7 +100,18 @@ class TooFar(CompilerError):
 
 
 class Stalled(CompilerError):
-    """Refinement stopped contracting before reaching the target error."""
+    """Refinement stopped contracting before reaching the target error.
+
+    best_error is the smallest error any iterate reached, best_pass the pass
+    that reached it, and floor = length * 2^-52 of that iterate, the scale
+    of float64 round-off in its product.
+    """
+
+    def __init__(self, message: str, best_error: float, best_pass: int, floor: float):
+        super().__init__(message)
+        self.best_error = best_error
+        self.best_pass = best_pass
+        self.floor = floor
 
 
 class NonConvergent(CompilerError):

@@ -60,9 +60,6 @@ class FiniteGroupRep:
     closure_residual: float
     irreducibility_residual: float
 
-    def element(self, i: int) -> np.ndarray:
-        return self.elements[i]
-
     @property
     def phase_candidates(self) -> tuple[complex, ...]:
         """Global phases a word product may differ from its target by.

@@ -47,7 +47,11 @@ from .linalg import (
 
 @dataclass(frozen=True, eq=False)
 class GateWord:
-    """A word over a gate set's generators; product cached left-to-right."""
+    """A word over a gate set's generators and the product of its matrices.
+
+    The product is whatever its builder computed: word_product for
+    make_word, the parts' products for concat_words and symmetrize_word.
+    """
 
     indices: tuple[int, ...]
     product: np.ndarray
@@ -58,11 +62,19 @@ class GateWord:
 
 
 def word_product(gens: np.ndarray, indices) -> np.ndarray:
-    d = gens.shape[1]
-    p = np.eye(d, dtype=complex)
-    for i in indices:
-        p = p @ gens[i]
-    return p
+    """Product gens[i_0] gens[i_1] ... by pairwise tree reduction.
+
+    Each round multiplies neighbours (0, 1), (2, 3), ... in one batched
+    matmul and carries an odd last factor, so an L-token word takes
+    ceil(log2 L) rounds instead of L sequential products.
+    """
+    m = gens[np.asarray(indices, dtype=np.intp)]
+    if len(m) == 0:
+        return np.eye(gens.shape[1], dtype=complex)
+    while len(m) > 1:
+        pairs = np.matmul(m[0:-1:2], m[1::2])
+        m = np.concatenate([pairs, m[-1:]]) if len(m) % 2 else pairs
+    return m[0]
 
 
 def make_word(gens: np.ndarray, indices) -> GateWord:
@@ -97,9 +109,6 @@ class GateSet:
     @property
     def phase_candidates(self) -> tuple[complex, ...]:
         return self.rep.phase_candidates
-
-    def matrix(self, i: int) -> np.ndarray:
-        return self.matrices[i]
 
     def name_index(self, name: str) -> int:
         try:

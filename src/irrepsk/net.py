@@ -20,7 +20,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import BudgetExceeded, EmptyNet, FormatError, StaleGateSet
-from .gateset import GateSet, GateWord
+from .gateset import GateSet, GateWord, word_product
 from .linalg import random_su, unitarity_residual
 
 NET_FORMAT = "irrepsk-net-v1"
@@ -251,15 +251,13 @@ def load_net(path, gs: GateSet, with_inverses: bool = False) -> EpsNet:
             raise FormatError(f"line {k + 2}: generator index out of range")
         words.append(w)
         # breadth-first construction stores every word's parent prefix, so the
-        # left-to-right fold can reuse it; fall back to a full fold otherwise
+        # product is the parent's times one generator, the recipe build_net
+        # stores; fall back to a full product otherwise
         parent = index_of.get(w[:-1]) if w else None
         if parent is not None:
             products[k] = products[parent] @ gens[w[-1]]
         else:
-            p = np.eye(gs.dim, dtype=complex)
-            for i in w:
-                p = p @ gens[i]
-            products[k] = p
+            products[k] = word_product(gens, w)
         index_of[w] = k
     if header.get("product_digest") != _product_digest(products):
         raise FormatError("recomputed products do not match the stored digest")

@@ -187,6 +187,7 @@ def _refine_loop(gs: GateSet, net: EpsNet, gen_index: int, eps_target: float,
 
     stall = 0
     passes = 0
+    best = (err, 0, word.length)
     while err > eps_target or direct_error(word) > eps_target:
         if passes >= _MAX_PASSES:
             raise NonConvergent(
@@ -201,11 +202,17 @@ def _refine_loop(gs: GateSet, net: EpsNet, gen_index: int, eps_target: float,
                 f"{op_norm(word.product):.3f})"
             )
         new_err = aligned_dist(word.product, eye, phases)
+        if new_err < best[0]:
+            best = (new_err, passes, word.length)
         if new_err >= err:
             stall += 1
             if stall >= 2:
+                floor = best[2] * 2.0 ** -52
                 raise Stalled(
-                    f"two consecutive non-contracting passes at {new_err:.3e}"
+                    f"two consecutive non-contracting passes: best error "
+                    f"{best[0]:.3e} at pass {best[1]} (round-off floor "
+                    f"{floor:.1e}), last {new_err:.3e}",
+                    best_error=best[0], best_pass=best[1], floor=floor,
                 )
         else:
             stall = 0
@@ -352,13 +359,16 @@ def compile_target(gs: GateSet, target, eps: float, params: SKParams,
 
     Stage 1 runs the classical commutator recursion over generators plus
     formal inverses at eps / 2.  Stage 2 rewrites inverted irrep tokens
-    through the group table.  Stage 3 replaces each of the m remaining
-    inverted extra-gate tokens by a refined inverse word at (eps / 2) / m,
-    sharing one refinement per distinct gate; the triangle inequality over
-    unitary substitutions bounds the total drift.
+    through the group table, tracking the d-th-root phase each rewrite
+    contributes instead of re-multiplying the word.  Stage 3 replaces each
+    of the m remaining inverted extra-gate tokens by a refined inverse word
+    at (eps / 2) / m, sharing one refinement per distinct gate; the triangle
+    inequality over unitary substitutions bounds the total drift.
 
-    Error is reported up to a global d-th root of unity: the table rewrite
-    of a projective irrep shifts the product by exactly such a phase.
+    The returned word is verified by one independent product of its
+    generator matrices (make_word); the reported error is that product's
+    distance to the target up to a global d-th root of unity, since the
+    table rewrite of a projective irrep shifts the product by such a phase.
     """
     target = np.asarray(target, dtype=complex)
     base = sk_compile(gs, target, eps / 2.0, params)

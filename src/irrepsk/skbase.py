@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimUnsupported, NetTooCoarse, TooFar
-from .gateset import GateSet, GateWord
+from .gateset import GateSet, GateWord, word_product
 from .net import EpsNet, build_gateset_net, extended_generators
 from .linalg import dist
 
@@ -44,19 +44,12 @@ class SymbolWord:
         return sum(1 for _, inv in self.tokens if inv)
 
 
-def token_matrix(gs: GateSet, token: Token) -> np.ndarray:
-    i, inverted = token
-    m = gs.matrices[i]
-    if not inverted:
-        return m
-    return m.conj().T if gs.mode == "su" else np.linalg.inv(m)
-
-
 def symbol_product(gs: GateSet, tokens) -> np.ndarray:
-    p = np.eye(gs.dim, dtype=complex)
-    for t in tokens:
-        p = p @ token_matrix(gs, t)
-    return p
+    """Product of a token word over extended_generators(gs), where token
+    (i, True) is index n + i - 1 and the identity is its own inverse."""
+    n = gs.gen_count
+    idx = [n + i - 1 if inv and i else i for i, inv in tokens]
+    return word_product(extended_generators(gs), idx)
 
 
 def make_symbol_word(gs: GateSet, tokens) -> SymbolWord:
@@ -197,10 +190,11 @@ def sk_compile(gs: GateSet, target, eps: float, params: SKParams) -> SymbolWord:
         gw, _ = params.net.nearest(u)
         return SymbolWord(_tokens_from_net_word(gs, gw), gw.product)
 
-    def recurse(u: np.ndarray, depth: int) -> SymbolWord:
+    def recurse(u: np.ndarray, depth: int, w1: SymbolWord | None = None) -> SymbolWord:
         if depth == 0:
             return base_case(u)
-        w1 = recurse(u, depth - 1)
+        if w1 is None:
+            w1 = recurse(u, depth - 1)
         a, b = balanced_commutator_decompose(u @ w1.product.conj().T)
         wa = recurse(a, depth - 1)
         wb = recurse(b, depth - 1)
@@ -211,10 +205,12 @@ def sk_compile(gs: GateSet, target, eps: float, params: SKParams) -> SymbolWord:
                    @ wb_inv.product @ w1.product)
         return SymbolWord(tokens, product)
 
-    best = None
+    # the depth-k recursion starts from the depth-(k - 1) word, so each
+    # deepening step reuses the previous one instead of recomputing it
+    best = word = None
     for depth in range(params.max_depth + 1):
         try:
-            word = recurse(target, depth)
+            word = recurse(target, depth, word)
         except TooFar as e:
             raise NetTooCoarse(
                 f"base approximation too coarse for the commutator step: {e}"
@@ -233,15 +229,24 @@ def sk_compile(gs: GateSet, target, eps: float, params: SKParams) -> SymbolWord:
 def rewrite_irrep_inverses(gs: GateSet, word: SymbolWord) -> SymbolWord:
     """Replace every inverted irrep token by its table inverse.
 
-    The product is unchanged up to a global phase (exactly unchanged for a
-    genuine irrep); afterwards only extra gates carry inversion marks.
+    The table inverse of g is z_g g^-1 with z_g = tr(table_inverse(g) g) / d,
+    a d-th root of unity (exactly 1 for a genuine irrep).  The product is
+    therefore not re-multiplied: it is the input product times the tracked
+    phase, the product of z_g over the rewritten tokens.  Afterwards only
+    extra gates carry inversion marks.
     """
-    rep = gs.rep
-    irrep_set = set(gs.irrep_indices)
+    d = gs.dim
+    table = {}
+    for g, i in enumerate(gs.irrep_indices):
+        j = gs.irrep_indices[int(gs.rep.inverse_index[g])]
+        table[i] = (j, np.trace(gs.matrices[j] @ gs.matrices[i]) / d)
     tokens = []
+    phase = 1.0
     for i, inverted in word.tokens:
-        if inverted and i in irrep_set:
-            tokens.append((int(gs.irrep_indices[rep.inverse_index[i]]), False))
+        if inverted and i in table:
+            j, z = table[i]
+            tokens.append((j, False))
+            phase *= z
         else:
             tokens.append((i, inverted))
-    return make_symbol_word(gs, tokens)
+    return SymbolWord(tuple(tokens), word.product * phase)

@@ -124,20 +124,25 @@ def test_sl_ball_check_covers_every_generator():
         parse_gateset(base)  # sl mode needs the radius
 
 
-def test_word_monoid(ht_gateset):
-    gens = ht_gateset.matrices
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 7, 1000, 4097])
+@pytest.mark.parametrize("gateset", ["ht_gateset", "slp_gateset"])
+def test_word_monoid(request, gateset, length):
+    # word_product regroups the factors into a tree, so it matches the left
+    # fold up to round-off that grows with the length (and the norm, in sl mode)
+    gens = request.getfixturevalue(gateset).matrices
     rng = np.random.default_rng(13)
-    idx = tuple(int(i) for i in rng.integers(len(gens), size=7))
+    idx = tuple(int(i) for i in rng.integers(len(gens), size=length))
     w = make_word(gens, idx)
-    assert w.length == 7
-    oracle = reduce(np.matmul, [gens[i] for i in idx])
-    assert np.allclose(w.product, oracle, atol=1e-12)
-    assert np.allclose(word_product(gens, idx), oracle, atol=1e-12)
+    assert w.length == length
+    oracle = reduce(np.matmul, [gens[i] for i in idx], np.eye(2, dtype=complex))
+    tol = 4 * max(length, 1) * 2.0 ** -52 * max(1.0, np.linalg.norm(oracle, 2))
+    assert np.linalg.norm(w.product - oracle, 2) <= tol
+    assert np.array_equal(word_product(gens, idx), w.product)
     a = make_word(gens, idx[:3])
     b = make_word(gens, idx[3:])
     ab = concat_words(a, b)
     assert ab.indices == idx
-    assert np.allclose(ab.product, oracle, atol=1e-12)
+    assert np.linalg.norm(ab.product - oracle, 2) <= tol
 
 
 def test_empty_word_is_identity(ht_gateset):

@@ -134,6 +134,19 @@ def test_refine_stalls_at_the_float_floor(skew_gateset, skew_net, monkeypatch):
         refine_inverse(skew_gateset, skew_net, gen, 1e-30)
 
 
+def test_stalled_reports_the_best_iterate(skew_gateset, skew_net):
+    # pass 3 reaches ~1.8e-14; pass 4 only adds round-off (2.87e-13), so a
+    # 1e-14 target stalls, and the error names the best iterate and its floor
+    gen = skew_gateset.names.index("S")
+    with pytest.raises(Stalled) as info:
+        refine_inverse(skew_gateset, skew_net, gen, 1e-14)
+    e = info.value
+    assert 1e-14 < e.best_error < 2e-14
+    assert e.best_pass == 3
+    assert e.floor == pytest.approx(symmetrized_length(4, 110) * 2.0 ** -52)
+    assert f"{e.best_error:.3e}" in str(e)
+
+
 def test_naive_inverse_length_closed_form(ht_gateset):
     t_idx = ht_gateset.names.index("T")
     # su-form T has order 16; the 7th power is the exact inverse up to phase

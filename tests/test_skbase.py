@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from irrepsk import (
+    EpsNet,
     SKParams,
     aligned_dist,
     balanced_commutator_decompose,
@@ -93,6 +94,9 @@ def test_symbol_words(ht_gateset):
     oracle = gs.matrices[4] @ gs.matrices[5].conj().T @ gs.matrices[1]
     assert np.allclose(w.product, oracle, atol=1e-12)
     assert np.allclose(symbol_product(gs, tokens), oracle, atol=1e-12)
+    # the identity is its own inverse, not the last extended generator
+    assert np.allclose(symbol_product(gs, ((0, True), (5, True))), gs.matrices[5].conj().T,
+                       atol=1e-12)
     inv = invert_symbol_word(w)
     assert inv.tokens == ((1, True), (5, False), (4, True))
     assert np.allclose(inv.product @ w.product, np.eye(2), atol=1e-12)
@@ -144,15 +148,42 @@ def test_sk_compile_rejects_hopeless_net(ht_gateset):
         sk_compile(ht_gateset, random_su(2, rng), 1e-6, pocket)
 
 
+def test_sk_compile_reuses_the_previous_depth(ht_gateset, monkeypatch):
+    # depth k starts from the depth-(k - 1) word, so deepening to depth 3
+    # queries the net 3^3 times and decomposes 1 + 3 + 9 commutators
+    import irrepsk.skbase as skbase_mod
+
+    calls = {"nearest": 0, "commutator": 0}
+    nearest, decompose = EpsNet.nearest, skbase_mod.balanced_commutator_decompose
+
+    def counted_nearest(self, target):
+        calls["nearest"] += 1
+        return nearest(self, target)
+
+    def counted_decompose(delta):
+        calls["commutator"] += 1
+        return decompose(delta)
+
+    monkeypatch.setattr(EpsNet, "nearest", counted_nearest)
+    monkeypatch.setattr(skbase_mod, "balanced_commutator_decompose", counted_decompose)
+    params = base_params(ht_gateset, 10, max_depth=3)
+    with pytest.raises(NetTooCoarse):
+        sk_compile(ht_gateset, random_su(2, np.random.default_rng(0)), 1e-12, params)
+    assert calls == {"nearest": 27, "commutator": 13}
+
+
 def test_rewrite_irrep_inverses(ht_gateset):
     gs = ht_gateset
-    # X is self-inverse up to phase; T (index 5) is not an irrep member
-    w = make_symbol_word(gs, ((1, True), (5, True), (3, True)))
+    # X is self-inverse up to phase; T (index 5) is not an irrep member.
+    # Each rewrite of X, Y or Z flips the sign, and three flips do not cancel
+    w = make_symbol_word(gs, ((1, True), (5, True), (3, True), (2, True)))
     out = rewrite_irrep_inverses(gs, w)
     assert out.tokens[0] == (1, False)
     assert out.tokens[1] == (5, True)
     assert out.tokens[2] == (3, False)
     assert aligned_dist(out.product, w.product, gs.phase_candidates) <= 1e-10
+    # the tracked phase makes the product exact, not only up to phase
+    assert np.allclose(out.product, symbol_product(gs, out.tokens), atol=1e-12)
 
 
 def test_rewrite_preserves_product_phase_class(ht_gateset, ht_params):
@@ -163,6 +194,7 @@ def test_rewrite_preserves_product_phase_class(ht_gateset, ht_params):
     assert out.inverted_count <= w.inverted_count
     assert all(i not in ht_gateset.irrep_indices for i, inv in out.tokens if inv)
     assert aligned_dist(out.product, w.product, ht_gateset.phase_candidates) <= 1e-10
+    assert np.allclose(out.product, symbol_product(ht_gateset, out.tokens), atol=1e-12)
 
 
 def test_word_length_growth_per_depth(ht_gateset, ht_params):

@@ -10,122 +10,17 @@ inverse-free approximation of the gate's inverse, which in turn makes an
 ordinary inverse-allowed compilation inverse-free by substitution.
 """
 
-from .errors import (
-    AmbiguousMatch,
-    BallError,
-    BallExit,
-    BudgetExceeded,
-    ClassError,
-    CompilerError,
-    DimError,
-    DimUnsupported,
-    EmptyNet,
-    ExtensionOverflow,
-    FormatError,
-    GroupError,
-    GroupTooLarge,
-    InvalidMatrix,
-    IrrepError,
-    NetTooCoarse,
-    NonConvergent,
-    NotClosed,
-    NotIrreducible,
-    ProjectiveUnsupported,
-    SchemaError,
-    StaleGateSet,
-    Stalled,
-    TooFar,
-)
-from .finitegroup import (
-    FiniteGroupRep,
-    IrreducibilityReport,
-    average,
-    build_builtin,
-    builtin_matrices,
-    central_extend,
-    check_cover_equivalence,
-    check_irreducible,
-    check_schur_orthogonality,
-    infer_group,
-)
-from .gateset import (
-    GateSet,
-    GateWord,
-    concat_words,
-    eps0_constant,
-    load_gateset,
-    make_word,
-    parse_gateset,
-    word_product,
-)
-from .linalg import (
-    DEFAULT_TOL,
-    MatrixClass,
-    aligned_dist,
-    check_class,
-    dist,
-    op_norm,
-    random_su,
-    su_normalize,
-)
-from .net import (
-    EpsNet,
-    auto_net,
-    build_gateset_net,
-    build_net,
-    extended_generators,
-    load_net,
-    probe_density,
-    save_net,
-)
-from .refine import (
-    CompileReport,
-    RefineTrace,
-    check_smalltrace,
-    compile_target,
-    contraction_constant,
-    naive_inverse_length,
-    refine_inverse,
-    refine_inverse_sl,
-    scan_orderings,
-    symmetrize_matrix,
-    symmetrize_word,
-    symmetrized_length,
-)
-from .skbase import (
-    SKParams,
-    SymbolWord,
-    balanced_commutator_decompose,
-    base_params,
-    invert_symbol_word,
-    make_symbol_word,
-    rewrite_irrep_inverses,
-    sk_compile,
-)
+from .errors import CompilerError
+from .gateset import GateSet, GateWord, load_gateset, parse_gateset
+from .net import EpsNet, build_gateset_net, load_net, save_net
+from .refine import CompileReport, RefineTrace, compile_target, refine_inverse
+from .skbase import SKParams, base_params
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousMatch", "BallError", "BallExit", "BudgetExceeded",
-    "ClassError", "CompileReport", "CompilerError", "DEFAULT_TOL",
-    "DimError", "DimUnsupported", "EmptyNet", "EpsNet", "ExtensionOverflow",
-    "FiniteGroupRep", "FormatError", "GateSet", "GateWord", "GroupError",
-    "GroupTooLarge", "InvalidMatrix", "IrrepError", "IrreducibilityReport",
-    "MatrixClass", "NetTooCoarse", "NonConvergent", "NotClosed",
-    "NotIrreducible", "ProjectiveUnsupported", "RefineTrace", "SKParams",
-    "SchemaError", "StaleGateSet", "Stalled", "SymbolWord", "TooFar",
-    "aligned_dist", "auto_net", "average", "balanced_commutator_decompose",
-    "base_params", "build_builtin", "build_gateset_net", "build_net",
-    "builtin_matrices", "central_extend", "check_class",
-    "check_cover_equivalence", "check_irreducible",
-    "check_schur_orthogonality", "check_smalltrace", "compile_target",
-    "concat_words", "contraction_constant", "dist", "eps0_constant",
-    "extended_generators", "infer_group", "invert_symbol_word",
-    "load_gateset", "load_net", "make_symbol_word", "make_word",
-    "naive_inverse_length", "op_norm", "parse_gateset", "probe_density",
-    "random_su",
-    "refine_inverse", "refine_inverse_sl", "rewrite_irrep_inverses",
-    "save_net", "scan_orderings", "sk_compile", "su_normalize",
-    "symmetrize_matrix", "symmetrize_word", "symmetrized_length",
-    "word_product",
+    "CompileReport", "CompilerError", "EpsNet", "GateSet", "GateWord",
+    "RefineTrace", "SKParams", "base_params", "build_gateset_net",
+    "compile_target", "load_gateset", "load_net", "parse_gateset",
+    "refine_inverse", "save_net",
 ]

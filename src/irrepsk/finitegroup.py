@@ -37,6 +37,7 @@ from .linalg import (
     frobenius_phase,
     op_norm,
     require_matrix,
+    su_normalize,
 )
 
 BUILTIN_GROUPS = ("pauli", "weyl", "q8", "s3")
@@ -338,11 +339,6 @@ _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def _su2(m):
-    phi = float(np.angle(np.linalg.det(np.asarray(m, dtype=complex))))
-    return np.exp(-1j * phi / 2) * np.asarray(m, dtype=complex)
-
-
 def _weyl_pair(d: int):
     shift = np.zeros((d, d), dtype=complex)
     for j in range(d):
@@ -354,7 +350,8 @@ def _weyl_pair(d: int):
 def builtin_matrices(name: str, dim: int | None = None):
     """Element matrices and display names for a builtin group."""
     if name == "pauli":
-        mats = [np.eye(2, dtype=complex), _su2(_X), _su2(_Y), _su2(_Z)]
+        mats = [np.eye(2, dtype=complex), su_normalize(_X), su_normalize(_Y),
+                su_normalize(_Z)]
         return mats, ["I", "X", "Y", "Z"]
     if name == "q8":
         i2 = np.eye(2, dtype=complex)
@@ -383,9 +380,8 @@ def builtin_matrices(name: str, dim: int | None = None):
         mats, names = [], []
         for a in range(dim):
             for b in range(dim):
-                m = np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
-                phi = float(np.angle(np.linalg.det(m)))
-                mats.append(np.exp(-1j * phi / dim) * m)
+                mats.append(su_normalize(np.linalg.matrix_power(shift, a)
+                                         @ np.linalg.matrix_power(clock, b)))
                 names.append(f"W{a}{b}")
         return mats, names
     raise ValueError(f"unknown builtin group {name!r}; choose from {BUILTIN_GROUPS}")

@@ -47,28 +47,31 @@ from .linalg import (
 
 @dataclass(frozen=True, eq=False)
 class GateWord:
-    """A word over a gate set's generators and the product of its matrices.
+    """A word over a generator array and the product of its matrices.
 
-    The product is whatever its builder computed: word_product for
-    make_word, the parts' products for concat_words and symmetrize_word.
+    Tokens index whichever array the word was built over: a gate set's
+    matrices for inverse-free words, extended_generators for the base
+    compiler's words.  The product is whatever its builder computed:
+    word_product for make_word, the parts' products for concat_words,
+    symmetrize_word and sk_compile.
     """
 
-    indices: tuple[int, ...]
+    tokens: tuple[int, ...]
     product: np.ndarray
 
     @property
     def length(self) -> int:
-        return len(self.indices)
+        return len(self.tokens)
 
 
-def word_product(gens: np.ndarray, indices) -> np.ndarray:
+def word_product(gens: np.ndarray, tokens) -> np.ndarray:
     """Product gens[i_0] gens[i_1] ... by pairwise tree reduction.
 
     Each round multiplies neighbours (0, 1), (2, 3), ... in one batched
     matmul and carries an odd last factor, so an L-token word takes
     ceil(log2 L) rounds instead of L sequential products.
     """
-    m = gens[np.asarray(indices, dtype=np.intp)]
+    m = gens[np.asarray(tokens, dtype=np.intp)]
     if len(m) == 0:
         return np.eye(gens.shape[1], dtype=complex)
     while len(m) > 1:
@@ -77,13 +80,13 @@ def word_product(gens: np.ndarray, indices) -> np.ndarray:
     return m[0]
 
 
-def make_word(gens: np.ndarray, indices) -> GateWord:
-    idx = tuple(int(i) for i in indices)
-    return GateWord(idx, word_product(gens, idx))
+def make_word(gens: np.ndarray, tokens) -> GateWord:
+    tokens = tuple(tokens)
+    return GateWord(tokens, word_product(gens, tokens))
 
 
 def concat_words(a: GateWord, b: GateWord) -> GateWord:
-    return GateWord(a.indices + b.indices, a.product @ b.product)
+    return GateWord(a.tokens + b.tokens, a.product @ b.product)
 
 
 @dataclass(frozen=True, eq=False)

@@ -124,26 +124,6 @@ def su_normalize(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     return np.exp(-1j * phi / a.shape[0]) * a
 
 
-def matrix_exp_tangent(h, t: float, klass: MatrixClass = MatrixClass.SPECIAL_UNITARY,
-                       tol: float = DEFAULT_TOL) -> np.ndarray:
-    """exp(i t h) for traceless Hermitian h (SU) or exp(t h) for traceless h (SL).
-
-    The traceless requirement keeps the result at determinant 1 exactly.
-    """
-    a = require_matrix(h)
-    scale = max(1.0, float(np.abs(a).max()))
-    if abs(np.trace(a)) > tol * scale * a.shape[0]:
-        raise ClassError(f"tangent direction is not traceless: tr = {np.trace(a):.3e}")
-    if klass is MatrixClass.SPECIAL_UNITARY:
-        herm = float(np.abs(a - a.conj().T).max())
-        if herm > tol * scale:
-            raise ClassError(f"SU tangent direction must be Hermitian, residual {herm:.3e}")
-        return scipy.linalg.expm(1j * t * a)
-    if klass is MatrixClass.SPECIAL_LINEAR:
-        return scipy.linalg.expm(t * a)
-    raise ClassError("matrix_exp_tangent needs an SU or SL target class")
-
-
 # --- seeded samplers used by probes, benchmarks and tests ---
 
 def random_su(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -30,7 +30,7 @@ DEFAULT_BUDGET = 2_000_000
 def extended_generators(gs: GateSet) -> np.ndarray:
     """Generators plus the inverse of every non-identity generator.
 
-    Index n_gens + i holds the inverse of generator i + 1.  Used by the
+    extended_inverse gives the index of each entry's inverse.  Used by the
     inverse-allowed base compiler; the refinement stage never sees these.
     """
     if gs.mode == "su":
@@ -38,6 +38,16 @@ def extended_generators(gs: GateSet) -> np.ndarray:
     else:
         invs = np.linalg.inv(gs.matrices[1:])
     return np.concatenate([gs.matrices, invs])
+
+
+def extended_inverse(gs: GateSet) -> list[int]:
+    """Index of the inverse of every entry of extended_generators(gs).
+
+    The identity is its own inverse; generator i >= 1 and index n + i - 1
+    are each other's inverses, with n = gs.gen_count.
+    """
+    n = gs.gen_count
+    return [0] + list(range(n, 2 * n - 1)) + list(range(1, n))
 
 
 def net_fingerprint(gs: GateSet, with_inverses: bool) -> str:

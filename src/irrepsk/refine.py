@@ -23,7 +23,6 @@ trace-vs-distance bound applies.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -41,7 +40,7 @@ from .errors import (
 from .finitegroup import FiniteGroupRep
 from .gateset import GateSet, GateWord, concat_words, eps0_constant, make_word
 from .linalg import aligned_dist, dist, op_norm, random_traceless_hermitian
-from .net import EpsNet
+from .net import EpsNet, extended_inverse
 from .skbase import SKParams, axis_angle, rewrite_irrep_inverses, sk_compile
 
 
@@ -81,14 +80,14 @@ def symmetrize_word(gs: GateSet, word: GateWord) -> GateWord:
     idx = gs.irrep_indices
     pieces = []
     for g in range(1, rep.order):
-        pieces.append((idx[g],) + word.indices + (idx[int(rep.inverse_index[g])],))
-    pieces.append(word.indices)
-    indices = tuple(itertools.chain.from_iterable(pieces))
+        pieces.append((idx[g],) + word.tokens + (idx[int(rep.inverse_index[g])],))
+    pieces.append(word.tokens)
+    tokens = tuple(itertools.chain.from_iterable(pieces))
     p = np.eye(gs.dim, dtype=complex)
     for g in range(1, rep.order):
         p = p @ rep.elements[g] @ word.product @ rep.elements[int(rep.inverse_index[g])]
     p = p @ word.product
-    return GateWord(indices, p)
+    return GateWord(tokens, p)
 
 
 def symmetrized_length(group_order: int, length: int) -> int:
@@ -221,9 +220,9 @@ def _refine_loop(gs: GateSet, net: EpsNet, gen_index: int, eps_target: float,
         trace.lengths.append(word.length)
         trace.det_residuals.append(abs(np.linalg.det(word.product) - 1.0))
 
-    if word.indices[-1] != gen_index:
+    if word.tokens[-1] != gen_index:
         raise NonConvergent("internal error: trailing refined-gate token lost")
-    tail = make_word(gs.matrices, word.indices[:-1])
+    tail = make_word(gs.matrices, word.tokens[:-1])
     achieved = aligned_dist(tail.product, u_inv, phases)
     return tail, achieved, trace
 
@@ -239,6 +238,13 @@ def refine_inverse(gs: GateSet, net: EpsNet, gen_index: int,
     the identity, require that start inside the quadratic basin
     (NetTooCoarse if not), iterate word symmetrization with measured
     errors, and strip the trailing gate token from the converged word.
+
+    In sl mode the gates are determinant-one matrices inside a ball in
+    SL(d): non-unitary inverses are taken by np.linalg.inv, every iterate
+    gets a ball-exit check (BallExit), and convergence requires both the
+    conjugated error dist(W, I) and the direct error against the exact
+    inverse to pass eps_target (they differ by up to the operator norm of
+    the inverse when the gate is not unitary).
     """
     table = _table_inverse_word(gs, gen_index)
     if table is not None:
@@ -253,21 +259,6 @@ def refine_inverse(gs: GateSet, net: EpsNet, gen_index: int,
     u_inv = u.conj().T if gs.mode == "su" else np.linalg.inv(u)
     radius = gs.sl_radius if gs.mode == "sl" else None
     return _refine_loop(gs, net, gen_index, eps_target, u_inv, radius)
-
-
-def refine_inverse_sl(gs: GateSet, net: EpsNet, gen_index: int,
-                      eps_target: float) -> tuple[GateWord, float, RefineTrace]:
-    """Inverse refinement for determinant-one gates inside a ball in SL(d).
-
-    Same loop as the unitary version, with non-unitary inverses taken by
-    np.linalg.inv, a ball-exit check on every iterate, and the convergence
-    test applied to both the conjugated error dist(W, I) and the direct
-    error against the exact inverse (they differ by up to the operator norm
-    of the inverse when the gate is not unitary).
-    """
-    if gs.mode != "sl":
-        raise DimError("refine_inverse_sl expects an sl-mode gate set")
-    return refine_inverse(gs, net, gen_index, eps_target)
 
 
 def naive_inverse_length(gs: GateSet, gen_index: int, eps: float,
@@ -349,9 +340,6 @@ class CompileReport:
             "indices": list(self.indices),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
-
 
 def compile_target(gs: GateSet, target, eps: float, params: SKParams,
                    refine_net: EpsNet) -> CompileReport:
@@ -375,7 +363,10 @@ def compile_target(gs: GateSet, target, eps: float, params: SKParams,
     base_error = dist(base.product, target)
     base = rewrite_irrep_inverses(gs, base)
 
-    inverted = [i for i, inv in base.tokens if inv]
+    # after the rewrite, a token e >= n is an inverted extra gate inv[e]
+    n = gs.gen_count
+    inv = extended_inverse(gs)
+    inverted = [inv[e] for e in base.tokens if e >= n]
     m = len(inverted)
     refine_errors: dict[int, float] = {}
     refine_lengths: dict[int, int] = {}
@@ -390,18 +381,18 @@ def compile_target(gs: GateSet, target, eps: float, params: SKParams,
             refine_lengths[i] = w.length
             refine_traces[i] = tr
 
-    indices: list[int] = []
-    for i, inv in base.tokens:
-        if inv:
-            indices.extend(subs[i].indices)
+    tokens: list[int] = []
+    for e in base.tokens:
+        if e >= n:
+            tokens.extend(subs[inv[e]].tokens)
         else:
-            indices.append(i)
-    word = make_word(gs.matrices, tuple(indices))
+            tokens.append(e)
+    word = make_word(gs.matrices, tokens)
     error = aligned_dist(word.product, target, gs.phase_candidates)
     return CompileReport(
         target=target,
         eps=eps,
-        indices=word.indices,
+        indices=word.tokens,
         error=error,
         base_error=base_error,
         base_length=base.length,

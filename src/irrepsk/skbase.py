@@ -2,10 +2,11 @@
 
 This stage is deliberately classical: it compiles over the gate set together
 with the inverses of all generators, and its output is then post-processed
-into an inverse-free word by the refinement stage.  Tokens are
-(generator_index, inverted) pairs; inverted irrep tokens can be rewritten
-in place via the group's inverse table, and inverted extra-gate tokens are
-what the refinement stage replaces.
+into an inverse-free word by the refinement stage.  Words are GateWords whose
+tokens index extended_generators(gs); extended_inverse maps each token to
+its inverse's.  Inverted irrep tokens can be rewritten in place via the
+group's inverse table, and inverted extra-gate tokens are what the
+refinement stage replaces.
 
 The group-commutator step uses the exact SU(2) construction: a target
 rotation by angle theta equals the commutator A B A^dag B^dag of two
@@ -21,45 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimUnsupported, NetTooCoarse, TooFar
-from .gateset import GateSet, GateWord, word_product
-from .net import EpsNet, build_gateset_net, extended_generators
+from .gateset import GateSet, GateWord
+from .net import EpsNet, build_gateset_net, extended_inverse
 from .linalg import dist
-
-Token = tuple[int, bool]
-
-
-@dataclass(frozen=True, eq=False)
-class SymbolWord:
-    """Word over generators and formal generator inverses."""
-
-    tokens: tuple[Token, ...]
-    product: np.ndarray
-
-    @property
-    def length(self) -> int:
-        return len(self.tokens)
-
-    @property
-    def inverted_count(self) -> int:
-        return sum(1 for _, inv in self.tokens if inv)
-
-
-def symbol_product(gs: GateSet, tokens) -> np.ndarray:
-    """Product of a token word over extended_generators(gs), where token
-    (i, True) is index n + i - 1 and the identity is its own inverse."""
-    n = gs.gen_count
-    idx = [n + i - 1 if inv and i else i for i, inv in tokens]
-    return word_product(extended_generators(gs), idx)
-
-
-def make_symbol_word(gs: GateSet, tokens) -> SymbolWord:
-    tk = tuple((int(i), bool(v)) for i, v in tokens)
-    return SymbolWord(tk, symbol_product(gs, tk))
-
-
-def invert_symbol_word(w: SymbolWord) -> SymbolWord:
-    tokens = tuple((i, not v) for i, v in reversed(w.tokens))
-    return SymbolWord(tokens, np.conj(w.product.T))
 
 
 # --- SU(2) <-> quaternion helpers ---
@@ -170,40 +135,36 @@ def base_params(gs: GateSet, word_length: int, budget: int = 2_000_000,
     return SKParams(net=net, max_depth=max_depth, eps_base=eps_base)
 
 
-def _tokens_from_net_word(gs: GateSet, w: GateWord) -> tuple[Token, ...]:
-    n = gs.gen_count
-    return tuple((i, False) if i < n else (i - n + 1, True) for i in w.indices)
-
-
-def sk_compile(gs: GateSet, target, eps: float, params: SKParams) -> SymbolWord:
+def sk_compile(gs: GateSet, target, eps: float, params: SKParams) -> GateWord:
     """Approximate a SU(2) target to operator-norm eps over gens and inverses.
 
-    Iteratively deepens the standard commutator recursion until the measured
-    error passes eps; raises NetTooCoarse if the depth cap is hit first, and
+    The returned word's tokens index extended_generators(gs).  Iteratively
+    deepens the standard commutator recursion until the measured error
+    passes eps; raises NetTooCoarse if the depth cap is hit first, and
     DimUnsupported away from d = 2.
     """
     if gs.dim != 2 or gs.mode != "su":
         raise DimUnsupported("the base compiler handles d = 2, su mode only")
     target = np.asarray(target, dtype=complex)
+    inv = extended_inverse(gs)
 
-    def base_case(u: np.ndarray) -> SymbolWord:
-        gw, _ = params.net.nearest(u)
-        return SymbolWord(_tokens_from_net_word(gs, gw), gw.product)
+    def invert(w: GateWord) -> GateWord:
+        return GateWord(tuple(inv[e] for e in reversed(w.tokens)), w.product.conj().T)
 
-    def recurse(u: np.ndarray, depth: int, w1: SymbolWord | None = None) -> SymbolWord:
+    def recurse(u: np.ndarray, depth: int, w1: GateWord | None = None) -> GateWord:
         if depth == 0:
-            return base_case(u)
+            return params.net.nearest(u)[0]
         if w1 is None:
             w1 = recurse(u, depth - 1)
         a, b = balanced_commutator_decompose(u @ w1.product.conj().T)
         wa = recurse(a, depth - 1)
         wb = recurse(b, depth - 1)
-        wa_inv = invert_symbol_word(wa)
-        wb_inv = invert_symbol_word(wb)
+        wa_inv = invert(wa)
+        wb_inv = invert(wb)
         tokens = wa.tokens + wb.tokens + wa_inv.tokens + wb_inv.tokens + w1.tokens
         product = (wa.product @ wb.product @ wa_inv.product
                    @ wb_inv.product @ w1.product)
-        return SymbolWord(tokens, product)
+        return GateWord(tokens, product)
 
     # the depth-k recursion starts from the depth-(k - 1) word, so each
     # deepening step reuses the previous one instead of recomputing it
@@ -226,27 +187,27 @@ def sk_compile(gs: GateSet, target, eps: float, params: SKParams) -> SymbolWord:
     )
 
 
-def rewrite_irrep_inverses(gs: GateSet, word: SymbolWord) -> SymbolWord:
+def rewrite_irrep_inverses(gs: GateSet, word: GateWord) -> GateWord:
     """Replace every inverted irrep token by its table inverse.
 
-    The table inverse of g is z_g g^-1 with z_g = tr(table_inverse(g) g) / d,
-    a d-th root of unity (exactly 1 for a genuine irrep).  The product is
-    therefore not re-multiplied: it is the input product times the tracked
-    phase, the product of z_g over the rewritten tokens.  Afterwards only
-    extra gates carry inversion marks.
+    Tokens index extended_generators(gs) on input and output.  The table
+    inverse of g is z_g g^-1 with z_g = tr(table_inverse(g) g) / d, a d-th
+    root of unity (exactly 1 for a genuine irrep).  The product is therefore
+    not re-multiplied: it is the input product times the tracked phase, the
+    product of z_g over the rewritten tokens.  Afterwards every token past
+    the forward generators is an inverted extra gate.
     """
     d = gs.dim
+    inv = extended_inverse(gs)
     table = {}
-    for g, i in enumerate(gs.irrep_indices):
+    for g, i in enumerate(gs.irrep_indices[1:], start=1):
         j = gs.irrep_indices[int(gs.rep.inverse_index[g])]
-        table[i] = (j, np.trace(gs.matrices[j] @ gs.matrices[i]) / d)
+        table[inv[i]] = (j, np.trace(gs.matrices[j] @ gs.matrices[i]) / d)
     tokens = []
     phase = 1.0
-    for i, inverted in word.tokens:
-        if inverted and i in table:
-            j, z = table[i]
-            tokens.append((j, False))
+    for e in word.tokens:
+        if e in table:
+            e, z = table[e]
             phase *= z
-        else:
-            tokens.append((i, inverted))
-    return SymbolWord(tuple(tokens), word.product * phase)
+        tokens.append(e)
+    return GateWord(tuple(tokens), word.product * phase)

@@ -11,27 +11,30 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from irrepsk import (
-    aligned_dist,
+from irrepsk import compile_target, refine_inverse
+from irrepsk.finitegroup import (
     average,
     build_builtin,
     central_extend,
     check_cover_equivalence,
-    check_smalltrace,
-    compile_target,
-    contraction_constant,
+)
+from irrepsk.gateset import eps0_constant
+from irrepsk.linalg import (
+    aligned_dist,
     dist,
-    eps0_constant,
-    naive_inverse_length,
     op_norm,
+    random_sl_near_identity,
     random_su,
-    refine_inverse,
-    refine_inverse_sl,
+    random_traceless_hermitian,
+)
+from irrepsk.refine import (
+    check_smalltrace,
+    contraction_constant,
+    naive_inverse_length,
     scan_orderings,
     symmetrize_matrix,
     symmetrized_length,
 )
-from irrepsk.linalg import random_sl_near_identity, random_traceless_hermitian
 from scipy.linalg import expm
 
 
@@ -260,9 +263,9 @@ def test_criterion_09_sl_mode(sl_gateset, sl_net, slp_gateset, slp_net):
     """Determinant-one non-unitary gates refine inside the working ball."""
     t0 = time.perf_counter()
     gen = sl_gateset.names.index("D")
-    word, achieved, trace = refine_inverse_sl(sl_gateset, sl_net, gen, 1e-6)
+    word, achieved, trace = refine_inverse(sl_gateset, sl_net, gen, 1e-6)
     ok_d = (achieved <= 1e-6
-            and all(0 <= i < len(sl_gateset.matrices) for i in word.indices)
+            and all(0 <= i < len(sl_gateset.matrices) for i in word.tokens)
             and all(r <= 1e-9 for r in trace.det_residuals))
 
     # the scale gate has an exact conjugate inverse; the perturbed companion
@@ -270,8 +273,8 @@ def test_criterion_09_sl_mode(sl_gateset, sl_net, slp_gateset, slp_net):
     c = contraction_constant(slp_gateset.rep)
     assert c == 28
     gen_p = slp_gateset.names.index("P")
-    word_p, achieved_p, trace_p = refine_inverse_sl(slp_gateset, slp_net,
-                                                    gen_p, 1e-6)
+    word_p, achieved_p, trace_p = refine_inverse(slp_gateset, slp_net,
+                                                 gen_p, 1e-6)
     contraction_ok = all(
         cur <= c * prev * prev * (1 + 1e-9)
         for prev, cur in zip(trace_p.errors, trace_p.errors[1:])
@@ -279,7 +282,7 @@ def test_criterion_09_sl_mode(sl_gateset, sl_net, slp_gateset, slp_net):
     ok_p = (achieved_p <= 1e-6
             and len(trace_p.errors) >= 2
             and contraction_ok
-            and all(0 <= i < len(slp_gateset.matrices) for i in word_p.indices)
+            and all(0 <= i < len(slp_gateset.matrices) for i in word_p.tokens)
             and all(r <= 1e-9 for r in trace_p.det_residuals))
     wall = time.perf_counter() - t0
     ok = ok_d and ok_p

@@ -3,24 +3,23 @@
 import numpy as np
 import pytest
 
-from irrepsk import (
-    aligned_dist,
-    average,
-    build_builtin,
-    central_extend,
-    check_cover_equivalence,
-    check_irreducible,
-    check_schur_orthogonality,
-    infer_group,
-    op_norm,
-    su_normalize,
-)
 from irrepsk.errors import (
     NotClosed,
     NotIrreducible,
     ProjectiveUnsupported,
 )
-from irrepsk.finitegroup import BUILTIN_GROUPS, builtin_matrices
+from irrepsk.finitegroup import (
+    BUILTIN_GROUPS,
+    average,
+    build_builtin,
+    builtin_matrices,
+    central_extend,
+    check_cover_equivalence,
+    check_irreducible,
+    check_schur_orthogonality,
+    infer_group,
+)
+from irrepsk.linalg import aligned_dist, op_norm, su_normalize
 
 BUILTIN_SHAPES = {
     # name -> (dim, order, projective)

@@ -6,18 +6,17 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from irrepsk import (
-    GateWord,
-    build_builtin,
+from irrepsk import load_gateset, parse_gateset
+from irrepsk.errors import BallError, ClassError, IrrepError, SchemaError
+from irrepsk.finitegroup import build_builtin
+from irrepsk.gateset import (
     concat_words,
     eps0_constant,
-    load_gateset,
     make_word,
-    parse_gateset,
+    matrix_to_literal,
+    parse_matrix_literal,
     word_product,
 )
-from irrepsk.errors import BallError, ClassError, IrrepError, SchemaError
-from irrepsk.gateset import matrix_to_literal, parse_matrix_literal
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -141,7 +140,7 @@ def test_word_monoid(request, gateset, length):
     a = make_word(gens, idx[:3])
     b = make_word(gens, idx[3:])
     ab = concat_words(a, b)
-    assert ab.indices == idx
+    assert ab.tokens == idx
     assert np.linalg.norm(ab.product - oracle, 2) <= tol
 
 

@@ -3,24 +3,20 @@
 import numpy as np
 import pytest
 
-from irrepsk import (
+from irrepsk.errors import ClassError, DimError, InvalidMatrix
+from irrepsk.linalg import (
     MatrixClass,
     aligned_dist,
     check_class,
-    dist,
-    op_norm,
-    random_su,
-    su_normalize,
-)
-from irrepsk.errors import ClassError, DimError, InvalidMatrix
-from irrepsk.linalg import (
     determinant,
+    dist,
     frobenius_phase,
-    matrix_exp_tangent,
+    op_norm,
     random_sl_near_identity,
-    random_traceless,
+    random_su,
     random_traceless_hermitian,
     sl_residual,
+    su_normalize,
     unitarity_residual,
 )
 
@@ -123,25 +119,6 @@ def test_residuals():
     assert unitarity_residual(np.diag([2.0, 0.5])) > 0.5
     assert sl_residual(np.diag([2.0, 0.5])) <= 1e-12
     assert sl_residual(np.diag([2.0, 1.0])) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_matrix_exp_tangent_su():
-    got = matrix_exp_tangent(Z, 0.3)
-    assert np.allclose(got, np.diag([np.exp(0.3j), np.exp(-0.3j)]), atol=1e-12)
-    h = (X + Z) / np.sqrt(2)
-    m = matrix_exp_tangent(h, 0.01)
-    assert 0.0099 <= dist(m, np.eye(2)) <= 0.0101
-    with pytest.raises(ClassError):
-        matrix_exp_tangent(np.eye(2), 0.1)  # not traceless
-    with pytest.raises(ClassError):
-        matrix_exp_tangent(np.array([[0, 1], [0, 0]]), 0.1)  # not Hermitian
-
-
-def test_matrix_exp_tangent_sl():
-    rng = np.random.default_rng(6)
-    a = random_traceless(2, rng)
-    m = matrix_exp_tangent(a, 0.2, MatrixClass.SPECIAL_LINEAR)
-    assert determinant(m) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_random_su_is_special_unitary_and_seeded():

@@ -3,17 +3,10 @@
 import numpy as np
 import pytest
 
-from irrepsk import (
-    build_gateset_net,
-    dist,
-    load_net,
-    parse_gateset,
-    probe_density,
-    random_su,
-    save_net,
-)
+from irrepsk import build_gateset_net, load_net, parse_gateset, save_net
 from irrepsk.errors import FormatError, StaleGateSet
-from irrepsk.net import extended_generators
+from irrepsk.linalg import dist, random_su
+from irrepsk.net import extended_generators, probe_density
 from scipy.linalg import expm
 
 
@@ -53,7 +46,7 @@ def test_nearest_on_near_identity_target(pauli_only):
     net = build_gateset_net(pauli_only, 1)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     word, got = net.nearest(expm(0.1j * x))
-    assert word.indices == ()
+    assert word.tokens == ()
     assert got == pytest.approx(2 * np.sin(0.05), abs=1e-9)
 
 
@@ -62,7 +55,7 @@ def test_nearest_tie_break_prefers_store_order(ht_gateset):
     # the identity product duplicates many times; dedup keeps the first,
     # so an exact identity query returns the empty word
     word, got = net.nearest(np.eye(2))
-    assert word.indices == ()
+    assert word.tokens == ()
     # the bulk SU(2) scan loses half its digits near zero; exactness is not
     # promised below sqrt(eps_machine)
     assert got <= 1e-7

@@ -5,24 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from irrepsk import (
-    aligned_dist,
-    build_builtin,
-    build_gateset_net,
-    check_smalltrace,
-    compile_target,
-    contraction_constant,
-    dist,
-    eps0_constant,
-    naive_inverse_length,
-    random_su,
-    refine_inverse,
-    refine_inverse_sl,
-    scan_orderings,
-    symmetrize_matrix,
-    symmetrize_word,
-    symmetrized_length,
-)
+from irrepsk import build_gateset_net, compile_target, refine_inverse
 from irrepsk.errors import (
     DimError,
     GroupTooLarge,
@@ -30,8 +13,18 @@ from irrepsk.errors import (
     NonConvergent,
     Stalled,
 )
-from irrepsk.gateset import make_word
-from irrepsk.linalg import random_sl_near_identity
+from irrepsk.finitegroup import build_builtin
+from irrepsk.gateset import eps0_constant, make_word
+from irrepsk.linalg import aligned_dist, dist, random_sl_near_identity, random_su
+from irrepsk.refine import (
+    check_smalltrace,
+    contraction_constant,
+    naive_inverse_length,
+    scan_orderings,
+    symmetrize_matrix,
+    symmetrize_word,
+    symmetrized_length,
+)
 
 
 def test_symmetrized_length_formula():
@@ -79,19 +72,19 @@ def test_symmetrize_contracts_near_identity():
 def test_refine_irrep_member_uses_table(ht_gateset, ht_refine_net):
     word, achieved, trace = refine_inverse(ht_gateset, ht_refine_net, 1, 1e-8)
     assert trace.exact_hit
-    assert word.indices == (1,)  # su-form X is its own inverse up to phase
+    assert word.tokens == (1,)  # su-form X is its own inverse up to phase
     assert achieved <= 1e-12
 
 
 def test_refine_exact_net_hits(ht_gateset, ht_refine_net):
     # both extra gates have exact inverses among short net words
     word, achieved, trace = refine_inverse(ht_gateset, ht_refine_net, 4, 1e-8)
-    assert word.indices == (4,)
+    assert word.tokens == (4,)
     assert achieved <= 1e-12
     assert not trace.exact_hit
     assert len(trace.errors) == 1  # start already below target: no passes
     word, achieved, trace = refine_inverse(ht_gateset, ht_refine_net, 5, 1e-8)
-    assert word.indices == (1, 5, 1)
+    assert word.tokens == (1, 5, 1)
     assert achieved <= 1e-12
 
 
@@ -110,7 +103,7 @@ def test_refine_skew_gate_contracts(skew_gateset, skew_net):
     for k, e in enumerate(trace.errors):
         assert e <= 2 * eps0 / 2 ** (2 ** k)
     assert achieved <= 1e-8
-    assert all(0 <= i < len(gs.matrices) for i in word.indices)
+    assert all(0 <= i < len(gs.matrices) for i in word.tokens)
     u_inv = gs.matrices[gen].conj().T
     assert aligned_dist(word.product, u_inv, gs.phase_candidates) <= 1e-8
 
@@ -195,8 +188,8 @@ def test_smalltrace_bound_holds_nearby():
 
 def test_refine_inverse_sl_exact_hit(sl_gateset, sl_net):
     gen = sl_gateset.names.index("D")
-    word, achieved, trace = refine_inverse_sl(sl_gateset, sl_net, gen, 1e-6)
-    assert word.indices == (1, 4, 1)  # X D X is the exact inverse of D
+    word, achieved, trace = refine_inverse(sl_gateset, sl_net, gen, 1e-6)
+    assert word.tokens == (1, 4, 1)  # X D X is the exact inverse of D
     assert achieved <= 1e-12
     assert all(r <= 1e-9 for r in trace.det_residuals)
 
@@ -204,7 +197,7 @@ def test_refine_inverse_sl_exact_hit(sl_gateset, sl_net):
 def test_refine_inverse_sl_perturbed_gate(slp_gateset, slp_net):
     gs = slp_gateset
     gen = gs.names.index("P")
-    word, achieved, trace = refine_inverse_sl(gs, slp_net, gen, 1e-6)
+    word, achieved, trace = refine_inverse(gs, slp_net, gen, 1e-6)
     c = contraction_constant(gs.rep)
     assert len(trace.errors) == 2
     assert trace.errors[1] <= c * trace.errors[0] ** 2
@@ -214,11 +207,6 @@ def test_refine_inverse_sl_perturbed_gate(slp_gateset, slp_net):
     assert all(r <= 1e-9 for r in trace.det_residuals)
     u_inv = np.linalg.inv(gs.matrices[gen])
     assert aligned_dist(word.product, u_inv, gs.phase_candidates) <= achieved + 1e-12
-
-
-def test_refine_inverse_sl_rejects_su_sets(ht_gateset, ht_refine_net):
-    with pytest.raises(DimError):
-        refine_inverse_sl(ht_gateset, ht_refine_net, 4, 1e-6)
 
 
 def test_compile_target_report(ht_gateset, ht_params, ht_refine_net):

@@ -3,27 +3,19 @@
 import numpy as np
 import pytest
 
-from irrepsk import (
-    EpsNet,
-    SKParams,
-    aligned_dist,
-    balanced_commutator_decompose,
-    base_params,
-    build_gateset_net,
-    dist,
-    random_su,
-    rewrite_irrep_inverses,
-    sk_compile,
-)
+from irrepsk import EpsNet, SKParams, base_params, build_gateset_net
 from irrepsk.errors import NetTooCoarse, TooFar
+from irrepsk.gateset import make_word, word_product
+from irrepsk.linalg import aligned_dist, dist, random_su
+from irrepsk.net import extended_generators, extended_inverse
 from irrepsk.skbase import (
     axis_angle,
-    invert_symbol_word,
-    make_symbol_word,
+    balanced_commutator_decompose,
     quaternion_to_su2,
+    rewrite_irrep_inverses,
     rotation,
+    sk_compile,
     su2_to_quaternion,
-    symbol_product,
 )
 
 
@@ -85,21 +77,24 @@ def test_commutator_identity_and_too_far():
         balanced_commutator_decompose(rotation(np.array([0, 0, 1.0]), 3.0))
 
 
-def test_symbol_words(ht_gateset):
-    gs = ht_gateset
-    tokens = ((4, False), (5, True), (1, False))
-    w = make_symbol_word(gs, tokens)
-    assert w.length == 3
-    assert w.inverted_count == 1
-    oracle = gs.matrices[4] @ gs.matrices[5].conj().T @ gs.matrices[1]
-    assert np.allclose(w.product, oracle, atol=1e-12)
-    assert np.allclose(symbol_product(gs, tokens), oracle, atol=1e-12)
-    # the identity is its own inverse, not the last extended generator
-    assert np.allclose(symbol_product(gs, ((0, True), (5, True))), gs.matrices[5].conj().T,
-                       atol=1e-12)
-    inv = invert_symbol_word(w)
-    assert inv.tokens == ((1, True), (5, False), (4, True))
-    assert np.allclose(inv.product @ w.product, np.eye(2), atol=1e-12)
+def test_symbol_words(ht_gateset, slp_gateset):
+    # base-compiler words index extended_generators, and extended_inverse
+    # names the index of each entry's inverse
+    rng = np.random.default_rng(30)
+    for gs in (ht_gateset, slp_gateset):
+        n = gs.gen_count
+        gens = extended_generators(gs)
+        inv = extended_inverse(gs)
+        assert len(inv) == len(gens) == 2 * n - 1
+        assert [inv[inv[e]] for e in range(2 * n - 1)] == list(range(2 * n - 1))
+        assert [e for e in range(2 * n - 1) if inv[e] == e] == [0]
+        for e in range(2 * n - 1):
+            assert np.allclose(gens[inv[e]] @ gens[e], np.eye(2), atol=1e-12)
+        w = make_word(gens, tuple(int(e) for e in rng.integers(2 * n - 1, size=9)))
+        w_inv = make_word(gens, tuple(inv[e] for e in reversed(w.tokens)))
+        assert np.allclose(w_inv.product @ w.product, np.eye(2), atol=1e-12)
+        if gs.mode == "su":
+            assert np.allclose(w_inv.product, w.product.conj().T, atol=1e-12)
 
 
 def test_params_guardrails(ht_gateset):
@@ -174,27 +169,43 @@ def test_sk_compile_reuses_the_previous_depth(ht_gateset, monkeypatch):
 
 def test_rewrite_irrep_inverses(ht_gateset):
     gs = ht_gateset
+    gens = extended_generators(gs)
+    inv = extended_inverse(gs)
     # X is self-inverse up to phase; T (index 5) is not an irrep member.
     # Each rewrite of X, Y or Z flips the sign, and three flips do not cancel
-    w = make_symbol_word(gs, ((1, True), (5, True), (3, True), (2, True)))
+    w = make_word(gens, tuple(inv[i] for i in (1, 5, 3, 2)))
     out = rewrite_irrep_inverses(gs, w)
-    assert out.tokens[0] == (1, False)
-    assert out.tokens[1] == (5, True)
-    assert out.tokens[2] == (3, False)
+    assert out.tokens == (1, inv[5], 3, 2)
     assert aligned_dist(out.product, w.product, gs.phase_candidates) <= 1e-10
     # the tracked phase makes the product exact, not only up to phase
-    assert np.allclose(out.product, symbol_product(gs, out.tokens), atol=1e-12)
+    assert np.allclose(out.product, word_product(gens, out.tokens), atol=1e-12)
 
 
 def test_rewrite_preserves_product_phase_class(ht_gateset, ht_params):
+    gs = ht_gateset
+    n = gs.gen_count
+    gens = extended_generators(gs)
+    inv = extended_inverse(gs)
     rng = np.random.default_rng(37)
     t = random_su(2, rng)
-    w = sk_compile(ht_gateset, t, 1e-3, ht_params)
-    out = rewrite_irrep_inverses(ht_gateset, w)
-    assert out.inverted_count <= w.inverted_count
-    assert all(i not in ht_gateset.irrep_indices for i, inv in out.tokens if inv)
-    assert aligned_dist(out.product, w.product, ht_gateset.phase_candidates) <= 1e-10
-    assert np.allclose(out.product, symbol_product(ht_gateset, out.tokens), atol=1e-12)
+    w = sk_compile(gs, t, 1e-3, ht_params)
+    out = rewrite_irrep_inverses(gs, w)
+    assert sum(e >= n for e in out.tokens) <= sum(e >= n for e in w.tokens)
+    assert all(inv[e] in gs.extra_indices for e in out.tokens if e >= n)
+    assert aligned_dist(out.product, w.product, gs.phase_candidates) <= 1e-10
+    assert np.allclose(out.product, word_product(gens, out.tokens), atol=1e-12)
+
+
+def test_sk_compile_tracks_the_product_of_its_tokens(ht_gateset, ht_params):
+    # the recursion multiplies subword products instead of its tokens, so
+    # check the tracked product against an independent one
+    gens = extended_generators(ht_gateset)
+    for seed in (0, 1, 2, 3):
+        t = random_su(2, np.random.default_rng(seed))
+        w = sk_compile(ht_gateset, t, 1e-3, ht_params)
+        assert all(0 <= e < len(gens) for e in w.tokens)
+        tol = 4 * w.length * 2.0 ** -52
+        assert np.linalg.norm(w.product - word_product(gens, w.tokens), 2) <= tol
 
 
 def test_word_length_growth_per_depth(ht_gateset, ht_params):

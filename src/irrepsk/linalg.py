@@ -124,6 +124,17 @@ def su_normalize(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     return np.exp(-1j * phi / a.shape[0]) * a
 
 
+def su2_to_quaternion(u: np.ndarray) -> np.ndarray:
+    """Components (w, x, y, z) with u = w I - i (x X + y Y + z Z).
+
+    u is one (2, 2) matrix, giving shape (4,), or an (N, 2, 2) stack, giving
+    (N, 4).  For A, B in SU(2), A - B = |q_A - q_B| times an SU(2) matrix, so
+    the operator-norm distance is the Euclidean distance of the quaternions.
+    """
+    return np.array([u[..., 0, 0].real, -u[..., 0, 1].imag,
+                     -u[..., 0, 1].real, -u[..., 0, 0].imag]).T
+
+
 # --- seeded samplers used by probes, benchmarks and tests ---
 
 def random_su(d: int, rng: np.random.Generator) -> np.ndarray:

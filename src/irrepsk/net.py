@@ -4,10 +4,14 @@ The net stores every product of generators up to a word length, deduplicated
 in Frobenius distance (which upper-bounds the operator norm, so merging is
 conservative: nothing that should stay distinct is merged).  Queries are
 exact over the store: the returned word minimises the operator-norm distance
-among all stored products, computed with a batched SVD.  For pairs of
-SU(2) matrices both singular values of the difference coincide, so the
-Frobenius order equals the operator-norm order and a closed-form trace
-formula replaces the SVD.
+among all stored products.
+
+For A, B in SU(2) the difference A - B is a real multiple of an SU(2)
+matrix, so ||A - B|| is the Euclidean distance of their unit quaternions.
+An SU(2) net therefore answers queries for SU(2) targets from a k-d tree
+over its products' quaternions in O(log N), and its distance scan is one
+vectorized norm.  Any other net or target (sl mode, d >= 3, a target off
+the group) is scanned with a batched SVD.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from scipy.spatial import cKDTree
 
 from .errors import BudgetExceeded, EmptyNet, FormatError, StaleGateSet
 from .gateset import GateSet, GateWord, word_product
-from .linalg import random_su, unitarity_residual
+from .linalg import random_su, su2_to_quaternion, unitarity_residual
 
 NET_FORMAT = "irrepsk-net-v1"
 DEFAULT_BUDGET = 2_000_000
@@ -69,37 +73,56 @@ class EpsNet:
     products: np.ndarray             # (n, d, d)
     usable: bool = True
     achieved_density: float | None = None
-    _su2_flat_conj: np.ndarray | None = field(default=None, repr=False)
+    _quats: np.ndarray | None = field(default=None, repr=False)   # (n, 4)
+    _tree: cKDTree | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.words)
 
-    def _is_su2(self) -> bool:
-        return self.dim == 2 and self.mode == "su"
-
-    def _su2_cache(self) -> np.ndarray:
-        if self._su2_flat_conj is None:
-            self._su2_flat_conj = self.products.reshape(len(self.products), -1).conj()
-        return self._su2_flat_conj
-
-    def distances_to(self, target: np.ndarray) -> np.ndarray:
-        """Operator-norm distance from every stored product to target."""
+    def _su2_quaternion(self, target) -> tuple[np.ndarray, np.ndarray | None]:
+        """The target as a complex matrix, and its quaternion when both the
+        net and the target lie in SU(2) (None otherwise).  The first such
+        query builds the quaternion array and its tree."""
         if len(self.words) == 0:
             raise EmptyNet("net has no stored words")
         t = np.asarray(target, dtype=complex)
-        if self._is_su2() and unitarity_residual(t) < 1e-9 and abs(np.linalg.det(t) - 1) < 1e-9:
-            # ||A - B|| = sqrt(2 - Re tr(A^dag B)) when both are in SU(2)
-            tr = (self._su2_cache() @ t.reshape(-1)).real
-            return np.sqrt(np.maximum(0.0, 2.0 - tr))
-        diffs = self.products - t[None, :, :]
-        return np.linalg.svd(diffs, compute_uv=False)[:, 0]
+        if not (self.dim == 2 and self.mode == "su" and unitarity_residual(t) < 1e-9
+                and abs(np.linalg.det(t) - 1) < 1e-9):
+            return t, None
+        if self._quats is None:
+            self._quats = np.ascontiguousarray(su2_to_quaternion(self.products))
+            self._tree = cKDTree(self._quats)
+        return t, su2_to_quaternion(t)
+
+    def distances_to(self, target: np.ndarray) -> np.ndarray:
+        """Operator-norm distance from every stored product to target.
+
+        For an SU(2) net and target this is the quaternion distance, exact
+        down to zero; otherwise the largest singular value of each difference.
+        """
+        t, q = self._su2_quaternion(target)
+        if q is not None:
+            return np.linalg.norm(self._quats - q, axis=1)
+        return np.linalg.svd(self.products - t[None, :, :], compute_uv=False)[:, 0]
 
     def nearest(self, target) -> tuple[GateWord, float]:
-        """Exact nearest stored word; ties resolved by store order, which is
-        breadth-first (shortest word first, then generation order)."""
-        d = self.distances_to(target)
-        i = int(np.argmin(d))
-        return GateWord(self.words[i], self.products[i]), float(d[i])
+        """Exact nearest stored word and its distance to target.
+
+        Ties go to store order, which is breadth-first (shortest word first,
+        then generation order).  SU(2) targets against an SU(2) net are
+        answered by the quaternion tree, where products within 1e-12 of the
+        nearest count as tied; any other query scans distances_to and takes
+        its first minimum.
+        """
+        t, q = self._su2_quaternion(target)
+        if q is None:
+            d = self.distances_to(t)
+            i = int(np.argmin(d))
+            return GateWord(self.words[i], self.products[i]), float(d[i])
+        (d0, d1), (i, _) = self._tree.query(q, k=2)
+        if d1 - d0 <= 1e-12:
+            i = min(self._tree.query_ball_point(q, d0 + 1e-12))
+        return GateWord(self.words[i], self.products[i]), float(d0)
 
 
 def _vec(mats: np.ndarray) -> np.ndarray:

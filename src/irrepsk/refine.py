@@ -139,20 +139,21 @@ def _best_start(gs: GateSet, net: EpsNet, u: np.ndarray):
         for z in phases:
             dists = net.distances_to(z * u_inv)
             i = int(np.argmin(dists))
-            # the bulk scan loses half its digits near zero (sqrt of a
-            # cancelled trace), so recheck the winner exactly
+            # verify the winner with an independent SVD distance
             d = dist(net.products[i], z * u_inv)
             if best is None or d < best[1] - 1e-12 or (
                     d < best[1] + 1e-12 and len(net.words[i]) < len(net.words[best[0]])):
                 best = (i, d)
+        i, start = best
     else:
+        # aligned distance of every P u to the identity, one batched SVD per
+        # phase; argmin keeps the first of equal minima
         eye = np.eye(gs.dim)
-        best = None
-        for i in range(len(net)):
-            start = aligned_dist(net.products[i] @ u, eye, phases)
-            if best is None or start < best[1]:
-                best = (i, start)
-    i, start = best
+        pu = net.products @ u
+        starts = np.min([np.linalg.svd(pu - z * eye, compute_uv=False)[:, 0]
+                         for z in phases], axis=0)
+        i = int(np.argmin(starts))
+        start = float(starts[i])
     return GateWord(net.words[i], net.products[i]), start
 
 

@@ -24,15 +24,10 @@ import numpy as np
 from .errors import DimUnsupported, NetTooCoarse, TooFar
 from .gateset import GateSet, GateWord
 from .net import EpsNet, build_gateset_net, extended_inverse
-from .linalg import dist
+from .linalg import dist, su2_to_quaternion
 
 
 # --- SU(2) <-> quaternion helpers ---
-
-def su2_to_quaternion(u: np.ndarray) -> np.ndarray:
-    """Components (w, x, y, z) with u = w I - i (x X + y Y + z Z)."""
-    return np.array([u[0, 0].real, -u[0, 1].imag, -u[0, 1].real, -u[0, 0].imag])
-
 
 def quaternion_to_su2(q) -> np.ndarray:
     w, x, y, z = q

@@ -5,8 +5,9 @@ import pytest
 
 from irrepsk import build_gateset_net, load_net, parse_gateset, save_net
 from irrepsk.errors import FormatError, StaleGateSet
-from irrepsk.linalg import dist, random_su
+from irrepsk.linalg import dist, random_sl_near_identity, random_su, su2_to_quaternion
 from irrepsk.net import extended_generators, probe_density
+from irrepsk.skbase import quaternion_to_su2, rotation
 from scipy.linalg import expm
 
 
@@ -56,9 +57,97 @@ def test_nearest_tie_break_prefers_store_order(ht_gateset):
     # so an exact identity query returns the empty word
     word, got = net.nearest(np.eye(2))
     assert word.tokens == ()
-    # the bulk SU(2) scan loses half its digits near zero; exactness is not
-    # promised below sqrt(eps_machine)
-    assert got <= 1e-7
+    # the quaternion distance has no cancellation, so an exact hit reads 0
+    assert got == 0.0
+
+
+def test_nearest_equidistant_pauli_goes_to_store_order(pauli_only):
+    # a quarter turn about x, y or z lies 2 sin(pi/8) from I and, for +pi/2,
+    # equally far from that axis's su-form Pauli; the empty word comes first
+    net = build_gateset_net(pauli_only, 1)
+    for axis in np.eye(3):
+        for angle in (np.pi / 2, -np.pi / 2):
+            t = rotation(axis, angle)
+            word, got = net.nearest(t)
+            assert word.tokens == ()
+            assert got == pytest.approx(2 * np.sin(np.pi / 8), abs=1e-15)
+        ds = net.distances_to(rotation(axis, np.pi / 2))
+        assert np.sum(ds <= ds[0] + 1e-12) == 2
+
+
+def test_midpoint_ties_go_to_store_order(ht_gateset):
+    # the quaternion midpoint of two stored products is equidistant from
+    # both; over the Clifford-rich length-3 net many such targets tie with
+    # two or more products, and the k-d tree alone returns any of them
+    net = build_gateset_net(ht_gateset, 3)
+    q = su2_to_quaternion(net.products)
+    ties = 0
+    for a in range(len(net)):
+        for b in range(a + 1, len(net)):
+            m = q[a] + q[b]
+            if np.linalg.norm(m) < 1e-6:
+                continue
+            t = quaternion_to_su2(m / np.linalg.norm(m))
+            ds = net.distances_to(t)
+            tied = np.nonzero(ds <= ds.min() + 1e-12)[0]
+            ties += len(tied) > 1
+            assert net.nearest(t)[0].tokens == net.words[tied[0]]
+    assert ties > 500
+
+
+@pytest.fixture(scope="module")
+def ht_base8(ht_gateset):
+    net = build_gateset_net(ht_gateset, 8, with_inverses=True)
+    assert len(net) == 960
+    return net
+
+
+def test_index_matches_svd_brute_force(ht_base8):
+    rng = np.random.default_rng(24)
+    for _ in range(200):
+        t = random_su(2, rng)
+        word, got = ht_base8.nearest(t)
+        svd = [dist(p, t) for p in ht_base8.products]
+        i = int(np.argmin(svd))
+        assert word.tokens == ht_base8.words[i]
+        assert got == pytest.approx(svd[i], abs=1e-14)
+
+
+def test_index_is_exact_near_a_stored_product(ht_base8):
+    # ||P - P R|| = ||I - R|| = 2 sin(theta / 4) for a rotation R by theta;
+    # a scan through sqrt(2 - Re tr) misses this by up to ~1e-8
+    rng = np.random.default_rng(25)
+    for j in rng.choice(len(ht_base8), size=5, replace=False):
+        axis = rng.normal(size=3)
+        for k in range(3, 13):
+            theta = 10.0 ** -k
+            t = ht_base8.products[j] @ rotation(axis, theta)
+            word, got = ht_base8.nearest(t)
+            assert word.tokens == ht_base8.words[j]
+            assert abs(got - 2 * np.sin(theta / 4)) <= 1e-15
+
+
+def test_off_group_target_falls_back_to_svd(ht_gateset):
+    # plain Hadamard is unitary with det -1, so it is not in the index
+    net = build_gateset_net(ht_gateset, 4)
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    word, got = net.nearest(h)
+    svd = [dist(p, h) for p in net.products]
+    i = int(np.argmin(svd))
+    assert word.tokens == net.words[i]
+    assert got == svd[i]
+    assert got > 0.5
+
+
+def test_sl_net_queries_match_svd(slp_net):
+    rng = np.random.default_rng(26)
+    for _ in range(20):
+        t = random_sl_near_identity(2, rng, 0.3)
+        word, got = slp_net.nearest(t)
+        svd = [dist(p, t) for p in slp_net.products]
+        i = int(np.argmin(svd))
+        assert word.tokens == slp_net.words[i]
+        assert got == svd[i]
 
 
 def test_words_do_not_exceed_length(ht_gateset):
@@ -140,6 +229,17 @@ def test_inverse_extended_net_roundtrip(tmp_path, ht_gateset):
         load_net(p, ht_gateset)  # flag mismatch changes the fingerprint
 
 
+def test_reloaded_base_net_answers_like_the_built_one(tmp_path, ht_gateset):
+    net = build_gateset_net(ht_gateset, 6, with_inverses=True)
+    p = tmp_path / "base.json"
+    save_net(net, p)
+    back = load_net(p, ht_gateset, with_inverses=True)
+    rng = np.random.default_rng(27)
+    for _ in range(50):
+        t = random_su(2, rng)
+        assert back.nearest(t)[0].tokens == net.nearest(t)[0].tokens
+
+
 def test_distances_match_aligned_queries(ht_gateset):
     net = build_gateset_net(ht_gateset, 4)
     rng = np.random.default_rng(23)
@@ -147,4 +247,4 @@ def test_distances_match_aligned_queries(ht_gateset):
     ds = net.distances_to(t)
     assert ds.shape == (len(net),)
     k = int(rng.integers(len(net)))
-    assert ds[k] == pytest.approx(dist(net.products[k], t), abs=1e-7)
+    assert ds[k] == pytest.approx(dist(net.products[k], t), abs=1e-12)

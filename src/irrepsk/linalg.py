@@ -135,6 +135,17 @@ def su2_to_quaternion(u: np.ndarray) -> np.ndarray:
                      -u[..., 0, 1].real, -u[..., 0, 0].imag]).T
 
 
+# I, -iX, -iY and -iZ, flattened row-major
+_SU2_BASIS = np.array([[1, 0, 0, 1], [0, -1j, -1j, 0], [0, -1, 1, 0], [-1j, 0, 0, 1j]])
+
+
+def quaternion_to_su2(q) -> np.ndarray:
+    """Inverse of su2_to_quaternion: shape (4,) gives one (2, 2) matrix,
+    (N, 4) an (N, 2, 2) stack."""
+    q = np.asarray(q, dtype=float)
+    return (q @ _SU2_BASIS).reshape(q.shape[:-1] + (2, 2))
+
+
 # --- seeded samplers used by probes, benchmarks and tests ---
 
 def random_su(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -142,9 +153,7 @@ def random_su(d: int, rng: np.random.Generator) -> np.ndarray:
     if d == 2:
         q = rng.normal(size=4)
         q /= np.linalg.norm(q)
-        w, x, y, z = q
-        return np.array([[w + 1j * z, y + 1j * x],
-                         [-y + 1j * x, w - 1j * z]], dtype=complex)
+        return quaternion_to_su2(q * [1.0, -1.0, -1.0, -1.0])
     zmat = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / np.sqrt(2)
     q, r = np.linalg.qr(zmat)
     ph = np.diagonal(r)

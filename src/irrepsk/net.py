@@ -9,9 +9,8 @@ among all stored products.
 For A, B in SU(2) the difference A - B is a real multiple of an SU(2)
 matrix, so ||A - B|| is the Euclidean distance of their unit quaternions.
 An SU(2) net therefore answers queries for SU(2) targets from a k-d tree
-over its products' quaternions in O(log N), and its distance scan is one
-vectorized norm.  Any other net or target (sl mode, d >= 3, a target off
-the group) is scanned with a batched SVD.
+over its products' quaternions in O(log N).  Any other net or target (sl
+mode, d >= 3, a target off the group) is scanned with a batched SVD.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from scipy.spatial import cKDTree
 
 from .errors import BudgetExceeded, EmptyNet, FormatError, StaleGateSet
 from .gateset import GateSet, GateWord, word_product
-from .linalg import random_su, su2_to_quaternion, unitarity_residual
+from .linalg import quaternion_to_su2, random_su, su2_to_quaternion
 
 NET_FORMAT = "irrepsk-net-v1"
 DEFAULT_BUDGET = 2_000_000
@@ -86,23 +85,22 @@ class EpsNet:
         if len(self.words) == 0:
             raise EmptyNet("net has no stored words")
         t = np.asarray(target, dtype=complex)
-        if not (self.dim == 2 and self.mode == "su" and unitarity_residual(t) < 1e-9
-                and abs(np.linalg.det(t) - 1) < 1e-9):
+        if not (self.dim == 2 and self.mode == "su" and t.shape == (2, 2)):
+            return t, None
+        # t is in SU(2) when its first row, read as a quaternion, has unit
+        # norm and rebuilds the whole matrix
+        q = su2_to_quaternion(t)
+        if not (abs(q @ q - 1.0) < 1e-9 and np.abs(quaternion_to_su2(q) - t).max() < 1e-9):
             return t, None
         if self._quats is None:
             self._quats = np.ascontiguousarray(su2_to_quaternion(self.products))
             self._tree = cKDTree(self._quats)
-        return t, su2_to_quaternion(t)
+        return t, q
 
     def distances_to(self, target: np.ndarray) -> np.ndarray:
-        """Operator-norm distance from every stored product to target.
-
-        For an SU(2) net and target this is the quaternion distance, exact
-        down to zero; otherwise the largest singular value of each difference.
-        """
-        t, q = self._su2_quaternion(target)
-        if q is not None:
-            return np.linalg.norm(self._quats - q, axis=1)
+        """Operator-norm distance from every stored product to target, the
+        largest singular value of each difference."""
+        t = np.asarray(target, dtype=complex)
         return np.linalg.svd(self.products - t[None, :, :], compute_uv=False)[:, 0]
 
     def nearest(self, target) -> tuple[GateWord, float]:
@@ -151,7 +149,7 @@ def build_net(gens: np.ndarray, dim: int, mode: str, word_length: int,
         if len(frontier_w) == 0:
             reached = word_length
             break
-        cand = np.einsum("fij,mjk->fmik", frontier_p, gens).reshape(-1, dim, dim)
+        cand = np.matmul(frontier_p[:, None], gens[None]).reshape(-1, dim, dim)
         cand_words = [w + (m,) for w in frontier_w for m in range(n_gens)]
         cv = _vec(cand)
         tree = cKDTree(_vec(products))
@@ -171,15 +169,8 @@ def build_net(gens: np.ndarray, dim: int, mode: str, word_length: int,
         if len(kept) > room:
             kept = kept[:room]
             usable = False
-        # store products rebuilt one 2-D matmul at a time (parent @ generator):
-        # this is the exact recipe load_net replays, so the saved digest is
-        # reproducible bit for bit; the einsum block above only drives dedup
         frontier_w = [cand_words[i] for i in kept]
-        new_p = np.empty((len(kept), dim, dim), dtype=complex)
-        for j, i in enumerate(kept):
-            parent = frontier_p[i // n_gens]
-            new_p[j] = parent @ gens[i % n_gens]
-        frontier_p = new_p
+        frontier_p = cand[kept]
         words.extend(frontier_w)
         products = np.concatenate([products, frontier_p])
         reached = level

@@ -39,9 +39,10 @@ from .errors import (
 )
 from .finitegroup import FiniteGroupRep
 from .gateset import GateSet, GateWord, concat_words, eps0_constant, make_word
-from .linalg import aligned_dist, dist, op_norm, random_traceless_hermitian
+from .linalg import (aligned_dist, dist, op_norm, random_traceless_hermitian,
+                     su2_to_quaternion)
 from .net import EpsNet, extended_inverse
-from .skbase import SKParams, axis_angle, rewrite_irrep_inverses, sk_compile
+from .skbase import SKParams, rewrite_irrep_inverses, sk_compile
 
 
 def contraction_constant(rep: FiniteGroupRep) -> float:
@@ -137,24 +138,21 @@ def _best_start(gs: GateSet, net: EpsNet, u: np.ndarray):
         u_inv = u.conj().T
         best = None
         for z in phases:
-            dists = net.distances_to(z * u_inv)
-            i = int(np.argmin(dists))
+            word, _ = net.nearest(z * u_inv)
             # verify the winner with an independent SVD distance
-            d = dist(net.products[i], z * u_inv)
+            d = dist(word.product, z * u_inv)
             if best is None or d < best[1] - 1e-12 or (
-                    d < best[1] + 1e-12 and len(net.words[i]) < len(net.words[best[0]])):
-                best = (i, d)
-        i, start = best
-    else:
-        # aligned distance of every P u to the identity, one batched SVD per
-        # phase; argmin keeps the first of equal minima
-        eye = np.eye(gs.dim)
-        pu = net.products @ u
-        starts = np.min([np.linalg.svd(pu - z * eye, compute_uv=False)[:, 0]
-                         for z in phases], axis=0)
-        i = int(np.argmin(starts))
-        start = float(starts[i])
-    return GateWord(net.words[i], net.products[i]), start
+                    d < best[1] + 1e-12 and word.length < best[0].length):
+                best = (word, d)
+        return best
+    # aligned distance of every P u to the identity, one batched SVD per
+    # phase; argmin keeps the first of equal minima
+    eye = np.eye(gs.dim)
+    pu = net.products @ u
+    starts = np.min([np.linalg.svd(pu - z * eye, compute_uv=False)[:, 0]
+                     for z in phases], axis=0)
+    i = int(np.argmin(starts))
+    return GateWord(net.words[i], net.products[i]), float(starts[i])
 
 
 def _refine_loop(gs: GateSet, net: EpsNet, gen_index: int, eps_target: float,
@@ -274,7 +272,8 @@ def naive_inverse_length(gs: GateSet, gen_index: int, eps: float,
     u = gs.matrices[gen_index]
     phases = gs.phase_candidates
     if gs.dim == 2 and gs.mode == "su":
-        theta, _ = axis_angle(u)
+        w, x, y, z = su2_to_quaternion(u).tolist()
+        theta = 2.0 * math.atan2(math.hypot(x, y, z), w)
         half_pi = np.pi / 2.0
         chunk = 1_000_000
         for lo in range(1, cap + 2, chunk):

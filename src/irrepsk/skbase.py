@@ -17,6 +17,7 @@ the recursion contract.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,26 +25,7 @@ import numpy as np
 from .errors import DimUnsupported, NetTooCoarse, TooFar
 from .gateset import GateSet, GateWord
 from .net import EpsNet, build_gateset_net, extended_inverse
-from .linalg import dist, su2_to_quaternion
-
-
-# --- SU(2) <-> quaternion helpers ---
-
-def quaternion_to_su2(q) -> np.ndarray:
-    w, x, y, z = q
-    return np.array([[w - 1j * z, -y - 1j * x],
-                     [y - 1j * x, w + 1j * z]], dtype=complex)
-
-
-def axis_angle(u: np.ndarray) -> tuple[float, np.ndarray]:
-    """Rotation angle in [0, 2*pi] and unit axis of an SU(2) element."""
-    q = su2_to_quaternion(u)
-    theta = 2.0 * float(np.arccos(np.clip(q[0], -1.0, 1.0)))
-    v = q[1:]
-    n = float(np.linalg.norm(v))
-    if n < 1e-15:
-        return theta, np.array([0.0, 0.0, 1.0])
-    return theta, v / n
+from .linalg import dist, quaternion_to_su2, su2_to_quaternion
 
 
 def rotation(axis, angle: float) -> np.ndarray:
@@ -57,37 +39,47 @@ def balanced_commutator_decompose(delta: np.ndarray) -> tuple[np.ndarray, np.nda
     """Exact A, B in SU(2) with A B A^dag B^dag = delta.
 
     Requires dist(delta, I) <= 1/4.  Both factors are rotations by
-    phi = 2 arcsin(sqrt(sin(theta/4))) about a conjugated orthogonal axis
-    pair, so dist(A, I) and dist(B, I) shrink like sqrt(dist(delta, I)).
+    phi = 2 arcsin(sqrt(sin(theta/4))) about an orthogonal axis pair, so
+    dist(A, I) and dist(B, I) shrink like sqrt(dist(delta, I)).
+
+    Everything is read from delta's quaternion (w, v) in closed form.  The
+    distance to I is |q - 1|, and theta = 2 atan2(|v|, w) keeps its digits
+    near the identity.  Rotations by phi about x and y, with (c, s) =
+    (cos(phi/2), sin(phi/2)), have a commutator of angle theta about
+    m = (s, -s, c) / sqrt(1 + s^2); the smallest rotation R taking m to
+    n = v / |v| sends the x/y pair to the axes of A and B.
     """
     if delta.shape != (2, 2):
         raise DimUnsupported("commutator decomposition is SU(2)-only")
-    gap = dist(delta, np.eye(2))
+    w, x, y, z = su2_to_quaternion(delta).tolist()
+    gap = math.hypot(w - 1.0, x, y, z)
     if gap > 0.25 + 1e-12:
         raise TooFar(f"dist(delta, I) = {gap:.4f} > 1/4")
-    theta, n_axis = axis_angle(delta)
-    if theta < 1e-14:
+    vn = math.hypot(x, y, z)
+    s = math.sqrt(math.sin(0.5 * math.atan2(vn, w)))
+    if s == 0.0:
         return np.eye(2, dtype=complex), np.eye(2, dtype=complex)
-    phi = 2.0 * float(np.arcsin(np.sqrt(np.sin(theta / 4.0))))
-    v = rotation([1.0, 0.0, 0.0], phi)
-    w = rotation([0.0, 1.0, 0.0], phi)
-    c = v @ w @ v.conj().T @ w.conj().T
-    _, m_axis = axis_angle(c)
-    cross = np.cross(m_axis, n_axis)
-    dotp = float(np.dot(m_axis, n_axis))
-    s = float(np.linalg.norm(cross))
-    if s < 1e-14:
-        if dotp > 0:
-            sim = np.eye(2, dtype=complex)
-        else:
-            perp = np.cross(n_axis, [1.0, 0.0, 0.0])
-            if np.linalg.norm(perp) < 1e-7:
-                perp = np.cross(n_axis, [0.0, 1.0, 0.0])
-            sim = rotation(perp, np.pi)
-    else:
-        sim = rotation(cross / s, float(np.arctan2(s, dotp)))
-    a = sim @ v @ sim.conj().T
-    b = sim @ w @ sim.conj().T
+    c, sc = math.sqrt(1.0 - s * s), math.sqrt(1.0 + s * s)
+    m = (s / sc, -s / sc, c / sc)
+    n = (x / vn, y / vn, z / vn)
+    # R turns by the angle between m and n about k = m x n, with k's
+    # rounding taken off m so that R m = n stays accurate as n nears -m.
+    # Its quaternion is (|m + n|, |m - n| k / |k|) / 2.  If n = +-m exactly,
+    # any k normal to m serves; (1, 1, 0) is, and for n = -m R swaps x and y
+    k = (m[1] * n[2] - m[2] * n[1], m[2] * n[0] - m[0] * n[2], m[0] * n[1] - m[1] * n[0])
+    mk = m[0] * k[0] + m[1] * k[1] + m[2] * k[2]
+    k = (k[0] - mk * m[0], k[1] - mk * m[1], k[2] - mk * m[2])
+    kn = math.hypot(*k)
+    if kn == 0.0:
+        k, kn = (1.0, 1.0, 0.0), math.sqrt(2.0)
+    rk = 0.5 * math.hypot(m[0] - n[0], m[1] - n[1], m[2] - n[2]) / kn
+    r0, r1, r2, r3 = (0.5 * math.hypot(m[0] + n[0], m[1] + n[1], m[2] + n[2]),
+                      rk * k[0], rk * k[1], rk * k[2])
+    # the first two columns of R's rotation matrix
+    ax = (1 - 2 * (r2 * r2 + r3 * r3), 2 * (r1 * r2 + r0 * r3), 2 * (r1 * r3 - r0 * r2))
+    ay = (2 * (r1 * r2 - r0 * r3), 1 - 2 * (r1 * r1 + r3 * r3), 2 * (r2 * r3 + r0 * r1))
+    a, b = quaternion_to_su2([(c, s * ax[0], s * ax[1], s * ax[2]),
+                              (c, s * ay[0], s * ay[1], s * ay[2])])
     return a, b
 
 

@@ -2,13 +2,16 @@
 
 import csv
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 from irrepsk.cli import main
 
-GATESETS = Path(__file__).resolve().parent.parent / "gatesets"
+ROOT = Path(__file__).resolve().parent.parent
+GATESETS = ROOT / "gatesets"
 HT = str(GATESETS / "pauli_ht.json")
 SKEW = str(GATESETS / "pauli_skew.json")
 SLP = str(GATESETS / "sl_perturbed.json")
@@ -252,3 +255,26 @@ def test_scan_orderings_from_gateset(capsys):
                      "--samples", "4")
     assert rc == 0
     assert "6 orderings scanned" in out
+
+
+def test_readme_examples(capsys, monkeypatch):
+    # every README block that starts with "$ irrepsk <command>" must print
+    # its lines verbatim, except for the wall time
+    monkeypatch.chdir(ROOT)
+    blocks = re.findall(r"^```\n\$ (irrepsk .*?)^```", (ROOT / "README.md").read_text(),
+                        re.M | re.S)
+    checked = []
+    for block in blocks:
+        lines = block.splitlines()
+        n = 1 + next(i for i, line in enumerate(lines) if not line.endswith("\\"))
+        argv = shlex.split(" ".join(line.rstrip("\\") for line in lines[:n]))[1:]
+        if argv[0] not in ("validate", "refine-inverse", "compile"):
+            continue
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0
+        keep = [not line.startswith("wall time ") for line in lines[n:]]
+        assert len(out.splitlines()) == len(keep)
+        assert [line for line, k in zip(out.splitlines(), keep) if k] == \
+            [line for line, k in zip(lines[n:], keep) if k]
+        checked.append(argv[0])
+    assert checked == ["validate", "refine-inverse", "compile"]

@@ -5,9 +5,10 @@ import pytest
 
 from irrepsk import build_gateset_net, load_net, parse_gateset, save_net
 from irrepsk.errors import FormatError, StaleGateSet
-from irrepsk.linalg import dist, random_sl_near_identity, random_su, su2_to_quaternion
+from irrepsk.linalg import (dist, quaternion_to_su2, random_sl_near_identity, random_su,
+                            su2_to_quaternion)
 from irrepsk.net import extended_generators, probe_density
-from irrepsk.skbase import quaternion_to_su2, rotation
+from irrepsk.skbase import rotation
 from scipy.linalg import expm
 
 
@@ -128,15 +129,26 @@ def test_index_is_exact_near_a_stored_product(ht_base8):
 
 
 def test_off_group_target_falls_back_to_svd(ht_gateset):
-    # plain Hadamard is unitary with det -1, so it is not in the index
+    # none of these targets is in SU(2), so each query scans with the SVD
+    # and the quaternion index stays unbuilt
     net = build_gateset_net(ht_gateset, 4)
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    word, got = net.nearest(h)
-    svd = [dist(p, h) for p in net.products]
-    i = int(np.argmin(svd))
-    assert word.tokens == net.words[i]
-    assert got == svd[i]
-    assert got > 0.5
+    u = random_su(2, np.random.default_rng(28))
+    targets = [
+        # plain Hadamard is unitary with det -1, far from every SU(2) product
+        (np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2), 0.5),
+        # a scaled SU(2) matrix is not unitary
+        ((1 + 1e-7) * u, 0.0),
+        # a phase e^{i pi/4} takes a unitary off det 1
+        (np.exp(1j * np.pi / 4) * u, 0.0),
+    ]
+    for t, floor in targets:
+        word, got = net.nearest(t)
+        svd = [dist(p, t) for p in net.products]
+        i = int(np.argmin(svd))
+        assert word.tokens == net.words[i]
+        assert got == svd[i]
+        assert got > floor
+    assert net._tree is None
 
 
 def test_sl_net_queries_match_svd(slp_net):

@@ -6,16 +6,13 @@ import pytest
 from irrepsk import EpsNet, SKParams, base_params, build_gateset_net
 from irrepsk.errors import NetTooCoarse, TooFar
 from irrepsk.gateset import make_word, word_product
-from irrepsk.linalg import aligned_dist, dist, random_su
+from irrepsk.linalg import aligned_dist, dist, quaternion_to_su2, random_su, su2_to_quaternion
 from irrepsk.net import extended_generators, extended_inverse
 from irrepsk.skbase import (
-    axis_angle,
     balanced_commutator_decompose,
-    quaternion_to_su2,
     rewrite_irrep_inverses,
     rotation,
     sk_compile,
-    su2_to_quaternion,
 )
 
 
@@ -28,28 +25,61 @@ def test_quaternion_roundtrip():
         assert np.allclose(quaternion_to_su2(q), u, atol=1e-12)
 
 
-def test_rotation_and_axis_angle():
+def test_quaternion_stacks_roundtrip():
+    q = np.random.default_rng(39).normal(size=(3, 5, 4))
+    q /= np.linalg.norm(q, axis=-1, keepdims=True)
+    u = quaternion_to_su2(q)
+    assert u.shape == (3, 5, 2, 2)
+    assert np.array_equal(u[1, 2], quaternion_to_su2(q[1, 2]))
+    assert np.array_equal(su2_to_quaternion(u.reshape(-1, 2, 2)), q.reshape(-1, 4))
+
+
+def test_rotation_axis_and_angle():
+    # rotation(axis, theta) has quaternion (cos(theta/2), sin(theta/2) axis),
+    # and 2 atan2(|v|, w) reads theta back to full precision
     axis = np.array([1.0, 2.0, 2.0]) / 3.0
-    u = rotation(axis, 0.7)
-    theta, v = axis_angle(u)
-    assert theta == pytest.approx(0.7, abs=1e-12)
-    assert np.allclose(v, axis, atol=1e-12)
-    assert dist(u, np.eye(2)) == pytest.approx(2 * np.sin(0.175), abs=1e-12)
+    for theta in (0.7, 1e-6, 1e-12):
+        u = rotation(axis, theta)
+        w, *v = su2_to_quaternion(u)
+        assert 2 * np.arctan2(np.linalg.norm(v), w) == pytest.approx(theta, rel=1e-15)
+        assert np.allclose(v / np.linalg.norm(v), axis, atol=1e-15)
+        assert dist(u, np.eye(2)) == pytest.approx(2 * np.sin(theta / 4), rel=1e-12)
 
 
 def test_commutator_exact_on_target():
     # the decomposition is exact in SU(2): A B A^dag B^dag reproduces delta
+    # to a few ulps in absolute terms, for angles from 1e-12 up to the 1/4
+    # gap, because the closed form loses no digits near the identity
     rng = np.random.default_rng(32)
-    for _ in range(200):
+    seen = 0
+    for _ in range(2000):
         axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        theta = rng.uniform(1e-6, 0.24 * 4)  # keep dist below the 1/4 gap
-        delta = rotation(axis, theta)
+        delta = rotation(axis, 10 ** rng.uniform(-12, np.log10(0.9)))
         if dist(delta, np.eye(2)) > 0.25:
             continue
         a, b = balanced_commutator_decompose(delta)
         got = a @ b @ a.conj().T @ b.conj().T
-        assert dist(got, delta) <= 1e-12
+        assert dist(got, delta) <= 4 * 2.0 ** -52
+        seen += 1
+    assert seen > 1500
+
+
+@pytest.mark.parametrize("theta", [1e-9, 1e-3, 0.3])
+def test_commutator_near_the_singular_axes(theta):
+    # the x/y pair's commutator turns about m = (s, -s, c) / sqrt(1 + s^2);
+    # the rotation carrying m onto delta's axis is ill-conditioned as that
+    # axis nears -m, and undefined at +-m, yet the residual stays at round-off
+    s = np.sqrt(np.sin(theta / 4))
+    m = np.array([s, -s, np.sqrt(1 - s * s)]) / np.sqrt(1 + s * s)
+    rng = np.random.default_rng(41)
+    for sign in (1, -1):
+        for offset in (0.0, 1e-16, 1e-12, 1e-8, 1e-4):
+            n = sign * m + offset * rng.normal(size=3)
+            n /= np.linalg.norm(n)
+            q = np.concatenate([[np.cos(theta / 2)], np.sin(theta / 2) * n])
+            delta = quaternion_to_su2(q)
+            a, b = balanced_commutator_decompose(delta)
+            assert dist(a @ b @ a.conj().T @ b.conj().T, delta) <= 4 * 2.0 ** -52
 
 
 def test_commutator_factor_distance_scaling():
@@ -220,3 +250,15 @@ def test_word_length_growth_per_depth(ht_gateset, ht_params):
     # 5 recursive subwords per level: growth stays under that with slack
     for a, b in zip(lengths, lengths[1:]):
         assert b <= 8 * a + 50
+
+
+def test_sk_compile_passes_the_old_plateau(ht_gateset):
+    # depth 6 gets below 1e-7 only if the commutator step keeps its digits
+    # near the identity; theta = 2 arccos(w) loses half of them there, and
+    # the SK error then levels off near 3e-7
+    params = base_params(ht_gateset, 12, max_depth=6)
+    for seed in (0, 1, 2):
+        t = random_su(2, np.random.default_rng(seed))
+        w = sk_compile(ht_gateset, t, 1e-7, params)
+        assert dist(w.product, t) <= 1e-7
+        assert dist(word_product(extended_generators(ht_gateset), w.tokens), t) <= 1e-7

@@ -34,8 +34,8 @@ from .linalg import (
     DEFAULT_TOL,
     MatrixClass,
     check_class,
+    dist,
     frobenius_phase,
-    op_norm,
     require_matrix,
     su_normalize,
 )
@@ -54,7 +54,6 @@ class FiniteGroupRep:
     cayley_index: np.ndarray      # (n, n) int
     cayley_phase: np.ndarray      # (n, n) float, in [0, 2*pi)
     inverse_index: np.ndarray     # (n,) int
-    inverse_phase: np.ndarray     # (n,) float
     projective: bool
     unitary: bool
     tolerance: float
@@ -91,28 +90,21 @@ def _best_match(mats: np.ndarray, p: np.ndarray, up_to_phase: bool):
     """
     flat = _flat(mats)
     target = p.reshape(-1)
+    phases = np.ones(len(flat), dtype=complex)
     if up_to_phase:
         tr = flat.conj() @ target                  # tr(E_k^dag P)
-        norms = np.einsum("ki,ki->k", flat.conj(), flat).real
         phases = np.where(np.abs(tr) > 1e-300, tr / np.maximum(np.abs(tr), 1e-300), 1.0)
-        resid = np.linalg.norm(flat * phases[:, None] - target[None, :], axis=1)
-    else:
-        phases = np.ones(len(flat), dtype=complex)
-        resid = np.linalg.norm(flat - target[None, :], axis=1)
+    resid = np.linalg.norm(flat * phases[:, None] - target[None, :], axis=1)
     k = int(np.argmin(resid))
-    exact = op_norm(phases[k] * mats[k] - p)
-    return k, complex(phases[k]), exact
+    return k, complex(phases[k]), dist(phases[k] * mats[k], p)
 
 
 def _ambiguity_check(mats: np.ndarray, tol: float, up_to_phase: bool) -> None:
     n = len(mats)
     for i in range(n):
         for j in range(i + 1, n):
-            if up_to_phase:
-                z = frobenius_phase(mats[i], mats[j])
-                r = op_norm(mats[i] - z * mats[j])
-            else:
-                r = op_norm(mats[i] - mats[j])
+            z = frobenius_phase(mats[i], mats[j]) if up_to_phase else 1.0
+            r = dist(mats[i], mats[j], (z,))
             if r <= tol:
                 kind = "phase-equivalent" if up_to_phase else "equal"
                 raise AmbiguousMatch(f"elements {i} and {j} are {kind} (residual {r:.3e})")
@@ -142,12 +134,8 @@ def _build_tables(mats: np.ndarray, tol: float, up_to_phase: bool):
 def _find_identity(mats: np.ndarray, tol: float, up_to_phase: bool) -> int:
     eye = np.eye(mats.shape[1], dtype=complex)
     for k in range(len(mats)):
-        if up_to_phase:
-            z = frobenius_phase(eye, mats[k])
-            r = op_norm(eye - z * mats[k])
-        else:
-            r = op_norm(eye - mats[k])
-        if r <= tol:
+        z = frobenius_phase(eye, mats[k]) if up_to_phase else 1.0
+        if dist(eye, mats[k], (z,)) <= tol:
             return k
     raise NotClosed("no element is (phase-)equivalent to the identity")
 
@@ -184,13 +172,11 @@ def _assemble(mats: list[np.ndarray], tol: float, unitary: bool,
 
     n = len(stack)
     inverse_index = np.zeros(n, dtype=int)
-    inverse_phase = np.zeros(n, dtype=float)
     for g in range(n):
         hs = np.nonzero(index[g] == 0)[0]
         if len(hs) != 1:
             raise NotClosed(f"element {g} has {len(hs)} table inverses")
         inverse_index[g] = hs[0]
-        inverse_phase[g] = phase[g, hs[0]]
 
     if unitary:
         inv = stack.conj().transpose(0, 2, 1)
@@ -205,7 +191,6 @@ def _assemble(mats: list[np.ndarray], tol: float, unitary: bool,
         cayley_index=index,
         cayley_phase=phase,
         inverse_index=inverse_index,
-        inverse_phase=inverse_phase,
         projective=projective,
         unitary=unitary,
         tolerance=tol,
@@ -217,8 +202,7 @@ def _assemble(mats: list[np.ndarray], tol: float, unitary: bool,
     return rep
 
 
-def infer_group(mats, tol: float = DEFAULT_TOL, unitary: bool = True,
-                require_irreducible: bool = True) -> FiniteGroupRep:
+def infer_group(mats, tol: float = DEFAULT_TOL, unitary: bool = True) -> FiniteGroupRep:
     """Build a FiniteGroupRep from a bare list of matrices.
 
     Tries genuine closure first and falls back to closure up to phase
@@ -232,13 +216,12 @@ def infer_group(mats, tol: float = DEFAULT_TOL, unitary: bool = True,
     if len(dims) != 1:
         raise DimError(f"elements have mixed dimensions {sorted(dims)}")
     rep = _assemble(checked, tol, unitary)
-    if require_irreducible:
-        report = check_irreducible(rep)
-        if not report.irreducible:
-            raise NotIrreducible(
-                f"averaging criterion residual {report.residual:.3e} "
-                f"exceeds threshold {report.threshold:.3e}"
-            )
+    report = check_irreducible(rep)
+    if not report.irreducible:
+        raise NotIrreducible(
+            f"averaging criterion residual {report.residual:.3e} "
+            f"exceeds threshold {report.threshold:.3e}"
+        )
     return rep
 
 
@@ -329,7 +312,7 @@ def check_cover_equivalence(rep: FiniteGroupRep, m,
     if cover is None:
         cover = central_extend(rep)
     k = cover.order // rep.order
-    return op_norm(average(cover, m) - k * average(rep, m))
+    return dist(average(cover, m), k * average(rep, m))
 
 
 # --- builtin groups ---

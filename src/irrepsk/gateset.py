@@ -96,14 +96,11 @@ class GateSet:
     dim: int
     mode: str                      # "su" | "sl"
     names: tuple[str, ...]
-    matrices: np.ndarray           # (n_gens, d, d)
+    matrices: np.ndarray           # (n_gens, d, d): rep.elements, then the extras
     rep: FiniteGroupRep
-    irrep_indices: tuple[int, ...]  # generator index of rep element r
-    extra_indices: tuple[int, ...]
     tolerance: float
     sl_radius: float | None
     fingerprint: str
-    source: dict
 
     @property
     def gen_count(self) -> int:
@@ -280,12 +277,9 @@ def parse_gateset(doc) -> GateSet:
         names=tuple(names),
         matrices=matrices,
         rep=rep,
-        irrep_indices=tuple(range(rep.order)),
-        extra_indices=tuple(range(rep.order, len(names))),
         tolerance=tol,
         sl_radius=sl_radius,
         fingerprint=fingerprint_of(canon),
-        source=canon,
     )
 
 

@@ -1,13 +1,16 @@
 """Dense complex-matrix primitives used by every stage of the compiler.
 
-Matrices are plain numpy arrays of shape (d, d) and dtype complex128.  All
-distances are operator-norm (largest singular value) distances; that is the
-unitarily invariant metric the contraction analysis is stated in.
+Matrices are plain numpy arrays of shape (d, d) and dtype complex128.  There
+is one distance routine, dist: the operator-norm (largest singular value)
+distance taken up to a set of global phases, over one matrix or a stack.
+That is the unitarily invariant metric the contraction analysis is stated
+in, up to the d-th roots of unity a projective irrep's products pick up.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import reduce
 
 import numpy as np
 import scipy.linalg
@@ -18,7 +21,6 @@ DEFAULT_TOL = 1e-9
 
 
 class MatrixClass(Enum):
-    GENERAL = "general"
     SPECIAL_LINEAR = "sl"
     SPECIAL_UNITARY = "su"
 
@@ -28,7 +30,7 @@ def require_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidMatrix("matrix contains non-finite entries")
     return a
 
@@ -38,30 +40,24 @@ def op_norm(m) -> float:
     return float(np.linalg.svd(require_matrix(m), compute_uv=False)[0])
 
 
-def dist(a, b) -> float:
-    """Operator-norm distance ||a - b||."""
-    a = require_matrix(a)
-    b = require_matrix(b)
-    if a.shape != b.shape:
-        raise DimError(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(np.linalg.svd(a - b, compute_uv=False)[0])
+def dist(a, b, phases=(1.0,)):
+    """min over z in phases of the operator norm ||a - z b||.
 
-
-def aligned_dist(a, b, phases=(1.0,)) -> float:
-    """min over the given phase factors of ||a - phase * b||.
-
-    With the default single phase 1 this is plain dist().  Projective-mode
-    callers pass the d-th roots of unity: those are the only global phases a
-    word product can pick up relative to its target, since every factor has
-    determinant 1.
+    a is one (d, d) matrix, giving a float, or an (N, d, d) stack, giving an
+    array of N distances; b is one (d, d) matrix.  Projective-mode callers
+    pass the d-th roots of unity as phases: those are the only global phases
+    a word product can pick up relative to its target, since every factor
+    has determinant 1.
     """
-    a = require_matrix(a)
     b = require_matrix(b)
-    if a.shape != b.shape:
+    a = np.asarray(a, dtype=complex)
+    if a.ndim not in (2, 3) or a.shape[-2:] != b.shape:
         raise DimError(f"shape mismatch {a.shape} vs {b.shape}")
-    return min(
-        float(np.linalg.svd(a - z * b, compute_uv=False)[0]) for z in phases
-    )
+    if not np.isfinite(a).all():
+        raise InvalidMatrix("matrix contains non-finite entries")
+    d = reduce(np.minimum, (np.linalg.svd(a - z * b, compute_uv=False)[..., 0]
+                            for z in phases))
+    return float(d) if a.ndim == 2 else d
 
 
 def frobenius_phase(a, b) -> complex:
@@ -80,9 +76,7 @@ def determinant(m) -> complex:
 
 def unitarity_residual(m) -> float:
     a = require_matrix(m)
-    return float(
-        np.linalg.svd(a.conj().T @ a - np.eye(a.shape[0]), compute_uv=False)[0]
-    )
+    return dist(a.conj().T @ a, np.eye(a.shape[0]))
 
 
 def sl_residual(m) -> float:
@@ -93,11 +87,9 @@ def check_class(m, klass: MatrixClass, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Validate m against a matrix class; returns m on success.
 
     SPECIAL_UNITARY requires both unitarity and det 1, SPECIAL_LINEAR only
-    det 1, GENERAL anything square and finite.
+    det 1.
     """
     a = require_matrix(m)
-    if klass is MatrixClass.GENERAL:
-        return a
     r = sl_residual(a)
     if r > tol:
         raise ClassError(f"|det - 1| = {r:.3e} exceeds tolerance {tol:.1e}")
@@ -186,7 +178,7 @@ def random_sl_near_identity(d: int, rng: np.random.Generator,
     a = random_traceless(d, rng)
     t = rng.uniform(0.0, 0.8 * max_dist)
     m = scipy.linalg.expm(t * a)
-    while op_norm(m - np.eye(d)) > max_dist:
+    while dist(m, np.eye(d)) > max_dist:
         t *= 0.5
         m = scipy.linalg.expm(t * a)
     return m

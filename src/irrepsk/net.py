@@ -10,7 +10,8 @@ For A, B in SU(2) the difference A - B is a real multiple of an SU(2)
 matrix, so ||A - B|| is the Euclidean distance of their unit quaternions.
 An SU(2) net therefore answers queries for SU(2) targets from a k-d tree
 over its products' quaternions in O(log N).  Any other net or target (sl
-mode, d >= 3, a target off the group) is scanned with a batched SVD.
+mode, d >= 3, a target off the group) is scanned with dist over all
+products.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from scipy.spatial import cKDTree
 
 from .errors import BudgetExceeded, EmptyNet, FormatError, StaleGateSet
 from .gateset import GateSet, GateWord, word_product
-from .linalg import quaternion_to_su2, random_su, su2_to_quaternion
+from .linalg import dist, quaternion_to_su2, random_su, su2_to_quaternion
 
 NET_FORMAT = "irrepsk-net-v1"
 DEFAULT_BUDGET = 2_000_000
@@ -67,7 +68,6 @@ class EpsNet:
     word_length: int
     dedup_tol: float
     fingerprint: str
-    gens: np.ndarray                 # (m, d, d)
     words: list[tuple[int, ...]]
     products: np.ndarray             # (n, d, d)
     usable: bool = True
@@ -97,24 +97,18 @@ class EpsNet:
             self._tree = cKDTree(self._quats)
         return t, q
 
-    def distances_to(self, target: np.ndarray) -> np.ndarray:
-        """Operator-norm distance from every stored product to target, the
-        largest singular value of each difference."""
-        t = np.asarray(target, dtype=complex)
-        return np.linalg.svd(self.products - t[None, :, :], compute_uv=False)[:, 0]
-
     def nearest(self, target) -> tuple[GateWord, float]:
         """Exact nearest stored word and its distance to target.
 
         Ties go to store order, which is breadth-first (shortest word first,
         then generation order).  SU(2) targets against an SU(2) net are
         answered by the quaternion tree, where products within 1e-12 of the
-        nearest count as tied; any other query scans distances_to and takes
-        its first minimum.
+        nearest count as tied; any other query scans dist over all products
+        and takes its first minimum.
         """
         t, q = self._su2_quaternion(target)
         if q is None:
-            d = self.distances_to(t)
+            d = dist(self.products, t)
             i = int(np.argmin(d))
             return GateWord(self.words[i], self.products[i]), float(d[i])
         (d0, d1), (i, _) = self._tree.query(q, k=2)
@@ -182,7 +176,6 @@ def build_net(gens: np.ndarray, dim: int, mode: str, word_length: int,
         word_length=reached,
         dedup_tol=dedup_tol,
         fingerprint=fingerprint,
-        gens=gens,
         words=words,
         products=products,
         usable=usable,
@@ -291,7 +284,6 @@ def load_net(path, gs: GateSet, with_inverses: bool = False) -> EpsNet:
         word_length=int(header.get("word_length", 0)),
         dedup_tol=float(header.get("dedup_tol", 0.0)),
         fingerprint=expected,
-        gens=gens,
         words=words,
         products=products,
         usable=bool(header.get("usable", True)),

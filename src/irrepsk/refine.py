@@ -39,8 +39,7 @@ from .errors import (
 )
 from .finitegroup import FiniteGroupRep
 from .gateset import GateSet, GateWord, concat_words, eps0_constant, make_word
-from .linalg import (aligned_dist, dist, op_norm, random_traceless_hermitian,
-                     su2_to_quaternion)
+from .linalg import dist, op_norm, random_traceless_hermitian, su2_to_quaternion
 from .net import EpsNet, extended_inverse
 from .skbase import SKParams, rewrite_irrep_inverses, sk_compile
 
@@ -78,10 +77,9 @@ def symmetrize_word(gs: GateSet, word: GateWord) -> GateWord:
     bare word.  Output length is n * len + 2 (n - 1).
     """
     rep = gs.rep
-    idx = gs.irrep_indices
     pieces = []
     for g in range(1, rep.order):
-        pieces.append((idx[g],) + word.tokens + (idx[int(rep.inverse_index[g])],))
+        pieces.append((g,) + word.tokens + (int(rep.inverse_index[g]),))
     pieces.append(word.tokens)
     tokens = tuple(itertools.chain.from_iterable(pieces))
     p = np.eye(gs.dim, dtype=complex)
@@ -119,12 +117,13 @@ _MAX_PASSES = 25
 
 
 def _table_inverse_word(gs: GateSet, gen_index: int):
-    """Exact single-token inverse for irrep members, None otherwise."""
-    if gen_index not in gs.irrep_indices:
+    """Exact single-token inverse for irrep members, None otherwise.
+
+    The generator list starts with the irrep's elements, so a generator
+    index below the group order is a group element."""
+    if gen_index >= gs.rep.order:
         return None
-    g = gs.irrep_indices.index(gen_index)
-    inv_idx = gs.irrep_indices[int(gs.rep.inverse_index[g])]
-    return make_word(gs.matrices, (inv_idx,))
+    return make_word(gs.matrices, (int(gs.rep.inverse_index[gen_index]),))
 
 
 def _best_start(gs: GateSet, net: EpsNet, u: np.ndarray):
@@ -145,12 +144,9 @@ def _best_start(gs: GateSet, net: EpsNet, u: np.ndarray):
                     d < best[1] + 1e-12 and word.length < best[0].length):
                 best = (word, d)
         return best
-    # aligned distance of every P u to the identity, one batched SVD per
-    # phase; argmin keeps the first of equal minima
-    eye = np.eye(gs.dim)
-    pu = net.products @ u
-    starts = np.min([np.linalg.svd(pu - z * eye, compute_uv=False)[:, 0]
-                     for z in phases], axis=0)
+    # aligned distance of every P u to the identity; argmin keeps the first
+    # of equal minima
+    starts = dist(net.products @ u, np.eye(gs.dim), phases)
     i = int(np.argmin(starts))
     return GateWord(net.words[i], net.products[i]), float(starts[i])
 
@@ -174,9 +170,6 @@ def _refine_loop(gs: GateSet, net: EpsNet, gen_index: int, eps_target: float,
     # end of every pass, so each iterate still terminates in the U token
     word = concat_words(v_word, make_word(gs.matrices, (gen_index,)))
 
-    def direct_error(w: GateWord) -> float:
-        return aligned_dist(w.product @ u_inv, u_inv, phases)
-
     err = start
     trace = RefineTrace(start_error=start)
     trace.errors.append(err)
@@ -186,7 +179,7 @@ def _refine_loop(gs: GateSet, net: EpsNet, gen_index: int, eps_target: float,
     stall = 0
     passes = 0
     best = (err, 0, word.length)
-    while err > eps_target or direct_error(word) > eps_target:
+    while err > eps_target or dist(word.product @ u_inv, u_inv, phases) > eps_target:
         if passes >= _MAX_PASSES:
             raise NonConvergent(
                 f"no convergence to {eps_target:.3e} after {passes} passes "
@@ -199,7 +192,7 @@ def _refine_loop(gs: GateSet, net: EpsNet, gen_index: int, eps_target: float,
                 f"iterate left the working ball (operator norm "
                 f"{op_norm(word.product):.3f})"
             )
-        new_err = aligned_dist(word.product, eye, phases)
+        new_err = dist(word.product, eye, phases)
         if new_err < best[0]:
             best = (new_err, passes, word.length)
         if new_err >= err:
@@ -222,7 +215,7 @@ def _refine_loop(gs: GateSet, net: EpsNet, gen_index: int, eps_target: float,
     if word.tokens[-1] != gen_index:
         raise NonConvergent("internal error: trailing refined-gate token lost")
     tail = make_word(gs.matrices, word.tokens[:-1])
-    achieved = aligned_dist(tail.product, u_inv, phases)
+    achieved = dist(tail.product, u_inv, phases)
     return tail, achieved, trace
 
 
@@ -245,17 +238,15 @@ def refine_inverse(gs: GateSet, net: EpsNet, gen_index: int,
     inverse to pass eps_target (they differ by up to the operator norm of
     the inverse when the gate is not unitary).
     """
+    u = gs.matrices[gen_index]
+    u_inv = u.conj().T if gs.mode == "su" else np.linalg.inv(u)
     table = _table_inverse_word(gs, gen_index)
     if table is not None:
-        u = gs.matrices[gen_index]
-        u_inv = u.conj().T if gs.mode == "su" else np.linalg.inv(u)
-        achieved = aligned_dist(table.product, u_inv, gs.phase_candidates)
+        achieved = dist(table.product, u_inv, gs.phase_candidates)
         tr = RefineTrace(start_error=achieved, exact_hit=True)
         tr.errors.append(achieved)
         tr.lengths.append(table.length)
         return table, achieved, tr
-    u = gs.matrices[gen_index]
-    u_inv = u.conj().T if gs.mode == "su" else np.linalg.inv(u)
     radius = gs.sl_radius if gs.mode == "sl" else None
     return _refine_loop(gs, net, gen_index, eps_target, u_inv, radius)
 
@@ -287,7 +278,7 @@ def naive_inverse_length(gs: GateSet, gen_index: int, eps: float,
     eye = np.eye(gs.dim)
     p = u.copy()
     for k in range(cap):
-        if aligned_dist(p, eye, phases) <= eps:
+        if dist(p, eye, phases) <= eps:
             return k
         p = p @ u
     raise NonConvergent(f"no power of the gate inverts it within {cap} steps")
@@ -388,7 +379,7 @@ def compile_target(gs: GateSet, target, eps: float, params: SKParams,
         else:
             tokens.append(e)
     word = make_word(gs.matrices, tokens)
-    error = aligned_dist(word.product, target, gs.phase_candidates)
+    error = dist(word.product, target, gs.phase_candidates)
     return CompileReport(
         target=target,
         eps=eps,
@@ -436,7 +427,7 @@ def scan_orderings(rep: FiniteGroupRep, samples: int = 24,
             for eps in eps_values:
                 w = expm(1j * eps * h)
                 f = symmetrize_matrix(rep, w, order)
-                r = aligned_dist(f, eye, rep.phase_candidates)
+                r = dist(f, eye, rep.phase_candidates)
                 coeffs.append(r / eps ** 2)
         results.append((order, float(np.mean(coeffs))))
     results.sort(key=lambda t: t[1])

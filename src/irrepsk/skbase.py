@@ -187,9 +187,9 @@ def rewrite_irrep_inverses(gs: GateSet, word: GateWord) -> GateWord:
     d = gs.dim
     inv = extended_inverse(gs)
     table = {}
-    for g, i in enumerate(gs.irrep_indices[1:], start=1):
-        j = gs.irrep_indices[int(gs.rep.inverse_index[g])]
-        table[inv[i]] = (j, np.trace(gs.matrices[j] @ gs.matrices[i]) / d)
+    for g in range(1, gs.rep.order):
+        j = int(gs.rep.inverse_index[g])
+        table[inv[g]] = (j, np.trace(gs.matrices[j] @ gs.matrices[g]) / d)
     tokens = []
     phase = 1.0
     for e in word.tokens:

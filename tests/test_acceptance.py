@@ -20,7 +20,6 @@ from irrepsk.finitegroup import (
 )
 from irrepsk.gateset import eps0_constant
 from irrepsk.linalg import (
-    aligned_dist,
     dist,
     op_norm,
     random_sl_near_identity,
@@ -179,7 +178,7 @@ def test_criterion_06_end_to_end_inverse_free(ht_gateset, ht_params,
         # inverse-free: plain generator indices only, re-multiplied check
         assert all(0 <= i < len(gs.matrices) for i in report.indices)
         product = reduce(np.matmul, [gs.matrices[i] for i in report.indices])
-        err = aligned_dist(product, target, gs.phase_candidates)
+        err = dist(product, target, gs.phase_candidates)
         if err <= eps:
             successes += 1
         if report.inverted_extras:
@@ -206,7 +205,7 @@ def test_criterion_07_polylog_vs_linear(skew_gateset, skew_net):
     # the group order from above and never increases
     growth = [b / a for a, b in zip(trace.lengths, trace.lengths[1:])]
     trend = all(x >= y for x, y in zip(growth, growth[1:]))
-    final_ok = growth[-1] <= len(gs.irrep_indices) + 0.5
+    final_ok = growth[-1] <= gs.rep.order + 0.5
     wall = time.perf_counter() - t0
     ok = achieved <= 1e-6 and ratio >= 10 and trend and final_ok
     _line("criterion 7 polylog vs linear", ok,

@@ -19,7 +19,7 @@ from irrepsk.finitegroup import (
     check_schur_orthogonality,
     infer_group,
 )
-from irrepsk.linalg import aligned_dist, op_norm, su_normalize
+from irrepsk.linalg import dist, op_norm, su_normalize
 
 BUILTIN_SHAPES = {
     # name -> (dim, order, projective)
@@ -79,7 +79,7 @@ def test_inverse_tables():
         phases = rep.phase_candidates
         for g in range(rep.order):
             p = rep.elements[g] @ rep.elements[rep.inverse_index[g]]
-            assert aligned_dist(p, np.eye(rep.dim), phases) <= 1e-10
+            assert dist(p, np.eye(rep.dim), phases) <= 1e-10
             # inv_elements are exact inverses, not table representatives
             q = rep.elements[g] @ rep.inv_elements[g]
             assert np.allclose(q, np.eye(rep.dim), atol=1e-10)
@@ -171,7 +171,7 @@ def test_conjugation_stays_in_group():
         for h in range(rep.order):
             c = rep.elements[g] @ rep.elements[h] @ rep.inv_elements[g]
             best = min(
-                aligned_dist(c, rep.elements[k], phases) for k in range(rep.order)
+                dist(c, rep.elements[k], phases) for k in range(rep.order)
             )
             assert best <= 1e-10
 

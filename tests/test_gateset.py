@@ -37,8 +37,10 @@ def gate(name, m):
 def test_parse_pauli_ht(ht_gateset):
     gs = ht_gateset
     assert gs.names == ("I", "X", "Y", "Z", "H", "T")
-    assert gs.irrep_indices == (0, 1, 2, 3)
-    assert gs.extra_indices == (4, 5)
+    # the irrep's elements come first, then the extra gates
+    assert gs.rep.order == 4
+    assert np.array_equal(gs.matrices[:gs.rep.order], gs.rep.elements)
+    assert len(gs.matrices) == gs.rep.order + 2
     assert gs.mode == "su"
     # su mode stores determinant-1 representatives
     assert np.allclose(gs.matrices[4], -1j * H, atol=1e-12)

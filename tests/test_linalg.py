@@ -6,7 +6,6 @@ import pytest
 from irrepsk.errors import ClassError, DimError, InvalidMatrix
 from irrepsk.linalg import (
     MatrixClass,
-    aligned_dist,
     check_class,
     determinant,
     dist,
@@ -65,14 +64,32 @@ def test_dist_properties():
 def test_aligned_dist_minimizes_over_phases():
     rng = np.random.default_rng(3)
     a = random_su(2, rng)
-    assert aligned_dist(-a, a, (1.0, -1.0)) == pytest.approx(0.0, abs=1e-12)
-    assert aligned_dist(a, a) == 0.0
+    assert dist(-a, a, (1.0, -1.0)) == pytest.approx(0.0, abs=1e-12)
+    assert dist(a, a) == 0.0
     # a phase outside the candidate set is not matched
-    assert aligned_dist(1j * a, a, (1.0, -1.0)) > 0.5
+    assert dist(1j * a, a, (1.0, -1.0)) > 0.5
     w = np.exp(2j * np.pi / 3)
     b = random_su(3, rng)
     roots = (1.0, w, w ** 2)
-    assert aligned_dist(w * b, b, roots) == pytest.approx(0.0, abs=1e-12)
+    assert dist(w * b, b, roots) == pytest.approx(0.0, abs=1e-12)
+    # a stack gives one distance per matrix, each exactly the one-matrix value
+    for d, phases in ((2, (1.0, -1.0)), (3, roots)):
+        t = random_su(d, rng)
+        stack = np.stack([random_su(d, rng) for _ in range(50)])
+        stack[7] = phases[-1] * t
+        got = dist(stack, t, phases)
+        assert got.shape == (50,)
+        assert all(got[i] == dist(stack[i], t, phases) for i in range(50))
+        # against numpy's own spectral norm, per matrix and phase
+        ref = [min(np.linalg.norm(m - z * t, 2) for z in phases) for m in stack]
+        assert got == pytest.approx(ref, abs=1e-14)
+        assert got[7] == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(DimError):
+        dist(np.stack([np.eye(3)] * 4), np.eye(2))
+    bad = np.stack([np.eye(2, dtype=complex)] * 4)
+    bad[2, 0, 1] = np.nan
+    with pytest.raises(InvalidMatrix):
+        dist(bad, np.eye(2))
 
 
 def test_frobenius_phase():

@@ -38,7 +38,7 @@ def test_nearest_matches_brute_force(ht_gateset):
     for _ in range(100):
         t = random_su(2, rng)
         word, got = net.nearest(t)
-        brute = min(dist(p, t) for p in net.products)
+        brute = dist(net.products, t).min()
         assert got == pytest.approx(brute, abs=1e-8)
         assert dist(word.product, t) == pytest.approx(got, abs=1e-8)
 
@@ -72,7 +72,7 @@ def test_nearest_equidistant_pauli_goes_to_store_order(pauli_only):
             word, got = net.nearest(t)
             assert word.tokens == ()
             assert got == pytest.approx(2 * np.sin(np.pi / 8), abs=1e-15)
-        ds = net.distances_to(rotation(axis, np.pi / 2))
+        ds = dist(net.products, rotation(axis, np.pi / 2))
         assert np.sum(ds <= ds[0] + 1e-12) == 2
 
 
@@ -89,7 +89,7 @@ def test_midpoint_ties_go_to_store_order(ht_gateset):
             if np.linalg.norm(m) < 1e-6:
                 continue
             t = quaternion_to_su2(m / np.linalg.norm(m))
-            ds = net.distances_to(t)
+            ds = dist(net.products, t)
             tied = np.nonzero(ds <= ds.min() + 1e-12)[0]
             ties += len(tied) > 1
             assert net.nearest(t)[0].tokens == net.words[tied[0]]
@@ -108,7 +108,7 @@ def test_index_matches_svd_brute_force(ht_base8):
     for _ in range(200):
         t = random_su(2, rng)
         word, got = ht_base8.nearest(t)
-        svd = [dist(p, t) for p in ht_base8.products]
+        svd = dist(ht_base8.products, t)
         i = int(np.argmin(svd))
         assert word.tokens == ht_base8.words[i]
         assert got == pytest.approx(svd[i], abs=1e-14)
@@ -143,7 +143,7 @@ def test_off_group_target_falls_back_to_svd(ht_gateset):
     ]
     for t, floor in targets:
         word, got = net.nearest(t)
-        svd = [dist(p, t) for p in net.products]
+        svd = dist(net.products, t)
         i = int(np.argmin(svd))
         assert word.tokens == net.words[i]
         assert got == svd[i]
@@ -156,7 +156,7 @@ def test_sl_net_queries_match_svd(slp_net):
     for _ in range(20):
         t = random_sl_near_identity(2, rng, 0.3)
         word, got = slp_net.nearest(t)
-        svd = [dist(p, t) for p in slp_net.products]
+        svd = dist(slp_net.products, t)
         i = int(np.argmin(svd))
         assert word.tokens == slp_net.words[i]
         assert got == svd[i]
@@ -256,7 +256,7 @@ def test_distances_match_aligned_queries(ht_gateset):
     net = build_gateset_net(ht_gateset, 4)
     rng = np.random.default_rng(23)
     t = random_su(2, rng)
-    ds = net.distances_to(t)
+    ds = dist(net.products, t)
     assert ds.shape == (len(net),)
     k = int(rng.integers(len(net)))
     assert ds[k] == pytest.approx(dist(net.products[k], t), abs=1e-12)

@@ -1,5 +1,6 @@
 """Inverse refinement: symmetrization, contraction, traces, the scan."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -15,7 +16,7 @@ from irrepsk.errors import (
 )
 from irrepsk.finitegroup import build_builtin
 from irrepsk.gateset import eps0_constant, make_word
-from irrepsk.linalg import aligned_dist, dist, random_sl_near_identity, random_su
+from irrepsk.linalg import dist, random_sl_near_identity, random_su
 from irrepsk.refine import (
     check_smalltrace,
     contraction_constant,
@@ -55,7 +56,7 @@ def test_symmetrize_word_matches_matrix_map(ht_gateset):
     # word form uses table inverses, matrix form exact ones: equal up to
     # a determinant root of unity
     want = symmetrize_matrix(gs.rep, w.product)
-    assert aligned_dist(f.product, want, gs.phase_candidates) <= 1e-10
+    assert dist(f.product, want, gs.phase_candidates) <= 1e-10
 
 
 def test_symmetrize_contracts_near_identity():
@@ -105,7 +106,7 @@ def test_refine_skew_gate_contracts(skew_gateset, skew_net):
     assert achieved <= 1e-8
     assert all(0 <= i < len(gs.matrices) for i in word.tokens)
     u_inv = gs.matrices[gen].conj().T
-    assert aligned_dist(word.product, u_inv, gs.phase_candidates) <= 1e-8
+    assert dist(word.product, u_inv, gs.phase_candidates) <= 1e-8
 
 
 def test_refine_rejects_coarse_net(skew_gateset):
@@ -156,7 +157,7 @@ def test_naive_inverse_length_matches_power_loop(rz_gateset):
     p = u.copy()
     brute = None
     for k in range(2000):
-        if aligned_dist(p, np.eye(2), gs.phase_candidates) <= eps:
+        if dist(p, np.eye(2), gs.phase_candidates) <= eps:
             brute = k
             break
         p = p @ u
@@ -206,7 +207,7 @@ def test_refine_inverse_sl_perturbed_gate(slp_gateset, slp_net):
     assert achieved <= 1e-6
     assert all(r <= 1e-9 for r in trace.det_residuals)
     u_inv = np.linalg.inv(gs.matrices[gen])
-    assert aligned_dist(word.product, u_inv, gs.phase_candidates) <= achieved + 1e-12
+    assert dist(word.product, u_inv, gs.phase_candidates) <= achieved + 1e-12
 
 
 def test_compile_target_report(ht_gateset, ht_params, ht_refine_net):
@@ -221,6 +222,24 @@ def test_compile_target_report(ht_gateset, ht_params, ht_refine_net):
     assert report.inverted_extras >= len(report.refine_errors)
     doc = json.dumps(report.as_dict())
     assert json.loads(doc)["eps"] == 1e-3
+
+
+# SHA-256 of the token tuples below, recorded before the distance routines
+# were merged into linalg.dist.  A change that keeps the algorithm must keep
+# the words bit-identical; a deliberate algorithm change updates this value.
+WORDS_SHA256 = "95ea73ddfbf6bba5eaf745571b42ed4fd01bf8a1ac49a0152045ef32f40d2cc3"
+
+
+def test_words_stay_bit_identical(ht_gateset, ht_params, ht_refine_net,
+                                  skew_gateset, skew_net):
+    rng = np.random.default_rng(7)
+    words = [compile_target(ht_gateset, random_su(2, rng), 1e-3, ht_params,
+                            ht_refine_net).indices for _ in range(5)]
+    gen = skew_gateset.name_index("S")
+    words.append(refine_inverse(skew_gateset, skew_net, gen, 1e-8)[0].tokens)
+    assert [len(w) for w in words] == [10190, 10610, 11263, 10513, 10136, 109]
+    words = tuple(tuple(int(t) for t in w) for w in words)
+    assert hashlib.sha256(repr(words).encode()).hexdigest() == WORDS_SHA256
 
 
 def test_scan_orderings_s3():

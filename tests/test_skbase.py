@@ -6,7 +6,7 @@ import pytest
 from irrepsk import EpsNet, SKParams, base_params, build_gateset_net
 from irrepsk.errors import NetTooCoarse, TooFar
 from irrepsk.gateset import make_word, word_product
-from irrepsk.linalg import aligned_dist, dist, quaternion_to_su2, random_su, su2_to_quaternion
+from irrepsk.linalg import dist, quaternion_to_su2, random_su, su2_to_quaternion
 from irrepsk.net import extended_generators, extended_inverse
 from irrepsk.skbase import (
     balanced_commutator_decompose,
@@ -206,7 +206,7 @@ def test_rewrite_irrep_inverses(ht_gateset):
     w = make_word(gens, tuple(inv[i] for i in (1, 5, 3, 2)))
     out = rewrite_irrep_inverses(gs, w)
     assert out.tokens == (1, inv[5], 3, 2)
-    assert aligned_dist(out.product, w.product, gs.phase_candidates) <= 1e-10
+    assert dist(out.product, w.product, gs.phase_candidates) <= 1e-10
     # the tracked phase makes the product exact, not only up to phase
     assert np.allclose(out.product, word_product(gens, out.tokens), atol=1e-12)
 
@@ -221,8 +221,8 @@ def test_rewrite_preserves_product_phase_class(ht_gateset, ht_params):
     w = sk_compile(gs, t, 1e-3, ht_params)
     out = rewrite_irrep_inverses(gs, w)
     assert sum(e >= n for e in out.tokens) <= sum(e >= n for e in w.tokens)
-    assert all(inv[e] in gs.extra_indices for e in out.tokens if e >= n)
-    assert aligned_dist(out.product, w.product, gs.phase_candidates) <= 1e-10
+    assert all(inv[e] >= gs.rep.order for e in out.tokens if e >= n)
+    assert dist(out.product, w.product, gs.phase_candidates) <= 1e-10
     assert np.allclose(out.product, word_product(gens, out.tokens), atol=1e-12)
 
 

@@ -55,6 +55,8 @@ _VALIDATION_ERRORS = (SchemaError, IrrepError, GroupError, ClassError,
 _COMPILE_ERRORS = (NetTooCoarse, NonConvergent, Stalled, TooFar,
                    BudgetExceeded, EmptyNet, DimUnsupported)
 _IO_ERRORS = (OSError, FormatError, StaleGateSet, json.JSONDecodeError)
+_BENCH_COLUMNS = ("trial", "eps", "status", "error", "length", "base_length",
+                  "inverted_extras", "eps_k", "ell_k", "naive_length")
 
 
 def _parse_target(gs: GateSet, spec: str, rng) -> np.ndarray:
@@ -255,10 +257,8 @@ def cmd_bench(args) -> int:
                 report = compile_target(gs, target, eps, params, refine_net)
             except _COMPILE_ERRORS as e:
                 all_ok = False
-                rows.append({"trial": t, "eps": f"{eps:g}", "status": "error",
-                             "error": "", "length": "", "base_length": "",
-                             "inverted_extras": "", "eps_k": "", "ell_k": "",
-                             "naive_length": ""})
+                rows.append(dict.fromkeys(_BENCH_COLUMNS, "")
+                            | {"trial": t, "eps": f"{eps:g}", "status": "error"})
                 print(f"trial {t} @ {eps:g}: FAILED ({e})")
                 continue
             wall_ms = 1000.0 * (time.perf_counter() - t0)
@@ -270,24 +270,16 @@ def cmd_bench(args) -> int:
                 eps_each = (eps / 2.0) / report.inverted_extras
                 naive = max(naive_inverse_length(gs, i, eps_each)
                             for i in report.refine_errors)
-            rows.append({
-                "trial": t,
-                "eps": f"{eps:g}",
-                "status": "ok" if ok else "miss",
-                "error": f"{report.error:.6e}",
-                "length": report.length,
-                "base_length": report.base_length,
-                "inverted_extras": report.inverted_extras,
-                "eps_k": eps_k,
-                "ell_k": ell_k,
-                "naive_length": naive,
-            })
+            rows.append(dict(zip(_BENCH_COLUMNS, (
+                t, f"{eps:g}", "ok" if ok else "miss", f"{report.error:.6e}",
+                report.length, report.base_length, report.inverted_extras,
+                eps_k, ell_k, naive))))
             print(f"trial {t} @ {eps:g}: length {report.length}, "
                   f"error {report.error:.3e}, {wall_ms:.0f} ms, "
                   f"{'ok' if ok else 'MISS'}")
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+            writer = csv.DictWriter(fh, fieldnames=_BENCH_COLUMNS)
             writer.writeheader()
             writer.writerows(rows)
         print(f"saved: {args.csv}")

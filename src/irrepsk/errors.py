@@ -48,7 +48,8 @@ class ProjectiveUnsupported(GroupError):
 
 
 class ExtensionOverflow(GroupError):
-    """Central extension closure exceeded the d * |G| bound."""
+    """A multiplier phase is not a d-th root of unity, so no k-fold cover
+    with k dividing d closes the rep."""
 
 
 class GroupTooLarge(GroupError):

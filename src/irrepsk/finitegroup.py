@@ -4,8 +4,10 @@ A representation is stored as an explicit list of matrices with the identity
 pinned at index 0, together with lookup tables: a Cayley table of
 (index, phase) pairs with rho(g1) rho(g2) = e^{i theta} rho(g3), and an
 inverse table.  For a genuine irrep all phases are zero; a projective irrep
-carries nonzero multiplier phases, which (for determinant-1 representatives)
-are always d-th roots of unity.
+carries nonzero multiplier phases.  For determinant-1 representatives these
+are d-th roots of unity (the determinant of rho(g1) rho(g2) = z rho(g3)
+reads 1 = z^d), so the central-extension cover is Z rho(G), Z the roots the
+phases generate, and closing it needs no search.
 
 Conjugation-style averages are computed with exact matrix inverses
 (adjoints in the unitary case), never with the raw inverse-table entries:
@@ -35,7 +37,6 @@ from .linalg import (
     MatrixClass,
     check_class,
     dist,
-    frobenius_phase,
     require_matrix,
     su_normalize,
 )
@@ -78,119 +79,99 @@ class IrreducibilityReport(NamedTuple):
     threshold: float
 
 
-def _flat(mats: np.ndarray) -> np.ndarray:
-    return mats.reshape(mats.shape[0], -1)
+def _match(mats: np.ndarray, ps: np.ndarray, up_to_phase: bool, skip=None):
+    """Arrays (index, phase, residual): ps[i] ~ phase[i] mats[index[i]], the
+    nearest listed element, at op-norm distance residual[i].
 
-
-def _best_match(mats: np.ndarray, p: np.ndarray, up_to_phase: bool):
-    """Index, phase and op-norm residual of the listed element closest to p.
-
-    Phase mode matches p against e^{i phi} * element with the Frobenius-optimal
-    phi; exact mode forces phi = 0.
+    One Gram product tr(E_k^dag P_i) gives every Frobenius-optimal phase
+    z = tr / |tr| (z = 1 in exact mode) and ranks the elements by
+    ||z E - P||_F^2 = ||E||^2 + ||P||^2 - 2 Re(conj(z) tr).  Row i may not
+    match skip[i].
     """
-    flat = _flat(mats)
-    target = p.reshape(-1)
-    phases = np.ones(len(flat), dtype=complex)
-    if up_to_phase:
-        tr = flat.conj() @ target                  # tr(E_k^dag P)
-        phases = np.where(np.abs(tr) > 1e-300, tr / np.maximum(np.abs(tr), 1e-300), 1.0)
-    resid = np.linalg.norm(flat * phases[:, None] - target[None, :], axis=1)
-    k = int(np.argmin(resid))
-    return k, complex(phases[k]), dist(phases[k] * mats[k], p)
+    flat = mats.reshape(len(mats), -1)
+    gram = ps.reshape(len(ps), -1) @ flat.conj().T
+    z = gram / np.maximum(np.abs(gram), 1e-300) if up_to_phase else np.ones_like(gram)
+    score = np.einsum("kj,kj->k", flat.conj(), flat).real - 2 * (z.conj() * gram).real
+    rows = np.arange(len(ps))
+    if skip is not None:
+        score[rows, skip] = np.inf
+    k = score.argmin(axis=1)
+    phase = z[rows, k]
+    return k, phase, dist(phase[:, None, None] * mats[k], ps)
 
 
-def _ambiguity_check(mats: np.ndarray, tol: float, up_to_phase: bool) -> None:
-    n = len(mats)
-    for i in range(n):
-        for j in range(i + 1, n):
-            z = frobenius_phase(mats[i], mats[j]) if up_to_phase else 1.0
-            r = dist(mats[i], mats[j], (z,))
-            if r <= tol:
-                kind = "phase-equivalent" if up_to_phase else "equal"
-                raise AmbiguousMatch(f"elements {i} and {j} are {kind} (residual {r:.3e})")
-
-
-def _build_tables(mats: np.ndarray, tol: float, up_to_phase: bool):
-    """Cayley tables by brute-force matching of all pairwise products."""
-    n, d = len(mats), mats.shape[1]
+def _tables(stack: np.ndarray, tol: float, up_to_phase: bool):
+    """Reject (phase-)duplicate elements, then match every pairwise product,
+    one Cayley-table row at a time."""
+    n = len(stack)
+    if n > 1:
+        k, _, r = _match(stack, stack, up_to_phase, skip=np.arange(n))
+        i = int(np.argmin(r))
+        if r[i] <= tol:
+            kind = "phase-equivalent" if up_to_phase else "equal"
+            raise AmbiguousMatch(f"elements {i} and {k[i]} are {kind} (residual {r[i]:.3e})")
     index = np.zeros((n, n), dtype=int)
     phase = np.zeros((n, n), dtype=float)
     worst = 0.0
     for i in range(n):
-        for j in range(n):
-            p = mats[i] @ mats[j]
-            k, z, r = _best_match(mats, p, up_to_phase)
-            if r > tol:
-                raise NotClosed(
-                    f"product of elements {i} and {j} matches nothing "
-                    f"(best residual {r:.3e} vs element {k})"
-                )
-            index[i, j] = k
-            phase[i, j] = float(np.angle(z)) % (2 * np.pi)
-            worst = max(worst, r)
+        k, z, r = _match(stack, stack[i] @ stack, up_to_phase)
+        j = int(np.argmax(r))
+        if r[j] > tol:
+            raise NotClosed(
+                f"product of elements {i} and {j} matches nothing "
+                f"(best residual {r[j]:.3e} vs element {k[j]})"
+            )
+        index[i], phase[i] = k, np.angle(z) % (2 * np.pi)
+        worst = max(worst, float(r[j]))
     return index, phase, worst
 
 
-def _find_identity(mats: np.ndarray, tol: float, up_to_phase: bool) -> int:
-    eye = np.eye(mats.shape[1], dtype=complex)
-    for k in range(len(mats)):
-        z = frobenius_phase(eye, mats[k]) if up_to_phase else 1.0
-        if dist(eye, mats[k], (z,)) <= tol:
-            return k
-    raise NotClosed("no element is (phase-)equivalent to the identity")
-
-
-def _assemble(mats: list[np.ndarray], tol: float, unitary: bool,
+def _assemble(mats, tol: float, unitary: bool,
               allow_projective: bool = True) -> FiniteGroupRep:
+    """Tables, inverses and the irreducibility check for a list of matrices.
+
+    Raises NotClosed / AmbiguousMatch / NotIrreducible.
+    """
     stack = np.stack([require_matrix(m) for m in mats])
     d = stack.shape[1]
 
     # Pin the identity at index 0, snapping its representative to exact I.
     # A phase-normalised set may list e.g. -I as its identity representative;
     # the choice of representative phase is free, so we standardise it.
-    try:
-        idx = _find_identity(stack, tol, up_to_phase=False)
-    except NotClosed:
-        if not allow_projective:
-            raise
-        idx = _find_identity(stack, tol, up_to_phase=True)
-    order = [idx] + [k for k in range(len(stack)) if k != idx]
+    eye = np.eye(d, dtype=complex)
+    k, _, r = _match(stack, eye[None], up_to_phase=False)
+    if r[0] > tol and allow_projective:
+        k, _, r = _match(stack, eye[None], up_to_phase=True)
+    if r[0] > tol:
+        raise NotClosed("no element is (phase-)equivalent to the identity")
+    order = [int(k[0])] + [i for i in range(len(stack)) if i != k[0]]
     stack = stack[order]
-    stack[0] = np.eye(d, dtype=complex)
+    stack[0] = eye
 
     # Genuine closure first; fall back to phase matching.
     projective = False
     try:
-        _ambiguity_check(stack, tol, up_to_phase=False)
-        index, phase, worst = _build_tables(stack, tol, up_to_phase=False)
+        index, phase, worst = _tables(stack, tol, up_to_phase=False)
     except NotClosed:
         if not allow_projective:
             raise
-        _ambiguity_check(stack, tol, up_to_phase=True)
-        index, phase, worst = _build_tables(stack, tol, up_to_phase=True)
+        index, phase, worst = _tables(stack, tol, up_to_phase=True)
         projective = True
 
-    n = len(stack)
-    inverse_index = np.zeros(n, dtype=int)
-    for g in range(n):
-        hs = np.nonzero(index[g] == 0)[0]
-        if len(hs) != 1:
-            raise NotClosed(f"element {g} has {len(hs)} table inverses")
-        inverse_index[g] = hs[0]
+    hits = np.count_nonzero(index == 0, axis=1)
+    if (hits != 1).any():
+        g = int(np.argmax(hits != 1))
+        raise NotClosed(f"element {g} has {hits[g]} table inverses")
 
-    if unitary:
-        inv = stack.conj().transpose(0, 2, 1)
-    else:
-        inv = np.linalg.inv(stack)
-
+    inv = stack.conj().transpose(0, 2, 1) if unitary else np.linalg.inv(stack)
     rep = FiniteGroupRep(
         dim=d,
-        order=n,
+        order=len(stack),
         elements=stack,
         inv_elements=inv,
         cayley_index=index,
         cayley_phase=phase,
-        inverse_index=inverse_index,
+        inverse_index=np.argmax(index == 0, axis=1),
         projective=projective,
         unitary=unitary,
         tolerance=tol,
@@ -198,6 +179,11 @@ def _assemble(mats: list[np.ndarray], tol: float, unitary: bool,
         irreducibility_residual=float("nan"),
     )
     report = check_irreducible(rep)
+    if not report.irreducible:
+        raise NotIrreducible(
+            f"averaging criterion residual {report.residual:.3e} "
+            f"exceeds threshold {report.threshold:.3e}"
+        )
     object.__setattr__(rep, "irreducibility_residual", report.residual)
     return rep
 
@@ -215,14 +201,7 @@ def infer_group(mats, tol: float = DEFAULT_TOL, unitary: bool = True) -> FiniteG
     dims = {m.shape[0] for m in checked}
     if len(dims) != 1:
         raise DimError(f"elements have mixed dimensions {sorted(dims)}")
-    rep = _assemble(checked, tol, unitary)
-    report = check_irreducible(rep)
-    if not report.irreducible:
-        raise NotIrreducible(
-            f"averaging criterion residual {report.residual:.3e} "
-            f"exceeds threshold {report.threshold:.3e}"
-        )
-    return rep
+    return _assemble(checked, tol, unitary)
 
 
 def average(rep: FiniteGroupRep, m) -> np.ndarray:
@@ -245,9 +224,7 @@ def check_irreducible(rep: FiniteGroupRep) -> IrreducibilityReport:
     d, n = rep.dim, rep.order
     # average all matrix units at once: S[j,l] = sum_g rho(g) E_jl rho(g)^{-1}
     s = np.einsum("gij,gkl->jkil", rep.elements, rep.inv_elements)
-    expected = np.zeros_like(s)
-    for j in range(d):
-        expected[j, j] = n / d * np.eye(d)
+    expected = n / d * np.einsum("jk,il->jkil", np.eye(d), np.eye(d))
     residual = float(np.abs(s - expected).max())
     threshold = max(rep.tolerance, 1e-12) * n * d * 10
     return IrreducibilityReport(residual <= threshold, residual, threshold)
@@ -270,36 +247,30 @@ def check_schur_orthogonality(rep: FiniteGroupRep) -> float:
 def central_extend(rep: FiniteGroupRep) -> FiniteGroupRep:
     """Close a projective rep under exact multiplication.
 
-    The result is a genuine irrep of a k-fold cover, k = |G'|/|G| dividing d.
-    A genuine rep extends to itself (k = 1).
+    The closure of rho(G) is Z rho(G), Z the scalars generated by the
+    multiplier phases: it holds rho(g) rho(h) rho(gh)^{-1} = z(g, h) I, and
+    Z rho(G) is closed.  det rho = 1 gives z^d = 1, so each phase is some
+    omega^j, omega = e^{2 pi i / d}, and Z is generated by omega^step, step =
+    gcd(d, all j).  The result is a genuine irrep of the k-fold cover,
+    k = d / step; a genuine rep is its own cover.  Raises ExtensionOverflow
+    if some phase is not a d-th root of unity.
     """
     if not rep.projective:
         return rep
-    d, tol = rep.dim, rep.tolerance
-    bound = d * rep.order
-    mats = [rep.elements[i].copy() for i in range(rep.order)]
-    frontier = list(range(len(mats)))
-    while frontier:
-        fresh: list[int] = []
-        for i in frontier:
-            for j in range(rep.order):
-                p = mats[i] @ rep.elements[j]
-                stack = np.stack(mats)
-                _, _, r = _best_match(stack, p, up_to_phase=False)
-                if r > tol:
-                    if len(mats) >= bound:
-                        raise ExtensionOverflow(
-                            f"closure exceeded {bound} elements; multiplier "
-                            "phases are not d-th roots of unity"
-                        )
-                    mats.append(p)
-                    fresh.append(len(mats) - 1)
-        frontier = fresh
-    if len(mats) % rep.order != 0 or d % (len(mats) // rep.order) != 0:
+    d = rep.dim
+    j = rep.cayley_phase * d / (2 * np.pi)
+    m = np.rint(j)
+    # every product matched its table entry within tol, so a genuine root
+    # phase lies about that close to omega^m
+    off = np.abs(j - m).max() * 2 * np.pi / d
+    if off > rep.tolerance:
         raise ExtensionOverflow(
-            f"cover order {len(mats)} is not |G| * k with k dividing d"
+            f"a multiplier phase lies {off:.3e} rad from the nearest d-th root of unity"
         )
-    return _assemble(mats, tol, rep.unitary, allow_projective=False)
+    step = int(np.gcd.reduce(m.astype(int) % d, axis=None, initial=d))
+    roots = np.exp(2j * np.pi * step * np.arange(d // step) / d)
+    cover = (roots[:, None, None, None] * rep.elements).reshape(-1, d, d)
+    return _assemble(cover, rep.tolerance, rep.unitary, allow_projective=False)
 
 
 def check_cover_equivalence(rep: FiniteGroupRep, m,

@@ -44,29 +44,21 @@ def dist(a, b, phases=(1.0,)):
     """min over z in phases of the operator norm ||a - z b||.
 
     a is one (d, d) matrix, giving a float, or an (N, d, d) stack, giving an
-    array of N distances; b is one (d, d) matrix.  Projective-mode callers
-    pass the d-th roots of unity as phases: those are the only global phases
-    a word product can pick up relative to its target, since every factor
-    has determinant 1.
+    array of N distances; b is one (d, d) matrix, or a stack the shape of a
+    that is paired with it matrix by matrix.  Projective-mode callers pass
+    the d-th roots of unity as phases: those are the only global phases a
+    word product can pick up relative to its target, since every factor has
+    determinant 1.
     """
-    b = require_matrix(b)
     a = np.asarray(a, dtype=complex)
-    if a.ndim not in (2, 3) or a.shape[-2:] != b.shape:
+    b = np.asarray(b, dtype=complex)
+    if a.ndim not in (2, 3) or b.shape not in (a.shape, a.shape[-2:]):
         raise DimError(f"shape mismatch {a.shape} vs {b.shape}")
-    if not np.isfinite(a).all():
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise InvalidMatrix("matrix contains non-finite entries")
     d = reduce(np.minimum, (np.linalg.svd(a - z * b, compute_uv=False)[..., 0]
                             for z in phases))
     return float(d) if a.ndim == 2 else d
-
-
-def frobenius_phase(a, b) -> complex:
-    """Unit phase z maximising Re tr((z*b)^dag a), i.e. the best Frobenius
-    alignment of b onto a.  Returns 1 when the trace inner product vanishes."""
-    t = complex(np.vdot(np.asarray(b), np.asarray(a)))
-    if abs(t) < 1e-300:
-        return 1.0 + 0j
-    return t / abs(t)
 
 
 def determinant(m) -> complex:
@@ -153,23 +145,17 @@ def random_su(d: int, rng: np.random.Generator) -> np.ndarray:
     return su_normalize(q)
 
 
-def random_traceless_hermitian(d: int, rng: np.random.Generator,
-                               unit_norm: bool = True) -> np.ndarray:
+def random_traceless_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     h = (a + a.conj().T) / 2
     h -= np.trace(h) / d * np.eye(d)
-    if unit_norm:
-        h /= np.linalg.norm(h, 2)
-    return h
+    return h / np.linalg.norm(h, 2)
 
 
-def random_traceless(d: int, rng: np.random.Generator,
-                     unit_norm: bool = True) -> np.ndarray:
+def random_traceless(d: int, rng: np.random.Generator) -> np.ndarray:
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     a -= np.trace(a) / d * np.eye(d)
-    if unit_norm:
-        a /= np.linalg.norm(a, 2)
-    return a
+    return a / np.linalg.norm(a, 2)
 
 
 def random_sl_near_identity(d: int, rng: np.random.Generator,

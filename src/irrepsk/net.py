@@ -70,7 +70,6 @@ class EpsNet:
     fingerprint: str
     words: list[tuple[int, ...]]
     products: np.ndarray             # (n, d, d)
-    usable: bool = True
     achieved_density: float | None = None
     _quats: np.ndarray | None = field(default=None, repr=False)   # (n, 4)
     _tree: cKDTree | None = field(default=None, repr=False)
@@ -128,8 +127,8 @@ def build_net(gens: np.ndarray, dim: int, mode: str, word_length: int,
     """Enumerate words breadth-first, keeping first-seen products only.
 
     A candidate is dropped when its product lies within dedup_tol (Frobenius)
-    of anything already stored.  If the budget fills before word_length is
-    reached, the partial net is returned with usable=False.
+    of anything already stored.  Raises BudgetExceeded if more than budget
+    words would be stored.
     """
     gens = np.asarray(gens, dtype=complex)
     n_gens = len(gens)
@@ -137,11 +136,8 @@ def build_net(gens: np.ndarray, dim: int, mode: str, word_length: int,
     products = np.eye(dim, dtype=complex)[None]
     frontier_w: list[tuple[int, ...]] = [()]
     frontier_p = products
-    usable = True
-    reached = 0
     for level in range(1, word_length + 1):
         if len(frontier_w) == 0:
-            reached = word_length
             break
         cand = np.matmul(frontier_p[:, None], gens[None]).reshape(-1, dim, dim)
         cand_words = [w + (m,) for w in frontier_w for m in range(n_gens)]
@@ -159,26 +155,23 @@ def build_net(gens: np.ndarray, dim: int, mode: str, word_length: int,
                     if int(a) not in removed:
                         removed.add(int(b))
             kept = kept[[i for i in range(len(kept)) if i not in removed]]
-        room = budget - len(words)
-        if len(kept) > room:
-            kept = kept[:room]
-            usable = False
+        if len(words) + len(kept) > budget:
+            raise BudgetExceeded(
+                f"word budget {budget} exceeded at word length {level} of "
+                f"{word_length}: {len(words)} words stored, {len(kept)} more needed"
+            )
         frontier_w = [cand_words[i] for i in kept]
         frontier_p = cand[kept]
         words.extend(frontier_w)
         products = np.concatenate([products, frontier_p])
-        reached = level
-        if not usable:
-            break
     return EpsNet(
         dim=dim,
         mode=mode,
-        word_length=reached,
+        word_length=word_length,
         dedup_tol=dedup_tol,
         fingerprint=fingerprint,
         words=words,
         products=products,
-        usable=usable,
     )
 
 
@@ -219,7 +212,6 @@ def save_net(net: EpsNet, path) -> None:
         "word_length": net.word_length,
         "dedup_tol": net.dedup_tol,
         "count": len(net.words),
-        "usable": net.usable,
         "achieved_density": net.achieved_density,
         "product_digest": _product_digest(net.products),
     }
@@ -233,7 +225,7 @@ def load_net(path, gs: GateSet, with_inverses: bool = False) -> EpsNet:
     """Reload a net, recomputing and verifying every product.
 
     Raises StaleGateSet when the cache was built against a different gate set
-    and FormatError on any structural damage.
+    and FormatError on any structural damage or malformed header field.
     """
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()
@@ -255,6 +247,13 @@ def load_net(path, gs: GateSet, with_inverses: bool = False) -> EpsNet:
     body = lines[1:]
     if not isinstance(count, int) or len(body) != count:
         raise FormatError(f"expected {count} word lines, found {len(body)}")
+    for key, types in (("word_length", int), ("dedup_tol", (int, float)),
+                       ("achieved_density", (int, float, type(None)))):
+        if not isinstance(header.get(key), types):
+            raise FormatError(f"bad net header field {key!r}: {header.get(key)!r}")
+    # files from older versions could hold a net cut short by its budget
+    if header.get("usable", True) is not True:
+        raise FormatError("net file holds a net truncated by its word budget")
     gens = extended_generators(gs) if with_inverses else gs.matrices
     words: list[tuple[int, ...]] = []
     products = np.empty((count, gs.dim, gs.dim), dtype=complex)
@@ -281,12 +280,11 @@ def load_net(path, gs: GateSet, with_inverses: bool = False) -> EpsNet:
     return EpsNet(
         dim=gs.dim,
         mode=gs.mode,
-        word_length=int(header.get("word_length", 0)),
-        dedup_tol=float(header.get("dedup_tol", 0.0)),
+        word_length=header["word_length"],
+        dedup_tol=float(header["dedup_tol"]),
         fingerprint=expected,
         words=words,
         products=products,
-        usable=bool(header.get("usable", True)),
         achieved_density=header.get("achieved_density"),
     )
 
@@ -302,11 +300,6 @@ def auto_net(gs: GateSet, target_density: float, probes: int,
     length = start_length
     while True:
         net = build_gateset_net(gs, length, with_inverses=with_inverses, budget=budget)
-        if not net.usable:
-            raise BudgetExceeded(
-                f"budget {budget} filled at word length {net.word_length} "
-                f"with density still above {target_density}"
-            )
         density = probe_density(net, probes, rng)
         if density <= target_density:
             return net

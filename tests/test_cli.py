@@ -237,6 +237,24 @@ def test_bench_reports_misses(capsys, tmp_path):
     assert "FAILED" in out or "MISS" in out
 
 
+def test_bench_without_trials_writes_header_only(capsys, tmp_path):
+    out = tmp_path / "empty.csv"
+    rc, _, _ = run(capsys, "bench", "--gateset", HT, "--epsilon", "1e-2",
+                   "--trials", "0", "--base-length", "4", "--refine-length", "4",
+                   "--csv", str(out))
+    assert rc == 0
+    assert out.read_text() == ("trial,eps,status,error,length,base_length,"
+                               "inverted_extras,eps_k,ell_k,naive_length\n")
+
+
+def test_net_budget_is_a_compile_failure(capsys, tmp_path):
+    rc, _, err = run(capsys, "compile", "--gateset", HT, "--target", "axis:0,0,1:0.7",
+                     "--epsilon", "1e-3", "--base-length", "12", "--refine-length", "6",
+                     "--budget", "300")
+    assert rc == 2
+    assert "word budget 300 exceeded" in err
+
+
 def test_scan_orderings_cli(capsys, tmp_path):
     out_csv = tmp_path / "scan.csv"
     rc, out, _ = run(capsys, "scan-orderings", "--builtin", "s3",

@@ -1,9 +1,15 @@
 """Finite matrix groups: tables, averaging, irreducibility, covers."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
+import irrepsk.finitegroup as finitegroup
 from irrepsk.errors import (
+    AmbiguousMatch,
+    ExtensionOverflow,
     NotClosed,
     NotIrreducible,
     ProjectiveUnsupported,
@@ -130,6 +136,42 @@ def test_infer_group_rejects_empty():
         infer_group([])
 
 
+def test_infer_group_rejects_duplicates():
+    i, x, y, z = build_builtin("pauli").elements
+    with pytest.raises(AmbiguousMatch, match="equal"):
+        infer_group([i, x, y, z, x.copy()])
+    # -x is x up to phase; the set is not closed without phases, so the
+    # projective fallback meets the duplicate
+    with pytest.raises(AmbiguousMatch, match="phase-equivalent"):
+        infer_group([i, x, y, z, -x])
+
+
+def test_irreducibility_checked_once(monkeypatch):
+    calls = []
+    check = finitegroup.check_irreducible
+    monkeypatch.setattr(finitegroup, "check_irreducible",
+                        lambda rep: calls.append(rep) or check(rep))
+    build_builtin("pauli")
+    assert len(calls) == 1
+
+
+# SHA-256 over elements, cayley_index and inverse_index (as int64) of the
+# builtins below, recorded before the batched matcher replaced the
+# per-product loops; a change to the matching must leave it unchanged
+GROUP_TABLES_SHA256 = "61f45605902ebd5e0e675f8eed948637537b36201df42e0a42e7dd018ab776c9"
+
+
+def test_group_tables_stay_bit_identical():
+    h = hashlib.sha256()
+    for name, dim in (("pauli", None), ("q8", None), ("s3", None),
+                      ("weyl", 2), ("weyl", 3), ("weyl", 4), ("weyl", 5)):
+        rep = build_builtin(name, dim)
+        for a in (rep.elements, rep.cayley_index.astype(np.int64),
+                  rep.inverse_index.astype(np.int64)):
+            h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == GROUP_TABLES_SHA256
+
+
 def test_irreducibility_report_is_quantitative():
     rep = build_builtin("pauli")
     report = check_irreducible(rep)
@@ -145,6 +187,25 @@ def test_central_extend_orders():
     assert weyl.order == 27 and not weyl.projective
     q8 = build_builtin("q8")
     assert central_extend(q8) is q8  # genuine rep is its own cover
+
+
+def test_weyl5_cover_is_the_root_multiples():
+    rep = build_builtin("weyl", 5)
+    cover = central_extend(rep)
+    assert cover.order == 125 and not cover.projective
+    assert check_schur_orthogonality(cover) <= 1e-10
+    roots = np.exp(2j * np.pi * np.arange(5) / 5)
+    want = (roots[:, None, None, None] * rep.elements).reshape(-1, 5, 5)
+    for m in cover.elements:
+        assert dist(want, m).min() <= 1e-12
+
+
+def test_central_extend_rejects_off_root_phases():
+    rep = build_builtin("weyl", 3)
+    phase = rep.cayley_phase.copy()
+    phase[1, 2] += 0.1
+    with pytest.raises(ExtensionOverflow):
+        central_extend(dataclasses.replace(rep, cayley_phase=phase))
 
 
 def test_schur_orthogonality():

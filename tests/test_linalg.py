@@ -9,7 +9,6 @@ from irrepsk.linalg import (
     check_class,
     determinant,
     dist,
-    frobenius_phase,
     op_norm,
     random_sl_near_identity,
     random_su,
@@ -92,12 +91,16 @@ def test_aligned_dist_minimizes_over_phases():
         dist(bad, np.eye(2))
 
 
-def test_frobenius_phase():
-    rng = np.random.default_rng(4)
-    a = random_su(2, rng)
-    z = np.exp(0.7j)
-    assert frobenius_phase(z * a, a) == pytest.approx(z, abs=1e-12)
-    assert frobenius_phase(np.eye(2), X) == 1.0 + 0j
+def test_dist_pairs_stacks():
+    rng = np.random.default_rng(5)
+    a = np.stack([random_su(3, rng) for _ in range(20)])
+    b = np.stack([random_su(3, rng) for _ in range(20)])
+    roots = np.exp(2j * np.pi * np.arange(3) / 3)
+    got = dist(a, b, roots)
+    assert got.shape == (20,)
+    assert all(got[i] == dist(a[i], b[i], roots) for i in range(20))
+    with pytest.raises(DimError):
+        dist(a, b[:5])
 
 
 def test_su_normalize_pauli_branch():

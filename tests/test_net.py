@@ -1,10 +1,12 @@
 """Word-product nets: enumeration, nearest queries, persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
 from irrepsk import build_gateset_net, load_net, parse_gateset, save_net
-from irrepsk.errors import FormatError, StaleGateSet
+from irrepsk.errors import BudgetExceeded, FormatError, StaleGateSet
 from irrepsk.linalg import (dist, quaternion_to_su2, random_sl_near_identity, random_su,
                             su2_to_quaternion)
 from irrepsk.net import extended_generators, probe_density
@@ -223,12 +225,19 @@ def test_load_net_rejects_corrupt_file(tmp_path, ht_gateset):
     p.write_text("{ truncated")
     with pytest.raises(FormatError):
         load_net(p, ht_gateset)
+    # malformed header fields, and a net an older version cut short
+    for key, value in (("word_length", "three"), ("dedup_tol", None),
+                       ("achieved_density", "low"), ("usable", False)):
+        header = json.loads(lines[0]) | {key: value}
+        p.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        with pytest.raises(FormatError, match="header|truncated"):
+            load_net(p, ht_gateset)
 
 
-def test_budget_marks_net_unusable(ht_gateset):
-    net = build_gateset_net(ht_gateset, 4, budget=20)
-    assert not net.usable
-    assert len(net) <= 20
+def test_budget_raises_budget_exceeded(ht_gateset):
+    with pytest.raises(BudgetExceeded, match="budget 20 exceeded at word length"):
+        build_gateset_net(ht_gateset, 4, budget=20)
+    assert len(build_gateset_net(ht_gateset, 2, budget=100)) <= 100
 
 
 def test_inverse_extended_net_roundtrip(tmp_path, ht_gateset):

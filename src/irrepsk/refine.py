@@ -357,7 +357,8 @@ def compile_target(gs: GateSet, target, eps: float, params: SKParams,
     # after the rewrite, a token e >= n is an inverted extra gate inv[e]
     n = gs.gen_count
     inv = extended_inverse(gs)
-    inverted = [inv[e] for e in base.tokens if e >= n]
+    base_idx = np.asarray(base.tokens, dtype=np.intp)
+    inverted = np.asarray(inv, dtype=np.intp)[base_idx[base_idx >= n]]
     m = len(inverted)
     refine_errors: dict[int, float] = {}
     refine_lengths: dict[int, int] = {}
@@ -365,20 +366,26 @@ def compile_target(gs: GateSet, target, eps: float, params: SKParams,
     subs: dict[int, GateWord] = {}
     if m:
         eps_each = (eps / 2.0) / m
-        for i in sorted(set(inverted)):
+        for i in sorted(set(inverted.tolist())):
             w, achieved, tr = refine_inverse(gs, refine_net, i, eps_each)
             subs[i] = w
             refine_errors[i] = achieved
             refine_lengths[i] = w.length
             refine_traces[i] = tr
 
-    tokens: list[int] = []
-    for e in base.tokens:
-        if e >= n:
-            tokens.extend(subs[inv[e]].tokens)
-        else:
-            tokens.append(e)
-    word = make_word(gs.matrices, tokens)
+    # one output segment per extended token: the token itself when forward,
+    # the refined inverse word when an inverted extra gate (empty when that
+    # gate does not occur); the output is the base word's segments laid end
+    # to end, gathered from the segments' concatenation
+    segments = [(e,) if e < n else subs[inv[e]].tokens if inv[e] in subs else ()
+                for e in range(len(inv))]
+    seg_len = np.array([len(s) for s in segments], dtype=np.intp)
+    seg_start = np.cumsum(seg_len) - seg_len
+    flat = np.fromiter(itertools.chain.from_iterable(segments), dtype=np.intp)
+    out_len = seg_len[base_idx]
+    at = np.repeat(seg_start[base_idx] + out_len - np.cumsum(out_len), out_len)
+    at += np.arange(len(at))
+    word = make_word(gs.matrices, flat[at])
     error = dist(word.product, target, gs.phase_candidates)
     return CompileReport(
         target=target,

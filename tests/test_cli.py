@@ -1,6 +1,7 @@
 """Command-line behavior, exit codes, and artifact files."""
 
 import csv
+import hashlib
 import json
 import re
 import shlex
@@ -229,6 +230,21 @@ def test_bench_csv_is_deterministic(capsys, tmp_path):
     assert "summary:" in out1
 
 
+# SHA-256 of the CSV below, recorded before the product kernel moved from
+# np.matmul to broadcast outer products.  Rows print errors to 7 digits, so a
+# change that keeps the algorithm keeps these bytes.
+BENCH_CSV_SHA256 = "7fe61a7e69ab8c38a90d7154fe7e86f093f2ccf5d211e55e94552f9230b5428b"
+
+
+def test_bench_csv_is_byte_stable(capsys, tmp_path):
+    out = tmp_path / "bench.csv"
+    rc, *_ = run(capsys, "bench", "--gateset", HT, "--epsilon", "1e-2,1e-3",
+                 "--trials", "3", "--base-length", "12", "--refine-length", "6",
+                 "--naive-compare", "--csv", str(out))
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BENCH_CSV_SHA256
+
+
 def test_bench_reports_misses(capsys, tmp_path):
     rc, out, err = run(capsys, "bench", "--gateset", HT, "--epsilon", "1e-6",
                        "--trials", "1", "--base-length", "6",
@@ -275,12 +291,12 @@ def test_scan_orderings_from_gateset(capsys):
     assert "6 orderings scanned" in out
 
 
-def test_readme_examples(capsys, monkeypatch):
+def test_readme_examples(capsys, monkeypatch, tmp_path):
     # every README block that starts with "$ irrepsk <command>" must print
     # its lines verbatim, except for the wall time
     monkeypatch.chdir(ROOT)
-    blocks = re.findall(r"^```\n\$ (irrepsk .*?)^```", (ROOT / "README.md").read_text(),
-                        re.M | re.S)
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```\n\$ (irrepsk .*?)^```", readme, re.M | re.S)
     checked = []
     for block in blocks:
         lines = block.splitlines()
@@ -296,3 +312,14 @@ def test_readme_examples(capsys, monkeypatch):
             [line for line, k in zip(lines[n:], keep) if k]
         checked.append(argv[0])
     assert checked == ["validate", "refine-inverse", "compile"]
+    # the unprompted block's commands must exit 0; their CSVs go to tmp_path
+    block = re.search(r"^```\n(irrepsk .*?)^```", readme, re.M | re.S).group(1)
+    ran = []
+    for line in block.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line)[1:]
+        at = argv.index("--csv") + 1
+        argv[at] = str(tmp_path / argv[at])
+        rc, *_ = run(capsys, *argv)
+        assert rc == 0, line
+        ran.append(argv[0])
+    assert ran == ["bench", "scan-orderings"]

@@ -126,19 +126,29 @@ def test_sl_ball_check_covers_every_generator():
 
 
 @pytest.mark.parametrize("length", [0, 1, 2, 3, 7, 1000, 4097])
-@pytest.mark.parametrize("gateset", ["ht_gateset", "slp_gateset"])
+@pytest.mark.parametrize("gateset", ["ht_gateset", "slp_gateset", "weyl3"])
 def test_word_monoid(request, gateset, length):
     # word_product regroups the factors into a tree, so it matches the left
-    # fold up to round-off that grows with the length (and the norm, in sl mode)
-    gens = request.getfixturevalue(gateset).matrices
+    # fold up to round-off that grows with the length (and the norm, in sl
+    # mode); the d = 3 stack runs the product kernel's loop past k = 1
+    if gateset == "weyl3":
+        gens = build_builtin("weyl", 3).elements
+    else:
+        gens = request.getfixturevalue(gateset).matrices
     rng = np.random.default_rng(13)
     idx = tuple(int(i) for i in rng.integers(len(gens), size=length))
     w = make_word(gens, idx)
     assert w.length == length
-    oracle = reduce(np.matmul, [gens[i] for i in idx], np.eye(2, dtype=complex))
+    d = gens.shape[1]
+    oracle = reduce(np.matmul, [gens[i] for i in idx], np.eye(d, dtype=complex))
     tol = 4 * max(length, 1) * 2.0 ** -52 * max(1.0, np.linalg.norm(oracle, 2))
     assert np.linalg.norm(w.product - oracle, 2) <= tol
     assert np.array_equal(word_product(gens, idx), w.product)
+    # an int array (empty at length 0) builds the same word, tokens as ints
+    wa = make_word(gens, np.array(idx, dtype=int))
+    assert wa.tokens == idx
+    assert all(type(t) is int for t in wa.tokens)
+    assert np.array_equal(wa.product, w.product)
     a = make_word(gens, idx[:3])
     b = make_word(gens, idx[3:])
     ab = concat_words(a, b)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from irrepsk import build_gateset_net, compile_target, refine_inverse
+from irrepsk import base_params, build_gateset_net, compile_target, refine_inverse
 from irrepsk.errors import (
     DimError,
     GroupTooLarge,
@@ -218,10 +218,23 @@ def test_compile_target_report(ht_gateset, ht_params, ht_refine_net):
     assert report.base_error <= 5e-4
     assert report.length == len(report.indices)
     assert all(0 <= i < len(ht_gateset.matrices) for i in report.indices)
+    assert all(type(i) is int for i in report.indices)
     assert set(report.refine_errors) <= {4, 5}
     assert report.inverted_extras >= len(report.refine_errors)
     doc = json.dumps(report.as_dict())
     assert json.loads(doc)["eps"] == 1e-3
+
+
+def test_compile_target_empty_base_word(ht_gateset):
+    # the identity is the empty net word, so sk_compile stops at depth 0 and
+    # the output assembly gathers from an empty base word
+    params = base_params(ht_gateset, 12)
+    refine_net = build_gateset_net(ht_gateset, 6)
+    report = compile_target(ht_gateset, np.eye(2), 1e-4, params, refine_net)
+    assert report.indices == ()
+    assert report.error == 0
+    assert report.inverted_extras == 0
+    assert json.loads(json.dumps(report.as_dict()))["indices"] == []
 
 
 # SHA-256 of the token tuples below, recorded before the distance routines

@@ -52,8 +52,9 @@ class GateWord:
     Tokens index whichever array the word was built over: a gate set's
     matrices for inverse-free words, extended_generators for the base
     compiler's words.  The product is whatever its builder computed:
-    word_product for make_word, the parts' products for concat_words,
-    symmetrize_word and sk_compile.
+    word_product for make_word, the parts' products for concat_words and
+    symmetrize_word.  sk_compile's product is the one its batched recursion
+    tracks, built level by level from net products with matmul_stack.
     """
 
     tokens: tuple[int, ...]
@@ -69,21 +70,32 @@ def word_product(gens: np.ndarray, tokens) -> np.ndarray:
 
     Each round multiplies neighbours (0, 1), (2, 3), ... and carries an odd
     last factor, so an L-token word takes ceil(log2 L) rounds instead of L
-    sequential products.  A round's products are the sum over k < d of the
-    broadcast outer products of column k of the left factors with row k of
-    the right ones: for small d that is several times faster than np.matmul
-    on a stack, whose cost is per matrix, not per flop.
+    sequential products, each round one matmul_stack call.
     """
     m = gens[np.asarray(tokens, dtype=np.intp)]
     if len(m) == 0:
         return np.eye(gens.shape[1], dtype=complex)
     while len(m) > 1:
-        a, b = m[0:-1:2], m[1::2]
-        pairs = a[:, :, 0, None] * b[:, None, 0, :]
-        for k in range(1, m.shape[1]):
-            pairs += a[:, :, k, None] * b[:, None, k, :]
+        pairs = matmul_stack(m[0:-1:2], m[1::2])
         m = np.concatenate([pairs, m[-1:]]) if len(m) % 2 else pairs
     return m[0]
+
+
+def matmul_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over two (n, d, d) stacks, as the sum over k < d of the
+    broadcast outer products of column k of a with row k of b: for small d
+    several times faster than np.matmul, whose cost is per matrix."""
+    out = a[:, :, 0, None] * b[:, None, 0, :]
+    for k in range(1, a.shape[-1]):
+        out += a[:, :, k, None] * b[:, None, k, :]
+    return out
+
+
+def gather_segments(flat: np.ndarray, starts, lengths) -> np.ndarray:
+    """flat[s:s + n] for each (s, n) of zip(starts, lengths), laid end to end
+    by one np.repeat instead of a loop over segments."""
+    lead = np.cumsum(lengths) - lengths
+    return flat[np.repeat(starts - lead, lengths) + np.arange(lengths.sum())]
 
 
 def make_word(gens: np.ndarray, tokens) -> GateWord:

@@ -130,6 +130,13 @@ def quaternion_to_su2(q) -> np.ndarray:
     return (q @ _SU2_BASIS).reshape(q.shape[:-1] + (2, 2))
 
 
+def su2_residual(u: np.ndarray) -> tuple[np.ndarray, float]:
+    """The quaternion q of a (2, 2) matrix's first row, and the larger of
+    |q.q - 1| and max |quaternion_to_su2(q) - u|, which is 0 on SU(2)."""
+    q = su2_to_quaternion(u)
+    return q, float(np.max([abs(q @ q - 1.0), np.abs(quaternion_to_su2(q) - u).max()]))
+
+
 # --- seeded samplers used by probes, benchmarks and tests ---
 
 def random_su(d: int, rng: np.random.Generator) -> np.ndarray:

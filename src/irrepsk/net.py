@@ -17,6 +17,7 @@ products.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -24,8 +25,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import BudgetExceeded, EmptyNet, FormatError, StaleGateSet
-from .gateset import GateSet, GateWord, word_product
-from .linalg import dist, quaternion_to_su2, random_su, su2_to_quaternion
+from .gateset import GateSet, GateWord, gather_segments, word_product
+from .linalg import DEFAULT_TOL, dist, random_su, su2_residual, su2_to_quaternion
 
 NET_FORMAT = "irrepsk-net-v1"
 DEFAULT_BUDGET = 2_000_000
@@ -71,49 +72,64 @@ class EpsNet:
     words: list[tuple[int, ...]]
     products: np.ndarray             # (n, d, d)
     achieved_density: float | None = None
-    _quats: np.ndarray | None = field(default=None, repr=False)   # (n, 4)
     _tree: cKDTree | None = field(default=None, repr=False)
+    _flat: tuple | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def _su2_quaternion(self, target) -> tuple[np.ndarray, np.ndarray | None]:
-        """The target as a complex matrix, and its quaternion when both the
-        net and the target lie in SU(2) (None otherwise).  The first such
-        query builds the quaternion array and its tree."""
-        if len(self.words) == 0:
-            raise EmptyNet("net has no stored words")
-        t = np.asarray(target, dtype=complex)
-        if not (self.dim == 2 and self.mode == "su" and t.shape == (2, 2)):
-            return t, None
-        # t is in SU(2) when its first row, read as a quaternion, has unit
-        # norm and rebuilds the whole matrix
-        q = su2_to_quaternion(t)
-        if not (abs(q @ q - 1.0) < 1e-9 and np.abs(quaternion_to_su2(q) - t).max() < 1e-9):
-            return t, None
-        if self._quats is None:
-            self._quats = np.ascontiguousarray(su2_to_quaternion(self.products))
-            self._tree = cKDTree(self._quats)
-        return t, q
 
     def nearest(self, target) -> tuple[GateWord, float]:
         """Exact nearest stored word and its distance to target.
 
         Ties go to store order, which is breadth-first (shortest word first,
         then generation order).  SU(2) targets against an SU(2) net are
-        answered by the quaternion tree, where products within 1e-12 of the
-        nearest count as tied; any other query scans dist over all products
-        and takes its first minimum.
+        answered by query; any other query scans dist over all products and
+        takes its first minimum.
         """
-        t, q = self._su2_quaternion(target)
-        if q is None:
+        if len(self.words) == 0:
+            raise EmptyNet("net has no stored words")
+        t = np.asarray(target, dtype=complex)
+        su2 = self.dim == 2 and self.mode == "su" and t.shape == (2, 2)
+        q, residual = su2_residual(t) if su2 else (None, np.inf)
+        if residual < DEFAULT_TOL:
+            (i,), (d,) = self.query(q[None])
+        else:
             d = dist(self.products, t)
             i = int(np.argmin(d))
-            return GateWord(self.words[i], self.products[i]), float(d[i])
-        (d0, d1), (i, _) = self._tree.query(q, k=2)
-        if d1 - d0 <= 1e-12:
-            i = min(self._tree.query_ball_point(q, d0 + 1e-12))
-        return GateWord(self.words[i], self.products[i]), float(d0)
+            d = d[i]
+        return GateWord(self.words[i], self.products[i]), float(d)
+
+    def query(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Store indices and distances of the nearest products to an (n, 4)
+        stack of SU(2) quaternions, from a k-d tree over the products' own.
+        Products within 1e-12 of the nearest tie, and the first stored wins."""
+        if self._tree is None:
+            self._tree = cKDTree(np.ascontiguousarray(su2_to_quaternion(self.products)))
+        d, i = self._tree.query(q, k=2)
+        d, i, tied = d[:, 0], i[:, 0], np.nonzero(d[:, 1] - d[:, 0] <= 1e-12)[0]
+        if len(tied):
+            balls = self._tree.query_ball_point(q[tied], d[tied] + 1e-12)
+            i[tied] = [min(b) for b in balls]
+        return i, d
+
+    def gather(self, signed: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+        """The tokens of stored words laid end to end: i >= 0 in signed names
+        word i, ~i word i inverted, read back to front through inverse (the
+        index of each token's inverse), from a lazily built flat copy."""
+        if self._flat is None:
+            lengths = np.fromiter(map(len, self.words), np.intp, len(self.words))
+            flat = np.fromiter(itertools.chain.from_iterable(self.words), np.intp)
+            flat = flat.astype(np.min_scalar_type(flat.max(initial=0)))
+            # flat is followed by its reversed copy, where word i read back to
+            # front starts at 2 len(flat) - start - length
+            self._flat = (np.concatenate([flat, flat[::-1]]),
+                          np.cumsum(lengths) - lengths, lengths)
+        flat, starts, lengths = self._flat
+        back = signed < 0
+        i = np.where(back, ~signed, signed)
+        n = lengths[i]
+        tokens = gather_segments(flat, np.where(back, len(flat) - starts[i] - n, starts[i]), n)
+        return np.where(np.repeat(back, n), inverse[tokens], tokens)
 
 
 def _vec(mats: np.ndarray) -> np.ndarray:

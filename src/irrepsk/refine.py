@@ -38,7 +38,8 @@ from .errors import (
     Stalled,
 )
 from .finitegroup import FiniteGroupRep
-from .gateset import GateSet, GateWord, concat_words, eps0_constant, make_word
+from .gateset import (GateSet, GateWord, concat_words, eps0_constant, gather_segments,
+                      make_word)
 from .linalg import dist, op_norm, random_traceless_hermitian, su2_to_quaternion
 from .net import EpsNet, extended_inverse
 from .skbase import SKParams, rewrite_irrep_inverses, sk_compile
@@ -382,10 +383,8 @@ def compile_target(gs: GateSet, target, eps: float, params: SKParams,
     seg_len = np.array([len(s) for s in segments], dtype=np.intp)
     seg_start = np.cumsum(seg_len) - seg_len
     flat = np.fromiter(itertools.chain.from_iterable(segments), dtype=np.intp)
-    out_len = seg_len[base_idx]
-    at = np.repeat(seg_start[base_idx] + out_len - np.cumsum(out_len), out_len)
-    at += np.arange(len(at))
-    word = make_word(gs.matrices, flat[at])
+    word = make_word(gs.matrices,
+                     gather_segments(flat, seg_start[base_idx], seg_len[base_idx]))
     error = dist(word.product, target, gs.phase_candidates)
     return CompileReport(
         target=target,

@@ -1,18 +1,20 @@
 """Inverse-allowed Solovay-Kitaev base compiler for SU(2).
 
 This stage is deliberately classical: it compiles over the gate set together
-with the inverses of all generators, and its output is then post-processed
-into an inverse-free word by the refinement stage.  Words are GateWords whose
-tokens index extended_generators(gs); extended_inverse maps each token to
-its inverse's.  Inverted irrep tokens can be rewritten in place via the
-group's inverse table, and inverted extra-gate tokens are what the
-refinement stage replaces.
+with the inverses of all generators, and the refinement stage then makes its
+output inverse-free.  Words are GateWords whose tokens index
+extended_generators(gs); extended_inverse maps each token to its inverse's.
+Inverted irrep tokens are rewritten through the group's inverse table, and
+inverted extra-gate tokens are what the refinement stage replaces.
 
-The group-commutator step uses the exact SU(2) construction: a target
-rotation by angle theta equals the commutator A B A^dag B^dag of two
-rotations by phi about orthogonal axes, with sin^2(phi/2) = sin(theta/4).
-Both factors tilt toward the identity like sqrt(theta), which is what makes
-the recursion contract.
+The commutator step is exact in SU(2): a rotation by theta is the commutator
+A B A^dag B^dag of two rotations by phi about orthogonal axes, with
+sin^2(phi/2) = sin(theta/4), so both factors tilt toward the identity like
+sqrt(theta) and the recursion contracts.  It runs level by level on stacks
+of targets: one net query, one vectorized decomposition and (n, 2, 2)
+product stacks per level.  A depth-d word is 5^d net words end to end, so
+the levels pass (n, 5^d) arrays of signed net indices (~i for net word i
+inverted), and the tokens are gathered once, for the word returned.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimUnsupported, NetTooCoarse, TooFar
-from .gateset import GateSet, GateWord
+from .errors import ClassError, DimUnsupported, NetTooCoarse, TooFar
+from .gateset import GateSet, GateWord, matmul_stack
 from .net import EpsNet, build_gateset_net, extended_inverse
-from .linalg import dist, quaternion_to_su2, su2_to_quaternion
+from .linalg import (DEFAULT_TOL, dist, quaternion_to_su2, su2_residual,
+                     su2_to_quaternion)
 
 
 def rotation(axis, angle: float) -> np.ndarray:
@@ -35,8 +38,9 @@ def rotation(axis, angle: float) -> np.ndarray:
                                              np.sin(angle / 2) * axis]))
 
 
-def balanced_commutator_decompose(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact A, B in SU(2) with A B A^dag B^dag = delta.
+def commutator_factors(deltas: np.ndarray) -> np.ndarray:
+    """Exact A, B in SU(2) with A B A^dag B^dag = delta for each delta of an
+    (n, 2, 2) stack; the quaternions of A and of B as one (2, n, 4) array.
 
     Requires dist(delta, I) <= 1/4.  Both factors are rotations by
     phi = 2 arcsin(sqrt(sin(theta/4))) about an orthogonal axis pair, so
@@ -49,37 +53,47 @@ def balanced_commutator_decompose(delta: np.ndarray) -> tuple[np.ndarray, np.nda
     m = (s, -s, c) / sqrt(1 + s^2); the smallest rotation R taking m to
     n = v / |v| sends the x/y pair to the axes of A and B.
     """
-    if delta.shape != (2, 2):
-        raise DimUnsupported("commutator decomposition is SU(2)-only")
-    w, x, y, z = su2_to_quaternion(delta).tolist()
-    gap = math.hypot(w - 1.0, x, y, z)
-    if gap > 0.25 + 1e-12:
-        raise TooFar(f"dist(delta, I) = {gap:.4f} > 1/4")
-    vn = math.hypot(x, y, z)
-    s = math.sqrt(math.sin(0.5 * math.atan2(vn, w)))
-    if s == 0.0:
-        return np.eye(2, dtype=complex), np.eye(2, dtype=complex)
-    c, sc = math.sqrt(1.0 - s * s), math.sqrt(1.0 + s * s)
-    m = (s / sc, -s / sc, c / sc)
-    n = (x / vn, y / vn, z / vn)
+    q = su2_to_quaternion(deltas).T
+    w, v = q[0], q[1:]
+    vv = (v * v).sum(0)
+    gap = np.sqrt((w - 1.0) ** 2 + vv)
+    if gap.max() > 0.25 + 1e-12:
+        raise TooFar(f"dist(delta, I) = {gap.max():.4f} > 1/4")
+    vn = np.sqrt(vv)
+    s = np.sqrt(np.sin(0.5 * np.arctan2(vn, w)))
+    c = np.sqrt(1.0 - s * s)
+    m = np.array([s, -s, c]) / np.sqrt(1.0 + s * s)
+    # at delta = I, s = 0 makes A = B = I whatever n is; n = 0 keeps it finite
+    n = v / (vn + (vn == 0))
     # R turns by the angle between m and n about k = m x n, with k's
     # rounding taken off m so that R m = n stays accurate as n nears -m.
     # Its quaternion is (|m + n|, |m - n| k / |k|) / 2.  If n = +-m exactly,
     # any k normal to m serves; (1, 1, 0) is, and for n = -m R swaps x and y
-    k = (m[1] * n[2] - m[2] * n[1], m[2] * n[0] - m[0] * n[2], m[0] * n[1] - m[1] * n[0])
-    mk = m[0] * k[0] + m[1] * k[1] + m[2] * k[2]
-    k = (k[0] - mk * m[0], k[1] - mk * m[1], k[2] - mk * m[2])
-    kn = math.hypot(*k)
-    if kn == 0.0:
-        k, kn = (1.0, 1.0, 0.0), math.sqrt(2.0)
-    rk = 0.5 * math.hypot(m[0] - n[0], m[1] - n[1], m[2] - n[2]) / kn
-    r0, r1, r2, r3 = (0.5 * math.hypot(m[0] + n[0], m[1] + n[1], m[2] + n[2]),
-                      rk * k[0], rk * k[1], rk * k[2])
-    # the first two columns of R's rotation matrix
-    ax = (1 - 2 * (r2 * r2 + r3 * r3), 2 * (r1 * r2 + r0 * r3), 2 * (r1 * r3 - r0 * r2))
-    ay = (2 * (r1 * r2 - r0 * r3), 1 - 2 * (r1 * r1 + r3 * r3), 2 * (r2 * r3 + r0 * r1))
-    a, b = quaternion_to_su2([(c, s * ax[0], s * ax[1], s * ax[2]),
-                              (c, s * ay[0], s * ay[1], s * ay[2])])
+    mm, nn = np.concatenate([m, m]), np.concatenate([n, n])
+    k = mm[1:4] * nn[2:5] - mm[2:5] * nn[1:4]
+    k -= (m * k).sum(0) * m
+    kn = np.sqrt((k * k).sum(0))
+    if not kn.all():
+        k[:, kn == 0] = [[1.0], [1.0], [0.0]]
+        kn[kn == 0] = math.sqrt(2.0)
+    h = 0.5 * np.sqrt((np.array([m + n, m - n]) ** 2).sum(1))
+    r = np.concatenate([h[:1], h[1] / kn * k])
+    # A and B turn by phi about the first two columns of R's rotation
+    # matrix, written with the products rr[i, j] = r_i r_j
+    rr = r[:, None] * r
+    q = np.array([[c, 1 - 2 * (rr[2, 2] + rr[3, 3]), 2 * (rr[1, 2] + rr[0, 3]),
+                   2 * (rr[1, 3] - rr[0, 2])],
+                  [c, 2 * (rr[1, 2] - rr[0, 3]), 1 - 2 * (rr[1, 1] + rr[3, 3]),
+                   2 * (rr[2, 3] + rr[0, 1])]])
+    q[:, 1:] *= s
+    return q.transpose(0, 2, 1)
+
+
+def balanced_commutator_decompose(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices A, B of commutator_factors for one (2, 2) delta."""
+    if delta.shape != (2, 2):
+        raise DimUnsupported("commutator decomposition is SU(2)-only")
+    a, b = quaternion_to_su2(commutator_factors(delta[None])[:, 0])
     return a, b
 
 
@@ -127,49 +141,50 @@ def sk_compile(gs: GateSet, target, eps: float, params: SKParams) -> GateWord:
 
     The returned word's tokens index extended_generators(gs).  Iteratively
     deepens the standard commutator recursion until the measured error
-    passes eps; raises NetTooCoarse if the depth cap is hit first, and
-    DimUnsupported away from d = 2.
+    passes eps; raises NetTooCoarse if the depth cap is hit first,
+    DimUnsupported away from d = 2 and ClassError for a target off SU(2).
     """
     if gs.dim != 2 or gs.mode != "su":
         raise DimUnsupported("the base compiler handles d = 2, su mode only")
     target = np.asarray(target, dtype=complex)
-    inv = extended_inverse(gs)
+    target_q, residual = su2_residual(target)
+    if not residual < DEFAULT_TOL:
+        raise ClassError(f"target is not in SU(2): residual {residual:.3e}")
+    net = params.net
 
-    def invert(w: GateWord) -> GateWord:
-        return GateWord(tuple(inv[e] for e in reversed(w.tokens)), w.product.conj().T)
-
-    def recurse(u: np.ndarray, depth: int, w1: GateWord | None = None) -> GateWord:
+    def level(q: np.ndarray, depth: int, w1=None) -> tuple[np.ndarray, np.ndarray]:
+        """Signed net indices (n, 5^depth) and products (n, 2, 2) of the words
+        for an (n, 4) stack of target quaternions, from w1 at depth - 1."""
         if depth == 0:
-            return params.net.nearest(u)[0]
-        if w1 is None:
-            w1 = recurse(u, depth - 1)
-        a, b = balanced_commutator_decompose(u @ w1.product.conj().T)
-        wa = recurse(a, depth - 1)
-        wb = recurse(b, depth - 1)
-        wa_inv = invert(wa)
-        wb_inv = invert(wb)
-        tokens = wa.tokens + wb.tokens + wa_inv.tokens + wb_inv.tokens + w1.tokens
-        product = (wa.product @ wb.product @ wa_inv.product
-                   @ wb_inv.product @ w1.product)
-        return GateWord(tokens, product)
+            i, _ = net.query(q)
+            return i[:, None], net.products[i]
+        idx1, p1 = level(q, depth - 1) if w1 is None else w1
+        ab = commutator_factors(matmul_stack(quaternion_to_su2(q), p1.conj().swapaxes(1, 2)))
+        idx, p = level(ab.reshape(-1, 4), depth - 1)
+        n = len(q)
+        ia, ib, pa, pb = idx[:n], idx[n:], p[:n], p[n:]
+        words = np.concatenate([ia, ib, ~ia[:, ::-1], ~ib[:, ::-1], idx1], axis=1)
+        # pa pb pa^dag pb^dag = x y^dag, with [x; y] = [pa pb; pb pa]
+        xy = matmul_stack(p, np.concatenate([pb, pa]))
+        return words, matmul_stack(matmul_stack(xy[:n], xy[n:].conj().swapaxes(1, 2)), p1)
 
     # the depth-k recursion starts from the depth-(k - 1) word, so each
     # deepening step reuses the previous one instead of recomputing it
-    best = word = None
+    best, word = math.inf, None
     for depth in range(params.max_depth + 1):
         try:
-            word = recurse(target, depth, word)
+            idx, prod = word = level(target_q[None], depth, word)
         except TooFar as e:
             raise NetTooCoarse(
                 f"base approximation too coarse for the commutator step: {e}"
             ) from e
-        err = dist(word.product, target)
-        if best is None or err < best[1]:
-            best = (word, err)
+        err = dist(prod[0], target)
+        best = min(best, err)
         if err <= eps:
-            return word
+            tokens = net.gather(idx[0], np.asarray(extended_inverse(gs)))
+            return GateWord(tuple(tokens.tolist()), prod[0])
     raise NetTooCoarse(
-        f"depth cap {params.max_depth} reached at error {best[1]:.3e} > {eps:.3e}; "
+        f"depth cap {params.max_depth} reached at error {best:.3e} > {eps:.3e}; "
         "the base net is too coarse for this tolerance"
     )
 

@@ -116,6 +116,26 @@ def test_index_matches_svd_brute_force(ht_base8):
         assert got == pytest.approx(svd[i], abs=1e-14)
 
 
+def test_batched_query_keeps_the_tie_rule(ht_gateset, ht_base8):
+    # nearest asks query one row at a time; a whole batch must pick the
+    # same store index, on the midpoint ties above and on Haar targets
+    net = build_gateset_net(ht_gateset, 3)
+    q = su2_to_quaternion(net.products)
+    mid = q[:, None] + q[None]
+    mid = mid[np.triu_indices(len(net), 1)]
+    norm = np.linalg.norm(mid, axis=1, keepdims=True)
+    mid = mid[norm[:, 0] >= 1e-6] / norm[norm[:, 0] >= 1e-6]
+    rng = np.random.default_rng(29)
+    haar = su2_to_quaternion(np.array([random_su(2, rng) for _ in range(200)]))
+    for store, targets in ((net, mid), (ht_base8, haar)):
+        idx, d = store.query(targets)
+        for t, i, di in zip(targets, idx, d):
+            word, got = store.nearest(quaternion_to_su2(t))
+            assert word.tokens == store.words[i] and got == di
+    d, _ = net._tree.query(mid, k=2)
+    assert np.count_nonzero(d[:, 1] - d[:, 0] <= 1e-12) > 500
+
+
 def test_index_is_exact_near_a_stored_product(ht_base8):
     # ||P - P R|| = ||I - R|| = 2 sin(theta / 4) for a rotation R by theta;
     # a scan through sqrt(2 - Re tr) misses this by up to ~1e-8

@@ -1,15 +1,18 @@
 """Commutator decomposition and the inverse-allowed base compiler."""
 
+import re
+
 import numpy as np
 import pytest
 
 from irrepsk import EpsNet, SKParams, base_params, build_gateset_net
-from irrepsk.errors import NetTooCoarse, TooFar
+from irrepsk.errors import ClassError, NetTooCoarse, TooFar
 from irrepsk.gateset import make_word, word_product
 from irrepsk.linalg import dist, quaternion_to_su2, random_su, su2_to_quaternion
 from irrepsk.net import extended_generators, extended_inverse
 from irrepsk.skbase import (
     balanced_commutator_decompose,
+    commutator_factors,
     rewrite_irrep_inverses,
     rotation,
     sk_compile,
@@ -80,6 +83,23 @@ def test_commutator_near_the_singular_axes(theta):
             delta = quaternion_to_su2(q)
             a, b = balanced_commutator_decompose(delta)
             assert dist(a @ b @ a.conj().T @ b.conj().T, delta) <= 4 * 2.0 ** -52
+
+
+def test_commutator_factors_batch_matches_rows():
+    # a stack mixing the identity, the singular axes +-m and ordinary rows
+    # gives every row the factors it gets alone
+    theta = 1e-3
+    s = np.sqrt(np.sin(theta / 4))
+    m = np.array([s, -s, np.sqrt(1 - s * s)]) / np.sqrt(1 + s * s)
+    rng = np.random.default_rng(43)
+    deltas = [np.eye(2)] + [
+        quaternion_to_su2(np.concatenate([[np.cos(theta / 2)], sign * np.sin(theta / 2) * m]))
+        for sign in (1, -1)] + [rotation(rng.normal(size=3), rng.uniform(0, 0.4))
+                                for _ in range(5)]
+    ab = quaternion_to_su2(commutator_factors(np.array(deltas)))
+    for j, delta in enumerate(deltas):
+        a, b = balanced_commutator_decompose(delta)
+        assert np.array_equal(ab[0, j], a) and np.array_equal(ab[1, j], b)
 
 
 def test_commutator_factor_distance_scaling():
@@ -175,26 +195,37 @@ def test_sk_compile_rejects_hopeless_net(ht_gateset):
 
 def test_sk_compile_reuses_the_previous_depth(ht_gateset, monkeypatch):
     # depth k starts from the depth-(k - 1) word, so deepening to depth 3
-    # queries the net 3^3 times and decomposes 1 + 3 + 9 commutators
+    # looks up 3^3 leaf targets in 1 + 1 + 2 + 4 batched queries and
+    # decomposes 1 + 3 + 9 commutators in 1 + 2 + 4 batched calls
     import irrepsk.skbase as skbase_mod
 
-    calls = {"nearest": 0, "commutator": 0}
-    nearest, decompose = EpsNet.nearest, skbase_mod.balanced_commutator_decompose
+    calls = {"query": [], "commutator": []}
+    query, factors = EpsNet.query, skbase_mod.commutator_factors
 
-    def counted_nearest(self, target):
-        calls["nearest"] += 1
-        return nearest(self, target)
+    def counted_query(self, q):
+        calls["query"].append(len(q))
+        return query(self, q)
 
-    def counted_decompose(delta):
-        calls["commutator"] += 1
-        return decompose(delta)
+    def counted_factors(deltas):
+        calls["commutator"].append(len(deltas))
+        return factors(deltas)
 
-    monkeypatch.setattr(EpsNet, "nearest", counted_nearest)
-    monkeypatch.setattr(skbase_mod, "balanced_commutator_decompose", counted_decompose)
+    monkeypatch.setattr(EpsNet, "query", counted_query)
+    monkeypatch.setattr(skbase_mod, "commutator_factors", counted_factors)
     params = base_params(ht_gateset, 10, max_depth=3)
     with pytest.raises(NetTooCoarse):
         sk_compile(ht_gateset, random_su(2, np.random.default_rng(0)), 1e-12, params)
-    assert calls == {"nearest": 27, "commutator": 13}
+    assert sum(calls["query"]) == 27 and sum(calls["commutator"]) == 13
+    assert len(calls["query"]) == 8 and len(calls["commutator"]) == 7
+
+
+def test_sk_compile_rejects_targets_off_su2(ht_gateset, ht_params):
+    # plain H has det -1 and 1.5 I is not unitary; neither may reach the
+    # quaternion recursion, which would read only the first row
+    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    for t, residual in ((hadamard, "1.414e+00"), (1.5 * np.eye(2), "1.250e+00")):
+        with pytest.raises(ClassError, match=re.escape(f"residual {residual}")):
+            sk_compile(ht_gateset, t, 1e-3, ht_params)
 
 
 def test_rewrite_irrep_inverses(ht_gateset):
@@ -262,3 +293,14 @@ def test_sk_compile_passes_the_old_plateau(ht_gateset):
         w = sk_compile(ht_gateset, t, 1e-7, params)
         assert dist(w.product, t) <= 1e-7
         assert dist(word_product(extended_generators(ht_gateset), w.tokens), t) <= 1e-7
+
+
+def test_sk_compile_deep_recursion(ht_gateset):
+    # depth 7 reaches 1e-10 with words of about 730k tokens, measured by an
+    # independent product of the tokens
+    params = base_params(ht_gateset, 12, max_depth=7)
+    gens = extended_generators(ht_gateset)
+    for seed in (0, 1, 2):
+        t = random_su(2, np.random.default_rng(seed))
+        w = sk_compile(ht_gateset, t, 1e-10, params)
+        assert dist(word_product(gens, w.tokens), t) <= 1e-10

@@ -20,6 +20,7 @@ unitaries (H, T, ...) and are stored as their determinant-1 representatives.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -52,9 +53,11 @@ class GateWord:
     Tokens index whichever array the word was built over: a gate set's
     matrices for inverse-free words, extended_generators for the base
     compiler's words.  The product is whatever its builder computed:
-    word_product for make_word, the parts' products for concat_words and
-    symmetrize_word.  sk_compile's product is the one its batched recursion
-    tracks, built level by level from net products with matmul_stack.
+    word_product for make_word (a full product of the generator matrices,
+    whole blocks of tokens read from a cached table of their products), the
+    parts' products for concat_words and symmetrize_word.  sk_compile's
+    product is the one its batched recursion tracks, built level by level
+    from net products with matmul_stack.
     """
 
     tokens: tuple[int, ...]
@@ -70,15 +73,54 @@ def word_product(gens: np.ndarray, tokens) -> np.ndarray:
 
     Each round multiplies neighbours (0, 1), (2, 3), ... and carries an odd
     last factor, so an L-token word takes ceil(log2 L) rounds instead of L
-    sequential products, each round one matmul_stack call.
+    sequential products, each round one matmul_stack call.  The first log2 b
+    rounds are read from _block_table: each whole block of b tokens gathers
+    its product, which those rounds would compute from the same factors in
+    the same order, and the fewer than b leftover tokens are folded from
+    gens.  The result is bit for bit the tree over gens[tokens].
     """
-    m = gens[np.asarray(tokens, dtype=np.intp)]
-    if len(m) == 0:
-        return np.eye(gens.shape[1], dtype=complex)
+    t = np.asarray(tokens, dtype=np.intp)
+    if len(t) and not 0 <= t.min() <= t.max() < len(gens):
+        raise IndexError(f"token out of range for {len(gens)} generators")
+    table, b = _block_table(gens.shape, gens.dtype.str, gens.tobytes())
+    q = len(t) // b
+    block = t[0:q * b:b]
+    for j in range(1, b):
+        block = block * len(gens) + t[j:q * b:b]
+    m = np.empty((q + (q * b < len(t)),) + gens.shape[1:], dtype=gens.dtype)
+    np.take(table, block, axis=0, out=m[:q])
+    m[q:] = _tree(gens[t[q * b:]])
+    m = _tree(m)
+    return m[0] if len(m) else np.eye(gens.shape[1], dtype=complex)
+
+
+def _tree(m: np.ndarray) -> np.ndarray:
+    """Pairwise tree rounds over a stack until at most one factor is left."""
     while len(m) > 1:
         pairs = matmul_stack(m[0:-1:2], m[1::2])
         m = np.concatenate([pairs, m[-1:]]) if len(m) % 2 else pairs
-    return m[0]
+    return m
+
+
+@functools.lru_cache(maxsize=8)
+def _block_table(shape, dtype, data) -> tuple[np.ndarray, int]:
+    """All n^b products of b generators and the block size b, for the
+    generator array with this shape, dtype and bytes.
+
+    b is the largest power of two with max(n, 2)^b <= 4096 (b = 1 for more
+    than 64 generators, where the table is the array itself).  Entry
+    i_0 n^(b-1) + ... + i_(b-1) is the tree product of gens[i_0] ...
+    gens[i_(b-1)]: each doubling pairs the half-size table with itself
+    through matmul_stack.
+    """
+    gens = np.frombuffer(data, dtype=dtype).reshape(shape)
+    n, b, table = len(gens), 1, gens
+    while max(n, 2) ** (2 * b) <= 4096:
+        table = matmul_stack(np.repeat(table, len(table), axis=0),
+                             np.tile(table, (len(table), 1, 1)))
+        b *= 2
+    table.flags.writeable = False
+    return table, b
 
 
 def matmul_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:

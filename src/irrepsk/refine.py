@@ -346,7 +346,9 @@ def compile_target(gs: GateSet, target, eps: float, params: SKParams,
     inequality over unitary substitutions bounds the total drift.
 
     The returned word is verified by one independent product of its
-    generator matrices (make_word); the reported error is that product's
+    generator matrices (make_word, which reads the products of whole blocks
+    of tokens from a table built from those matrices, not from any product
+    the earlier stages tracked); the reported error is that product's
     distance to the target up to a global d-th root of unity, since the
     table rewrite of a projective irrep shifts the product by such a phase.
     """

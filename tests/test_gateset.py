@@ -1,6 +1,7 @@
 """Gate-set documents: parsing, validation, words, the basin constant."""
 
 import json
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -13,10 +14,12 @@ from irrepsk.gateset import (
     concat_words,
     eps0_constant,
     make_word,
+    matmul_stack,
     matrix_to_literal,
     parse_matrix_literal,
     word_product,
 )
+from irrepsk.linalg import random_su
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -125,14 +128,29 @@ def test_sl_ball_check_covers_every_generator():
         parse_gateset(base)  # sl mode needs the radius
 
 
-@pytest.mark.parametrize("length", [0, 1, 2, 3, 7, 1000, 4097])
-@pytest.mark.parametrize("gateset", ["ht_gateset", "slp_gateset", "weyl3"])
+def tree_product(gens, idx):
+    """The pairwise tree over gens[idx] itself: each round multiplies
+    neighbours (0, 1), (2, 3), ... and carries an odd last factor."""
+    m = gens[np.asarray(idx, dtype=np.intp)]
+    while len(m) > 1:
+        pairs = matmul_stack(m[0:-1:2], m[1::2])
+        m = np.concatenate([pairs, m[-1:]]) if len(m) % 2 else pairs
+    return m[0] if len(m) else np.eye(gens.shape[1], dtype=complex)
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 1000, 4096, 4097])
+@pytest.mark.parametrize("gateset", ["ht_gateset", "slp_gateset", "weyl3", "random70"])
 def test_word_monoid(request, gateset, length):
     # word_product regroups the factors into a tree, so it matches the left
     # fold up to round-off that grows with the length (and the norm, in sl
-    # mode); the d = 3 stack runs the product kernel's loop past k = 1
+    # mode); the d = 3 stack runs the product kernel's loop past k = 1.  The
+    # lengths straddle the block sizes: 4 tokens for the 5- and 6-generator
+    # sets, 2 for the nine Weyl elements, 1 (no table) for 70 generators
     if gateset == "weyl3":
         gens = build_builtin("weyl", 3).elements
+    elif gateset == "random70":
+        rng = np.random.default_rng(70)
+        gens = np.stack([random_su(2, rng) for _ in range(70)])
     else:
         gens = request.getfixturevalue(gateset).matrices
     rng = np.random.default_rng(13)
@@ -143,6 +161,8 @@ def test_word_monoid(request, gateset, length):
     oracle = reduce(np.matmul, [gens[i] for i in idx], np.eye(d, dtype=complex))
     tol = 4 * max(length, 1) * 2.0 ** -52 * max(1.0, np.linalg.norm(oracle, 2))
     assert np.linalg.norm(w.product - oracle, 2) <= tol
+    # the block table holds what the tree's first rounds compute: bit for bit
+    assert np.array_equal(word_product(gens, idx), tree_product(gens, idx))
     assert np.array_equal(word_product(gens, idx), w.product)
     # an int array (empty at length 0) builds the same word, tokens as ints
     wa = make_word(gens, np.array(idx, dtype=int))
@@ -154,6 +174,46 @@ def test_word_monoid(request, gateset, length):
     ab = concat_words(a, b)
     assert ab.tokens == idx
     assert np.linalg.norm(ab.product - oracle, 2) <= tol
+
+
+def test_word_product_reads_current_entries():
+    # the block table is cached per generator array; every call must still
+    # multiply the entries the array holds at that call
+    rng = np.random.default_rng(21)
+    a = np.stack([random_su(2, rng) for _ in range(6)])
+    b = np.stack([random_su(2, rng) for _ in range(6)])
+    idx = rng.integers(6, size=103)
+    for gens in (a, b, a):  # same shape, different entries
+        assert np.array_equal(word_product(gens, idx), tree_product(gens, idx))
+    a[2] = random_su(2, rng)  # changed in place between two calls
+    assert np.array_equal(word_product(a, idx), tree_product(a, idx))
+    real = rng.normal(size=(6, 2, 2))
+    p = word_product(real, idx)
+    assert p.dtype == np.float64
+    assert np.array_equal(p, tree_product(real, idx))
+    # the same bytes as a, read as twelve real matrices
+    flat = a.view(np.float64).reshape(12, 2, 2)
+    idx12 = rng.integers(12, size=103)
+    assert np.array_equal(word_product(flat, idx12), tree_product(flat, idx12))
+    with pytest.raises(IndexError):
+        word_product(a, [0, 1, 2, 6])
+    with pytest.raises(IndexError):
+        word_product(a, [0, -1, 2, 3])
+
+
+def test_word_product_memory(ht_gateset):
+    # the fold gathers one 2x2 complex matrix (64 B) per block of four
+    # tokens, so its gather and tree temporaries stay well below 64 B a token
+    gens = ht_gateset.matrices
+    idx = np.random.default_rng(3).integers(len(gens), size=40_000)
+    word_product(gens, idx)  # builds the table outside the measurement
+    tracemalloc.start()
+    try:
+        word_product(gens, idx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * len(idx)
 
 
 def test_empty_word_is_identity(ht_gateset):

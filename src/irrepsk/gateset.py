@@ -58,10 +58,23 @@ class GateWord:
     parts' products for concat_words and symmetrize_word.  sk_compile's
     product is the one its batched recursion tracks, built level by level
     from net products with matmul_stack.
+
+    tokens is a 1-D intp array that the word owns: every builder passes an
+    array it made.  Other token sequences are converted, but an intp array
+    passed in is kept as it is, not copied, and made read-only; pass a copy
+    to keep a writeable one.  The word makes its tokens and product
+    read-only, so a word never changes after it is built and can be shared,
+    as refinement shares its words across calls.  Python ints appear only
+    at the API boundary, in CompileReport.indices.
     """
 
-    tokens: tuple[int, ...]
+    tokens: np.ndarray
     product: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "tokens", np.asarray(self.tokens, dtype=np.intp))
+        self.tokens.flags.writeable = False
+        self.product.flags.writeable = False
 
     @property
     def length(self) -> int:
@@ -141,13 +154,14 @@ def gather_segments(flat: np.ndarray, starts, lengths) -> np.ndarray:
 
 
 def make_word(gens: np.ndarray, tokens) -> GateWord:
-    """Word over gens from a sequence or a 1-D int array of indices."""
-    idx = np.asarray(tokens, dtype=np.intp)
-    return GateWord(tuple(idx.tolist()), word_product(gens, idx))
+    """Word over gens from a sequence or a 1-D int array of indices, which
+    is copied: the word never aliases the caller's array."""
+    idx = np.array(tokens, dtype=np.intp)
+    return GateWord(idx, word_product(gens, idx))
 
 
 def concat_words(a: GateWord, b: GateWord) -> GateWord:
-    return GateWord(a.tokens + b.tokens, a.product @ b.product)
+    return GateWord(np.concatenate([a.tokens, b.tokens]), a.product @ b.product)
 
 
 @dataclass(frozen=True, eq=False)

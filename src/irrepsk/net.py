@@ -62,7 +62,9 @@ def net_fingerprint(gs: GateSet, with_inverses: bool) -> str:
 
 @dataclass(eq=False)
 class EpsNet:
-    """Products of all deduplicated generator words up to word_length."""
+    """Products of all deduplicated generator words up to word_length, and
+    lazily their query tree, a flat token copy and the refinement
+    trajectories seeded from them (refine_inverse)."""
 
     dim: int
     mode: str
@@ -74,6 +76,7 @@ class EpsNet:
     achieved_density: float | None = None
     _tree: cKDTree | None = field(default=None, repr=False)
     _flat: tuple | None = field(default=None, repr=False)
+    _refined: dict = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return len(self.words)

@@ -22,6 +22,7 @@ trace-vs-distance bound applies.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -78,11 +79,12 @@ def symmetrize_word(gs: GateSet, word: GateWord) -> GateWord:
     bare word.  Output length is n * len + 2 (n - 1).
     """
     rep = gs.rep
-    pieces = []
-    for g in range(1, rep.order):
-        pieces.append((g,) + word.tokens + (int(rep.inverse_index[g]),))
-    pieces.append(word.tokens)
-    tokens = tuple(itertools.chain.from_iterable(pieces))
+    # row g - 1 is g . word . g^-1; the bare word follows the last row
+    pieces = np.empty((rep.order - 1, word.length + 2), dtype=np.intp)
+    pieces[:, 0] = np.arange(1, rep.order)
+    pieces[:, 1:-1] = word.tokens
+    pieces[:, -1] = rep.inverse_index[1:]
+    tokens = np.concatenate([pieces.ravel(), word.tokens])
     p = np.eye(gs.dim, dtype=complex)
     for g in range(1, rep.order):
         p = p @ rep.elements[g] @ word.product @ rep.elements[int(rep.inverse_index[g])]
@@ -152,72 +154,102 @@ def _best_start(gs: GateSet, net: EpsNet, u: np.ndarray):
     return GateWord(net.words[i], net.products[i]), float(starts[i])
 
 
-def _refine_loop(gs: GateSet, net: EpsNet, gen_index: int, eps_target: float,
-                 u_inv: np.ndarray, radius: float | None
-                 ) -> tuple[GateWord, float, RefineTrace]:
-    u = gs.matrices[gen_index]
-    phases = gs.phase_candidates
-    eps0 = eps0_constant(gs)
-    eye = np.eye(gs.dim)
+class _Trajectory:
+    """One gate's refinement from one seed net, extended a pass at a time:
+    the seed W_0 = V U, then each pass's iterate with its error, direct
+    error and determinant residual, and each entry's stripped tail.
 
-    v_word, start = _best_start(gs, net, u)
-    if start > eps0:
-        raise NetTooCoarse(
-            f"best net start error {start:.3e} exceeds the basin radius "
-            f"{eps0:.3e}; rebuild the net with longer words"
-        )
+    Seeding and passes never read the tolerance, so the first entry that
+    meets one is where a fresh run for it stops.  A NetTooCoarse, Stalled or
+    BallExit that ends the trajectory is kept as a factory, failure, and
+    raised anew for every tolerance that needs passes past it.
+    """
 
-    # W_0 = V U; identity-last symmetrization appends the bare word at the
-    # end of every pass, so each iterate still terminates in the U token
-    word = concat_words(v_word, make_word(gs.matrices, (gen_index,)))
+    def __init__(self, gs: GateSet, gen_index: int, u_inv: np.ndarray):
+        self.gs, self.gen_index, self.u_inv = gs, gen_index, u_inv
+        self.words: list[GateWord] = []
+        self.errors: list[float] = []
+        self.direct: list[float] = []
+        self.det_residuals: list[float] = []
+        self.tails: dict[int, tuple[GateWord, float]] = {}
+        self.failure = None
 
-    err = start
-    trace = RefineTrace(start_error=start)
-    trace.errors.append(err)
-    trace.lengths.append(word.length)
-    trace.det_residuals.append(abs(np.linalg.det(word.product) - 1.0))
-
-    stall = 0
-    passes = 0
-    best = (err, 0, word.length)
-    while err > eps_target or dist(word.product @ u_inv, u_inv, phases) > eps_target:
-        if passes >= _MAX_PASSES:
-            raise NonConvergent(
-                f"no convergence to {eps_target:.3e} after {passes} passes "
-                f"(best {err:.3e})"
-            )
-        word = symmetrize_word(gs, word)
-        passes += 1
-        if radius is not None and op_norm(word.product) > radius + 1.0:
-            raise BallExit(
-                f"iterate left the working ball (operator norm "
-                f"{op_norm(word.product):.3f})"
-            )
-        new_err = dist(word.product, eye, phases)
-        if new_err < best[0]:
-            best = (new_err, passes, word.length)
-        if new_err >= err:
-            stall += 1
-            if stall >= 2:
-                floor = best[2] * 2.0 ** -52
-                raise Stalled(
-                    f"two consecutive non-contracting passes: best error "
-                    f"{best[0]:.3e} at pass {best[1]} (round-off floor "
-                    f"{floor:.1e}), last {new_err:.3e}",
-                    best_error=best[0], best_pass=best[1], floor=floor,
+    def result(self, net: EpsNet, eps_target: float
+               ) -> tuple[GateWord, float, RefineTrace]:
+        """The tail, its error and a new trace at the first entry meeting
+        eps_target, extending the trajectory as far as that needs."""
+        k = 0
+        while True:
+            if k == len(self.words):
+                if self.failure is None:
+                    self._extend(net)
+                if self.failure is not None:
+                    raise self.failure()
+            if not (self.errors[k] > eps_target or self.direct[k] > eps_target):
+                break
+            if k >= _MAX_PASSES:
+                raise NonConvergent(
+                    f"no convergence to {eps_target:.3e} after {k} passes "
+                    f"(best {self.errors[k]:.3e})"
                 )
-        else:
-            stall = 0
-        err = new_err
-        trace.errors.append(err)
-        trace.lengths.append(word.length)
-        trace.det_residuals.append(abs(np.linalg.det(word.product) - 1.0))
+            k += 1
+        trace = RefineTrace(start_error=self.errors[0], errors=self.errors[:k + 1],
+                            lengths=[w.length for w in self.words[:k + 1]],
+                            det_residuals=self.det_residuals[:k + 1])
+        return (*self._tail(k), trace)
 
-    if word.tokens[-1] != gen_index:
-        raise NonConvergent("internal error: trailing refined-gate token lost")
-    tail = make_word(gs.matrices, word.tokens[:-1])
-    achieved = dist(tail.product, u_inv, phases)
-    return tail, achieved, trace
+    def _extend(self, net: EpsNet) -> None:
+        """Append the seed, or one more pass, or set failure instead."""
+        gs, phases = self.gs, self.gs.phase_candidates
+        if not self.words:
+            eps0 = eps0_constant(gs)
+            v_word, err = _best_start(gs, net, gs.matrices[self.gen_index])
+            if err > eps0:
+                self.failure = functools.partial(
+                    NetTooCoarse,
+                    f"best net start error {err:.3e} exceeds the basin radius "
+                    f"{eps0:.3e}; rebuild the net with longer words")
+                return
+            # W_0 = V U; identity-last symmetrization appends the bare word at
+            # the end of every pass, so each iterate still ends in the U token
+            word = concat_words(v_word, make_word(gs.matrices, (self.gen_index,)))
+        else:
+            word = symmetrize_word(gs, self.words[-1])
+            if gs.mode == "sl" and op_norm(word.product) > gs.sl_radius + 1.0:
+                self.failure = functools.partial(
+                    BallExit,
+                    f"iterate left the working ball (operator norm "
+                    f"{op_norm(word.product):.3f})")
+                return
+            err = dist(word.product, np.eye(gs.dim), phases)
+            # this pass and the one before it both failed to contract; a
+            # non-contracting pass is never a new best, so the best iterate
+            # is among the kept ones
+            if len(self.errors) >= 2 and err >= self.errors[-1] >= self.errors[-2]:
+                best_pass = int(np.argmin(self.errors))
+                best_error = self.errors[best_pass]
+                floor = self.words[best_pass].length * 2.0 ** -52
+                self.failure = functools.partial(
+                    Stalled,
+                    f"two consecutive non-contracting passes: best error "
+                    f"{best_error:.3e} at pass {best_pass} (round-off floor "
+                    f"{floor:.1e}), last {err:.3e}",
+                    best_error=best_error, best_pass=best_pass, floor=floor)
+                return
+        self.words.append(word)
+        self.errors.append(err)
+        self.direct.append(dist(word.product @ self.u_inv, self.u_inv, phases))
+        self.det_residuals.append(abs(np.linalg.det(word.product) - 1.0))
+
+    def _tail(self, k: int) -> tuple[GateWord, float]:
+        """Entry k's word without its trailing U token, and its error."""
+        if k not in self.tails:
+            word = self.words[k]
+            if word.tokens[-1] != self.gen_index:
+                raise NonConvergent("internal error: trailing refined-gate token lost")
+            tail = make_word(self.gs.matrices, word.tokens[:-1])
+            self.tails[k] = (tail, dist(tail.product, self.u_inv, self.gs.phase_candidates))
+        return self.tails[k]
 
 
 def refine_inverse(gs: GateSet, net: EpsNet, gen_index: int,
@@ -231,6 +263,11 @@ def refine_inverse(gs: GateSet, net: EpsNet, gen_index: int,
     the identity, require that start inside the quadratic basin
     (NetTooCoarse if not), iterate word symmetrization with measured
     errors, and strip the trailing gate token from the converged word.
+
+    The seed and passes are kept on net per gate set and gate, and extended
+    only as far as a tolerance needs, so every call, in any order, returns
+    or raises what a fresh run on a new net would.  Each call gets its own
+    RefineTrace; the read-only words are shared.
 
     In sl mode the gates are determinant-one matrices inside a ball in
     SL(d): non-unitary inverses are taken by np.linalg.inv, every iterate
@@ -248,8 +285,10 @@ def refine_inverse(gs: GateSet, net: EpsNet, gen_index: int,
         tr.errors.append(achieved)
         tr.lengths.append(table.length)
         return table, achieved, tr
-    radius = gs.sl_radius if gs.mode == "sl" else None
-    return _refine_loop(gs, net, gen_index, eps_target, u_inv, radius)
+    key = (gs.fingerprint, gen_index)
+    if key not in net._refined:
+        net._refined[key] = _Trajectory(gs, gen_index, u_inv)
+    return net._refined[key].result(net, eps_target)
 
 
 def naive_inverse_length(gs: GateSet, gen_index: int, eps: float,
@@ -343,7 +382,10 @@ def compile_target(gs: GateSet, target, eps: float, params: SKParams,
     contributes instead of re-multiplying the word.  Stage 3 replaces each
     of the m remaining inverted extra-gate tokens by a refined inverse word
     at (eps / 2) / m, sharing one refinement per distinct gate; the triangle
-    inequality over unitary substitutions bounds the total drift.
+    inequality over unitary substitutions bounds the total drift.  The
+    refinements are shared across calls through refine_net and are exact
+    for every tolerance (refine_inverse).  The stages pass int arrays;
+    indices is the one conversion to Python ints.
 
     The returned word is verified by one independent product of its
     generator matrices (make_word, which reads the products of whole blocks
@@ -360,8 +402,8 @@ def compile_target(gs: GateSet, target, eps: float, params: SKParams,
     # after the rewrite, a token e >= n is an inverted extra gate inv[e]
     n = gs.gen_count
     inv = extended_inverse(gs)
-    base_idx = np.asarray(base.tokens, dtype=np.intp)
-    inverted = np.asarray(inv, dtype=np.intp)[base_idx[base_idx >= n]]
+    base_idx = base.tokens
+    inverted = np.asarray(inv)[base_idx[base_idx >= n]]
     m = len(inverted)
     refine_errors: dict[int, float] = {}
     refine_lengths: dict[int, int] = {}
@@ -369,7 +411,7 @@ def compile_target(gs: GateSet, target, eps: float, params: SKParams,
     subs: dict[int, GateWord] = {}
     if m:
         eps_each = (eps / 2.0) / m
-        for i in sorted(set(inverted.tolist())):
+        for i in np.unique(inverted).tolist():
             w, achieved, tr = refine_inverse(gs, refine_net, i, eps_each)
             subs[i] = w
             refine_errors[i] = achieved
@@ -380,18 +422,18 @@ def compile_target(gs: GateSet, target, eps: float, params: SKParams,
     # the refined inverse word when an inverted extra gate (empty when that
     # gate does not occur); the output is the base word's segments laid end
     # to end, gathered from the segments' concatenation
-    segments = [(e,) if e < n else subs[inv[e]].tokens if inv[e] in subs else ()
-                for e in range(len(inv))]
+    empty = np.zeros(0, dtype=np.intp)
+    segments = [np.array([e]) if e < n else subs[inv[e]].tokens if inv[e] in subs
+                else empty for e in range(len(inv))]
     seg_len = np.array([len(s) for s in segments], dtype=np.intp)
     seg_start = np.cumsum(seg_len) - seg_len
-    flat = np.fromiter(itertools.chain.from_iterable(segments), dtype=np.intp)
-    word = make_word(gs.matrices,
-                     gather_segments(flat, seg_start[base_idx], seg_len[base_idx]))
+    word = make_word(gs.matrices, gather_segments(np.concatenate(segments),
+                                                  seg_start[base_idx], seg_len[base_idx]))
     error = dist(word.product, target, gs.phase_candidates)
     return CompileReport(
         target=target,
         eps=eps,
-        indices=word.tokens,
+        indices=tuple(word.tokens.tolist()),
         error=error,
         base_error=base_error,
         base_length=base.length,

@@ -11,6 +11,7 @@ from irrepsk import load_gateset, parse_gateset
 from irrepsk.errors import BallError, ClassError, IrrepError, SchemaError
 from irrepsk.finitegroup import build_builtin
 from irrepsk.gateset import (
+    GateWord,
     concat_words,
     eps0_constant,
     make_word,
@@ -164,15 +165,17 @@ def test_word_monoid(request, gateset, length):
     # the block table holds what the tree's first rounds compute: bit for bit
     assert np.array_equal(word_product(gens, idx), tree_product(gens, idx))
     assert np.array_equal(word_product(gens, idx), w.product)
-    # an int array (empty at length 0) builds the same word, tokens as ints
+    # an int array (empty at length 0) builds the same word; tokens are a
+    # read-only 1-D intp array either way
     wa = make_word(gens, np.array(idx, dtype=int))
-    assert wa.tokens == idx
-    assert all(type(t) is int for t in wa.tokens)
+    assert wa.tokens.tolist() == list(idx)
+    for t in (w.tokens, wa.tokens):
+        assert t.dtype == np.intp and t.ndim == 1 and not t.flags.writeable
     assert np.array_equal(wa.product, w.product)
     a = make_word(gens, idx[:3])
     b = make_word(gens, idx[3:])
     ab = concat_words(a, b)
-    assert ab.tokens == idx
+    assert ab.tokens.tolist() == list(idx)
     assert np.linalg.norm(ab.product - oracle, 2) <= tol
 
 
@@ -214,6 +217,32 @@ def test_word_product_memory(ht_gateset):
     finally:
         tracemalloc.stop()
     assert peak < 64 * len(idx)
+
+
+def test_make_word_owns_its_tokens(ht_gateset):
+    # an intp array is what np.asarray would hand back unchanged; make_word
+    # copies it, and the word's own arrays refuse writes
+    gens = ht_gateset.matrices
+    idx = np.array([1, 4, 5, 2, 5, 3, 4], dtype=np.intp)
+    w = make_word(gens, idx)
+    product = w.product.copy()
+    idx[:] = 0
+    assert w.tokens.tolist() == [1, 4, 5, 2, 5, 3, 4]
+    assert np.array_equal(w.product, product)
+    assert np.array_equal(w.product, word_product(gens, w.tokens))
+    with pytest.raises(ValueError):
+        w.tokens[0] = 0
+    with pytest.raises(ValueError):
+        w.product[0, 0] = 0
+
+
+def test_gateword_converts_a_token_sequence(ht_gateset):
+    # a tuple of ints, the tokens' old form, still builds a word
+    gens = ht_gateset.matrices
+    w = GateWord((1, 4, 5), word_product(gens, np.array([1, 4, 5])))
+    assert w.tokens.dtype == np.intp and w.tokens.ndim == 1
+    assert w.tokens.tolist() == [1, 4, 5] and not w.tokens.flags.writeable
+    assert GateWord((), np.eye(2)).length == 0
 
 
 def test_empty_word_is_identity(ht_gateset):

@@ -50,7 +50,7 @@ def test_nearest_on_near_identity_target(pauli_only):
     net = build_gateset_net(pauli_only, 1)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     word, got = net.nearest(expm(0.1j * x))
-    assert word.tokens == ()
+    assert word.tokens.tolist() == []
     assert got == pytest.approx(2 * np.sin(0.05), abs=1e-9)
 
 
@@ -59,7 +59,7 @@ def test_nearest_tie_break_prefers_store_order(ht_gateset):
     # the identity product duplicates many times; dedup keeps the first,
     # so an exact identity query returns the empty word
     word, got = net.nearest(np.eye(2))
-    assert word.tokens == ()
+    assert word.tokens.tolist() == []
     # the quaternion distance has no cancellation, so an exact hit reads 0
     assert got == 0.0
 
@@ -72,7 +72,7 @@ def test_nearest_equidistant_pauli_goes_to_store_order(pauli_only):
         for angle in (np.pi / 2, -np.pi / 2):
             t = rotation(axis, angle)
             word, got = net.nearest(t)
-            assert word.tokens == ()
+            assert word.tokens.tolist() == []
             assert got == pytest.approx(2 * np.sin(np.pi / 8), abs=1e-15)
         ds = dist(net.products, rotation(axis, np.pi / 2))
         assert np.sum(ds <= ds[0] + 1e-12) == 2
@@ -94,7 +94,7 @@ def test_midpoint_ties_go_to_store_order(ht_gateset):
             ds = dist(net.products, t)
             tied = np.nonzero(ds <= ds.min() + 1e-12)[0]
             ties += len(tied) > 1
-            assert net.nearest(t)[0].tokens == net.words[tied[0]]
+            assert net.nearest(t)[0].tokens.tolist() == list(net.words[tied[0]])
     assert ties > 500
 
 
@@ -112,7 +112,7 @@ def test_index_matches_svd_brute_force(ht_base8):
         word, got = ht_base8.nearest(t)
         svd = dist(ht_base8.products, t)
         i = int(np.argmin(svd))
-        assert word.tokens == ht_base8.words[i]
+        assert word.tokens.tolist() == list(ht_base8.words[i])
         assert got == pytest.approx(svd[i], abs=1e-14)
 
 
@@ -131,7 +131,7 @@ def test_batched_query_keeps_the_tie_rule(ht_gateset, ht_base8):
         idx, d = store.query(targets)
         for t, i, di in zip(targets, idx, d):
             word, got = store.nearest(quaternion_to_su2(t))
-            assert word.tokens == store.words[i] and got == di
+            assert word.tokens.tolist() == list(store.words[i]) and got == di
     d, _ = net._tree.query(mid, k=2)
     assert np.count_nonzero(d[:, 1] - d[:, 0] <= 1e-12) > 500
 
@@ -146,7 +146,7 @@ def test_index_is_exact_near_a_stored_product(ht_base8):
             theta = 10.0 ** -k
             t = ht_base8.products[j] @ rotation(axis, theta)
             word, got = ht_base8.nearest(t)
-            assert word.tokens == ht_base8.words[j]
+            assert word.tokens.tolist() == list(ht_base8.words[j])
             assert abs(got - 2 * np.sin(theta / 4)) <= 1e-15
 
 
@@ -167,7 +167,7 @@ def test_off_group_target_falls_back_to_svd(ht_gateset):
         word, got = net.nearest(t)
         svd = dist(net.products, t)
         i = int(np.argmin(svd))
-        assert word.tokens == net.words[i]
+        assert word.tokens.tolist() == list(net.words[i])
         assert got == svd[i]
         assert got > floor
     assert net._tree is None
@@ -180,7 +180,7 @@ def test_sl_net_queries_match_svd(slp_net):
         word, got = slp_net.nearest(t)
         svd = dist(slp_net.products, t)
         i = int(np.argmin(svd))
-        assert word.tokens == slp_net.words[i]
+        assert word.tokens.tolist() == list(slp_net.words[i])
         assert got == svd[i]
 
 
@@ -278,7 +278,7 @@ def test_reloaded_base_net_answers_like_the_built_one(tmp_path, ht_gateset):
     rng = np.random.default_rng(27)
     for _ in range(50):
         t = random_su(2, rng)
-        assert back.nearest(t)[0].tokens == net.nearest(t)[0].tokens
+        assert back.nearest(t)[0].tokens.tolist() == net.nearest(t)[0].tokens.tolist()
 
 
 def test_distances_match_aligned_queries(ht_gateset):

@@ -73,19 +73,19 @@ def test_symmetrize_contracts_near_identity():
 def test_refine_irrep_member_uses_table(ht_gateset, ht_refine_net):
     word, achieved, trace = refine_inverse(ht_gateset, ht_refine_net, 1, 1e-8)
     assert trace.exact_hit
-    assert word.tokens == (1,)  # su-form X is its own inverse up to phase
+    assert word.tokens.tolist() == [1]  # su-form X is its own inverse up to phase
     assert achieved <= 1e-12
 
 
 def test_refine_exact_net_hits(ht_gateset, ht_refine_net):
     # both extra gates have exact inverses among short net words
     word, achieved, trace = refine_inverse(ht_gateset, ht_refine_net, 4, 1e-8)
-    assert word.tokens == (4,)
+    assert word.tokens.tolist() == [4]
     assert achieved <= 1e-12
     assert not trace.exact_hit
     assert len(trace.errors) == 1  # start already below target: no passes
     word, achieved, trace = refine_inverse(ht_gateset, ht_refine_net, 5, 1e-8)
-    assert word.tokens == (1, 5, 1)
+    assert word.tokens.tolist() == [1, 5, 1]
     assert achieved <= 1e-12
 
 
@@ -129,8 +129,9 @@ def test_refine_stalls_at_the_float_floor(skew_gateset, skew_net, monkeypatch):
 
 
 def test_stalled_reports_the_best_iterate(skew_gateset, skew_net):
-    # pass 3 reaches ~1.8e-14; pass 4 only adds round-off (2.87e-13), so a
-    # 1e-14 target stalls, and the error names the best iterate and its floor
+    # pass 3 reaches ~1.8e-14; passes 4 and 5 only add round-off (7.2e-14,
+    # then 2.87e-13), so a 1e-14 target stalls on the second of them, and the
+    # error names the best iterate and its floor
     gen = skew_gateset.names.index("S")
     with pytest.raises(Stalled) as info:
         refine_inverse(skew_gateset, skew_net, gen, 1e-14)
@@ -139,6 +140,68 @@ def test_stalled_reports_the_best_iterate(skew_gateset, skew_net):
     assert e.best_pass == 3
     assert e.floor == pytest.approx(symmetrized_length(4, 110) * 2.0 ** -52)
     assert f"{e.best_error:.3e}" in str(e)
+    assert float(str(e).rsplit("last ", 1)[1]) > 1e-13
+
+
+def _refined(gs, net, gen, eps):
+    word, achieved, trace = refine_inverse(gs, net, gen, eps)
+    return word.tokens.tolist(), float.hex(achieved), trace.as_dict()
+
+
+@pytest.mark.parametrize("gateset,gate", [("skew_gateset", "S"), ("ht_gateset", "T")])
+def test_refinement_trajectory_is_exact_for_every_tolerance(request, gateset, gate):
+    # S needs 0 to 3 real passes over these tolerances; T's seed X T X is
+    # exact.  One net serves every tolerance in any order, and each call
+    # gives what a fresh net gives
+    gs = request.getfixturevalue(gateset)
+    gen = gs.name_index(gate)
+    tols = [2e-2] + [10.0 ** -k for k in range(2, 14)]
+    fresh = {eps: _refined(gs, build_gateset_net(gs, 4), gen, eps) for eps in tols}
+    if gate == "S":
+        assert {len(f[2]["errors"]) for f in fresh.values()} == {1, 2, 3, 4}
+    rng = np.random.default_rng(46)
+    for order in (tols, tols[::-1], rng.permutation(tols).tolist()):
+        net = build_gateset_net(gs, 4)
+        for eps in order:
+            assert _refined(gs, net, gen, eps) == fresh[eps]
+
+
+def test_refinement_trajectory_replays_its_stall(skew_gateset):
+    gs = skew_gateset
+    gen = gs.name_index("S")
+
+    def stall(net, eps):
+        with pytest.raises(Stalled) as info:
+            refine_inverse(gs, net, gen, eps)
+        e = info.value
+        return type(e), str(e), e.best_error, e.best_pass, e.floor
+
+    want = stall(build_gateset_net(gs, 4), 1e-14)
+    net = build_gateset_net(gs, 4)
+    ok = _refined(gs, net, gen, 1e-8)
+    for eps in (1e-14, 1e-15, 1e-14):
+        assert stall(net, eps) == want
+    assert _refined(gs, net, gen, 1e-8) == ok
+    # a caller's trace is its own: changing it leaves the next one intact
+    trace = refine_inverse(gs, net, gen, 1e-8)[2]
+    trace.errors[0] = 1.0
+    trace.errors.append(2.0)
+    trace.lengths.clear()
+    assert _refined(gs, net, gen, 1e-8) == ok
+
+
+def test_refinement_trajectory_caps_the_passes_per_call(skew_gateset, monkeypatch):
+    # the pass cap reads the asked tolerance, even when the trajectory
+    # already holds more passes than the cap allows
+    import irrepsk.refine as refine_mod
+
+    gen = skew_gateset.name_index("S")
+    net = build_gateset_net(skew_gateset, 4)
+    refine_inverse(skew_gateset, net, gen, 1e-13)  # three passes
+    monkeypatch.setattr(refine_mod, "_MAX_PASSES", 2)
+    with pytest.raises(NonConvergent, match="no convergence to 1.000e-13 after 2 passes"):
+        refine_inverse(skew_gateset, net, gen, 1e-13)
+    assert len(refine_inverse(skew_gateset, net, gen, 1e-4)[2].errors) == 3
 
 
 def test_naive_inverse_length_closed_form(ht_gateset):
@@ -190,7 +253,7 @@ def test_smalltrace_bound_holds_nearby():
 def test_refine_inverse_sl_exact_hit(sl_gateset, sl_net):
     gen = sl_gateset.names.index("D")
     word, achieved, trace = refine_inverse(sl_gateset, sl_net, gen, 1e-6)
-    assert word.tokens == (1, 4, 1)  # X D X is the exact inverse of D
+    assert word.tokens.tolist() == [1, 4, 1]  # X D X is the exact inverse of D
     assert achieved <= 1e-12
     assert all(r <= 1e-9 for r in trace.det_residuals)
 

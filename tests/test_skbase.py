@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from irrepsk import EpsNet, SKParams, base_params, build_gateset_net
+from irrepsk import EpsNet, SKParams, base_params, build_gateset_net, parse_gateset
 from irrepsk.errors import ClassError, NetTooCoarse, TooFar
 from irrepsk.gateset import make_word, word_product
 from irrepsk.linalg import dist, quaternion_to_su2, random_su, su2_to_quaternion
@@ -236,10 +236,44 @@ def test_rewrite_irrep_inverses(ht_gateset):
     # Each rewrite of X, Y or Z flips the sign, and three flips do not cancel
     w = make_word(gens, tuple(inv[i] for i in (1, 5, 3, 2)))
     out = rewrite_irrep_inverses(gs, w)
-    assert out.tokens == (1, inv[5], 3, 2)
+    assert out.tokens.tolist() == [1, inv[5], 3, 2]
     assert dist(out.product, w.product, gs.phase_candidates) <= 1e-10
     # the tracked phase makes the product exact, not only up to phase
     assert np.allclose(out.product, word_product(gens, out.tokens), atol=1e-12)
+
+
+def _rewrite_by_loop(gs, tokens, product):
+    """Reference: the rewrite as a Python loop over the tokens, one table
+    lookup and one phase product per token."""
+    inv = extended_inverse(gs)
+    table = {}
+    for g in range(1, gs.rep.order):
+        j = int(gs.rep.inverse_index[g])
+        table[inv[g]] = (j, np.trace(gs.matrices[j] @ gs.matrices[g]) / gs.dim)
+    out, phase = [], 1.0
+    for e in tokens:
+        if e in table:
+            e, z = table[e]
+            phase *= z
+        out.append(e)
+    return out, product * phase
+
+
+@pytest.mark.parametrize("name", ["ht_gateset", "skew_gateset", "weyl3"])
+def test_rewrite_matches_the_per_token_loop(request, name):
+    # the z_g are only within round-off of roots of unity (-1 - 1.2e-16i on
+    # the Pauli sets), so the phase is only reproduced by the same fold
+    if name == "weyl3":
+        gs = parse_gateset({"dimension": 3, "mode": "su", "irrep": {"builtin": "weyl"}})
+    else:
+        gs = request.getfixturevalue(name)
+    gens = extended_generators(gs)
+    w = make_word(gens, np.random.default_rng(38).integers(len(gens), size=20_000))
+    out = rewrite_irrep_inverses(gs, w)
+    tokens, product = _rewrite_by_loop(gs, w.tokens.tolist(), w.product)
+    assert out.tokens.tolist() == tokens
+    assert out.tokens.dtype == np.intp and not out.tokens.flags.writeable
+    assert np.array_equal(out.product, product)
 
 
 def test_rewrite_preserves_product_phase_class(ht_gateset, ht_params):

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import BudgetExceeded, EmptyNet, FormatError, StaleGateSet
-from .gateset import GateSet, GateWord, gather_segments, word_product
+from .gateset import GateSet, GateWord, eps0_constant, gather_segments, word_product
 from .linalg import DEFAULT_TOL, dist, random_su, su2_residual, su2_to_quaternion
 
 NET_FORMAT = "irrepsk-net-v1"
@@ -140,65 +140,114 @@ def _vec(mats: np.ndarray) -> np.ndarray:
     return np.concatenate([flat.real, flat.imag], axis=1)
 
 
+def _pairs(x: np.ndarray, r: float) -> np.ndarray:
+    """All (i, j), i < j, with rows i and j of x within r, in lexicographic
+    order.  One nearest-other query per row finds the few rows that have such
+    a neighbour, and a ball query lists their neighbours; a cKDTree pair query
+    walks the whole tree even when it finds nothing."""
+    tree = cKDTree(x)
+    d = tree.query(x, k=2, distance_upper_bound=2 * r)[0]
+    rows = np.flatnonzero(d[:, 1] <= r)
+    pairs = [(i, j) for i, ball in zip(rows.tolist(), tree.query_ball_point(x[rows], r))
+             for j in ball if j > i]
+    return np.array(sorted(pairs), dtype=np.intp).reshape(-1, 2)
+
+
+def _new_elements(cv: np.ndarray, stored: cKDTree, tol: float) -> np.ndarray:
+    """Indices of the candidate rows cv (Frobenius vectors, in enumeration
+    order) that first-wins dedup keeps: a candidate is kept when no stored row
+    and no earlier kept candidate lies within tol of it.
+
+    Rows whose entries round to the same multiples of 1e-9 form a group, all
+    within radius of its first member, and only first members are tested: one
+    removes the later members of its group, and a stored row or a kept
+    candidate whose distance to it is more than radius away from tol judges
+    every member alike.  A group whose first member has a stored distance or
+    a distance to another tested candidate in the band |d - tol| <= 2 radius
+    (radius plus a margin for round-off) is loose, and all its members are
+    tested; this repeats until no tested pair in the band touches a group
+    that is not loose.  With tol inside the band every group is loose.
+    Pair distances are those np.linalg.norm gives; another distance routine
+    could judge differently only a distance within round-off of tol.
+    """
+    radius = 1e-9 * np.sqrt(cv.shape[1])
+    band = 2 * radius
+    rounded = np.ascontiguousarray(np.round(cv, 9) + 0.0)  # + 0.0 turns -0.0 into 0.0
+    key = rounded.view(np.dtype((np.void, rounded.itemsize * rounded.shape[1])))[:, 0]
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    group = group.ravel()
+    dd = stored.query(cv[first], distance_upper_bound=tol + band)[0]
+    loose = (np.abs(dd - tol) <= band) | (tol <= band)
+    while True:
+        unit = loose[group]
+        unit[first] = True
+        units = np.flatnonzero(unit)
+        du = dd[group[units]]
+        extra = np.flatnonzero(units != first[group[units]])
+        du[extra] = stored.query(cv[units[extra]], distance_upper_bound=tol + band)[0]
+        alive = units[du > tol]
+        pairs = _pairs(cv[alive], tol + band)
+        d = np.linalg.norm(cv[alive[pairs[:, 0]]] - cv[alive[pairs[:, 1]]], axis=1)
+        edge = group[alive[pairs[np.abs(d - tol) <= band]]]
+        if loose[edge].all():
+            break
+        loose[edge] = True
+    removed: set[int] = set()
+    for i, j in pairs[d <= tol].tolist():
+        if i not in removed:
+            removed.add(j)
+    return np.delete(alive, list(removed))
+
+
+def _nets(gens: np.ndarray, dim: int, mode: str, dedup_tol: float, fingerprint: str,
+          budget: int):
+    """Yield the net of word length 0, 1, 2, ..., each built from the last by
+    one breadth-first level.  Each net owns its word list and products.
+    Raises BudgetExceeded when a level would store more than budget words.
+    """
+    n_gens = len(gens)
+    words: list[tuple[int, ...]] = [()]
+    products = np.eye(dim, dtype=complex)[None]
+    frontier_w, frontier_p = words[:], products
+    for level in itertools.count():
+        if level and frontier_w:
+            cand = np.matmul(frontier_p[:, None], gens[None]).reshape(-1, dim, dim)
+            kept = _new_elements(_vec(cand), cKDTree(_vec(products)), dedup_tol)
+            if len(words) + len(kept) > budget:
+                raise BudgetExceeded(
+                    f"word budget {budget} exceeded at word length {level}: "
+                    f"{len(words)} words stored, {len(kept)} more needed"
+                )
+            frontier_w = [frontier_w[i // n_gens] + (i % n_gens,) for i in kept.tolist()]
+            frontier_p = cand[kept]
+            words.extend(frontier_w)
+            products = np.concatenate([products, frontier_p])
+        yield EpsNet(dim=dim, mode=mode, word_length=level, dedup_tol=dedup_tol,
+                     fingerprint=fingerprint, words=words[:], products=products)
+
+
 def build_net(gens: np.ndarray, dim: int, mode: str, word_length: int,
               dedup_tol: float, fingerprint: str = "",
               budget: int = DEFAULT_BUDGET) -> EpsNet:
     """Enumerate words breadth-first, keeping first-seen products only.
 
     A candidate is dropped when its product lies within dedup_tol (Frobenius)
-    of anything already stored.  Raises BudgetExceeded if more than budget
-    words would be stored.
+    of anything already stored or of an earlier kept candidate of its own
+    level.  Different words that reach the same group element give products
+    equal up to round-off, and most candidates of a long net are such
+    duplicates; each level groups the candidates that agree to 1e-9 and tests
+    one member per group, and expands a group into all its members wherever a
+    distance near dedup_tol could tell them apart (_new_elements), so the
+    kept set is exactly that of testing every candidate.  Raises
+    BudgetExceeded if more than budget words would be stored.
     """
-    gens = np.asarray(gens, dtype=complex)
-    n_gens = len(gens)
-    words: list[tuple[int, ...]] = [()]
-    products = np.eye(dim, dtype=complex)[None]
-    frontier_w: list[tuple[int, ...]] = [()]
-    frontier_p = products
-    for level in range(1, word_length + 1):
-        if len(frontier_w) == 0:
-            break
-        cand = np.matmul(frontier_p[:, None], gens[None]).reshape(-1, dim, dim)
-        cand_words = [w + (m,) for w in frontier_w for m in range(n_gens)]
-        cv = _vec(cand)
-        tree = cKDTree(_vec(products))
-        dd, _ = tree.query(cv, k=1, distance_upper_bound=dedup_tol * (1 + 1e-12))
-        kept = np.nonzero(dd > dedup_tol)[0]
-        if len(kept):
-            inner = cKDTree(cv[kept])
-            pairs = inner.query_pairs(dedup_tol, output_type="ndarray")
-            removed: set[int] = set()
-            if len(pairs):
-                order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-                for a, b in pairs[order]:
-                    if int(a) not in removed:
-                        removed.add(int(b))
-            kept = kept[[i for i in range(len(kept)) if i not in removed]]
-        if len(words) + len(kept) > budget:
-            raise BudgetExceeded(
-                f"word budget {budget} exceeded at word length {level} of "
-                f"{word_length}: {len(words)} words stored, {len(kept)} more needed"
-            )
-        frontier_w = [cand_words[i] for i in kept]
-        frontier_p = cand[kept]
-        words.extend(frontier_w)
-        products = np.concatenate([products, frontier_p])
-    return EpsNet(
-        dim=dim,
-        mode=mode,
-        word_length=word_length,
-        dedup_tol=dedup_tol,
-        fingerprint=fingerprint,
-        words=words,
-        products=products,
-    )
+    nets = _nets(np.asarray(gens, dtype=complex), dim, mode, dedup_tol, fingerprint, budget)
+    return next(itertools.islice(nets, word_length, None))
 
 
 def build_gateset_net(gs: GateSet, word_length: int, dedup_tol: float | None = None,
                       with_inverses: bool = False,
                       budget: int = DEFAULT_BUDGET) -> EpsNet:
-    from .gateset import eps0_constant
-
     if dedup_tol is None:
         dedup_tol = eps0_constant(gs) / 10
     gens = extended_generators(gs) if with_inverses else gs.matrices
@@ -312,19 +361,23 @@ def auto_net(gs: GateSet, target_density: float, probes: int,
              rng: np.random.Generator, with_inverses: bool = False,
              start_length: int = 4, max_length: int = 40,
              budget: int = DEFAULT_BUDGET) -> EpsNet:
-    """Grow word_length until the probed density reaches target_density.
+    """Grow word_length from start_length in steps of 2 until the probed
+    density reaches target_density.
 
-    Raises BudgetExceeded if the store fills up first.
+    The net is extended one level at a time, never rebuilt; each probed net
+    is the one build_gateset_net gives at its length.  Raises BudgetExceeded
+    if the store fills up or max_length is reached first.
     """
-    length = start_length
-    while True:
-        net = build_gateset_net(gs, length, with_inverses=with_inverses, budget=budget)
+    gens = extended_generators(gs) if with_inverses else gs.matrices
+    for net in _nets(gens, gs.dim, gs.mode, eps0_constant(gs) / 10,
+                     net_fingerprint(gs, with_inverses), budget):
+        if net.word_length < start_length or (net.word_length - start_length) % 2:
+            continue
         density = probe_density(net, probes, rng)
         if density <= target_density:
             return net
-        if length >= max_length:
+        if net.word_length >= max_length:
             raise BudgetExceeded(
                 f"word length cap {max_length} reached, density {density:.4f} "
                 f"> target {target_density}"
             )
-        length += 2

@@ -1,17 +1,22 @@
 """Word-product nets: enumeration, nearest queries, persistence."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from irrepsk import build_gateset_net, load_net, parse_gateset, save_net
+from irrepsk import build_gateset_net, load_gateset, load_net, parse_gateset, save_net
 from irrepsk.errors import BudgetExceeded, FormatError, StaleGateSet
 from irrepsk.linalg import (dist, quaternion_to_su2, random_sl_near_identity, random_su,
                             su2_to_quaternion)
-from irrepsk.net import extended_generators, probe_density
+from irrepsk.net import auto_net, build_net, extended_generators, probe_density
 from irrepsk.skbase import rotation
 from scipy.linalg import expm
+from scipy.spatial import cKDTree
+
+TPRIME = Path(__file__).resolve().parent.parent / "perfbench" / "gatesets" / "pauli_ht_tprime.json"
 
 
 @pytest.fixture(scope="module")
@@ -289,3 +294,177 @@ def test_distances_match_aligned_queries(ht_gateset):
     assert ds.shape == (len(net),)
     k = int(rng.integers(len(net)))
     assert ds[k] == pytest.approx(dist(net.products[k], t), abs=1e-12)
+
+
+def net_sha256(net) -> str:
+    assert isinstance(net.words, list) and all(type(w) is tuple for w in net.words)
+    assert net.products.dtype == complex and net.products.flags.c_contiguous
+    h = hashlib.sha256(repr(net.words).encode())
+    h.update(net.products.tobytes())
+    return h.hexdigest()
+
+
+# SHA-256 of repr(words) followed by products.tobytes(), recorded before
+# build_net grouped duplicate candidates: the compile_deep base net, the
+# compile_skewed refinement net and the sl-mode fixture.  A builder change
+# that keeps the algorithm must keep every net bit-identical.
+NETS_SHA256 = {
+    "pauli_ht L12 with inverses": "35dc8ef55b97ff5f425bfb7e7d598bd8ae0e34aa90a4802cf189f4753f82bd17",
+    "pauli_ht_tprime L6": "0d6dc92db3e1a397df55b2bc29919a2f256e12a50c2b9f838bf9c971094d08ab",
+    "sl_perturbed L3": "76848c1e7c1d381a9871f4de5f212b9297097fd7baf82760cae5f87a2a34688e",
+}
+
+
+def test_nets_stay_bit_identical(ht_gateset, slp_net):
+    nets = {
+        "pauli_ht L12 with inverses": build_gateset_net(ht_gateset, 12, with_inverses=True),
+        "pauli_ht_tprime L6": build_gateset_net(load_gateset(TPRIME), 6),
+        "sl_perturbed L3": slp_net,
+    }
+    assert [len(n) for n in nets.values()] == [4128, 527, 42]
+    assert {k: net_sha256(n) for k, n in nets.items()} == NETS_SHA256
+
+
+def _vec(mats):
+    flat = mats.reshape(len(mats), -1)
+    return np.concatenate([flat.real, flat.imag], axis=1)
+
+
+def reference_net(gens, dim, word_length, tol):
+    """build_net as it was before duplicate grouping: every candidate is
+    tested against a tree over all stored products, then first-wins over the
+    pairs of its level's survivors.  Returns the words and products."""
+    gens = np.asarray(gens, dtype=complex)
+    words, products = [()], np.eye(dim, dtype=complex)[None]
+    frontier_w, frontier_p = [()], products
+    for _ in range(word_length):
+        if not frontier_w:
+            break
+        cand = np.matmul(frontier_p[:, None], gens[None]).reshape(-1, dim, dim)
+        cand_words = [w + (m,) for w in frontier_w for m in range(len(gens))]
+        cv = _vec(cand)
+        dd, _ = cKDTree(_vec(products)).query(cv, distance_upper_bound=tol * (1 + 1e-12))
+        kept = np.nonzero(dd > tol)[0]
+        if len(kept):
+            pairs = cKDTree(cv[kept]).query_pairs(tol, output_type="ndarray")
+            removed = set()
+            for a, b in sorted(map(tuple, pairs.tolist())):
+                if a not in removed:
+                    removed.add(b)
+            kept = kept[[i for i in range(len(kept)) if i not in removed]]
+        frontier_w = [cand_words[i] for i in kept]
+        frontier_p = cand[kept]
+        words.extend(frontier_w)
+        products = np.concatenate([products, frontier_p])
+    return words, products
+
+
+def rz(angle):
+    return rotation([0, 0, 1], angle)
+
+
+def frob(a, b):
+    return np.linalg.norm(a - b)
+
+
+def same_cell(a, b):
+    # build_net groups candidates whose entries agree to 1e-9
+    return np.array_equal(np.round(_vec(a[None]), 9), np.round(_vec(b[None]), 9))
+
+
+def near_pair(angle, delta=1.6e-9):
+    """The first angle from `angle` whose z rotations by it and by it + delta
+    (about 1.1e-9 apart) fall in one 1e-9 cell: two candidates that build_net
+    groups, and that a tol between their distances to a third point splits."""
+    while not same_cell(rz(angle), rz(angle + delta)):
+        angle += 1e-3
+    assert frob(rz(angle), rz(angle + delta)) > 1e-9
+    return angle, delta
+
+
+def test_builder_matches_reference_across_a_stored_distance_band():
+    # Rz(a) and Rz(a + d) share a 1e-9 cell, and tol lies just below the
+    # distance of the second to the stored identity: the reference drops the
+    # first (the group's first member), about 1.1e-9 inside tol, and keeps the
+    # second
+    a, d = near_pair(0.7)
+    tol = frob(rz(a + d), np.eye(2)) - 1e-12
+    assert 1e-9 < tol - frob(rz(a), np.eye(2)) < 1e-8
+    x = np.array([[0, -1j], [-1j, 0]])
+    gens = np.array([np.eye(2), x, rz(a), rz(a + d), rotation([1, 1, 0], 2.1)])
+    words, products = reference_net(gens, 2, 4, tol)
+    assert (3,) in words and (2,) not in words
+    net = build_net(gens, 2, "su", 4, tol)
+    assert net.words == words
+    assert net.products.tobytes() == products.tobytes()
+
+
+def test_builder_matches_reference_across_a_pair_distance_band():
+    # B1 = Rz(1 + b) and B2 = Rz(1 + b + d) share a cell; tol lies just below
+    # the distance of B2 to the earlier candidate A = Rz(1), so the reference
+    # removes B1 by A and keeps B2, whose only other close candidate is B1
+    b, d = near_pair(0.3)
+    a_ = rz(1.0)
+    tol = frob(a_, rz(1 + b + d)) - 1e-12
+    assert 1e-9 < tol - frob(a_, rz(1 + b)) < 1e-8
+    x = np.array([[0, -1j], [-1j, 0]])
+    gens = np.array([np.eye(2), a_, rz(1 + b), rz(1 + b + d), x,
+                     rotation([1, 2, 3], 1.3)])
+    words, products = reference_net(gens, 2, 4, tol)
+    assert (1,) in words and (2,) not in words and (3,) in words
+    net = build_net(gens, 2, "su", 4, tol)
+    assert net.words == words
+    assert net.products.tobytes() == products.tobytes()
+
+
+@pytest.mark.parametrize("tol", [0.05, 0.12, 1e-12])
+def test_builder_matches_reference_on_close_distinct_candidates(tol):
+    # small rotations about nearby axes: distinct candidates of one level lie
+    # within tol of each other in chains, where first-wins order matters.
+    # Rz(a) and Rz(a + d) are 1.1e-9 apart in one 1e-9 cell; tol = 1e-12 lies
+    # inside the band, so every candidate is tested and both are kept
+    a, d = near_pair(0.5)
+    gens = np.array([np.eye(2), rz(a), rz(a + d)]
+                    + [rotation(ax, ang) for ax in ([0, 0, 1], [0, 0.1, 1], [1, 0, 0])
+                       for ang in (0.2, 0.23, 0.27)])
+    words, products = reference_net(gens, 2, 3, tol)
+    if tol < 1e-9:
+        assert (1,) in words and (2,) in words
+    else:
+        cand = _vec(np.matmul(gens[:, None], gens[None]).reshape(-1, 2, 2))
+        d = np.linalg.norm(cand[:, None] - cand[None], axis=2)
+        assert np.any((1e-6 < d) & (d <= tol))
+    net = build_net(gens, 2, "su", 3, tol)
+    assert net.words == words
+    assert net.products.tobytes() == products.tobytes()
+
+
+def test_builder_matches_reference_on_the_shipped_sets(ht_gateset, slp_gateset):
+    for gs, length in ((ht_gateset, 9), (slp_gateset, 5), (load_gateset(TPRIME), 7)):
+        net = build_gateset_net(gs, length, with_inverses=True)
+        words, products = reference_net(extended_generators(gs), gs.dim, length,
+                                        net.dedup_tol)
+        assert net.words == words
+        assert net.products.tobytes() == products.tobytes()
+
+
+def test_auto_net_extends_to_the_built_net(ht_gateset):
+    # auto_net extends one net level by level; it must choose the length that
+    # rebuilding and probing at every second length chooses, and return the
+    # net build_gateset_net gives at that length
+    target = 0.3
+    net = auto_net(ht_gateset, target, 50, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    length = 4
+    while probe_density(build_gateset_net(ht_gateset, length), 50, rng) > target:
+        length += 2
+    assert net.word_length == length > 4
+    assert net.achieved_density <= target
+    built = build_gateset_net(ht_gateset, length)
+    assert net_sha256(net) == net_sha256(built)
+    assert net.fingerprint == built.fingerprint and net.dedup_tol == built.dedup_tol
+
+
+def test_auto_net_budget_raises(ht_gateset):
+    with pytest.raises(BudgetExceeded, match="word budget 100 exceeded"):
+        auto_net(ht_gateset, 1e-3, 10, np.random.default_rng(0), budget=100)

@@ -30,6 +30,8 @@ from .linalg import DEFAULT_TOL, dist, random_su, su2_residual, su2_to_quaternio
 
 NET_FORMAT = "irrepsk-net-v1"
 DEFAULT_BUDGET = 2_000_000
+# candidates built and tested at a time: sets the builder's working memory
+CHUNK = 1 << 15
 
 
 def extended_generators(gs: GateSet) -> np.ndarray:
@@ -63,33 +65,44 @@ def net_fingerprint(gs: GateSet, with_inverses: bool) -> str:
 @dataclass(eq=False)
 class EpsNet:
     """Products of all deduplicated generator words up to word_length, and
-    lazily their query tree, a flat token copy and the refinement
-    trajectories seeded from them (refine_inverse)."""
+    lazily their query tree and the refinement trajectories seeded from them
+    (refine_inverse).
+
+    The words are one flat token array: word i is
+    tokens[offsets[i]:offsets[i + 1]], in store order, which is breadth-first
+    (shortest word first, then generation order).  tokens has the smallest
+    unsigned dtype that holds every generator index, so a stored word costs
+    its length in bytes (for fewer than 256 generators), 8 bytes of offset
+    and the 16 d^2 bytes of its product.
+    """
 
     dim: int
     mode: str
     word_length: int
     dedup_tol: float
     fingerprint: str
-    words: list[tuple[int, ...]]
+    tokens: np.ndarray               # (offsets[-1],) unsigned
+    offsets: np.ndarray              # (n + 1,) intp, offsets[0] == 0
     products: np.ndarray             # (n, d, d)
     achieved_density: float | None = None
     _tree: cKDTree | None = field(default=None, repr=False)
-    _flat: tuple | None = field(default=None, repr=False)
     _refined: dict = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.offsets) - 1
+
+    def word(self, i: int) -> GateWord:
+        """Stored word i with its product."""
+        return GateWord(self.tokens[self.offsets[i]:self.offsets[i + 1]], self.products[i])
 
     def nearest(self, target) -> tuple[GateWord, float]:
         """Exact nearest stored word and its distance to target.
 
-        Ties go to store order, which is breadth-first (shortest word first,
-        then generation order).  SU(2) targets against an SU(2) net are
+        Ties go to store order.  SU(2) targets against an SU(2) net are
         answered by query; any other query scans dist over all products and
         takes its first minimum.
         """
-        if len(self.words) == 0:
+        if len(self) == 0:
             raise EmptyNet("net has no stored words")
         t = np.asarray(target, dtype=complex)
         su2 = self.dim == 2 and self.mode == "su" and t.shape == (2, 2)
@@ -100,7 +113,7 @@ class EpsNet:
             d = dist(self.products, t)
             i = int(np.argmin(d))
             d = d[i]
-        return GateWord(self.words[i], self.products[i]), float(d)
+        return self.word(i), float(d)
 
     def query(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Store indices and distances of the nearest products to an (n, 4)
@@ -118,21 +131,17 @@ class EpsNet:
     def gather(self, signed: np.ndarray, inverse: np.ndarray) -> np.ndarray:
         """The tokens of stored words laid end to end: i >= 0 in signed names
         word i, ~i word i inverted, read back to front through inverse (the
-        index of each token's inverse), from a lazily built flat copy."""
-        if self._flat is None:
-            lengths = np.fromiter(map(len, self.words), np.intp, len(self.words))
-            flat = np.fromiter(itertools.chain.from_iterable(self.words), np.intp)
-            flat = flat.astype(np.min_scalar_type(flat.max(initial=0)))
-            # flat is followed by its reversed copy, where word i read back to
-            # front starts at 2 len(flat) - start - length
-            self._flat = (np.concatenate([flat, flat[::-1]]),
-                          np.cumsum(lengths) - lengths, lengths)
-        flat, starts, lengths = self._flat
+        index of each token's inverse)."""
         back = signed < 0
         i = np.where(back, ~signed, signed)
-        n = lengths[i]
-        tokens = gather_segments(flat, np.where(back, len(flat) - starts[i] - n, starts[i]), n)
-        return np.where(np.repeat(back, n), inverse[tokens], tokens)
+        start, end = self.offsets[i], self.offsets[i + 1]
+        n = end - start
+        # a word read back to front starts at its last token and steps by -1
+        first = np.where(back, end - 1, start)
+        step = np.repeat(np.where(back, -1, 1), n)
+        k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        tokens = self.tokens[np.repeat(first, n) + step * k]
+        return np.where(step < 0, inverse[tokens], tokens)
 
 
 def _vec(mats: np.ndarray) -> np.ndarray:
@@ -153,10 +162,55 @@ def _pairs(x: np.ndarray, r: float) -> np.ndarray:
     return np.array(sorted(pairs), dtype=np.intp).reshape(-1, 2)
 
 
-def _new_elements(cv: np.ndarray, stored: cKDTree, tol: float) -> np.ndarray:
+def _stored_dist(trees: list[cKDTree], x: np.ndarray, tol: float, band: float) -> np.ndarray:
+    """Distance from each row of x to the nearest stored row, exact where it
+    exceeds tol - band (no verdict depends on a smaller one) and inf past
+    tol + band.  trees[0] holds the earlier levels; the rest hold this
+    level's kept rows and are asked only about the rows still open."""
+    d = trees[0].query(x, distance_upper_bound=tol + band)[0]
+    for tree in trees[1:]:
+        rows = np.flatnonzero(d > tol - band)
+        d[rows] = np.minimum(d[rows], tree.query(x[rows], distance_upper_bound=tol + band)[0])
+    return d
+
+
+def _store_rows(trees: list[cKDTree], rows: np.ndarray) -> None:
+    """Add one chunk's kept rows to this level's trees (trees[1:]).  The
+    last trees are merged into the new one while they are no larger, so a
+    row is rebuilt into a new tree O(log chunks) times and a level keeps
+    O(log chunks) trees."""
+    while len(trees) > 1 and trees[-1].n <= len(rows):
+        rows = np.concatenate([trees.pop().data, rows])
+    trees.append(cKDTree(rows))
+
+
+# odd 64-bit multipliers that hash a row of 1e-9 cells
+_CELL_HASH = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9,
+                       0x27D4EB2F165667C5, 0x85EBCA77C2B2AE63, 0xFF51AFD7ED558CCD,
+                       0xC4CEB9FE1A85EC53, 0x94D049BB133111EB], dtype=np.uint64)
+
+
+def _groups(cv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First member and group index of every row of cv, grouped by the
+    nearest multiples of 1e-9 of its entries (the cells np.round(cv, 9)
+    rounds to).  Rows are sorted by a hash of their cells, stably, and a
+    group is a run of equal cells in that order, so a hash collision can
+    only split a cell into several groups, each with its own first member."""
+    cells = np.rint(cv * 1e9).astype(np.int64)
+    order = np.argsort(cells.view(np.uint64) @ np.resize(_CELL_HASH, cv.shape[1]),
+                       kind="stable")
+    cells = cells[order]
+    start = np.ones(len(cv), bool)
+    start[1:] = np.any(cells[1:] != cells[:-1], axis=1)
+    group = np.empty(len(cv), np.intp)
+    group[order] = np.cumsum(start) - 1
+    return order[start], group
+
+
+def _new_elements(cv: np.ndarray, trees: list[cKDTree], tol: float) -> np.ndarray:
     """Indices of the candidate rows cv (Frobenius vectors, in enumeration
     order) that first-wins dedup keeps: a candidate is kept when no stored row
-    and no earlier kept candidate lies within tol of it.
+    (the rows of trees) and no earlier kept candidate lies within tol of it.
 
     Rows whose entries round to the same multiples of 1e-9 form a group, all
     within radius of its first member, and only first members are tested: one
@@ -167,16 +221,14 @@ def _new_elements(cv: np.ndarray, stored: cKDTree, tol: float) -> np.ndarray:
     (radius plus a margin for round-off) is loose, and all its members are
     tested; this repeats until no tested pair in the band touches a group
     that is not loose.  With tol inside the band every group is loose.
-    Pair distances are those np.linalg.norm gives; another distance routine
-    could judge differently only a distance within round-off of tol.
+    Pair distances are those np.linalg.norm gives, stored distances those of
+    cKDTree; another distance routine could judge differently only a
+    distance within round-off of tol.
     """
     radius = 1e-9 * np.sqrt(cv.shape[1])
     band = 2 * radius
-    rounded = np.ascontiguousarray(np.round(cv, 9) + 0.0)  # + 0.0 turns -0.0 into 0.0
-    key = rounded.view(np.dtype((np.void, rounded.itemsize * rounded.shape[1])))[:, 0]
-    _, first, group = np.unique(key, return_index=True, return_inverse=True)
-    group = group.ravel()
-    dd = stored.query(cv[first], distance_upper_bound=tol + band)[0]
+    first, group = _groups(cv)
+    dd = _stored_dist(trees, cv[first], tol, band)
     loose = (np.abs(dd - tol) <= band) | (tol <= band)
     while True:
         unit = loose[group]
@@ -184,7 +236,7 @@ def _new_elements(cv: np.ndarray, stored: cKDTree, tol: float) -> np.ndarray:
         units = np.flatnonzero(unit)
         du = dd[group[units]]
         extra = np.flatnonzero(units != first[group[units]])
-        du[extra] = stored.query(cv[units[extra]], distance_upper_bound=tol + band)[0]
+        du[extra] = _stored_dist(trees, cv[units[extra]], tol, band)
         alive = units[du > tol]
         pairs = _pairs(cv[alive], tol + band)
         d = np.linalg.norm(cv[alive[pairs[:, 0]]] - cv[alive[pairs[:, 1]]], axis=1)
@@ -202,28 +254,57 @@ def _new_elements(cv: np.ndarray, stored: cKDTree, tol: float) -> np.ndarray:
 def _nets(gens: np.ndarray, dim: int, mode: str, dedup_tol: float, fingerprint: str,
           budget: int):
     """Yield the net of word length 0, 1, 2, ..., each built from the last by
-    one breadth-first level.  Each net owns its word list and products.
-    Raises BudgetExceeded when a level would store more than budget words.
+    one breadth-first level.  Each net owns its arrays.
+
+    A level's candidates, frontier word i // n_gens times generator
+    i % n_gens, are built and tested CHUNK at a time in enumeration order,
+    each chunk against the stored products and the kept candidates of the
+    chunks before it, so the level's first-wins verdicts are those of
+    testing the whole level at once.  Raises BudgetExceeded as soon as a
+    chunk takes the store past budget words.
     """
     n_gens = len(gens)
-    words: list[tuple[int, ...]] = [()]
+    dtype = np.min_scalar_type(n_gens - 1)
     products = np.eye(dim, dtype=complex)[None]
-    frontier_w, frontier_p = words[:], products
+    tokens, offsets = np.zeros(0, dtype), np.zeros(2, np.intp)  # the empty word
+    frontier_t, frontier_p = np.zeros((1, 0), dtype), products
+    trees = [cKDTree(_vec(products))]
     for level in itertools.count():
-        if level and frontier_w:
-            cand = np.matmul(frontier_p[:, None], gens[None]).reshape(-1, dim, dim)
-            kept = _new_elements(_vec(cand), cKDTree(_vec(products)), dedup_tol)
-            if len(words) + len(kept) > budget:
-                raise BudgetExceeded(
-                    f"word budget {budget} exceeded at word length {level}: "
-                    f"{len(words)} words stored, {len(kept)} more needed"
-                )
-            frontier_w = [frontier_w[i // n_gens] + (i % n_gens,) for i in kept.tolist()]
-            frontier_p = cand[kept]
-            words.extend(frontier_w)
+        if level and len(frontier_p):
+            total = len(frontier_p) * n_gens
+            kept, kept_p, found = [], [], 0
+            for s in range(0, total, CHUNK):
+                e = min(s + CHUNK, total)
+                a, b = s // n_gens, -(-e // n_gens)  # parents of candidates s..e-1
+                cand = np.matmul(frontier_p[a:b, None], gens[None])
+                cand = cand.reshape(-1, dim, dim)[s - a * n_gens:e - a * n_gens]
+                cv = _vec(cand)
+                k = _new_elements(cv, trees, dedup_tol)
+                found += len(k)
+                if len(products) + found > budget:
+                    raise BudgetExceeded(
+                        f"word budget {budget} exceeded at word length {level}: "
+                        f"{len(products)} words stored, {found} more found in the "
+                        f"first {e} of {total} candidates"
+                    )
+                if len(k):
+                    _store_rows(trees, cv[k])
+                kept.append(s + k)
+                kept_p.append(cand[k])
+            kept = np.concatenate(kept)
+            frontier_t = np.column_stack([frontier_t[kept // n_gens],
+                                          (kept % n_gens).astype(dtype)])
+            frontier_p = np.concatenate(kept_p)
+            tokens = np.concatenate([tokens, frontier_t.ravel()])
+            offsets = np.concatenate([offsets,
+                                      offsets[-1] + level * np.arange(1, len(kept) + 1)])
             products = np.concatenate([products, frontier_p])
+            rows = np.concatenate([t.data for t in trees])
+            trees.clear()  # frees the old trees before the new one is built
+            trees.append(cKDTree(rows))
         yield EpsNet(dim=dim, mode=mode, word_length=level, dedup_tol=dedup_tol,
-                     fingerprint=fingerprint, words=words[:], products=products)
+                     fingerprint=fingerprint, tokens=tokens, offsets=offsets,
+                     products=products)
 
 
 def build_net(gens: np.ndarray, dim: int, mode: str, word_length: int,
@@ -235,11 +316,15 @@ def build_net(gens: np.ndarray, dim: int, mode: str, word_length: int,
     of anything already stored or of an earlier kept candidate of its own
     level.  Different words that reach the same group element give products
     equal up to round-off, and most candidates of a long net are such
-    duplicates; each level groups the candidates that agree to 1e-9 and tests
-    one member per group, and expands a group into all its members wherever a
-    distance near dedup_tol could tell them apart (_new_elements), so the
-    kept set is exactly that of testing every candidate.  Raises
-    BudgetExceeded if more than budget words would be stored.
+    duplicates; each chunk of CHUNK candidates groups those that agree to
+    1e-9 and tests one member per group, and expands a group into all its
+    members wherever a distance near dedup_tol could tell them apart
+    (_new_elements), so the kept set is exactly that of testing every
+    candidate.  Beyond the stored net and its k-d trees (8 floats and an
+    index per word), a build holds one chunk's candidates at a time.
+    Raises BudgetExceeded as soon as a chunk would take the store past
+    budget words, so budget bounds the memory of a build as well as its
+    words.
     """
     nets = _nets(np.asarray(gens, dtype=complex), dim, mode, dedup_tol, fingerprint, budget)
     return next(itertools.islice(nets, word_length, None))
@@ -257,12 +342,13 @@ def build_gateset_net(gs: GateSet, word_length: int, dedup_tol: float | None = N
 
 def probe_density(net: EpsNet, probes: int, rng: np.random.Generator) -> float:
     """Empirical covering radius: max over random SU(d) probes of the nearest
-    stored distance.  Only meaningful in su mode."""
-    worst = 0.0
-    for _ in range(probes):
-        t = random_su(net.dim, rng)
-        _, d = net.nearest(t)
-        worst = max(worst, d)
+    stored distance.  Only meaningful in su mode.  An SU(2) net answers all
+    probes with one query; the draws are those of one probe at a time."""
+    targets = [random_su(net.dim, rng) for _ in range(probes)]
+    if net.dim == 2 and net.mode == "su" and probes:
+        worst = float(net.query(su2_to_quaternion(np.array(targets)))[1].max())
+    else:
+        worst = max((net.nearest(t)[1] for t in targets), default=0.0)
     net.achieved_density = worst
     return worst
 
@@ -279,14 +365,15 @@ def save_net(net: EpsNet, path) -> None:
         "mode": net.mode,
         "word_length": net.word_length,
         "dedup_tol": net.dedup_tol,
-        "count": len(net.words),
+        "count": len(net),
         "achieved_density": net.achieved_density,
         "product_digest": _product_digest(net.products),
     }
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps(header, sort_keys=True) + "\n")
-        for w in net.words:
-            f.write(" ".join(map(str, w)) + "\n")
+        tokens, offsets = net.tokens.tolist(), net.offsets.tolist()
+        for a, b in zip(offsets, offsets[1:]):
+            f.write(" ".join(map(str, tokens[a:b])) + "\n")
 
 
 def load_net(path, gs: GateSet, with_inverses: bool = False) -> EpsNet:
@@ -323,26 +410,40 @@ def load_net(path, gs: GateSet, with_inverses: bool = False) -> EpsNet:
     if header.get("usable", True) is not True:
         raise FormatError("net file holds a net truncated by its word budget")
     gens = extended_generators(gs) if with_inverses else gs.matrices
-    words: list[tuple[int, ...]] = []
+    rows = [line.split() for line in body]
+    try:
+        tokens = np.array(list(map(int, itertools.chain.from_iterable(rows))), np.int64)
+    except (ValueError, OverflowError):
+        tokens = None
+    if tokens is None or not np.all((0 <= tokens) & (tokens < len(gens))):
+        # name the first bad line
+        for k, row in enumerate(rows):
+            try:
+                w = [int(t) for t in row]
+            except ValueError:
+                raise FormatError(f"line {k + 2}: unparsable word") from None
+            if any(i < 0 or i >= len(gens) for i in w):
+                raise FormatError(f"line {k + 2}: generator index out of range")
+    tokens = tokens.astype(np.min_scalar_type(len(gens) - 1))
+    lengths = np.fromiter(map(len, rows), np.intp, count)
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
     products = np.empty((count, gs.dim, gs.dim), dtype=complex)
-    index_of: dict[tuple[int, ...], int] = {}
-    for k, line in enumerate(body):
-        try:
-            w = tuple(int(t) for t in line.split())
-        except ValueError:
-            raise FormatError(f"line {k + 2}: unparsable word") from None
-        if any(i < 0 or i >= len(gens) for i in w):
-            raise FormatError(f"line {k + 2}: generator index out of range")
-        words.append(w)
-        # breadth-first construction stores every word's parent prefix, so the
-        # product is the parent's times one generator, the recipe build_net
-        # stores; fall back to a full product otherwise
-        parent = index_of.get(w[:-1]) if w else None
-        if parent is not None:
-            products[k] = products[parent] @ gens[w[-1]]
-        else:
-            products[k] = word_product(gens, w)
-        index_of[w] = k
+    # breadth-first construction stores every word's parent prefix, so a
+    # word's product is its parent's times one generator, the recipe
+    # build_net stores: one batched product per word length.  A word whose
+    # prefix is not stored gets a full product.
+    for n in range(lengths.max(initial=-1) + 1):
+        idx = np.flatnonzero(lengths == n)
+        mat = gather_segments(tokens, offsets[idx], lengths[idx]).reshape(len(idx), n)
+        found = np.zeros(len(idx), bool)
+        if n:  # the words of length n - 1 are parent_idx, with tokens parent_t
+            parent = _first_rows(parent_t, mat[:, :-1])
+            found = parent < len(parent_t)
+            products[idx[found]] = np.matmul(products[parent_idx[parent[found]]],
+                                             gens[mat[found, -1]])
+        for k in idx[~found]:
+            products[k] = word_product(gens, tokens[offsets[k]:offsets[k + 1]])
+        parent_idx, parent_t = idx, mat
     if header.get("product_digest") != _product_digest(products):
         raise FormatError("recomputed products do not match the stored digest")
     return EpsNet(
@@ -351,10 +452,22 @@ def load_net(path, gs: GateSet, with_inverses: bool = False) -> EpsNet:
         word_length=header["word_length"],
         dedup_tol=float(header["dedup_tol"]),
         fingerprint=expected,
-        words=words,
+        tokens=tokens,
+        offsets=offsets,
         products=products,
         achieved_density=header.get("achieved_density"),
     )
+
+
+def _first_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Index of the first row of table equal to each row of rows, or an
+    index >= len(table) where table holds none."""
+    both = np.ascontiguousarray(np.concatenate([table, rows]))
+    if both.shape[1] == 0:
+        return np.zeros(len(rows), np.intp)
+    key = both.view(np.dtype((np.void, both.itemsize * both.shape[1])))[:, 0]
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    return first[inv.ravel()[len(table):]]
 
 
 def auto_net(gs: GateSet, target_density: float, probes: int,

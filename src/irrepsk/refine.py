@@ -151,7 +151,7 @@ def _best_start(gs: GateSet, net: EpsNet, u: np.ndarray):
     # of equal minima
     starts = dist(net.products @ u, np.eye(gs.dim), phases)
     i = int(np.argmin(starts))
-    return GateWord(net.words[i], net.products[i]), float(starts[i])
+    return net.word(i), float(starts[i])
 
 
 class _Trajectory:

@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import irrepsk.net
 from irrepsk import build_gateset_net, load_gateset, load_net, parse_gateset, save_net
 from irrepsk.errors import BudgetExceeded, FormatError, StaleGateSet
 from irrepsk.linalg import (dist, quaternion_to_su2, random_sl_near_identity, random_su,
@@ -17,6 +20,12 @@ from scipy.linalg import expm
 from scipy.spatial import cKDTree
 
 TPRIME = Path(__file__).resolve().parent.parent / "perfbench" / "gatesets" / "pauli_ht_tprime.json"
+
+
+def words_of(net) -> list[tuple[int, ...]]:
+    """The net's words as tuples of Python ints, in store order."""
+    tokens, offsets = net.tokens.tolist(), net.offsets.tolist()
+    return [tuple(tokens[a:b]) for a, b in zip(offsets, offsets[1:])]
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +44,7 @@ def test_pauli_words_close_into_eight_products(pauli_only):
 def test_zero_length_net_is_identity_only(pauli_only):
     net = build_gateset_net(pauli_only, 0)
     assert len(net) == 1
-    assert net.words[0] == ()
+    assert words_of(net) == [()]
     assert np.allclose(net.products[0], np.eye(2), atol=1e-15)
 
 
@@ -99,7 +108,7 @@ def test_midpoint_ties_go_to_store_order(ht_gateset):
             ds = dist(net.products, t)
             tied = np.nonzero(ds <= ds.min() + 1e-12)[0]
             ties += len(tied) > 1
-            assert net.nearest(t)[0].tokens.tolist() == list(net.words[tied[0]])
+            assert net.nearest(t)[0].tokens.tolist() == net.word(tied[0]).tokens.tolist()
     assert ties > 500
 
 
@@ -117,7 +126,7 @@ def test_index_matches_svd_brute_force(ht_base8):
         word, got = ht_base8.nearest(t)
         svd = dist(ht_base8.products, t)
         i = int(np.argmin(svd))
-        assert word.tokens.tolist() == list(ht_base8.words[i])
+        assert word.tokens.tolist() == ht_base8.word(i).tokens.tolist()
         assert got == pytest.approx(svd[i], abs=1e-14)
 
 
@@ -136,7 +145,7 @@ def test_batched_query_keeps_the_tie_rule(ht_gateset, ht_base8):
         idx, d = store.query(targets)
         for t, i, di in zip(targets, idx, d):
             word, got = store.nearest(quaternion_to_su2(t))
-            assert word.tokens.tolist() == list(store.words[i]) and got == di
+            assert word.tokens.tolist() == store.word(i).tokens.tolist() and got == di
     d, _ = net._tree.query(mid, k=2)
     assert np.count_nonzero(d[:, 1] - d[:, 0] <= 1e-12) > 500
 
@@ -151,7 +160,7 @@ def test_index_is_exact_near_a_stored_product(ht_base8):
             theta = 10.0 ** -k
             t = ht_base8.products[j] @ rotation(axis, theta)
             word, got = ht_base8.nearest(t)
-            assert word.tokens.tolist() == list(ht_base8.words[j])
+            assert word.tokens.tolist() == ht_base8.word(j).tokens.tolist()
             assert abs(got - 2 * np.sin(theta / 4)) <= 1e-15
 
 
@@ -172,7 +181,7 @@ def test_off_group_target_falls_back_to_svd(ht_gateset):
         word, got = net.nearest(t)
         svd = dist(net.products, t)
         i = int(np.argmin(svd))
-        assert word.tokens.tolist() == list(net.words[i])
+        assert word.tokens.tolist() == net.word(i).tokens.tolist()
         assert got == svd[i]
         assert got > floor
     assert net._tree is None
@@ -185,15 +194,15 @@ def test_sl_net_queries_match_svd(slp_net):
         word, got = slp_net.nearest(t)
         svd = dist(slp_net.products, t)
         i = int(np.argmin(svd))
-        assert word.tokens.tolist() == list(slp_net.words[i])
+        assert word.tokens.tolist() == slp_net.word(i).tokens.tolist()
         assert got == svd[i]
 
 
 def test_words_do_not_exceed_length(ht_gateset):
     net = build_gateset_net(ht_gateset, 4)
-    assert max(len(w) for w in net.words) <= 4
+    lens = np.diff(net.offsets).tolist()
+    assert max(lens) <= 4
     # BFS stores shorter words first
-    lens = [len(w) for w in net.words]
     assert lens == sorted(lens)
 
 
@@ -213,6 +222,12 @@ def test_probe_density_reports_coverage(ht_gateset):
     dc = probe_density(coarse, 50, rng)
     df = probe_density(fine, 50, np.random.default_rng(22))
     assert 0 < df < dc < 2.0
+    # an SU(2) net answers all probes with one query, from the draws and
+    # with the distances of one nearest call per probe
+    loop = np.random.default_rng(22)
+    worst = max(fine.nearest(random_su(2, loop))[1] for _ in range(50))
+    assert abs(df - worst) <= 1e-15
+    assert rng.normal() == loop.normal()
 
 
 def test_save_load_roundtrip(tmp_path, ht_gateset):
@@ -220,7 +235,7 @@ def test_save_load_roundtrip(tmp_path, ht_gateset):
     p = tmp_path / "net.json"
     save_net(net, p)
     back = load_net(p, ht_gateset)
-    assert back.words == net.words
+    assert words_of(back) == words_of(net)
     assert np.array_equal(back.products, net.products)
     assert back.fingerprint == net.fingerprint
 
@@ -247,6 +262,15 @@ def test_load_net_rejects_corrupt_file(tmp_path, ht_gateset):
     p.write_text("\n".join(tampered) + "\n")
     with pytest.raises(FormatError):
         load_net(p, ht_gateset)
+    # a bad token is reported with its line, the first bad line first
+    for bad, match in (("0 x", "line 4: unparsable"), ("99", "line 4: generator index out"),
+                       ("-1", "line 4: generator index out"),
+                       ("99999999999999999999", "line 4: generator index out")):
+        body = lines[1:]
+        body[2], body[-1] = bad, "x"
+        p.write_text("\n".join([lines[0]] + body) + "\n")
+        with pytest.raises(FormatError, match=match):
+            load_net(p, ht_gateset)
     p.write_text("{ truncated")
     with pytest.raises(FormatError):
         load_net(p, ht_gateset)
@@ -265,12 +289,43 @@ def test_budget_raises_budget_exceeded(ht_gateset):
     assert len(build_gateset_net(ht_gateset, 2, budget=100)) <= 100
 
 
+def test_budget_stops_a_level_before_its_last_chunk(ht_gateset, monkeypatch):
+    # the budget is checked after every chunk: a level that would overflow
+    # it is not built to its end
+    below = len(build_gateset_net(ht_gateset, 5, with_inverses=True))
+    full = len(build_gateset_net(ht_gateset, 6, with_inverses=True))
+    monkeypatch.setattr(irrepsk.net, "CHUNK", 64)
+    with pytest.raises(BudgetExceeded, match="exceeded at word length 6: ") as e:
+        build_gateset_net(ht_gateset, 6, with_inverses=True, budget=(below + full) // 2)
+    done, total = map(int, re.search(r"first (\d+) of (\d+) candidates", str(e.value)).groups())
+    assert done < total - 64
+
+
+def test_build_memory_is_bounded_by_the_chunk(ht_gateset, monkeypatch):
+    # beyond the net's own arrays a build holds one chunk of candidates, each
+    # under 512 B (product, Frobenius row, rounded key, sort and group
+    # indices), and under 256 B per stored word (its k-d tree row and index,
+    # and the copies a level's end makes).  tracemalloc sees numpy arrays,
+    # not the k-d trees' nodes
+    for chunk in (irrepsk.net.CHUNK, 4096):
+        monkeypatch.setattr(irrepsk.net, "CHUNK", chunk)
+        tracemalloc.start()
+        try:
+            net = build_gateset_net(ht_gateset, 16, with_inverses=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        own = net.tokens.nbytes + net.offsets.nbytes + net.products.nbytes
+        assert len(net) == 16800
+        assert peak - own < 512 * chunk + 256 * len(net)
+
+
 def test_inverse_extended_net_roundtrip(tmp_path, ht_gateset):
     net = build_gateset_net(ht_gateset, 3, with_inverses=True)
     p = tmp_path / "ext.json"
     save_net(net, p)
     back = load_net(p, ht_gateset, with_inverses=True)
-    assert back.words == net.words
+    assert words_of(back) == words_of(net)
     with pytest.raises(StaleGateSet):
         load_net(p, ht_gateset)  # flag mismatch changes the fingerprint
 
@@ -297,9 +352,11 @@ def test_distances_match_aligned_queries(ht_gateset):
 
 
 def net_sha256(net) -> str:
-    assert isinstance(net.words, list) and all(type(w) is tuple for w in net.words)
+    assert net.tokens.ndim == 1 and net.tokens.dtype.kind == "u"
+    assert net.offsets.dtype == np.intp and net.offsets[0] == 0
+    assert len(net.offsets) == len(net.products) + 1 == len(net) + 1
     assert net.products.dtype == complex and net.products.flags.c_contiguous
-    h = hashlib.sha256(repr(net.words).encode())
+    h = hashlib.sha256(repr(words_of(net)).encode())
     h.update(net.products.tobytes())
     return h.hexdigest()
 
@@ -359,6 +416,16 @@ def reference_net(gens, dim, word_length, tol):
     return words, products
 
 
+def at_each_chunk_size(monkeypatch, build):
+    """build() at the module's chunk size and at 7 candidates, where chunk
+    boundaries cut through duplicate groups and within-level pairs."""
+    nets = []
+    for chunk in (irrepsk.net.CHUNK, 7):
+        monkeypatch.setattr(irrepsk.net, "CHUNK", chunk)
+        nets.append(build())
+    return nets
+
+
 def rz(angle):
     return rotation([0, 0, 1], angle)
 
@@ -382,7 +449,7 @@ def near_pair(angle, delta=1.6e-9):
     return angle, delta
 
 
-def test_builder_matches_reference_across_a_stored_distance_band():
+def test_builder_matches_reference_across_a_stored_distance_band(monkeypatch):
     # Rz(a) and Rz(a + d) share a 1e-9 cell, and tol lies just below the
     # distance of the second to the stored identity: the reference drops the
     # first (the group's first member), about 1.1e-9 inside tol, and keeps the
@@ -394,12 +461,12 @@ def test_builder_matches_reference_across_a_stored_distance_band():
     gens = np.array([np.eye(2), x, rz(a), rz(a + d), rotation([1, 1, 0], 2.1)])
     words, products = reference_net(gens, 2, 4, tol)
     assert (3,) in words and (2,) not in words
-    net = build_net(gens, 2, "su", 4, tol)
-    assert net.words == words
-    assert net.products.tobytes() == products.tobytes()
+    for net in at_each_chunk_size(monkeypatch, lambda: build_net(gens, 2, "su", 4, tol)):
+        assert words_of(net) == words
+        assert net.products.tobytes() == products.tobytes()
 
 
-def test_builder_matches_reference_across_a_pair_distance_band():
+def test_builder_matches_reference_across_a_pair_distance_band(monkeypatch):
     # B1 = Rz(1 + b) and B2 = Rz(1 + b + d) share a cell; tol lies just below
     # the distance of B2 to the earlier candidate A = Rz(1), so the reference
     # removes B1 by A and keeps B2, whose only other close candidate is B1
@@ -412,13 +479,13 @@ def test_builder_matches_reference_across_a_pair_distance_band():
                      rotation([1, 2, 3], 1.3)])
     words, products = reference_net(gens, 2, 4, tol)
     assert (1,) in words and (2,) not in words and (3,) in words
-    net = build_net(gens, 2, "su", 4, tol)
-    assert net.words == words
-    assert net.products.tobytes() == products.tobytes()
+    for net in at_each_chunk_size(monkeypatch, lambda: build_net(gens, 2, "su", 4, tol)):
+        assert words_of(net) == words
+        assert net.products.tobytes() == products.tobytes()
 
 
 @pytest.mark.parametrize("tol", [0.05, 0.12, 1e-12])
-def test_builder_matches_reference_on_close_distinct_candidates(tol):
+def test_builder_matches_reference_on_close_distinct_candidates(tol, monkeypatch):
     # small rotations about nearby axes: distinct candidates of one level lie
     # within tol of each other in chains, where first-wins order matters.
     # Rz(a) and Rz(a + d) are 1.1e-9 apart in one 1e-9 cell; tol = 1e-12 lies
@@ -434,18 +501,31 @@ def test_builder_matches_reference_on_close_distinct_candidates(tol):
         cand = _vec(np.matmul(gens[:, None], gens[None]).reshape(-1, 2, 2))
         d = np.linalg.norm(cand[:, None] - cand[None], axis=2)
         assert np.any((1e-6 < d) & (d <= tol))
-    net = build_net(gens, 2, "su", 3, tol)
-    assert net.words == words
-    assert net.products.tobytes() == products.tobytes()
-
-
-def test_builder_matches_reference_on_the_shipped_sets(ht_gateset, slp_gateset):
-    for gs, length in ((ht_gateset, 9), (slp_gateset, 5), (load_gateset(TPRIME), 7)):
-        net = build_gateset_net(gs, length, with_inverses=True)
-        words, products = reference_net(extended_generators(gs), gs.dim, length,
-                                        net.dedup_tol)
-        assert net.words == words
+    for net in at_each_chunk_size(monkeypatch, lambda: build_net(gens, 2, "su", 3, tol)):
+        assert words_of(net) == words
         assert net.products.tobytes() == products.tobytes()
+
+
+def test_builder_matches_reference_on_the_shipped_sets(ht_gateset, slp_gateset,
+                                                       monkeypatch):
+    for gs, length in ((ht_gateset, 9), (slp_gateset, 5), (load_gateset(TPRIME), 7)):
+        nets = at_each_chunk_size(
+            monkeypatch, lambda: build_gateset_net(gs, length, with_inverses=True))
+        words, products = reference_net(extended_generators(gs), gs.dim, length,
+                                        nets[0].dedup_tol)
+        for net in nets:
+            assert words_of(net) == words
+            assert net.products.tobytes() == products.tobytes()
+
+
+def test_builder_is_exact_when_every_cell_hash_collides(ht_gateset, monkeypatch):
+    # with a zero hash the cells stay in candidate order and every run of
+    # equal cells is a group of its own, so a cell splits into many groups
+    monkeypatch.setattr(irrepsk.net, "_CELL_HASH", np.zeros(8, np.uint64))
+    net = build_gateset_net(ht_gateset, 7, with_inverses=True)
+    words, products = reference_net(extended_generators(ht_gateset), 2, 7, net.dedup_tol)
+    assert words_of(net) == words
+    assert net.products.tobytes() == products.tobytes()
 
 
 def test_auto_net_extends_to_the_built_net(ht_gateset):

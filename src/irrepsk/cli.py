@@ -267,6 +267,8 @@ def cmd_bench(args) -> int:
             eps_k, ell_k = _deepest_trace(report)
             naive = ""
             if args.naive_compare and report.inverted_extras:
+                # the tolerance each refined inverse was taken at: (eps / 2)
+                # over the inverted extras of the accepted SK depth
                 eps_each = (eps / 2.0) / report.inverted_extras
                 naive = max(naive_inverse_length(gs, i, eps_each)
                             for i in report.refine_errors)

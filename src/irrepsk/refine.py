@@ -43,7 +43,8 @@ from .gateset import (GateSet, GateWord, concat_words, eps0_constant, gather_seg
                       make_word)
 from .linalg import dist, op_norm, random_traceless_hermitian, su2_to_quaternion
 from .net import EpsNet, extended_inverse
-from .skbase import SKParams, rewrite_irrep_inverses, sk_compile
+# sk_compile is not called here; perfbench/tracing.py times it under this name
+from .skbase import SKParams, rewrite_irrep_inverses, sk_compile, sk_depths  # noqa: F401
 
 
 def contraction_constant(rep: FiniteGroupRep) -> float:
@@ -347,7 +348,9 @@ class CompileReport:
     error: float
     base_error: float
     base_length: int
+    depth: int
     inverted_extras: int
+    inverted_counts: dict[int, int]
     refine_errors: dict[int, float]
     refine_lengths: dict[int, int]
     refine_traces: dict[int, RefineTrace]
@@ -363,7 +366,9 @@ class CompileReport:
             "error": self.error,
             "base_error": self.base_error,
             "base_length": self.base_length,
+            "depth": self.depth,
             "inverted_extras": self.inverted_extras,
+            "inverted_counts": {str(k): v for k, v in self.inverted_counts.items()},
             "refine_errors": {str(k): v for k, v in self.refine_errors.items()},
             "refine_lengths": {str(k): v for k, v in self.refine_lengths.items()},
             "refine_traces": {str(k): t.as_dict()
@@ -377,15 +382,19 @@ def compile_target(gs: GateSet, target, eps: float, params: SKParams,
     """Compile target to an inverse-free word with error at most eps.
 
     Stage 1 runs the classical commutator recursion over generators plus
-    formal inverses at eps / 2.  Stage 2 rewrites inverted irrep tokens
-    through the group table, tracking the d-th-root phase each rewrite
-    contributes instead of re-multiplying the word.  Stage 3 replaces each
-    of the m remaining inverted extra-gate tokens by a refined inverse word
-    at (eps / 2) / m, sharing one refinement per distinct gate; the triangle
-    inequality over unitary substitutions bounds the total drift.  The
-    refinements are shared across calls through refine_net and are exact
-    for every tolerance (refine_inverse).  The stages pass int arrays;
-    indices is the one conversion to Python ints.
+    formal inverses, one depth at a time (sk_depths).  At each depth whose
+    SK error err_d is at most eps, stage 2 rewrites the word's inverted irrep
+    tokens through the group table, tracking the d-th-root phase each rewrite
+    contributes instead of re-multiplying the word, and counts the m_d,i
+    remaining inverted tokens of each extra gate i, m_d in all.  Stage 3
+    takes one refined inverse per distinct gate at (eps / 2) / m_d, with its
+    achieved error a_i.  The first depth with err_d + sum_i m_d,i a_i <= eps
+    is accepted: by the triangle inequality over unitary substitutions that
+    bounds the output's error.  The depth whose SK error alone is at most
+    eps / 2 always passes, and no deeper depth is tried.  The refinements are
+    shared across calls through refine_net and are exact for every tolerance
+    (refine_inverse).  The stages pass int arrays; indices is the one
+    conversion to Python ints.
 
     The returned word is verified by one independent product of its
     generator matrices (make_word, which reads the products of whole blocks
@@ -395,52 +404,44 @@ def compile_target(gs: GateSet, target, eps: float, params: SKParams,
     table rewrite of a projective irrep shifts the product by such a phase.
     """
     target = np.asarray(target, dtype=complex)
-    base = sk_compile(gs, target, eps / 2.0, params)
-    base_error = dist(base.product, target)
-    base = rewrite_irrep_inverses(gs, base)
-
     # after the rewrite, a token e >= n is an inverted extra gate inv[e]
     n = gs.gen_count
-    inv = extended_inverse(gs)
-    base_idx = base.tokens
-    inverted = np.asarray(inv)[base_idx[base_idx >= n]]
-    m = len(inverted)
-    refine_errors: dict[int, float] = {}
-    refine_lengths: dict[int, int] = {}
-    refine_traces: dict[int, RefineTrace] = {}
-    subs: dict[int, GateWord] = {}
-    if m:
-        eps_each = (eps / 2.0) / m
-        for i in np.unique(inverted).tolist():
-            w, achieved, tr = refine_inverse(gs, refine_net, i, eps_each)
-            subs[i] = w
-            refine_errors[i] = achieved
-            refine_lengths[i] = w.length
-            refine_traces[i] = tr
+    inv = np.asarray(extended_inverse(gs))
+    for depth, (signed, product, base_error) in enumerate(sk_depths(gs, target, params)):
+        if base_error > eps:
+            continue
+        base = rewrite_irrep_inverses(gs, GateWord(params.net.gather(signed, inv), product))
+        counts = np.bincount(inv[base.tokens[base.tokens >= n]], minlength=n)
+        m = int(counts.sum())
+        refined = {i: refine_inverse(gs, refine_net, i, (eps / 2.0) / m)
+                   for i in np.flatnonzero(counts).tolist()}
+        if base_error + sum(counts[i] * r[1] for i, r in refined.items()) <= eps:
+            break
 
     # one output segment per extended token: the token itself when forward,
     # the refined inverse word when an inverted extra gate (empty when that
     # gate does not occur); the output is the base word's segments laid end
     # to end, gathered from the segments' concatenation
     empty = np.zeros(0, dtype=np.intp)
-    segments = [np.array([e]) if e < n else subs[inv[e]].tokens if inv[e] in subs
+    segments = [np.array([e]) if e < n else refined[inv[e]][0].tokens if inv[e] in refined
                 else empty for e in range(len(inv))]
     seg_len = np.array([len(s) for s in segments], dtype=np.intp)
     seg_start = np.cumsum(seg_len) - seg_len
     word = make_word(gs.matrices, gather_segments(np.concatenate(segments),
-                                                  seg_start[base_idx], seg_len[base_idx]))
-    error = dist(word.product, target, gs.phase_candidates)
+                                                  seg_start[base.tokens], seg_len[base.tokens]))
     return CompileReport(
         target=target,
         eps=eps,
         indices=tuple(word.tokens.tolist()),
-        error=error,
+        error=dist(word.product, target, gs.phase_candidates),
         base_error=base_error,
         base_length=base.length,
+        depth=depth,
         inverted_extras=m,
-        refine_errors=refine_errors,
-        refine_lengths=refine_lengths,
-        refine_traces=refine_traces,
+        inverted_counts={i: int(counts[i]) for i in refined},
+        refine_errors={i: r[1] for i, r in refined.items()},
+        refine_lengths={i: r[0].length for i, r in refined.items()},
+        refine_traces={i: r[2] for i, r in refined.items()},
     )
 
 

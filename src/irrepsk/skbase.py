@@ -14,7 +14,7 @@ sqrt(theta) and the recursion contracts.  It runs level by level on stacks
 of targets: one net query, one vectorized decomposition and (n, 2, 2)
 product stacks per level.  A depth-d word is 5^d net words end to end, so
 the levels pass (n, 5^d) arrays of signed net indices (~i for net word i
-inverted), and the tokens are gathered once, for the word returned.
+inverted), and tokens are gathered only for the depths a caller reads out.
 """
 
 from __future__ import annotations
@@ -137,13 +137,17 @@ def base_params(gs: GateSet, word_length: int, budget: int = 2_000_000,
     return SKParams(net=net, max_depth=max_depth, eps_base=eps_base)
 
 
-def sk_compile(gs: GateSet, target, eps: float, params: SKParams) -> GateWord:
-    """Approximate a SU(2) target to operator-norm eps over gens and inverses.
+def sk_depths(gs: GateSet, target, params: SKParams):
+    """The commutator recursion for a SU(2) target, one depth at a time.
 
-    The returned word's tokens index extended_generators(gs).  Iteratively
-    deepens the standard commutator recursion until the measured error
-    passes eps; raises NetTooCoarse if the depth cap is hit first,
-    DimUnsupported away from d = 2 and ClassError for a target off SU(2).
+    Yields (signed, product, error) for depth 0, 1, ... up to params.max_depth:
+    the depth's word as signed net indices (~i for net word i inverted, to be
+    read out by net.gather over extended_inverse(gs)), the word's tracked
+    product and its distance to the target.  Asking past the depth cap raises
+    NetTooCoarse with the smallest error seen, so a consumer accepts a depth
+    by its own rule and lets a loop over the depths run out into that error.
+    Raises DimUnsupported away from d = 2 and ClassError for a target off
+    SU(2).
     """
     if gs.dim != 2 or gs.mode != "su":
         raise DimUnsupported("the base compiler handles d = 2, su mode only")
@@ -181,12 +185,22 @@ def sk_compile(gs: GateSet, target, eps: float, params: SKParams) -> GateWord:
             ) from e
         err = dist(prod[0], target)
         best = min(best, err)
-        if err <= eps:
-            return GateWord(net.gather(idx[0], np.asarray(extended_inverse(gs))), prod[0])
+        yield idx[0], prod[0], err
     raise NetTooCoarse(
-        f"depth cap {params.max_depth} reached at error {best:.3e} > {eps:.3e}; "
+        f"depth cap {params.max_depth} reached at SK error {best:.3e}; "
         "the base net is too coarse for this tolerance"
     )
+
+
+def sk_compile(gs: GateSet, target, eps: float, params: SKParams) -> GateWord:
+    """Approximate a SU(2) target to operator-norm eps over gens and inverses.
+
+    The returned word's tokens index extended_generators(gs).  It is the
+    first depth of sk_depths whose error is at most eps, with sk_depths'
+    errors (NetTooCoarse at the depth cap).
+    """
+    idx, prod = next((i, p) for i, p, err in sk_depths(gs, target, params) if err <= eps)
+    return GateWord(params.net.gather(idx, np.asarray(extended_inverse(gs))), prod)
 
 
 def rewrite_irrep_inverses(gs: GateSet, word: GateWord) -> GateWord:
@@ -194,33 +208,35 @@ def rewrite_irrep_inverses(gs: GateSet, word: GateWord) -> GateWord:
 
     Tokens index extended_generators(gs) on input and output.  The table
     inverse of g is z_g g^-1 with z_g = tr(table_inverse(g) g) / d, a d-th
-    root of unity (exactly 1 for a genuine irrep).  The product is therefore
-    not re-multiplied: it is the input product times the tracked phase, the
-    product of z_g over the rewritten tokens.  Afterwards every token past
-    the forward generators is an inverted extra gate.
+    root of unity w^k_g, w = exp(2 pi i / d) (exactly 1 for a genuine
+    irrep).  The product is therefore not re-multiplied: it is the input
+    product times the tracked phase, w^(sum of k_g mod d) over the rewritten
+    tokens, one root computed once.  Afterwards every token past the forward
+    generators is an inverted extra gate.
 
     No Python loop runs over the tokens: they are one lookup, lut[tokens],
-    and the phase is np.prod of the rewritten tokens' z_g in word order,
-    the same left fold as multiplying them in one by one.  (prod of
-    z_g^count_g rounds differently, by up to 2e-12 over 20k tokens.)
+    and the exponent is one integer sum.  (A product of the float z_g, which
+    are only within round-off of roots of unity, drifts by up to 2e-12 over
+    20k tokens.)
     """
-    lut, z = _inverse_table(gs)
+    lut, k = _inverse_table(gs)
     t = word.tokens
-    out = lut[t]
-    # the rewritten tokens are the ones the lookup changed
-    return GateWord(out, word.product * np.prod(z[t[out != t]]))
+    s = int(k[t].sum()) % gs.dim
+    return GateWord(lut[t], word.product * np.exp(2j * np.pi * s / gs.dim))
 
 
 @functools.lru_cache(maxsize=8)
 def _inverse_table(gs: GateSet) -> tuple[np.ndarray, np.ndarray]:
     """rewrite_irrep_inverses' lookup table over extended tokens and the
-    z_g of each inverted irrep token (1 for every other token)."""
+    exponent k_g of z_g = w^k_g of each inverted irrep token (0 for every
+    other token)."""
     inv = extended_inverse(gs)
     lut = np.arange(len(inv))
-    z = np.ones(len(inv), dtype=complex)
+    k = np.zeros(len(inv), dtype=np.intp)
     for g in range(1, gs.rep.order):
         j = int(gs.rep.inverse_index[g])
         lut[inv[g]] = j
-        z[inv[g]] = np.trace(gs.matrices[j] @ gs.matrices[g]) / gs.dim
-    lut.flags.writeable = z.flags.writeable = False
-    return lut, z
+        z = np.trace(gs.matrices[j] @ gs.matrices[g]) / gs.dim
+        k[inv[g]] = round(np.angle(z) * gs.dim / (2 * np.pi)) % gs.dim
+    lut.flags.writeable = k.flags.writeable = False
+    return lut, k

@@ -161,6 +161,8 @@ def test_compile_json_report(capsys):
     assert doc["ok"] is True
     assert doc["error"] <= 1e-2
     assert doc["inverted_extras"] >= 0
+    assert isinstance(doc["depth"], int) and doc["depth"] >= 0
+    assert sum(doc["inverted_counts"].values()) == doc["inverted_extras"]
 
 
 def test_compile_inline_matrix_target(capsys):
@@ -230,10 +232,11 @@ def test_bench_csv_is_deterministic(capsys, tmp_path):
     assert "summary:" in out1
 
 
-# SHA-256 of the CSV below, recorded before the product kernel moved from
-# np.matmul to broadcast outer products.  Rows print errors to 7 digits, so a
-# change that keeps the algorithm keeps these bytes.
-BENCH_CSV_SHA256 = "7fe61a7e69ab8c38a90d7154fe7e86f093f2ccf5d211e55e94552f9230b5428b"
+# SHA-256 of the CSV below, re-recorded when compile_target began to accept
+# an SK depth on the measured total error (trial 1 at 1e-2 and trial 0 at
+# 1e-3 drop a depth: lengths 9774 -> 1990 and 46290 -> 9210).  Rows print
+# errors to 7 digits, so a change that keeps the algorithm keeps these bytes.
+BENCH_CSV_SHA256 = "652e8a9574e95ba756e43da43403cb7304126e5171fa45be4830c29dd6bd9287"
 
 
 def test_bench_csv_is_byte_stable(capsys, tmp_path):

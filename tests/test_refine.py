@@ -1,7 +1,9 @@
 """Inverse refinement: symmetrization, contraction, traces, the scan."""
 
 import hashlib
+import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +17,9 @@ from irrepsk.errors import (
     Stalled,
 )
 from irrepsk.finitegroup import build_builtin
-from irrepsk.gateset import eps0_constant, make_word
+from irrepsk.gateset import GateWord, eps0_constant, load_gateset, make_word
 from irrepsk.linalg import dist, random_sl_near_identity, random_su
+from irrepsk.net import extended_inverse
 from irrepsk.refine import (
     check_smalltrace,
     contraction_constant,
@@ -26,6 +29,9 @@ from irrepsk.refine import (
     symmetrize_word,
     symmetrized_length,
 )
+from irrepsk.skbase import rewrite_irrep_inverses, sk_depths
+
+TPRIME = Path(__file__).resolve().parent.parent / "perfbench" / "gatesets" / "pauli_ht_tprime.json"
 
 
 def test_symmetrized_length_formula():
@@ -278,14 +284,20 @@ def test_compile_target_report(ht_gateset, ht_params, ht_refine_net):
     target = random_su(2, rng)
     report = compile_target(ht_gateset, target, 1e-3, ht_params, ht_refine_net)
     assert report.error <= 1e-3
-    assert report.base_error <= 5e-4
+    # the accepted depth's measured total, the bound on the output's error
+    assert report.base_error + sum(report.inverted_counts[i] * e for i, e
+                                   in report.refine_errors.items()) <= 1e-3
+    assert sum(report.inverted_counts.values()) == report.inverted_extras
+    assert report.inverted_counts.keys() == report.refine_errors.keys()
     assert report.length == len(report.indices)
     assert all(0 <= i < len(ht_gateset.matrices) for i in report.indices)
     assert all(type(i) is int for i in report.indices)
     assert set(report.refine_errors) <= {4, 5}
     assert report.inverted_extras >= len(report.refine_errors)
-    doc = json.dumps(report.as_dict())
-    assert json.loads(doc)["eps"] == 1e-3
+    doc = json.loads(json.dumps(report.as_dict()))
+    assert doc["eps"] == 1e-3
+    assert doc["depth"] == report.depth >= 1
+    assert doc["inverted_counts"] == {str(i): c for i, c in report.inverted_counts.items()}
 
 
 def test_compile_target_empty_base_word(ht_gateset):
@@ -300,10 +312,76 @@ def test_compile_target_empty_base_word(ht_gateset):
     assert json.loads(json.dumps(report.as_dict()))["indices"] == []
 
 
-# SHA-256 of the token tuples below, recorded before the distance routines
-# were merged into linalg.dist.  A change that keeps the algorithm must keep
-# the words bit-identical; a deliberate algorithm change updates this value.
-WORDS_SHA256 = "95ea73ddfbf6bba5eaf745571b42ed4fd01bf8a1ac49a0152045ef32f40d2cc3"
+def _half_split_compile(gs, target, eps, params, refine_net):
+    """Reference: the rule compile_target followed before it accepted an SK
+    depth on the measured total error.  The SK stage gets eps / 2, and each
+    of the m inverted extras of its word a refined inverse at (eps / 2) / m.
+    Returns the output word's length and the SK depth."""
+    inv = np.asarray(extended_inverse(gs))
+    for depth, (signed, product, err) in enumerate(sk_depths(gs, target, params)):
+        if err <= eps / 2:
+            break
+    base = rewrite_irrep_inverses(gs, GateWord(params.net.gather(signed, inv), product))
+    gates, counts = np.unique(inv[base.tokens[base.tokens >= gs.gen_count]],
+                              return_counts=True)
+    m = int(counts.sum())
+    length = base.length - m
+    for i, c in zip(gates.tolist(), counts.tolist()):
+        length += c * refine_inverse(gs, refine_net, i, (eps / 2) / m)[0].length
+    return length, depth
+
+
+@pytest.fixture(scope="module")
+def tprime_setup():
+    gs = load_gateset(TPRIME)
+    return gs, base_params(gs, 12), build_gateset_net(gs, 6)
+
+
+@pytest.mark.parametrize("case", ["pauli_ht 1e-3", "pauli_ht 1e-4", "pauli_ht_tprime 3e-3"])
+def test_depth_budget_never_lengthens_the_half_split_word(
+        request, case, ht_gateset, ht_params, ht_refine_net):
+    # the depth the eps / 2 rule takes always passes the measured-total test,
+    # so no accepted depth is deeper and no word is longer than the
+    # reference's.  In every case here 7 or 8 of the 24 targets drop a depth
+    name, eps = case.split()
+    if name == "pauli_ht":
+        gs, params, refine_net = ht_gateset, ht_params, ht_refine_net
+    else:
+        gs, params, refine_net = request.getfixturevalue("tprime_setup")
+    rng = np.random.default_rng(46)
+    eps = float(eps)
+    shallower = 0
+    for _ in range(24):
+        target = random_su(2, rng)
+        report = compile_target(gs, target, eps, params, refine_net)
+        length, depth = _half_split_compile(gs, target, eps, params, refine_net)
+        assert report.length <= length
+        assert report.depth <= depth
+        assert report.error <= eps
+        shallower += report.depth < depth
+    assert shallower >= 4
+
+
+def test_a_depth_whose_measured_total_misses_eps_is_rejected(tprime_setup):
+    # eps just above the depth-3 SK error: the T' inverses' errors push that
+    # depth's total over eps, so the next depth is accepted
+    gs, params, refine_net = tprime_setup
+    target = random_su(2, np.random.default_rng(47))
+    errors = [err for _, _, err in itertools.islice(sk_depths(gs, target, params), 4)]
+    eps = errors[3] * (1 + 1e-12)
+    report = compile_target(gs, target, eps, params, refine_net)
+    assert report.depth == 4
+    assert report.error <= eps
+    assert report.base_error + sum(report.inverted_counts[i] * e for i, e
+                                   in report.refine_errors.items()) <= eps
+
+
+# SHA-256 of the token tuples below, re-recorded when compile_target began
+# to accept an SK depth on the measured total error (the second and fourth
+# targets drop a depth: 10610 -> 1994 and 10513 -> 2177 tokens).  A change
+# that keeps the algorithm must keep the words bit-identical; a deliberate
+# algorithm change updates this value.
+WORDS_SHA256 = "af2ada4504e9118a90de6dba82d071b9151602cf0c6d05cacd6a3192b0ee0593"
 
 
 def test_words_stay_bit_identical(ht_gateset, ht_params, ht_refine_net,
@@ -313,7 +391,7 @@ def test_words_stay_bit_identical(ht_gateset, ht_params, ht_refine_net,
                             ht_refine_net).indices for _ in range(5)]
     gen = skew_gateset.name_index("S")
     words.append(refine_inverse(skew_gateset, skew_net, gen, 1e-8)[0].tokens)
-    assert [len(w) for w in words] == [10190, 10610, 11263, 10513, 10136, 109]
+    assert [len(w) for w in words] == [10190, 1994, 11263, 2177, 10136, 109]
     words = tuple(tuple(int(t) for t in w) for w in words)
     assert hashlib.sha256(repr(words).encode()).hexdigest() == WORDS_SHA256
 

@@ -40,7 +40,7 @@ from .gateset import (
     parse_matrix_literal,
 )
 from .linalg import MatrixClass, check_class, random_su, su_normalize
-from .net import auto_net, build_gateset_net, load_net, probe_density, save_net
+from .net import DEFAULT_BUDGET, auto_net, build_gateset_net, load_net, probe_density, save_net
 from .refine import (
     compile_target,
     contraction_constant,
@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--refine-net", help="saved net file (generators only)")
         sp.add_argument("--refine-length", type=int,
                         help="build the refinement net up to this word length")
-        sp.add_argument("--budget", type=int, default=2_000_000,
+        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="net size cap")
         sp.add_argument("--max-depth", type=int, default=10,
                         help="recursion depth cap for the base compiler")
@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--with-inverses", action="store_true")
     sp.add_argument("--dedup", type=float, default=None,
                     help="dedup tolerance (default eps0 / 10)")
-    sp.add_argument("--budget", type=int, default=2_000_000)
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sp.add_argument("--probe", type=int, default=0,
                     help="sample this many random targets to estimate density")
     sp.add_argument("--seed", type=int, default=0)
@@ -381,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--net", help="saved net file (generators only)")
     sp.add_argument("--length", type=int,
                     help="build the net up to this word length")
-    sp.add_argument("--budget", type=int, default=2_000_000)
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sp.add_argument("--mode", choices=["su", "sl"],
                     help="assert the gate set is in this mode")
     sp.add_argument("--naive-compare", action="store_true",

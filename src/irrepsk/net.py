@@ -25,10 +25,10 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import BudgetExceeded, EmptyNet, FormatError, StaleGateSet
-from .gateset import GateSet, GateWord, eps0_constant, gather_segments, word_product
+from .gateset import GateSet, GateWord, eps0_constant
 from .linalg import DEFAULT_TOL, dist, random_su, su2_residual, su2_to_quaternion
 
-NET_FORMAT = "irrepsk-net-v1"
+NET_FORMAT = "irrepsk-net-v2"
 DEFAULT_BUDGET = 2_000_000
 # candidates built and tested at a time: sets the builder's working memory
 CHUNK = 1 << 15
@@ -70,10 +70,12 @@ class EpsNet:
 
     The words are one flat token array: word i is
     tokens[offsets[i]:offsets[i + 1]], in store order, which is breadth-first
-    (shortest word first, then generation order).  tokens has the smallest
-    unsigned dtype that holds every generator index, so a stored word costs
-    its length in bytes (for fewer than 256 generators), 8 bytes of offset
-    and the 16 d^2 bytes of its product.
+    (shortest word first, then generation order).  Every word but the empty
+    one is its parent, word parents[i] of the level before, times its last
+    token; parents[0] is -1.  tokens has the smallest unsigned dtype that
+    holds every generator index, so a stored word costs its length in bytes
+    (for fewer than 256 generators), 8 bytes of offset, 8 of parent and the
+    16 d^2 bytes of its product.
     """
 
     dim: int
@@ -83,6 +85,7 @@ class EpsNet:
     fingerprint: str
     tokens: np.ndarray               # (offsets[-1],) unsigned
     offsets: np.ndarray              # (n + 1,) intp, offsets[0] == 0
+    parents: np.ndarray              # (n,) intp, parents[0] == -1
     products: np.ndarray             # (n, d, d)
     achieved_density: float | None = None
     _tree: cKDTree | None = field(default=None, repr=False)
@@ -267,6 +270,7 @@ def _nets(gens: np.ndarray, dim: int, mode: str, dedup_tol: float, fingerprint: 
     dtype = np.min_scalar_type(n_gens - 1)
     products = np.eye(dim, dtype=complex)[None]
     tokens, offsets = np.zeros(0, dtype), np.zeros(2, np.intp)  # the empty word
+    parents = np.full(1, -1, np.intp)
     frontier_t, frontier_p = np.zeros((1, 0), dtype), products
     trees = [cKDTree(_vec(products))]
     for level in itertools.count():
@@ -292,6 +296,8 @@ def _nets(gens: np.ndarray, dim: int, mode: str, dedup_tol: float, fingerprint: 
                 kept.append(s + k)
                 kept_p.append(cand[k])
             kept = np.concatenate(kept)
+            base = len(products) - len(frontier_p)  # store index of frontier word 0
+            parents = np.concatenate([parents, base + kept // n_gens])
             frontier_t = np.column_stack([frontier_t[kept // n_gens],
                                           (kept % n_gens).astype(dtype)])
             frontier_p = np.concatenate(kept_p)
@@ -304,7 +310,7 @@ def _nets(gens: np.ndarray, dim: int, mode: str, dedup_tol: float, fingerprint: 
             trees.append(cKDTree(rows))
         yield EpsNet(dim=dim, mode=mode, word_length=level, dedup_tol=dedup_tol,
                      fingerprint=fingerprint, tokens=tokens, offsets=offsets,
-                     products=products)
+                     parents=parents, products=products)
 
 
 def build_net(gens: np.ndarray, dim: int, mode: str, word_length: int,
@@ -358,6 +364,9 @@ def _product_digest(products: np.ndarray) -> str:
 
 
 def save_net(net: EpsNet, path) -> None:
+    """Write a JSON header, whose levels are the first store index of each
+    word length and then len(net), and a "parent last" line per nonempty word."""
+    lengths = np.diff(net.offsets)
     header = {
         "format": NET_FORMAT,
         "fingerprint": net.fingerprint,
@@ -365,109 +374,97 @@ def save_net(net: EpsNet, path) -> None:
         "mode": net.mode,
         "word_length": net.word_length,
         "dedup_tol": net.dedup_tol,
-        "count": len(net),
+        "levels": np.searchsorted(lengths, np.arange(net.word_length + 2)).tolist(),
         "achieved_density": net.achieved_density,
         "product_digest": _product_digest(net.products),
     }
+    last = net.tokens[net.offsets[2:] - 1]
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps(header, sort_keys=True) + "\n")
-        tokens, offsets = net.tokens.tolist(), net.offsets.tolist()
-        for a, b in zip(offsets, offsets[1:]):
-            f.write(" ".join(map(str, tokens[a:b])) + "\n")
+        f.writelines(f"{p} {t}\n" for p, t in zip(net.parents[1:].tolist(), last.tolist()))
 
 
 def load_net(path, gs: GateSet, with_inverses: bool = False) -> EpsNet:
-    """Reload a net, recomputing and verifying every product.
+    """Reload a saved net, rebuilding its words and products level by level
+    (a word's product is its parent's times its last generator, the recipe
+    the builder stores) and checking them against the stored digest.
 
     Raises StaleGateSet when the cache was built against a different gate set
-    and FormatError on any structural damage or malformed header field.
+    and FormatError on any structural damage, a malformed header field or a
+    file of an older format, which must be rebuilt.
     """
     with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise FormatError("empty net file")
+        head, _, body = f.read().partition("\n")
     try:
-        header = json.loads(lines[0])
+        header = json.loads(head)
     except json.JSONDecodeError as e:
         raise FormatError(f"bad net header: {e}") from None
-    if not isinstance(header, dict) or header.get("format") != NET_FORMAT:
-        raise FormatError("not a net cache file")
+    fmt = header.get("format") if isinstance(header, dict) else None
+    if fmt != NET_FORMAT:
+        raise FormatError(f"net file format is {fmt!r}, not {NET_FORMAT!r}: rebuild it "
+                          "with irrepsk net --out")
     expected = net_fingerprint(gs, with_inverses)
     if header.get("fingerprint") != expected:
         raise StaleGateSet(
             "net cache was built for a different gate set "
             f"({str(header.get('fingerprint'))[:12]}... vs {expected[:12]}...)"
         )
-    count = header.get("count")
-    body = lines[1:]
-    if not isinstance(count, int) or len(body) != count:
-        raise FormatError(f"expected {count} word lines, found {len(body)}")
     for key, types in (("word_length", int), ("dedup_tol", (int, float)),
-                       ("achieved_density", (int, float, type(None)))):
+                       ("achieved_density", (int, float, type(None))), ("levels", list)):
         if not isinstance(header.get(key), types):
             raise FormatError(f"bad net header field {key!r}: {header.get(key)!r}")
-    # files from older versions could hold a net cut short by its budget
-    if header.get("usable", True) is not True:
-        raise FormatError("net file holds a net truncated by its word budget")
-    gens = extended_generators(gs) if with_inverses else gs.matrices
-    rows = [line.split() for line in body]
-    try:
-        tokens = np.array(list(map(int, itertools.chain.from_iterable(rows))), np.int64)
-    except (ValueError, OverflowError):
-        tokens = None
-    if tokens is None or not np.all((0 <= tokens) & (tokens < len(gens))):
-        # name the first bad line
-        for k, row in enumerate(rows):
+    levels = header["levels"]
+    if (len(levels) != header["word_length"] + 2 or levels[:2] != [0, 1]
+            or not all(isinstance(n, int) for n in levels) or np.any(np.diff(levels) < 0)):
+        raise FormatError(f"bad net header field 'levels': {levels!r}")
+    count = levels[-1]
+    lines = body.splitlines()
+    if len(lines) != count - 1:
+        raise FormatError(f"expected {count - 1} word lines, found {len(lines)}")
+    rows = np.zeros((0, 2), np.intp)
+    if lines:
+        try:
+            rows = np.loadtxt(lines, np.intp, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if rows.shape != (len(lines), 2):
+        for k, line in enumerate(lines, 2):  # name the first bad line
+            fields = line.split()
+            if len(fields) != 2:
+                raise FormatError(f"line {k}: {len(fields)} fields, not 'parent last'")
             try:
-                w = [int(t) for t in row]
-            except ValueError:
-                raise FormatError(f"line {k + 2}: unparsable word") from None
-            if any(i < 0 or i >= len(gens) for i in w):
-                raise FormatError(f"line {k + 2}: generator index out of range")
-    tokens = tokens.astype(np.min_scalar_type(len(gens) - 1))
-    lengths = np.fromiter(map(len, rows), np.intp, count)
-    offsets = np.concatenate([[0], np.cumsum(lengths)])
+                np.array(fields, np.intp)
+            except (ValueError, OverflowError):
+                raise FormatError(f"line {k}: unparsable or out-of-range index") from None
+        raise FormatError("unparsable net body")
+    gens = extended_generators(gs) if with_inverses else gs.matrices
+    parent, last = rows.T
+    # line k + 2 holds word k + 1, of length length[k], whose parent is one shorter
+    length = np.repeat(np.arange(len(levels) - 1), np.diff(levels))[1:]
+    bad_parent = (parent < np.take(levels, length - 1)) | (parent >= np.take(levels, length))
+    bad = bad_parent | (last < 0) | (last >= len(gens))
+    if bad.any():
+        k = int(np.argmax(bad))
+        what = (f"parent {parent[k]} is not a word of the level before" if bad_parent[k]
+                else "generator index out of range")
+        raise FormatError(f"line {k + 2}: {what}")
+    last = last.astype(np.min_scalar_type(len(gens) - 1))
     products = np.empty((count, gs.dim, gs.dim), dtype=complex)
-    # breadth-first construction stores every word's parent prefix, so a
-    # word's product is its parent's times one generator, the recipe
-    # build_net stores: one batched product per word length.  A word whose
-    # prefix is not stored gets a full product.
-    for n in range(lengths.max(initial=-1) + 1):
-        idx = np.flatnonzero(lengths == n)
-        mat = gather_segments(tokens, offsets[idx], lengths[idx]).reshape(len(idx), n)
-        found = np.zeros(len(idx), bool)
-        if n:  # the words of length n - 1 are parent_idx, with tokens parent_t
-            parent = _first_rows(parent_t, mat[:, :-1])
-            found = parent < len(parent_t)
-            products[idx[found]] = np.matmul(products[parent_idx[parent[found]]],
-                                             gens[mat[found, -1]])
-        for k in idx[~found]:
-            products[k] = word_product(gens, tokens[offsets[k]:offsets[k + 1]])
-        parent_idx, parent_t = idx, mat
+    products[0] = np.eye(gs.dim)
+    words = [np.zeros((1, 0), last.dtype)]  # each level's words as rows of tokens
+    for n in range(1, len(levels) - 1):
+        a, b = levels[n], levels[n + 1]
+        p, t = parent[a - 1:b - 1], last[a - 1:b - 1]
+        products[a:b] = np.matmul(products[p], gens[t])
+        words.append(np.column_stack([words[-1][p - levels[n - 1]], t]))
     if header.get("product_digest") != _product_digest(products):
         raise FormatError("recomputed products do not match the stored digest")
-    return EpsNet(
-        dim=gs.dim,
-        mode=gs.mode,
-        word_length=header["word_length"],
-        dedup_tol=float(header["dedup_tol"]),
-        fingerprint=expected,
-        tokens=tokens,
-        offsets=offsets,
-        products=products,
-        achieved_density=header.get("achieved_density"),
-    )
-
-
-def _first_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Index of the first row of table equal to each row of rows, or an
-    index >= len(table) where table holds none."""
-    both = np.ascontiguousarray(np.concatenate([table, rows]))
-    if both.shape[1] == 0:
-        return np.zeros(len(rows), np.intp)
-    key = both.view(np.dtype((np.void, both.itemsize * both.shape[1])))[:, 0]
-    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
-    return first[inv.ravel()[len(table):]]
+    return EpsNet(dim=gs.dim, mode=gs.mode, word_length=header["word_length"],
+                  dedup_tol=float(header["dedup_tol"]), fingerprint=expected,
+                  tokens=np.concatenate([w.ravel() for w in words]),
+                  offsets=np.concatenate([[0, 0], np.cumsum(length)]),
+                  parents=np.concatenate([[-1], parent]), products=products,
+                  achieved_density=header.get("achieved_density"))
 
 
 def auto_net(gs: GateSet, target_density: float, probes: int,

@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import ClassError, DimUnsupported, NetTooCoarse, TooFar
 from .gateset import GateSet, GateWord, matmul_stack
-from .net import EpsNet, build_gateset_net, extended_inverse
+from .net import (DEFAULT_BUDGET, EpsNet, build_gateset_net, extended_inverse,
+                  probe_density)
 from .linalg import (DEFAULT_TOL, dist, quaternion_to_su2, su2_residual,
                      su2_to_quaternion)
 
@@ -120,7 +121,7 @@ class SKParams:
             )
 
 
-def base_params(gs: GateSet, word_length: int, budget: int = 2_000_000,
+def base_params(gs: GateSet, word_length: int, budget: int = DEFAULT_BUDGET,
                 max_depth: int = 10, probes: int = 0, rng=None) -> SKParams:
     """Build the inverse-closed base net for sk_compile.
 
@@ -130,7 +131,6 @@ def base_params(gs: GateSet, word_length: int, budget: int = 2_000_000,
     net = build_gateset_net(gs, word_length, with_inverses=True, budget=budget)
     eps_base = None
     if probes > 0:
-        from .net import probe_density
         if rng is None:
             rng = np.random.default_rng(0)
         eps_base = probe_density(net, probes, rng)

@@ -230,14 +230,28 @@ def test_probe_density_reports_coverage(ht_gateset):
     assert rng.normal() == loop.normal()
 
 
-def test_save_load_roundtrip(tmp_path, ht_gateset):
-    net = build_gateset_net(ht_gateset, 4)
+@pytest.mark.parametrize("fixture,length,with_inverses", [
+    ("ht_gateset", 4, False),
+    ("ht_gateset", 12, True),  # the compile_deep base net of NETS_SHA256
+    ("slp_gateset", 3, False),  # sl mode
+    ("pauli_only", 3, False),  # its last level is empty
+], ids=["pauli_ht-L4", "pauli_ht-L12-inverses", "sl_perturbed-L3", "pauli-L3"])
+def test_save_load_roundtrip(tmp_path, request, fixture, length, with_inverses):
+    gs = request.getfixturevalue(fixture)
+    net = build_gateset_net(gs, length, with_inverses=with_inverses)
     p = tmp_path / "net.json"
     save_net(net, p)
-    back = load_net(p, ht_gateset)
-    assert words_of(back) == words_of(net)
-    assert np.array_equal(back.products, net.products)
+    back = load_net(p, gs, with_inverses=with_inverses)
+    assert net_sha256(back) == net_sha256(net)
+    assert np.array_equal(back.parents, net.parents) and back.parents.dtype == np.intp
+    assert back.word_length == net.word_length == length
     assert back.fingerprint == net.fingerprint
+    # every word is its parent, a word one shorter, plus its last token
+    words = words_of(net)
+    assert net.parents[0] == -1
+    assert all(w[:-1] == words[i] for w, i in zip(words[1:], net.parents[1:].tolist()))
+    if fixture == "pauli_only":
+        assert max(map(len, words)) == 2
 
 
 def test_load_net_rejects_other_gateset(tmp_path, ht_gateset, skew_gateset):
@@ -253,34 +267,45 @@ def test_load_net_rejects_corrupt_file(tmp_path, ht_gateset):
     p = tmp_path / "net.json"
     save_net(net, p)
     lines = p.read_text().splitlines()
-    p.write_text("\n".join(lines[:-1]) + "\n")  # word-count mismatch
-    with pytest.raises(FormatError):
-        load_net(p, ht_gateset)
-    # same count, different word: the recomputed-product digest must catch it
-    tampered = lines[:]
-    tampered[-1] = "0 0 0"
-    p.write_text("\n".join(tampered) + "\n")
-    with pytest.raises(FormatError):
-        load_net(p, ht_gateset)
-    # a bad token is reported with its line, the first bad line first
-    for bad, match in (("0 x", "line 4: unparsable"), ("99", "line 4: generator index out"),
-                       ("-1", "line 4: generator index out"),
-                       ("99999999999999999999", "line 4: generator index out")):
-        body = lines[1:]
-        body[2], body[-1] = bad, "x"
-        p.write_text("\n".join([lines[0]] + body) + "\n")
+    header = json.loads(lines[0])
+
+    def rejects(body, match=None, head=lines[0]):
+        p.write_text("\n".join([head] + body) + "\n")
         with pytest.raises(FormatError, match=match):
             load_net(p, ht_gateset)
-    p.write_text("{ truncated")
-    with pytest.raises(FormatError):
-        load_net(p, ht_gateset)
-    # malformed header fields, and a net an older version cut short
-    for key, value in (("word_length", "three"), ("dedup_tol", None),
-                       ("achieved_density", "low"), ("usable", False)):
-        header = json.loads(lines[0]) | {key: value}
-        p.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
-        with pytest.raises(FormatError, match="header|truncated"):
-            load_net(p, ht_gateset)
+
+    rejects(lines[1:-1], "expected .* word lines")  # word-count mismatch
+    # same count, different word: the recomputed-product digest must catch it
+    parent, last = map(int, lines[-1].split())
+    rejects(lines[1:-1] + [f"{parent} {(last + 1) % len(ht_gateset.matrices)}"], "digest")
+    # a bad line is named, the first bad line first; line 4 holds word 3, a
+    # word of length 1, whose parent is the empty word 0.  The per-line
+    # checks (field count, parsing) come before the range checks
+    start = header["levels"][2]  # the first word of length 2, on line start + 1
+    for bad, later, match in (
+            ("0 x", "x", "line 4: unparsable"),
+            ("0 99999999999999999999", "x", "line 4: unparsable or out-of-range"),
+            ("0", "0 1 2", "line 4: 1 fields"),
+            ("0 1 2", "0", "line 4: 3 fields"),
+            ("0 99", "0 -1", "line 4: generator index out of range"),
+            ("0 -1", "0 99", "line 4: generator index out of range"),
+            ("1 0", f"{start} 0", "line 4: parent 1 is not a word of the level before"),
+            ("-1 0", "0 99", "line 4: parent -1 is not")):
+        body = lines[1:]
+        body[2], body[-1] = bad, later
+        rejects(body, match)
+    body = lines[1:]
+    body[start - 1] = f"{start} 0"  # a parent of its own level
+    rejects(body, f"line {start + 1}: parent {start} is not")
+    rejects([], "bad net header", head="{ truncated")
+    # malformed header fields
+    for key, value in (("word_length", "three"), ("word_length", 4), ("dedup_tol", None),
+                       ("achieved_density", "low"), ("levels", "x"), ("levels", [0, 1]),
+                       ("levels", [0, 1, 0.5, 9, 30]), ("levels", [0, 1, 9, 5, 30])):
+        rejects(lines[1:], "bad net header field", head=json.dumps(header | {key: value}))
+    # a cache of the earlier text-of-tokens format must be rebuilt
+    rejects(lines[1:], "'irrepsk-net-v1', not 'irrepsk-net-v2': rebuild",
+            head=json.dumps(header | {"format": "irrepsk-net-v1"}))
 
 
 def test_budget_raises_budget_exceeded(ht_gateset):
@@ -315,7 +340,7 @@ def test_build_memory_is_bounded_by_the_chunk(ht_gateset, monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        own = net.tokens.nbytes + net.offsets.nbytes + net.products.nbytes
+        own = net.tokens.nbytes + net.offsets.nbytes + net.parents.nbytes + net.products.nbytes
         assert len(net) == 16800
         assert peak - own < 512 * chunk + 256 * len(net)
 

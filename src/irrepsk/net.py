@@ -147,6 +147,13 @@ class EpsNet:
         return np.where(step < 0, inverse[tokens], tokens)
 
 
+def _times(mats: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Each matrix of the stack mats times g, as one 2-D BLAS product.  The
+    builder and load_net form every product this way, so both get the same
+    bits."""
+    return (mats.reshape(-1, mats.shape[-1]) @ g).reshape(mats.shape)
+
+
 def _vec(mats: np.ndarray) -> np.ndarray:
     flat = mats.reshape(len(mats), -1)
     return np.concatenate([flat.real, flat.imag], axis=1)
@@ -165,6 +172,22 @@ def _pairs(x: np.ndarray, r: float) -> np.ndarray:
     return np.array(sorted(pairs), dtype=np.intp).reshape(-1, 2)
 
 
+class _Stored(cKDTree):
+    """A k-d tree over stored rows that also records each row's cell hash
+    (_groups), 16 bytes a row with its sort order."""
+
+    def __init__(self, rows: np.ndarray, hashes: np.ndarray):
+        super().__init__(rows)
+        self.hashes, self.order = hashes, np.argsort(hashes)
+
+    def in_cell(self, x: np.ndarray, hashes: np.ndarray, r: float) -> np.ndarray:
+        """Whether each row of x lies within r of the stored row that its
+        hash finds in the record."""
+        pos = np.searchsorted(self.hashes, hashes, sorter=self.order)
+        i = self.order[np.minimum(pos, self.n - 1)]
+        return np.linalg.norm(x - self.data[i], axis=1) <= r
+
+
 def _stored_dist(trees: list[cKDTree], x: np.ndarray, tol: float, band: float) -> np.ndarray:
     """Distance from each row of x to the nearest stored row, exact where it
     exceeds tol - band (no verdict depends on a smaller one) and inf past
@@ -177,14 +200,15 @@ def _stored_dist(trees: list[cKDTree], x: np.ndarray, tol: float, band: float) -
     return d
 
 
-def _store_rows(trees: list[cKDTree], rows: np.ndarray) -> None:
+def _store_rows(trees: list[_Stored], rows: np.ndarray, hashes: np.ndarray) -> None:
     """Add one chunk's kept rows to this level's trees (trees[1:]).  The
     last trees are merged into the new one while they are no larger, so a
     row is rebuilt into a new tree O(log chunks) times and a level keeps
     O(log chunks) trees."""
     while len(trees) > 1 and trees[-1].n <= len(rows):
-        rows = np.concatenate([trees.pop().data, rows])
-    trees.append(cKDTree(rows))
+        last = trees.pop()
+        rows, hashes = np.concatenate([last.data, rows]), np.concatenate([last.hashes, hashes])
+    trees.append(_Stored(rows, hashes))
 
 
 # odd 64-bit multipliers that hash a row of 1e-9 cells
@@ -193,27 +217,30 @@ _CELL_HASH = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F
                        0xC4CEB9FE1A85EC53, 0x94D049BB133111EB], dtype=np.uint64)
 
 
-def _groups(cv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _groups(cv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """First member and group index of every row of cv, grouped by the
     nearest multiples of 1e-9 of its entries (the cells np.round(cv, 9)
-    rounds to).  Rows are sorted by a hash of their cells, stably, and a
-    group is a run of equal cells in that order, so a hash collision can
-    only split a cell into several groups, each with its own first member."""
+    rounds to), and the hash of every row's cells.  Rows are sorted by that
+    hash, stably, and a group is a run of equal cells in that order, so a
+    hash collision can only split a cell into several groups, each with its
+    own first member."""
     cells = np.rint(cv * 1e9).astype(np.int64)
-    order = np.argsort(cells.view(np.uint64) @ np.resize(_CELL_HASH, cv.shape[1]),
-                       kind="stable")
+    hashes = cells.view(np.uint64) @ np.resize(_CELL_HASH, cv.shape[1])
+    order = np.argsort(hashes, kind="stable")
     cells = cells[order]
     start = np.ones(len(cv), bool)
     start[1:] = np.any(cells[1:] != cells[:-1], axis=1)
     group = np.empty(len(cv), np.intp)
     group[order] = np.cumsum(start) - 1
-    return order[start], group
+    return order[start], group, hashes
 
 
-def _new_elements(cv: np.ndarray, trees: list[cKDTree], tol: float) -> np.ndarray:
+def _new_elements(cv: np.ndarray, trees: list[_Stored],
+                  tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the candidate rows cv (Frobenius vectors, in enumeration
-    order) that first-wins dedup keeps: a candidate is kept when no stored row
-    (the rows of trees) and no earlier kept candidate lies within tol of it.
+    order) that first-wins dedup keeps, and the cell hashes of all rows: a
+    candidate is kept when no stored row (the rows of trees) and no earlier
+    kept candidate lies within tol of it.
 
     Rows whose entries round to the same multiples of 1e-9 form a group, all
     within radius of its first member, and only first members are tested: one
@@ -227,11 +254,21 @@ def _new_elements(cv: np.ndarray, trees: list[cKDTree], tol: float) -> np.ndarra
     Pair distances are those np.linalg.norm gives, stored distances those of
     cKDTree; another distance routine could judge differently only a
     distance within round-off of tol.
+
+    Most first members repeat a stored row's cell.  Unless tol is within a
+    few bands, a first member within radius of the stored row that its hash
+    finds in a tree's record is settled without a tree query: its stored
+    distance is far below tol - band, so its group is removed and not loose.
     """
     radius = 1e-9 * np.sqrt(cv.shape[1])
     band = 2 * radius
-    first, group = _groups(cv)
-    dd = _stored_dist(trees, cv[first], tol, band)
+    first, group, hashes = _groups(cv)
+    open_ = np.ones(len(first), bool)
+    if tol > 3 * band:
+        for tree in trees:
+            open_ &= ~tree.in_cell(cv[first], hashes[first], radius)
+    dd = np.zeros(len(first))
+    dd[open_] = _stored_dist(trees, cv[first[open_]], tol, band)
     loose = (np.abs(dd - tol) <= band) | (tol <= band)
     while True:
         unit = loose[group]
@@ -251,7 +288,7 @@ def _new_elements(cv: np.ndarray, trees: list[cKDTree], tol: float) -> np.ndarra
     for i, j in pairs[d <= tol].tolist():
         if i not in removed:
             removed.add(j)
-    return np.delete(alive, list(removed))
+    return np.delete(alive, list(removed)), hashes
 
 
 def _nets(gens: np.ndarray, dim: int, mode: str, dedup_tol: float, fingerprint: str,
@@ -272,7 +309,7 @@ def _nets(gens: np.ndarray, dim: int, mode: str, dedup_tol: float, fingerprint: 
     tokens, offsets = np.zeros(0, dtype), np.zeros(2, np.intp)  # the empty word
     parents = np.full(1, -1, np.intp)
     frontier_t, frontier_p = np.zeros((1, 0), dtype), products
-    trees = [cKDTree(_vec(products))]
+    trees = [_Stored(_vec(products), _groups(_vec(products))[2])]
     for level in itertools.count():
         if level and len(frontier_p):
             total = len(frontier_p) * n_gens
@@ -280,10 +317,10 @@ def _nets(gens: np.ndarray, dim: int, mode: str, dedup_tol: float, fingerprint: 
             for s in range(0, total, CHUNK):
                 e = min(s + CHUNK, total)
                 a, b = s // n_gens, -(-e // n_gens)  # parents of candidates s..e-1
-                cand = np.matmul(frontier_p[a:b, None], gens[None])
+                cand = np.stack([_times(frontier_p[a:b], g) for g in gens], axis=1)
                 cand = cand.reshape(-1, dim, dim)[s - a * n_gens:e - a * n_gens]
                 cv = _vec(cand)
-                k = _new_elements(cv, trees, dedup_tol)
+                k, hashes = _new_elements(cv, trees, dedup_tol)
                 found += len(k)
                 if len(products) + found > budget:
                     raise BudgetExceeded(
@@ -292,7 +329,7 @@ def _nets(gens: np.ndarray, dim: int, mode: str, dedup_tol: float, fingerprint: 
                         f"first {e} of {total} candidates"
                     )
                 if len(k):
-                    _store_rows(trees, cv[k])
+                    _store_rows(trees, cv[k], hashes[k])
                 kept.append(s + k)
                 kept_p.append(cand[k])
             kept = np.concatenate(kept)
@@ -306,8 +343,9 @@ def _nets(gens: np.ndarray, dim: int, mode: str, dedup_tol: float, fingerprint: 
                                       offsets[-1] + level * np.arange(1, len(kept) + 1)])
             products = np.concatenate([products, frontier_p])
             rows = np.concatenate([t.data for t in trees])
+            hashes = np.concatenate([t.hashes for t in trees])
             trees.clear()  # frees the old trees before the new one is built
-            trees.append(cKDTree(rows))
+            trees.append(_Stored(rows, hashes))
         yield EpsNet(dim=dim, mode=mode, word_length=level, dedup_tol=dedup_tol,
                      fingerprint=fingerprint, tokens=tokens, offsets=offsets,
                      parents=parents, products=products)
@@ -326,8 +364,9 @@ def build_net(gens: np.ndarray, dim: int, mode: str, word_length: int,
     1e-9 and tests one member per group, and expands a group into all its
     members wherever a distance near dedup_tol could tell them apart
     (_new_elements), so the kept set is exactly that of testing every
-    candidate.  Beyond the stored net and its k-d trees (8 floats and an
-    index per word), a build holds one chunk's candidates at a time.
+    candidate.  Beyond the stored net, its k-d trees (8 floats and an
+    index per word) and their record of cell hashes (16 bytes per word), a
+    build holds one chunk's candidates at a time.
     Raises BudgetExceeded as soon as a chunk would take the store past
     budget words, so budget bounds the memory of a build as well as its
     words.
@@ -455,7 +494,8 @@ def load_net(path, gs: GateSet, with_inverses: bool = False) -> EpsNet:
     for n in range(1, len(levels) - 1):
         a, b = levels[n], levels[n + 1]
         p, t = parent[a - 1:b - 1], last[a - 1:b - 1]
-        products[a:b] = np.matmul(products[p], gens[t])
+        for j, g in enumerate(gens):
+            products[a:b][t == j] = _times(products[p[t == j]], g)
         words.append(np.column_stack([words[-1][p - levels[n - 1]], t]))
     if header.get("product_digest") != _product_digest(products):
         raise FormatError("recomputed products do not match the stored digest")

@@ -19,7 +19,9 @@ from irrepsk.skbase import rotation
 from scipy.linalg import expm
 from scipy.spatial import cKDTree
 
-TPRIME = Path(__file__).resolve().parent.parent / "perfbench" / "gatesets" / "pauli_ht_tprime.json"
+ROOT = Path(__file__).resolve().parent.parent
+GATESETS = ROOT / "gatesets"
+TPRIME = ROOT / "perfbench" / "gatesets" / "pauli_ht_tprime.json"
 
 
 def words_of(net) -> list[tuple[int, ...]]:
@@ -330,8 +332,8 @@ def test_build_memory_is_bounded_by_the_chunk(ht_gateset, monkeypatch):
     # beyond the net's own arrays a build holds one chunk of candidates, each
     # under 512 B (product, Frobenius row, rounded key, sort and group
     # indices), and under 256 B per stored word (its k-d tree row and index,
-    # and the copies a level's end makes).  tracemalloc sees numpy arrays,
-    # not the k-d trees' nodes
+    # its cell hash and sort order, and the copies a level's end makes).
+    # tracemalloc sees numpy arrays, not the k-d trees' nodes
     for chunk in (irrepsk.net.CHUNK, 4096):
         monkeypatch.setattr(irrepsk.net, "CHUNK", chunk)
         tracemalloc.start()
@@ -551,6 +553,81 @@ def test_builder_is_exact_when_every_cell_hash_collides(ht_gateset, monkeypatch)
     words, products = reference_net(extended_generators(ht_gateset), 2, 7, net.dedup_tol)
     assert words_of(net) == words
     assert net.products.tobytes() == products.tobytes()
+
+
+def settle_counts(monkeypatch) -> dict:
+    """Live counts of the first members that the stored rows' cell record
+    settles, from the earlier levels' tree and from the trees over a level's
+    own chunks."""
+    counts = {"earlier": 0, "level": 0}
+    in_cell, store_rows = irrepsk.net._Stored.in_cell, irrepsk.net._store_rows
+
+    def store(trees, rows, hashes):
+        store_rows(trees, rows, hashes)
+        trees[-1].this_level = True
+
+    def count(tree, x, hashes, r):
+        hit = in_cell(tree, x, hashes, r)
+        counts["level" if getattr(tree, "this_level", False) else "earlier"] += int(hit.sum())
+        return hit
+
+    monkeypatch.setattr(irrepsk.net, "_store_rows", store)
+    monkeypatch.setattr(irrepsk.net._Stored, "in_cell", count)
+    return counts
+
+
+def test_record_settles_groups_as_the_reference_does(ht_gateset, monkeypatch):
+    # with 64-candidate chunks duplicate groups span chunks, and many first
+    # members repeat a cell that an earlier chunk of their own level stored
+    monkeypatch.setattr(irrepsk.net, "CHUNK", 64)
+    counts = settle_counts(monkeypatch)
+    for gs, length, with_inverses in ((ht_gateset, 8, True), (load_gateset(TPRIME), 6, False)):
+        counts.update(earlier=0, level=0)
+        net = build_gateset_net(gs, length, with_inverses=with_inverses)
+        gens = extended_generators(gs) if with_inverses else gs.matrices
+        words, products = reference_net(gens, gs.dim, length, net.dedup_tol)
+        assert words_of(net) == words
+        assert net.products.tobytes() == products.tobytes()
+        assert counts["earlier"] > 0 and counts["level"] > 0
+
+
+def test_record_settles_nothing_when_tol_is_within_a_few_bands(ht_gateset, monkeypatch):
+    counts = settle_counts(monkeypatch)
+    gens = extended_generators(ht_gateset)
+    net = build_net(gens, 2, "su", 6, 1e-9)
+    words, products = reference_net(gens, 2, 6, 1e-9)
+    assert words_of(net) == words
+    assert net.products.tobytes() == products.tobytes()
+    assert counts == {"earlier": 0, "level": 0}
+
+
+def test_builder_matches_reference_when_the_frontier_empties(pauli_only, monkeypatch):
+    # the su-form Paulis close into 8 products at length 2: the record
+    # settles every candidate of length 3, and the frontier empties
+    counts = settle_counts(monkeypatch)
+    nets = at_each_chunk_size(
+        monkeypatch, lambda: build_gateset_net(pauli_only, 5, with_inverses=True))
+    words, products = reference_net(extended_generators(pauli_only), 2, 5, nets[0].dedup_tol)
+    assert len(words) == 8
+    for net in nets:
+        assert words_of(net) == words
+        assert net.products.tobytes() == products.tobytes()
+    assert counts["earlier"] > 0
+
+
+@pytest.mark.parametrize("path", sorted(GATESETS.glob("*.json")) + [TPRIME],
+                         ids=lambda p: p.stem)
+def test_per_generator_products_are_matmul_bytes(path):
+    # the builder and load_net multiply a stack of products by generator j
+    # as one 2-D BLAS product; NETS_SHA256 was recorded from np.matmul over
+    # the broadcast (frontier, generator) stack, which it must match exactly
+    gs = load_gateset(path)
+    gens = extended_generators(gs)
+    net = build_gateset_net(gs, 3, with_inverses=True)
+    frontier = net.products[np.diff(net.offsets) == 3]
+    assert len(frontier)
+    per_gen = np.stack([irrepsk.net._times(frontier, g) for g in gens], axis=1)
+    assert per_gen.tobytes() == np.matmul(frontier[:, None], gens[None]).tobytes()
 
 
 def test_auto_net_extends_to_the_built_net(ht_gateset):

@@ -141,9 +141,8 @@ def cmd_net(args) -> int:
               f"density {net.achieved_density:.4g} <= eps0 "
               f"{eps0_constant(gs):.4g}")
     elif args.length is not None:
-        net = build_gateset_net(gs, args.length,
-                                with_inverses=args.with_inverses,
-                                dedup_tol=args.dedup, budget=args.budget)
+        net = build_gateset_net(gs, args.length, with_inverses=args.with_inverses,
+                                budget=args.budget)
     else:
         raise SchemaError("pass --length N or --auto")
     print(f"net: {len(net)} words up to length {net.word_length}"
@@ -351,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--auto", action="store_true",
                     help="grow the length until probed density reaches eps0")
     sp.add_argument("--with-inverses", action="store_true")
-    sp.add_argument("--dedup", type=float, default=None,
-                    help="dedup tolerance (default eps0 / 10)")
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sp.add_argument("--probe", type=int, default=0,
                     help="sample this many random targets to estimate density")

@@ -91,6 +91,10 @@ class EpsNet:
     _tree: cKDTree | None = field(default=None, repr=False)
     _refined: dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self):
+        if len(self) == 0:
+            raise EmptyNet("net has no stored words")
+
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
@@ -105,8 +109,6 @@ class EpsNet:
         answered by query; any other query scans dist over all products and
         takes its first minimum.
         """
-        if len(self) == 0:
-            raise EmptyNet("net has no stored words")
         t = np.asarray(target, dtype=complex)
         su2 = self.dim == 2 and self.mode == "su" and t.shape == (2, 2)
         q, residual = su2_residual(t) if su2 else (None, np.inf)
@@ -375,14 +377,17 @@ def build_net(gens: np.ndarray, dim: int, mode: str, word_length: int,
     return next(itertools.islice(nets, word_length, None))
 
 
-def build_gateset_net(gs: GateSet, word_length: int, dedup_tol: float | None = None,
-                      with_inverses: bool = False,
+def _gateset_recipe(gs: GateSet, with_inverses: bool) -> tuple[np.ndarray, float, str]:
+    """Generators, dedup tolerance (eps0 / 10) and fingerprint of the net over
+    gs's generators, and also their inverses when with_inverses."""
+    return (extended_generators(gs) if with_inverses else gs.matrices,
+            eps0_constant(gs) / 10, net_fingerprint(gs, with_inverses))
+
+
+def build_gateset_net(gs: GateSet, word_length: int, with_inverses: bool = False,
                       budget: int = DEFAULT_BUDGET) -> EpsNet:
-    if dedup_tol is None:
-        dedup_tol = eps0_constant(gs) / 10
-    gens = extended_generators(gs) if with_inverses else gs.matrices
-    return build_net(gens, gs.dim, gs.mode, word_length, dedup_tol,
-                     fingerprint=net_fingerprint(gs, with_inverses), budget=budget)
+    gens, dedup_tol, fingerprint = _gateset_recipe(gs, with_inverses)
+    return build_net(gens, gs.dim, gs.mode, word_length, dedup_tol, fingerprint, budget)
 
 
 def probe_density(net: EpsNet, probes: int, rng: np.random.Generator) -> float:
@@ -442,7 +447,7 @@ def load_net(path, gs: GateSet, with_inverses: bool = False) -> EpsNet:
     if fmt != NET_FORMAT:
         raise FormatError(f"net file format is {fmt!r}, not {NET_FORMAT!r}: rebuild it "
                           "with irrepsk net --out")
-    expected = net_fingerprint(gs, with_inverses)
+    gens, _, expected = _gateset_recipe(gs, with_inverses)
     if header.get("fingerprint") != expected:
         raise StaleGateSet(
             "net cache was built for a different gate set "
@@ -476,7 +481,6 @@ def load_net(path, gs: GateSet, with_inverses: bool = False) -> EpsNet:
             except (ValueError, OverflowError):
                 raise FormatError(f"line {k}: unparsable or out-of-range index") from None
         raise FormatError("unparsable net body")
-    gens = extended_generators(gs) if with_inverses else gs.matrices
     parent, last = rows.T
     # line k + 2 holds word k + 1, of length length[k], whose parent is one shorter
     length = np.repeat(np.arange(len(levels) - 1), np.diff(levels))[1:]
@@ -507,27 +511,29 @@ def load_net(path, gs: GateSet, with_inverses: bool = False) -> EpsNet:
                   achieved_density=header.get("achieved_density"))
 
 
+# auto_net's first probed word length and its cap
+AUTO_START, AUTO_MAX = 4, 40
+
+
 def auto_net(gs: GateSet, target_density: float, probes: int,
              rng: np.random.Generator, with_inverses: bool = False,
-             start_length: int = 4, max_length: int = 40,
              budget: int = DEFAULT_BUDGET) -> EpsNet:
-    """Grow word_length from start_length in steps of 2 until the probed
+    """Grow word_length from AUTO_START in steps of 2 until the probed
     density reaches target_density.
 
     The net is extended one level at a time, never rebuilt; each probed net
     is the one build_gateset_net gives at its length.  Raises BudgetExceeded
-    if the store fills up or max_length is reached first.
+    if the store fills up or AUTO_MAX is reached first.
     """
-    gens = extended_generators(gs) if with_inverses else gs.matrices
-    for net in _nets(gens, gs.dim, gs.mode, eps0_constant(gs) / 10,
-                     net_fingerprint(gs, with_inverses), budget):
-        if net.word_length < start_length or (net.word_length - start_length) % 2:
+    gens, dedup_tol, fingerprint = _gateset_recipe(gs, with_inverses)
+    for net in _nets(gens, gs.dim, gs.mode, dedup_tol, fingerprint, budget):
+        if net.word_length < AUTO_START or (net.word_length - AUTO_START) % 2:
             continue
         density = probe_density(net, probes, rng)
         if density <= target_density:
             return net
-        if net.word_length >= max_length:
+        if net.word_length >= AUTO_MAX:
             raise BudgetExceeded(
-                f"word length cap {max_length} reached, density {density:.4f} "
+                f"word length cap {AUTO_MAX} reached, density {density:.4f} "
                 f"> target {target_density}"
             )

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
@@ -108,13 +108,7 @@ class RefineTrace:
     exact_hit: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "start_error": self.start_error,
-            "errors": list(self.errors),
-            "lengths": list(self.lengths),
-            "det_residuals": list(self.det_residuals),
-            "exact_hit": self.exact_hit,
-        }
+        return asdict(self)
 
 
 _MAX_PASSES = 25
@@ -132,8 +126,6 @@ def _table_inverse_word(gs: GateSet, gen_index: int):
 
 def _best_start(gs: GateSet, net: EpsNet, u: np.ndarray):
     """Net word V minimizing the aligned distance of V U to the identity."""
-    if len(net) == 0:
-        raise NetTooCoarse("refinement net is empty")
     phases = gs.phase_candidates
     if gs.mode == "su":
         # ||P u - z I|| = ||P - z u^dag|| for unitary u, so the scan reduces
@@ -447,16 +439,19 @@ def compile_target(gs: GateSet, target, eps: float, params: SKParams,
 
 # --- ordering scan ---
 
-def scan_orderings(rep: FiniteGroupRep, samples: int = 24,
-                   eps_values=(3e-4, 1e-4), rng=None,
-                   vanish_factor: float = 1e-3):
+# scan_orderings' perturbation sizes, and its vanish threshold as a fraction
+# of the median coefficient
+SCAN_EPS, SCAN_VANISH = (3e-4, 1e-4), 1e-3
+
+
+def scan_orderings(rep: FiniteGroupRep, samples: int = 24, rng=None):
     """Measure the quadratic error coefficient per group-element ordering.
 
     The identity factor stays last; the other n - 1 elements are permuted.
     For each ordering the coefficient is the mean over random near-identity
-    perturbations W = exp(i eps H) of dist(f(W), I) / eps^2.  Returns a list
-    of (ordering, coefficient) sorted ascending and the vanish threshold
-    (vanish_factor times the median coefficient).
+    perturbations W = exp(i eps H), eps in SCAN_EPS, of dist(f(W), I) / eps^2.
+    Returns a list of (ordering, coefficient) sorted ascending and the vanish
+    threshold (SCAN_VANISH times the median coefficient).
     """
     n = rep.order
     if math.factorial(n - 1) > 720:
@@ -475,7 +470,7 @@ def scan_orderings(rep: FiniteGroupRep, samples: int = 24,
         order = perm + (0,)
         coeffs = []
         for h in perturbations:
-            for eps in eps_values:
+            for eps in SCAN_EPS:
                 w = expm(1j * eps * h)
                 f = symmetrize_matrix(rep, w, order)
                 r = dist(f, eye, rep.phase_candidates)
@@ -483,4 +478,4 @@ def scan_orderings(rep: FiniteGroupRep, samples: int = 24,
         results.append((order, float(np.mean(coeffs))))
     results.sort(key=lambda t: t[1])
     med = float(np.median([c for _, c in results]))
-    return results, vanish_factor * med
+    return results, SCAN_VANISH * med

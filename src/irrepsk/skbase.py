@@ -27,8 +27,7 @@ import numpy as np
 
 from .errors import ClassError, DimUnsupported, NetTooCoarse, TooFar
 from .gateset import GateSet, GateWord, matmul_stack
-from .net import (DEFAULT_BUDGET, EpsNet, build_gateset_net, extended_inverse,
-                  probe_density)
+from .net import EpsNet, build_gateset_net, extended_inverse
 from .linalg import (DEFAULT_TOL, dist, quaternion_to_su2, su2_residual,
                      su2_to_quaternion)
 
@@ -101,40 +100,16 @@ def balanced_commutator_decompose(delta: np.ndarray) -> tuple[np.ndarray, np.nda
 
 @dataclass(eq=False)
 class SKParams:
-    """Base-compiler configuration: the inverse-closed net and a depth cap.
-
-    eps_base is the measured base-case accuracy (probed net density) when
-    known; the commutator step needs it at or below 1/32, and a probed value
-    above that is rejected up front instead of failing mid-recursion.
-    """
+    """Base-compiler configuration: the inverse-closed net and a depth cap."""
 
     net: EpsNet
     max_depth: int = 10
-    eps_base: float | None = None
-
-    def __post_init__(self):
-        if len(self.net) == 0:
-            raise NetTooCoarse("base net is empty")
-        if self.eps_base is not None and self.eps_base > 1.0 / 32.0:
-            raise NetTooCoarse(
-                f"probed base density {self.eps_base:.4f} exceeds 1/32"
-            )
 
 
-def base_params(gs: GateSet, word_length: int, budget: int = DEFAULT_BUDGET,
-                max_depth: int = 10, probes: int = 0, rng=None) -> SKParams:
-    """Build the inverse-closed base net for sk_compile.
-
-    With probes > 0 the net density is measured on that many random targets
-    and recorded as eps_base (rejecting nets coarser than 1/32).
-    """
-    net = build_gateset_net(gs, word_length, with_inverses=True, budget=budget)
-    eps_base = None
-    if probes > 0:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        eps_base = probe_density(net, probes, rng)
-    return SKParams(net=net, max_depth=max_depth, eps_base=eps_base)
+def base_params(gs: GateSet, word_length: int, max_depth: int = 10) -> SKParams:
+    """Build the inverse-closed base net for the depth loop (sk_depths)."""
+    return SKParams(net=build_gateset_net(gs, word_length, with_inverses=True),
+                    max_depth=max_depth)
 
 
 def sk_depths(gs: GateSet, target, params: SKParams):

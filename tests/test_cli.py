@@ -274,6 +274,11 @@ def test_net_budget_is_a_compile_failure(capsys, tmp_path):
     assert "word budget 300 exceeded" in err
 
 
+# SHA-256 of the CSV below.  Its coefficients print to 10 digits, so it
+# changes with the scan's perturbations, eps values or orderings.
+SCAN_CSV_SHA256 = "1c56c9c38ca8a887432b9e8125f26f3c64a697c49137d1216189b35c0867fba2"
+
+
 def test_scan_orderings_cli(capsys, tmp_path):
     out_csv = tmp_path / "scan.csv"
     rc, out, _ = run(capsys, "scan-orderings", "--builtin", "s3",
@@ -285,6 +290,7 @@ def test_scan_orderings_cli(capsys, tmp_path):
     assert rows[0] == ["ordering", "coefficient", "vanishing"]
     assert len(rows) == 121
     assert all(r[2] in ("0", "1") for r in rows[1:])
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == SCAN_CSV_SHA256
 
 
 def test_scan_orderings_from_gateset(capsys):
@@ -296,25 +302,28 @@ def test_scan_orderings_from_gateset(capsys):
 
 def test_readme_examples(capsys, monkeypatch, tmp_path):
     # every README block that starts with "$ irrepsk <command>" must print
-    # its lines verbatim, except for the wall time
+    # its lines verbatim, except for the wall time and the net build time
     monkeypatch.chdir(ROOT)
     readme = (ROOT / "README.md").read_text()
     blocks = re.findall(r"^```\n\$ (irrepsk .*?)^```", readme, re.M | re.S)
+    built = re.compile(r", built in [0-9.]+ s$")
     checked = []
     for block in blocks:
         lines = block.splitlines()
         n = 1 + next(i for i, line in enumerate(lines) if not line.endswith("\\"))
         argv = shlex.split(" ".join(line.rstrip("\\") for line in lines[:n]))[1:]
-        if argv[0] not in ("validate", "refine-inverse", "compile"):
-            continue
         rc, out, _ = run(capsys, *argv)
         assert rc == 0
         keep = [not line.startswith("wall time ") for line in lines[n:]]
         assert len(out.splitlines()) == len(keep)
-        assert [line for line, k in zip(out.splitlines(), keep) if k] == \
-            [line for line, k in zip(lines[n:], keep) if k]
+        assert [built.sub("", line) for line, k in zip(out.splitlines(), keep) if k] == \
+            [built.sub("", line) for line, k in zip(lines[n:], keep) if k]
         checked.append(argv[0])
-    assert checked == ["validate", "refine-inverse", "compile"]
+    assert checked == ["validate", "refine-inverse", "compile", "net"]
+    # the net example pins the gate-set net's word count and the probe draws
+    # (its words are the same at any tolerance up to eps0; NETS_SHA256 pins that)
+    assert "net: 595 words up to length 8, built in" in readme
+    assert "probed density: 0.2716 over 100 samples" in readme
     # the unprompted block's commands must exit 0; their CSVs go to tmp_path
     block = re.search(r"^```\n(irrepsk .*?)^```", readme, re.M | re.S).group(1)
     ran = []

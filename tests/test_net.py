@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import irrepsk.net
-from irrepsk import build_gateset_net, load_gateset, load_net, parse_gateset, save_net
-from irrepsk.errors import BudgetExceeded, FormatError, StaleGateSet
+from irrepsk import (EpsNet, build_gateset_net, load_gateset, load_net, parse_gateset,
+                     save_net)
+from irrepsk.errors import BudgetExceeded, EmptyNet, FormatError, StaleGateSet
 from irrepsk.linalg import (dist, quaternion_to_su2, random_sl_near_identity, random_su,
                             su2_to_quaternion)
 from irrepsk.net import auto_net, build_net, extended_generators, probe_density
@@ -48,6 +49,15 @@ def test_zero_length_net_is_identity_only(pauli_only):
     assert len(net) == 1
     assert words_of(net) == [()]
     assert np.allclose(net.products[0], np.eye(2), atol=1e-15)
+
+
+def test_empty_net_raises_at_construction():
+    # the builder and load_net always store the empty word; a net without
+    # it is refused before any query reaches it
+    with pytest.raises(EmptyNet):
+        EpsNet(dim=2, mode="su", word_length=0, dedup_tol=1e-3, fingerprint="",
+               tokens=np.zeros(0, np.uint8), offsets=np.zeros(1, np.intp),
+               parents=np.zeros(0, np.intp), products=np.zeros((0, 2, 2), complex))
 
 
 def test_nearest_matches_brute_force(ht_gateset):

@@ -149,22 +149,8 @@ def test_symbol_words(ht_gateset, slp_gateset):
 
 def test_params_guardrails(ht_gateset):
     net = build_gateset_net(ht_gateset, 2, with_inverses=True)
-    with pytest.raises(NetTooCoarse):
-        SKParams(net=net, eps_base=0.25)  # recursion needs eps_base <= 1/32
     p = SKParams(net=net)
     assert p.max_depth == 10
-
-
-def test_base_params_probed_density_gate(ht_gateset):
-    # desk-size nets measure well above 1/32, so the guarantee-mode
-    # constructor refuses them; deepening mode (no probes) accepts
-    rng = np.random.default_rng(34)
-    with pytest.raises(NetTooCoarse):
-        base_params(ht_gateset, 10, probes=40, rng=rng)
-    p = base_params(ht_gateset, 10)
-    assert p.eps_base is None
-    q = SKParams(net=p.net, eps_base=0.01)
-    assert q.eps_base == 0.01
 
 
 def test_sk_compile_identity_and_net_points(ht_gateset, ht_params):

@@ -7,11 +7,13 @@ exact over the store: the returned word minimises the operator-norm distance
 among all stored products.
 
 For A, B in SU(2) the difference A - B is a real multiple of an SU(2)
-matrix, so ||A - B|| is the Euclidean distance of their unit quaternions.
-An SU(2) net therefore answers queries for SU(2) targets from a k-d tree
-over its products' quaternions in O(log N).  Any other net or target (sl
-mode, d >= 3, a target off the group) is scanned with dist over all
-products.
+matrix, so ||A - B|| is the Euclidean distance of their unit quaternions,
+and the Frobenius distance is sqrt(2) times it.  An SU(2) net is therefore
+deduplicated over its products' quaternions, and it answers queries for
+SU(2) targets from the builder's k-d tree over those quaternions in
+O(log N).  Any other net (sl mode, d >= 3) is deduplicated over its
+products' Frobenius vectors, and any other query (such a net, a target off
+the group) is scanned with dist over all products.
 """
 
 from __future__ import annotations
@@ -64,9 +66,10 @@ def net_fingerprint(gs: GateSet, with_inverses: bool) -> str:
 
 @dataclass(eq=False)
 class EpsNet:
-    """Products of all deduplicated generator words up to word_length, and
-    lazily their query tree and the refinement trajectories seeded from them
-    (refine_inverse).
+    """Products of all deduplicated generator words up to word_length, the
+    k-d tree over their quaternions that answers query (an SU(2) net from
+    the builder comes with it; a loaded one builds it on its first query),
+    and lazily the refinement trajectories seeded from them (refine_inverse).
 
     The words are one flat token array: word i is
     tokens[offsets[i]:offsets[i + 1]], in store order, which is breadth-first
@@ -125,7 +128,7 @@ class EpsNet:
         stack of SU(2) quaternions, from a k-d tree over the products' own.
         Products within 1e-12 of the nearest tie, and the first stored wins."""
         if self._tree is None:
-            self._tree = cKDTree(np.ascontiguousarray(su2_to_quaternion(self.products)))
+            self._tree = cKDTree(_rows(self.products, True), balanced_tree=False)
         d, i = self._tree.query(q, k=2)
         d, i, tied = d[:, 0], i[:, 0], np.nonzero(d[:, 1] - d[:, 0] <= 1e-12)[0]
         if len(tied):
@@ -156,7 +159,12 @@ def _times(mats: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (mats.reshape(-1, mats.shape[-1]) @ g).reshape(mats.shape)
 
 
-def _vec(mats: np.ndarray) -> np.ndarray:
+def _rows(mats: np.ndarray, su2: bool) -> np.ndarray:
+    """The builder's dedup rows of a stack of products: unit quaternions for
+    an SU(2) net (4 floats, at 1 / sqrt(2) of the Frobenius distance),
+    Frobenius vectors (2 d^2 floats) for any other."""
+    if su2:
+        return np.ascontiguousarray(su2_to_quaternion(mats))
     flat = mats.reshape(len(mats), -1)
     return np.concatenate([flat.real, flat.imag], axis=1)
 
@@ -166,7 +174,7 @@ def _pairs(x: np.ndarray, r: float) -> np.ndarray:
     order.  One nearest-other query per row finds the few rows that have such
     a neighbour, and a ball query lists their neighbours; a cKDTree pair query
     walks the whole tree even when it finds nothing."""
-    tree = cKDTree(x)
+    tree = cKDTree(x, balanced_tree=False)
     d = tree.query(x, k=2, distance_upper_bound=2 * r)[0]
     rows = np.flatnonzero(d[:, 1] <= r)
     pairs = [(i, j) for i, ball in zip(rows.tolist(), tree.query_ball_point(x[rows], r))
@@ -174,31 +182,37 @@ def _pairs(x: np.ndarray, r: float) -> np.ndarray:
     return np.array(sorted(pairs), dtype=np.intp).reshape(-1, 2)
 
 
-class _Stored(cKDTree):
-    """A k-d tree over stored rows that also records each row's cell hash
-    (_groups), 16 bytes a row with its sort order."""
+class _Stored:
+    """A k-d tree over stored rows and the record of each row's cell hash
+    (_groups), 16 bytes a row with its sort order.  The record stays with
+    the builder; a built SU(2) net keeps only the tree.
+
+    The tree's cells are split at the sliding midpoint (balanced_tree=False),
+    not at the median: on a net's rows that builds in about half the time
+    and answers queries no slower, and no result depends on the tree's
+    shape, only on distances."""
 
     def __init__(self, rows: np.ndarray, hashes: np.ndarray):
-        super().__init__(rows)
+        self.tree = cKDTree(rows, balanced_tree=False)
         self.hashes, self.order = hashes, np.argsort(hashes)
 
     def in_cell(self, x: np.ndarray, hashes: np.ndarray, r: float) -> np.ndarray:
         """Whether each row of x lies within r of the stored row that its
         hash finds in the record."""
         pos = np.searchsorted(self.hashes, hashes, sorter=self.order)
-        i = self.order[np.minimum(pos, self.n - 1)]
-        return np.linalg.norm(x - self.data[i], axis=1) <= r
+        i = self.order[np.minimum(pos, self.tree.n - 1)]
+        return np.linalg.norm(x - self.tree.data[i], axis=1) <= r
 
 
-def _stored_dist(trees: list[cKDTree], x: np.ndarray, tol: float, band: float) -> np.ndarray:
+def _stored_dist(trees: list[_Stored], x: np.ndarray, tol: float, band: float) -> np.ndarray:
     """Distance from each row of x to the nearest stored row, exact where it
     exceeds tol - band (no verdict depends on a smaller one) and inf past
     tol + band.  trees[0] holds the earlier levels; the rest hold this
     level's kept rows and are asked only about the rows still open."""
-    d = trees[0].query(x, distance_upper_bound=tol + band)[0]
-    for tree in trees[1:]:
+    d = trees[0].tree.query(x, distance_upper_bound=tol + band)[0]
+    for t in trees[1:]:
         rows = np.flatnonzero(d > tol - band)
-        d[rows] = np.minimum(d[rows], tree.query(x[rows], distance_upper_bound=tol + band)[0])
+        d[rows] = np.minimum(d[rows], t.tree.query(x[rows], distance_upper_bound=tol + band)[0])
     return d
 
 
@@ -207,9 +221,10 @@ def _store_rows(trees: list[_Stored], rows: np.ndarray, hashes: np.ndarray) -> N
     last trees are merged into the new one while they are no larger, so a
     row is rebuilt into a new tree O(log chunks) times and a level keeps
     O(log chunks) trees."""
-    while len(trees) > 1 and trees[-1].n <= len(rows):
+    while len(trees) > 1 and trees[-1].tree.n <= len(rows):
         last = trees.pop()
-        rows, hashes = np.concatenate([last.data, rows]), np.concatenate([last.hashes, hashes])
+        rows = np.concatenate([last.tree.data, rows])
+        hashes = np.concatenate([last.hashes, hashes])
     trees.append(_Stored(rows, hashes))
 
 
@@ -239,10 +254,11 @@ def _groups(cv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _new_elements(cv: np.ndarray, trees: list[_Stored],
                   tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the candidate rows cv (Frobenius vectors, in enumeration
-    order) that first-wins dedup keeps, and the cell hashes of all rows: a
-    candidate is kept when no stored row (the rows of trees) and no earlier
-    kept candidate lies within tol of it.
+    """Indices of the candidate rows cv (_rows, in enumeration order) that
+    first-wins dedup keeps, and the cell hashes of all rows: a candidate is
+    kept when no stored row (the rows of trees) and no earlier kept candidate
+    lies within tol of it.  tol, the 1e-9 cells, radius and band are all in
+    the units of the rows.
 
     Rows whose entries round to the same multiples of 1e-9 form a group, all
     within radius of its first member, and only first members are tested: one
@@ -305,13 +321,16 @@ def _nets(gens: np.ndarray, dim: int, mode: str, dedup_tol: float, fingerprint: 
     testing the whole level at once.  Raises BudgetExceeded as soon as a
     chunk takes the store past budget words.
     """
+    su2 = mode == "su" and dim == 2
+    tol = dedup_tol / np.sqrt(2) if su2 else dedup_tol
     n_gens = len(gens)
     dtype = np.min_scalar_type(n_gens - 1)
     products = np.eye(dim, dtype=complex)[None]
     tokens, offsets = np.zeros(0, dtype), np.zeros(2, np.intp)  # the empty word
     parents = np.full(1, -1, np.intp)
     frontier_t, frontier_p = np.zeros((1, 0), dtype), products
-    trees = [_Stored(_vec(products), _groups(_vec(products))[2])]
+    rows = _rows(products, su2)
+    trees = [_Stored(rows, _groups(rows)[2])]
     for level in itertools.count():
         if level and len(frontier_p):
             total = len(frontier_p) * n_gens
@@ -321,8 +340,8 @@ def _nets(gens: np.ndarray, dim: int, mode: str, dedup_tol: float, fingerprint: 
                 a, b = s // n_gens, -(-e // n_gens)  # parents of candidates s..e-1
                 cand = np.stack([_times(frontier_p[a:b], g) for g in gens], axis=1)
                 cand = cand.reshape(-1, dim, dim)[s - a * n_gens:e - a * n_gens]
-                cv = _vec(cand)
-                k, hashes = _new_elements(cv, trees, dedup_tol)
+                cv = _rows(cand, su2)
+                k, hashes = _new_elements(cv, trees, tol)
                 found += len(k)
                 if len(products) + found > budget:
                     raise BudgetExceeded(
@@ -344,13 +363,13 @@ def _nets(gens: np.ndarray, dim: int, mode: str, dedup_tol: float, fingerprint: 
             offsets = np.concatenate([offsets,
                                       offsets[-1] + level * np.arange(1, len(kept) + 1)])
             products = np.concatenate([products, frontier_p])
-            rows = np.concatenate([t.data for t in trees])
+            rows = np.concatenate([t.tree.data for t in trees])
             hashes = np.concatenate([t.hashes for t in trees])
             trees.clear()  # frees the old trees before the new one is built
             trees.append(_Stored(rows, hashes))
         yield EpsNet(dim=dim, mode=mode, word_length=level, dedup_tol=dedup_tol,
                      fingerprint=fingerprint, tokens=tokens, offsets=offsets,
-                     parents=parents, products=products)
+                     parents=parents, products=products, _tree=trees[0].tree if su2 else None)
 
 
 def build_net(gens: np.ndarray, dim: int, mode: str, word_length: int,
@@ -360,15 +379,18 @@ def build_net(gens: np.ndarray, dim: int, mode: str, word_length: int,
 
     A candidate is dropped when its product lies within dedup_tol (Frobenius)
     of anything already stored or of an earlier kept candidate of its own
-    level.  Different words that reach the same group element give products
+    level; an SU(2) net tests its products' quaternions at dedup_tol /
+    sqrt(2).  Different words that reach the same group element give products
     equal up to round-off, and most candidates of a long net are such
     duplicates; each chunk of CHUNK candidates groups those that agree to
     1e-9 and tests one member per group, and expands a group into all its
     members wherever a distance near dedup_tol could tell them apart
     (_new_elements), so the kept set is exactly that of testing every
-    candidate.  Beyond the stored net, its k-d trees (8 floats and an
-    index per word) and their record of cell hashes (16 bytes per word), a
-    build holds one chunk's candidates at a time.
+    candidate.  Beyond the stored net, its k-d trees (a row of 4 floats for
+    an SU(2) net, 2 d^2 for any other, and an index per word) and their
+    record of cell hashes (16 bytes per word), a build holds one chunk's
+    candidates at a time.  The tree over all stored quaternions that a
+    level ends with is a built SU(2) net's query tree.
     Raises BudgetExceeded as soon as a chunk would take the store past
     budget words, so budget bounds the memory of a build as well as its
     words.

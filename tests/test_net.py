@@ -176,10 +176,12 @@ def test_index_is_exact_near_a_stored_product(ht_base8):
             assert abs(got - 2 * np.sin(theta / 4)) <= 1e-15
 
 
-def test_off_group_target_falls_back_to_svd(ht_gateset):
+def test_off_group_target_falls_back_to_svd(ht_gateset, monkeypatch):
     # none of these targets is in SU(2), so each query scans with the SVD
-    # and the quaternion index stays unbuilt
+    # and the quaternion index is never asked
     net = build_gateset_net(ht_gateset, 4)
+    asked = []
+    monkeypatch.setattr(net, "query", lambda q: asked.append(q))
     u = random_su(2, np.random.default_rng(28))
     targets = [
         # plain Hadamard is unitary with det -1, far from every SU(2) product
@@ -196,7 +198,7 @@ def test_off_group_target_falls_back_to_svd(ht_gateset):
         assert word.tokens.tolist() == net.word(i).tokens.tolist()
         assert got == svd[i]
         assert got > floor
-    assert net._tree is None
+    assert asked == []
 
 
 def test_sl_net_queries_match_svd(slp_net):
@@ -378,6 +380,30 @@ def test_reloaded_base_net_answers_like_the_built_one(tmp_path, ht_gateset):
         assert back.nearest(t)[0].tokens.tolist() == net.nearest(t)[0].tokens.tolist()
 
 
+def test_built_su2_net_queries_on_the_builders_tree(tmp_path, ht_gateset):
+    # the builder's last tree holds the quaternions of every stored product
+    # in store order, exactly the rows query would build its tree from
+    net = build_gateset_net(ht_gateset, 10, with_inverses=True)
+    assert type(net._tree) is cKDTree  # the builder's record of cells stays behind
+    q = su2_to_quaternion(net.products)
+    assert net._tree.data.tobytes() == np.ascontiguousarray(q).tobytes()
+    p = tmp_path / "net.json"
+    save_net(net, p)
+    back = load_net(p, ht_gateset, with_inverses=True)
+    assert back._tree is None
+    rng = np.random.default_rng(30)
+    haar = rng.normal(size=(1000, 4))
+    haar /= np.linalg.norm(haar, axis=1, keepdims=True)
+    fresh = EpsNet(dim=2, mode="su", word_length=net.word_length, dedup_tol=net.dedup_tol,
+                   fingerprint=net.fingerprint, tokens=net.tokens, offsets=net.offsets,
+                   parents=net.parents, products=net.products,
+                   _tree=cKDTree(np.ascontiguousarray(q)))
+    i, d = net.query(haar)
+    for other in (fresh, back):
+        oi, od = other.query(haar)
+        assert np.array_equal(oi, i) and od.tobytes() == d.tobytes()
+
+
 def test_distances_match_aligned_queries(ht_gateset):
     net = build_gateset_net(ht_gateset, 4)
     rng = np.random.default_rng(23)
@@ -398,14 +424,20 @@ def net_sha256(net) -> str:
     return h.hexdigest()
 
 
-# SHA-256 of repr(words) followed by products.tobytes(), recorded before
-# build_net grouped duplicate candidates: the compile_deep base net, the
-# compile_skewed refinement net and the sl-mode fixture.  A builder change
-# that keeps the algorithm must keep every net bit-identical.
+# SHA-256 of repr(words) followed by products.tobytes().  The first three,
+# recorded before build_net grouped duplicate candidates, are the
+# compile_deep base net, the compile_skewed refinement net and the sl-mode
+# fixture; the last two, recorded while SU(2) nets were still deduplicated
+# over Frobenius vectors, are the compile_bignet and compile_skewed base
+# nets.  A builder change that keeps the algorithm must keep every net
+# bit-identical.
 NETS_SHA256 = {
     "pauli_ht L12 with inverses": "35dc8ef55b97ff5f425bfb7e7d598bd8ae0e34aa90a4802cf189f4753f82bd17",
     "pauli_ht_tprime L6": "0d6dc92db3e1a397df55b2bc29919a2f256e12a50c2b9f838bf9c971094d08ab",
     "sl_perturbed L3": "76848c1e7c1d381a9871f4de5f212b9297097fd7baf82760cae5f87a2a34688e",
+    "pauli_ht L20 with inverses": "a5c2a1d889d53c47495ada70a3e19fde978aeb639205ee56693844d913afe623",
+    "pauli_ht_tprime L12 with inverses":
+        "daa2ad9e5dcdb4318df0f5ab173b92f4a70546219de559c2c40a740b9cb9f286",
 }
 
 
@@ -414,8 +446,11 @@ def test_nets_stay_bit_identical(ht_gateset, slp_net):
         "pauli_ht L12 with inverses": build_gateset_net(ht_gateset, 12, with_inverses=True),
         "pauli_ht_tprime L6": build_gateset_net(load_gateset(TPRIME), 6),
         "sl_perturbed L3": slp_net,
+        "pauli_ht L20 with inverses": build_gateset_net(ht_gateset, 20, with_inverses=True),
+        "pauli_ht_tprime L12 with inverses":
+            build_gateset_net(load_gateset(TPRIME), 12, with_inverses=True),
     }
-    assert [len(n) for n in nets.values()] == [4128, 527, 42]
+    assert [len(n) for n in nets.values()] == [4128, 527, 42, 67488, 37816]
     assert {k: net_sha256(n) for k, n in nets.items()} == NETS_SHA256
 
 
@@ -568,13 +603,14 @@ def test_builder_is_exact_when_every_cell_hash_collides(ht_gateset, monkeypatch)
 def settle_counts(monkeypatch) -> dict:
     """Live counts of the first members that the stored rows' cell record
     settles, from the earlier levels' tree and from the trees over a level's
-    own chunks."""
-    counts = {"earlier": 0, "level": 0}
+    own chunks, and the set of widths of the stored rows."""
+    counts = {"earlier": 0, "level": 0, "widths": set()}
     in_cell, store_rows = irrepsk.net._Stored.in_cell, irrepsk.net._store_rows
 
     def store(trees, rows, hashes):
         store_rows(trees, rows, hashes)
         trees[-1].this_level = True
+        counts["widths"].add(rows.shape[1])
 
     def count(tree, x, hashes, r):
         hit = in_cell(tree, x, hashes, r)
@@ -586,19 +622,24 @@ def settle_counts(monkeypatch) -> dict:
     return counts
 
 
-def test_record_settles_groups_as_the_reference_does(ht_gateset, monkeypatch):
+def test_record_settles_groups_as_the_reference_does(ht_gateset, slp_gateset, monkeypatch):
     # with 64-candidate chunks duplicate groups span chunks, and many first
-    # members repeat a cell that an earlier chunk of their own level stored
+    # members repeat a cell that an earlier chunk of their own level stored.
+    # The su nets are deduplicated over quaternions (4 floats a row), the sl
+    # net over Frobenius vectors (8); the reference tests Frobenius vectors
     monkeypatch.setattr(irrepsk.net, "CHUNK", 64)
     counts = settle_counts(monkeypatch)
-    for gs, length, with_inverses in ((ht_gateset, 8, True), (load_gateset(TPRIME), 6, False)):
-        counts.update(earlier=0, level=0)
+    for gs, length, with_inverses, width in ((ht_gateset, 8, True, 4),
+                                             (load_gateset(TPRIME), 6, False, 4),
+                                             (slp_gateset, 5, True, 8)):
+        counts.update(earlier=0, level=0, widths=set())
         net = build_gateset_net(gs, length, with_inverses=with_inverses)
         gens = extended_generators(gs) if with_inverses else gs.matrices
         words, products = reference_net(gens, gs.dim, length, net.dedup_tol)
         assert words_of(net) == words
         assert net.products.tobytes() == products.tobytes()
         assert counts["earlier"] > 0 and counts["level"] > 0
+        assert counts["widths"] == {width}
 
 
 def test_record_settles_nothing_when_tol_is_within_a_few_bands(ht_gateset, monkeypatch):
@@ -608,7 +649,7 @@ def test_record_settles_nothing_when_tol_is_within_a_few_bands(ht_gateset, monke
     words, products = reference_net(gens, 2, 6, 1e-9)
     assert words_of(net) == words
     assert net.products.tobytes() == products.tobytes()
-    assert counts == {"earlier": 0, "level": 0}
+    assert counts["earlier"] == counts["level"] == 0
 
 
 def test_builder_matches_reference_when_the_frontier_empties(pauli_only, monkeypatch):

@@ -1,0 +1,204 @@
+"""Regenerate BENCH_rotation_search.json: the top-level rotation search
+(skbase.sk_depths) against commit 20c499e, the plain recursion ("parent").
+
+Run from the repository root, with a checkout of that commit beside it:
+
+    git archive 20c499e | tar -x -C ../parent
+    python3 scripts/bench_rotation_search.py --parent ../parent
+
+It writes three parts.  "runs" and "summary": --pairs alternating pairs of
+perfbench/run.py runs per workload (pair k uses seed --first-seed + k - 1;
+odd pairs run the parent first), each in a fresh process from its own
+checkout with BLAS pinned to one thread.  "traced": one traced run (per-layer
+metrics) per workload and side, at --first-seed for 4 s.  "sweep": on pauli_ht and
+pauli_ht_tprime (base net length 12, refine net length 6, 10 seeded Haar
+targets), each side compiles every target at eps = 1e-2 ... 1e-7, in a fresh
+process importing its own checkout's package, and per eps the file records
+the mean output length, the mean time per target (the median of three
+timings of each target, after one warm-up compile), the depth histogram,
+and how many outputs are longer than the parent's.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("compile_deep", "compile_bignet", "compile_skewed")
+METRICS = {"setup_s": "lower", "latency_ms_p50": "lower", "latency_ms_tail": "lower",
+           "throughput_ops_s": "higher", "word_length_mean": "lower",
+           "peak_rss_mb": "lower"}
+SWEEP_GATESETS = {"pauli_ht": "gatesets/pauli_ht.json",
+                  "pauli_ht_tprime": "perfbench/gatesets/pauli_ht_tprime.json"}
+SWEEP_EPS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
+SWEEP_TARGETS, SWEEP_SEED, SWEEP_REPEATS = 10, 7, 3
+ONE_THREAD = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def perfbench(checkout: Path, workload: str, seed: int, seconds: float,
+              trace: int = 0) -> dict:
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
+         str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=checkout, check=True,
+        capture_output=True, text=True, env={**os.environ, **ONE_THREAD})
+    run = json.loads(out.stdout.splitlines()[-1])
+    return {"correct": run["correct"], "attempted": run["attempted"],
+            "failed": run["failed"],
+            "metrics": {k: v["value"] for k, v in run["metrics"].items()}}
+
+
+def quartiles(xs: list[float]) -> list[float]:
+    q = statistics.quantiles(xs, n=4, method="inclusive")
+    return [q[0], q[2]]
+
+
+def summarize(runs: list[dict]) -> dict:
+    summary = {"note": "medians and quartiles over the pairs; change_wins counts "
+                       "pairs in which the change reads better (lower, or higher "
+                       "for throughput_ops_s); ties count for neither"}
+    for wl in WORKLOADS:
+        summary[wl] = {}
+        pairs = sorted({r["pair"] for r in runs if r["workload"] == wl})
+        side = {(r["pair"], r["side"]): r["metrics"] for r in runs if r["workload"] == wl}
+        for name, better in METRICS.items():
+            p = [side[k, "parent"][name] for k in pairs]
+            c = [side[k, "change"][name] for k in pairs]
+            sign = 1 if better == "lower" else -1
+            summary[wl][name] = {
+                "parent_median": statistics.median(p), "parent_q1_q3": quartiles(p),
+                "change_median": statistics.median(c), "change_q1_q3": quartiles(c),
+                "ratio": statistics.median(c) / statistics.median(p),
+                "change_wins": sum(sign * (b - a) < 0 for a, b in zip(p, c)),
+                "ties": sum(a == b for a, b in zip(p, c)), "pairs": len(pairs)}
+    return summary
+
+
+def sweep_side(checkout: Path, gateset: str) -> dict:
+    """Compile the sweep's targets at every eps with checkout's package, in
+    this process: per eps, per target (length, depth, seconds)."""
+    sys.path.insert(0, str(checkout / "src"))
+    import numpy as np
+    import irrepsk
+    from irrepsk.linalg import random_su
+
+    gs = irrepsk.load_gateset(ROOT / gateset)
+    params = irrepsk.base_params(gs, 12)
+    refine_net = irrepsk.build_gateset_net(gs, 6)
+    rng = np.random.default_rng(SWEEP_SEED)
+    targets = [random_su(2, rng) for _ in range(SWEEP_TARGETS + 1)]  # [0] warms up
+    out = {}
+    for eps in SWEEP_EPS:
+        irrepsk.compile_target(gs, targets[0], eps, params, refine_net)
+        rows = []
+        for t in targets[1:]:
+            times = []
+            for _ in range(SWEEP_REPEATS):
+                t0 = time.perf_counter()
+                report = irrepsk.compile_target(gs, t, eps, params, refine_net)
+                times.append(time.perf_counter() - t0)
+            if report.error > eps:
+                raise SystemExit(f"{gateset} at eps {eps}: error {report.error:.3e}")
+            rows.append((report.length, report.depth, statistics.median(times)))
+        out[repr(eps)] = rows
+    return out
+
+
+def sweep(parent: Path) -> dict:
+    result = {}
+    for i, (name, gateset) in enumerate(SWEEP_GATESETS.items()):
+        sides = {}
+        # alternate which side runs first from one gate set to the next
+        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            checkout = parent if side == "parent" else ROOT
+            out = subprocess.run(
+                [sys.executable, __file__, "--sweep-side", str(checkout), gateset],
+                check=True, capture_output=True, text=True,
+                env={**os.environ, **ONE_THREAD})
+            sides[side] = json.loads(out.stdout)
+        result[name] = {}
+        for eps in map(repr, SWEEP_EPS):
+            row = {}
+            for side in ("parent", "change"):
+                lengths, depths, secs = zip(*sides[side][eps])
+                row[side] = {
+                    "length_mean": statistics.fmean(lengths),
+                    "ms_per_target": 1e3 * statistics.fmean(secs),
+                    "depths": {str(d): depths.count(d) for d in sorted(set(depths))}}
+            row["length_ratio"] = row["change"]["length_mean"] / row["parent"]["length_mean"]
+            row["longer_than_parent"] = sum(
+                c[0] > p[0] for c, p in zip(sides["change"][eps], sides["parent"][eps]))
+            result[name][eps] = row
+    return result
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", type=Path, help="checkout of the parent commit")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=8.0)
+    ap.add_argument("--first-seed", type=int, default=21)
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_rotation_search.json")
+    ap.add_argument("--sweep-side", nargs=2, metavar=("CHECKOUT", "GATESET"),
+                    help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.sweep_side:
+        print(json.dumps(sweep_side(Path(args.sweep_side[0]).resolve(), args.sweep_side[1])))
+        return 0
+    if args.parent is None:
+        ap.error("--parent is required")
+    parent = args.parent.resolve()
+    runs = []
+    for k in range(1, args.pairs + 1):
+        for wl in WORKLOADS:
+            for side in (("parent", "change") if k % 2 else ("change", "parent")):
+                checkout = parent if side == "parent" else ROOT
+                run = perfbench(checkout, wl, args.first_seed + k - 1, args.seconds)
+                runs.append({"workload": wl, "pair": k, "side": side, **run})
+                print(f"pair {k} {wl} {side}: {run['metrics']}", file=sys.stderr)
+    traced = {wl: {side: perfbench(parent if side == "parent" else ROOT, wl,
+                                   args.first_seed, 4.0, trace=1)
+                   for side in ("parent", "change")} for wl in WORKLOADS}
+    import numpy
+    import scipy
+    doc = {
+        "change": "each SK depth searches K = 16 exact commutator decompositions "
+                  "of its top-level delta (both factors conjugated by rotations "
+                  "about delta's axis) in one stack and keeps the closest word; "
+                  "after a near miss (the previous depth within 1.5 eps) it tries "
+                  "the plain pair first",
+        "command": "python3 scripts/bench_rotation_search.py --parent PARENT_CHECKOUT",
+        "perfbench_command": "env OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 "
+                             "MKL_NUM_THREADS=1 python3 perfbench/run.py --workload W "
+                             f"--seed S --seconds {args.seconds:g} (pair k: S = "
+                             f"{args.first_seed} + k - 1)",
+        "pairing": "parent and change run back to back, each in a fresh process "
+                   "from its own checkout with the same seed; odd pairs run the "
+                   "parent first, even pairs the change",
+        "machine": {"cpu": platform.processor() or platform.machine(),
+                    "cpu_count": os.cpu_count(), "python": platform.python_version(),
+                    "numpy": numpy.__version__, "scipy": scipy.__version__},
+        "summary": summarize(runs),
+        "traced_command": "the same with --seed "
+                          f"{args.first_seed} --seconds 4 --trace 1",
+        "traced": traced,
+        "sweep_settings": {"gatesets": SWEEP_GATESETS, "base_length": 12,
+                           "refine_length": 6, "targets": SWEEP_TARGETS,
+                           "seed": SWEEP_SEED, "timings_per_target": SWEEP_REPEATS},
+        "sweep": sweep(parent),
+        "runs": runs,
+    }
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

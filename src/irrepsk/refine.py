@@ -341,6 +341,7 @@ class CompileReport:
     base_error: float
     base_length: int
     depth: int
+    rotation: int
     inverted_extras: int
     inverted_counts: dict[int, int]
     refine_errors: dict[int, float]
@@ -359,6 +360,7 @@ class CompileReport:
             "base_error": self.base_error,
             "base_length": self.base_length,
             "depth": self.depth,
+            "rotation": self.rotation,
             "inverted_extras": self.inverted_extras,
             "inverted_counts": {str(k): v for k, v in self.inverted_counts.items()},
             "refine_errors": {str(k): v for k, v in self.refine_errors.items()},
@@ -374,7 +376,9 @@ def compile_target(gs: GateSet, target, eps: float, params: SKParams,
     """Compile target to an inverse-free word with error at most eps.
 
     Stage 1 runs the classical commutator recursion over generators plus
-    formal inverses, one depth at a time (sk_depths).  At each depth whose
+    formal inverses, one depth at a time (sk_depths, given eps, which searches
+    each depth's top commutator pair; rotation reports the chosen pair of the
+    accepted depth, 0 for the plain one).  At each depth whose
     SK error err_d is at most eps, stage 2 rewrites the word's inverted irrep
     tokens through the group table, tracking the d-th-root phase each rewrite
     contributes instead of re-multiplying the word, and counts the m_d,i
@@ -399,7 +403,9 @@ def compile_target(gs: GateSet, target, eps: float, params: SKParams,
     # after the rewrite, a token e >= n is an inverted extra gate inv[e]
     n = gs.gen_count
     inv = np.asarray(extended_inverse(gs))
-    for depth, (signed, product, base_error) in enumerate(sk_depths(gs, target, params)):
+    picks = []
+    for depth, (signed, product, base_error) in enumerate(
+            sk_depths(gs, target, params, eps, picks)):
         if base_error > eps:
             continue
         base = rewrite_irrep_inverses(gs, GateWord(params.net.gather(signed, inv), product))
@@ -429,6 +435,7 @@ def compile_target(gs: GateSet, target, eps: float, params: SKParams,
         base_error=base_error,
         base_length=base.length,
         depth=depth,
+        rotation=picks[depth],
         inverted_extras=m,
         inverted_counts={i: int(counts[i]) for i in refined},
         refine_errors={i: r[1] for i, r in refined.items()},

@@ -15,6 +15,15 @@ of targets: one net query, one vectorized decomposition and (n, 2, 2)
 product stacks per level.  A depth-d word is 5^d net words end to end, so
 the levels pass (n, 5^d) arrays of signed net indices (~i for net word i
 inverted), and tokens are gathered only for the depths a caller reads out.
+
+The decomposition is not unique: conjugating A and B by any rotation S about
+delta's own axis leaves the commutator S delta S^dag = delta.  Each depth's
+top level therefore tries K pairs of that one-parameter family
+(commutator_family), approximates all 2K factors in one stack, and keeps the
+candidate word closest to the target.  Error gained there turns into a
+shallower accepted depth, at about 1/5 of the tokens per depth saved.  A depth
+whose predecessor missed the caller's eps by at most NEAR_MISS tries the
+plain pair alone first, and searches only if that word misses too.
 """
 
 from __future__ import annotations
@@ -90,6 +99,29 @@ def commutator_factors(deltas: np.ndarray) -> np.ndarray:
     return q.transpose(0, 2, 1)
 
 
+def commutator_family(deltas: np.ndarray, angles) -> np.ndarray:
+    """commutator_factors' pair for each delta of an (n, 2, 2) stack, with both
+    factors conjugated by the rotation by phi about delta's axis, for each phi
+    of angles: the quaternions of A and of B as one (2, n, k, 4) array.
+
+    That rotation commutes with delta, so every pair is an exact decomposition
+    of it.  Conjugation keeps a quaternion's w and turns its vector part x by
+    phi about the unit axis a (Rodrigues): x cos phi + (a x x) sin phi +
+    a (a . x)(1 - cos phi).  At phi = 0 that adds only zeros, so the pair is
+    commutator_factors' own; at delta = I both factors are I for every phi.
+    """
+    ab = commutator_factors(deltas)[:, :, None]
+    v = su2_to_quaternion(deltas)[:, None, 1:]
+    vn = np.sqrt((v * v).sum(-1, keepdims=True))
+    a = v / (vn + (vn == 0))
+    x = ab[..., 1:]
+    cos, sin = np.cos(angles)[:, None], np.sin(angles)[:, None]
+    along = (a * x).sum(-1, keepdims=True) * a
+    turned = x * cos + np.cross(a, x) * sin + along * (1.0 - cos)
+    return np.concatenate([np.broadcast_to(ab[..., :1], turned.shape[:-1] + (1,)),
+                           turned], axis=-1)
+
+
 def balanced_commutator_decompose(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The matrices A, B of commutator_factors for one (2, 2) delta."""
     if delta.shape != (2, 2):
@@ -98,12 +130,20 @@ def balanced_commutator_decompose(delta: np.ndarray) -> tuple[np.ndarray, np.nda
     return a, b
 
 
+# a depth whose predecessor's error was at most NEAR_MISS * eps tries its
+# plain commutator pair before searching the family (sk_depths)
+NEAR_MISS = 1.5
+
+
 @dataclass(eq=False)
 class SKParams:
-    """Base-compiler configuration: the inverse-closed net and a depth cap."""
+    """Base-compiler configuration: the inverse-closed net, a depth cap and
+    the number of top-level commutator pairs each depth tries (sk_depths);
+    rotations = 1 is the plain recursion."""
 
     net: EpsNet
     max_depth: int = 10
+    rotations: int = 16
 
 
 def base_params(gs: GateSet, word_length: int, max_depth: int = 10) -> SKParams:
@@ -112,7 +152,7 @@ def base_params(gs: GateSet, word_length: int, max_depth: int = 10) -> SKParams:
                     max_depth=max_depth)
 
 
-def sk_depths(gs: GateSet, target, params: SKParams):
+def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0, picks=None):
     """The commutator recursion for a SU(2) target, one depth at a time.
 
     Yields (signed, product, error) for depth 0, 1, ... up to params.max_depth:
@@ -123,6 +163,20 @@ def sk_depths(gs: GateSet, target, params: SKParams):
     by its own rule and lets a loop over the depths run out into that error.
     Raises DimUnsupported away from d = 2 and ClassError for a target off
     SU(2).
+
+    Depth d >= 1 writes delta = U W^dag, for the target U and the depth-(d - 1)
+    word W, as the commutator of each of the K = params.rotations pairs of
+    commutator_family at phi_j = 2 pi j / K (j = 0 is commutator_factors'
+    pair).  It approximates all 2K factors at depth d - 1 in one stack and
+    keeps the candidate closest to U, which is also the next depth's W.  eps
+    is the caller's tolerance: if depth d - 1 missed it by at most NEAR_MISS,
+    depth d takes the plain (j = 0) word when that is within eps and searches
+    j >= 1 only otherwise.  (A target whose depth d - 1 just missed usually
+    passes with the plain word; the search would cost K-fold for nothing.)
+    The search gains nothing where depth d - 1 already missed by far more
+    than a depth's contraction: on pauli_ht at eps = 1e-7 it leaves the length
+    as it is and costs about 1.6x the time.  If picks is a list, the chosen j
+    of each yielded depth is appended to it (0 at depth 0).
     """
     if gs.dim != 2 or gs.mode != "su":
         raise DimUnsupported("the base compiler handles d = 2, su mode only")
@@ -131,36 +185,65 @@ def sk_depths(gs: GateSet, target, params: SKParams):
     if not residual < DEFAULT_TOL:
         raise ClassError(f"target is not in SU(2): residual {residual:.3e}")
     net = params.net
+    k = params.rotations
 
-    def level(q: np.ndarray, depth: int, w1=None) -> tuple[np.ndarray, np.ndarray]:
-        """Signed net indices (n, 5^depth) and products (n, 2, 2) of the words
-        for an (n, 4) stack of target quaternions, from w1 at depth - 1."""
+    def level(q: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
+        """Signed net indices (n, 5^depth) and products (n, 2, 2) of the plain
+        words for an (n, 4) stack of target quaternions."""
         if depth == 0:
             i, _ = net.query(q)
             return i[:, None], net.products[i]
-        idx1, p1 = level(q, depth - 1) if w1 is None else w1
+        idx1, p1 = level(q, depth - 1)
         ab = commutator_factors(matmul_stack(quaternion_to_su2(q), p1.conj().swapaxes(1, 2)))
-        idx, p = level(ab.reshape(-1, 4), depth - 1)
-        n = len(q)
-        ia, ib, pa, pb = idx[:n], idx[n:], p[:n], p[n:]
-        words = np.concatenate([ia, ib, ~ia[:, ::-1], ~ib[:, ::-1], idx1], axis=1)
-        # pa pb pa^dag pb^dag = x y^dag, with [x; y] = [pa pb; pb pa]
-        xy = matmul_stack(p, np.concatenate([pb, pa]))
-        return words, matmul_stack(matmul_stack(xy[:n], xy[n:].conj().swapaxes(1, 2)), p1)
+        (ia, ib), p = commutators(ab, p1, depth)
+        return np.concatenate([ia, ib, ~ia[:, ::-1], ~ib[:, ::-1], idx1], axis=1), p
 
-    # the depth-k recursion starts from the depth-(k - 1) word, so each
-    # deepening step reuses the previous one instead of recomputing it
-    best, word = math.inf, None
+    def commutators(ab: np.ndarray, p1: np.ndarray, depth: int):
+        """The depth - 1 words (2, n, 5^(depth - 1)) of the factor quaternions
+        ab (2, n, 4), and the products A B A^dag B^dag p1 of the n
+        commutators they form (p1 one product or n)."""
+        idx, p = level(ab.reshape(-1, 4), depth - 1)
+        n = ab.shape[1]
+        # pa pb pa^dag pb^dag = x y^dag, with [x; y] = [pa pb; pb pa]
+        xy = matmul_stack(p, np.concatenate([p[n:], p[:n]]))
+        return idx.reshape(2, n, -1), matmul_stack(
+            matmul_stack(xy[:n], xy[n:].conj().swapaxes(1, 2)), p1)
+
+    def search(w1, depth: int, js) -> tuple[tuple, float, int]:
+        """The best of the top-level pairs j of js from w1, the depth - 1
+        word: (signed (5^depth,), product (2, 2)), its error and its j."""
+        idx1, p1 = w1[0], w1[1][None]
+        delta = matmul_stack(quaternion_to_su2(target_q[None]), p1.conj().swapaxes(1, 2))
+        ab = commutator_family(delta, np.asarray(js) * (2 * math.pi / k))
+        (ia, ib), p = commutators(ab[:, 0], p1, depth)
+        errors = dist(p, target)
+        j = int(np.argmin(errors))
+        word = np.concatenate([ia[j], ib[j], ~ia[j, ::-1], ~ib[j, ::-1], idx1])
+        return (word, p[j]), float(errors[j]), js[j]
+
+    # depth d starts from the depth-(d - 1) word, so each deepening step
+    # reuses the previous one instead of recomputing it
+    best = math.inf
     for depth in range(params.max_depth + 1):
         try:
-            idx, prod = word = level(target_q[None], depth, word)
+            if depth == 0:
+                i, p = level(target_q[None], 0)
+                word, err, j = (i[0], p[0]), dist(p[0], target), 0
+            elif err <= NEAR_MISS * eps:  # err is still depth - 1's
+                found = search(word, depth, [0])
+                if found[1] > eps and k > 1:
+                    found = min(found, search(word, depth, range(1, k)), key=lambda f: f[1])
+                word, err, j = found
+            else:
+                word, err, j = search(word, depth, range(k))
         except TooFar as e:
             raise NetTooCoarse(
                 f"base approximation too coarse for the commutator step: {e}"
             ) from e
-        err = dist(prod[0], target)
         best = min(best, err)
-        yield idx[0], prod[0], err
+        if picks is not None:
+            picks.append(j)
+        yield word[0], word[1], err
     raise NetTooCoarse(
         f"depth cap {params.max_depth} reached at SK error {best:.3e}; "
         "the base net is too coarse for this tolerance"
@@ -171,10 +254,11 @@ def sk_compile(gs: GateSet, target, eps: float, params: SKParams) -> GateWord:
     """Approximate a SU(2) target to operator-norm eps over gens and inverses.
 
     The returned word's tokens index extended_generators(gs).  It is the
-    first depth of sk_depths whose error is at most eps, with sk_depths'
-    errors (NetTooCoarse at the depth cap).
+    first depth of sk_depths (given eps) whose error is at most eps, with
+    sk_depths' errors (NetTooCoarse at the depth cap).
     """
-    idx, prod = next((i, p) for i, p, err in sk_depths(gs, target, params) if err <= eps)
+    idx, prod = next((i, p) for i, p, err in sk_depths(gs, target, params, eps)
+                     if err <= eps)
     return GateWord(params.net.gather(idx, np.asarray(extended_inverse(gs))), prod)
 
 

@@ -162,6 +162,7 @@ def test_compile_json_report(capsys):
     assert doc["error"] <= 1e-2
     assert doc["inverted_extras"] >= 0
     assert isinstance(doc["depth"], int) and doc["depth"] >= 0
+    assert isinstance(doc["rotation"], int) and 0 <= doc["rotation"] < 16
     assert sum(doc["inverted_counts"].values()) == doc["inverted_extras"]
 
 
@@ -232,11 +233,14 @@ def test_bench_csv_is_deterministic(capsys, tmp_path):
     assert "summary:" in out1
 
 
-# SHA-256 of the CSV below, re-recorded when compile_target began to accept
-# an SK depth on the measured total error (trial 1 at 1e-2 and trial 0 at
-# 1e-3 drop a depth: lengths 9774 -> 1990 and 46290 -> 9210).  Rows print
-# errors to 7 digits, so a change that keeps the algorithm keeps these bytes.
-BENCH_CSV_SHA256 = "652e8a9574e95ba756e43da43403cb7304126e5171fa45be4830c29dd6bd9287"
+# SHA-256 of the CSV below.  Rows print errors to 7 digits, so a change that
+# keeps the algorithm keeps these bytes.  Re-recorded when compile_target
+# began to accept an SK depth on the measured total error (trial 1 at 1e-2
+# and trial 0 at 1e-3 drop a depth: lengths 9774 -> 1990 and 46290 -> 9210),
+# and again when each SK depth began to search its top commutator pair
+# (every trial ends a depth shallower: lengths 2030, 1990, 1704 -> 396, 344,
+# 346 at 1e-2 and 9210, 9774, 9144 -> 1780, 1852, 1902 at 1e-3).
+BENCH_CSV_SHA256 = "9d70508d7704cf08cc80e821fe76f776297ca609f954ff743a7704ed71ccde5d"
 
 
 def test_bench_csv_is_byte_stable(capsys, tmp_path):

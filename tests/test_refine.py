@@ -1,5 +1,6 @@
 """Inverse refinement: symmetrization, contraction, traces, the scan."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -297,6 +298,8 @@ def test_compile_target_report(ht_gateset, ht_params, ht_refine_net):
     doc = json.loads(json.dumps(report.as_dict()))
     assert doc["eps"] == 1e-3
     assert doc["depth"] == report.depth >= 1
+    assert doc["rotation"] == report.rotation
+    assert 0 <= report.rotation < ht_params.rotations
     assert doc["inverted_counts"] == {str(i): c for i, c in report.inverted_counts.items()}
 
 
@@ -316,9 +319,10 @@ def _half_split_compile(gs, target, eps, params, refine_net):
     """Reference: the rule compile_target followed before it accepted an SK
     depth on the measured total error.  The SK stage gets eps / 2, and each
     of the m inverted extras of its word a refined inverse at (eps / 2) / m.
-    Returns the output word's length and the SK depth."""
+    sk_depths gets eps, as in compile_target, so both rules see the same word
+    at each depth.  Returns the output word's length and the SK depth."""
     inv = np.asarray(extended_inverse(gs))
-    for depth, (signed, product, err) in enumerate(sk_depths(gs, target, params)):
+    for depth, (signed, product, err) in enumerate(sk_depths(gs, target, params, eps)):
         if err <= eps / 2:
             break
     base = rewrite_irrep_inverses(gs, GateWord(params.net.gather(signed, inv), product))
@@ -337,17 +341,18 @@ def tprime_setup():
     return gs, base_params(gs, 12), build_gateset_net(gs, 6)
 
 
-@pytest.mark.parametrize("case", ["pauli_ht 1e-3", "pauli_ht 1e-4", "pauli_ht_tprime 3e-3"])
-def test_depth_budget_never_lengthens_the_half_split_word(
-        request, case, ht_gateset, ht_params, ht_refine_net):
-    # the depth the eps / 2 rule takes always passes the measured-total test,
-    # so no accepted depth is deeper and no word is longer than the
-    # reference's.  In every case here 7 or 8 of the 24 targets drop a depth
+def _shallower_than_half_split(request, case, rotations):
+    """Compile 24 targets of case ("gate set eps") with compile_target and
+    with _half_split_compile at the given rotations; check that no accepted
+    depth is deeper, no word longer and every error within eps, and return
+    how many targets compile_target accepts at a shallower depth."""
     name, eps = case.split()
     if name == "pauli_ht":
-        gs, params, refine_net = ht_gateset, ht_params, ht_refine_net
+        gs, params, refine_net = (request.getfixturevalue(f) for f in
+                                  ("ht_gateset", "ht_params", "ht_refine_net"))
     else:
         gs, params, refine_net = request.getfixturevalue("tprime_setup")
+    params = dataclasses.replace(params, rotations=rotations)
     rng = np.random.default_rng(46)
     eps = float(eps)
     shallower = 0
@@ -359,7 +364,27 @@ def test_depth_budget_never_lengthens_the_half_split_word(
         assert report.depth <= depth
         assert report.error <= eps
         shallower += report.depth < depth
-    assert shallower >= 4
+    return shallower
+
+
+CASES = ["pauli_ht 1e-3", "pauli_ht 1e-4", "pauli_ht_tprime 3e-3"]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_depth_budget_never_lengthens_the_half_split_word(request, case):
+    # the depth the eps / 2 rule takes always passes the measured-total test,
+    # so no accepted depth is deeper and no word is longer than the
+    # reference's.  In every case here 7 or 8 of the 24 targets drop a depth
+    # in the plain recursion (rotations = 1)
+    assert _shallower_than_half_split(request, case, 1) >= 4
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_depth_budget_with_the_search_never_lengthens_the_half_split_word(request, case):
+    # the same at the default rotations.  How many targets drop a depth
+    # depends on how close the depth before the eps / 2 one comes: 2, 1 and
+    # 14 of 24 here, so no count is asserted
+    _shallower_than_half_split(request, case, 16)
 
 
 def test_a_depth_whose_measured_total_misses_eps_is_rejected(tprime_setup):
@@ -376,24 +401,48 @@ def test_a_depth_whose_measured_total_misses_eps_is_rejected(tprime_setup):
                                    in report.refine_errors.items()) <= eps
 
 
-# SHA-256 of the token tuples below, re-recorded when compile_target began
-# to accept an SK depth on the measured total error (the second and fourth
-# targets drop a depth: 10610 -> 1994 and 10513 -> 2177 tokens).  A change
-# that keeps the algorithm must keep the words bit-identical; a deliberate
-# algorithm change updates this value.
+# SHA-256 of the token tuples of _pinned_words.  A change that keeps the
+# algorithm must keep the words bit-identical; a deliberate algorithm change
+# updates the value and says why here.
+# - WORDS_SHA256, rotations = 1, the plain recursion: recorded when
+#   compile_target began to accept an SK depth on the measured total error
+#   (the second and fourth targets drop a depth: 10610 -> 1994 and
+#   10513 -> 2177 tokens).
+# - SEARCHED_WORDS_SHA256, rotations = 16, the default: recorded when each
+#   depth began to search its top commutator pair.  Lengths 10190, 1994,
+#   11263, 2177, 10136 -> 2232, 2146, 2291, 2295, 406: the first, third and
+#   fifth targets end one or two depths shallower (4 -> 3, 4 -> 3, 4 -> 2);
+#   the second and fourth stay at depth 3 with a different, longer word.  The
+#   refined inverse (109) is the same.
 WORDS_SHA256 = "af2ada4504e9118a90de6dba82d071b9151602cf0c6d05cacd6a3192b0ee0593"
+SEARCHED_WORDS_SHA256 = "fb41dfb17df2f50475904ea1823429e3497672f0ff594c5d3d174f5dcea8e4d2"
+
+
+def _pinned_words(rotations, ht_gateset, ht_params, ht_refine_net, skew_gateset, skew_net):
+    """Five pauli_ht compiles at 1e-3 with the given rotations and one
+    pauli_skew refined inverse, as token tuples."""
+    params = dataclasses.replace(ht_params, rotations=rotations)
+    rng = np.random.default_rng(7)
+    words = [compile_target(ht_gateset, random_su(2, rng), 1e-3, params,
+                            ht_refine_net).indices for _ in range(5)]
+    gen = skew_gateset.name_index("S")
+    words.append(refine_inverse(skew_gateset, skew_net, gen, 1e-8)[0].tokens)
+    return tuple(tuple(int(t) for t in w) for w in words)
 
 
 def test_words_stay_bit_identical(ht_gateset, ht_params, ht_refine_net,
                                   skew_gateset, skew_net):
-    rng = np.random.default_rng(7)
-    words = [compile_target(ht_gateset, random_su(2, rng), 1e-3, ht_params,
-                            ht_refine_net).indices for _ in range(5)]
-    gen = skew_gateset.name_index("S")
-    words.append(refine_inverse(skew_gateset, skew_net, gen, 1e-8)[0].tokens)
+    words = _pinned_words(1, ht_gateset, ht_params, ht_refine_net, skew_gateset, skew_net)
     assert [len(w) for w in words] == [10190, 1994, 11263, 2177, 10136, 109]
-    words = tuple(tuple(int(t) for t in w) for w in words)
     assert hashlib.sha256(repr(words).encode()).hexdigest() == WORDS_SHA256
+
+
+def test_searched_words_stay_bit_identical(ht_gateset, ht_params, ht_refine_net,
+                                           skew_gateset, skew_net):
+    assert ht_params.rotations == 16
+    words = _pinned_words(16, ht_gateset, ht_params, ht_refine_net, skew_gateset, skew_net)
+    assert [len(w) for w in words] == [2232, 2146, 2291, 2295, 406, 109]
+    assert hashlib.sha256(repr(words).encode()).hexdigest() == SEARCHED_WORDS_SHA256
 
 
 def test_scan_orderings_s3():

@@ -1,5 +1,7 @@
 """Commutator decomposition and the inverse-allowed base compiler."""
 
+import dataclasses
+import itertools
 import re
 
 import numpy as np
@@ -11,12 +13,29 @@ from irrepsk.gateset import make_word, word_product
 from irrepsk.linalg import dist, quaternion_to_su2, random_su, su2_to_quaternion
 from irrepsk.net import extended_generators, extended_inverse
 from irrepsk.skbase import (
+    NEAR_MISS,
     balanced_commutator_decompose,
     commutator_factors,
+    commutator_family,
     rewrite_irrep_inverses,
     rotation,
     sk_compile,
+    sk_depths,
 )
+
+ANGLES = 2 * np.pi * np.arange(16) / 16
+
+
+def _plain(params):
+    """params with the top-level search off: the plain recursion."""
+    return dataclasses.replace(params, rotations=1)
+
+
+def _commutators(ab):
+    """A B A^dag B^dag of each pair of a (2, ..., 4) quaternion array."""
+    a, b = quaternion_to_su2(ab)
+    dag = np.swapaxes(np.conj(np.stack([a, b])), -1, -2)
+    return a @ b @ dag[0] @ dag[1]
 
 
 def test_quaternion_roundtrip():
@@ -83,6 +102,28 @@ def test_commutator_near_the_singular_axes(theta):
             delta = quaternion_to_su2(q)
             a, b = balanced_commutator_decompose(delta)
             assert dist(a @ b @ a.conj().T @ b.conj().T, delta) <= 4 * 2.0 ** -52
+            # every rotated pair of the family is an exact decomposition too
+            got = _commutators(commutator_family(delta[None], ANGLES)[:, 0])
+            assert dist(got, np.broadcast_to(delta, got.shape)).max() <= 1e-12
+
+
+def test_commutator_family_is_exact_and_starts_at_the_plain_pair():
+    # conjugating both factors by a rotation about delta's axis keeps the
+    # commutator; phi = 0 is commutator_factors' pair bit for bit, and the
+    # identity's factors stay I at every angle
+    rng = np.random.default_rng(48)
+    deltas = np.array([np.eye(2)] + [rotation(rng.normal(size=3), 10 ** rng.uniform(-10, -0.5))
+                                     for _ in range(300)])
+    family = commutator_family(deltas, ANGLES)
+    assert family.shape == (2, 301, 16, 4)
+    assert np.array_equal(family[:, :, 0], commutator_factors(deltas))
+    got = _commutators(family)
+    assert dist(got.reshape(-1, 2, 2), np.repeat(deltas, 16, axis=0)).max() <= 1e-12
+    assert np.array_equal(family[:, 0], np.broadcast_to([1.0, 0, 0, 0], (2, 16, 4)))
+    # the pairs differ, and each factor keeps its distance to I
+    assert np.abs(family[:, 1:, 1:] - family[:, 1:, :1]).max() > 0
+    gaps = np.linalg.norm(family - [1.0, 0, 0, 0], axis=-1)
+    assert np.allclose(gaps, gaps[..., :1], rtol=0, atol=1e-15)
 
 
 def test_commutator_factors_batch_matches_rows():
@@ -179,10 +220,8 @@ def test_sk_compile_rejects_hopeless_net(ht_gateset):
         sk_compile(ht_gateset, random_su(2, rng), 1e-6, pocket)
 
 
-def test_sk_compile_reuses_the_previous_depth(ht_gateset, monkeypatch):
-    # depth k starts from the depth-(k - 1) word, so deepening to depth 3
-    # looks up 3^3 leaf targets in 1 + 1 + 2 + 4 batched queries and
-    # decomposes 1 + 3 + 9 commutators in 1 + 2 + 4 batched calls
+def _counted_calls(monkeypatch):
+    """Record the rows of every EpsNet.query and commutator_factors call."""
     import irrepsk.skbase as skbase_mod
 
     calls = {"query": [], "commutator": []}
@@ -198,11 +237,33 @@ def test_sk_compile_reuses_the_previous_depth(ht_gateset, monkeypatch):
 
     monkeypatch.setattr(EpsNet, "query", counted_query)
     monkeypatch.setattr(skbase_mod, "commutator_factors", counted_factors)
-    params = base_params(ht_gateset, 10, max_depth=3)
+    return calls
+
+
+def test_sk_compile_reuses_the_previous_depth(ht_gateset, monkeypatch):
+    # depth k starts from the depth-(k - 1) word, so deepening to depth 3
+    # looks up 3^3 leaf targets in 1 + 1 + 2 + 4 batched queries and
+    # decomposes 1 + 3 + 9 commutators in 1 + 2 + 4 batched calls
+    calls = _counted_calls(monkeypatch)
+    params = _plain(base_params(ht_gateset, 10, max_depth=3))
     with pytest.raises(NetTooCoarse):
         sk_compile(ht_gateset, random_su(2, np.random.default_rng(0)), 1e-12, params)
     assert sum(calls["query"]) == 27 and sum(calls["commutator"]) == 13
     assert len(calls["query"]) == 8 and len(calls["commutator"]) == 7
+
+
+def test_the_search_adds_rows_not_calls(ht_gateset, monkeypatch):
+    # the same calls as the plain recursion, but each depth's top level sends
+    # the 2K factors of its K pairs as one stack: 2K rows where the plain
+    # recursion sends 2, so every row count below the top grows K-fold
+    calls = _counted_calls(monkeypatch)
+    params = base_params(ht_gateset, 10, max_depth=3)
+    k = params.rotations
+    assert k == 16
+    with pytest.raises(NetTooCoarse):
+        sk_compile(ht_gateset, random_su(2, np.random.default_rng(0)), 1e-12, params)
+    assert calls["query"] == [1, 2 * k, 2 * k, 4 * k, 2 * k, 4 * k, 4 * k, 8 * k]
+    assert calls["commutator"] == [1, 1, 2 * k, 1, 2 * k, 2 * k, 4 * k]
 
 
 def test_sk_compile_rejects_targets_off_su2(ht_gateset, ht_params):
@@ -309,12 +370,59 @@ def test_word_length_growth_per_depth(ht_gateset, ht_params):
     t = random_su(2, rng)
     lengths = []
     for eps in (1e-2, 1e-3, 1e-4):
-        w = sk_compile(ht_gateset, t, eps, ht_params)
+        w = sk_compile(ht_gateset, t, eps, _plain(ht_params))
         lengths.append(w.length)
     assert lengths == sorted(lengths)
     # 5 recursive subwords per level: growth stays under that with slack
     for a, b in zip(lengths, lengths[1:]):
         assert b <= 8 * a + 50
+
+
+def test_word_length_growth_per_depth_with_the_search(ht_gateset, ht_params):
+    """Each extra recursion level multiplies length by a bounded factor.
+
+    With the search, sk_compile at eps = 1e-3 and 1e-4 may end two depths
+    apart (259 -> 6,619 tokens for the target above), so consecutive depths
+    are read from sk_depths instead, at each eps."""
+    inv = np.asarray(extended_inverse(ht_gateset))
+    rng = np.random.default_rng(38)
+    for _ in range(8):
+        t = random_su(2, rng)
+        for eps in (1e-2, 1e-4):
+            lengths = [len(ht_params.net.gather(signed, inv)) for signed, _, _
+                       in itertools.islice(sk_depths(ht_gateset, t, ht_params, eps), 4)]
+            for a, b in zip(lengths, lengths[1:]):
+                assert b <= 8 * a + 50
+
+
+def test_a_depth_after_a_near_miss_tries_the_plain_word_first(ht_gateset, ht_params):
+    # depth 0 is one word with or without the search, so after a depth 0
+    # within NEAR_MISS of eps, depth 1 is the plain recursion's word when
+    # that is within eps, and the full search's (as at eps = 0) when not
+    gs = ht_gateset
+    rng = np.random.default_rng(49)
+    seen = {"plain": 0, "searched": 0}
+    for _ in range(12):
+        t = random_su(2, rng)
+        plain = list(itertools.islice(sk_depths(gs, t, _plain(ht_params)), 2))
+        full_picks, picks = [], []
+        full = list(itertools.islice(sk_depths(gs, t, ht_params, 0.0, full_picks), 2))
+        eps = plain[0][2] / 1.4
+        assert eps < plain[0][2] <= NEAR_MISS * eps
+        got = list(itertools.islice(sk_depths(gs, t, ht_params, eps, picks), 2))
+        signed, product, err = got[1]
+        if plain[1][2] <= eps:
+            assert picks == [0, 0] and err == plain[1][2]
+            assert np.array_equal(signed, plain[1][0])
+            assert np.array_equal(product, plain[1][1])
+            seen["plain"] += full_picks[1] != 0
+        else:
+            assert picks == full_picks and err == full[1][2]
+            assert np.array_equal(signed, full[1][0])
+            assert np.array_equal(product, full[1][1])
+            seen["searched"] += full_picks[1] != 0
+    # in both cases some targets take a word the other rule would not
+    assert seen["plain"] >= 3 and seen["searched"] >= 1
 
 
 def test_sk_compile_passes_the_old_plateau(ht_gateset):

@@ -2,7 +2,8 @@
 
 Subcommands: validate, net, compile, refine-inverse, bench, scan-orderings.
 Exit codes: 0 success, 1 gate-set or argument validation failure, 2 the
-compiler could not reach the requested tolerance, 3 file I/O problems.
+compiler could not reach the requested tolerance (CompileFailure), 3 file
+I/O problems (CacheError); errors.py gives each error class its code.
 """
 
 from __future__ import annotations
@@ -10,28 +11,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 
 import numpy as np
 
-from .errors import (
-    BallError,
-    BudgetExceeded,
-    ClassError,
-    CompilerError,
-    DimUnsupported,
-    EmptyNet,
-    FormatError,
-    GroupError,
-    IrrepError,
-    NetTooCoarse,
-    NonConvergent,
-    SchemaError,
-    StaleGateSet,
-    Stalled,
-    TooFar,
-)
+from .errors import CacheError, CompileFailure, CompilerError, SchemaError
 from .finitegroup import build_builtin, central_extend, check_schur_orthogonality
 from .gateset import (
     GateSet,
@@ -39,7 +25,7 @@ from .gateset import (
     load_gateset,
     parse_matrix_literal,
 )
-from .linalg import MatrixClass, check_class, random_su, su_normalize
+from .linalg import check_class, random_su, su_normalize
 from .net import DEFAULT_BUDGET, auto_net, build_gateset_net, load_net, probe_density, save_net
 from .refine import (
     compile_target,
@@ -50,11 +36,6 @@ from .refine import (
 )
 from .skbase import SKParams, rotation
 
-_VALIDATION_ERRORS = (SchemaError, IrrepError, GroupError, ClassError,
-                      BallError, ValueError)
-_COMPILE_ERRORS = (NetTooCoarse, NonConvergent, Stalled, TooFar,
-                   BudgetExceeded, EmptyNet, DimUnsupported)
-_IO_ERRORS = (OSError, FormatError, StaleGateSet, json.JSONDecodeError)
 _BENCH_COLUMNS = ("trial", "eps", "status", "error", "length", "base_length",
                   "inverted_extras", "eps_k", "ell_k", "naive_length")
 
@@ -87,10 +68,15 @@ def _parse_target(gs: GateSet, spec: str, rng) -> np.ndarray:
     m = parse_matrix_literal(entries, gs.dim, "target")
     if gs.mode == "su":
         m = su_normalize(m)
-        check_class(m, MatrixClass.SPECIAL_UNITARY, gs.tolerance)
-    else:
-        check_class(m, MatrixClass.SPECIAL_LINEAR, gs.tolerance)
+    check_class(m, gs.mode, gs.tolerance)
     return m
+
+
+def _check_epsilon(eps: float) -> float:
+    """eps itself if it is a usable tolerance; SchemaError otherwise."""
+    if not 0.0 < eps < math.inf:
+        raise SchemaError(f"--epsilon must be positive and finite, got {eps:g}")
+    return eps
 
 
 def _check_mode(gs: GateSet, mode) -> None:
@@ -159,6 +145,7 @@ def cmd_net(args) -> int:
 
 
 def cmd_compile(args) -> int:
+    _check_epsilon(args.epsilon)
     gs = load_gateset(args.gateset)
     _check_mode(gs, args.mode)
     rng = np.random.default_rng(args.seed)
@@ -189,6 +176,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_refine_inverse(args) -> int:
+    _check_epsilon(args.epsilon)
     gs = load_gateset(args.gateset)
     _check_mode(gs, args.mode)
     gen_index = gs.name_index(args.gate)
@@ -236,6 +224,9 @@ def _deepest_trace(report):
 
 
 def cmd_bench(args) -> int:
+    eps_list = [_check_epsilon(float(x)) for x in args.epsilon.split(",")]
+    if args.trials < 0:
+        raise SchemaError(f"--trials must be at least 0, got {args.trials}")
     gs = load_gateset(args.gateset)
     _check_mode(gs, args.mode)
     base_net = _load_or_build_net(gs, args.base_net, args.base_length,
@@ -243,7 +234,6 @@ def cmd_bench(args) -> int:
     refine_net = _load_or_build_net(gs, args.refine_net, args.refine_length,
                                     False, args.budget)
     params = SKParams(net=base_net, max_depth=args.max_depth)
-    eps_list = [float(x) for x in args.epsilon.split(",")]
     rows = []
     all_ok = True
     for eps in eps_list:
@@ -254,7 +244,7 @@ def cmd_bench(args) -> int:
             t0 = time.perf_counter()
             try:
                 report = compile_target(gs, target, eps, params, refine_net)
-            except _COMPILE_ERRORS as e:
+            except CompileFailure as e:
                 all_ok = False
                 rows.append(dict.fromkeys(_BENCH_COLUMNS, "")
                             | {"trial": t, "eps": f"{eps:g}", "status": "error"})
@@ -295,6 +285,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_scan_orderings(args) -> int:
+    if args.samples < 1:
+        raise SchemaError(f"--samples must be at least 1, got {args.samples}")
     if args.gateset:
         rep = load_gateset(args.gateset).rep
     else:
@@ -420,15 +412,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _IO_ERRORS as e:
+    except (CompilerError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 3
-    except _COMPILE_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except _VALIDATION_ERRORS + (CompilerError,) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        if isinstance(e, (CacheError, OSError, json.JSONDecodeError)):
+            return 3
+        return 2 if isinstance(e, CompileFailure) else 1
 
 
 if __name__ == "__main__":

@@ -1,7 +1,15 @@
 """Exception hierarchy for the compiler.
 
-Every failure mode that callers are expected to handle gets its own class so
-the CLI can map them onto exit codes without string matching.
+Every failure mode that callers are expected to handle gets its own class,
+and the class says which exit code the CLI gives it:
+
+- CacheError (exit 3): a net file that cannot be used (FormatError,
+  StaleGateSet), as for OSError and unparsable JSON;
+- CompileFailure (exit 2): the compiler cannot reach the requested
+  tolerance or size (NetTooCoarse, NonConvergent and BallExit, Stalled,
+  TooFar, BudgetExceeded, EmptyNet, DimUnsupported);
+- any other CompilerError (exit 1): a gate set, matrix or argument fails
+  validation, as for ValueError.
 """
 
 from __future__ import annotations
@@ -9,6 +17,14 @@ from __future__ import annotations
 
 class CompilerError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class CompileFailure(CompilerError):
+    """The compiler could not reach the requested tolerance (exit code 2)."""
+
+
+class CacheError(CompilerError):
+    """A net cache file cannot be used (exit code 3)."""
 
 
 # --- matrix validation ---
@@ -70,37 +86,37 @@ class BallError(CompilerError):
     """SL-mode generator lies outside the radius-r ball around I."""
 
 
-class FormatError(CompilerError):
+class FormatError(CacheError):
     """Net cache file is truncated or malformed."""
 
 
-class StaleGateSet(CompilerError):
+class StaleGateSet(CacheError):
     """Net cache was built against a different gate set."""
 
 
-class EmptyNet(CompilerError):
+class EmptyNet(CompileFailure):
     """Nearest-neighbour query against an empty store."""
 
 
-class BudgetExceeded(CompilerError):
+class BudgetExceeded(CompileFailure):
     """Net store filled up before the requested word length was reached."""
 
 
 # --- compilation ---
 
-class NetTooCoarse(CompilerError):
+class NetTooCoarse(CompileFailure):
     """No stored word is close enough to seed the requested compilation."""
 
 
-class DimUnsupported(CompilerError):
+class DimUnsupported(CompileFailure):
     """The base compiler only handles 2x2 unitaries."""
 
 
-class TooFar(CompilerError):
+class TooFar(CompileFailure):
     """Commutator decomposition called outside its convergence region."""
 
 
-class Stalled(CompilerError):
+class Stalled(CompileFailure):
     """Refinement stopped contracting before reaching the target error.
 
     best_error is the smallest error any iterate reached, best_pass the pass
@@ -115,7 +131,7 @@ class Stalled(CompilerError):
         self.floor = floor
 
 
-class NonConvergent(CompilerError):
+class NonConvergent(CompileFailure):
     """Refinement diverged or exceeded its iteration cap."""
 
 

@@ -34,7 +34,6 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    MatrixClass,
     check_class,
     dist,
     require_matrix,
@@ -196,8 +195,7 @@ def infer_group(mats, tol: float = DEFAULT_TOL, unitary: bool = True) -> FiniteG
     """
     if len(mats) == 0:
         raise NotClosed("empty element list")
-    klass = MatrixClass.SPECIAL_UNITARY if unitary else MatrixClass.SPECIAL_LINEAR
-    checked = [check_class(m, klass, tol=tol) for m in mats]
+    checked = [check_class(m, "su" if unitary else "sl", tol=tol) for m in mats]
     dims = {m.shape[0] for m in checked}
     if len(dims) != 1:
         raise DimError(f"elements have mixed dimensions {sorted(dims)}")

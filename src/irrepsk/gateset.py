@@ -38,7 +38,6 @@ from .finitegroup import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    MatrixClass,
     check_class,
     dist,
     require_matrix,
@@ -269,8 +268,6 @@ def parse_gateset(doc) -> GateSet:
     else:
         sl_radius = None
 
-    klass = MatrixClass.SPECIAL_UNITARY if mode == "su" else MatrixClass.SPECIAL_LINEAR
-
     def prepare(m, where):
         m = require_matrix(m)
         if m.shape[0] != dim:
@@ -281,7 +278,7 @@ def parse_gateset(doc) -> GateSet:
             except ClassError as e:
                 raise ClassError(f"{where}: {e}") from None
         try:
-            return check_class(m, klass, tol=tol)
+            return check_class(m, mode, tol=tol)
         except ClassError as e:
             raise ClassError(f"{where}: {e}") from None
 

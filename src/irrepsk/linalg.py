@@ -9,7 +9,6 @@ in, up to the d-th roots of unity a projective irrep's products pick up.
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import reduce
 
 import numpy as np
@@ -18,11 +17,6 @@ import scipy.linalg
 from .errors import ClassError, DimError, InvalidMatrix
 
 DEFAULT_TOL = 1e-9
-
-
-class MatrixClass(Enum):
-    SPECIAL_LINEAR = "sl"
-    SPECIAL_UNITARY = "su"
 
 
 def require_matrix(m) -> np.ndarray:
@@ -75,17 +69,17 @@ def sl_residual(m) -> float:
     return abs(determinant(m) - 1.0)
 
 
-def check_class(m, klass: MatrixClass, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Validate m against a matrix class; returns m on success.
+def check_class(m, mode: str, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Validate m against a gate-set mode's matrix class; returns m on success.
 
-    SPECIAL_UNITARY requires both unitarity and det 1, SPECIAL_LINEAR only
-    det 1.
+    Mode "su" (special unitary) requires both unitarity and det 1, mode "sl"
+    (special linear) only det 1.
     """
     a = require_matrix(m)
     r = sl_residual(a)
     if r > tol:
         raise ClassError(f"|det - 1| = {r:.3e} exceeds tolerance {tol:.1e}")
-    if klass is MatrixClass.SPECIAL_UNITARY:
+    if mode == "su":
         u = unitarity_residual(a)
         if u > tol:
             raise ClassError(

@@ -403,9 +403,8 @@ def compile_target(gs: GateSet, target, eps: float, params: SKParams,
     # after the rewrite, a token e >= n is an inverted extra gate inv[e]
     n = gs.gen_count
     inv = np.asarray(extended_inverse(gs))
-    picks = []
-    for depth, (signed, product, base_error) in enumerate(
-            sk_depths(gs, target, params, eps, picks)):
+    for depth, (signed, product, base_error, rotation) in enumerate(
+            sk_depths(gs, target, params, eps)):
         if base_error > eps:
             continue
         base = rewrite_irrep_inverses(gs, GateWord(params.net.gather(signed, inv), product))
@@ -435,7 +434,7 @@ def compile_target(gs: GateSet, target, eps: float, params: SKParams,
         base_error=base_error,
         base_length=base.length,
         depth=depth,
-        rotation=picks[depth],
+        rotation=rotation,
         inverted_extras=m,
         inverted_counts={i: int(counts[i]) for i in refined},
         refine_errors={i: r[1] for i, r in refined.items()},

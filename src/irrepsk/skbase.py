@@ -18,12 +18,14 @@ inverted), and tokens are gathered only for the depths a caller reads out.
 
 The decomposition is not unique: conjugating A and B by any rotation S about
 delta's own axis leaves the commutator S delta S^dag = delta.  Each depth's
-top level therefore tries K pairs of that one-parameter family
+top level therefore tries K = ROTATIONS pairs of that one-parameter family
 (commutator_family), approximates all 2K factors in one stack, and keeps the
-candidate word closest to the target.  Error gained there turns into a
-shallower accepted depth, at about 1/5 of the tokens per depth saved.  A depth
-whose predecessor missed the caller's eps by at most NEAR_MISS tries the
-plain pair alone first, and searches only if that word misses too.
+candidate word closest to the target; K = 1 is the plain recursion.  Error
+gained there turns into a shallower accepted depth, at about 1/5 of the
+tokens per depth saved.  A depth whose predecessor missed the caller's eps by
+at most NEAR_MISS tries the plain pair alone first, and searches only if that
+word misses too.  There is one commutator routine,
+balanced_commutator_decompose, batched over a stack of deltas.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ def rotation(axis, angle: float) -> np.ndarray:
                                              np.sin(angle / 2) * axis]))
 
 
-def commutator_factors(deltas: np.ndarray) -> np.ndarray:
+def balanced_commutator_decompose(deltas: np.ndarray) -> np.ndarray:
     """Exact A, B in SU(2) with A B A^dag B^dag = delta for each delta of an
     (n, 2, 2) stack; the quaternions of A and of B as one (2, n, 4) array.
 
@@ -100,17 +102,20 @@ def commutator_factors(deltas: np.ndarray) -> np.ndarray:
 
 
 def commutator_family(deltas: np.ndarray, angles) -> np.ndarray:
-    """commutator_factors' pair for each delta of an (n, 2, 2) stack, with both
-    factors conjugated by the rotation by phi about delta's axis, for each phi
-    of angles: the quaternions of A and of B as one (2, n, k, 4) array.
+    """balanced_commutator_decompose's pair for each delta of an (n, 2, 2)
+    stack, with both factors conjugated by the rotation by phi about delta's
+    axis, for each phi of angles (the top-level search of sk_depths passes
+    phi_j = 2 pi j / ROTATIONS): the quaternions of A and of B as one
+    (2, n, k, 4) array.
 
     That rotation commutes with delta, so every pair is an exact decomposition
     of it.  Conjugation keeps a quaternion's w and turns its vector part x by
     phi about the unit axis a (Rodrigues): x cos phi + (a x x) sin phi +
     a (a . x)(1 - cos phi).  At phi = 0 that adds only zeros, so the pair is
-    commutator_factors' own; at delta = I both factors are I for every phi.
+    balanced_commutator_decompose's own; at delta = I both factors are I for
+    every phi.
     """
-    ab = commutator_factors(deltas)[:, :, None]
+    ab = balanced_commutator_decompose(deltas)[:, :, None]
     v = su2_to_quaternion(deltas)[:, None, 1:]
     vn = np.sqrt((v * v).sum(-1, keepdims=True))
     a = v / (vn + (vn == 0))
@@ -122,61 +127,52 @@ def commutator_family(deltas: np.ndarray, angles) -> np.ndarray:
                            turned], axis=-1)
 
 
-def balanced_commutator_decompose(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The matrices A, B of commutator_factors for one (2, 2) delta."""
-    if delta.shape != (2, 2):
-        raise DimUnsupported("commutator decomposition is SU(2)-only")
-    a, b = quaternion_to_su2(commutator_factors(delta[None])[:, 0])
-    return a, b
-
-
-# a depth whose predecessor's error was at most NEAR_MISS * eps tries its
-# plain commutator pair before searching the family (sk_depths)
+# the number K of top-level commutator pairs each depth tries (1 is the plain
+# recursion), and the near miss: a depth whose predecessor's error was at most
+# NEAR_MISS * eps tries its plain pair before searching the family (sk_depths)
+ROTATIONS = 16
 NEAR_MISS = 1.5
 
 
 @dataclass(eq=False)
 class SKParams:
-    """Base-compiler configuration: the inverse-closed net, a depth cap and
-    the number of top-level commutator pairs each depth tries (sk_depths);
-    rotations = 1 is the plain recursion."""
+    """Base-compiler configuration: the inverse-closed net and a depth cap."""
 
     net: EpsNet
     max_depth: int = 10
-    rotations: int = 16
 
 
-def base_params(gs: GateSet, word_length: int, max_depth: int = 10) -> SKParams:
-    """Build the inverse-closed base net for the depth loop (sk_depths)."""
-    return SKParams(net=build_gateset_net(gs, word_length, with_inverses=True),
-                    max_depth=max_depth)
+def base_params(gs: GateSet, word_length: int) -> SKParams:
+    """Build the inverse-closed base net for the depth loop (sk_depths), at
+    the default depth cap."""
+    return SKParams(net=build_gateset_net(gs, word_length, with_inverses=True))
 
 
-def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0, picks=None):
+def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
     """The commutator recursion for a SU(2) target, one depth at a time.
 
-    Yields (signed, product, error) for depth 0, 1, ... up to params.max_depth:
-    the depth's word as signed net indices (~i for net word i inverted, to be
-    read out by net.gather over extended_inverse(gs)), the word's tracked
-    product and its distance to the target.  Asking past the depth cap raises
+    Yields (signed, product, error, j) for depth 0, 1, ... up to
+    params.max_depth: the depth's word as signed net indices (~i for net word
+    i inverted, to be read out by net.gather over extended_inverse(gs)), the
+    word's tracked product, its distance to the target and the chosen
+    top-level pair j (0 at depth 0).  Asking past the depth cap raises
     NetTooCoarse with the smallest error seen, so a consumer accepts a depth
     by its own rule and lets a loop over the depths run out into that error.
     Raises DimUnsupported away from d = 2 and ClassError for a target off
     SU(2).
 
     Depth d >= 1 writes delta = U W^dag, for the target U and the depth-(d - 1)
-    word W, as the commutator of each of the K = params.rotations pairs of
-    commutator_family at phi_j = 2 pi j / K (j = 0 is commutator_factors'
-    pair).  It approximates all 2K factors at depth d - 1 in one stack and
-    keeps the candidate closest to U, which is also the next depth's W.  eps
-    is the caller's tolerance: if depth d - 1 missed it by at most NEAR_MISS,
-    depth d takes the plain (j = 0) word when that is within eps and searches
-    j >= 1 only otherwise.  (A target whose depth d - 1 just missed usually
+    word W, as the commutator of each of the K = ROTATIONS pairs of
+    commutator_family at phi_j = 2 pi j / K (j = 0 is
+    balanced_commutator_decompose's pair).  It approximates all 2K factors
+    at depth d - 1 in one stack and keeps the candidate closest to U, which
+    is also the next depth's W.  eps is the caller's tolerance: if depth
+    d - 1 missed it by at most NEAR_MISS, depth d takes the plain (j = 0)
+    word when that is within eps and searches j >= 1 only otherwise.  (A target whose depth d - 1 just missed usually
     passes with the plain word; the search would cost K-fold for nothing.)
     The search gains nothing where depth d - 1 already missed by far more
     than a depth's contraction: on pauli_ht at eps = 1e-7 it leaves the length
-    as it is and costs about 1.6x the time.  If picks is a list, the chosen j
-    of each yielded depth is appended to it (0 at depth 0).
+    as it is and costs about 1.6x the time.
     """
     if gs.dim != 2 or gs.mode != "su":
         raise DimUnsupported("the base compiler handles d = 2, su mode only")
@@ -185,7 +181,7 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0, picks=Non
     if not residual < DEFAULT_TOL:
         raise ClassError(f"target is not in SU(2): residual {residual:.3e}")
     net = params.net
-    k = params.rotations
+    k = ROTATIONS
 
     def level(q: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
         """Signed net indices (n, 5^depth) and products (n, 2, 2) of the plain
@@ -194,7 +190,8 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0, picks=Non
             i, _ = net.query(q)
             return i[:, None], net.products[i]
         idx1, p1 = level(q, depth - 1)
-        ab = commutator_factors(matmul_stack(quaternion_to_su2(q), p1.conj().swapaxes(1, 2)))
+        ab = balanced_commutator_decompose(
+            matmul_stack(quaternion_to_su2(q), p1.conj().swapaxes(1, 2)))
         (ia, ib), p = commutators(ab, p1, depth)
         return np.concatenate([ia, ib, ~ia[:, ::-1], ~ib[:, ::-1], idx1], axis=1), p
 
@@ -241,9 +238,7 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0, picks=Non
                 f"base approximation too coarse for the commutator step: {e}"
             ) from e
         best = min(best, err)
-        if picks is not None:
-            picks.append(j)
-        yield word[0], word[1], err
+        yield word[0], word[1], err, j
     raise NetTooCoarse(
         f"depth cap {params.max_depth} reached at SK error {best:.3e}; "
         "the base net is too coarse for this tolerance"
@@ -257,7 +252,7 @@ def sk_compile(gs: GateSet, target, eps: float, params: SKParams) -> GateWord:
     first depth of sk_depths (given eps) whose error is at most eps, with
     sk_depths' errors (NetTooCoarse at the depth cap).
     """
-    idx, prod = next((i, p) for i, p, err in sk_depths(gs, target, params, eps)
+    idx, prod = next((i, p) for i, p, err, _ in sk_depths(gs, target, params, eps)
                      if err <= eps)
     return GateWord(params.net.gather(idx, np.asarray(extended_inverse(gs))), prod)
 

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import inspect
 import json
 import re
 import shlex
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+import irrepsk.cli
+from irrepsk import errors
 from irrepsk.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -233,6 +236,44 @@ def test_bench_csv_is_deterministic(capsys, tmp_path):
     assert "summary:" in out1
 
 
+# main's exit code for an exception escaping a command: 1 for a gate-set or
+# argument failure, 2 when the compiler cannot reach the tolerance, 3 for a
+# file problem
+EXIT_CODES = {
+    "CompilerError": 1, "InvalidMatrix": 1, "DimError": 1, "ClassError": 1,
+    "GroupError": 1, "NotClosed": 1, "NotIrreducible": 1, "AmbiguousMatch": 1,
+    "ProjectiveUnsupported": 1, "ExtensionOverflow": 1, "GroupTooLarge": 1,
+    "SchemaError": 1, "IrrepError": 1, "BallError": 1, "ValueError": 1,
+    "CompileFailure": 2, "NetTooCoarse": 2, "DimUnsupported": 2, "TooFar": 2,
+    "Stalled": 2, "NonConvergent": 2, "BallExit": 2, "EmptyNet": 2,
+    "BudgetExceeded": 2,
+    "CacheError": 3, "FormatError": 3, "StaleGateSet": 3, "OSError": 3,
+    "JSONDecodeError": 3,
+}
+ERROR_CLASSES = [c for _, c in inspect.getmembers(errors, inspect.isclass)
+                 if c.__module__ == errors.__name__]
+
+
+def _raised(cls):
+    if cls is errors.Stalled:
+        return cls("stalled", best_error=1e-9, best_pass=3, floor=1e-13)
+    if cls is json.JSONDecodeError:
+        return cls("bad document", "{", 1)
+    return cls("failed")
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES + [OSError, ValueError, json.JSONDecodeError],
+                         ids=lambda c: c.__name__)
+def test_exit_code_of_each_error_class(capsys, monkeypatch, cls):
+    def fail(path):
+        raise _raised(cls)
+
+    monkeypatch.setattr(irrepsk.cli, "load_gateset", fail)
+    rc, out, err = run(capsys, "validate", "--gateset", HT)
+    assert rc == EXIT_CODES[cls.__name__]
+    assert out == "" and err.startswith("error: ")
+
+
 # SHA-256 of the CSV below.  Rows print errors to 7 digits, so a change that
 # keeps the algorithm keeps these bytes.  Re-recorded when compile_target
 # began to accept an SK depth on the measured total error (trial 1 at 1e-2
@@ -270,12 +311,87 @@ def test_bench_without_trials_writes_header_only(capsys, tmp_path):
                                "inverted_extras,eps_k,ell_k,naive_length\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("compile", "--gateset", HT, "--target", "random", "--base-length", "12",
+     "--refine-length", "6"),
+    ("refine-inverse", "--gateset", SKEW, "--gate", "S", "--length", "4"),
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("eps", ["0", "-1e-3", "nan", "inf"])
+def test_impossible_epsilon_is_rejected_up_front(capsys, argv, eps):
+    # checked before the nets are built: no depth meets eps = 0, so compile
+    # would run all ten SK depths (about 1 GB) and then blame the net with
+    # exit code 2
+    rc, out, err = run(capsys, *argv, f"--epsilon={eps}")
+    assert rc == 1 and out == ""
+    assert err == f"error: --epsilon must be positive and finite, got {float(eps):g}\n"
+
+
+def test_bench_rejects_each_impossible_epsilon(capsys):
+    rc, out, err = run(capsys, "bench", "--gateset", HT, "--epsilon", "1e-2,0",
+                       "--trials", "1", "--base-length", "12", "--refine-length", "6")
+    assert rc == 1 and out == ""
+    assert err == "error: --epsilon must be positive and finite, got 0\n"
+
+
+def test_bench_rejects_negative_trials(capsys):
+    # SeedSequence.spawn(-1) raises OverflowError, which has no exit code
+    rc, out, err = run(capsys, "bench", "--gateset", HT, "--epsilon", "1e-2",
+                       "--trials", "-1", "--base-length", "4", "--refine-length", "4")
+    assert rc == 1 and out == ""
+    assert err == "error: --trials must be at least 0, got -1\n"
+
+
+def test_scan_orderings_rejects_zero_samples(capsys):
+    # no samples make every ordering's coefficient the mean of nothing, NaN
+    rc, out, err = run(capsys, "scan-orderings", "--builtin", "s3", "--samples", "0")
+    assert rc == 1 and out == ""
+    assert err == "error: --samples must be at least 1, got 0\n"
+
+
 def test_net_budget_is_a_compile_failure(capsys, tmp_path):
     rc, _, err = run(capsys, "compile", "--gateset", HT, "--target", "axis:0,0,1:0.7",
                      "--epsilon", "1e-3", "--base-length", "12", "--refine-length", "6",
                      "--budget", "300")
     assert rc == 2
     assert "word budget 300 exceeded" in err
+
+
+# main's exit code for an exception escaping a command: 1 for a gate-set or
+# argument failure, 2 when the compiler cannot reach the tolerance, 3 for a
+# file problem
+EXIT_CODES = {
+    "CompilerError": 1, "InvalidMatrix": 1, "DimError": 1, "ClassError": 1,
+    "GroupError": 1, "NotClosed": 1, "NotIrreducible": 1, "AmbiguousMatch": 1,
+    "ProjectiveUnsupported": 1, "ExtensionOverflow": 1, "GroupTooLarge": 1,
+    "SchemaError": 1, "IrrepError": 1, "BallError": 1, "ValueError": 1,
+    "CompileFailure": 2, "NetTooCoarse": 2, "DimUnsupported": 2, "TooFar": 2,
+    "Stalled": 2, "NonConvergent": 2, "BallExit": 2, "EmptyNet": 2,
+    "BudgetExceeded": 2,
+    "CacheError": 3, "FormatError": 3, "StaleGateSet": 3, "OSError": 3,
+    "JSONDecodeError": 3,
+}
+ERROR_CLASSES = [c for _, c in inspect.getmembers(errors, inspect.isclass)
+                 if c.__module__ == errors.__name__]
+
+
+def _raised(cls):
+    if cls is errors.Stalled:
+        return cls("stalled", best_error=1e-9, best_pass=3, floor=1e-13)
+    if cls is json.JSONDecodeError:
+        return cls("bad document", "{", 1)
+    return cls("failed")
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES + [OSError, ValueError, json.JSONDecodeError],
+                         ids=lambda c: c.__name__)
+def test_exit_code_of_each_error_class(capsys, monkeypatch, cls):
+    def fail(path):
+        raise _raised(cls)
+
+    monkeypatch.setattr(irrepsk.cli, "load_gateset", fail)
+    rc, out, err = run(capsys, "validate", "--gateset", HT)
+    assert rc == EXIT_CODES[cls.__name__]
+    assert out == "" and err.startswith("error: ")
 
 
 # SHA-256 of the CSV below.  Its coefficients print to 10 digits, so it

@@ -1,6 +1,5 @@
 """Inverse refinement: symmetrization, contraction, traces, the scan."""
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -9,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import irrepsk.skbase as skbase
 from irrepsk import base_params, build_gateset_net, compile_target, refine_inverse
 from irrepsk.errors import (
     DimError,
@@ -299,7 +299,7 @@ def test_compile_target_report(ht_gateset, ht_params, ht_refine_net):
     assert doc["eps"] == 1e-3
     assert doc["depth"] == report.depth >= 1
     assert doc["rotation"] == report.rotation
-    assert 0 <= report.rotation < ht_params.rotations
+    assert 0 <= report.rotation < skbase.ROTATIONS
     assert doc["inverted_counts"] == {str(i): c for i, c in report.inverted_counts.items()}
 
 
@@ -322,7 +322,7 @@ def _half_split_compile(gs, target, eps, params, refine_net):
     sk_depths gets eps, as in compile_target, so both rules see the same word
     at each depth.  Returns the output word's length and the SK depth."""
     inv = np.asarray(extended_inverse(gs))
-    for depth, (signed, product, err) in enumerate(sk_depths(gs, target, params, eps)):
+    for depth, (signed, product, err, _) in enumerate(sk_depths(gs, target, params, eps)):
         if err <= eps / 2:
             break
     base = rewrite_irrep_inverses(gs, GateWord(params.net.gather(signed, inv), product))
@@ -341,18 +341,18 @@ def tprime_setup():
     return gs, base_params(gs, 12), build_gateset_net(gs, 6)
 
 
-def _shallower_than_half_split(request, case, rotations):
+def _shallower_than_half_split(request, monkeypatch, case, rotations):
     """Compile 24 targets of case ("gate set eps") with compile_target and
-    with _half_split_compile at the given rotations; check that no accepted
-    depth is deeper, no word longer and every error within eps, and return
-    how many targets compile_target accepts at a shallower depth."""
+    with _half_split_compile at skbase.ROTATIONS = rotations; check that no
+    accepted depth is deeper, no word longer and every error within eps, and
+    return how many targets compile_target accepts at a shallower depth."""
     name, eps = case.split()
     if name == "pauli_ht":
         gs, params, refine_net = (request.getfixturevalue(f) for f in
                                   ("ht_gateset", "ht_params", "ht_refine_net"))
     else:
         gs, params, refine_net = request.getfixturevalue("tprime_setup")
-    params = dataclasses.replace(params, rotations=rotations)
+    monkeypatch.setattr(skbase, "ROTATIONS", rotations)
     rng = np.random.default_rng(46)
     eps = float(eps)
     shallower = 0
@@ -371,20 +371,21 @@ CASES = ["pauli_ht 1e-3", "pauli_ht 1e-4", "pauli_ht_tprime 3e-3"]
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_depth_budget_never_lengthens_the_half_split_word(request, case):
+def test_depth_budget_never_lengthens_the_half_split_word(request, monkeypatch, case):
     # the depth the eps / 2 rule takes always passes the measured-total test,
     # so no accepted depth is deeper and no word is longer than the
     # reference's.  In every case here 7 or 8 of the 24 targets drop a depth
-    # in the plain recursion (rotations = 1)
-    assert _shallower_than_half_split(request, case, 1) >= 4
+    # in the plain recursion (ROTATIONS = 1)
+    assert _shallower_than_half_split(request, monkeypatch, case, 1) >= 4
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_depth_budget_with_the_search_never_lengthens_the_half_split_word(request, case):
-    # the same at the default rotations.  How many targets drop a depth
+def test_depth_budget_with_the_search_never_lengthens_the_half_split_word(request, monkeypatch,
+                                                                          case):
+    # the same at the default ROTATIONS.  How many targets drop a depth
     # depends on how close the depth before the eps / 2 one comes: 2, 1 and
     # 14 of 24 here, so no count is asserted
-    _shallower_than_half_split(request, case, 16)
+    _shallower_than_half_split(request, monkeypatch, case, 16)
 
 
 def test_a_depth_whose_measured_total_misses_eps_is_rejected(tprime_setup):
@@ -392,7 +393,7 @@ def test_a_depth_whose_measured_total_misses_eps_is_rejected(tprime_setup):
     # depth's total over eps, so the next depth is accepted
     gs, params, refine_net = tprime_setup
     target = random_su(2, np.random.default_rng(47))
-    errors = [err for _, _, err in itertools.islice(sk_depths(gs, target, params), 4)]
+    errors = [err for _, _, err, _ in itertools.islice(sk_depths(gs, target, params), 4)]
     eps = errors[3] * (1 + 1e-12)
     report = compile_target(gs, target, eps, params, refine_net)
     assert report.depth == 4
@@ -404,11 +405,11 @@ def test_a_depth_whose_measured_total_misses_eps_is_rejected(tprime_setup):
 # SHA-256 of the token tuples of _pinned_words.  A change that keeps the
 # algorithm must keep the words bit-identical; a deliberate algorithm change
 # updates the value and says why here.
-# - WORDS_SHA256, rotations = 1, the plain recursion: recorded when
+# - WORDS_SHA256, ROTATIONS = 1, the plain recursion: recorded when
 #   compile_target began to accept an SK depth on the measured total error
 #   (the second and fourth targets drop a depth: 10610 -> 1994 and
 #   10513 -> 2177 tokens).
-# - SEARCHED_WORDS_SHA256, rotations = 16, the default: recorded when each
+# - SEARCHED_WORDS_SHA256, ROTATIONS = 16, the default: recorded when each
 #   depth began to search its top commutator pair.  Lengths 10190, 1994,
 #   11263, 2177, 10136 -> 2232, 2146, 2291, 2295, 406: the first, third and
 #   fifth targets end one or two depths shallower (4 -> 3, 4 -> 3, 4 -> 2);
@@ -418,12 +419,11 @@ WORDS_SHA256 = "af2ada4504e9118a90de6dba82d071b9151602cf0c6d05cacd6a3192b0ee0593
 SEARCHED_WORDS_SHA256 = "fb41dfb17df2f50475904ea1823429e3497672f0ff594c5d3d174f5dcea8e4d2"
 
 
-def _pinned_words(rotations, ht_gateset, ht_params, ht_refine_net, skew_gateset, skew_net):
-    """Five pauli_ht compiles at 1e-3 with the given rotations and one
-    pauli_skew refined inverse, as token tuples."""
-    params = dataclasses.replace(ht_params, rotations=rotations)
+def _pinned_words(ht_gateset, ht_params, ht_refine_net, skew_gateset, skew_net):
+    """Five pauli_ht compiles at 1e-3 and one pauli_skew refined inverse, as
+    token tuples."""
     rng = np.random.default_rng(7)
-    words = [compile_target(ht_gateset, random_su(2, rng), 1e-3, params,
+    words = [compile_target(ht_gateset, random_su(2, rng), 1e-3, ht_params,
                             ht_refine_net).indices for _ in range(5)]
     gen = skew_gateset.name_index("S")
     words.append(refine_inverse(skew_gateset, skew_net, gen, 1e-8)[0].tokens)
@@ -431,16 +431,17 @@ def _pinned_words(rotations, ht_gateset, ht_params, ht_refine_net, skew_gateset,
 
 
 def test_words_stay_bit_identical(ht_gateset, ht_params, ht_refine_net,
-                                  skew_gateset, skew_net):
-    words = _pinned_words(1, ht_gateset, ht_params, ht_refine_net, skew_gateset, skew_net)
+                                  skew_gateset, skew_net, monkeypatch):
+    monkeypatch.setattr(skbase, "ROTATIONS", 1)
+    words = _pinned_words(ht_gateset, ht_params, ht_refine_net, skew_gateset, skew_net)
     assert [len(w) for w in words] == [10190, 1994, 11263, 2177, 10136, 109]
     assert hashlib.sha256(repr(words).encode()).hexdigest() == WORDS_SHA256
 
 
 def test_searched_words_stay_bit_identical(ht_gateset, ht_params, ht_refine_net,
                                            skew_gateset, skew_net):
-    assert ht_params.rotations == 16
-    words = _pinned_words(16, ht_gateset, ht_params, ht_refine_net, skew_gateset, skew_net)
+    assert skbase.ROTATIONS == 16
+    words = _pinned_words(ht_gateset, ht_params, ht_refine_net, skew_gateset, skew_net)
     assert [len(w) for w in words] == [2232, 2146, 2291, 2295, 406, 109]
     assert hashlib.sha256(repr(words).encode()).hexdigest() == SEARCHED_WORDS_SHA256
 

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import irrepsk.skbase as skbase
 from irrepsk import EpsNet, SKParams, base_params, build_gateset_net, parse_gateset
 from irrepsk.errors import ClassError, NetTooCoarse, TooFar
 from irrepsk.gateset import make_word, word_product
@@ -15,7 +16,6 @@ from irrepsk.net import extended_generators, extended_inverse
 from irrepsk.skbase import (
     NEAR_MISS,
     balanced_commutator_decompose,
-    commutator_factors,
     commutator_family,
     rewrite_irrep_inverses,
     rotation,
@@ -26,9 +26,14 @@ from irrepsk.skbase import (
 ANGLES = 2 * np.pi * np.arange(16) / 16
 
 
-def _plain(params):
-    """params with the top-level search off: the plain recursion."""
-    return dataclasses.replace(params, rotations=1)
+def _plain(monkeypatch):
+    """Turn the top-level search off: the plain recursion."""
+    monkeypatch.setattr(skbase, "ROTATIONS", 1)
+
+
+def _decompose(delta):
+    """The matrices A, B of balanced_commutator_decompose for one delta."""
+    return quaternion_to_su2(balanced_commutator_decompose(delta[None])[:, 0])
 
 
 def _commutators(ab):
@@ -79,7 +84,7 @@ def test_commutator_exact_on_target():
         delta = rotation(axis, 10 ** rng.uniform(-12, np.log10(0.9)))
         if dist(delta, np.eye(2)) > 0.25:
             continue
-        a, b = balanced_commutator_decompose(delta)
+        a, b = _decompose(delta)
         got = a @ b @ a.conj().T @ b.conj().T
         assert dist(got, delta) <= 4 * 2.0 ** -52
         seen += 1
@@ -100,7 +105,7 @@ def test_commutator_near_the_singular_axes(theta):
             n /= np.linalg.norm(n)
             q = np.concatenate([[np.cos(theta / 2)], np.sin(theta / 2) * n])
             delta = quaternion_to_su2(q)
-            a, b = balanced_commutator_decompose(delta)
+            a, b = _decompose(delta)
             assert dist(a @ b @ a.conj().T @ b.conj().T, delta) <= 4 * 2.0 ** -52
             # every rotated pair of the family is an exact decomposition too
             got = _commutators(commutator_family(delta[None], ANGLES)[:, 0])
@@ -109,14 +114,14 @@ def test_commutator_near_the_singular_axes(theta):
 
 def test_commutator_family_is_exact_and_starts_at_the_plain_pair():
     # conjugating both factors by a rotation about delta's axis keeps the
-    # commutator; phi = 0 is commutator_factors' pair bit for bit, and the
-    # identity's factors stay I at every angle
+    # commutator; phi = 0 is balanced_commutator_decompose's pair bit for
+    # bit, and the identity's factors stay I at every angle
     rng = np.random.default_rng(48)
     deltas = np.array([np.eye(2)] + [rotation(rng.normal(size=3), 10 ** rng.uniform(-10, -0.5))
                                      for _ in range(300)])
     family = commutator_family(deltas, ANGLES)
     assert family.shape == (2, 301, 16, 4)
-    assert np.array_equal(family[:, :, 0], commutator_factors(deltas))
+    assert np.array_equal(family[:, :, 0], balanced_commutator_decompose(deltas))
     got = _commutators(family)
     assert dist(got.reshape(-1, 2, 2), np.repeat(deltas, 16, axis=0)).max() <= 1e-12
     assert np.array_equal(family[:, 0], np.broadcast_to([1.0, 0, 0, 0], (2, 16, 4)))
@@ -137,9 +142,9 @@ def test_commutator_factors_batch_matches_rows():
         quaternion_to_su2(np.concatenate([[np.cos(theta / 2)], sign * np.sin(theta / 2) * m]))
         for sign in (1, -1)] + [rotation(rng.normal(size=3), rng.uniform(0, 0.4))
                                 for _ in range(5)]
-    ab = quaternion_to_su2(commutator_factors(np.array(deltas)))
+    ab = quaternion_to_su2(balanced_commutator_decompose(np.array(deltas)))
     for j, delta in enumerate(deltas):
-        a, b = balanced_commutator_decompose(delta)
+        a, b = _decompose(delta)
         assert np.array_equal(ab[0, j], a) and np.array_equal(ab[1, j], b)
 
 
@@ -155,17 +160,17 @@ def test_commutator_factor_distance_scaling():
         gap = dist(delta, eye)
         if gap > 0.25:
             continue
-        a, b = balanced_commutator_decompose(delta)
+        a, b = _decompose(delta)
         bound = 2.0 * np.sqrt(gap)
         assert dist(a, eye) <= bound
         assert dist(b, eye) <= bound
 
 
 def test_commutator_identity_and_too_far():
-    a, b = balanced_commutator_decompose(np.eye(2))
+    a, b = _decompose(np.eye(2))
     assert np.array_equal(a, np.eye(2))
     with pytest.raises(TooFar):
-        balanced_commutator_decompose(rotation(np.array([0, 0, 1.0]), 3.0))
+        _decompose(rotation(np.array([0, 0, 1.0]), 3.0))
 
 
 def test_symbol_words(ht_gateset, slp_gateset):
@@ -221,11 +226,10 @@ def test_sk_compile_rejects_hopeless_net(ht_gateset):
 
 
 def _counted_calls(monkeypatch):
-    """Record the rows of every EpsNet.query and commutator_factors call."""
-    import irrepsk.skbase as skbase_mod
-
+    """Record the rows of every EpsNet.query and balanced_commutator_decompose
+    call."""
     calls = {"query": [], "commutator": []}
-    query, factors = EpsNet.query, skbase_mod.commutator_factors
+    query, factors = EpsNet.query, skbase.balanced_commutator_decompose
 
     def counted_query(self, q):
         calls["query"].append(len(q))
@@ -236,7 +240,7 @@ def _counted_calls(monkeypatch):
         return factors(deltas)
 
     monkeypatch.setattr(EpsNet, "query", counted_query)
-    monkeypatch.setattr(skbase_mod, "commutator_factors", counted_factors)
+    monkeypatch.setattr(skbase, "balanced_commutator_decompose", counted_factors)
     return calls
 
 
@@ -245,7 +249,8 @@ def test_sk_compile_reuses_the_previous_depth(ht_gateset, monkeypatch):
     # looks up 3^3 leaf targets in 1 + 1 + 2 + 4 batched queries and
     # decomposes 1 + 3 + 9 commutators in 1 + 2 + 4 batched calls
     calls = _counted_calls(monkeypatch)
-    params = _plain(base_params(ht_gateset, 10, max_depth=3))
+    _plain(monkeypatch)
+    params = dataclasses.replace(base_params(ht_gateset, 10), max_depth=3)
     with pytest.raises(NetTooCoarse):
         sk_compile(ht_gateset, random_su(2, np.random.default_rng(0)), 1e-12, params)
     assert sum(calls["query"]) == 27 and sum(calls["commutator"]) == 13
@@ -257,8 +262,8 @@ def test_the_search_adds_rows_not_calls(ht_gateset, monkeypatch):
     # the 2K factors of its K pairs as one stack: 2K rows where the plain
     # recursion sends 2, so every row count below the top grows K-fold
     calls = _counted_calls(monkeypatch)
-    params = base_params(ht_gateset, 10, max_depth=3)
-    k = params.rotations
+    params = dataclasses.replace(base_params(ht_gateset, 10), max_depth=3)
+    k = skbase.ROTATIONS
     assert k == 16
     with pytest.raises(NetTooCoarse):
         sk_compile(ht_gateset, random_su(2, np.random.default_rng(0)), 1e-12, params)
@@ -364,13 +369,14 @@ def test_sk_compile_tracks_the_product_of_its_tokens(ht_gateset, ht_params):
         assert np.linalg.norm(w.product - word_product(gens, w.tokens), 2) <= tol
 
 
-def test_word_length_growth_per_depth(ht_gateset, ht_params):
+def test_word_length_growth_per_depth(ht_gateset, ht_params, monkeypatch):
     """Each extra recursion level multiplies length by a bounded factor."""
+    _plain(monkeypatch)
     rng = np.random.default_rng(38)
     t = random_su(2, rng)
     lengths = []
     for eps in (1e-2, 1e-3, 1e-4):
-        w = sk_compile(ht_gateset, t, eps, _plain(ht_params))
+        w = sk_compile(ht_gateset, t, eps, ht_params)
         lengths.append(w.length)
     assert lengths == sorted(lengths)
     # 5 recursive subwords per level: growth stays under that with slack
@@ -389,13 +395,14 @@ def test_word_length_growth_per_depth_with_the_search(ht_gateset, ht_params):
     for _ in range(8):
         t = random_su(2, rng)
         for eps in (1e-2, 1e-4):
-            lengths = [len(ht_params.net.gather(signed, inv)) for signed, _, _
+            lengths = [len(ht_params.net.gather(signed, inv)) for signed, *_
                        in itertools.islice(sk_depths(ht_gateset, t, ht_params, eps), 4)]
             for a, b in zip(lengths, lengths[1:]):
                 assert b <= 8 * a + 50
 
 
-def test_a_depth_after_a_near_miss_tries_the_plain_word_first(ht_gateset, ht_params):
+def test_a_depth_after_a_near_miss_tries_the_plain_word_first(ht_gateset, ht_params,
+                                                              monkeypatch):
     # depth 0 is one word with or without the search, so after a depth 0
     # within NEAR_MISS of eps, depth 1 is the plain recursion's word when
     # that is within eps, and the full search's (as at eps = 0) when not
@@ -404,13 +411,16 @@ def test_a_depth_after_a_near_miss_tries_the_plain_word_first(ht_gateset, ht_par
     seen = {"plain": 0, "searched": 0}
     for _ in range(12):
         t = random_su(2, rng)
-        plain = list(itertools.islice(sk_depths(gs, t, _plain(ht_params)), 2))
-        full_picks, picks = [], []
-        full = list(itertools.islice(sk_depths(gs, t, ht_params, 0.0, full_picks), 2))
+        with monkeypatch.context() as m:
+            _plain(m)
+            plain = list(itertools.islice(sk_depths(gs, t, ht_params), 2))
+        full = list(itertools.islice(sk_depths(gs, t, ht_params, 0.0), 2))
+        full_picks = [j for *_, j in full]
         eps = plain[0][2] / 1.4
         assert eps < plain[0][2] <= NEAR_MISS * eps
-        got = list(itertools.islice(sk_depths(gs, t, ht_params, eps, picks), 2))
-        signed, product, err = got[1]
+        got = list(itertools.islice(sk_depths(gs, t, ht_params, eps), 2))
+        picks = [j for *_, j in got]
+        signed, product, err, _ = got[1]
         if plain[1][2] <= eps:
             assert picks == [0, 0] and err == plain[1][2]
             assert np.array_equal(signed, plain[1][0])
@@ -429,7 +439,7 @@ def test_sk_compile_passes_the_old_plateau(ht_gateset):
     # depth 6 gets below 1e-7 only if the commutator step keeps its digits
     # near the identity; theta = 2 arccos(w) loses half of them there, and
     # the SK error then levels off near 3e-7
-    params = base_params(ht_gateset, 12, max_depth=6)
+    params = dataclasses.replace(base_params(ht_gateset, 12), max_depth=6)
     for seed in (0, 1, 2):
         t = random_su(2, np.random.default_rng(seed))
         w = sk_compile(ht_gateset, t, 1e-7, params)
@@ -440,7 +450,7 @@ def test_sk_compile_passes_the_old_plateau(ht_gateset):
 def test_sk_compile_deep_recursion(ht_gateset):
     # depth 7 reaches 1e-10 with words of about 730k tokens, measured by an
     # independent product of the tokens
-    params = base_params(ht_gateset, 12, max_depth=7)
+    params = dataclasses.replace(base_params(ht_gateset, 12), max_depth=7)
     gens = extended_generators(ht_gateset)
     for seed in (0, 1, 2):
         t = random_su(2, np.random.default_rng(seed))

@@ -1,10 +1,15 @@
-"""Regenerate BENCH_rotation_search.json: the top-level rotation search
-(skbase.sk_depths) against commit 20c499e, the plain recursion ("parent").
+"""Benchmark a change against its parent commit and write a BENCH_*.json.
 
-Run from the repository root, with a checkout of that commit beside it:
+Run from the repository root, with a checkout of the parent commit beside
+it, for example:
 
-    git archive 20c499e | tar -x -C ../parent
-    python3 scripts/bench_rotation_search.py --parent ../parent
+    git archive PARENT | tar -x -C ../parent
+    python3 scripts/bench_rotation_search.py --parent ../parent \
+        --first-seed 81 --out BENCH_near_miss.json
+
+The defaults (--first-seed 21, --out BENCH_rotation_search.json) regenerate
+the rotation search's record against commit 20c499e.  RECORDS describes the
+change each output file measures; --out must name one of them.
 
 It writes three parts.  "runs" and "summary": --pairs alternating pairs of
 perfbench/run.py runs per workload (pair k uses seed --first-seed + k - 1;
@@ -41,6 +46,19 @@ SWEEP_GATESETS = {"pauli_ht": "gatesets/pauli_ht.json",
 SWEEP_EPS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 SWEEP_TARGETS, SWEEP_SEED, SWEEP_REPEATS = 10, 7, 3
 ONE_THREAD = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+# the change each output file records, against the parent it was run with
+RECORDS = {
+    "BENCH_rotation_search.json":
+        "each SK depth searches K = 16 exact commutator decompositions of its "
+        "top-level delta (both factors conjugated by rotations about delta's "
+        "axis) in one stack and keeps the closest word; after a near miss (the "
+        "previous depth within 1.5 eps) it tries the plain pair first",
+    "BENCH_near_miss.json":
+        "a depth rejected within 1.5 eps is searched again at the K = 16 "
+        "midpoint rotations, pi (2j + 1) / 16, from the same depth - 1 word, "
+        "and yielded again when that finds a closer word, before the next "
+        "depth is tried",
+}
 
 
 def perfbench(checkout: Path, workload: str, seed: int, seconds: float,
@@ -155,6 +173,8 @@ def main() -> int:
         return 0
     if args.parent is None:
         ap.error("--parent is required")
+    if args.out.name not in RECORDS:
+        ap.error(f"--out must be one of {', '.join(RECORDS)}")
     parent = args.parent.resolve()
     runs = []
     for k in range(1, args.pairs + 1):
@@ -170,12 +190,9 @@ def main() -> int:
     import numpy
     import scipy
     doc = {
-        "change": "each SK depth searches K = 16 exact commutator decompositions "
-                  "of its top-level delta (both factors conjugated by rotations "
-                  "about delta's axis) in one stack and keeps the closest word; "
-                  "after a near miss (the previous depth within 1.5 eps) it tries "
-                  "the plain pair first",
-        "command": "python3 scripts/bench_rotation_search.py --parent PARENT_CHECKOUT",
+        "change": RECORDS[args.out.name],
+        "command": "python3 scripts/bench_rotation_search.py --parent PARENT_CHECKOUT "
+                   f"--first-seed {args.first_seed} --out {args.out.name}",
         "perfbench_command": "env OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 "
                              "MKL_NUM_THREADS=1 python3 perfbench/run.py --workload W "
                              f"--seed S --seconds {args.seconds:g} (pair k: S = "

@@ -94,6 +94,18 @@ def _load_or_build_net(gs: GateSet, net_path, length, with_inverses: bool,
                              budget=budget)
 
 
+def _compile_setup(gs: GateSet, args):
+    """compile's and bench's SK parameters and refinement net; the depth cap
+    is checked before either net is built."""
+    if args.max_depth < 0:
+        raise SchemaError(f"--max-depth must be at least 0, got {args.max_depth}")
+    base_net = _load_or_build_net(gs, args.base_net, args.base_length,
+                                  True, args.budget)
+    refine_net = _load_or_build_net(gs, args.refine_net, args.refine_length,
+                                    False, args.budget)
+    return SKParams(net=base_net, max_depth=args.max_depth), refine_net
+
+
 def cmd_validate(args) -> int:
     gs = load_gateset(args.gateset)
     rep = gs.rep
@@ -150,11 +162,7 @@ def cmd_compile(args) -> int:
     _check_mode(gs, args.mode)
     rng = np.random.default_rng(args.seed)
     target = _parse_target(gs, args.target, rng)
-    base_net = _load_or_build_net(gs, args.base_net, args.base_length,
-                                  True, args.budget)
-    refine_net = _load_or_build_net(gs, args.refine_net, args.refine_length,
-                                    False, args.budget)
-    params = SKParams(net=base_net, max_depth=args.max_depth)
+    params, refine_net = _compile_setup(gs, args)
     t0 = time.perf_counter()
     report = compile_target(gs, target, args.epsilon, params, refine_net)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
@@ -229,11 +237,7 @@ def cmd_bench(args) -> int:
         raise SchemaError(f"--trials must be at least 0, got {args.trials}")
     gs = load_gateset(args.gateset)
     _check_mode(gs, args.mode)
-    base_net = _load_or_build_net(gs, args.base_net, args.base_length,
-                                  True, args.budget)
-    refine_net = _load_or_build_net(gs, args.refine_net, args.refine_length,
-                                    False, args.budget)
-    params = SKParams(net=base_net, max_depth=args.max_depth)
+    params, refine_net = _compile_setup(gs, args)
     rows = []
     all_ok = True
     for eps in eps_list:

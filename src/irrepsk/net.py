@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import BudgetExceeded, EmptyNet, FormatError, StaleGateSet
+from .errors import BudgetExceeded, EmptyNet, FormatError, SchemaError, StaleGateSet
 from .gateset import GateSet, GateWord, eps0_constant
 from .linalg import DEFAULT_TOL, dist, random_su, su2_residual, su2_to_quaternion
 
@@ -393,8 +393,10 @@ def build_net(gens: np.ndarray, dim: int, mode: str, word_length: int,
     level ends with is a built SU(2) net's query tree.
     Raises BudgetExceeded as soon as a chunk would take the store past
     budget words, so budget bounds the memory of a build as well as its
-    words.
+    words.  A negative word_length raises SchemaError.
     """
+    if word_length < 0:
+        raise SchemaError(f"net word length must be at least 0, got {word_length}")
     nets = _nets(np.asarray(gens, dtype=complex), dim, mode, dedup_tol, fingerprint, budget)
     return next(itertools.islice(nets, word_length, None))
 

@@ -376,18 +376,21 @@ def compile_target(gs: GateSet, target, eps: float, params: SKParams,
     """Compile target to an inverse-free word with error at most eps.
 
     Stage 1 runs the classical commutator recursion over generators plus
-    formal inverses, one depth at a time (sk_depths, given eps, which searches
-    each depth's top commutator pair; rotation reports the chosen pair of the
-    accepted depth, 0 for the plain one).  At each depth whose
-    SK error err_d is at most eps, stage 2 rewrites the word's inverted irrep
-    tokens through the group table, tracking the d-th-root phase each rewrite
-    contributes instead of re-multiplying the word, and counts the m_d,i
+    formal inverses, one word at a time (sk_depths, given eps, which searches
+    each depth's top commutator pair and, when a word of a depth is rejected
+    within NEAR_MISS of eps, that depth's midpoint pairs before the next
+    depth).  depth and rotation report the accepted word's depth and pair,
+    the rotation in steps of pi / ROTATIONS: 0 for the plain pair, even for
+    a searched pair, odd for a midpoint.  At each word whose SK error err_d
+    is at most eps, stage 2 rewrites the word's inverted irrep tokens through
+    the group table, tracking the d-th-root phase each rewrite contributes
+    instead of re-multiplying the word, and counts the m_d,i
     remaining inverted tokens of each extra gate i, m_d in all.  Stage 3
     takes one refined inverse per distinct gate at (eps / 2) / m_d, with its
-    achieved error a_i.  The first depth with err_d + sum_i m_d,i a_i <= eps
+    achieved error a_i.  The first word with err_d + sum_i m_d,i a_i <= eps
     is accepted: by the triangle inequality over unitary substitutions that
-    bounds the output's error.  The depth whose SK error alone is at most
-    eps / 2 always passes, and no deeper depth is tried.  The refinements are
+    bounds the output's error.  A word whose SK error alone is at most
+    eps / 2 always passes, and no later word is tried.  The refinements are
     shared across calls through refine_net and are exact for every tolerance
     (refine_inverse).  The stages pass int arrays; indices is the one
     conversion to Python ints.
@@ -403,8 +406,7 @@ def compile_target(gs: GateSet, target, eps: float, params: SKParams,
     # after the rewrite, a token e >= n is an inverted extra gate inv[e]
     n = gs.gen_count
     inv = np.asarray(extended_inverse(gs))
-    for depth, (signed, product, base_error, rotation) in enumerate(
-            sk_depths(gs, target, params, eps)):
+    for depth, signed, product, base_error, rotation in sk_depths(gs, target, params, eps):
         if base_error > eps:
             continue
         base = rewrite_irrep_inverses(gs, GateWord(params.net.gather(signed, inv), product))

@@ -24,8 +24,11 @@ candidate word closest to the target; K = 1 is the plain recursion.  Error
 gained there turns into a shallower accepted depth, at about 1/5 of the
 tokens per depth saved.  A depth whose predecessor missed the caller's eps by
 at most NEAR_MISS tries the plain pair alone first, and searches only if that
-word misses too.  There is one commutator routine,
-balanced_commutator_decompose, batched over a stack of deltas.
+word misses too.  A depth whose own word comes within NEAR_MISS of eps and is
+still rejected is searched once more, at the K midpoints between its pairs,
+before the next depth: a closer word of the same depth often passes, where
+the next depth would cost about 5x the tokens.  There is one commutator
+routine, balanced_commutator_decompose, batched over a stack of deltas.
 """
 
 from __future__ import annotations
@@ -105,8 +108,8 @@ def commutator_family(deltas: np.ndarray, angles) -> np.ndarray:
     """balanced_commutator_decompose's pair for each delta of an (n, 2, 2)
     stack, with both factors conjugated by the rotation by phi about delta's
     axis, for each phi of angles (the top-level search of sk_depths passes
-    phi_j = 2 pi j / ROTATIONS): the quaternions of A and of B as one
-    (2, n, k, 4) array.
+    phi = pi r / ROTATIONS, even r for its pairs and odd r for their
+    midpoints): the quaternions of A and of B as one (2, n, k, 4) array.
 
     That rotation commutes with delta, so every pair is an exact decomposition
     of it.  Conjugation keeps a quaternion's w and turns its vector part x by
@@ -129,7 +132,8 @@ def commutator_family(deltas: np.ndarray, angles) -> np.ndarray:
 
 # the number K of top-level commutator pairs each depth tries (1 is the plain
 # recursion), and the near miss: a depth whose predecessor's error was at most
-# NEAR_MISS * eps tries its plain pair before searching the family (sk_depths)
+# NEAR_MISS * eps tries its plain pair before searching the family, and a
+# rejected depth that close searches the K midpoints again (sk_depths)
 ROTATIONS = 16
 NEAR_MISS = 1.5
 
@@ -151,28 +155,37 @@ def base_params(gs: GateSet, word_length: int) -> SKParams:
 def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
     """The commutator recursion for a SU(2) target, one depth at a time.
 
-    Yields (signed, product, error, j) for depth 0, 1, ... up to
-    params.max_depth: the depth's word as signed net indices (~i for net word
-    i inverted, to be read out by net.gather over extended_inverse(gs)), the
-    word's tracked product, its distance to the target and the chosen
-    top-level pair j (0 at depth 0).  Asking past the depth cap raises
-    NetTooCoarse with the smallest error seen, so a consumer accepts a depth
-    by its own rule and lets a loop over the depths run out into that error.
-    Raises DimUnsupported away from d = 2 and ClassError for a target off
-    SU(2).
+    Yields (depth, signed, product, error, rotation) for depth 0, 1, ... up
+    to params.max_depth: the word as signed net indices (~i for net word i
+    inverted, to be read out by net.gather over extended_inverse(gs)), the
+    word's tracked product, its distance to the target and the top-level
+    pair r it took (0 at depth 0).  Depths never decrease, and a depth may
+    come twice (below).  Asking past the depth cap raises NetTooCoarse with
+    the smallest error seen, so a consumer accepts a word by its own rule
+    and lets a loop over the words run out into that error.  Raises
+    DimUnsupported away from d = 2 and ClassError for a target off SU(2).
 
-    Depth d >= 1 writes delta = U W^dag, for the target U and the depth-(d - 1)
-    word W, as the commutator of each of the K = ROTATIONS pairs of
-    commutator_family at phi_j = 2 pi j / K (j = 0 is
-    balanced_commutator_decompose's pair).  It approximates all 2K factors
-    at depth d - 1 in one stack and keeps the candidate closest to U, which
-    is also the next depth's W.  eps is the caller's tolerance: if depth
-    d - 1 missed it by at most NEAR_MISS, depth d takes the plain (j = 0)
-    word when that is within eps and searches j >= 1 only otherwise.  (A target whose depth d - 1 just missed usually
-    passes with the plain word; the search would cost K-fold for nothing.)
+    Depth d >= 1 writes delta = U W^dag, for the target U and the
+    depth-(d - 1) word W, as the commutator of pairs of commutator_family at
+    phi = pi r / K, K = ROTATIONS: the K pairs at even r (r = 0 is
+    balanced_commutator_decompose's pair) and their K midpoints at odd r.
+    It approximates the factors of the pairs it tries at depth d - 1 in one
+    stack and keeps the candidate closest to U, which is also the next
+    depth's W.  eps is the caller's tolerance, and two rules spend the
+    search where a word comes within NEAR_MISS * eps of it:
+    - after such a depth-(d - 1) word, depth d takes the plain (r = 0) word
+      when that is within eps and searches the other even r only otherwise;
+      the plain word usually passes there, and the search would cost K-fold
+      for nothing;
+    - when the caller asks past such a depth-d word, that is, rejects it,
+      depth d searches its K midpoints from the same W, and yields depth d
+      again with the closest of them if it is closer than the first word.
+      Depth d + 1 starts from the first word either way, so every later word
+      is the one the recursion yields without the second.
+    At K = 1, the plain recursion, and at eps = 0 every depth comes once.
     The search gains nothing where depth d - 1 already missed by far more
-    than a depth's contraction: on pauli_ht at eps = 1e-7 it leaves the length
-    as it is and costs about 1.6x the time.
+    than a depth's contraction: on pauli_ht at eps = 1e-7 it leaves the
+    length as it is and costs about 1.6x the time.
     """
     if gs.dim != 2 or gs.mode != "su":
         raise DimUnsupported("the base compiler handles d = 2, su mode only")
@@ -206,39 +219,55 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
         return idx.reshape(2, n, -1), matmul_stack(
             matmul_stack(xy[:n], xy[n:].conj().swapaxes(1, 2)), p1)
 
-    def search(w1, depth: int, js) -> tuple[tuple, float, int]:
-        """The best of the top-level pairs j of js from w1, the depth - 1
-        word: (signed (5^depth,), product (2, 2)), its error and its j."""
-        idx1, p1 = w1[0], w1[1][None]
-        delta = matmul_stack(quaternion_to_su2(target_q[None]), p1.conj().swapaxes(1, 2))
-        ab = commutator_family(delta, np.asarray(js) * (2 * math.pi / k))
-        (ia, ib), p = commutators(ab[:, 0], p1, depth)
+    def search(family: np.ndarray, w1, depth: int, rs) -> tuple[tuple, float, int]:
+        """The best of the top-level pairs r of rs from w1, the depth - 1
+        word, given the factor quaternions (2, 2K, 4) of the pairs at every
+        rotation r (phi = pi r / K): (signed (5^depth,), product (2, 2)), its
+        error and its r."""
+        idx1, p1 = w1
+        (ia, ib), p = commutators(family[:, rs], p1[None], depth)
         errors = dist(p, target)
         j = int(np.argmin(errors))
         word = np.concatenate([ia[j], ib[j], ~ia[j, ::-1], ~ib[j, ::-1], idx1])
-        return (word, p[j]), float(errors[j]), js[j]
+        return (word, p[j]), float(errors[j]), rs[j]
 
     # depth d starts from the depth-(d - 1) word, so each deepening step
-    # reuses the previous one instead of recomputing it
-    best = math.inf
-    for depth in range(params.max_depth + 1):
-        try:
-            if depth == 0:
-                i, p = level(target_q[None], 0)
-                word, err, j = (i[0], p[0]), dist(p[0], target), 0
-            elif err <= NEAR_MISS * eps:  # err is still depth - 1's
-                found = search(word, depth, [0])
+    # reuses the previous one instead of recomputing it, and decomposes its
+    # delta once for all 2K rotations that its searches may try
+    pairs, midpoints = range(0, 2 * k, 2), range(1, 2 * k, 2)
+    angles = np.arange(2 * k) * (math.pi / k)
+    i, p = level(target_q[None], 0)
+    word, err, r = (i[0], p[0]), dist(p[0], target), 0
+    best = err
+    yield 0, word[0], word[1], err, r
+    try:
+        for depth in range(1, params.max_depth + 1):
+            w1 = word
+            delta = matmul_stack(quaternion_to_su2(target_q[None]),
+                                 w1[1][None].conj().swapaxes(1, 2))
+            family = commutator_family(delta, angles)[:, 0]
+            if err <= NEAR_MISS * eps:  # err is still depth - 1's
+                found = search(family, w1, depth, [0])
                 if found[1] > eps and k > 1:
-                    found = min(found, search(word, depth, range(1, k)), key=lambda f: f[1])
-                word, err, j = found
+                    found = min(found, search(family, w1, depth, pairs[1:]),
+                                key=lambda f: f[1])
             else:
-                word, err, j = search(word, depth, range(k))
-        except TooFar as e:
-            raise NetTooCoarse(
-                f"base approximation too coarse for the commutator step: {e}"
-            ) from e
-        best = min(best, err)
-        yield word[0], word[1], err, j
+                found = search(family, w1, depth, pairs)
+            word, err, r = found
+            best = min(best, err)
+            yield depth, word[0], word[1], err, r
+            # asked past a depth that came within NEAR_MISS: search its
+            # midpoints from the same depth - 1 word before going deeper.  The
+            # next depth starts from word, the first one, either way
+            if k > 1 and err <= NEAR_MISS * eps:
+                (signed, product), closer, r = search(family, w1, depth, midpoints)
+                if closer < err:
+                    best = min(best, closer)
+                    yield depth, signed, product, closer, r
+    except TooFar as e:
+        raise NetTooCoarse(
+            f"base approximation too coarse for the commutator step: {e}"
+        ) from e
     raise NetTooCoarse(
         f"depth cap {params.max_depth} reached at SK error {best:.3e}; "
         "the base net is too coarse for this tolerance"
@@ -252,7 +281,7 @@ def sk_compile(gs: GateSet, target, eps: float, params: SKParams) -> GateWord:
     first depth of sk_depths (given eps) whose error is at most eps, with
     sk_depths' errors (NetTooCoarse at the depth cap).
     """
-    idx, prod = next((i, p) for i, p, err, _ in sk_depths(gs, target, params, eps)
+    idx, prod = next((i, p) for _, i, p, err, _ in sk_depths(gs, target, params, eps)
                      if err <= eps)
     return GateWord(params.net.gather(idx, np.asarray(extended_inverse(gs))), prod)
 

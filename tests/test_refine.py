@@ -299,7 +299,7 @@ def test_compile_target_report(ht_gateset, ht_params, ht_refine_net):
     assert doc["eps"] == 1e-3
     assert doc["depth"] == report.depth >= 1
     assert doc["rotation"] == report.rotation
-    assert 0 <= report.rotation < skbase.ROTATIONS
+    assert 0 <= report.rotation < 2 * skbase.ROTATIONS
     assert doc["inverted_counts"] == {str(i): c for i, c in report.inverted_counts.items()}
 
 
@@ -320,11 +320,16 @@ def _half_split_compile(gs, target, eps, params, refine_net):
     depth on the measured total error.  The SK stage gets eps / 2, and each
     of the m inverted extras of its word a refined inverse at (eps / 2) / m.
     sk_depths gets eps, as in compile_target, so both rules see the same word
-    at each depth.  Returns the output word's length and the SK depth."""
+    at each depth.  That rule read one word per depth, so it judges each
+    depth by its first word and passes over a depth's second, widened word
+    (which compile_target never asks for once it accepts the first).
+    Returns the output word's length and the SK depth."""
     inv = np.asarray(extended_inverse(gs))
-    for depth, (signed, product, err, _) in enumerate(sk_depths(gs, target, params, eps)):
-        if err <= eps / 2:
+    judged = -1
+    for depth, signed, product, err, _ in sk_depths(gs, target, params, eps):
+        if depth > judged and err <= eps / 2:
             break
+        judged = depth
     base = rewrite_irrep_inverses(gs, GateWord(params.net.gather(signed, inv), product))
     gates, counts = np.unique(inv[base.tokens[base.tokens >= gs.gen_count]],
                               return_counts=True)
@@ -393,13 +398,37 @@ def test_a_depth_whose_measured_total_misses_eps_is_rejected(tprime_setup):
     # depth's total over eps, so the next depth is accepted
     gs, params, refine_net = tprime_setup
     target = random_su(2, np.random.default_rng(47))
-    errors = [err for _, _, err, _ in itertools.islice(sk_depths(gs, target, params), 4)]
+    errors = [err for *_, err, _ in itertools.islice(sk_depths(gs, target, params), 4)]
     eps = errors[3] * (1 + 1e-12)
+    # the depth-3 word is within NEAR_MISS of eps, so sk_depths searches the
+    # midpoint pairs of depth 3 before going deeper; none beats it here, and
+    # depth 4 follows at once
+    got = [(depth, err) for depth, *_, err, _ in
+           itertools.islice(sk_depths(gs, target, params, eps), 5)]
+    assert [d for d, _ in got] == [0, 1, 2, 3, 4] and got[3][1] == errors[3]
     report = compile_target(gs, target, eps, params, refine_net)
     assert report.depth == 4
     assert report.error <= eps
     assert report.base_error + sum(report.inverted_counts[i] * e for i, e
                                    in report.refine_errors.items()) <= eps
+
+
+def test_a_near_miss_is_rescued_at_its_own_depth(ht_gateset, ht_params, ht_refine_net):
+    # eps just below the first depth-3 word's error: that word misses eps by
+    # 1.2x, within NEAR_MISS, and a midpoint pair of depth 3 (an odd
+    # rotation) passes, so the output stays at depth 3 instead of depth 4
+    gs = ht_gateset
+    target = random_su(2, np.random.default_rng(50))
+    first = list(itertools.islice(sk_depths(gs, target, ht_params), 4))[3]
+    eps = first[3] / 1.2
+    got = list(itertools.islice(sk_depths(gs, target, ht_params, eps), 5))
+    assert [g[0] for g in got] == [0, 1, 2, 3, 3]
+    assert got[3][3] == first[3] and np.array_equal(got[3][1], first[1])
+    assert got[3][4] % 2 == 0 and got[4][4] % 2 == 1
+    assert got[4][3] <= eps < got[3][3] <= skbase.NEAR_MISS * eps
+    report = compile_target(gs, target, eps, ht_params, ht_refine_net)
+    assert (report.depth, report.rotation, report.base_error) == (3, got[4][4], got[4][3])
+    assert report.error <= eps
 
 
 # SHA-256 of the token tuples of _pinned_words.  A change that keeps the

@@ -23,7 +23,9 @@ from irrepsk.skbase import (
     sk_depths,
 )
 
-ANGLES = 2 * np.pi * np.arange(16) / 16
+# the angles sk_depths searches at ROTATIONS = 16: pi r / 16, the 16 pairs
+# at even r and their midpoints at odd r
+ANGLES = np.pi * np.arange(32) / 16
 
 
 def _plain(monkeypatch):
@@ -114,17 +116,18 @@ def test_commutator_near_the_singular_axes(theta):
 
 def test_commutator_family_is_exact_and_starts_at_the_plain_pair():
     # conjugating both factors by a rotation about delta's axis keeps the
-    # commutator; phi = 0 is balanced_commutator_decompose's pair bit for
-    # bit, and the identity's factors stay I at every angle
+    # commutator, at the pairs' angles and at their midpoints alike; phi = 0
+    # is balanced_commutator_decompose's pair bit for bit, and the
+    # identity's factors stay I at every angle
     rng = np.random.default_rng(48)
     deltas = np.array([np.eye(2)] + [rotation(rng.normal(size=3), 10 ** rng.uniform(-10, -0.5))
                                      for _ in range(300)])
     family = commutator_family(deltas, ANGLES)
-    assert family.shape == (2, 301, 16, 4)
+    assert family.shape == (2, 301, 32, 4)
     assert np.array_equal(family[:, :, 0], balanced_commutator_decompose(deltas))
     got = _commutators(family)
-    assert dist(got.reshape(-1, 2, 2), np.repeat(deltas, 16, axis=0)).max() <= 1e-12
-    assert np.array_equal(family[:, 0], np.broadcast_to([1.0, 0, 0, 0], (2, 16, 4)))
+    assert dist(got.reshape(-1, 2, 2), np.repeat(deltas, 32, axis=0)).max() <= 1e-12
+    assert np.array_equal(family[:, 0], np.broadcast_to([1.0, 0, 0, 0], (2, 32, 4)))
     # the pairs differ, and each factor keeps its distance to I
     assert np.abs(family[:, 1:, 1:] - family[:, 1:, :1]).max() > 0
     gaps = np.linalg.norm(family - [1.0, 0, 0, 0], axis=-1)
@@ -395,7 +398,7 @@ def test_word_length_growth_per_depth_with_the_search(ht_gateset, ht_params):
     for _ in range(8):
         t = random_su(2, rng)
         for eps in (1e-2, 1e-4):
-            lengths = [len(ht_params.net.gather(signed, inv)) for signed, *_
+            lengths = [len(ht_params.net.gather(signed, inv)) for _, signed, *_
                        in itertools.islice(sk_depths(ht_gateset, t, ht_params, eps), 4)]
             for a, b in zip(lengths, lengths[1:]):
                 assert b <= 8 * a + 50
@@ -405,7 +408,8 @@ def test_a_depth_after_a_near_miss_tries_the_plain_word_first(ht_gateset, ht_par
                                                               monkeypatch):
     # depth 0 is one word with or without the search, so after a depth 0
     # within NEAR_MISS of eps, depth 1 is the plain recursion's word when
-    # that is within eps, and the full search's (as at eps = 0) when not
+    # that is within eps, and the full search's (as at eps = 0) when not.
+    # Depth 0 has no commutator pair, so no second depth-0 word comes first
     gs = ht_gateset
     rng = np.random.default_rng(49)
     seen = {"plain": 0, "searched": 0}
@@ -415,24 +419,93 @@ def test_a_depth_after_a_near_miss_tries_the_plain_word_first(ht_gateset, ht_par
             _plain(m)
             plain = list(itertools.islice(sk_depths(gs, t, ht_params), 2))
         full = list(itertools.islice(sk_depths(gs, t, ht_params, 0.0), 2))
-        full_picks = [j for *_, j in full]
-        eps = plain[0][2] / 1.4
-        assert eps < plain[0][2] <= NEAR_MISS * eps
+        full_picks = [r for *_, r in full]
+        eps = plain[0][3] / 1.4
+        assert eps < plain[0][3] <= NEAR_MISS * eps
         got = list(itertools.islice(sk_depths(gs, t, ht_params, eps), 2))
-        picks = [j for *_, j in got]
-        signed, product, err, _ = got[1]
-        if plain[1][2] <= eps:
-            assert picks == [0, 0] and err == plain[1][2]
-            assert np.array_equal(signed, plain[1][0])
-            assert np.array_equal(product, plain[1][1])
+        assert [g[0] for g in got] == [0, 1]
+        picks = [r for *_, r in got]
+        _, signed, product, err, _ = got[1]
+        if plain[1][3] <= eps:
+            assert picks == [0, 0] and err == plain[1][3]
+            assert np.array_equal(signed, plain[1][1])
+            assert np.array_equal(product, plain[1][2])
             seen["plain"] += full_picks[1] != 0
         else:
-            assert picks == full_picks and err == full[1][2]
-            assert np.array_equal(signed, full[1][0])
-            assert np.array_equal(product, full[1][1])
+            assert picks == full_picks and err == full[1][3]
+            assert np.array_equal(signed, full[1][1])
+            assert np.array_equal(product, full[1][2])
             seen["searched"] += full_picks[1] != 0
     # in both cases some targets take a word the other rule would not
     assert seen["plain"] >= 3 and seen["searched"] >= 1
+
+
+def _every_yield(gs, target, params, eps):
+    """(depth, error, rotation) of every word sk_depths yields to a consumer
+    that rejects them all, up to the depth cap."""
+    got = []
+    with pytest.raises(NetTooCoarse):
+        for depth, _, _, err, r in sk_depths(gs, target, params, eps):
+            got.append((depth, err, r))
+    return got
+
+
+def test_one_word_per_depth_at_eps_zero_and_in_the_plain_recursion(ht_gateset, ht_params,
+                                                                   monkeypatch):
+    # no depth is a near miss at eps = 0, and the plain recursion has no
+    # midpoint pairs to search, even at an eps that one depth misses by 1.2x
+    params = dataclasses.replace(ht_params, max_depth=4)
+    rng = np.random.default_rng(51)
+    for _ in range(4):
+        t = random_su(2, rng)
+        assert [d for d, *_ in _every_yield(ht_gateset, t, params, 0.0)] == [0, 1, 2, 3, 4]
+        with monkeypatch.context() as m:
+            _plain(m)
+            errors = [e for _, e, _ in _every_yield(ht_gateset, t, params, 0.0)]
+            for eps in [e / 1.2 for e in errors[1:]]:
+                got = _every_yield(ht_gateset, t, params, eps)
+                assert [(d, r) for d, _, r in got] == [(d, 0) for d in range(5)]
+                assert [e for _, e, _ in got] == errors
+
+
+def test_a_depth_comes_again_only_with_a_smaller_error(ht_gateset, ht_params, monkeypatch):
+    # a consumer that rejects every word: yielded depths never decrease, a
+    # depth comes at most twice, and the second word of a depth is a
+    # midpoint pair (odd rotation), strictly closer than the first, which
+    # came within NEAR_MISS of eps.  The next depth starts from the first
+    # word: with every midpoint made the plain pair, which is never closer,
+    # the words are the first words of each depth
+    params = dataclasses.replace(ht_params, max_depth=4)
+    family = skbase.commutator_family
+
+    def plain_midpoints(deltas, angles):
+        ab = family(deltas, angles)
+        ab[:, :, 1::2] = ab[:, :, :1]
+        return ab
+
+    rng = np.random.default_rng(52)
+    again = 0
+    for _ in range(6):
+        t = random_su(2, rng)
+        errors = [e for _, e, _ in _every_yield(ht_gateset, t, params, 0.0)]
+        for eps in [e / 1.2 for e in errors[1:]] + [1e-3]:
+            got = _every_yield(ht_gateset, t, params, eps)
+            with monkeypatch.context() as m:
+                m.setattr(skbase, "commutator_family", plain_midpoints)
+                firsts = _every_yield(ht_gateset, t, params, eps)
+            assert firsts == [g for i, g in enumerate(got) if i == 0 or got[i - 1][0] < g[0]]
+            depths = [d for d, *_ in got]
+            assert depths == sorted(depths) and depths[-1] == 4
+            assert all(depths.count(d) in (1, 2) for d in range(5))
+            assert depths.count(0) == 1
+            assert got[0][2] == 0
+            for (d0, e0, r0), (d1, e1, r1) in zip(got, got[1:]):
+                if d1 == d0:
+                    assert r0 % 2 == 0 and r1 % 2 == 1 and e1 < e0 <= NEAR_MISS * eps
+                    again += 1
+                else:
+                    assert r1 % 2 == 0
+    assert again >= 10
 
 
 def test_sk_compile_passes_the_old_plateau(ht_gateset):

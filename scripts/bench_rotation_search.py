@@ -18,10 +18,16 @@ checkout with BLAS pinned to one thread.  "traced": one traced run (per-layer
 metrics) per workload and side, at --first-seed for 4 s.  "sweep": on pauli_ht and
 pauli_ht_tprime (base net length 12, refine net length 6, 10 seeded Haar
 targets), each side compiles every target at eps = 1e-2 ... 1e-7, in a fresh
-process importing its own checkout's package, and per eps the file records
-the mean output length, the mean time per target (the median of three
-timings of each target, after one warm-up compile), the depth histogram,
-and how many outputs are longer than the parent's.
+process importing its own checkout's package.  The sides run twice per gate
+set in ABBA order (the first side alternates between gate sets), so which
+side runs first weighs on both alike; a side whose two runs disagree on any
+length or depth stops the script.  Per eps the file records the mean output
+length, the mean time per target of each run (the median of three timings
+of each target, after one warm-up compile) and their mean, the depth
+histogram, and how many outputs are longer than the parent's.
+
+--sweep-side CHECKOUT GATESET runs one side alone and prints its JSON: per
+eps, one [length, depth, seconds] row per target.
 """
 
 from __future__ import annotations
@@ -133,23 +139,33 @@ def sweep_side(checkout: Path, gateset: str) -> dict:
 def sweep(parent: Path) -> dict:
     result = {}
     for i, (name, gateset) in enumerate(SWEEP_GATESETS.items()):
-        sides = {}
-        # alternate which side runs first from one gate set to the next
-        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+        runs = {"parent": [], "change": []}
+        # ABBA, with A alternating from one gate set to the next
+        a, b = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in (a, b, b, a):
             checkout = parent if side == "parent" else ROOT
             out = subprocess.run(
                 [sys.executable, __file__, "--sweep-side", str(checkout), gateset],
                 check=True, capture_output=True, text=True,
                 env={**os.environ, **ONE_THREAD})
-            sides[side] = json.loads(out.stdout)
+            runs[side].append(json.loads(out.stdout))
+        sides = {}
+        for side, (first, second) in runs.items():
+            for eps in first:
+                if [r[:2] for r in first[eps]] != [r[:2] for r in second[eps]]:
+                    raise SystemExit(f"{name} at eps {eps}: the {side} side's two "
+                                     "runs disagree on lengths or depths")
+            sides[side] = first
         result[name] = {}
         for eps in map(repr, SWEEP_EPS):
             row = {}
             for side in ("parent", "change"):
-                lengths, depths, secs = zip(*sides[side][eps])
+                lengths, depths, _ = zip(*sides[side][eps])
+                ms = [1e3 * statistics.fmean(r[2] for r in run[eps]) for run in runs[side]]
                 row[side] = {
                     "length_mean": statistics.fmean(lengths),
-                    "ms_per_target": 1e3 * statistics.fmean(secs),
+                    "ms_per_target_runs": ms,
+                    "ms_per_target": statistics.fmean(ms),
                     "depths": {str(d): depths.count(d) for d in sorted(set(depths))}}
             row["length_ratio"] = row["change"]["length_mean"] / row["parent"]["length_mean"]
             row["longer_than_parent"] = sum(

@@ -57,14 +57,18 @@ def _parse_target(gs: GateSet, spec: str, rng) -> np.ndarray:
             theta = float(parts[2])
         except ValueError:
             raise SchemaError("axis target format is axis:x,y,z:theta") from None
+        if not np.isfinite(vec + [theta]).all():
+            raise SchemaError("axis target needs a finite axis and angle")
         if len(vec) != 3 or np.linalg.norm(vec) == 0:
             raise SchemaError("axis must be a nonzero 3-vector")
         return rotation(vec, theta)
     if spec.startswith("@"):
         with open(spec[1:]) as fh:
-            entries = json.load(fh)
-    else:
+            spec = fh.read()
+    try:
         entries = json.loads(spec)
+    except json.JSONDecodeError as e:
+        raise SchemaError(f"target: not valid JSON: {e}") from None
     m = parse_matrix_literal(entries, gs.dim, "target")
     if gs.mode == "su":
         m = su_normalize(m)
@@ -129,6 +133,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_net(args) -> int:
+    if args.probe < 0:
+        raise SchemaError(f"--probe must be at least 0, got {args.probe}")
     gs = load_gateset(args.gateset)
     t0 = time.perf_counter()
     if args.auto:
@@ -291,6 +297,8 @@ def cmd_bench(args) -> int:
 def cmd_scan_orderings(args) -> int:
     if args.samples < 1:
         raise SchemaError(f"--samples must be at least 1, got {args.samples}")
+    if args.show < 0:
+        raise SchemaError(f"--show must be at least 0, got {args.show}")
     if args.gateset:
         rep = load_gateset(args.gateset).rep
     else:

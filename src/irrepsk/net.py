@@ -319,8 +319,12 @@ def _nets(gens: np.ndarray, dim: int, mode: str, dedup_tol: float, fingerprint: 
     each chunk against the stored products and the kept candidates of the
     chunks before it, so the level's first-wins verdicts are those of
     testing the whole level at once.  Raises BudgetExceeded as soon as a
-    chunk takes the store past budget words.
+    chunk takes the store past budget words, and SchemaError before any
+    work for a budget below 1, which even the length-0 net (the empty word)
+    exceeds.
     """
+    if budget < 1:
+        raise SchemaError(f"net word budget must be at least 1, got {budget}")
     su2 = mode == "su" and dim == 2
     tol = dedup_tol / np.sqrt(2) if su2 else dedup_tol
     n_gens = len(gens)
@@ -393,7 +397,8 @@ def build_net(gens: np.ndarray, dim: int, mode: str, word_length: int,
     level ends with is a built SU(2) net's query tree.
     Raises BudgetExceeded as soon as a chunk would take the store past
     budget words, so budget bounds the memory of a build as well as its
-    words.  A negative word_length raises SchemaError.
+    words.  A negative word_length or a budget below 1 raises SchemaError
+    (the budget is checked by _nets, which auto_net shares).
     """
     if word_length < 0:
         raise SchemaError(f"net word length must be at least 0, got {word_length}")

@@ -383,8 +383,7 @@ def compile_target(gs: GateSet, target, eps: float, params: SKParams,
     the rotation in steps of pi / ROTATIONS: 0 for the plain pair, even for
     a searched pair, odd for a midpoint.  At each word whose SK error err_d
     is at most eps, stage 2 rewrites the word's inverted irrep tokens through
-    the group table, tracking the d-th-root phase each rewrite contributes
-    instead of re-multiplying the word, and counts the m_d,i
+    the group table, without re-multiplying the word, and counts the m_d,i
     remaining inverted tokens of each extra gate i, m_d in all.  Stage 3
     takes one refined inverse per distinct gate at (eps / 2) / m_d, with its
     achieved error a_i.  The first word with err_d + sum_i m_d,i a_i <= eps
@@ -410,7 +409,7 @@ def compile_target(gs: GateSet, target, eps: float, params: SKParams,
         if base_error > eps:
             continue
         base = rewrite_irrep_inverses(gs, GateWord(params.net.gather(signed, inv), product))
-        counts = np.bincount(inv[base.tokens[base.tokens >= n]], minlength=n)
+        counts = np.bincount(inv[base[base >= n]], minlength=n)
         m = int(counts.sum())
         refined = {i: refine_inverse(gs, refine_net, i, (eps / 2.0) / m)
                    for i in np.flatnonzero(counts).tolist()}
@@ -427,14 +426,14 @@ def compile_target(gs: GateSet, target, eps: float, params: SKParams,
     seg_len = np.array([len(s) for s in segments], dtype=np.intp)
     seg_start = np.cumsum(seg_len) - seg_len
     word = make_word(gs.matrices, gather_segments(np.concatenate(segments),
-                                                  seg_start[base.tokens], seg_len[base.tokens]))
+                                                  seg_start[base], seg_len[base]))
     return CompileReport(
         target=target,
         eps=eps,
         indices=tuple(word.tokens.tolist()),
         error=dist(word.product, target, gs.phase_candidates),
         base_error=base_error,
-        base_length=base.length,
+        base_length=len(base),
         depth=depth,
         rotation=rotation,
         inverted_extras=m,

@@ -18,9 +18,9 @@ inverted), and tokens are gathered only for the depths a caller reads out.
 
 The decomposition is not unique: conjugating A and B by any rotation S about
 delta's own axis leaves the commutator S delta S^dag = delta.  Each depth's
-top level therefore tries K = ROTATIONS pairs of that one-parameter family
-(commutator_family), approximates all 2K factors in one stack, and keeps the
-candidate word closest to the target; K = 1 is the plain recursion.  Error
+top level therefore tries K = ROTATIONS pairs of that one-parameter family,
+approximates all 2K factors in one stack, and keeps the candidate word
+closest to the target; K = 1 is the plain recursion.  Error
 gained there turns into a shallower accepted depth, at about 1/5 of the
 tokens per depth saved.  A depth whose predecessor missed the caller's eps by
 at most NEAR_MISS tries the plain pair alone first, and searches only if that
@@ -28,12 +28,13 @@ word misses too.  A depth whose own word comes within NEAR_MISS of eps and is
 still rejected is searched once more, at the K midpoints between its pairs,
 before the next depth: a closer word of the same depth often passes, where
 the next depth would cost about 5x the tokens.  There is one commutator
-routine, balanced_commutator_decompose, batched over a stack of deltas.
+routine, balanced_commutator_decompose, batched over a stack of deltas: it
+builds the rotation R that carries a fixed x/y pair onto delta's axis, and
+for the family it composes each S into R before reading the factors' axes.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -53,9 +54,10 @@ def rotation(axis, angle: float) -> np.ndarray:
                                              np.sin(angle / 2) * axis]))
 
 
-def balanced_commutator_decompose(deltas: np.ndarray) -> np.ndarray:
+def balanced_commutator_decompose(deltas: np.ndarray, angles=None) -> np.ndarray:
     """Exact A, B in SU(2) with A B A^dag B^dag = delta for each delta of an
-    (n, 2, 2) stack; the quaternions of A and of B as one (2, n, 4) array.
+    (n, 2, 2) stack; the quaternions of A and of B as one (2, n, 4) array, or
+    (2, n, k, 4) given k angles.
 
     Requires dist(delta, I) <= 1/4.  Both factors are rotations by
     phi = 2 arcsin(sqrt(sin(theta/4))) about an orthogonal axis pair, so
@@ -67,6 +69,14 @@ def balanced_commutator_decompose(deltas: np.ndarray) -> np.ndarray:
     (cos(phi/2), sin(phi/2)), have a commutator of angle theta about
     m = (s, -s, c) / sqrt(1 + s^2); the smallest rotation R taking m to
     n = v / |v| sends the x/y pair to the axes of A and B.
+
+    Given angles, the pair is conjugated by the rotation S about n by each
+    alpha (sk_depths passes pi r / ROTATIONS): S commutes with delta, so the
+    commutator is kept, and S R sends the x/y pair to the conjugated axes,
+    so R's quaternion r becomes (cos(alpha/2), sin(alpha/2) n) r before the
+    axes are read.  At alpha = 0 that multiplies by 1 and adds products with
+    0: the plain pair bit for bit.  At delta = I both factors are I at every
+    alpha.
     """
     q = su2_to_quaternion(deltas).T
     w, v = q[0], q[1:]
@@ -84,8 +94,7 @@ def balanced_commutator_decompose(deltas: np.ndarray) -> np.ndarray:
     # rounding taken off m so that R m = n stays accurate as n nears -m.
     # Its quaternion is (|m + n|, |m - n| k / |k|) / 2.  If n = +-m exactly,
     # any k normal to m serves; (1, 1, 0) is, and for n = -m R swaps x and y
-    mm, nn = np.concatenate([m, m]), np.concatenate([n, n])
-    k = mm[1:4] * nn[2:5] - mm[2:5] * nn[1:4]
+    k = _cross(m, n)
     k -= (m * k).sum(0) * m
     kn = np.sqrt((k * k).sum(0))
     if not kn.all():
@@ -93,6 +102,13 @@ def balanced_commutator_decompose(deltas: np.ndarray) -> np.ndarray:
         kn[kn == 0] = math.sqrt(2.0)
     h = 0.5 * np.sqrt((np.array([m + n, m - n]) ** 2).sum(1))
     r = np.concatenate([h[:1], h[1] / kn * k])
+    if angles is not None:
+        half = 0.5 * np.asarray(angles)
+        sw, sv = np.cos(half), np.sin(half) * n[..., None]
+        r = r[..., None]
+        r = np.concatenate([sw * r[:1] - (sv * r[1:]).sum(0, keepdims=True),
+                            sw * r[1:] + r[:1] * sv + _cross(sv, r[1:])])
+        c, s = np.broadcast_to(c[:, None], r.shape[1:]), s[:, None]
     # A and B turn by phi about the first two columns of R's rotation
     # matrix, written with the products rr[i, j] = r_i r_j
     rr = r[:, None] * r
@@ -101,33 +117,13 @@ def balanced_commutator_decompose(deltas: np.ndarray) -> np.ndarray:
                   [c, 2 * (rr[1, 2] - rr[0, 3]), 1 - 2 * (rr[1, 1] + rr[3, 3]),
                    2 * (rr[2, 3] + rr[0, 1])]])
     q[:, 1:] *= s
-    return q.transpose(0, 2, 1)
+    return np.moveaxis(q, 1, -1)
 
 
-def commutator_family(deltas: np.ndarray, angles) -> np.ndarray:
-    """balanced_commutator_decompose's pair for each delta of an (n, 2, 2)
-    stack, with both factors conjugated by the rotation by phi about delta's
-    axis, for each phi of angles (the top-level search of sk_depths passes
-    phi = pi r / ROTATIONS, even r for its pairs and odd r for their
-    midpoints): the quaternions of A and of B as one (2, n, k, 4) array.
-
-    That rotation commutes with delta, so every pair is an exact decomposition
-    of it.  Conjugation keeps a quaternion's w and turns its vector part x by
-    phi about the unit axis a (Rodrigues): x cos phi + (a x x) sin phi +
-    a (a . x)(1 - cos phi).  At phi = 0 that adds only zeros, so the pair is
-    balanced_commutator_decompose's own; at delta = I both factors are I for
-    every phi.
-    """
-    ab = balanced_commutator_decompose(deltas)[:, :, None]
-    v = su2_to_quaternion(deltas)[:, None, 1:]
-    vn = np.sqrt((v * v).sum(-1, keepdims=True))
-    a = v / (vn + (vn == 0))
-    x = ab[..., 1:]
-    cos, sin = np.cos(angles)[:, None], np.sin(angles)[:, None]
-    along = (a * x).sum(-1, keepdims=True) * a
-    turned = x * cos + np.cross(a, x) * sin + along * (1.0 - cos)
-    return np.concatenate([np.broadcast_to(ab[..., :1], turned.shape[:-1] + (1,)),
-                           turned], axis=-1)
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b for 3-vectors along the first axis."""
+    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
 
 
 # the number K of top-level commutator pairs each depth tries (1 is the plain
@@ -166,9 +162,10 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
     DimUnsupported away from d = 2 and ClassError for a target off SU(2).
 
     Depth d >= 1 writes delta = U W^dag, for the target U and the
-    depth-(d - 1) word W, as the commutator of pairs of commutator_family at
-    phi = pi r / K, K = ROTATIONS: the K pairs at even r (r = 0 is
-    balanced_commutator_decompose's pair) and their K midpoints at odd r.
+    depth-(d - 1) word W, as the commutator of the pairs that
+    balanced_commutator_decompose gives at alpha = pi r / K, K = ROTATIONS,
+    with S_alpha composed into its rotation R: the K pairs at even r (r = 0
+    is the plain pair) and their K midpoints at odd r.
     It approximates the factors of the pairs it tries at depth d - 1 in one
     stack and keeps the candidate closest to U, which is also the next
     depth's W.  eps is the caller's tolerance, and two rules spend the
@@ -185,7 +182,7 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
     At K = 1, the plain recursion, and at eps = 0 every depth comes once.
     The search gains nothing where depth d - 1 already missed by far more
     than a depth's contraction: on pauli_ht at eps = 1e-7 it leaves the
-    length as it is and costs about 1.6x the time.
+    length within 1 % and still approximates 2K factors per depth.
     """
     if gs.dim != 2 or gs.mode != "su":
         raise DimUnsupported("the base compiler handles d = 2, su mode only")
@@ -206,7 +203,7 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
         ab = balanced_commutator_decompose(
             matmul_stack(quaternion_to_su2(q), p1.conj().swapaxes(1, 2)))
         (ia, ib), p = commutators(ab, p1, depth)
-        return np.concatenate([ia, ib, ~ia[:, ::-1], ~ib[:, ::-1], idx1], axis=1), p
+        return commutator_word(ia, ib, idx1), p
 
     def commutators(ab: np.ndarray, p1: np.ndarray, depth: int):
         """The depth - 1 words (2, n, 5^(depth - 1)) of the factor quaternions
@@ -219,6 +216,10 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
         return idx.reshape(2, n, -1), matmul_stack(
             matmul_stack(xy[:n], xy[n:].conj().swapaxes(1, 2)), p1)
 
+    def commutator_word(ia, ib, idx1):
+        """The signed words A B A^dag B^dag W along the last axis."""
+        return np.concatenate([ia, ib, ~ia[..., ::-1], ~ib[..., ::-1], idx1], axis=-1)
+
     def search(family: np.ndarray, w1, depth: int, rs) -> tuple[tuple, float, int]:
         """The best of the top-level pairs r of rs from w1, the depth - 1
         word, given the factor quaternions (2, 2K, 4) of the pairs at every
@@ -228,8 +229,7 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
         (ia, ib), p = commutators(family[:, rs], p1[None], depth)
         errors = dist(p, target)
         j = int(np.argmin(errors))
-        word = np.concatenate([ia[j], ib[j], ~ia[j, ::-1], ~ib[j, ::-1], idx1])
-        return (word, p[j]), float(errors[j]), rs[j]
+        return (commutator_word(ia[j], ib[j], idx1), p[j]), float(errors[j]), rs[j]
 
     # depth d starts from the depth-(d - 1) word, so each deepening step
     # reuses the previous one instead of recomputing it, and decomposes its
@@ -245,7 +245,7 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
             w1 = word
             delta = matmul_stack(quaternion_to_su2(target_q[None]),
                                  w1[1][None].conj().swapaxes(1, 2))
-            family = commutator_family(delta, angles)[:, 0]
+            family = balanced_commutator_decompose(delta, angles)[:, 0]
             if err <= NEAR_MISS * eps:  # err is still depth - 1's
                 found = search(family, w1, depth, [0])
                 if found[1] > eps and k > 1:
@@ -286,40 +286,19 @@ def sk_compile(gs: GateSet, target, eps: float, params: SKParams) -> GateWord:
     return GateWord(params.net.gather(idx, np.asarray(extended_inverse(gs))), prod)
 
 
-def rewrite_irrep_inverses(gs: GateSet, word: GateWord) -> GateWord:
-    """Replace every inverted irrep token by its table inverse.
+def rewrite_irrep_inverses(gs: GateSet, word: GateWord) -> np.ndarray:
+    """word's tokens with every inverted irrep token replaced by its table
+    inverse.
 
     Tokens index extended_generators(gs) on input and output.  The table
-    inverse of g is z_g g^-1 with z_g = tr(table_inverse(g) g) / d, a d-th
-    root of unity w^k_g, w = exp(2 pi i / d) (exactly 1 for a genuine
-    irrep).  The product is therefore not re-multiplied: it is the input
-    product times the tracked phase, w^(sum of k_g mod d) over the rewritten
-    tokens, one root computed once.  Afterwards every token past the forward
-    generators is an inverted extra gate.
-
-    No Python loop runs over the tokens: they are one lookup, lut[tokens],
-    and the exponent is one integer sum.  (A product of the float z_g, which
-    are only within round-off of roots of unity, drifts by up to 2e-12 over
-    20k tokens.)
+    inverse of g is z_g g^-1 for a d-th root of unity z_g (exactly 1 for a
+    genuine irrep), so the rewritten word's product is word's up to a global
+    phase; no product is returned, and the caller verifies its output with
+    one independent product.  Afterwards every token past the forward
+    generators is an inverted extra gate.  The rewrite is one lookup,
+    lut[tokens], with no Python loop over the tokens.
     """
-    lut, k = _inverse_table(gs)
-    t = word.tokens
-    s = int(k[t].sum()) % gs.dim
-    return GateWord(lut[t], word.product * np.exp(2j * np.pi * s / gs.dim))
-
-
-@functools.lru_cache(maxsize=8)
-def _inverse_table(gs: GateSet) -> tuple[np.ndarray, np.ndarray]:
-    """rewrite_irrep_inverses' lookup table over extended tokens and the
-    exponent k_g of z_g = w^k_g of each inverted irrep token (0 for every
-    other token)."""
     inv = extended_inverse(gs)
     lut = np.arange(len(inv))
-    k = np.zeros(len(inv), dtype=np.intp)
-    for g in range(1, gs.rep.order):
-        j = int(gs.rep.inverse_index[g])
-        lut[inv[g]] = j
-        z = np.trace(gs.matrices[j] @ gs.matrices[g]) / gs.dim
-        k[inv[g]] = round(np.angle(z) * gs.dim / (2 * np.pi)) % gs.dim
-    lut.flags.writeable = k.flags.writeable = False
-    return lut, k
+    lut[inv[:gs.rep.order]] = gs.rep.inverse_index
+    return lut[word.tokens]

@@ -6,6 +6,7 @@ import inspect
 import json
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
@@ -357,6 +358,60 @@ def test_impossible_depth_and_length_are_rejected_up_front(capsys, argv, message
     rc, out, err = run(capsys, *argv)
     assert rc == 1 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("net", "--gateset", HT, "--length", "3", "--probe", "-3"),
+     "--probe must be at least 0, got -3"),
+    (("net", "--gateset", HT, "--length", "3", "--budget", "-1"),
+     "net word budget must be at least 1, got -1"),
+    (("net", "--gateset", HT, "--length", "0", "--budget", "0"),
+     "net word budget must be at least 1, got 0"),
+    (("net", "--gateset", HT, "--auto", "--budget", "0"),
+     "net word budget must be at least 1, got 0"),
+    (("compile", "--gateset", HT, "--target", "random", "--epsilon", "1e-3",
+      "--base-length", "4", "--refine-length", "3", "--budget", "0"),
+     "net word budget must be at least 1, got 0"),
+    (("bench", "--gateset", HT, "--epsilon", "1e-2", "--trials", "1",
+      "--base-length", "4", "--refine-length", "3", "--budget", "0"),
+     "net word budget must be at least 1, got 0"),
+    (("refine-inverse", "--gateset", SKEW, "--gate", "S", "--epsilon", "1e-3",
+      "--length", "3", "--budget", "0"),
+     "net word budget must be at least 1, got 0"),
+    (("scan-orderings", "--builtin", "s3", "--show", "-1"),
+     "--show must be at least 0, got -1"),
+], ids=["net-probe", "net-budget", "net-budget-zero", "net-auto-budget", "compile-budget",
+        "bench-budget", "refine-inverse-budget", "scan-show"])
+def test_impossible_probe_budget_and_show_are_rejected_up_front(capsys, argv, message):
+    # a negative probe count died in su2_to_quaternion with an IndexError; a
+    # budget below 1, which even the empty word exceeds, built a level and
+    # then blamed the budget with exit code 2, or passed at length 0; a
+    # negative --show silently dropped the last ordering
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("target, code, message", [
+    ("[[1,0]", 1, "target: not valid JSON: "),
+    ("@bad.json", 1, "target: not valid JSON: "),
+    ("axis:0,0,1:inf", 1, "axis target needs a finite axis and angle\n"),
+    ("axis:nan,0,1:0.7", 1, "axis target needs a finite axis and angle\n"),
+    ("@missing.json", 3, "[Errno 2] "),
+], ids=["inline-json", "file-json", "axis-angle-inf", "axis-nan", "missing-file"])
+def test_bad_targets_are_argument_errors(capsys, monkeypatch, tmp_path, target, code, message):
+    # bad JSON exited 3, the code for file problems, which now only a file
+    # that cannot be read gets; a non-finite axis target printed a
+    # RuntimeWarning and then blamed the target's SU(2) residual, nan.
+    # Warnings are errors here, so none may be raised
+    (tmp_path / "bad.json").write_text("[[1,0]")
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "compile", "--gateset", HT, "--target", target,
+                           "--epsilon", "1e-3", "--base-length", "4", "--refine-length", "3")
+    assert rc == code and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_scan_orderings_rejects_zero_samples(capsys):

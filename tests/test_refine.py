@@ -331,10 +331,9 @@ def _half_split_compile(gs, target, eps, params, refine_net):
             break
         judged = depth
     base = rewrite_irrep_inverses(gs, GateWord(params.net.gather(signed, inv), product))
-    gates, counts = np.unique(inv[base.tokens[base.tokens >= gs.gen_count]],
-                              return_counts=True)
+    gates, counts = np.unique(inv[base[base >= gs.gen_count]], return_counts=True)
     m = int(counts.sum())
-    length = base.length - m
+    length = len(base) - m
     for i, c in zip(gates.tolist(), counts.tolist()):
         length += c * refine_inverse(gs, refine_net, i, (eps / 2) / m)[0].length
     return length, depth

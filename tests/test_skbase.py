@@ -16,7 +16,6 @@ from irrepsk.net import extended_generators, extended_inverse
 from irrepsk.skbase import (
     NEAR_MISS,
     balanced_commutator_decompose,
-    commutator_family,
     rewrite_irrep_inverses,
     rotation,
     sk_compile,
@@ -36,6 +35,40 @@ def _plain(monkeypatch):
 def _decompose(delta):
     """The matrices A, B of balanced_commutator_decompose for one delta."""
     return quaternion_to_su2(balanced_commutator_decompose(delta[None])[:, 0])
+
+
+def _rodrigues_family(deltas, angles):
+    """Reference: balanced_commutator_decompose's plain pairs (2, n, 4) with
+    both factors conjugated by the rotation by phi about delta's axis, for
+    each phi of angles, as (2, n, k, 4).  Conjugation keeps a quaternion's w
+    and turns its vector part x about the unit axis a (Rodrigues):
+    x cos phi + (a x x) sin phi + a (a . x)(1 - cos phi)."""
+    ab = balanced_commutator_decompose(deltas)[:, :, None]
+    v = su2_to_quaternion(deltas)[:, None, 1:]
+    vn = np.sqrt((v * v).sum(-1, keepdims=True))
+    a = v / (vn + (vn == 0))
+    x = ab[..., 1:]
+    cos, sin = np.cos(angles)[:, None], np.sin(angles)[:, None]
+    along = (a * x).sum(-1, keepdims=True) * a
+    turned = x * cos + np.cross(a, x) * sin + along * (1.0 - cos)
+    return np.concatenate([np.broadcast_to(ab[..., :1], turned.shape[:-1] + (1,)),
+                           turned], axis=-1)
+
+
+def _singular_deltas(theta, rng):
+    """Rotations by theta about axes at and near +-m, the axis of the x/y
+    pair's commutator, where the rotation carrying m onto delta's axis is
+    ill-conditioned (near -m) or undefined (at +-m)."""
+    s = np.sqrt(np.sin(theta / 4))
+    m = np.array([s, -s, np.sqrt(1 - s * s)]) / np.sqrt(1 + s * s)
+    deltas = []
+    for sign in (1, -1):
+        for offset in (0.0, 1e-16, 1e-12, 1e-8, 1e-4):
+            n = sign * m + offset * rng.normal(size=3)
+            n /= np.linalg.norm(n)
+            deltas.append(quaternion_to_su2(
+                np.concatenate([[np.cos(theta / 2)], np.sin(theta / 2) * n])))
+    return np.array(deltas)
 
 
 def _commutators(ab):
@@ -98,20 +131,12 @@ def test_commutator_near_the_singular_axes(theta):
     # the x/y pair's commutator turns about m = (s, -s, c) / sqrt(1 + s^2);
     # the rotation carrying m onto delta's axis is ill-conditioned as that
     # axis nears -m, and undefined at +-m, yet the residual stays at round-off
-    s = np.sqrt(np.sin(theta / 4))
-    m = np.array([s, -s, np.sqrt(1 - s * s)]) / np.sqrt(1 + s * s)
-    rng = np.random.default_rng(41)
-    for sign in (1, -1):
-        for offset in (0.0, 1e-16, 1e-12, 1e-8, 1e-4):
-            n = sign * m + offset * rng.normal(size=3)
-            n /= np.linalg.norm(n)
-            q = np.concatenate([[np.cos(theta / 2)], np.sin(theta / 2) * n])
-            delta = quaternion_to_su2(q)
-            a, b = _decompose(delta)
-            assert dist(a @ b @ a.conj().T @ b.conj().T, delta) <= 4 * 2.0 ** -52
-            # every rotated pair of the family is an exact decomposition too
-            got = _commutators(commutator_family(delta[None], ANGLES)[:, 0])
-            assert dist(got, np.broadcast_to(delta, got.shape)).max() <= 1e-12
+    for delta in _singular_deltas(theta, np.random.default_rng(41)):
+        a, b = _decompose(delta)
+        assert dist(a @ b @ a.conj().T @ b.conj().T, delta) <= 4 * 2.0 ** -52
+        # every rotated pair of the family is an exact decomposition too
+        got = _commutators(balanced_commutator_decompose(delta[None], ANGLES)[:, 0])
+        assert dist(got, np.broadcast_to(delta, got.shape)).max() <= 1e-12
 
 
 def test_commutator_family_is_exact_and_starts_at_the_plain_pair():
@@ -122,7 +147,7 @@ def test_commutator_family_is_exact_and_starts_at_the_plain_pair():
     rng = np.random.default_rng(48)
     deltas = np.array([np.eye(2)] + [rotation(rng.normal(size=3), 10 ** rng.uniform(-10, -0.5))
                                      for _ in range(300)])
-    family = commutator_family(deltas, ANGLES)
+    family = balanced_commutator_decompose(deltas, ANGLES)
     assert family.shape == (2, 301, 32, 4)
     assert np.array_equal(family[:, :, 0], balanced_commutator_decompose(deltas))
     got = _commutators(family)
@@ -132,6 +157,21 @@ def test_commutator_family_is_exact_and_starts_at_the_plain_pair():
     assert np.abs(family[:, 1:, 1:] - family[:, 1:, :1]).max() > 0
     gaps = np.linalg.norm(family - [1.0, 0, 0, 0], axis=-1)
     assert np.allclose(gaps, gaps[..., :1], rtol=0, atol=1e-15)
+
+
+def test_commutator_family_matches_the_rodrigues_reference():
+    # composing the rotation about delta's axis into R turns both factors
+    # as conjugating them by it does, at every angle the search reads, for
+    # the identity, random deltas and deltas at and near the singular axes
+    rng = np.random.default_rng(53)
+    deltas = np.concatenate(
+        [[np.eye(2)], [rotation(rng.normal(size=3), 10 ** rng.uniform(-10, -0.5))
+                       for _ in range(300)]]
+        + [_singular_deltas(theta, rng) for theta in (1e-9, 1e-3, 0.3)])
+    family = balanced_commutator_decompose(deltas, ANGLES)
+    assert np.abs(family - _rodrigues_family(deltas, ANGLES)).max() <= 1e-15
+    assert np.array_equal(family[:, :, 0], balanced_commutator_decompose(deltas))
+    assert np.array_equal(family[:, 0], np.broadcast_to([1.0, 0, 0, 0], (2, 32, 4)))
 
 
 def test_commutator_factors_batch_matches_rows():
@@ -238,9 +278,9 @@ def _counted_calls(monkeypatch):
         calls["query"].append(len(q))
         return query(self, q)
 
-    def counted_factors(deltas):
+    def counted_factors(deltas, angles=None):
         calls["commutator"].append(len(deltas))
-        return factors(deltas)
+        return factors(deltas, angles)
 
     monkeypatch.setattr(EpsNet, "query", counted_query)
     monkeypatch.setattr(skbase, "balanced_commutator_decompose", counted_factors)
@@ -291,36 +331,22 @@ def test_rewrite_irrep_inverses(ht_gateset):
     # Each rewrite of X, Y or Z flips the sign, and three flips do not cancel
     w = make_word(gens, tuple(inv[i] for i in (1, 5, 3, 2)))
     out = rewrite_irrep_inverses(gs, w)
-    assert out.tokens.tolist() == [1, inv[5], 3, 2]
-    assert dist(out.product, w.product, gs.phase_candidates) <= 1e-10
-    # the tracked phase makes the product exact, not only up to phase
-    assert np.allclose(out.product, word_product(gens, out.tokens), atol=1e-12)
+    assert out.tolist() == [1, inv[5], 3, 2]
+    assert np.allclose(word_product(gens, out), -w.product, atol=1e-12)
 
 
-def _rewrite_by_loop(gs, tokens, product):
+def _rewrite_by_loop(gs, tokens):
     """Reference: the rewrite as a Python loop over the tokens, one table
-    lookup per token, adding up the exponent k_g of each rewritten token's
-    z_g = w^k_g, w = exp(2 pi i / d); the phase is w^(sum mod d)."""
+    lookup per token."""
     inv = extended_inverse(gs)
-    table = {}
-    for g in range(1, gs.rep.order):
-        j = int(gs.rep.inverse_index[g])
-        z = np.trace(gs.matrices[j] @ gs.matrices[g]) / gs.dim
-        table[inv[g]] = (j, round(np.angle(z) * gs.dim / (2 * np.pi)) % gs.dim)
-    out, s = [], 0
-    for e in tokens:
-        if e in table:
-            e, k = table[e]
-            s += k
-        out.append(e)
-    return out, product * np.exp(2j * np.pi * (s % gs.dim) / gs.dim)
+    table = {inv[g]: int(gs.rep.inverse_index[g]) for g in range(1, gs.rep.order)}
+    return [table.get(e, e) for e in tokens]
 
 
 @pytest.mark.parametrize("name", ["ht_gateset", "skew_gateset", "weyl3"])
 def test_rewrite_matches_the_per_token_loop(request, name):
-    # the z_g are only within round-off of roots of unity (-1 - 1.2e-16i on
-    # the Pauli sets), so the phase is one root from the summed exponents,
-    # not a product of the z_g, which drifts by 1.7e-12 over this word at d = 3
+    # the rewritten word's product, folded independently, is the input's up
+    # to a global d-th root of unity
     if name == "weyl3":
         gs = parse_gateset({"dimension": 3, "mode": "su", "irrep": {"builtin": "weyl"}})
     else:
@@ -328,21 +354,9 @@ def test_rewrite_matches_the_per_token_loop(request, name):
     gens = extended_generators(gs)
     w = make_word(gens, np.random.default_rng(38).integers(len(gens), size=20_000))
     out = rewrite_irrep_inverses(gs, w)
-    tokens, product = _rewrite_by_loop(gs, w.tokens.tolist(), w.product)
-    assert out.tokens.tolist() == tokens
-    assert out.tokens.dtype == np.intp and not out.tokens.flags.writeable
-    assert np.array_equal(out.product, product)
-    # the tracked phase is the d-th root given by the counts of the
-    # rewritten tokens: an inverted irrep token of group element g stands
-    # for z_g, and z_g^d = det(z_g I) = 1
-    inv = extended_inverse(gs)
-    counts = np.bincount(w.tokens, minlength=len(gens))
-    angle = sum(counts[inv[g]] * np.angle(np.trace(
-        gs.matrices[int(gs.rep.inverse_index[g])] @ gs.matrices[g]) / gs.dim)
-        for g in range(1, gs.rep.order))
-    root = np.exp(1j * (2 * np.pi / gs.dim) * (round(angle * gs.dim / (2 * np.pi)) % gs.dim))
-    phase = np.vdot(w.product, out.product) / np.vdot(w.product, w.product)
-    assert abs(phase - root) <= 1e-15
+    assert out.tolist() == _rewrite_by_loop(gs, w.tokens.tolist())
+    assert out.dtype == np.intp
+    assert dist(word_product(gens, out), w.product, gs.phase_candidates) <= 1e-10
 
 
 def test_rewrite_preserves_product_phase_class(ht_gateset, ht_params):
@@ -354,10 +368,9 @@ def test_rewrite_preserves_product_phase_class(ht_gateset, ht_params):
     t = random_su(2, rng)
     w = sk_compile(gs, t, 1e-3, ht_params)
     out = rewrite_irrep_inverses(gs, w)
-    assert sum(e >= n for e in out.tokens) <= sum(e >= n for e in w.tokens)
-    assert all(inv[e] >= gs.rep.order for e in out.tokens if e >= n)
-    assert dist(out.product, w.product, gs.phase_candidates) <= 1e-10
-    assert np.allclose(out.product, word_product(gens, out.tokens), atol=1e-12)
+    assert sum(e >= n for e in out) <= sum(e >= n for e in w.tokens)
+    assert all(inv[e] >= gs.rep.order for e in out if e >= n)
+    assert dist(word_product(gens, out), w.product, gs.phase_candidates) <= 1e-10
 
 
 def test_sk_compile_tracks_the_product_of_its_tokens(ht_gateset, ht_params):
@@ -476,11 +489,12 @@ def test_a_depth_comes_again_only_with_a_smaller_error(ht_gateset, ht_params, mo
     # word: with every midpoint made the plain pair, which is never closer,
     # the words are the first words of each depth
     params = dataclasses.replace(ht_params, max_depth=4)
-    family = skbase.commutator_family
+    decompose = skbase.balanced_commutator_decompose
 
-    def plain_midpoints(deltas, angles):
-        ab = family(deltas, angles)
-        ab[:, :, 1::2] = ab[:, :, :1]
+    def plain_midpoints(deltas, angles=None):
+        ab = decompose(deltas, angles)
+        if angles is not None:
+            ab[:, :, 1::2] = ab[:, :, :1]
         return ab
 
     rng = np.random.default_rng(52)
@@ -491,7 +505,7 @@ def test_a_depth_comes_again_only_with_a_smaller_error(ht_gateset, ht_params, mo
         for eps in [e / 1.2 for e in errors[1:]] + [1e-3]:
             got = _every_yield(ht_gateset, t, params, eps)
             with monkeypatch.context() as m:
-                m.setattr(skbase, "commutator_family", plain_midpoints)
+                m.setattr(skbase, "balanced_commutator_decompose", plain_midpoints)
                 firsts = _every_yield(ht_gateset, t, params, eps)
             assert firsts == [g for i, g in enumerate(got) if i == 0 or got[i - 1][0] < g[0]]
             depths = [d for d, *_ in got]

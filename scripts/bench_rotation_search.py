@@ -64,6 +64,12 @@ RECORDS = {
         "midpoint rotations, pi (2j + 1) / 16, from the same depth - 1 word, "
         "and yielded again when that finds a closer word, before the next "
         "depth is tried",
+    "BENCH_free_reduce.json":
+        "the gathered SK base word is freely reduced (every adjacent g g^-1 "
+        "cancelled, cascading) before the irrep rewrite and the substitution "
+        "of refined inverses, and the search scores its candidates in closed "
+        "form (|q - q_target|) with an explicit tie rule (within 1e-12 of the "
+        "best, fewest gross tokens, then lowest r)",
 }
 
 

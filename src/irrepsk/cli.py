@@ -426,7 +426,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CompilerError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        if isinstance(e, (CacheError, OSError, json.JSONDecodeError)):
+        if isinstance(e, (CacheError, OSError)):
             return 3
         return 2 if isinstance(e, CompileFailure) else 1
 

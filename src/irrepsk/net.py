@@ -34,6 +34,10 @@ NET_FORMAT = "irrepsk-net-v2"
 DEFAULT_BUDGET = 2_000_000
 # candidates built and tested at a time: sets the builder's working memory
 CHUNK = 1 << 15
+# distances within TIE of the nearest tie (EpsNet.query, and the SK search)
+TIE = 1e-12
+# the most steps one round of free_reduce grows a cancelling pair outward
+REACH = 16
 
 
 def extended_generators(gs: GateSet) -> np.ndarray:
@@ -126,20 +130,24 @@ class EpsNet:
     def query(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Store indices and distances of the nearest products to an (n, 4)
         stack of SU(2) quaternions, from a k-d tree over the products' own.
-        Products within 1e-12 of the nearest tie, and the first stored wins."""
+        Products within TIE of the nearest tie, and the first stored wins."""
         if self._tree is None:
             self._tree = cKDTree(_rows(self.products, True), balanced_tree=False)
         d, i = self._tree.query(q, k=2)
-        d, i, tied = d[:, 0], i[:, 0], np.nonzero(d[:, 1] - d[:, 0] <= 1e-12)[0]
+        d, i, tied = d[:, 0], i[:, 0], np.nonzero(d[:, 1] - d[:, 0] <= TIE)[0]
         if len(tied):
-            balls = self._tree.query_ball_point(q[tied], d[tied] + 1e-12)
+            balls = self._tree.query_ball_point(q[tied], d[tied] + TIE)
             i[tied] = [min(b) for b in balls]
         return i, d
 
     def gather(self, signed: np.ndarray, inverse: np.ndarray) -> np.ndarray:
-        """The tokens of stored words laid end to end: i >= 0 in signed names
-        word i, ~i word i inverted, read back to front through inverse (the
-        index of each token's inverse)."""
+        """The tokens of stored words laid end to end, freely reduced: i >= 0
+        in signed names word i, ~i word i inverted, read back to front
+        through inverse (the index of each token's inverse).  Stored words
+        are reduced, but their junctions need not be: a word ending in g
+        followed by one starting with inverse[g] cancels there, and an
+        empty word between a word and its inverse cancels both
+        (free_reduce)."""
         back = signed < 0
         i = np.where(back, ~signed, signed)
         start, end = self.offsets[i], self.offsets[i + 1]
@@ -149,7 +157,40 @@ class EpsNet:
         step = np.repeat(np.where(back, -1, 1), n)
         k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
         tokens = self.tokens[np.repeat(first, n) + step * k]
-        return np.where(step < 0, inverse[tokens], tokens)
+        return free_reduce(np.where(step < 0, inverse[tokens], tokens), inverse)
+
+
+def free_reduce(tokens: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """tokens with every adjacent pair (g, inverse[g]) removed, cascading
+    until none is left: the freely reduced word, whose product is the same
+    (exactly in the group, to round-off in floats).
+
+    It runs in rounds with no loop over tokens.  A round finds every pair
+    and grows each outward, in one 2-D compare over up to REACH steps, into
+    the widest span w w^-1 around it.  Taken by start (the widest first), a
+    span is removed unless it overlaps one before it; the rest wait for the
+    next round, as do the pairs that the removals bring together.  Free
+    reduction is confluent, so whichever spans a round removes, the result
+    is the one reduced word that a stack pass gives.  Both ends are padded
+    with REACH tokens that match nothing, so no step needs a bounds check.
+    """
+    steps, pad = np.arange(REACH), np.full(REACH, -1)
+    t = np.concatenate([pad, tokens, pad - 1])
+    it = np.concatenate([pad - 2, inverse[tokens], pad - 3])  # it[j] = inverse of t[j]
+    while True:
+        c = np.flatnonzero(t[1:] == it[:-1])
+        if not len(c):
+            return t[REACH:-REACH]
+        half = (t[c[:, None] + 1 + steps] == it[c[:, None] - steps]).cumprod(1).sum(1)
+        start, end = c + 1 - half, c + 1 + half
+        order = np.lexsort((-end, start))
+        start, end = start[order], end[order]
+        free = np.ones(len(start), bool)
+        free[1:] = start[1:] >= np.maximum.accumulate(end)[:-1]
+        start, n = start[free], 2 * half[order][free]
+        keep = np.ones(len(t), bool)
+        keep[np.repeat(start - np.cumsum(n) + n, n) + np.arange(n.sum())] = False
+        t, it = t[keep], it[keep]
 
 
 def _times(mats: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -382,9 +382,13 @@ def compile_target(gs: GateSet, target, eps: float, params: SKParams,
     depth).  depth and rotation report the accepted word's depth and pair,
     the rotation in steps of pi / ROTATIONS: 0 for the plain pair, even for
     a searched pair, odd for a midpoint.  At each word whose SK error err_d
-    is at most eps, stage 2 rewrites the word's inverted irrep tokens through
-    the group table, without re-multiplying the word, and counts the m_d,i
-    remaining inverted tokens of each extra gate i, m_d in all.  Stage 3
+    is at most eps, stage 2 reads the word's tokens out freely reduced
+    (net.gather cancels every adjacent g inverse[g], cascading; the product
+    is the same), rewrites its inverted irrep tokens through the group
+    table, without re-multiplying the word, and counts the m_d,i remaining
+    inverted tokens of each extra gate i, m_d in all; base_length and
+    inverted_extras report the reduced word, so its length is base_length -
+    m_d + sum_i m_d,i times the refined length of gate i.  Stage 3
     takes one refined inverse per distinct gate at (eps / 2) / m_d, with its
     achieved error a_i.  The first word with err_d + sum_i m_d,i a_i <= eps
     is accepted: by the triangle inequality over unitary substitutions that

@@ -4,8 +4,10 @@ This stage is deliberately classical: it compiles over the gate set together
 with the inverses of all generators, and the refinement stage then makes its
 output inverse-free.  Words are GateWords whose tokens index
 extended_generators(gs); extended_inverse maps each token to its inverse's.
-Inverted irrep tokens are rewritten through the group's inverse table, and
-inverted extra-gate tokens are what the refinement stage replaces.
+A word is read out freely reduced (net.gather): no token is followed by its
+inverse.  Inverted irrep tokens are rewritten through the group's inverse
+table, and inverted extra-gate tokens are what the refinement stage
+replaces.
 
 The commutator step is exact in SU(2): a rotation by theta is the commutator
 A B A^dag B^dag of two rotations by phi about orthogonal axes, with
@@ -20,9 +22,10 @@ The decomposition is not unique: conjugating A and B by any rotation S about
 delta's own axis leaves the commutator S delta S^dag = delta.  Each depth's
 top level therefore tries K = ROTATIONS pairs of that one-parameter family,
 approximates all 2K factors in one stack, and keeps the candidate word
-closest to the target; K = 1 is the plain recursion.  Error
-gained there turns into a shallower accepted depth, at about 1/5 of the
-tokens per depth saved.  A depth whose predecessor missed the caller's eps by
+closest to the target, scored in closed form as the distance of unit
+quaternions, with an explicit rule for exact ties; K = 1 is the plain
+recursion.  Error gained there turns into a shallower accepted depth, at
+about 1/5 of the tokens per depth saved.  A depth whose predecessor missed the caller's eps by
 at most NEAR_MISS tries the plain pair alone first, and searches only if that
 word misses too.  A depth whose own word comes within NEAR_MISS of eps and is
 still rejected is searched once more, at the K midpoints between its pairs,
@@ -42,9 +45,8 @@ import numpy as np
 
 from .errors import ClassError, DimUnsupported, NetTooCoarse, TooFar
 from .gateset import GateSet, GateWord, matmul_stack
-from .net import EpsNet, build_gateset_net, extended_inverse
-from .linalg import (DEFAULT_TOL, dist, quaternion_to_su2, su2_residual,
-                     su2_to_quaternion)
+from .net import TIE, EpsNet, build_gateset_net, extended_inverse
+from .linalg import DEFAULT_TOL, quaternion_to_su2, su2_residual, su2_to_quaternion
 
 
 def rotation(axis, angle: float) -> np.ndarray:
@@ -154,8 +156,10 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
     Yields (depth, signed, product, error, rotation) for depth 0, 1, ... up
     to params.max_depth: the word as signed net indices (~i for net word i
     inverted, to be read out by net.gather over extended_inverse(gs)), the
-    word's tracked product, its distance to the target and the top-level
-    pair r it took (0 at depth 0).  Depths never decrease, and a depth may
+    word's tracked product, its distance to the target (|q - q_target| for
+    the quaternions q of the product and q_target of the target, which is
+    the operator-norm distance on SU(2)) and the top-level pair r it took
+    (0 at depth 0).  Depths never decrease, and a depth may
     come twice (below).  Asking past the depth cap raises NetTooCoarse with
     the smallest error seen, so a consumer accepts a word by its own rule
     and lets a loop over the words run out into that error.  Raises
@@ -168,17 +172,22 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
     is the plain pair) and their K midpoints at odd r.
     It approximates the factors of the pairs it tries at depth d - 1 in one
     stack and keeps the candidate closest to U, which is also the next
-    depth's W.  eps is the caller's tolerance, and two rules spend the
-    search where a word comes within NEAR_MISS * eps of it:
+    depth's W.  Candidates within TIE (1e-12, the tie width of
+    EpsNet.query) of the closest tie, and among them the one whose A and B
+    net words have the fewest tokens, then the lowest r, wins: distinct
+    pairs often give products equal in exact arithmetic (a factor
+    approximated by the empty word makes every such commutator I), and
+    round-off would otherwise pick.  eps is the caller's tolerance, and two
+    rules spend the search where a word comes within NEAR_MISS * eps of it:
     - after such a depth-(d - 1) word, depth d takes the plain (r = 0) word
-      when that is within eps and searches the other even r only otherwise;
-      the plain word usually passes there, and the search would cost K-fold
-      for nothing;
+      when that is within eps and searches all K even r otherwise; the plain
+      word usually passes there, and the search would cost K-fold for
+      nothing;
     - when the caller asks past such a depth-d word, that is, rejects it,
       depth d searches its K midpoints from the same W, and yields depth d
-      again with the closest of them if it is closer than the first word.
-      Depth d + 1 starts from the first word either way, so every later word
-      is the one the recursion yields without the second.
+      again with the closest of them if it is closer than the first word by
+      more than TIE.  Depth d + 1 starts from the first word either way, so
+      every later word is the one the recursion yields without the second.
     At K = 1, the plain recursion, and at eps = 0 every depth comes once.
     The search gains nothing where depth d - 1 already missed by far more
     than a depth's contraction: on pauli_ht at eps = 1e-7 it leaves the
@@ -220,24 +229,36 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
         """The signed words A B A^dag B^dag W along the last axis."""
         return np.concatenate([ia, ib, ~ia[..., ::-1], ~ib[..., ::-1], idx1], axis=-1)
 
+    def error(p: np.ndarray) -> np.ndarray:
+        """Distances of an (n, 2, 2) stack of SU(2) products to the target:
+        ||A - B|| = |q_A - q_B| in closed form (su2_to_quaternion)."""
+        return np.linalg.norm(su2_to_quaternion(p) - target_q, axis=-1)
+
     def search(family: np.ndarray, w1, depth: int, rs) -> tuple[tuple, float, int]:
         """The best of the top-level pairs r of rs from w1, the depth - 1
         word, given the factor quaternions (2, 2K, 4) of the pairs at every
         rotation r (phi = pi r / K): (signed (5^depth,), product (2, 2)), its
-        error and its r."""
+        error and its r.  Among the errors within TIE of the smallest, the
+        fewest gross tokens (A's and B's net-word lengths summed), then the
+        lowest r, win."""
         idx1, p1 = w1
         (ia, ib), p = commutators(family[:, rs], p1[None], depth)
-        errors = dist(p, target)
-        j = int(np.argmin(errors))
-        return (commutator_word(ia[j], ib[j], idx1), p[j]), float(errors[j]), rs[j]
+        errors = error(p)
+        tied = np.flatnonzero(errors <= errors.min() + TIE)
+        j = tied[0]
+        if len(tied) > 1:  # rs ascends: the first of the fewest has the lowest r
+            i = np.concatenate([ia[tied], ib[tied]], axis=-1)
+            i = np.where(i < 0, ~i, i)
+            j = tied[np.argmin((net.offsets[i + 1] - net.offsets[i]).sum(-1))]
+        return (commutator_word(ia[j], ib[j], idx1), p[j]), float(errors[j]), int(rs[j])
 
     # depth d starts from the depth-(d - 1) word, so each deepening step
     # reuses the previous one instead of recomputing it, and decomposes its
     # delta once for all 2K rotations that its searches may try
-    pairs, midpoints = range(0, 2 * k, 2), range(1, 2 * k, 2)
+    pairs, midpoints = np.arange(0, 2 * k, 2), np.arange(1, 2 * k, 2)
     angles = np.arange(2 * k) * (math.pi / k)
     i, p = level(target_q[None], 0)
-    word, err, r = (i[0], p[0]), dist(p[0], target), 0
+    word, err, r = (i[0], p[0]), float(error(p)[0]), 0
     best = err
     yield 0, word[0], word[1], err, r
     try:
@@ -246,22 +267,21 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
             delta = matmul_stack(quaternion_to_su2(target_q[None]),
                                  w1[1][None].conj().swapaxes(1, 2))
             family = balanced_commutator_decompose(delta, angles)[:, 0]
-            if err <= NEAR_MISS * eps:  # err is still depth - 1's
-                found = search(family, w1, depth, [0])
-                if found[1] > eps and k > 1:
-                    found = min(found, search(family, w1, depth, pairs[1:]),
-                                key=lambda f: f[1])
-            else:
+            # err is still depth - 1's.  A missed plain word is searched again
+            # with the other pairs, so that one tie rule picks among them all
+            found = search(family, w1, depth, pairs[:1]) if err <= NEAR_MISS * eps else None
+            if found is None or (found[1] > eps and k > 1):
                 found = search(family, w1, depth, pairs)
             word, err, r = found
             best = min(best, err)
             yield depth, word[0], word[1], err, r
             # asked past a depth that came within NEAR_MISS: search its
-            # midpoints from the same depth - 1 word before going deeper.  The
-            # next depth starts from word, the first one, either way
+            # midpoints from the same depth - 1 word before going deeper, and
+            # yield their best if it is closer than word by more than a tie.
+            # The next depth starts from word, the first one, either way
             if k > 1 and err <= NEAR_MISS * eps:
                 (signed, product), closer, r = search(family, w1, depth, midpoints)
-                if closer < err:
+                if closer < err - TIE:
                     best = min(best, closer)
                     yield depth, signed, product, closer, r
     except TooFar as e:
@@ -277,9 +297,10 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
 def sk_compile(gs: GateSet, target, eps: float, params: SKParams) -> GateWord:
     """Approximate a SU(2) target to operator-norm eps over gens and inverses.
 
-    The returned word's tokens index extended_generators(gs).  It is the
-    first depth of sk_depths (given eps) whose error is at most eps, with
-    sk_depths' errors (NetTooCoarse at the depth cap).
+    The returned word's tokens index extended_generators(gs), freely
+    reduced (net.gather).  It is the first depth of sk_depths (given eps)
+    whose error is at most eps, with sk_depths' errors (NetTooCoarse at the
+    depth cap).
     """
     idx, prod = next((i, p) for _, i, p, err, _ in sk_depths(gs, target, params, eps)
                      if err <= eps)

@@ -1,6 +1,7 @@
 """Word-product nets: enumeration, nearest queries, persistence."""
 
 import hashlib
+import itertools
 import json
 import re
 import tracemalloc
@@ -15,8 +16,10 @@ from irrepsk import (EpsNet, build_gateset_net, load_gateset, load_net, parse_ga
 from irrepsk.errors import BudgetExceeded, EmptyNet, FormatError, StaleGateSet
 from irrepsk.linalg import (dist, quaternion_to_su2, random_sl_near_identity, random_su,
                             su2_to_quaternion)
-from irrepsk.net import auto_net, build_net, extended_generators, probe_density
-from irrepsk.skbase import rotation
+from irrepsk.gateset import word_product
+from irrepsk.net import (REACH, auto_net, build_net, extended_generators, extended_inverse,
+                         free_reduce, probe_density)
+from irrepsk.skbase import rotation, sk_depths
 from scipy.linalg import expm
 from scipy.spatial import cKDTree
 
@@ -227,6 +230,99 @@ def test_extended_generators_appends_inverses(ht_gateset):
     for k in range(n, gens.shape[0]):
         base = ht_gateset.matrices[k - n + 1]
         assert np.allclose(gens[k] @ base, np.eye(2), atol=1e-12)
+
+
+def _stack_reduce(tokens, inverse) -> list[int]:
+    """Reference free reduction: one token at a time onto a stack, popping
+    it instead when it cancels the top."""
+    out = []
+    for t in tokens:
+        if out and out[-1] == inverse[t]:
+            out.pop()
+        else:
+            out.append(t)
+    return out
+
+
+def _laid_out(net, signed, inverse) -> list[int]:
+    """Reference gather without the reduction: the named words end to end,
+    ~i read back to front through inverse, one word at a time."""
+    out = []
+    for s in np.asarray(signed).tolist():
+        w = net.word(s if s >= 0 else ~s).tokens.tolist()
+        out += w if s >= 0 else [int(inverse[t]) for t in reversed(w)]
+    return out
+
+
+def _check_reduced(gs, net, signed):
+    """gather(signed) against the stack reduction of the laid-out words:
+    equal, idempotent, with no g inverse[g] left, and with the product of
+    the laid-out word to 4 len 2^-52."""
+    inverse = np.asarray(extended_inverse(gs))
+    gens = extended_generators(gs)
+    laid = _laid_out(net, signed, inverse)
+    got = net.gather(np.asarray(signed, dtype=np.intp), inverse)
+    assert got.tolist() == _stack_reduce(laid, inverse)
+    assert free_reduce(got, inverse).tolist() == got.tolist()
+    assert not np.any(got[1:] == inverse[got[:-1]])
+    assert dist(word_product(gens, got), word_product(gens, laid)) <= 4 * max(1, len(laid)) * 2.0 ** -52
+    return len(laid), len(got)
+
+
+def test_gather_reduces_like_a_stack_on_random_signed_words(ht_gateset, ht_params):
+    # pieces of random signed words: single words either way round, the
+    # empty word (0 and ~0), whole-word pairs i ~i, and runs of words
+    # followed by their inverse; a run of 40 or more tokens cascades deeper
+    # than one round's REACH
+    net = ht_params.net
+    lengths = np.diff(net.offsets)
+    rng = np.random.default_rng(60)
+    deepest = 0
+    for _ in range(150):
+        signed = []
+        for _ in range(rng.integers(1, 8)):
+            kind = rng.integers(5)
+            i = int(rng.integers(1, len(net)))
+            if kind == 0:
+                signed.append(i if rng.integers(2) else ~i)
+            elif kind == 1:
+                signed.append(0 if rng.integers(2) else ~0)
+            elif kind == 2:
+                signed += [i, ~i] if rng.integers(2) else [~i, i]
+            else:
+                run = rng.integers(1, len(net), size=rng.integers(1, 8)).tolist()
+                if kind == 4:  # at least 40 tokens, with empty words inside
+                    while lengths[run].sum() < 40:
+                        run.append(int(rng.integers(1, len(net))))
+                    run.insert(int(rng.integers(len(run))), 0)
+                signed += run + [~j for j in reversed(run)]
+                deepest = max(deepest, int(lengths[run].sum()))
+        _check_reduced(ht_gateset, net, signed)
+    assert deepest >= 40 > REACH
+
+
+def test_gather_reduces_like_a_stack_on_the_pinned_base_words(ht_gateset, ht_params):
+    # every word sk_depths yields up to depth 3 for the five pauli_ht targets
+    # that test_refine.py's word pins compile at 1e-3; most of them shrink
+    rng = np.random.default_rng(7)
+    shrunk = 0
+    for _ in range(5):
+        for _, signed, *_ in itertools.islice(sk_depths(ht_gateset, random_su(2, rng),
+                                                        ht_params, 1e-3), 4):
+            laid, got = _check_reduced(ht_gateset, ht_params.net, signed)
+            shrunk += got < laid
+    assert shrunk >= 10
+
+
+def test_free_reduce_handles_the_edges():
+    inverse = np.array([0, 3, 4, 1, 2])
+    assert free_reduce(np.zeros(0, np.intp), inverse).tolist() == []
+    assert free_reduce(np.array([1]), inverse).tolist() == [1]
+    assert free_reduce(np.array([0, 0]), inverse).tolist() == []  # the identity
+    # a word of 2 REACH tokens followed by its inverse, and a pair left over
+    w = np.tile([1, 2], REACH)
+    word = np.concatenate([[2], w, inverse[w[::-1]], [3]])
+    assert free_reduce(word, inverse).tolist() == [2, 3]
 
 
 def test_probe_density_reports_coverage(ht_gateset):

@@ -453,6 +453,71 @@ def test_a_depth_after_a_near_miss_tries_the_plain_word_first(ht_gateset, ht_par
     assert seen["plain"] >= 3 and seen["searched"] >= 1
 
 
+def test_the_closed_form_error_is_dist(ht_gateset, ht_params):
+    # sk_depths scores its words by |q - q_target|, which is dist on SU(2):
+    # to 4 ulps on random stacks.  A tracked product drifts off SU(2) by
+    # round-off (to about 7e-14 at depth 4 here, far inside the tie width);
+    # there the two agree to 4 ulps plus that drift, ||P - Q|| for the SU(2)
+    # matrix Q of P's quaternion, which is what the closed form measures
+    ulps = 4 * 2.0 ** -52
+    rng = np.random.default_rng(61)
+    p, t = np.stack([random_su(2, rng) for _ in range(500)]), random_su(2, rng)
+    closed = np.linalg.norm(su2_to_quaternion(p) - su2_to_quaternion(t), axis=-1)
+    assert np.abs(closed - dist(p, t)).max() <= ulps
+    for _ in range(6):
+        t = random_su(2, rng)
+        for _, _, product, err, _ in itertools.islice(sk_depths(ht_gateset, t, ht_params), 5):
+            drift = dist(product, quaternion_to_su2(su2_to_quaternion(product)))
+            assert drift < 1e-13 and abs(err - dist(product, t)) <= ulps + drift
+
+
+@pytest.mark.parametrize("nudge,pick", [
+    ({}, 10),
+    ({10: 4e-13, 22: -4e-13}, 10),   # round-off favours the later of the shortest
+    ({0: -4e-13, 10: 4e-13}, 10),    # round-off favours a longer word
+    ({0: -5e-12}, 0),                # a real difference, beyond the tie width
+])
+def test_the_search_breaks_exact_ties_by_gross_tokens_then_r(ht_gateset, ht_params,
+                                                             monkeypatch, nudge, pick):
+    # every depth-1 pair is made (I, B_r) with B_r a stored word, so every
+    # candidate B_r B_r^dag W has W's product exactly and differs only by
+    # round-off.  B_r has 3 tokens at r = 10 and 22 and 6 elsewhere, so the
+    # fewest gross tokens, then the lowest r, give r = 10, whichever
+    # candidate round-off makes closest; nudge shifts the error of pair r
+    # by the given amount to act as that round-off
+    net = ht_params.net
+    sizes = np.diff(net.offsets)
+    short, long_ = np.flatnonzero(sizes == 3)[:2], np.flatnonzero(sizes == 6)[:32]
+    words = {r: long_[r] for r in range(32)} | {10: short[0], 22: short[1]}
+    target = random_su(2, np.random.default_rng(62))
+    target_q = su2_to_quaternion(target)
+
+    def pairs_of_stored_words(deltas, angles=None):
+        q = np.zeros((2, len(deltas), len(angles), 4))
+        q[0, ..., 0] = 1.0
+        q[1] = su2_to_quaternion(net.products[[words[r] for r in range(len(angles))]])
+        return q
+
+    nudged = []
+
+    def nudged_quaternions(u):
+        q = su2_to_quaternion(u)
+        if q.ndim == 2 and len(q) == 16:
+            d = q - target_q
+            shift = np.array([nudge.get(r, 0.0) for r in range(0, 32, 2)])
+            q = target_q + d * (1 + shift / np.linalg.norm(d, axis=-1))[:, None]
+            nudged.append(np.linalg.norm(d, axis=-1))
+        return q
+
+    monkeypatch.setattr(skbase, "balanced_commutator_decompose", pairs_of_stored_words)
+    monkeypatch.setattr(skbase, "su2_to_quaternion", nudged_quaternions)
+    (_, w0, *_), (depth, signed, _, _, r) = itertools.islice(
+        sk_depths(ht_gateset, target, ht_params), 2)
+    assert len(nudged) == 1 and np.ptp(nudged[0]) < 1e-14  # tied before the nudge
+    assert depth == 1 and r == pick
+    assert signed.tolist() == [0, words[pick], ~0, ~words[pick], w0[0]]
+
+
 def _every_yield(gs, target, params, eps):
     """(depth, error, rotation) of every word sk_depths yields to a consumer
     that rejects them all, up to the depth cap."""

@@ -70,7 +70,19 @@ RECORDS = {
         "of refined inverses, and the search scores its candidates in closed "
         "form (|q - q_target|) with an explicit tie rule (within 1e-12 of the "
         "best, fewest gross tokens, then lowest r)",
+    "BENCH_sign_free.json":
+        "SU(2) nets store each rotation once, up to sign (the builder drops a "
+        "candidate within tol of a stored product's negation too), and answer "
+        "queries up to sign from one k-d tree over the stored quaternions and "
+        "their negations; the base alphabet adds only the inverses that no "
+        "generator gives up to a phase (7 letters, not 11, on both Pauli sets), "
+        "so the irrep rewrite is gone",
 }
+# --out files that also record "sample": SAMPLE_TARGETS targets of one gate
+# set at the small eps of the sweep, one compile per target and side, with
+# the counts of targets that end longer, shorter, deeper or shallower
+SAMPLES = {"BENCH_sign_free.json": ("pauli_ht_tprime", (1e-5, 1e-6, 1e-7))}
+SAMPLE_TARGETS, SAMPLE_SEED = 30, 11
 
 
 def perfbench(checkout: Path, workload: str, seed: int, seconds: float,
@@ -112,9 +124,11 @@ def summarize(runs: list[dict]) -> dict:
     return summary
 
 
-def sweep_side(checkout: Path, gateset: str) -> dict:
-    """Compile the sweep's targets at every eps with checkout's package, in
-    this process: per eps, per target (length, depth, seconds)."""
+def sweep_side(checkout: Path, gateset: str, eps_list=SWEEP_EPS, count=SWEEP_TARGETS,
+               seed=SWEEP_SEED, repeats=SWEEP_REPEATS) -> dict:
+    """Compile count seeded targets at every eps of eps_list with checkout's
+    package, in this process: per eps, per target (length, depth, seconds),
+    seconds the median of repeats timings after one warm-up compile."""
     sys.path.insert(0, str(checkout / "src"))
     import numpy as np
     import irrepsk
@@ -123,15 +137,15 @@ def sweep_side(checkout: Path, gateset: str) -> dict:
     gs = irrepsk.load_gateset(ROOT / gateset)
     params = irrepsk.base_params(gs, 12)
     refine_net = irrepsk.build_gateset_net(gs, 6)
-    rng = np.random.default_rng(SWEEP_SEED)
-    targets = [random_su(2, rng) for _ in range(SWEEP_TARGETS + 1)]  # [0] warms up
+    rng = np.random.default_rng(seed)
+    targets = [random_su(2, rng) for _ in range(count + 1)]  # [0] warms up
     out = {}
-    for eps in SWEEP_EPS:
+    for eps in eps_list:
         irrepsk.compile_target(gs, targets[0], eps, params, refine_net)
         rows = []
         for t in targets[1:]:
             times = []
-            for _ in range(SWEEP_REPEATS):
+            for _ in range(repeats):
                 t0 = time.perf_counter()
                 report = irrepsk.compile_target(gs, t, eps, params, refine_net)
                 times.append(time.perf_counter() - t0)
@@ -180,6 +194,32 @@ def sweep(parent: Path) -> dict:
     return result
 
 
+def sample(parent: Path, name: str, eps_list) -> dict:
+    """One compile per target of the SAMPLE_TARGETS seeded targets on gate set
+    name at each eps of eps_list, per side in a fresh process: per eps, the
+    mean lengths and their ratio, and how many targets the change compiles
+    longer, shorter, deeper and shallower than the parent."""
+    sides = {}
+    for side in ("parent", "change"):
+        out = subprocess.run(
+            [sys.executable, __file__, "--sweep-side", str(parent if side == "parent" else ROOT),
+             SWEEP_GATESETS[name], "--sample", *map(repr, eps_list)],
+            check=True, capture_output=True, text=True, env={**os.environ, **ONE_THREAD})
+        sides[side] = json.loads(out.stdout)
+    result = {"gateset": name, "targets": SAMPLE_TARGETS, "seed": SAMPLE_SEED}
+    for eps in map(repr, eps_list):
+        p, c = sides["parent"][eps], sides["change"][eps]
+        mean_p, mean_c = (statistics.fmean(r[0] for r in rows) for rows in (p, c))
+        result[eps] = {
+            "parent_length_mean": mean_p, "change_length_mean": mean_c,
+            "length_ratio": mean_c / mean_p,
+            "longer": sum(b[0] > a[0] for a, b in zip(p, c)),
+            "shorter": sum(b[0] < a[0] for a, b in zip(p, c)),
+            "deeper": sum(b[1] > a[1] for a, b in zip(p, c)),
+            "shallower": sum(b[1] < a[1] for a, b in zip(p, c))}
+    return result
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, help="checkout of the parent commit")
@@ -189,9 +229,13 @@ def main() -> int:
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_rotation_search.json")
     ap.add_argument("--sweep-side", nargs=2, metavar=("CHECKOUT", "GATESET"),
                     help=argparse.SUPPRESS)
+    ap.add_argument("--sample", nargs="+", type=float, metavar="EPS", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.sweep_side:
-        print(json.dumps(sweep_side(Path(args.sweep_side[0]).resolve(), args.sweep_side[1])))
+        checkout, gateset = Path(args.sweep_side[0]).resolve(), args.sweep_side[1]
+        side = (sweep_side(checkout, gateset, args.sample, SAMPLE_TARGETS, SAMPLE_SEED, 1)
+                if args.sample else sweep_side(checkout, gateset))
+        print(json.dumps(side))
         return 0
     if args.parent is None:
         ap.error("--parent is required")
@@ -235,6 +279,8 @@ def main() -> int:
         "sweep": sweep(parent),
         "runs": runs,
     }
+    if args.out.name in SAMPLES:
+        doc["sample"] = sample(parent, *SAMPLES[args.out.name])
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

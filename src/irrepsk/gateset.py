@@ -182,7 +182,13 @@ class GateSet:
 
     @property
     def phase_candidates(self) -> tuple[complex, ...]:
-        return self.rep.phase_candidates
+        """The global phases words are compared up to: the irrep's, and for
+        an SU(2) set with a genuine irrep also -1, since an SU(2) net stores
+        each rotation once for U and -U (net.py).  A projective SU(2) irrep
+        already has both square roots of unity."""
+        phases = self.rep.phase_candidates
+        su2 = self.mode == "su" and self.dim == 2
+        return phases + (-1.0 + 0j,) if su2 and len(phases) == 1 else phases
 
     def name_index(self, name: str) -> int:
         try:

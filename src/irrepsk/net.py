@@ -8,16 +8,20 @@ among all stored products.
 
 For A, B in SU(2) the difference A - B is a real multiple of an SU(2)
 matrix, so ||A - B|| is the Euclidean distance of their unit quaternions,
-and the Frobenius distance is sqrt(2) times it.  An SU(2) net is therefore
-deduplicated over its products' quaternions, and it answers queries for
-SU(2) targets from the builder's k-d tree over those quaternions in
-O(log N).  Any other net (sl mode, d >= 3) is deduplicated over its
-products' Frobenius vectors, and any other query (such a net, a target off
-the group) is scanned with dist over all products.
+and the Frobenius distance is sqrt(2) times it.  An SU(2) net works up to
+sign, the global phase -1 that every SU(2) gate set's words are compared
+up to (GateSet.phase_candidates): it stores each rotation once, the
+shortest word the breadth-first build finds for U or -U, deduplicating its
+products' quaternions q and -q alike, and it answers queries for SU(2)
+targets up to sign, in O(log N), from one k-d tree over the stored
+quaternions and their negations.  Any other net (sl mode, d >= 3) is
+deduplicated over its products' Frobenius vectors, and any other query (such
+a net, a target off the group) is scanned with dist over all products.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -30,7 +34,7 @@ from .errors import BudgetExceeded, EmptyNet, FormatError, SchemaError, StaleGat
 from .gateset import GateSet, GateWord, eps0_constant
 from .linalg import DEFAULT_TOL, dist, random_su, su2_residual, su2_to_quaternion
 
-NET_FORMAT = "irrepsk-net-v2"
+NET_FORMAT = "irrepsk-net-v3"
 DEFAULT_BUDGET = 2_000_000
 # candidates built and tested at a time: sets the builder's working memory
 CHUNK = 1 << 15
@@ -41,26 +45,47 @@ REACH = 16
 
 
 def extended_generators(gs: GateSet) -> np.ndarray:
-    """Generators plus the inverse of every non-identity generator.
+    """The base compiler's alphabet: the generators, then the inverse of
+    every generator whose inverse is no generator up to a phase in
+    gs.phase_candidates, in generator order.
 
-    extended_inverse gives the index of each entry's inverse.  Used by the
-    inverse-allowed base compiler; the refinement stage never sees these.
+    On a projective Pauli set X, Y, Z and a Hadamard are their own inverses
+    up to sign and add no letter, T adds T^-1, and an S3 set adds none for
+    its group (each 3-cycle is the other's inverse).  extended_inverse gives
+    each letter's inverse.  Used by the inverse-allowed base compiler; the
+    refinement stage never sees these.  Computed once per gate set.
     """
-    if gs.mode == "su":
-        invs = gs.matrices[1:].conj().transpose(0, 2, 1)
-    else:
-        invs = np.linalg.inv(gs.matrices[1:])
-    return np.concatenate([gs.matrices, invs])
+    return _alphabet(gs)[0]
 
 
-def extended_inverse(gs: GateSet) -> list[int]:
-    """Index of the inverse of every entry of extended_generators(gs).
+def extended_inverse(gs: GateSet) -> np.ndarray:
+    """Index of the inverse, up to a phase in gs.phase_candidates, of every
+    letter of extended_generators(gs): X -> X, T -> T^-1 -> T.  A letter
+    past the generators, n + k for n = gs.gen_count, is the inverse of the
+    generator it maps to."""
+    return _alphabet(gs)[1]
 
-    The identity is its own inverse; generator i >= 1 and index n + i - 1
-    are each other's inverses, with n = gs.gen_count.
-    """
-    n = gs.gen_count
-    return [0] + list(range(n, 2 * n - 1)) + list(range(1, n))
+
+@functools.lru_cache(maxsize=16)
+def _alphabet(gs: GateSet) -> tuple[np.ndarray, np.ndarray]:
+    """extended_generators(gs) and extended_inverse(gs), read-only.  The
+    inverse of generator i is generator j when dist(g_i^-1, z g_j) is within
+    gs.tolerance for a z in gs.phase_candidates (the nearest such j, the
+    first of equals)."""
+    mats = gs.matrices
+    invs = mats.conj().transpose(0, 2, 1) if gs.mode == "su" else np.linalg.inv(mats)
+    inverse, added = [], []
+    for i, g_inv in enumerate(invs):
+        d = dist(mats, g_inv, gs.phase_candidates)
+        j = int(np.argmin(d))
+        if d[j] > gs.tolerance:
+            j = len(mats) + len(added)
+            added.append(i)
+        inverse.append(j)
+    gens = np.concatenate([mats, invs[added]])
+    inverse = np.array(inverse + added, dtype=np.intp)
+    gens.flags.writeable = inverse.flags.writeable = False
+    return gens, inverse
 
 
 def net_fingerprint(gs: GateSet, with_inverses: bool) -> str:
@@ -71,9 +96,10 @@ def net_fingerprint(gs: GateSet, with_inverses: bool) -> str:
 @dataclass(eq=False)
 class EpsNet:
     """Products of all deduplicated generator words up to word_length, the
-    k-d tree over their quaternions that answers query (an SU(2) net from
-    the builder comes with it; a loaded one builds it on its first query),
-    and lazily the refinement trajectories seeded from them (refine_inverse).
+    k-d tree over their quaternions and their negations that answers query
+    and the signed products that signed reads (an SU(2) net from build_net
+    comes with both; a loaded one builds each on first use), and lazily the
+    refinement trajectories seeded from them (refine_inverse).
 
     The words are one flat token array: word i is
     tokens[offsets[i]:offsets[i + 1]], in store order, which is breadth-first
@@ -109,41 +135,62 @@ class EpsNet:
         """Stored word i with its product."""
         return GateWord(self.tokens[self.offsets[i]:self.offsets[i + 1]], self.products[i])
 
+    @property
+    def su2(self) -> bool:
+        """Whether this is an SU(2) net, which works up to sign."""
+        return self.dim == 2 and self.mode == "su"
+
     def nearest(self, target) -> tuple[GateWord, float]:
-        """Exact nearest stored word and its distance to target.
+        """Exact nearest stored word and its distance to target, up to sign
+        on an SU(2) net (the word's product is near target or -target).
 
         Ties go to store order.  SU(2) targets against an SU(2) net are
         answered by query; any other query scans dist over all products and
         takes its first minimum.
         """
         t = np.asarray(target, dtype=complex)
-        su2 = self.dim == 2 and self.mode == "su" and t.shape == (2, 2)
-        q, residual = su2_residual(t) if su2 else (None, np.inf)
+        q, residual = su2_residual(t) if self.su2 and t.shape == (2, 2) else (None, np.inf)
         if residual < DEFAULT_TOL:
-            (i,), (d,) = self.query(q[None])
+            (j,), (d,) = self.query(q[None])
+            i = j % len(self)
         else:
-            d = dist(self.products, t)
+            d = dist(self.products, t, (1.0, -1.0) if self.su2 else (1.0,))
             i = int(np.argmin(d))
             d = d[i]
         return self.word(i), float(d)
 
     def query(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Store indices and distances of the nearest products to an (n, 4)
-        stack of SU(2) quaternions, from a k-d tree over the products' own.
-        Products within TIE of the nearest tie, and the first stored wins."""
+        """Hits and distances of the nearest products, up to sign, to an
+        (n, 4) stack of SU(2) quaternions.  One k-d tree over the products'
+        quaternions q_0 .. q_(N-1) and then -q_0 .. -q_(N-1) answers it: hit
+        j is word j mod N, and signed(j) is its product with the sign, +1
+        below N and -1 from N.  Within TIE of the nearest tie, the lowest
+        word index wins, and of its two signs +1."""
         if self._tree is None:
-            self._tree = cKDTree(_rows(self.products, True), balanced_tree=False)
-        d, i = self._tree.query(q, k=2)
-        d, i, tied = d[:, 0], i[:, 0], np.nonzero(d[:, 1] - d[:, 0] <= TIE)[0]
+            self._tree = _sheet_tree(self.products)
+        d, j = self._tree.query(q, k=2)
+        d, j, tied = d[:, 0], j[:, 0], np.flatnonzero(d[:, 1] - d[:, 0] <= TIE)
         if len(tied):
+            n = len(self)
             balls = self._tree.query_ball_point(q[tied], d[tied] + TIE)
-            i[tied] = [min(b) for b in balls]
-        return i, d
+            j[tied] = [min(b, key=lambda k: (k % n, k)) for b in balls]
+        return j, d
+
+    def signed(self, hits) -> np.ndarray:
+        """The signed products of query hits: products[j mod N] times +1 for
+        j < N and -1 from N."""
+        return self._signed[hits]
+
+    @functools.cached_property
+    def _signed(self) -> np.ndarray:
+        return np.concatenate([self.products, -self.products])
 
     def gather(self, signed: np.ndarray, inverse: np.ndarray) -> np.ndarray:
         """The tokens of stored words laid end to end, freely reduced: i >= 0
         in signed names word i, ~i word i inverted, read back to front
-        through inverse (the index of each token's inverse).  Stored words
+        through inverse (the index of each token's inverse up to a phase,
+        so on an SU(2) net the product of word i inverted is products[i]'s
+        inverse up to sign).  Stored words
         are reduced, but their junctions need not be: a word ending in g
         followed by one starting with inverse[g] cancels there, and an
         empty word between a word and its inverse cancels both
@@ -193,6 +240,13 @@ def free_reduce(tokens: np.ndarray, inverse: np.ndarray) -> np.ndarray:
         t, it = t[keep], it[keep]
 
 
+def _sheet_tree(products: np.ndarray) -> cKDTree:
+    """EpsNet.query's k-d tree: over the quaternions of the SU(2) products,
+    then over their negations."""
+    q = su2_to_quaternion(products)
+    return cKDTree(np.concatenate([q, -q]), balanced_tree=False)
+
+
 def _times(mats: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Each matrix of the stack mats times g, as one 2-D BLAS product.  The
     builder and load_net form every product this way, so both get the same
@@ -201,32 +255,56 @@ def _times(mats: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _rows(mats: np.ndarray, su2: bool) -> np.ndarray:
-    """The builder's dedup rows of a stack of products: unit quaternions for
-    an SU(2) net (4 floats, at 1 / sqrt(2) of the Frobenius distance),
-    Frobenius vectors (2 d^2 floats) for any other."""
+    """The builder's dedup rows of a stack of products: for an SU(2) net
+    unit quaternions turned to w >= 0 (4 floats, at 1 / sqrt(2) of the
+    Frobenius distance; q and -q are one rotation, and _dist measures up to
+    sign), Frobenius vectors (2 d^2 floats) for any other."""
     if su2:
-        return np.ascontiguousarray(su2_to_quaternion(mats))
+        q = su2_to_quaternion(mats)
+        return np.ascontiguousarray(np.where(q[:, :1] < 0, -q, q))
     flat = mats.reshape(len(mats), -1)
     return np.concatenate([flat.real, flat.imag], axis=1)
 
 
-def _pairs(x: np.ndarray, r: float) -> np.ndarray:
-    """All (i, j), i < j, with rows i and j of x within r, in lexicographic
-    order.  One nearest-other query per row finds the few rows that have such
-    a neighbour, and a ball query lists their neighbours; a cKDTree pair query
+def _dist(tree: cKDTree, x: np.ndarray, bound: float, mirror: bool) -> np.ndarray:
+    """Distance from each row of x to the nearest row of tree, inf past
+    bound; with mirror, up to sign (the smaller of |x - s| and |x + s|).
+    Mirror rows are quaternions with w >= 0, so |x + s| >= w of x, and only
+    the rows with w <= bound, next to the equator w = 0 where a rotation's
+    two quaternions both have w near 0, are asked about -x."""
+    d = tree.query(x, distance_upper_bound=bound)[0]
+    if mirror:
+        near = np.flatnonzero(x[:, 0] <= bound)
+        d[near] = np.minimum(d[near], tree.query(-x[near], distance_upper_bound=bound)[0])
+    return d
+
+
+def _pairs(x: np.ndarray, r: float, mirror: bool) -> tuple[np.ndarray, np.ndarray]:
+    """All (i, j), i < j, with rows i and j of x within r, up to sign with
+    mirror (as _dist), in lexicographic order, and their distances.  One
+    nearest-other query per row finds the few rows that have such a
+    neighbour, and a ball query lists their neighbours; a cKDTree pair query
     walks the whole tree even when it finds nothing."""
     tree = cKDTree(x, balanced_tree=False)
     d = tree.query(x, k=2, distance_upper_bound=2 * r)[0]
     rows = np.flatnonzero(d[:, 1] <= r)
-    pairs = [(i, j) for i, ball in zip(rows.tolist(), tree.query_ball_point(x[rows], r))
-             for j in ball if j > i]
-    return np.array(sorted(pairs), dtype=np.intp).reshape(-1, 2)
+    pairs = {(i, j) for i, ball in zip(rows.tolist(), tree.query_ball_point(x[rows], r))
+             for j in ball if j > i}
+    if mirror:
+        near = np.flatnonzero(x[:, 0] <= r)
+        rows = near[tree.query(-x[near], distance_upper_bound=r)[0] <= r]
+        pairs |= {(min(i, j), max(i, j)) for i, ball in
+                  zip(rows.tolist(), tree.query_ball_point(-x[rows], r)) for j in ball if j != i}
+    pairs = np.array(sorted(pairs), dtype=np.intp).reshape(-1, 2)
+    a, b = x[pairs[:, 0]], x[pairs[:, 1]]
+    d = np.linalg.norm(a - b, axis=1)
+    return pairs, np.minimum(d, np.linalg.norm(a + b, axis=1)) if mirror else d
 
 
 class _Stored:
     """A k-d tree over stored rows and the record of each row's cell hash
-    (_groups), 16 bytes a row with its sort order.  The record stays with
-    the builder; a built SU(2) net keeps only the tree.
+    (_groups), 16 bytes a row with its sort order.  Both stay with the
+    builder.
 
     The tree's cells are split at the sliding midpoint (balanced_tree=False),
     not at the median: on a net's rows that builds in about half the time
@@ -245,15 +323,17 @@ class _Stored:
         return np.linalg.norm(x - self.tree.data[i], axis=1) <= r
 
 
-def _stored_dist(trees: list[_Stored], x: np.ndarray, tol: float, band: float) -> np.ndarray:
-    """Distance from each row of x to the nearest stored row, exact where it
-    exceeds tol - band (no verdict depends on a smaller one) and inf past
-    tol + band.  trees[0] holds the earlier levels; the rest hold this
-    level's kept rows and are asked only about the rows still open."""
-    d = trees[0].tree.query(x, distance_upper_bound=tol + band)[0]
+def _stored_dist(trees: list[_Stored], x: np.ndarray, tol: float, band: float,
+                 mirror: bool) -> np.ndarray:
+    """Distance from each row of x to the nearest stored row (up to sign
+    with mirror, as _dist), exact where it exceeds tol - band (no verdict
+    depends on a smaller one) and inf past tol + band.  trees[0] holds the
+    earlier levels; the rest hold this level's kept rows and are asked only
+    about the rows still open."""
+    d = _dist(trees[0].tree, x, tol + band, mirror)
     for t in trees[1:]:
         rows = np.flatnonzero(d > tol - band)
-        d[rows] = np.minimum(d[rows], t.tree.query(x[rows], distance_upper_bound=tol + band)[0])
+        d[rows] = np.minimum(d[rows], _dist(t.tree, x[rows], tol + band, mirror))
     return d
 
 
@@ -293,13 +373,15 @@ def _groups(cv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order[start], group, hashes
 
 
-def _new_elements(cv: np.ndarray, trees: list[_Stored],
-                  tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _new_elements(cv: np.ndarray, trees: list[_Stored], tol: float,
+                  mirror: bool) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the candidate rows cv (_rows, in enumeration order) that
     first-wins dedup keeps, and the cell hashes of all rows: a candidate is
     kept when no stored row (the rows of trees) and no earlier kept candidate
-    lies within tol of it.  tol, the 1e-9 cells, radius and band are all in
-    the units of the rows.
+    lies within tol of it, up to sign with mirror (an SU(2) net's rows; the
+    distance up to sign obeys the triangle inequality, so all below holds
+    for it).  tol, the 1e-9 cells, radius and band are all in the units of
+    the rows.
 
     Rows whose entries round to the same multiples of 1e-9 form a group, all
     within radius of its first member, and only first members are tested: one
@@ -327,7 +409,7 @@ def _new_elements(cv: np.ndarray, trees: list[_Stored],
         for tree in trees:
             open_ &= ~tree.in_cell(cv[first], hashes[first], radius)
     dd = np.zeros(len(first))
-    dd[open_] = _stored_dist(trees, cv[first[open_]], tol, band)
+    dd[open_] = _stored_dist(trees, cv[first[open_]], tol, band, mirror)
     loose = (np.abs(dd - tol) <= band) | (tol <= band)
     while True:
         unit = loose[group]
@@ -335,10 +417,9 @@ def _new_elements(cv: np.ndarray, trees: list[_Stored],
         units = np.flatnonzero(unit)
         du = dd[group[units]]
         extra = np.flatnonzero(units != first[group[units]])
-        du[extra] = _stored_dist(trees, cv[units[extra]], tol, band)
+        du[extra] = _stored_dist(trees, cv[units[extra]], tol, band, mirror)
         alive = units[du > tol]
-        pairs = _pairs(cv[alive], tol + band)
-        d = np.linalg.norm(cv[alive[pairs[:, 0]]] - cv[alive[pairs[:, 1]]], axis=1)
+        pairs, d = _pairs(cv[alive], tol + band, mirror)
         edge = group[alive[pairs[np.abs(d - tol) <= band]]]
         if loose[edge].all():
             break
@@ -378,6 +459,11 @@ def _nets(gens: np.ndarray, dim: int, mode: str, dedup_tol: float, fingerprint: 
     trees = [_Stored(rows, _groups(rows)[2])]
     for level in itertools.count():
         if level and len(frontier_p):
+            if len(trees) > 1:  # one tree over the earlier levels
+                rows = np.concatenate([t.tree.data for t in trees])
+                hashes = np.concatenate([t.hashes for t in trees])
+                trees.clear()  # frees the old trees before the new one is built
+                trees.append(_Stored(rows, hashes))
             total = len(frontier_p) * n_gens
             kept, kept_p, found = [], [], 0
             for s in range(0, total, CHUNK):
@@ -386,7 +472,7 @@ def _nets(gens: np.ndarray, dim: int, mode: str, dedup_tol: float, fingerprint: 
                 cand = np.stack([_times(frontier_p[a:b], g) for g in gens], axis=1)
                 cand = cand.reshape(-1, dim, dim)[s - a * n_gens:e - a * n_gens]
                 cv = _rows(cand, su2)
-                k, hashes = _new_elements(cv, trees, tol)
+                k, hashes = _new_elements(cv, trees, tol, su2)
                 found += len(k)
                 if len(products) + found > budget:
                     raise BudgetExceeded(
@@ -408,13 +494,9 @@ def _nets(gens: np.ndarray, dim: int, mode: str, dedup_tol: float, fingerprint: 
             offsets = np.concatenate([offsets,
                                       offsets[-1] + level * np.arange(1, len(kept) + 1)])
             products = np.concatenate([products, frontier_p])
-            rows = np.concatenate([t.tree.data for t in trees])
-            hashes = np.concatenate([t.hashes for t in trees])
-            trees.clear()  # frees the old trees before the new one is built
-            trees.append(_Stored(rows, hashes))
         yield EpsNet(dim=dim, mode=mode, word_length=level, dedup_tol=dedup_tol,
                      fingerprint=fingerprint, tokens=tokens, offsets=offsets,
-                     parents=parents, products=products, _tree=trees[0].tree if su2 else None)
+                     parents=parents, products=products)
 
 
 def build_net(gens: np.ndarray, dim: int, mode: str, word_length: int,
@@ -424,8 +506,11 @@ def build_net(gens: np.ndarray, dim: int, mode: str, word_length: int,
 
     A candidate is dropped when its product lies within dedup_tol (Frobenius)
     of anything already stored or of an earlier kept candidate of its own
-    level; an SU(2) net tests its products' quaternions at dedup_tol /
-    sqrt(2).  Different words that reach the same group element give products
+    level.  An SU(2) net tests its products' quaternions at dedup_tol /
+    sqrt(2), up to sign: a candidate within that of a stored product's
+    negation is dropped too, so each rotation is stored once, with the
+    shortest word found for it, and only kept words are expanded.
+    Different words that reach the same group element give products
     equal up to round-off, and most candidates of a long net are such
     duplicates; each chunk of CHUNK candidates groups those that agree to
     1e-9 and tests one member per group, and expands a group into all its
@@ -434,8 +519,8 @@ def build_net(gens: np.ndarray, dim: int, mode: str, word_length: int,
     candidate.  Beyond the stored net, its k-d trees (a row of 4 floats for
     an SU(2) net, 2 d^2 for any other, and an index per word) and their
     record of cell hashes (16 bytes per word), a build holds one chunk's
-    candidates at a time.  The tree over all stored quaternions that a
-    level ends with is a built SU(2) net's query tree.
+    candidates at a time.  A built SU(2) net comes with its query tree
+    (EpsNet.query), so that building it is part of the build.
     Raises BudgetExceeded as soon as a chunk would take the store past
     budget words, so budget bounds the memory of a build as well as its
     words.  A negative word_length or a budget below 1 raises SchemaError
@@ -444,7 +529,11 @@ def build_net(gens: np.ndarray, dim: int, mode: str, word_length: int,
     if word_length < 0:
         raise SchemaError(f"net word length must be at least 0, got {word_length}")
     nets = _nets(np.asarray(gens, dtype=complex), dim, mode, dedup_tol, fingerprint, budget)
-    return next(itertools.islice(nets, word_length, None))
+    net = next(itertools.islice(nets, word_length, None))
+    if net.su2:  # the query tree and the signed products are part of the build
+        net._tree = _sheet_tree(net.products)
+        net.signed(0)
+    return net
 
 
 def _gateset_recipe(gs: GateSet, with_inverses: bool) -> tuple[np.ndarray, float, str]:
@@ -462,10 +551,11 @@ def build_gateset_net(gs: GateSet, word_length: int, with_inverses: bool = False
 
 def probe_density(net: EpsNet, probes: int, rng: np.random.Generator) -> float:
     """Empirical covering radius: max over random SU(d) probes of the nearest
-    stored distance.  Only meaningful in su mode.  An SU(2) net answers all
+    stored distance (up to sign on an SU(2) net).  Only meaningful in su
+    mode.  An SU(2) net answers all
     probes with one query; the draws are those of one probe at a time."""
     targets = [random_su(net.dim, rng) for _ in range(probes)]
-    if net.dim == 2 and net.mode == "su" and probes:
+    if net.su2 and probes:
         worst = float(net.query(su2_to_quaternion(np.array(targets)))[1].max())
     else:
         worst = max((net.nearest(t)[1] for t in targets), default=0.0)

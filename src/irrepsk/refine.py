@@ -44,7 +44,12 @@ from .gateset import (GateSet, GateWord, concat_words, eps0_constant, gather_seg
 from .linalg import dist, op_norm, random_traceless_hermitian, su2_to_quaternion
 from .net import EpsNet, extended_inverse
 # sk_compile is not called here; perfbench/tracing.py times it under this name
-from .skbase import SKParams, rewrite_irrep_inverses, sk_compile, sk_depths  # noqa: F401
+from .skbase import SKParams, sk_compile, sk_depths  # noqa: F401
+
+# perfbench/tracing.py wraps this name too.  Base words hold no inverted
+# irrep token (extended_generators), so the irrep rewrite it timed is gone
+# and nothing calls the name
+rewrite_irrep_inverses = None
 
 
 def contraction_constant(rep: FiniteGroupRep) -> float:
@@ -376,17 +381,18 @@ def compile_target(gs: GateSet, target, eps: float, params: SKParams,
     """Compile target to an inverse-free word with error at most eps.
 
     Stage 1 runs the classical commutator recursion over generators plus
-    formal inverses, one word at a time (sk_depths, given eps, which searches
-    each depth's top commutator pair and, when a word of a depth is rejected
+    the inverses that are no generator up to a phase (extended_generators),
+    one word at a time (sk_depths, given eps, which searches each depth's
+    top commutator pair and, when a word of a depth is rejected
     within NEAR_MISS of eps, that depth's midpoint pairs before the next
     depth).  depth and rotation report the accepted word's depth and pair,
     the rotation in steps of pi / ROTATIONS: 0 for the plain pair, even for
-    a searched pair, odd for a midpoint.  At each word whose SK error err_d
+    a searched pair, odd for a midpoint.  The stage approximates the target
+    up to a global sign (sk_depths).  At each word whose SK error err_d
     is at most eps, stage 2 reads the word's tokens out freely reduced
     (net.gather cancels every adjacent g inverse[g], cascading; the product
-    is the same), rewrites its inverted irrep tokens through the group
-    table, without re-multiplying the word, and counts the m_d,i remaining
-    inverted tokens of each extra gate i, m_d in all; base_length and
+    is the same) and counts the m_d,i inverted tokens of each extra gate i,
+    m_d in all, the only letters past the generators; base_length and
     inverted_extras report the reduced word, so its length is base_length -
     m_d + sum_i m_d,i times the refined length of gate i.  Stage 3
     takes one refined inverse per distinct gate at (eps / 2) / m_d, with its
@@ -402,17 +408,17 @@ def compile_target(gs: GateSet, target, eps: float, params: SKParams,
     generator matrices (make_word, which reads the products of whole blocks
     of tokens from a table built from those matrices, not from any product
     the earlier stages tracked); the reported error is that product's
-    distance to the target up to a global d-th root of unity, since the
-    table rewrite of a projective irrep shifts the product by such a phase.
+    distance to the target up to a phase in gs.phase_candidates, which
+    holds the sign that the base stage leaves open.
     """
     target = np.asarray(target, dtype=complex)
-    # after the rewrite, a token e >= n is an inverted extra gate inv[e]
+    # a token e >= n is an inverted extra gate inv[e]
     n = gs.gen_count
-    inv = np.asarray(extended_inverse(gs))
-    for depth, signed, product, base_error, rotation in sk_depths(gs, target, params, eps):
+    inv = extended_inverse(gs)
+    for depth, signed, _, base_error, rotation in sk_depths(gs, target, params, eps):
         if base_error > eps:
             continue
-        base = rewrite_irrep_inverses(gs, GateWord(params.net.gather(signed, inv), product))
+        base = params.net.gather(signed, inv)
         counts = np.bincount(inv[base[base >= n]], minlength=n)
         m = int(counts.sum())
         refined = {i: refine_inverse(gs, refine_net, i, (eps / 2.0) / m)

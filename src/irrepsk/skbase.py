@@ -1,13 +1,22 @@
 """Inverse-allowed Solovay-Kitaev base compiler for SU(2).
 
 This stage is deliberately classical: it compiles over the gate set together
-with the inverses of all generators, and the refinement stage then makes its
+with the inverses of its generators, and the refinement stage then makes its
 output inverse-free.  Words are GateWords whose tokens index
-extended_generators(gs); extended_inverse maps each token to its inverse's.
-A word is read out freely reduced (net.gather): no token is followed by its
-inverse.  Inverted irrep tokens are rewritten through the group's inverse
-table, and inverted extra-gate tokens are what the refinement stage
-replaces.
+extended_generators(gs), the generators plus the inverses that are no
+generator up to a phase; extended_inverse maps each token to its inverse's.
+An irrep element's inverse is an irrep element, so the only letters past
+the generators are inverted extra gates, and those are what the refinement
+stage replaces.  A word is read out freely reduced (net.gather): no token is
+followed by its inverse.
+
+The stage works up to sign, the global phase -1 that SU(2) words are
+compared up to: the base net stores each rotation once and answers queries
+up to sign (EpsNet.query), and a phase-reduced inverse letter may flip a
+word's sign.  The recursion tracks the signed product of each net hit, and
+a commutator A B A^dag B^dag does not change when A or B flips sign, so the
+tracked product approximates the target and the word's own product equals
+it up to sign.
 
 The commutator step is exact in SU(2): a rotation by theta is the commutator
 A B A^dag B^dag of two rotations by phi about orthogonal axes, with
@@ -138,15 +147,16 @@ NEAR_MISS = 1.5
 
 @dataclass(eq=False)
 class SKParams:
-    """Base-compiler configuration: the inverse-closed net and a depth cap."""
+    """Base-compiler configuration: the net over the generators and their
+    inverses (extended_generators) and a depth cap."""
 
     net: EpsNet
     max_depth: int = 10
 
 
 def base_params(gs: GateSet, word_length: int) -> SKParams:
-    """Build the inverse-closed base net for the depth loop (sk_depths), at
-    the default depth cap."""
+    """Build the base net over extended_generators(gs) for the depth loop
+    (sk_depths), at the default depth cap."""
     return SKParams(net=build_gateset_net(gs, word_length, with_inverses=True))
 
 
@@ -156,10 +166,11 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
     Yields (depth, signed, product, error, rotation) for depth 0, 1, ... up
     to params.max_depth: the word as signed net indices (~i for net word i
     inverted, to be read out by net.gather over extended_inverse(gs)), the
-    word's tracked product, its distance to the target (|q - q_target| for
-    the quaternions q of the product and q_target of the target, which is
-    the operator-norm distance on SU(2)) and the top-level pair r it took
-    (0 at depth 0).  Depths never decrease, and a depth may
+    word's tracked product (the read-out word's product up to sign: each net
+    hit counts with the sign of the stored product it is near), its distance
+    to the target (|q - q_target| for the quaternions q of the product and
+    q_target of the target, which is the operator-norm distance on SU(2))
+    and the top-level pair r it took (0 at depth 0).  Depths never decrease, and a depth may
     come twice (below).  Asking past the depth cap raises NetTooCoarse with
     the smallest error seen, so a consumer accepts a word by its own rule
     and lets a loop over the words run out into that error.  Raises
@@ -200,14 +211,14 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
     if not residual < DEFAULT_TOL:
         raise ClassError(f"target is not in SU(2): residual {residual:.3e}")
     net = params.net
-    k = ROTATIONS
+    words, k = len(net), ROTATIONS
 
     def level(q: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
         """Signed net indices (n, 5^depth) and products (n, 2, 2) of the plain
         words for an (n, 4) stack of target quaternions."""
         if depth == 0:
-            i, _ = net.query(q)
-            return i[:, None], net.products[i]
+            hits, _ = net.query(q)
+            return (hits % words)[:, None], net.signed(hits)
         idx1, p1 = level(q, depth - 1)
         ab = balanced_commutator_decompose(
             matmul_stack(quaternion_to_su2(q), p1.conj().swapaxes(1, 2)))
@@ -298,28 +309,11 @@ def sk_compile(gs: GateSet, target, eps: float, params: SKParams) -> GateWord:
     """Approximate a SU(2) target to operator-norm eps over gens and inverses.
 
     The returned word's tokens index extended_generators(gs), freely
-    reduced (net.gather).  It is the first depth of sk_depths (given eps)
-    whose error is at most eps, with sk_depths' errors (NetTooCoarse at the
-    depth cap).
+    reduced (net.gather), and its product is sk_depths' tracked product,
+    which the tokens' product equals up to sign.  It is the first depth of
+    sk_depths (given eps) whose error is at most eps, with sk_depths' errors
+    (NetTooCoarse at the depth cap).
     """
     idx, prod = next((i, p) for _, i, p, err, _ in sk_depths(gs, target, params, eps)
                      if err <= eps)
-    return GateWord(params.net.gather(idx, np.asarray(extended_inverse(gs))), prod)
-
-
-def rewrite_irrep_inverses(gs: GateSet, word: GateWord) -> np.ndarray:
-    """word's tokens with every inverted irrep token replaced by its table
-    inverse.
-
-    Tokens index extended_generators(gs) on input and output.  The table
-    inverse of g is z_g g^-1 for a d-th root of unity z_g (exactly 1 for a
-    genuine irrep), so the rewritten word's product is word's up to a global
-    phase; no product is returned, and the caller verifies its output with
-    one independent product.  Afterwards every token past the forward
-    generators is an inverted extra gate.  The rewrite is one lookup,
-    lut[tokens], with no Python loop over the tokens.
-    """
-    inv = extended_inverse(gs)
-    lut = np.arange(len(inv))
-    lut[inv[:gs.rep.order]] = gs.rep.inverse_index
-    return lut[word.tokens]
+    return GateWord(params.net.gather(idx, extended_inverse(gs)), prod)

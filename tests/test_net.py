@@ -23,6 +23,8 @@ from irrepsk.skbase import rotation, sk_depths
 from scipy.linalg import expm
 from scipy.spatial import cKDTree
 
+# an SU(2) net stores and answers up to sign
+SIGNS = (1.0, -1.0)
 ROOT = Path(__file__).resolve().parent.parent
 GATESETS = ROOT / "gatesets"
 TPRIME = ROOT / "perfbench" / "gatesets" / "pauli_ht_tprime.json"
@@ -40,11 +42,13 @@ def pauli_only():
 
 
 def test_pauli_words_close_into_eight_products(pauli_only):
-    # su-form Pauli products land exactly in {+-I, +-X, +-Y, +-Z}
+    # su-form Pauli products land exactly in {+-I, +-X, +-Y, +-Z}, which an
+    # SU(2) net stores up to sign: the four words of length at most 1
     net = build_gateset_net(pauli_only, 2)
-    assert len(net) == 8
+    assert len(net) == 4
+    assert words_of(net) == [(), (1,), (2,), (3,)]
     net3 = build_gateset_net(pauli_only, 3)
-    assert len(net3) == 8
+    assert len(net3) == 4
 
 
 def test_zero_length_net_is_identity_only(pauli_only):
@@ -69,9 +73,9 @@ def test_nearest_matches_brute_force(ht_gateset):
     for _ in range(100):
         t = random_su(2, rng)
         word, got = net.nearest(t)
-        brute = dist(net.products, t).min()
+        brute = dist(net.products, t, SIGNS).min()
         assert got == pytest.approx(brute, abs=1e-8)
-        assert dist(word.product, t) == pytest.approx(got, abs=1e-8)
+        assert dist(word.product, t, SIGNS) == pytest.approx(got, abs=1e-8)
 
 
 def test_nearest_on_near_identity_target(pauli_only):
@@ -108,30 +112,46 @@ def test_nearest_equidistant_pauli_goes_to_store_order(pauli_only):
 
 
 def test_midpoint_ties_go_to_store_order(ht_gateset):
-    # the quaternion midpoint of two stored products is equidistant from
-    # both; over the Clifford-rich length-3 net many such targets tie with
-    # two or more products, and the k-d tree alone returns any of them
+    # the quaternion midpoint of two stored products, or of one and the
+    # other's negation, is equidistant from both up to sign; over the
+    # Clifford-rich length-3 net many such targets tie with two or more
+    # products, and the k-d tree alone returns any of them
     net = build_gateset_net(ht_gateset, 3)
     q = su2_to_quaternion(net.products)
     ties = 0
-    for a in range(len(net)):
-        for b in range(a + 1, len(net)):
-            m = q[a] + q[b]
-            if np.linalg.norm(m) < 1e-6:
-                continue
-            t = quaternion_to_su2(m / np.linalg.norm(m))
-            ds = dist(net.products, t)
-            tied = np.nonzero(ds <= ds.min() + 1e-12)[0]
-            ties += len(tied) > 1
-            assert net.nearest(t)[0].tokens.tolist() == net.word(tied[0]).tokens.tolist()
+    for a, b, z in itertools.product(range(len(net)), range(len(net)), SIGNS):
+        m = q[a] + z * q[b]
+        if b <= a or np.linalg.norm(m) < 1e-6:
+            continue
+        t = quaternion_to_su2(m / np.linalg.norm(m))
+        ds = dist(net.products, t, SIGNS)
+        tied = np.nonzero(ds <= ds.min() + 1e-12)[0]
+        ties += len(tied) > 1
+        assert net.nearest(t)[0].tokens.tolist() == net.word(tied[0]).tokens.tolist()
     assert ties > 500
 
 
 @pytest.fixture(scope="module")
 def ht_base8(ht_gateset):
     net = build_gateset_net(ht_gateset, 8, with_inverses=True)
-    assert len(net) == 960
+    assert len(net) == 480
     return net
+
+
+def two_sheets(net, q):
+    """Reference for EpsNet.query on an (n, 4) stack: the distances to every
+    stored quaternion and to its negation, brute force, and among those
+    within 1e-12 of the smallest the lowest word index, then sign +1.
+    Returns (index, sign, distance, tied) per row, tied the number of
+    quaternions within 1e-12 of the smallest distance."""
+    p = su2_to_quaternion(net.products)
+    d = np.linalg.norm(q[:, None] - np.concatenate([p, -p])[None], axis=-1)
+    out = []
+    for row in d:
+        tied = np.flatnonzero(row <= row.min() + 1e-12)
+        j = min(tied.tolist(), key=lambda k: (k % len(net), k))
+        out.append((j % len(net), 1.0 if j < len(net) else -1.0, row.min(), len(tied)))
+    return out
 
 
 def test_index_matches_svd_brute_force(ht_base8):
@@ -139,26 +159,56 @@ def test_index_matches_svd_brute_force(ht_base8):
     for _ in range(200):
         t = random_su(2, rng)
         word, got = ht_base8.nearest(t)
-        svd = dist(ht_base8.products, t)
+        svd = dist(ht_base8.products, t, SIGNS)
         i = int(np.argmin(svd))
         assert word.tokens.tolist() == ht_base8.word(i).tokens.tolist()
         assert got == pytest.approx(svd[i], abs=1e-14)
 
 
+def test_query_matches_a_two_sheet_brute_force(ht_gateset, ht_base8):
+    # Haar targets, targets on the equator w = 0 (where q and -q of a
+    # stored product are equally near), the stored products and their
+    # negations, and midpoints of stored pairs of either sign, which tie
+    net = build_gateset_net(ht_gateset, 3)
+    p = su2_to_quaternion(net.products)
+    rng = np.random.default_rng(63)
+    haar = rng.normal(size=(300, 4))
+    equator = haar[:100] * [0.0, 1, 1, 1]
+    mid = np.concatenate([p[:, None] + p[None], p[:, None] - p[None]]).reshape(-1, 4)
+    mid = mid[np.linalg.norm(mid, axis=1) >= 1e-6]
+    ties = 0
+    for store, q in ((ht_base8, np.concatenate([haar, equator])), (net, np.concatenate(
+            [p, -p, mid[rng.choice(len(mid), 600, replace=False)]]))):
+        q = q / np.linalg.norm(q, axis=1, keepdims=True)
+        hits, d = store.query(q)
+        ref = two_sheets(store, q)
+        i, sign = hits % len(store), np.where(hits < len(store), 1.0, -1.0)
+        assert i.tolist() == [r[0] for r in ref] and sign.tolist() == [r[1] for r in ref]
+        assert np.abs(d - [r[2] for r in ref]).max() <= 1e-15
+        # the signed product is the near one
+        signed = store.signed(hits)
+        assert np.array_equal(signed, sign[:, None, None] * store.products[i])
+        near = su2_to_quaternion(signed)
+        assert np.abs(np.linalg.norm(near - q, axis=1) - d).max() <= 1e-15
+        ties += sum(r[3] > 1 for r in ref)
+    assert ties > 100
+
+
 def test_batched_query_keeps_the_tie_rule(ht_gateset, ht_base8):
     # nearest asks query one row at a time; a whole batch must pick the
-    # same store index, on the midpoint ties above and on Haar targets
+    # same store index, on the midpoint ties above (of either sign) and on
+    # Haar targets
     net = build_gateset_net(ht_gateset, 3)
     q = su2_to_quaternion(net.products)
-    mid = q[:, None] + q[None]
-    mid = mid[np.triu_indices(len(net), 1)]
+    mid = np.concatenate([(q[:, None] + z * q[None])[np.triu_indices(len(net), 1)]
+                          for z in SIGNS])
     norm = np.linalg.norm(mid, axis=1, keepdims=True)
     mid = mid[norm[:, 0] >= 1e-6] / norm[norm[:, 0] >= 1e-6]
     rng = np.random.default_rng(29)
     haar = su2_to_quaternion(np.array([random_su(2, rng) for _ in range(200)]))
     for store, targets in ((net, mid), (ht_base8, haar)):
-        idx, d = store.query(targets)
-        for t, i, di in zip(targets, idx, d):
+        hits, d = store.query(targets)
+        for t, i, di in zip(targets, hits % len(store), d):
             word, got = store.nearest(quaternion_to_su2(t))
             assert word.tokens.tolist() == store.word(i).tokens.tolist() and got == di
     d, _ = net._tree.query(mid, k=2)
@@ -224,12 +274,14 @@ def test_words_do_not_exceed_length(ht_gateset):
 
 
 def test_extended_generators_appends_inverses(ht_gateset):
+    # only T's inverse is no generator up to sign
     gens = extended_generators(ht_gateset)
+    inverse = extended_inverse(ht_gateset)
     n = len(ht_gateset.matrices)
-    assert gens.shape[0] == 2 * n - 1  # identity is not duplicated
+    assert gens.shape[0] == n + 1
+    assert np.array_equal(gens[:n], ht_gateset.matrices)
     for k in range(n, gens.shape[0]):
-        base = ht_gateset.matrices[k - n + 1]
-        assert np.allclose(gens[k] @ base, np.eye(2), atol=1e-12)
+        assert np.allclose(gens[k] @ ht_gateset.matrices[inverse[k]], np.eye(2), atol=1e-12)
 
 
 def _stack_reduce(tokens, inverse) -> list[int]:
@@ -257,7 +309,8 @@ def _laid_out(net, signed, inverse) -> list[int]:
 def _check_reduced(gs, net, signed):
     """gather(signed) against the stack reduction of the laid-out words:
     equal, idempotent, with no g inverse[g] left, and with the product of
-    the laid-out word to 4 len 2^-52."""
+    the laid-out word to 4 len 2^-52, up to sign (g inverse[g] is -I for
+    g = X)."""
     inverse = np.asarray(extended_inverse(gs))
     gens = extended_generators(gs)
     laid = _laid_out(net, signed, inverse)
@@ -265,7 +318,8 @@ def _check_reduced(gs, net, signed):
     assert got.tolist() == _stack_reduce(laid, inverse)
     assert free_reduce(got, inverse).tolist() == got.tolist()
     assert not np.any(got[1:] == inverse[got[:-1]])
-    assert dist(word_product(gens, got), word_product(gens, laid)) <= 4 * max(1, len(laid)) * 2.0 ** -52
+    assert (dist(word_product(gens, got), word_product(gens, laid), SIGNS)
+            <= 4 * max(1, len(laid)) * 2.0 ** -52)
     return len(laid), len(got)
 
 
@@ -325,6 +379,16 @@ def test_free_reduce_handles_the_edges():
     assert free_reduce(word, inverse).tolist() == [2, 3]
 
 
+def test_free_reduce_cancels_involutions(ht_gateset):
+    # X, Y, Z and H are their own inverses up to sign, so g g cancels for
+    # them, cascading, and T T^-1 as before
+    inverse = extended_inverse(ht_gateset)
+    assert inverse[[1, 2, 3, 4]].tolist() == [1, 2, 3, 4]
+    assert free_reduce(np.array([4, 1, 1, 4]), inverse).tolist() == []
+    assert free_reduce(np.array([5, 2, 4, 4, 2, 6, 3]), inverse).tolist() == [3]
+    assert free_reduce(np.array([1, 2, 2, 1, 1]), inverse).tolist() == [1]
+
+
 def test_probe_density_reports_coverage(ht_gateset):
     rng = np.random.default_rng(22)
     coarse = build_gateset_net(ht_gateset, 4)
@@ -361,7 +425,7 @@ def test_save_load_roundtrip(tmp_path, request, fixture, length, with_inverses):
     assert net.parents[0] == -1
     assert all(w[:-1] == words[i] for w, i in zip(words[1:], net.parents[1:].tolist()))
     if fixture == "pauli_only":
-        assert max(map(len, words)) == 2
+        assert max(map(len, words)) == 1
 
 
 def test_load_net_rejects_other_gateset(tmp_path, ht_gateset, skew_gateset):
@@ -413,9 +477,11 @@ def test_load_net_rejects_corrupt_file(tmp_path, ht_gateset):
                        ("achieved_density", "low"), ("levels", "x"), ("levels", [0, 1]),
                        ("levels", [0, 1, 0.5, 9, 30]), ("levels", [0, 1, 9, 5, 30])):
         rejects(lines[1:], "bad net header field", head=json.dumps(header | {key: value}))
-    # a cache of the earlier text-of-tokens format must be rebuilt
-    rejects(lines[1:], "'irrepsk-net-v1', not 'irrepsk-net-v2': rebuild",
-            head=json.dumps(header | {"format": "irrepsk-net-v1"}))
+    # caches of the earlier formats must be rebuilt: v1 held text of tokens,
+    # and v2 held sign twins numbered in the 11-letter alphabet
+    for old in ("irrepsk-net-v1", "irrepsk-net-v2"):
+        rejects(lines[1:], f"'{old}', not 'irrepsk-net-v3': rebuild it with irrepsk net --out",
+                head=json.dumps(header | {"format": old}))
 
 
 def test_budget_raises_budget_exceeded(ht_gateset):
@@ -451,7 +517,7 @@ def test_build_memory_is_bounded_by_the_chunk(ht_gateset, monkeypatch):
         finally:
             tracemalloc.stop()
         own = net.tokens.nbytes + net.offsets.nbytes + net.parents.nbytes + net.products.nbytes
-        assert len(net) == 16800
+        assert len(net) == 8400
         assert peak - own < 512 * chunk + 256 * len(net)
 
 
@@ -477,12 +543,13 @@ def test_reloaded_base_net_answers_like_the_built_one(tmp_path, ht_gateset):
 
 
 def test_built_su2_net_queries_on_the_builders_tree(tmp_path, ht_gateset):
-    # the builder's last tree holds the quaternions of every stored product
-    # in store order, exactly the rows query would build its tree from
+    # build_net builds the query tree, over the quaternions of every stored
+    # product in store order and then their negations
     net = build_gateset_net(ht_gateset, 10, with_inverses=True)
     assert type(net._tree) is cKDTree  # the builder's record of cells stays behind
     q = su2_to_quaternion(net.products)
-    assert net._tree.data.tobytes() == np.ascontiguousarray(q).tobytes()
+    q = np.concatenate([q, -q])
+    assert net._tree.data.tobytes() == q.tobytes()
     p = tmp_path / "net.json"
     save_net(net, p)
     back = load_net(p, ht_gateset, with_inverses=True)
@@ -493,11 +560,12 @@ def test_built_su2_net_queries_on_the_builders_tree(tmp_path, ht_gateset):
     fresh = EpsNet(dim=2, mode="su", word_length=net.word_length, dedup_tol=net.dedup_tol,
                    fingerprint=net.fingerprint, tokens=net.tokens, offsets=net.offsets,
                    parents=net.parents, products=net.products,
-                   _tree=cKDTree(np.ascontiguousarray(q)))
-    i, d = net.query(haar)
+                   _tree=cKDTree(q))
+    hits, d = net.query(haar)
     for other in (fresh, back):
-        oi, od = other.query(haar)
-        assert np.array_equal(oi, i) and od.tobytes() == d.tobytes()
+        other_hits, other_d = other.query(haar)
+        assert np.array_equal(other_hits, hits) and other_d.tobytes() == d.tobytes()
+        assert other.signed(hits).tobytes() == net.signed(hits).tobytes()
 
 
 def test_distances_match_aligned_queries(ht_gateset):
@@ -526,14 +594,19 @@ def net_sha256(net) -> str:
 # fixture; the last two, recorded while SU(2) nets were still deduplicated
 # over Frobenius vectors, are the compile_bignet and compile_skewed base
 # nets.  A builder change that keeps the algorithm must keep every net
-# bit-identical.
+# bit-identical.  The four SU(2) nets were re-recorded when SU(2) nets began
+# to store each rotation once, up to sign, over an alphabet that adds only
+# the inverses no generator gives up to a phase (7 letters, not 11, for both
+# Pauli sets): 4128, 527, 67488 and 37816 words -> 2064, 320, 33744 and
+# 18967, with hashes 35dc8ef5..., 0d6dc92d..., a5c2a1d8... and daa2ad9e...
+# before.  The sl-mode net is unchanged.
 NETS_SHA256 = {
-    "pauli_ht L12 with inverses": "35dc8ef55b97ff5f425bfb7e7d598bd8ae0e34aa90a4802cf189f4753f82bd17",
-    "pauli_ht_tprime L6": "0d6dc92db3e1a397df55b2bc29919a2f256e12a50c2b9f838bf9c971094d08ab",
+    "pauli_ht L12 with inverses": "be1901f4c37a9b6cfd84fc4e3412270b072f4a0cd817eede5593195d59492e72",
+    "pauli_ht_tprime L6": "d5426ae4f9059ba2afca59e4794bf5c9a60bf8bc5771736b025f4d17b8efb82e",
     "sl_perturbed L3": "76848c1e7c1d381a9871f4de5f212b9297097fd7baf82760cae5f87a2a34688e",
-    "pauli_ht L20 with inverses": "a5c2a1d889d53c47495ada70a3e19fde978aeb639205ee56693844d913afe623",
+    "pauli_ht L20 with inverses": "224674855451b5cffdafdfdad5c721457da266028800ec601829ec8a520e2336",
     "pauli_ht_tprime L12 with inverses":
-        "daa2ad9e5dcdb4318df0f5ab173b92f4a70546219de559c2c40a740b9cb9f286",
+        "036cfd6cf5e639ddf6ffbb452e81d4c4e6c0e381277edd9baec4641cd4aee100",
 }
 
 
@@ -546,7 +619,7 @@ def test_nets_stay_bit_identical(ht_gateset, slp_net):
         "pauli_ht_tprime L12 with inverses":
             build_gateset_net(load_gateset(TPRIME), 12, with_inverses=True),
     }
-    assert [len(n) for n in nets.values()] == [4128, 527, 42, 67488, 37816]
+    assert [len(n) for n in nets.values()] == [2064, 320, 42, 33744, 18967]
     assert {k: net_sha256(n) for k, n in nets.items()} == NETS_SHA256
 
 
@@ -555,10 +628,13 @@ def _vec(mats):
     return np.concatenate([flat.real, flat.imag], axis=1)
 
 
-def reference_net(gens, dim, word_length, tol):
-    """build_net as it was before duplicate grouping: every candidate is
-    tested against a tree over all stored products, then first-wins over the
-    pairs of its level's survivors.  Returns the words and products."""
+def reference_net(gens, dim, word_length, tol, signs=SIGNS):
+    """build_net as it was before duplicate grouping, in Frobenius vectors:
+    every candidate is tested against a tree over all stored products, then
+    first-wins over the pairs of its level's survivors.  Distances are up to
+    sign by default, as for an SU(2) net: a tree over the stored vectors and
+    their negations, and pairs of survivors a and -b.  signs=(1.0,) gives
+    the sign-exact net of an sl-mode set.  Returns the words and products."""
     gens = np.asarray(gens, dtype=complex)
     words, products = [()], np.eye(dim, dtype=complex)[None]
     frontier_w, frontier_p = [()], products
@@ -568,12 +644,17 @@ def reference_net(gens, dim, word_length, tol):
         cand = np.matmul(frontier_p[:, None], gens[None]).reshape(-1, dim, dim)
         cand_words = [w + (m,) for w in frontier_w for m in range(len(gens))]
         cv = _vec(cand)
-        dd, _ = cKDTree(_vec(products)).query(cv, distance_upper_bound=tol * (1 + 1e-12))
+        stored = np.concatenate([z * _vec(products) for z in signs])
+        dd, _ = cKDTree(stored).query(cv, distance_upper_bound=tol * (1 + 1e-12))
         kept = np.nonzero(dd > tol)[0]
         if len(kept):
-            pairs = cKDTree(cv[kept]).query_pairs(tol, output_type="ndarray")
+            m = len(kept)
+            x = np.concatenate([z * cv[kept] for z in signs])
+            pairs = {(min(a % m, b % m), max(a % m, b % m))
+                     for a, b in cKDTree(x).query_pairs(tol, output_type="ndarray").tolist()
+                     if a % m != b % m}
             removed = set()
-            for a, b in sorted(map(tuple, pairs.tolist())):
+            for a, b in sorted(pairs):
                 if a not in removed:
                     removed.add(b)
             kept = kept[[i for i in range(len(kept)) if i not in removed]]
@@ -680,10 +761,63 @@ def test_builder_matches_reference_on_the_shipped_sets(ht_gateset, slp_gateset,
         nets = at_each_chunk_size(
             monkeypatch, lambda: build_gateset_net(gs, length, with_inverses=True))
         words, products = reference_net(extended_generators(gs), gs.dim, length,
-                                        nets[0].dedup_tol)
+                                        nets[0].dedup_tol, signs_of(gs))
         for net in nets:
             assert words_of(net) == words
             assert net.products.tobytes() == products.tobytes()
+
+
+def signs_of(gs):
+    """The signs an SU(2) set's nets deduplicate over; an sl-mode net is
+    sign-exact."""
+    return SIGNS if gs.mode == "su" and gs.dim == 2 else (1.0,)
+
+
+def test_builder_matches_reference_on_the_equator(monkeypatch):
+    # half turns have w = cos(pi / 2) = 6.1e-17 and three half turns
+    # w = cos(3 pi / 2) = -1.8e-16: the same rotations, of opposite sign,
+    # with round-off of both signs on the equator w = 0, where a rotation's
+    # two quaternions are both near w = 0.  Products of half turns about
+    # nearby axes lie there too, and a tol of a few degrees merges them
+    # across the sign as well
+    axes = [[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 1.02, 0], [0, 1, 1], [0.03, 1, 1]]
+    gens = np.array([np.eye(2)] + [rotation(a, t) for a in axes for t in (np.pi, 3 * np.pi)])
+    w = su2_to_quaternion(gens[1:])[:, 0]
+    assert np.all(np.abs(w) < 1e-15) and (w > 0).any() and (w < 0).any()
+    for tol in (1e-9, 0.05):
+        words, products = reference_net(gens, 2, 4, tol)
+        assert (1,) in words and (2,) not in words  # Rx(3 pi) = -Rx(pi)
+        assert np.count_nonzero(np.abs(su2_to_quaternion(products)[:, 0]) < 1e-9) >= 9
+        for net in at_each_chunk_size(monkeypatch, lambda: build_net(gens, 2, "su", 4, tol)):
+            assert words_of(net) == words
+            assert net.products.tobytes() == products.tobytes()
+
+
+def close_pairs_up_to_sign(net):
+    """Pairs of stored products within the net's dedup tolerance (Frobenius)
+    of each other or of each other's negation."""
+    v = _vec(net.products)
+    pairs = cKDTree(np.concatenate([v, -v])).query_pairs(net.dedup_tol, output_type="ndarray")
+    return [(a, b) for a, b in pairs.tolist() if a % len(net) != b % len(net)]
+
+
+def test_base_nets_store_each_rotation_once(ht_gateset):
+    # the pauli_ht base nets hold exactly one word per rotation: no two
+    # stored products lie within tol of each other up to sign, and every
+    # product of the sign-exact net over the 11-letter alphabet (the
+    # generators and all their inverses) lies within tol of a stored product
+    # or its negation
+    n = ht_gateset.gen_count
+    old = np.concatenate([ht_gateset.matrices, ht_gateset.matrices[1:].conj().transpose(0, 2, 1)])
+    for length, words in ((12, 2064), (20, 33744)):
+        net = build_gateset_net(ht_gateset, length, with_inverses=True)
+        assert len(net) == words and close_pairs_up_to_sign(net) == []
+        if length == 12:
+            exact = build_net(old, 2, "sl", length, net.dedup_tol)  # Frobenius, sign-exact
+            assert len(old) == 2 * n - 1 and len(exact) == 4128
+            v = _vec(net.products)
+            d = cKDTree(np.concatenate([v, -v])).query(_vec(exact.products))[0]
+            assert d.max() <= net.dedup_tol
 
 
 def test_builder_is_exact_when_every_cell_hash_collides(ht_gateset, monkeypatch):
@@ -731,7 +865,7 @@ def test_record_settles_groups_as_the_reference_does(ht_gateset, slp_gateset, mo
         counts.update(earlier=0, level=0, widths=set())
         net = build_gateset_net(gs, length, with_inverses=with_inverses)
         gens = extended_generators(gs) if with_inverses else gs.matrices
-        words, products = reference_net(gens, gs.dim, length, net.dedup_tol)
+        words, products = reference_net(gens, gs.dim, length, net.dedup_tol, signs_of(gs))
         assert words_of(net) == words
         assert net.products.tobytes() == products.tobytes()
         assert counts["earlier"] > 0 and counts["level"] > 0
@@ -749,13 +883,13 @@ def test_record_settles_nothing_when_tol_is_within_a_few_bands(ht_gateset, monke
 
 
 def test_builder_matches_reference_when_the_frontier_empties(pauli_only, monkeypatch):
-    # the su-form Paulis close into 8 products at length 2: the record
-    # settles every candidate of length 3, and the frontier empties
+    # the su-form Paulis close into 4 products up to sign at length 1: the
+    # record settles every candidate of length 2, and the frontier empties
     counts = settle_counts(monkeypatch)
     nets = at_each_chunk_size(
         monkeypatch, lambda: build_gateset_net(pauli_only, 5, with_inverses=True))
     words, products = reference_net(extended_generators(pauli_only), 2, 5, nets[0].dedup_tol)
-    assert len(words) == 8
+    assert len(words) == 4
     for net in nets:
         assert words_of(net) == words
         assert net.products.tobytes() == products.tobytes()

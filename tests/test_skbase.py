@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,13 +11,12 @@ import pytest
 import irrepsk.skbase as skbase
 from irrepsk import EpsNet, SKParams, base_params, build_gateset_net, parse_gateset
 from irrepsk.errors import ClassError, NetTooCoarse, TooFar
-from irrepsk.gateset import make_word, word_product
+from irrepsk.gateset import load_gateset, make_word, word_product
 from irrepsk.linalg import dist, quaternion_to_su2, random_su, su2_to_quaternion
 from irrepsk.net import extended_generators, extended_inverse
 from irrepsk.skbase import (
     NEAR_MISS,
     balanced_commutator_decompose,
-    rewrite_irrep_inverses,
     rotation,
     sk_compile,
     sk_depths,
@@ -218,22 +218,50 @@ def test_commutator_identity_and_too_far():
 
 def test_symbol_words(ht_gateset, slp_gateset):
     # base-compiler words index extended_generators, and extended_inverse
-    # names the index of each entry's inverse
+    # names the index of each entry's inverse, up to a global phase
     rng = np.random.default_rng(30)
+    eye = np.eye(2)
     for gs in (ht_gateset, slp_gateset):
-        n = gs.gen_count
+        phases = gs.phase_candidates
         gens = extended_generators(gs)
         inv = extended_inverse(gs)
-        assert len(inv) == len(gens) == 2 * n - 1
-        assert [inv[inv[e]] for e in range(2 * n - 1)] == list(range(2 * n - 1))
-        assert [e for e in range(2 * n - 1) if inv[e] == e] == [0]
-        for e in range(2 * n - 1):
-            assert np.allclose(gens[inv[e]] @ gens[e], np.eye(2), atol=1e-12)
-        w = make_word(gens, tuple(int(e) for e in rng.integers(2 * n - 1, size=9)))
+        m = len(gens)
+        assert len(inv) == m and gs.gen_count < m < 2 * gs.gen_count - 1
+        assert [inv[inv[e]] for e in range(m)] == list(range(m))
+        for e in range(m):
+            assert dist(gens[inv[e]] @ gens[e], eye, phases) <= 1e-12
+        w = make_word(gens, tuple(int(e) for e in rng.integers(m, size=9)))
         w_inv = make_word(gens, tuple(inv[e] for e in reversed(w.tokens)))
-        assert np.allclose(w_inv.product @ w.product, np.eye(2), atol=1e-12)
+        assert dist(w_inv.product @ w.product, eye, phases) <= 1e-12
         if gs.mode == "su":
-            assert np.allclose(w_inv.product, w.product.conj().T, atol=1e-12)
+            assert dist(w_inv.product, w.product.conj().T, phases) <= 1e-12
+
+
+def test_alphabet_adds_only_the_inverses_no_generator_gives(ht_gateset):
+    # X, Y, Z and H are their own inverses up to sign, so both Pauli sets
+    # add one letter, the inverse of their T-type gate; an S3 set adds none
+    # for its group, whose 3-cycles are each other's inverses
+    tprime = load_gateset(Path(__file__).resolve().parent.parent / "perfbench" / "gatesets"
+                          / "pauli_ht_tprime.json")
+    for gs in (ht_gateset, tprime):
+        gens, inv = extended_generators(gs), extended_inverse(gs)
+        assert gs.names[1:5] == ("X", "Y", "Z", "H")
+        assert len(gens) == 7 and inv.tolist() == [0, 1, 2, 3, 4, 6, 5]
+        assert np.array_equal(gens[6], gs.matrices[5].conj().T)
+        assert extended_generators(gs) is gens  # computed once per gate set
+    s3 = parse_gateset({"dimension": 2, "mode": "su", "irrep": {"builtin": "s3"}, "gates": [
+        {"name": "R", "matrix": [[float(v.real), float(v.imag)]
+                                 for v in rotation([1, 2, 3], 1.0).ravel()]}]})
+    assert s3.names[1:3] == ("r1", "r2")
+    assert extended_inverse(s3).tolist() == [0, 2, 1, 3, 4, 5, 7, 6]
+    # a genuine irrep's SU(2) set is compared up to sign as well, so its
+    # Hadamard, whose inverse is -H, adds no letter either
+    q8 = parse_gateset({"dimension": 2, "mode": "su", "irrep": {"builtin": "q8"},
+                        "gates": [{"name": "H", "matrix": [[0.5 ** 0.5, 0], [0.5 ** 0.5, 0],
+                                                           [0.5 ** 0.5, 0],
+                                                           [-(0.5 ** 0.5), 0]]}]})
+    assert q8.phase_candidates == (1, -1)
+    assert extended_inverse(q8).tolist()[-1] == 8
 
 
 def test_params_guardrails(ht_gateset):
@@ -323,66 +351,35 @@ def test_sk_compile_rejects_targets_off_su2(ht_gateset, ht_params):
             sk_compile(ht_gateset, t, 1e-3, ht_params)
 
 
-def test_rewrite_irrep_inverses(ht_gateset):
-    gs = ht_gateset
-    gens = extended_generators(gs)
-    inv = extended_inverse(gs)
-    # X is self-inverse up to phase; T (index 5) is not an irrep member.
-    # Each rewrite of X, Y or Z flips the sign, and three flips do not cancel
-    w = make_word(gens, tuple(inv[i] for i in (1, 5, 3, 2)))
-    out = rewrite_irrep_inverses(gs, w)
-    assert out.tolist() == [1, inv[5], 3, 2]
-    assert np.allclose(word_product(gens, out), -w.product, atol=1e-12)
-
-
-def _rewrite_by_loop(gs, tokens):
-    """Reference: the rewrite as a Python loop over the tokens, one table
-    lookup per token."""
-    inv = extended_inverse(gs)
-    table = {inv[g]: int(gs.rep.inverse_index[g]) for g in range(1, gs.rep.order)}
-    return [table.get(e, e) for e in tokens]
-
-
-@pytest.mark.parametrize("name", ["ht_gateset", "skew_gateset", "weyl3"])
-def test_rewrite_matches_the_per_token_loop(request, name):
-    # the rewritten word's product, folded independently, is the input's up
-    # to a global d-th root of unity
-    if name == "weyl3":
-        gs = parse_gateset({"dimension": 3, "mode": "su", "irrep": {"builtin": "weyl"}})
-    else:
-        gs = request.getfixturevalue(name)
-    gens = extended_generators(gs)
-    w = make_word(gens, np.random.default_rng(38).integers(len(gens), size=20_000))
-    out = rewrite_irrep_inverses(gs, w)
-    assert out.tolist() == _rewrite_by_loop(gs, w.tokens.tolist())
-    assert out.dtype == np.intp
-    assert dist(word_product(gens, out), w.product, gs.phase_candidates) <= 1e-10
-
-
-def test_rewrite_preserves_product_phase_class(ht_gateset, ht_params):
+def test_base_words_hold_no_inverted_irrep_token(ht_gateset, ht_params):
+    # an irrep element's inverse is an irrep element up to a phase, so the
+    # only letters past the generators are inverted extra gates, and every
+    # gathered base word's tokens multiply to its tracked product up to sign
     gs = ht_gateset
     n = gs.gen_count
     gens = extended_generators(gs)
     inv = extended_inverse(gs)
     rng = np.random.default_rng(37)
-    t = random_su(2, rng)
-    w = sk_compile(gs, t, 1e-3, ht_params)
-    out = rewrite_irrep_inverses(gs, w)
-    assert sum(e >= n for e in out) <= sum(e >= n for e in w.tokens)
-    assert all(inv[e] >= gs.rep.order for e in out if e >= n)
-    assert dist(word_product(gens, out), w.product, gs.phase_candidates) <= 1e-10
+    for _ in range(3):
+        t = random_su(2, rng)
+        for _, signed, product, *_ in itertools.islice(sk_depths(gs, t, ht_params), 4):
+            base = ht_params.net.gather(signed, inv)
+            assert all(inv[e] >= gs.rep.order for e in base if e >= n)
+            assert dist(word_product(gens, base), product, gs.phase_candidates) <= 1e-10
 
 
 def test_sk_compile_tracks_the_product_of_its_tokens(ht_gateset, ht_params):
     # the recursion multiplies subword products instead of its tokens, so
-    # check the tracked product against an independent one
+    # check the tracked product against an independent one, which equals it
+    # up to sign
     gens = extended_generators(ht_gateset)
     for seed in (0, 1, 2, 3):
         t = random_su(2, np.random.default_rng(seed))
         w = sk_compile(ht_gateset, t, 1e-3, ht_params)
         assert all(0 <= e < len(gens) for e in w.tokens)
         tol = 4 * w.length * 2.0 ** -52
-        assert np.linalg.norm(w.product - word_product(gens, w.tokens), 2) <= tol
+        p = word_product(gens, w.tokens)
+        assert min(np.linalg.norm(w.product - z * p, 2) for z in (1, -1)) <= tol
 
 
 def test_word_length_growth_per_depth(ht_gateset, ht_params, monkeypatch):
@@ -590,21 +587,23 @@ def test_a_depth_comes_again_only_with_a_smaller_error(ht_gateset, ht_params, mo
 def test_sk_compile_passes_the_old_plateau(ht_gateset):
     # depth 6 gets below 1e-7 only if the commutator step keeps its digits
     # near the identity; theta = 2 arccos(w) loses half of them there, and
-    # the SK error then levels off near 3e-7
+    # the SK error then levels off near 3e-7.  The word's own product is
+    # the target's up to sign
     params = dataclasses.replace(base_params(ht_gateset, 12), max_depth=6)
     for seed in (0, 1, 2):
         t = random_su(2, np.random.default_rng(seed))
         w = sk_compile(ht_gateset, t, 1e-7, params)
         assert dist(w.product, t) <= 1e-7
-        assert dist(word_product(extended_generators(ht_gateset), w.tokens), t) <= 1e-7
+        assert dist(word_product(extended_generators(ht_gateset), w.tokens), t,
+                    ht_gateset.phase_candidates) <= 1e-7
 
 
 def test_sk_compile_deep_recursion(ht_gateset):
-    # depth 7 reaches 1e-10 with words of about 730k tokens, measured by an
-    # independent product of the tokens
+    # depth 7 reaches 1e-10 with words of about 610k tokens, measured up to
+    # sign by an independent product of the tokens
     params = dataclasses.replace(base_params(ht_gateset, 12), max_depth=7)
     gens = extended_generators(ht_gateset)
     for seed in (0, 1, 2):
         t = random_su(2, np.random.default_rng(seed))
         w = sk_compile(ht_gateset, t, 1e-10, params)
-        assert dist(word_product(gens, w.tokens), t) <= 1e-10
+        assert dist(word_product(gens, w.tokens), t, ht_gateset.phase_candidates) <= 1e-10

@@ -77,6 +77,12 @@ RECORDS = {
         "their negations; the base alphabet adds only the inverses that no "
         "generator gives up to a phase (7 letters, not 11, on both Pauli sets), "
         "so the irrep rewrite is gone",
+    "BENCH_quaternion_sk.json":
+        "the SK stage computes in unit quaternions end to end (one Hamilton "
+        "product, linalg.qmul; EpsNet.signed reads the query tree's rows, so "
+        "the per-net table of signed 2x2 products is gone), and the "
+        "refinement seed is one scan of the net's products in every mode; "
+        "claims no gain",
 }
 # --out files that also record "sample": SAMPLE_TARGETS targets of one gate
 # set at the small eps of the sweep, one compile per target and side, with

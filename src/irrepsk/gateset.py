@@ -56,7 +56,7 @@ class GateWord:
     whole blocks of tokens read from a cached table of their products), the
     parts' products for concat_words and symmetrize_word.  sk_compile's
     product is the one its batched recursion tracks, built level by level
-    from net products with matmul_stack.
+    from net products in quaternions (linalg.qmul).
 
     tokens is a 1-D intp array that the word owns: every builder passes an
     array it made.  Other token sequences are converted, but an intp array

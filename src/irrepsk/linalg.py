@@ -124,6 +124,23 @@ def quaternion_to_su2(q) -> np.ndarray:
     return (q @ _SU2_BASIS).reshape(q.shape[:-1] + (2, 2))
 
 
+# row 4 i + j: the quaternion of e_i e_j, e = I, -iX, -iY, -iZ (+ 0.0 clears -0.0)
+_E = quaternion_to_su2(np.eye(4))
+_QMUL = su2_to_quaternion((_E[:, None] @ _E[None]).reshape(16, 2, 2)) + 0.0
+
+
+def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamilton product of (..., 4) quaternion stacks, broadcasting as numpy
+    does (one row against n): the quaternion of the matrix product A B."""
+    ab = a[..., :, None] * b[..., None, :]
+    return ab.reshape(ab.shape[:-2] + (16,)) @ _QMUL
+
+
+def qconj(q: np.ndarray) -> np.ndarray:
+    """Conjugate quaternions (w, -x, -y, -z): the adjoint, on SU(2)."""
+    return q * [1.0, -1.0, -1.0, -1.0]
+
+
 def su2_residual(u: np.ndarray) -> tuple[np.ndarray, float]:
     """The quaternion q of a (2, 2) matrix's first row, and the larger of
     |q.q - 1| and max |quaternion_to_su2(q) - u|, which is 0 on SU(2)."""
@@ -138,7 +155,7 @@ def random_su(d: int, rng: np.random.Generator) -> np.ndarray:
     if d == 2:
         q = rng.normal(size=4)
         q /= np.linalg.norm(q)
-        return quaternion_to_su2(q * [1.0, -1.0, -1.0, -1.0])
+        return quaternion_to_su2(qconj(q))
     zmat = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / np.sqrt(2)
     q, r = np.linalg.qr(zmat)
     ph = np.diagonal(r)

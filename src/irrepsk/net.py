@@ -97,9 +97,9 @@ def net_fingerprint(gs: GateSet, with_inverses: bool) -> str:
 class EpsNet:
     """Products of all deduplicated generator words up to word_length, the
     k-d tree over their quaternions and their negations that answers query
-    and the signed products that signed reads (an SU(2) net from build_net
-    comes with both; a loaded one builds each on first use), and lazily the
-    refinement trajectories seeded from them (refine_inverse).
+    and whose rows signed reads (an SU(2) net from build_net comes with it;
+    a loaded one builds it on first use), and lazily the refinement
+    trajectories seeded from them (refine_inverse).
 
     The words are one flat token array: word i is
     tokens[offsets[i]:offsets[i + 1]], in store order, which is breadth-first
@@ -163,7 +163,7 @@ class EpsNet:
         """Hits and distances of the nearest products, up to sign, to an
         (n, 4) stack of SU(2) quaternions.  One k-d tree over the products'
         quaternions q_0 .. q_(N-1) and then -q_0 .. -q_(N-1) answers it: hit
-        j is word j mod N, and signed(j) is its product with the sign, +1
+        j is word j mod N, and signed(j) is its quaternion with the sign, +1
         below N and -1 from N.  Within TIE of the nearest tie, the lowest
         word index wins, and of its two signs +1."""
         if self._tree is None:
@@ -177,13 +177,9 @@ class EpsNet:
         return j, d
 
     def signed(self, hits) -> np.ndarray:
-        """The signed products of query hits: products[j mod N] times +1 for
-        j < N and -1 from N."""
-        return self._signed[hits]
-
-    @functools.cached_property
-    def _signed(self) -> np.ndarray:
-        return np.concatenate([self.products, -self.products])
+        """The signed quaternions (n, 4) of query hits, the query tree's rows:
+        products[j mod N]'s quaternion, times -1 from N."""
+        return self._tree.data[hits]
 
     def gather(self, signed: np.ndarray, inverse: np.ndarray) -> np.ndarray:
         """The tokens of stored words laid end to end, freely reduced: i >= 0
@@ -530,9 +526,8 @@ def build_net(gens: np.ndarray, dim: int, mode: str, word_length: int,
         raise SchemaError(f"net word length must be at least 0, got {word_length}")
     nets = _nets(np.asarray(gens, dtype=complex), dim, mode, dedup_tol, fingerprint, budget)
     net = next(itertools.islice(nets, word_length, None))
-    if net.su2:  # the query tree and the signed products are part of the build
+    if net.su2:  # the query tree is part of the build
         net._tree = _sheet_tree(net.products)
-        net.signed(0)
     return net
 
 

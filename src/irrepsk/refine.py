@@ -42,7 +42,7 @@ from .finitegroup import FiniteGroupRep
 from .gateset import (GateSet, GateWord, concat_words, eps0_constant, gather_segments,
                       make_word)
 from .linalg import dist, op_norm, random_traceless_hermitian, su2_to_quaternion
-from .net import EpsNet, extended_inverse
+from .net import TIE, EpsNet, extended_inverse
 # sk_compile is not called here; perfbench/tracing.py times it under this name
 from .skbase import SKParams, sk_compile, sk_depths  # noqa: F401
 
@@ -130,25 +130,11 @@ def _table_inverse_word(gs: GateSet, gen_index: int):
 
 
 def _best_start(gs: GateSet, net: EpsNet, u: np.ndarray):
-    """Net word V minimizing the aligned distance of V U to the identity."""
-    phases = gs.phase_candidates
-    if gs.mode == "su":
-        # ||P u - z I|| = ||P - z u^dag|| for unitary u, so the scan reduces
-        # to nearest-product queries against the phase-shifted adjoints
-        u_inv = u.conj().T
-        best = None
-        for z in phases:
-            word, _ = net.nearest(z * u_inv)
-            # verify the winner with an independent SVD distance
-            d = dist(word.product, z * u_inv)
-            if best is None or d < best[1] - 1e-12 or (
-                    d < best[1] + 1e-12 and word.length < best[0].length):
-                best = (word, d)
-        return best
-    # aligned distance of every P u to the identity; argmin keeps the first
-    # of equal minima
-    starts = dist(net.products @ u, np.eye(gs.dim), phases)
-    i = int(np.argmin(starts))
+    """Net word V minimizing the aligned distance of V U to the identity.
+    Among distances within TIE of the smallest, the lowest store index
+    wins, which is the shortest word (the store is breadth-first)."""
+    starts = dist(net.products @ u, np.eye(gs.dim), gs.phase_candidates)
+    i = int(np.flatnonzero(starts <= starts.min() + TIE)[0])
     return net.word(i), float(starts[i])
 
 

@@ -10,6 +10,8 @@ the generators are inverted extra gates, and those are what the refinement
 stage replaces.  A word is read out freely reduced (net.gather): no token is
 followed by its inverse.
 
+The stage computes in the unit quaternions of linalg (one Hamilton product,
+qmul); 2x2 matrices are only the target it takes and the products it yields.
 The stage works up to sign, the global phase -1 that SU(2) words are
 compared up to: the base net stores each rotation once and answers queries
 up to sign (EpsNet.query), and a phase-reduced inverse letter may flip a
@@ -22,7 +24,7 @@ The commutator step is exact in SU(2): a rotation by theta is the commutator
 A B A^dag B^dag of two rotations by phi about orthogonal axes, with
 sin^2(phi/2) = sin(theta/4), so both factors tilt toward the identity like
 sqrt(theta) and the recursion contracts.  It runs level by level on stacks
-of targets: one net query, one vectorized decomposition and (n, 2, 2)
+of targets: one net query, one vectorized decomposition and (n, 4)
 product stacks per level.  A depth-d word is 5^d net words end to end, so
 the levels pass (n, 5^d) arrays of signed net indices (~i for net word i
 inverted), and tokens are gathered only for the depths a caller reads out.
@@ -52,10 +54,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClassError, DimUnsupported, NetTooCoarse, TooFar
-from .gateset import GateSet, GateWord, matmul_stack
+from .errors import ClassError, DimError, DimUnsupported, NetTooCoarse, TooFar
+from .gateset import GateSet, GateWord
 from .net import TIE, EpsNet, build_gateset_net, extended_inverse
-from .linalg import DEFAULT_TOL, quaternion_to_su2, su2_residual, su2_to_quaternion
+from .linalg import DEFAULT_TOL, qconj, qmul, quaternion_to_su2, su2_residual
 
 
 def rotation(axis, angle: float) -> np.ndarray:
@@ -67,8 +69,9 @@ def rotation(axis, angle: float) -> np.ndarray:
 
 def balanced_commutator_decompose(deltas: np.ndarray, angles=None) -> np.ndarray:
     """Exact A, B in SU(2) with A B A^dag B^dag = delta for each delta of an
-    (n, 2, 2) stack; the quaternions of A and of B as one (2, n, 4) array, or
-    (2, n, k, 4) given k angles.
+    (n, 4) stack of quaternions; the quaternions of A and of B as one
+    (2, n, 4) array, or (2, n, k, 4) given k angles.  Any other input, such
+    as an (n, 2, 2) stack of matrices, raises DimError.
 
     Requires dist(delta, I) <= 1/4.  Both factors are rotations by
     phi = 2 arcsin(sqrt(sin(theta/4))) about an orthogonal axis pair, so
@@ -84,12 +87,15 @@ def balanced_commutator_decompose(deltas: np.ndarray, angles=None) -> np.ndarray
     Given angles, the pair is conjugated by the rotation S about n by each
     alpha (sk_depths passes pi r / ROTATIONS): S commutes with delta, so the
     commutator is kept, and S R sends the x/y pair to the conjugated axes,
-    so R's quaternion r becomes (cos(alpha/2), sin(alpha/2) n) r before the
-    axes are read.  At alpha = 0 that multiplies by 1 and adds products with
-    0: the plain pair bit for bit.  At delta = I both factors are I at every
-    alpha.
+    so R's quaternion r becomes qmul((cos(alpha/2), sin(alpha/2) n), r)
+    before the axes are read.  At alpha = 0 that multiplies by 1 and adds
+    products with 0: the plain pair bit for bit.  At delta = I both factors
+    are I at every alpha.
     """
-    q = su2_to_quaternion(deltas).T
+    deltas = np.asarray(deltas)
+    if deltas.ndim != 2 or deltas.shape[1] != 4 or not np.isrealobj(deltas):
+        raise DimError(f"expected a real (n, 4) stack, got {deltas.dtype} {deltas.shape}")
+    q = np.ascontiguousarray(deltas.T)  # rows w, x, y, z: unit-stride reads
     w, v = q[0], q[1:]
     vv = (v * v).sum(0)
     gap = np.sqrt((w - 1.0) ** 2 + vv)
@@ -115,10 +121,9 @@ def balanced_commutator_decompose(deltas: np.ndarray, angles=None) -> np.ndarray
     r = np.concatenate([h[:1], h[1] / kn * k])
     if angles is not None:
         half = 0.5 * np.asarray(angles)
-        sw, sv = np.cos(half), np.sin(half) * n[..., None]
-        r = r[..., None]
-        r = np.concatenate([sw * r[:1] - (sv * r[1:]).sum(0, keepdims=True),
-                            sw * r[1:] + r[:1] * sv + _cross(sv, r[1:])])
+        sv = np.sin(half)[:, None] * n.T[:, None]
+        sw = np.broadcast_to(np.cos(half)[:, None], sv.shape[:-1] + (1,))
+        r = np.moveaxis(qmul(np.concatenate([sw, sv], -1), r.T[:, None]), -1, 0)
         c, s = np.broadcast_to(c[:, None], r.shape[1:]), s[:, None]
     # A and B turn by phi about the first two columns of R's rotation
     # matrix, written with the products rr[i, j] = r_i r_j
@@ -214,14 +219,13 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
     words, k = len(net), ROTATIONS
 
     def level(q: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
-        """Signed net indices (n, 5^depth) and products (n, 2, 2) of the plain
-        words for an (n, 4) stack of target quaternions."""
+        """Signed net indices (n, 5^depth) and product quaternions (n, 4) of
+        the plain words for an (n, 4) stack of target quaternions."""
         if depth == 0:
             hits, _ = net.query(q)
             return (hits % words)[:, None], net.signed(hits)
         idx1, p1 = level(q, depth - 1)
-        ab = balanced_commutator_decompose(
-            matmul_stack(quaternion_to_su2(q), p1.conj().swapaxes(1, 2)))
+        ab = balanced_commutator_decompose(qmul(q, qconj(p1)))
         (ia, ib), p = commutators(ab, p1, depth)
         return commutator_word(ia, ib, idx1), p
 
@@ -232,23 +236,21 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
         idx, p = level(ab.reshape(-1, 4), depth - 1)
         n = ab.shape[1]
         # pa pb pa^dag pb^dag = x y^dag, with [x; y] = [pa pb; pb pa]
-        xy = matmul_stack(p, np.concatenate([p[n:], p[:n]]))
-        return idx.reshape(2, n, -1), matmul_stack(
-            matmul_stack(xy[:n], xy[n:].conj().swapaxes(1, 2)), p1)
+        xy = qmul(p, np.concatenate([p[n:], p[:n]]))
+        return idx.reshape(2, n, -1), qmul(qmul(xy[:n], qconj(xy[n:])), p1)
 
     def commutator_word(ia, ib, idx1):
         """The signed words A B A^dag B^dag W along the last axis."""
         return np.concatenate([ia, ib, ~ia[..., ::-1], ~ib[..., ::-1], idx1], axis=-1)
 
     def error(p: np.ndarray) -> np.ndarray:
-        """Distances of an (n, 2, 2) stack of SU(2) products to the target:
-        ||A - B|| = |q_A - q_B| in closed form (su2_to_quaternion)."""
-        return np.linalg.norm(su2_to_quaternion(p) - target_q, axis=-1)
+        """Distances ||A - B|| = |q_A - q_B| of (n, 4) quaternions to the target."""
+        return np.linalg.norm(p - target_q, axis=-1)
 
     def search(family: np.ndarray, w1, depth: int, rs) -> tuple[tuple, float, int]:
         """The best of the top-level pairs r of rs from w1, the depth - 1
         word, given the factor quaternions (2, 2K, 4) of the pairs at every
-        rotation r (phi = pi r / K): (signed (5^depth,), product (2, 2)), its
+        rotation r (phi = pi r / K): (signed (5^depth,), product (4,)), its
         error and its r.  Among the errors within TIE of the smallest, the
         fewest gross tokens (A's and B's net-word lengths summed), then the
         lowest r, win."""
@@ -271,13 +273,12 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
     i, p = level(target_q[None], 0)
     word, err, r = (i[0], p[0]), float(error(p)[0]), 0
     best = err
-    yield 0, word[0], word[1], err, r
+    yield 0, word[0], quaternion_to_su2(word[1]), err, r
     try:
         for depth in range(1, params.max_depth + 1):
             w1 = word
-            delta = matmul_stack(quaternion_to_su2(target_q[None]),
-                                 w1[1][None].conj().swapaxes(1, 2))
-            family = balanced_commutator_decompose(delta, angles)[:, 0]
+            delta = qmul(target_q, qconj(w1[1]))
+            family = balanced_commutator_decompose(delta[None], angles)[:, 0]
             # err is still depth - 1's.  A missed plain word is searched again
             # with the other pairs, so that one tie rule picks among them all
             found = search(family, w1, depth, pairs[:1]) if err <= NEAR_MISS * eps else None
@@ -285,7 +286,7 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
                 found = search(family, w1, depth, pairs)
             word, err, r = found
             best = min(best, err)
-            yield depth, word[0], word[1], err, r
+            yield depth, word[0], quaternion_to_su2(word[1]), err, r
             # asked past a depth that came within NEAR_MISS: search its
             # midpoints from the same depth - 1 word before going deeper, and
             # yield their best if it is closer than word by more than a tie.
@@ -294,7 +295,7 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
                 (signed, product), closer, r = search(family, w1, depth, midpoints)
                 if closer < err - TIE:
                     best = min(best, closer)
-                    yield depth, signed, product, closer, r
+                    yield depth, signed, quaternion_to_su2(product), closer, r
     except TooFar as e:
         raise NetTooCoarse(
             f"base approximation too coarse for the commutator step: {e}"

@@ -9,10 +9,14 @@ from irrepsk.linalg import (
     determinant,
     dist,
     op_norm,
+    qconj,
+    qmul,
+    quaternion_to_su2,
     random_sl_near_identity,
     random_su,
     random_traceless_hermitian,
     sl_residual,
+    su2_to_quaternion,
     su_normalize,
     unitarity_residual,
 )
@@ -100,6 +104,30 @@ def test_dist_pairs_stacks():
     assert all(got[i] == dist(a[i], b[i], roots) for i in range(20))
     with pytest.raises(DimError):
         dist(a, b[:5])
+
+
+def test_qmul_and_qconj_match_the_matrix_product_and_adjoint():
+    # on random stacks, one row broadcast against many, and stacks of stacks
+    rng = np.random.default_rng(12)
+    a = su2_to_quaternion(np.stack([random_su(2, rng) for _ in range(40)]))
+    b = su2_to_quaternion(np.stack([random_su(2, rng) for _ in range(40)]))
+    ma, mb = quaternion_to_su2(a), quaternion_to_su2(b)
+    for x, y, want in ((a, b, ma @ mb), (a[:1], b, ma[:1] @ mb), (a, b[3], ma @ mb[3]),
+                       (a[3], b[5], ma[3] @ mb[5]),
+                       (a.reshape(2, 20, 4), b[:20], ma.reshape(2, 20, 2, 2) @ mb[:20])):
+        got = qmul(x, y)
+        assert got.shape == want.shape[:-2] + (4,)
+        assert np.abs(got - su2_to_quaternion(want.reshape(-1, 2, 2)).reshape(got.shape)).max() \
+            <= 4 * 2.0 ** -52
+    assert np.array_equal(quaternion_to_su2(qconj(a)), ma.conj().swapaxes(1, 2))
+
+
+def test_qmul_by_the_identity_is_bit_exact():
+    # multiplying by (1, 0, 0, 0) adds only products with 0, so either side
+    # gives the other factor bit for bit
+    q = np.random.default_rng(13).normal(size=(50, 4))
+    one = np.array([1.0, 0, 0, 0])
+    assert np.array_equal(qmul(one, q), q) and np.array_equal(qmul(q, one[None]), q)
 
 
 def test_su_normalize_pauli_branch():

@@ -185,11 +185,10 @@ def test_query_matches_a_two_sheet_brute_force(ht_gateset, ht_base8):
         i, sign = hits % len(store), np.where(hits < len(store), 1.0, -1.0)
         assert i.tolist() == [r[0] for r in ref] and sign.tolist() == [r[1] for r in ref]
         assert np.abs(d - [r[2] for r in ref]).max() <= 1e-15
-        # the signed product is the near one
+        # the signed quaternion is the near one
         signed = store.signed(hits)
-        assert np.array_equal(signed, sign[:, None, None] * store.products[i])
-        near = su2_to_quaternion(signed)
-        assert np.abs(np.linalg.norm(near - q, axis=1) - d).max() <= 1e-15
+        assert np.array_equal(signed, sign[:, None] * su2_to_quaternion(store.products[i]))
+        assert np.abs(np.linalg.norm(signed - q, axis=1) - d).max() <= 1e-15
         ties += sum(r[3] > 1 for r in ref)
     assert ties > 100
 

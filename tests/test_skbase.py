@@ -10,9 +10,9 @@ import pytest
 
 import irrepsk.skbase as skbase
 from irrepsk import EpsNet, SKParams, base_params, build_gateset_net, parse_gateset
-from irrepsk.errors import ClassError, NetTooCoarse, TooFar
+from irrepsk.errors import ClassError, DimError, NetTooCoarse, TooFar
 from irrepsk.gateset import load_gateset, make_word, word_product
-from irrepsk.linalg import dist, quaternion_to_su2, random_su, su2_to_quaternion
+from irrepsk.linalg import dist, qmul, quaternion_to_su2, random_su, su2_to_quaternion
 from irrepsk.net import extended_generators, extended_inverse
 from irrepsk.skbase import (
     NEAR_MISS,
@@ -33,18 +33,27 @@ def _plain(monkeypatch):
 
 
 def _decompose(delta):
-    """The matrices A, B of balanced_commutator_decompose for one delta."""
-    return quaternion_to_su2(balanced_commutator_decompose(delta[None])[:, 0])
+    """The matrices A, B of balanced_commutator_decompose for one delta
+    matrix."""
+    return quaternion_to_su2(balanced_commutator_decompose(su2_to_quaternion(delta)[None])[:, 0])
+
+
+def _rotations(rng, count, low=-10, high=-0.5):
+    """Quaternions of the identity and of count rotations by 10^U(low, high)
+    about random axes."""
+    return su2_to_quaternion(np.array(
+        [np.eye(2)] + [rotation(rng.normal(size=3), 10 ** rng.uniform(low, high))
+                       for _ in range(count)]))
 
 
 def _rodrigues_family(deltas, angles):
     """Reference: balanced_commutator_decompose's plain pairs (2, n, 4) with
     both factors conjugated by the rotation by phi about delta's axis, for
-    each phi of angles, as (2, n, k, 4).  Conjugation keeps a quaternion's w
-    and turns its vector part x about the unit axis a (Rodrigues):
-    x cos phi + (a x x) sin phi + a (a . x)(1 - cos phi)."""
+    each phi of angles, as (2, n, k, 4), for an (n, 4) stack of deltas.
+    Conjugation keeps a quaternion's w and turns its vector part x about the
+    unit axis a (Rodrigues): x cos phi + (a x x) sin phi + a (a . x)(1 - cos phi)."""
     ab = balanced_commutator_decompose(deltas)[:, :, None]
-    v = su2_to_quaternion(deltas)[:, None, 1:]
+    v = deltas[:, None, 1:]
     vn = np.sqrt((v * v).sum(-1, keepdims=True))
     a = v / (vn + (vn == 0))
     x = ab[..., 1:]
@@ -56,9 +65,9 @@ def _rodrigues_family(deltas, angles):
 
 
 def _singular_deltas(theta, rng):
-    """Rotations by theta about axes at and near +-m, the axis of the x/y
-    pair's commutator, where the rotation carrying m onto delta's axis is
-    ill-conditioned (near -m) or undefined (at +-m)."""
+    """Quaternions of the rotations by theta about axes at and near +-m, the
+    axis of the x/y pair's commutator, where the rotation carrying m onto
+    delta's axis is ill-conditioned (near -m) or undefined (at +-m)."""
     s = np.sqrt(np.sin(theta / 4))
     m = np.array([s, -s, np.sqrt(1 - s * s)]) / np.sqrt(1 + s * s)
     deltas = []
@@ -66,8 +75,7 @@ def _singular_deltas(theta, rng):
         for offset in (0.0, 1e-16, 1e-12, 1e-8, 1e-4):
             n = sign * m + offset * rng.normal(size=3)
             n /= np.linalg.norm(n)
-            deltas.append(quaternion_to_su2(
-                np.concatenate([[np.cos(theta / 2)], np.sin(theta / 2) * n])))
+            deltas.append(np.concatenate([[np.cos(theta / 2)], np.sin(theta / 2) * n]))
     return np.array(deltas)
 
 
@@ -131,11 +139,12 @@ def test_commutator_near_the_singular_axes(theta):
     # the x/y pair's commutator turns about m = (s, -s, c) / sqrt(1 + s^2);
     # the rotation carrying m onto delta's axis is ill-conditioned as that
     # axis nears -m, and undefined at +-m, yet the residual stays at round-off
-    for delta in _singular_deltas(theta, np.random.default_rng(41)):
+    for q in _singular_deltas(theta, np.random.default_rng(41)):
+        delta = quaternion_to_su2(q)
         a, b = _decompose(delta)
         assert dist(a @ b @ a.conj().T @ b.conj().T, delta) <= 4 * 2.0 ** -52
         # every rotated pair of the family is an exact decomposition too
-        got = _commutators(balanced_commutator_decompose(delta[None], ANGLES)[:, 0])
+        got = _commutators(balanced_commutator_decompose(q[None], ANGLES)[:, 0])
         assert dist(got, np.broadcast_to(delta, got.shape)).max() <= 1e-12
 
 
@@ -144,14 +153,13 @@ def test_commutator_family_is_exact_and_starts_at_the_plain_pair():
     # commutator, at the pairs' angles and at their midpoints alike; phi = 0
     # is balanced_commutator_decompose's pair bit for bit, and the
     # identity's factors stay I at every angle
-    rng = np.random.default_rng(48)
-    deltas = np.array([np.eye(2)] + [rotation(rng.normal(size=3), 10 ** rng.uniform(-10, -0.5))
-                                     for _ in range(300)])
+    deltas = _rotations(np.random.default_rng(48), 300)
     family = balanced_commutator_decompose(deltas, ANGLES)
     assert family.shape == (2, 301, 32, 4)
     assert np.array_equal(family[:, :, 0], balanced_commutator_decompose(deltas))
     got = _commutators(family)
-    assert dist(got.reshape(-1, 2, 2), np.repeat(deltas, 32, axis=0)).max() <= 1e-12
+    assert dist(got.reshape(-1, 2, 2),
+                np.repeat(quaternion_to_su2(deltas), 32, axis=0)).max() <= 1e-12
     assert np.array_equal(family[:, 0], np.broadcast_to([1.0, 0, 0, 0], (2, 32, 4)))
     # the pairs differ, and each factor keeps its distance to I
     assert np.abs(family[:, 1:, 1:] - family[:, 1:, :1]).max() > 0
@@ -164,10 +172,8 @@ def test_commutator_family_matches_the_rodrigues_reference():
     # as conjugating them by it does, at every angle the search reads, for
     # the identity, random deltas and deltas at and near the singular axes
     rng = np.random.default_rng(53)
-    deltas = np.concatenate(
-        [[np.eye(2)], [rotation(rng.normal(size=3), 10 ** rng.uniform(-10, -0.5))
-                       for _ in range(300)]]
-        + [_singular_deltas(theta, rng) for theta in (1e-9, 1e-3, 0.3)])
+    deltas = np.concatenate([_rotations(rng, 300)]
+                            + [_singular_deltas(theta, rng) for theta in (1e-9, 1e-3, 0.3)])
     family = balanced_commutator_decompose(deltas, ANGLES)
     assert np.abs(family - _rodrigues_family(deltas, ANGLES)).max() <= 1e-15
     assert np.array_equal(family[:, :, 0], balanced_commutator_decompose(deltas))
@@ -181,14 +187,14 @@ def test_commutator_factors_batch_matches_rows():
     s = np.sqrt(np.sin(theta / 4))
     m = np.array([s, -s, np.sqrt(1 - s * s)]) / np.sqrt(1 + s * s)
     rng = np.random.default_rng(43)
-    deltas = [np.eye(2)] + [
-        quaternion_to_su2(np.concatenate([[np.cos(theta / 2)], sign * np.sin(theta / 2) * m]))
-        for sign in (1, -1)] + [rotation(rng.normal(size=3), rng.uniform(0, 0.4))
-                                for _ in range(5)]
-    ab = quaternion_to_su2(balanced_commutator_decompose(np.array(deltas)))
+    deltas = np.concatenate([
+        [[1.0, 0, 0, 0]],
+        [np.concatenate([[np.cos(theta / 2)], sign * np.sin(theta / 2) * m]) for sign in (1, -1)],
+        su2_to_quaternion(np.array([rotation(rng.normal(size=3), rng.uniform(0, 0.4))
+                                    for _ in range(5)]))])
+    ab = balanced_commutator_decompose(deltas)
     for j, delta in enumerate(deltas):
-        a, b = _decompose(delta)
-        assert np.array_equal(ab[0, j], a) and np.array_equal(ab[1, j], b)
+        assert np.array_equal(ab[:, j], balanced_commutator_decompose(delta[None])[:, 0])
 
 
 def test_commutator_factor_distance_scaling():
@@ -214,6 +220,15 @@ def test_commutator_identity_and_too_far():
     assert np.array_equal(a, np.eye(2))
     with pytest.raises(TooFar):
         _decompose(rotation(np.array([0, 0, 1.0]), 3.0))
+
+
+def test_commutator_takes_only_a_real_stack_of_quaternions():
+    # an (n, 2, 2) stack of matrices would be cast to real with only a
+    # ComplexWarning and give wrong factors; it and any other shape raise
+    q = _rotations(np.random.default_rng(54), 3)
+    for bad in (quaternion_to_su2(q), q.astype(complex), q[0], q[:, :3], q[None]):
+        with pytest.raises(DimError):
+            balanced_commutator_decompose(bad)
 
 
 def test_symbol_words(ht_gateset, slp_gateset):
@@ -452,10 +467,11 @@ def test_a_depth_after_a_near_miss_tries_the_plain_word_first(ht_gateset, ht_par
 
 def test_the_closed_form_error_is_dist(ht_gateset, ht_params):
     # sk_depths scores its words by |q - q_target|, which is dist on SU(2):
-    # to 4 ulps on random stacks.  A tracked product drifts off SU(2) by
-    # round-off (to about 7e-14 at depth 4 here, far inside the tie width);
-    # there the two agree to 4 ulps plus that drift, ||P - Q|| for the SU(2)
-    # matrix Q of P's quaternion, which is what the closed form measures
+    # to 4 ulps on random stacks.  A tracked quaternion's norm drifts from 1
+    # by round-off (to about 4e-13 at depth 4 here, far inside the tie
+    # width), but the yielded product is that quaternion's matrix, so
+    # its difference to the target is |q - q_target| times an SU(2) matrix
+    # all the same, and the two agree to 4 ulps there too
     ulps = 4 * 2.0 ** -52
     rng = np.random.default_rng(61)
     p, t = np.stack([random_su(2, rng) for _ in range(500)]), random_su(2, rng)
@@ -464,8 +480,8 @@ def test_the_closed_form_error_is_dist(ht_gateset, ht_params):
     for _ in range(6):
         t = random_su(2, rng)
         for _, _, product, err, _ in itertools.islice(sk_depths(ht_gateset, t, ht_params), 5):
-            drift = dist(product, quaternion_to_su2(su2_to_quaternion(product)))
-            assert drift < 1e-13 and abs(err - dist(product, t)) <= ulps + drift
+            assert abs(np.linalg.norm(su2_to_quaternion(product)) - 1) < 1e-12
+            assert abs(err - dist(product, t)) <= ulps
 
 
 @pytest.mark.parametrize("nudge,pick", [
@@ -477,8 +493,8 @@ def test_the_closed_form_error_is_dist(ht_gateset, ht_params):
 def test_the_search_breaks_exact_ties_by_gross_tokens_then_r(ht_gateset, ht_params,
                                                              monkeypatch, nudge, pick):
     # every depth-1 pair is made (I, B_r) with B_r a stored word, so every
-    # candidate B_r B_r^dag W has W's product exactly and differs only by
-    # round-off.  B_r has 3 tokens at r = 10 and 22 and 6 elsewhere, so the
+    # candidate B_r B_r^dag W has W's product in exact arithmetic and differs
+    # only by round-off.  B_r has 3 tokens at r = 10 and 22 and 6 elsewhere, so the
     # fewest gross tokens, then the lowest r, give r = 10, whichever
     # candidate round-off makes closest; nudge shifts the error of pair r
     # by the given amount to act as that round-off
@@ -497,9 +513,10 @@ def test_the_search_breaks_exact_ties_by_gross_tokens_then_r(ht_gateset, ht_para
 
     nudged = []
 
-    def nudged_quaternions(u):
-        q = su2_to_quaternion(u)
-        if q.ndim == 2 and len(q) == 16:
+    def nudged_products(a, b):
+        # the 16 candidates' products: their last factor is W's one row
+        q = qmul(a, b)
+        if q.shape == (16, 4) and np.shape(b) == (1, 4):
             d = q - target_q
             shift = np.array([nudge.get(r, 0.0) for r in range(0, 32, 2)])
             q = target_q + d * (1 + shift / np.linalg.norm(d, axis=-1))[:, None]
@@ -507,7 +524,7 @@ def test_the_search_breaks_exact_ties_by_gross_tokens_then_r(ht_gateset, ht_para
         return q
 
     monkeypatch.setattr(skbase, "balanced_commutator_decompose", pairs_of_stored_words)
-    monkeypatch.setattr(skbase, "su2_to_quaternion", nudged_quaternions)
+    monkeypatch.setattr(skbase, "qmul", nudged_products)
     (_, w0, *_), (depth, signed, _, _, r) = itertools.islice(
         sk_depths(ht_gateset, target, ht_params), 2)
     assert len(nudged) == 1 and np.ptp(nudged[0]) < 1e-14  # tied before the nudge

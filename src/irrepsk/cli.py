@@ -21,6 +21,7 @@ from .errors import CacheError, CompileFailure, CompilerError, SchemaError
 from .finitegroup import build_builtin, central_extend, check_schur_orthogonality
 from .gateset import (
     GateSet,
+    contraction_constant,
     eps0_constant,
     load_gateset,
     parse_matrix_literal,
@@ -29,7 +30,6 @@ from .linalg import check_class, random_su, su_normalize
 from .net import DEFAULT_BUDGET, auto_net, build_gateset_net, load_net, probe_density, save_net
 from .refine import (
     compile_target,
-    contraction_constant,
     naive_inverse_length,
     refine_inverse,
     scan_orderings,
@@ -185,7 +185,8 @@ def cmd_compile(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(" ".join(gs.names[i] for i in report.indices) + "\n")
-        print(f"saved word: {args.out}")
+        # --json keeps stdout one JSON document
+        print(f"saved word: {args.out}", file=sys.stderr if args.json else sys.stdout)
     return 0 if ok else 2
 
 

@@ -109,7 +109,7 @@ class NetTooCoarse(CompileFailure):
 
 
 class DimUnsupported(CompileFailure):
-    """The base compiler only handles 2x2 unitaries."""
+    """The base compiler and a net's lookup (EpsNet.nearest) handle SU(2) only."""
 
 
 class TooFar(CompileFailure):

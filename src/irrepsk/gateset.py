@@ -197,15 +197,22 @@ class GateSet:
             raise SchemaError(f"no generator named {name!r}") from None
 
 
+def contraction_constant(rep: FiniteGroupRep) -> float:
+    """Coefficient C = 3 |G| (d-1)! + |G|^2 of the quadratic error bound for
+    one symmetrization pass."""
+    n, d = rep.order, rep.dim
+    return 3.0 * n * math.factorial(d - 1) + float(n * n)
+
+
 def eps0_constant(gs_or_rep) -> float:
-    """Refinement threshold 1 / (6 |G| (d-1)! + 2 |G|^2).
+    """Refinement threshold 1 / (2 C) = 1 / (6 |G| (d-1)! + 2 |G|^2), for C
+    the contraction_constant (an exact integer, so 2 C is too).
 
     A seed error at or below this value makes one averaging pass strictly
     contract, and the iteration then converges doubly exponentially.
     """
     rep = gs_or_rep.rep if isinstance(gs_or_rep, GateSet) else gs_or_rep
-    n, d = rep.order, rep.dim
-    return 1.0 / (6 * n * math.factorial(d - 1) + 2 * n * n)
+    return 1.0 / (2 * contraction_constant(rep))
 
 
 def parse_matrix_literal(entries, d: int, where: str) -> np.ndarray:

@@ -12,11 +12,12 @@ and the Frobenius distance is sqrt(2) times it.  An SU(2) net works up to
 sign, the global phase -1 that every SU(2) gate set's words are compared
 up to (GateSet.phase_candidates): it stores each rotation once, the
 shortest word the breadth-first build finds for U or -U, deduplicating its
-products' quaternions q and -q alike, and it answers queries for SU(2)
-targets up to sign, in O(log N), from one k-d tree over the stored
-quaternions and their negations.  Any other net (sl mode, d >= 3) is
-deduplicated over its products' Frobenius vectors, and any other query (such
-a net, a target off the group) is scanned with dist over all products.
+products' quaternions q and -q alike.  Its one lookup, EpsNet.nearest,
+answers a stack of SU(2) target quaternions up to sign, in O(log N) each,
+from one k-d tree over the stored quaternions and their negations.  Any
+other net (sl mode, d >= 3) is deduplicated over its products' Frobenius
+vectors and has no lookup: probe_density, its only reader, scans dist over
+all products.
 """
 
 from __future__ import annotations
@@ -30,15 +31,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import BudgetExceeded, EmptyNet, FormatError, SchemaError, StaleGateSet
+from .errors import (BudgetExceeded, DimUnsupported, EmptyNet, FormatError, SchemaError,
+                     StaleGateSet)
 from .gateset import GateSet, GateWord, eps0_constant
-from .linalg import DEFAULT_TOL, dist, random_su, su2_residual, su2_to_quaternion
+from .linalg import dist, random_su, su2_to_quaternion
 
 NET_FORMAT = "irrepsk-net-v3"
 DEFAULT_BUDGET = 2_000_000
 # candidates built and tested at a time: sets the builder's working memory
 CHUNK = 1 << 15
-# distances within TIE of the nearest tie (EpsNet.query, and the SK search)
+# distances within TIE of the nearest tie (EpsNet.nearest, and the SK search)
 TIE = 1e-12
 # the most steps one round of free_reduce grows a cancelling pair outward
 REACH = 16
@@ -95,10 +97,10 @@ def net_fingerprint(gs: GateSet, with_inverses: bool) -> str:
 
 @dataclass(eq=False)
 class EpsNet:
-    """Products of all deduplicated generator words up to word_length, the
-    k-d tree over their quaternions and their negations that answers query
-    and whose rows signed reads (an SU(2) net from build_net comes with it;
-    a loaded one builds it on first use), and lazily the refinement
+    """Products of all deduplicated generator words up to word_length, on an
+    SU(2) net the k-d tree over their quaternions and their negations that
+    answers nearest and whose rows signed reads (a net from build_net comes
+    with it; a loaded one builds it on first use), and lazily the refinement
     trajectories seeded from them (refine_inverse).
 
     The words are one flat token array: word i is
@@ -140,33 +142,18 @@ class EpsNet:
         """Whether this is an SU(2) net, which works up to sign."""
         return self.dim == 2 and self.mode == "su"
 
-    def nearest(self, target) -> tuple[GateWord, float]:
-        """Exact nearest stored word and its distance to target, up to sign
-        on an SU(2) net (the word's product is near target or -target).
-
-        Ties go to store order.  SU(2) targets against an SU(2) net are
-        answered by query; any other query scans dist over all products and
-        takes its first minimum.
-        """
-        t = np.asarray(target, dtype=complex)
-        q, residual = su2_residual(t) if self.su2 and t.shape == (2, 2) else (None, np.inf)
-        if residual < DEFAULT_TOL:
-            (j,), (d,) = self.query(q[None])
-            i = j % len(self)
-        else:
-            d = dist(self.products, t, (1.0, -1.0) if self.su2 else (1.0,))
-            i = int(np.argmin(d))
-            d = d[i]
-        return self.word(i), float(d)
-
-    def query(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def nearest(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Hits and distances of the nearest products, up to sign, to an
-        (n, 4) stack of SU(2) quaternions.  One k-d tree over the products'
-        quaternions q_0 .. q_(N-1) and then -q_0 .. -q_(N-1) answers it: hit
-        j is word j mod N, and signed(j) is its quaternion with the sign, +1
-        below N and -1 from N.  Within TIE of the nearest tie, the lowest
-        word index wins, and of its two signs +1."""
+        (n, 4) stack of SU(2) quaternions: the net's one lookup.  One k-d
+        tree over the products' quaternions q_0 .. q_(N-1) and then
+        -q_0 .. -q_(N-1) answers it: hit j is word j mod N, and signed(j) is
+        its quaternion with the sign, +1 below N and -1 from N.  Within TIE
+        of the nearest tie, the lowest word index wins, and of its two signs
+        +1.  Raises DimUnsupported on any other net (sl mode, d >= 3), whose
+        products have no quaternions."""
         if self._tree is None:
+            if not self.su2:
+                raise DimUnsupported(f"a d = {self.dim} {self.mode} net has no lookup")
             self._tree = _sheet_tree(self.products)
         d, j = self._tree.query(q, k=2)
         d, j, tied = d[:, 0], j[:, 0], np.flatnonzero(d[:, 1] - d[:, 0] <= TIE)
@@ -177,7 +164,7 @@ class EpsNet:
         return j, d
 
     def signed(self, hits) -> np.ndarray:
-        """The signed quaternions (n, 4) of query hits, the query tree's rows:
+        """The signed quaternions (n, 4) of nearest's hits, its tree's rows:
         products[j mod N]'s quaternion, times -1 from N."""
         return self._tree.data[hits]
 
@@ -237,7 +224,7 @@ def free_reduce(tokens: np.ndarray, inverse: np.ndarray) -> np.ndarray:
 
 
 def _sheet_tree(products: np.ndarray) -> cKDTree:
-    """EpsNet.query's k-d tree: over the quaternions of the SU(2) products,
+    """EpsNet.nearest's k-d tree: over the quaternions of the SU(2) products,
     then over their negations."""
     q = su2_to_quaternion(products)
     return cKDTree(np.concatenate([q, -q]), balanced_tree=False)
@@ -515,8 +502,8 @@ def build_net(gens: np.ndarray, dim: int, mode: str, word_length: int,
     candidate.  Beyond the stored net, its k-d trees (a row of 4 floats for
     an SU(2) net, 2 d^2 for any other, and an index per word) and their
     record of cell hashes (16 bytes per word), a build holds one chunk's
-    candidates at a time.  A built SU(2) net comes with its query tree
-    (EpsNet.query), so that building it is part of the build.
+    candidates at a time.  A built SU(2) net comes with the k-d tree of its
+    lookup (EpsNet.nearest), so that building it is part of the build.
     Raises BudgetExceeded as soon as a chunk would take the store past
     budget words, so budget bounds the memory of a build as well as its
     words.  A negative word_length or a budget below 1 raises SchemaError
@@ -526,7 +513,7 @@ def build_net(gens: np.ndarray, dim: int, mode: str, word_length: int,
         raise SchemaError(f"net word length must be at least 0, got {word_length}")
     nets = _nets(np.asarray(gens, dtype=complex), dim, mode, dedup_tol, fingerprint, budget)
     net = next(itertools.islice(nets, word_length, None))
-    if net.su2:  # the query tree is part of the build
+    if net.su2:  # the lookup's tree is part of the build
         net._tree = _sheet_tree(net.products)
     return net
 
@@ -547,13 +534,15 @@ def build_gateset_net(gs: GateSet, word_length: int, with_inverses: bool = False
 def probe_density(net: EpsNet, probes: int, rng: np.random.Generator) -> float:
     """Empirical covering radius: max over random SU(d) probes of the nearest
     stored distance (up to sign on an SU(2) net).  Only meaningful in su
-    mode.  An SU(2) net answers all
-    probes with one query; the draws are those of one probe at a time."""
+    mode.  An SU(2) net answers all probes with one EpsNet.nearest; any
+    other net, which has no lookup, scans dist over all its products for
+    each probe.  The draws are those of one probe at a time."""
     targets = [random_su(net.dim, rng) for _ in range(probes)]
     if net.su2 and probes:
-        worst = float(net.query(su2_to_quaternion(np.array(targets)))[1].max())
+        d = net.nearest(su2_to_quaternion(np.array(targets)))[1]
     else:
-        worst = max((net.nearest(t)[1] for t in targets), default=0.0)
+        d = [dist(net.products, t).min() for t in targets]
+    worst = float(np.max(d, initial=0.0))
     net.achieved_density = worst
     return worst
 

@@ -52,12 +52,6 @@ from .skbase import SKParams, sk_compile, sk_depths  # noqa: F401
 rewrite_irrep_inverses = None
 
 
-def contraction_constant(rep: FiniteGroupRep) -> float:
-    """Coefficient of the quadratic error bound for one symmetrization pass."""
-    n, d = rep.order, rep.dim
-    return 3.0 * n * math.factorial(d - 1) + float(n * n)
-
-
 def symmetrize_matrix(rep: FiniteGroupRep, w: np.ndarray, order=None) -> np.ndarray:
     """Product of rho(g) w rho(g)^{-1} over the group, identity factor last.
 

@@ -14,7 +14,7 @@ The stage computes in the unit quaternions of linalg (one Hamilton product,
 qmul); 2x2 matrices are only the target it takes and the products it yields.
 The stage works up to sign, the global phase -1 that SU(2) words are
 compared up to: the base net stores each rotation once and answers queries
-up to sign (EpsNet.query), and a phase-reduced inverse letter may flip a
+up to sign (EpsNet.nearest), and a phase-reduced inverse letter may flip a
 word's sign.  The recursion tracks the signed product of each net hit, and
 a commutator A B A^dag B^dag does not change when A or B flips sign, so the
 tracked product approximates the target and the word's own product equals
@@ -24,7 +24,7 @@ The commutator step is exact in SU(2): a rotation by theta is the commutator
 A B A^dag B^dag of two rotations by phi about orthogonal axes, with
 sin^2(phi/2) = sin(theta/4), so both factors tilt toward the identity like
 sqrt(theta) and the recursion contracts.  It runs level by level on stacks
-of targets: one net query, one vectorized decomposition and (n, 4)
+of targets: one net lookup, one vectorized decomposition and (n, 4)
 product stacks per level.  A depth-d word is 5^d net words end to end, so
 the levels pass (n, 5^d) arrays of signed net indices (~i for net word i
 inverted), and tokens are gathered only for the depths a caller reads out.
@@ -189,7 +189,7 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
     It approximates the factors of the pairs it tries at depth d - 1 in one
     stack and keeps the candidate closest to U, which is also the next
     depth's W.  Candidates within TIE (1e-12, the tie width of
-    EpsNet.query) of the closest tie, and among them the one whose A and B
+    EpsNet.nearest) of the closest tie, and among them the one whose A and B
     net words have the fewest tokens, then the lowest r, wins: distinct
     pairs often give products equal in exact arithmetic (a factor
     approximated by the empty word makes every such commutator I), and
@@ -222,7 +222,7 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
         """Signed net indices (n, 5^depth) and product quaternions (n, 4) of
         the plain words for an (n, 4) stack of target quaternions."""
         if depth == 0:
-            hits, _ = net.query(q)
+            hits, _ = net.nearest(q)
             return (hits % words)[:, None], net.signed(hits)
         idx1, p1 = level(q, depth - 1)
         ab = balanced_commutator_decompose(qmul(q, qconj(p1)))

@@ -18,7 +18,7 @@ from irrepsk.finitegroup import (
     central_extend,
     check_cover_equivalence,
 )
-from irrepsk.gateset import eps0_constant
+from irrepsk.gateset import contraction_constant, eps0_constant
 from irrepsk.linalg import (
     dist,
     op_norm,
@@ -28,7 +28,6 @@ from irrepsk.linalg import (
 )
 from irrepsk.refine import (
     check_smalltrace,
-    contraction_constant,
     naive_inverse_length,
     scan_orderings,
     symmetrize_matrix,

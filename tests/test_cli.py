@@ -14,6 +14,7 @@ import pytest
 import irrepsk.cli
 from irrepsk import errors
 from irrepsk.cli import main
+from irrepsk.gateset import load_gateset
 
 ROOT = Path(__file__).resolve().parent.parent
 GATESETS = ROOT / "gatesets"
@@ -161,13 +162,27 @@ def test_compile_json_report(capsys):
                      "--target", "random", "--seed", "3", "--epsilon", "1e-2",
                      "--base-length", "10", "--refine-length", "8", "--json")
     assert rc == 0
-    doc = json.loads(out[out.index("{"):])
+    doc = json.loads(out)
     assert doc["ok"] is True
     assert doc["error"] <= 1e-2
     assert doc["inverted_extras"] >= 0
     assert isinstance(doc["depth"], int) and doc["depth"] >= 0
     assert isinstance(doc["rotation"], int) and 0 <= doc["rotation"] < 2 * 16
     assert sum(doc["inverted_counts"].values()) == doc["inverted_extras"]
+
+
+def test_compile_json_with_word_file_prints_one_document(capsys, tmp_path):
+    # stdout is the report alone; the word file's confirmation goes to stderr
+    word_file = tmp_path / "word.txt"
+    rc, out, err = run(capsys, "compile", "--gateset", HT, "--target", "axis:0,0,1:0.7",
+                       "--epsilon", "1e-2", "--base-length", "8", "--refine-length", "6",
+                       "--json", "--out", str(word_file))
+    assert rc == 0
+    doc = json.loads(out)
+    assert err == f"saved word: {word_file}\n"
+    names = word_file.read_text().split()
+    assert len(names) == doc["length"] == len(doc["indices"])
+    assert names == [load_gateset(HT).names[i] for i in doc["indices"]]
 
 
 def test_compile_inline_matrix_target(capsys):

@@ -58,10 +58,12 @@ def test_parse_pauli_ht(ht_gateset):
 
 
 def test_eps0_constants():
-    # 1 / (6 n (d-1)! + 2 n^2) for group order n in dimension d
-    assert eps0_constant(build_builtin("pauli")) == pytest.approx(1 / 56)
-    assert eps0_constant(build_builtin("weyl", 3)) == pytest.approx(1 / 270)
-    assert eps0_constant(build_builtin("q8")) == pytest.approx(1 / 176)
+    # 1 / (6 n (d-1)! + 2 n^2) for group order n in dimension d, to the bit:
+    # it is 1 / (2 C) for the contraction constant C, and 2 C is an exact
+    # integer
+    assert eps0_constant(build_builtin("pauli")) == 1 / 56
+    assert eps0_constant(build_builtin("weyl", 3)) == 1 / 270
+    assert eps0_constant(build_builtin("q8")) == 1 / 176
     # larger groups shrink the basin
     assert eps0_constant(build_builtin("pauli")) > eps0_constant(build_builtin("q8"))
 

@@ -13,9 +13,8 @@ import pytest
 import irrepsk.net
 from irrepsk import (EpsNet, build_gateset_net, load_gateset, load_net, parse_gateset,
                      save_net)
-from irrepsk.errors import BudgetExceeded, EmptyNet, FormatError, StaleGateSet
-from irrepsk.linalg import (dist, quaternion_to_su2, random_sl_near_identity, random_su,
-                            su2_to_quaternion)
+from irrepsk.errors import BudgetExceeded, DimUnsupported, EmptyNet, FormatError, StaleGateSet
+from irrepsk.linalg import dist, quaternion_to_su2, random_su, su2_to_quaternion
 from irrepsk.gateset import word_product
 from irrepsk.net import (REACH, auto_net, build_net, extended_generators, extended_inverse,
                          free_reduce, probe_density)
@@ -28,6 +27,13 @@ SIGNS = (1.0, -1.0)
 ROOT = Path(__file__).resolve().parent.parent
 GATESETS = ROOT / "gatesets"
 TPRIME = ROOT / "perfbench" / "gatesets" / "pauli_ht_tprime.json"
+
+
+def nearest_of(net, targets):
+    """Store indices and distances of net.nearest for a stack of SU(2)
+    matrices."""
+    hits, d = net.nearest(su2_to_quaternion(np.asarray(targets)))
+    return hits % len(net), d
 
 
 def words_of(net) -> list[tuple[int, ...]]:
@@ -70,20 +76,19 @@ def test_empty_net_raises_at_construction():
 def test_nearest_matches_brute_force(ht_gateset):
     net = build_gateset_net(ht_gateset, 5)
     rng = np.random.default_rng(21)
-    for _ in range(100):
-        t = random_su(2, rng)
-        word, got = net.nearest(t)
+    targets = [random_su(2, rng) for _ in range(100)]
+    for t, i, got in zip(targets, *nearest_of(net, targets)):
         brute = dist(net.products, t, SIGNS).min()
         assert got == pytest.approx(brute, abs=1e-8)
-        assert dist(word.product, t, SIGNS) == pytest.approx(got, abs=1e-8)
+        assert dist(net.word(i).product, t, SIGNS) == pytest.approx(got, abs=1e-8)
 
 
 def test_nearest_on_near_identity_target(pauli_only):
     # exp(0.1 i X) is closer to I than to any su-form Pauli
     net = build_gateset_net(pauli_only, 1)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
-    word, got = net.nearest(expm(0.1j * x))
-    assert word.tokens.tolist() == []
+    (i,), (got,) = nearest_of(net, [expm(0.1j * x)])
+    assert net.word(i).tokens.tolist() == []
     assert got == pytest.approx(2 * np.sin(0.05), abs=1e-9)
 
 
@@ -91,8 +96,8 @@ def test_nearest_tie_break_prefers_store_order(ht_gateset):
     net = build_gateset_net(ht_gateset, 3)
     # the identity product duplicates many times; dedup keeps the first,
     # so an exact identity query returns the empty word
-    word, got = net.nearest(np.eye(2))
-    assert word.tokens.tolist() == []
+    (i,), (got,) = nearest_of(net, [np.eye(2)])
+    assert i == 0 and net.word(i).tokens.tolist() == []
     # the quaternion distance has no cancellation, so an exact hit reads 0
     assert got == 0.0
 
@@ -101,12 +106,11 @@ def test_nearest_equidistant_pauli_goes_to_store_order(pauli_only):
     # a quarter turn about x, y or z lies 2 sin(pi/8) from I and, for +pi/2,
     # equally far from that axis's su-form Pauli; the empty word comes first
     net = build_gateset_net(pauli_only, 1)
+    i, got = nearest_of(net, [rotation(axis, angle) for axis in np.eye(3)
+                              for angle in (np.pi / 2, -np.pi / 2)])
+    assert i.tolist() == [0] * 6
+    assert np.abs(got - 2 * np.sin(np.pi / 8)).max() <= 1e-15
     for axis in np.eye(3):
-        for angle in (np.pi / 2, -np.pi / 2):
-            t = rotation(axis, angle)
-            word, got = net.nearest(t)
-            assert word.tokens.tolist() == []
-            assert got == pytest.approx(2 * np.sin(np.pi / 8), abs=1e-15)
         ds = dist(net.products, rotation(axis, np.pi / 2))
         assert np.sum(ds <= ds[0] + 1e-12) == 2
 
@@ -118,7 +122,7 @@ def test_midpoint_ties_go_to_store_order(ht_gateset):
     # products, and the k-d tree alone returns any of them
     net = build_gateset_net(ht_gateset, 3)
     q = su2_to_quaternion(net.products)
-    ties = 0
+    targets, first, ties = [], [], 0
     for a, b, z in itertools.product(range(len(net)), range(len(net)), SIGNS):
         m = q[a] + z * q[b]
         if b <= a or np.linalg.norm(m) < 1e-6:
@@ -127,7 +131,9 @@ def test_midpoint_ties_go_to_store_order(ht_gateset):
         ds = dist(net.products, t, SIGNS)
         tied = np.nonzero(ds <= ds.min() + 1e-12)[0]
         ties += len(tied) > 1
-        assert net.nearest(t)[0].tokens.tolist() == net.word(tied[0]).tokens.tolist()
+        targets.append(t)
+        first.append(tied[0])
+    assert nearest_of(net, targets)[0].tolist() == first
     assert ties > 500
 
 
@@ -139,7 +145,7 @@ def ht_base8(ht_gateset):
 
 
 def two_sheets(net, q):
-    """Reference for EpsNet.query on an (n, 4) stack: the distances to every
+    """Reference for EpsNet.nearest on an (n, 4) stack: the distances to every
     stored quaternion and to its negation, brute force, and among those
     within 1e-12 of the smallest the lowest word index, then sign +1.
     Returns (index, sign, distance, tied) per row, tied the number of
@@ -156,12 +162,10 @@ def two_sheets(net, q):
 
 def test_index_matches_svd_brute_force(ht_base8):
     rng = np.random.default_rng(24)
-    for _ in range(200):
-        t = random_su(2, rng)
-        word, got = ht_base8.nearest(t)
+    targets = [random_su(2, rng) for _ in range(200)]
+    for t, i, got in zip(targets, *nearest_of(ht_base8, targets)):
         svd = dist(ht_base8.products, t, SIGNS)
-        i = int(np.argmin(svd))
-        assert word.tokens.tolist() == ht_base8.word(i).tokens.tolist()
+        assert i == np.argmin(svd)
         assert got == pytest.approx(svd[i], abs=1e-14)
 
 
@@ -180,7 +184,7 @@ def test_query_matches_a_two_sheet_brute_force(ht_gateset, ht_base8):
     for store, q in ((ht_base8, np.concatenate([haar, equator])), (net, np.concatenate(
             [p, -p, mid[rng.choice(len(mid), 600, replace=False)]]))):
         q = q / np.linalg.norm(q, axis=1, keepdims=True)
-        hits, d = store.query(q)
+        hits, d = store.nearest(q)
         ref = two_sheets(store, q)
         i, sign = hits % len(store), np.where(hits < len(store), 1.0, -1.0)
         assert i.tolist() == [r[0] for r in ref] and sign.tolist() == [r[1] for r in ref]
@@ -194,9 +198,8 @@ def test_query_matches_a_two_sheet_brute_force(ht_gateset, ht_base8):
 
 
 def test_batched_query_keeps_the_tie_rule(ht_gateset, ht_base8):
-    # nearest asks query one row at a time; a whole batch must pick the
-    # same store index, on the midpoint ties above (of either sign) and on
-    # Haar targets
+    # a whole batch must pick the same hit and distance as one row at a
+    # time, on the midpoint ties above (of either sign) and on Haar targets
     net = build_gateset_net(ht_gateset, 3)
     q = su2_to_quaternion(net.products)
     mid = np.concatenate([(q[:, None] + z * q[None])[np.triu_indices(len(net), 1)]
@@ -206,10 +209,10 @@ def test_batched_query_keeps_the_tie_rule(ht_gateset, ht_base8):
     rng = np.random.default_rng(29)
     haar = su2_to_quaternion(np.array([random_su(2, rng) for _ in range(200)]))
     for store, targets in ((net, mid), (ht_base8, haar)):
-        hits, d = store.query(targets)
-        for t, i, di in zip(targets, hits % len(store), d):
-            word, got = store.nearest(quaternion_to_su2(t))
-            assert word.tokens.tolist() == store.word(i).tokens.tolist() and got == di
+        hits, d = store.nearest(targets)
+        for t, j, dj in zip(targets, hits, d):
+            (one,), (one_d,) = store.nearest(t[None])
+            assert one == j and one_d == dj
     d, _ = net._tree.query(mid, k=2)
     assert np.count_nonzero(d[:, 1] - d[:, 0] <= 1e-12) > 500
 
@@ -218,50 +221,24 @@ def test_index_is_exact_near_a_stored_product(ht_base8):
     # ||P - P R|| = ||I - R|| = 2 sin(theta / 4) for a rotation R by theta;
     # a scan through sqrt(2 - Re tr) misses this by up to ~1e-8
     rng = np.random.default_rng(25)
-    for j in rng.choice(len(ht_base8), size=5, replace=False):
+    stored = rng.choice(len(ht_base8), size=5, replace=False)
+    thetas = 10.0 ** -np.arange(3, 13)
+    targets = []
+    for j in stored:
         axis = rng.normal(size=3)
-        for k in range(3, 13):
-            theta = 10.0 ** -k
-            t = ht_base8.products[j] @ rotation(axis, theta)
-            word, got = ht_base8.nearest(t)
-            assert word.tokens.tolist() == ht_base8.word(j).tokens.tolist()
-            assert abs(got - 2 * np.sin(theta / 4)) <= 1e-15
+        targets += [ht_base8.products[j] @ rotation(axis, theta) for theta in thetas]
+    i, got = nearest_of(ht_base8, targets)
+    assert i.tolist() == np.repeat(stored, len(thetas)).tolist()
+    assert np.abs(got - 2 * np.sin(np.tile(thetas, 5) / 4)).max() <= 1e-15
 
 
-def test_off_group_target_falls_back_to_svd(ht_gateset, monkeypatch):
-    # none of these targets is in SU(2), so each query scans with the SVD
-    # and the quaternion index is never asked
-    net = build_gateset_net(ht_gateset, 4)
-    asked = []
-    monkeypatch.setattr(net, "query", lambda q: asked.append(q))
-    u = random_su(2, np.random.default_rng(28))
-    targets = [
-        # plain Hadamard is unitary with det -1, far from every SU(2) product
-        (np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2), 0.5),
-        # a scaled SU(2) matrix is not unitary
-        ((1 + 1e-7) * u, 0.0),
-        # a phase e^{i pi/4} takes a unitary off det 1
-        (np.exp(1j * np.pi / 4) * u, 0.0),
-    ]
-    for t, floor in targets:
-        word, got = net.nearest(t)
-        svd = dist(net.products, t)
-        i = int(np.argmin(svd))
-        assert word.tokens.tolist() == net.word(i).tokens.tolist()
-        assert got == svd[i]
-        assert got > floor
-    assert asked == []
-
-
-def test_sl_net_queries_match_svd(slp_net):
-    rng = np.random.default_rng(26)
-    for _ in range(20):
-        t = random_sl_near_identity(2, rng, 0.3)
-        word, got = slp_net.nearest(t)
-        svd = dist(slp_net.products, t)
-        i = int(np.argmin(svd))
-        assert word.tokens.tolist() == slp_net.word(i).tokens.tolist()
-        assert got == svd[i]
+def test_sl_net_has_no_lookup(slp_net):
+    # an sl net's products are not unitary: a tree over their first rows
+    # would answer with wrong distances, so the lookup refuses before
+    # building one
+    with pytest.raises(DimUnsupported):
+        slp_net.nearest(np.array([[1.0, 0, 0, 0]]))
+    assert slp_net._tree is None
 
 
 def test_words_do_not_exceed_length(ht_gateset):
@@ -395,12 +372,24 @@ def test_probe_density_reports_coverage(ht_gateset):
     dc = probe_density(coarse, 50, rng)
     df = probe_density(fine, 50, np.random.default_rng(22))
     assert 0 < df < dc < 2.0
-    # an SU(2) net answers all probes with one query, from the draws and
-    # with the distances of one nearest call per probe
+    # an SU(2) net answers all probes with one lookup, from the draws and
+    # with the distances of one lookup per probe
     loop = np.random.default_rng(22)
-    worst = max(fine.nearest(random_su(2, loop))[1] for _ in range(50))
+    worst = max(nearest_of(fine, [random_su(2, loop)])[1][0] for _ in range(50))
     assert abs(df - worst) <= 1e-15
     assert rng.normal() == loop.normal()
+
+
+def test_probe_density_on_an_sl_net(slp_gateset):
+    # an sl net has no lookup: each probe scans every product, and the
+    # density is the max over the draws of the min operator-norm distance
+    net = build_gateset_net(slp_gateset, 3)
+    got = probe_density(net, 30, np.random.default_rng(31))
+    rng = np.random.default_rng(31)
+    brute = max(min(np.linalg.norm(p - random_t, 2) for p in net.products)
+                for random_t in [random_su(2, rng) for _ in range(30)])
+    assert got == net.achieved_density
+    assert abs(got - brute) <= 1e-12
 
 
 @pytest.mark.parametrize("fixture,length,with_inverses", [
@@ -536,13 +525,13 @@ def test_reloaded_base_net_answers_like_the_built_one(tmp_path, ht_gateset):
     save_net(net, p)
     back = load_net(p, ht_gateset, with_inverses=True)
     rng = np.random.default_rng(27)
-    for _ in range(50):
-        t = random_su(2, rng)
-        assert back.nearest(t)[0].tokens.tolist() == net.nearest(t)[0].tokens.tolist()
+    q = su2_to_quaternion(np.array([random_su(2, rng) for _ in range(50)]))
+    (hits, d), (back_hits, back_d) = net.nearest(q), back.nearest(q)
+    assert np.array_equal(back_hits, hits) and back_d.tobytes() == d.tobytes()
 
 
 def test_built_su2_net_queries_on_the_builders_tree(tmp_path, ht_gateset):
-    # build_net builds the query tree, over the quaternions of every stored
+    # build_net builds the lookup's tree, over the quaternions of every stored
     # product in store order and then their negations
     net = build_gateset_net(ht_gateset, 10, with_inverses=True)
     assert type(net._tree) is cKDTree  # the builder's record of cells stays behind
@@ -560,9 +549,9 @@ def test_built_su2_net_queries_on_the_builders_tree(tmp_path, ht_gateset):
                    fingerprint=net.fingerprint, tokens=net.tokens, offsets=net.offsets,
                    parents=net.parents, products=net.products,
                    _tree=cKDTree(q))
-    hits, d = net.query(haar)
+    hits, d = net.nearest(haar)
     for other in (fresh, back):
-        other_hits, other_d = other.query(haar)
+        other_hits, other_d = other.nearest(haar)
         assert np.array_equal(other_hits, hits) and other_d.tobytes() == d.tobytes()
         assert other.signed(hits).tobytes() == net.signed(hits).tobytes()
 

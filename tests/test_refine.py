@@ -18,12 +18,11 @@ from irrepsk.errors import (
     Stalled,
 )
 from irrepsk.finitegroup import build_builtin
-from irrepsk.gateset import eps0_constant, load_gateset, make_word
+from irrepsk.gateset import contraction_constant, eps0_constant, load_gateset, make_word
 from irrepsk.linalg import dist, random_sl_near_identity, random_su
 from irrepsk.net import extended_inverse
 from irrepsk.refine import (
     check_smalltrace,
-    contraction_constant,
     naive_inverse_length,
     scan_orderings,
     symmetrize_matrix,

@@ -312,20 +312,20 @@ def test_sk_compile_rejects_hopeless_net(ht_gateset):
 
 
 def _counted_calls(monkeypatch):
-    """Record the rows of every EpsNet.query and balanced_commutator_decompose
+    """Record the rows of every EpsNet.nearest and balanced_commutator_decompose
     call."""
-    calls = {"query": [], "commutator": []}
-    query, factors = EpsNet.query, skbase.balanced_commutator_decompose
+    calls = {"nearest": [], "commutator": []}
+    nearest, factors = EpsNet.nearest, skbase.balanced_commutator_decompose
 
-    def counted_query(self, q):
-        calls["query"].append(len(q))
-        return query(self, q)
+    def counted_nearest(self, q):
+        calls["nearest"].append(len(q))
+        return nearest(self, q)
 
     def counted_factors(deltas, angles=None):
         calls["commutator"].append(len(deltas))
         return factors(deltas, angles)
 
-    monkeypatch.setattr(EpsNet, "query", counted_query)
+    monkeypatch.setattr(EpsNet, "nearest", counted_nearest)
     monkeypatch.setattr(skbase, "balanced_commutator_decompose", counted_factors)
     return calls
 
@@ -339,8 +339,8 @@ def test_sk_compile_reuses_the_previous_depth(ht_gateset, monkeypatch):
     params = dataclasses.replace(base_params(ht_gateset, 10), max_depth=3)
     with pytest.raises(NetTooCoarse):
         sk_compile(ht_gateset, random_su(2, np.random.default_rng(0)), 1e-12, params)
-    assert sum(calls["query"]) == 27 and sum(calls["commutator"]) == 13
-    assert len(calls["query"]) == 8 and len(calls["commutator"]) == 7
+    assert sum(calls["nearest"]) == 27 and sum(calls["commutator"]) == 13
+    assert len(calls["nearest"]) == 8 and len(calls["commutator"]) == 7
 
 
 def test_the_search_adds_rows_not_calls(ht_gateset, monkeypatch):
@@ -353,7 +353,7 @@ def test_the_search_adds_rows_not_calls(ht_gateset, monkeypatch):
     assert k == 16
     with pytest.raises(NetTooCoarse):
         sk_compile(ht_gateset, random_su(2, np.random.default_rng(0)), 1e-12, params)
-    assert calls["query"] == [1, 2 * k, 2 * k, 4 * k, 2 * k, 4 * k, 4 * k, 8 * k]
+    assert calls["nearest"] == [1, 2 * k, 2 * k, 4 * k, 2 * k, 4 * k, 4 * k, 8 * k]
     assert calls["commutator"] == [1, 1, 2 * k, 1, 2 * k, 2 * k, 4 * k]
 
 

@@ -34,7 +34,7 @@ from .refine import (
     refine_inverse,
     scan_orderings,
 )
-from .skbase import SKParams, rotation
+from .skbase import SKParams, check_base_compilable, rotation
 
 _BENCH_COLUMNS = ("trial", "eps", "status", "error", "length", "base_length",
                   "inverted_extras", "eps_k", "ell_k", "naive_length")
@@ -100,9 +100,11 @@ def _load_or_build_net(gs: GateSet, net_path, length, with_inverses: bool,
 
 def _compile_setup(gs: GateSet, args):
     """compile's and bench's SK parameters and refinement net; the depth cap
-    is checked before either net is built."""
+    and the gate set's fitness for the base compiler are checked before
+    either net is built."""
     if args.max_depth < 0:
         raise SchemaError(f"--max-depth must be at least 0, got {args.max_depth}")
+    check_base_compilable(gs)
     base_net = _load_or_build_net(gs, args.base_net, args.base_length,
                                   True, args.budget)
     refine_net = _load_or_build_net(gs, args.refine_net, args.refine_length,
@@ -353,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--length", type=int)
     sp.add_argument("--auto", action="store_true",
-                    help="grow the length until probed density reaches eps0")
+                    help="grow the length until probed density reaches eps0 "
+                         "(su mode only)")
     sp.add_argument("--with-inverses", action="store_true")
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sp.add_argument("--probe", type=int, default=0,

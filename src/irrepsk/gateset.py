@@ -49,14 +49,13 @@ from .linalg import (
 class GateWord:
     """A word over a generator array and the product of its matrices.
 
-    Tokens index whichever array the word was built over: a gate set's
-    matrices for inverse-free words, extended_generators for the base
-    compiler's words.  The product is whatever its builder computed:
-    word_product for make_word (a full product of the generator matrices,
-    whole blocks of tokens read from a cached table of their products), the
-    parts' products for concat_words and symmetrize_word.  sk_compile's
-    product is the one its batched recursion tracks, built level by level
-    from net products in quaternions (linalg.qmul).
+    Tokens index whichever array the word was built over, a gate set's
+    matrices for the inverse-free words the compiler returns; the base
+    compiler's words are plain token arrays over extended_generators.  The
+    product is whatever its builder computed: word_product for make_word (a
+    full product of the generator matrices, whole blocks of tokens read from
+    a cached table of their products), the parts' products for concat_words
+    and symmetrize_word.
 
     tokens is a 1-D intp array that the word owns: every builder passes an
     array it made.  Other token sequences are converted, but an intp array

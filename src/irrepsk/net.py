@@ -667,8 +667,12 @@ def auto_net(gs: GateSet, target_density: float, probes: int,
 
     The net is extended one level at a time, never rebuilt; each probed net
     is the one build_gateset_net gives at its length.  Raises BudgetExceeded
-    if the store fills up or AUTO_MAX is reached first.
+    if the store fills up or AUTO_MAX is reached first, and SchemaError
+    before any build for a set not in su mode, whose probed density against
+    SU(d) targets need never fall (probe_density).
     """
+    if gs.mode != "su":
+        raise SchemaError(f"--auto probes SU(d) targets and needs su mode, not {gs.mode}")
     gens, dedup_tol, fingerprint = _gateset_recipe(gs, with_inverses)
     for net in _nets(gens, gs.dim, gs.mode, dedup_tol, fingerprint, budget):
         if net.word_length < AUTO_START or (net.word_length - AUTO_START) % 2:

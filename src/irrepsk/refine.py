@@ -43,8 +43,7 @@ from .gateset import (GateSet, GateWord, concat_words, eps0_constant, gather_seg
                       make_word)
 from .linalg import dist, op_norm, random_traceless_hermitian, su2_to_quaternion
 from .net import TIE, EpsNet, extended_inverse
-# sk_compile is not called here; perfbench/tracing.py times it under this name
-from .skbase import SKParams, sk_compile, sk_depths  # noqa: F401
+from .skbase import SKParams, sk_depths
 
 # perfbench/tracing.py wraps this name too.  Base words hold no inverted
 # irrep token (extended_generators), so the irrep rewrite it timed is gone
@@ -356,45 +355,33 @@ class CompileReport:
         }
 
 
-def compile_target(gs: GateSet, target, eps: float, params: SKParams,
-                   refine_net: EpsNet) -> CompileReport:
-    """Compile target to an inverse-free word with error at most eps.
+def sk_compile(gs: GateSet, target, eps: float, params: SKParams, refine_net: EpsNet):
+    """compile_target's base stage: the SK word it accepts.
 
-    Stage 1 runs the classical commutator recursion over generators plus
-    the inverses that are no generator up to a phase (extended_generators),
+    It runs the classical commutator recursion over generators plus the
+    inverses that are no generator up to a phase (extended_generators),
     one word at a time (sk_depths, given eps, which searches each depth's
     top commutator pair and, when a word of a depth is rejected
     within NEAR_MISS of eps, that depth's midpoint pairs before the next
-    depth).  depth and rotation report the accepted word's depth and pair,
-    the rotation in steps of pi / ROTATIONS: 0 for the plain pair, even for
-    a searched pair, odd for a midpoint.  The stage approximates the target
-    up to a global sign (sk_depths).  At each word whose SK error err_d
-    is at most eps, stage 2 reads the word's tokens out freely reduced
-    (net.gather cancels every adjacent g inverse[g], cascading; the product
-    is the same) and counts the m_d,i inverted tokens of each extra gate i,
-    m_d in all, the only letters past the generators; base_length and
-    inverted_extras report the reduced word, so its length is base_length -
-    m_d + sum_i m_d,i times the refined length of gate i.  Stage 3
-    takes one refined inverse per distinct gate at (eps / 2) / m_d, with its
-    achieved error a_i.  The first word with err_d + sum_i m_d,i a_i <= eps
-    is accepted: by the triangle inequality over unitary substitutions that
-    bounds the output's error.  A word whose SK error alone is at most
-    eps / 2 always passes, and no later word is tried.  The refinements are
-    shared across calls through refine_net and are exact for every tolerance
-    (refine_inverse).  The stages pass int arrays; indices is the one
-    conversion to Python ints.
+    depth).  The stage approximates the target up to a global sign
+    (sk_depths).  At each word whose SK error err_d is at most eps, it reads
+    the word's tokens out freely reduced (net.gather cancels every adjacent
+    g inverse[g], cascading; the product is the same), counts the m_d,i
+    inverted tokens of each extra gate i, m_d in all, the only letters past
+    the generators, and takes one refined inverse per distinct gate at
+    (eps / 2) / m_d, with its achieved error a_i.  The first word with
+    err_d + sum_i m_d,i a_i <= eps is accepted: by the triangle inequality
+    over unitary substitutions that bounds the output's error.  A word whose
+    SK error alone is at most eps / 2 always passes, and no later word is
+    tried.  The refinements are shared across calls through refine_net and
+    are exact for every tolerance (refine_inverse).
 
-    The returned word is verified by one independent product of its
-    generator matrices (make_word, which reads the products of whole blocks
-    of tokens from a table built from those matrices, not from any product
-    the earlier stages tracked); the reported error is that product's
-    distance to the target up to a phase in gs.phase_candidates, which
-    holds the sign that the base stage leaves open.
+    Returns the accepted word's depth, pair (in steps of pi / ROTATIONS: 0
+    the plain pair, even a searched pair, odd a midpoint), SK error, reduced
+    tokens, counts m_d,i and refine_inverse result per gate with m_d,i > 0.
     """
-    target = np.asarray(target, dtype=complex)
     # a token e >= n is an inverted extra gate inv[e]
-    n = gs.gen_count
-    inv = extended_inverse(gs)
+    n, inv = gs.gen_count, extended_inverse(gs)
     for depth, signed, _, base_error, rotation in sk_depths(gs, target, params, eps):
         if base_error > eps:
             continue
@@ -404,8 +391,30 @@ def compile_target(gs: GateSet, target, eps: float, params: SKParams,
         refined = {i: refine_inverse(gs, refine_net, i, (eps / 2.0) / m)
                    for i in np.flatnonzero(counts).tolist()}
         if base_error + sum(counts[i] * r[1] for i, r in refined.items()) <= eps:
-            break
+            return depth, rotation, base_error, base, counts, refined
 
+
+def compile_target(gs: GateSet, target, eps: float, params: SKParams,
+                   refine_net: EpsNet) -> CompileReport:
+    """Compile target to an inverse-free word with error at most eps.
+
+    Each inverted token of the base stage's word (sk_compile) is replaced by
+    its gate's refined inverse.  base_length and inverted_extras describe the
+    reduced base word; the output's length is base_length - m_d + sum_i
+    m_d,i times the refined length of gate i.  The stages pass int arrays;
+    indices is the one conversion to Python ints.
+
+    The returned word is verified by one independent product of its
+    generator matrices (make_word, which reads the products of whole blocks
+    of tokens from a table built from those matrices, not from any product
+    the earlier stages tracked); the reported error is that product's
+    distance to the target up to a phase in gs.phase_candidates, which
+    holds the sign that the base stage leaves open.
+    """
+    target = np.asarray(target, dtype=complex)
+    depth, rotation, base_error, base, counts, refined = sk_compile(
+        gs, target, eps, params, refine_net)
+    n, inv = gs.gen_count, extended_inverse(gs)
     # one output segment per extended token: the token itself when forward,
     # the refined inverse word when an inverted extra gate (empty when that
     # gate does not occur); the output is the base word's segments laid end
@@ -426,7 +435,7 @@ def compile_target(gs: GateSet, target, eps: float, params: SKParams,
         base_length=len(base),
         depth=depth,
         rotation=rotation,
-        inverted_extras=m,
+        inverted_extras=int(counts.sum()),
         inverted_counts={i: int(counts[i]) for i in refined},
         refine_errors={i: r[1] for i, r in refined.items()},
         refine_lengths={i: r[0].length for i, r in refined.items()},

@@ -2,16 +2,16 @@
 
 This stage is deliberately classical: it compiles over the gate set together
 with the inverses of its generators, and the refinement stage then makes its
-output inverse-free.  Words are GateWords whose tokens index
-extended_generators(gs), the generators plus the inverses that are no
-generator up to a phase; extended_inverse maps each token to its inverse's.
+output inverse-free.  A word's tokens index extended_generators(gs), the
+generators plus the inverses that are no generator up to a phase;
+extended_inverse maps each token to its inverse's.
 An irrep element's inverse is an irrep element, so the only letters past
 the generators are inverted extra gates, and those are what the refinement
 stage replaces.  A word is read out freely reduced (net.gather): no token is
 followed by its inverse.
 
 The stage computes in the unit quaternions of linalg (one Hamilton product,
-qmul); 2x2 matrices are only the target it takes and the products it yields.
+qmul); 2x2 matrices only for the target.
 The stage works up to sign, the global phase -1 that SU(2) words are
 compared up to: the base net stores each rotation once and answers queries
 up to sign (EpsNet.nearest), and a phase-reduced inverse letter may flip a
@@ -55,8 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClassError, DimError, DimUnsupported, NetTooCoarse, TooFar
-from .gateset import GateSet, GateWord
-from .net import TIE, EpsNet, build_gateset_net, extended_inverse
+from .gateset import GateSet
+from .net import TIE, EpsNet, build_gateset_net
 from .linalg import DEFAULT_TOL, qconj, qmul, quaternion_to_su2, su2_residual
 
 
@@ -165,21 +165,28 @@ def base_params(gs: GateSet, word_length: int) -> SKParams:
     return SKParams(net=build_gateset_net(gs, word_length, with_inverses=True))
 
 
+def check_base_compilable(gs: GateSet) -> None:
+    """DimUnsupported unless gs is a d = 2, su mode set, as sk_depths needs."""
+    if gs.dim != 2 or gs.mode != "su":
+        raise DimUnsupported("the base compiler handles d = 2, su mode only")
+
+
 def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
     """The commutator recursion for a SU(2) target, one depth at a time.
 
     Yields (depth, signed, product, error, rotation) for depth 0, 1, ... up
     to params.max_depth: the word as signed net indices (~i for net word i
     inverted, to be read out by net.gather over extended_inverse(gs)), the
-    word's tracked product (the read-out word's product up to sign: each net
-    hit counts with the sign of the stored product it is near), its distance
-    to the target (|q - q_target| for the quaternions q of the product and
-    q_target of the target, which is the operator-norm distance on SU(2))
-    and the top-level pair r it took (0 at depth 0).  Depths never decrease, and a depth may
-    come twice (below).  Asking past the depth cap raises NetTooCoarse with
-    the smallest error seen, so a consumer accepts a word by its own rule
+    word's tracked product q, a (4,) quaternion (the read-out word's product
+    up to sign: each net hit counts with the sign of the stored product it
+    is near), its distance |q - q_target| to the target, which is the
+    operator-norm distance on SU(2), and the top-level pair r it took (0 at
+    depth 0).  Depths never decrease, and a depth may come twice (below).
+    Asking past the depth cap raises NetTooCoarse with the smallest error
+    seen, so a consumer (refine.sk_compile) accepts a word by its own rule
     and lets a loop over the words run out into that error.  Raises
-    DimUnsupported away from d = 2 and ClassError for a target off SU(2).
+    DimUnsupported away from d = 2, su mode (check_base_compilable) and
+    ClassError for a target off SU(2).
 
     Depth d >= 1 writes delta = U W^dag, for the target U and the
     depth-(d - 1) word W, as the commutator of the pairs that
@@ -209,8 +216,7 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
     than a depth's contraction: on pauli_ht at eps = 1e-7 it leaves the
     length within 1 % and still approximates 2K factors per depth.
     """
-    if gs.dim != 2 or gs.mode != "su":
-        raise DimUnsupported("the base compiler handles d = 2, su mode only")
+    check_base_compilable(gs)
     target = np.asarray(target, dtype=complex)
     target_q, residual = su2_residual(target)
     if not residual < DEFAULT_TOL:
@@ -273,7 +279,7 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
     i, p = level(target_q[None], 0)
     word, err, r = (i[0], p[0]), float(error(p)[0]), 0
     best = err
-    yield 0, word[0], quaternion_to_su2(word[1]), err, r
+    yield 0, word[0], word[1], err, r
     try:
         for depth in range(1, params.max_depth + 1):
             w1 = word
@@ -286,7 +292,7 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
                 found = search(family, w1, depth, pairs)
             word, err, r = found
             best = min(best, err)
-            yield depth, word[0], quaternion_to_su2(word[1]), err, r
+            yield depth, word[0], word[1], err, r
             # asked past a depth that came within NEAR_MISS: search its
             # midpoints from the same depth - 1 word before going deeper, and
             # yield their best if it is closer than word by more than a tie.
@@ -295,7 +301,7 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
                 (signed, product), closer, r = search(family, w1, depth, midpoints)
                 if closer < err - TIE:
                     best = min(best, closer)
-                    yield depth, signed, quaternion_to_su2(product), closer, r
+                    yield depth, signed, product, closer, r
     except TooFar as e:
         raise NetTooCoarse(
             f"base approximation too coarse for the commutator step: {e}"
@@ -304,17 +310,3 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
         f"depth cap {params.max_depth} reached at SK error {best:.3e}; "
         "the base net is too coarse for this tolerance"
     )
-
-
-def sk_compile(gs: GateSet, target, eps: float, params: SKParams) -> GateWord:
-    """Approximate a SU(2) target to operator-norm eps over gens and inverses.
-
-    The returned word's tokens index extended_generators(gs), freely
-    reduced (net.gather), and its product is sk_depths' tracked product,
-    which the tokens' product equals up to sign.  It is the first depth of
-    sk_depths (given eps) whose error is at most eps, with sk_depths' errors
-    (NetTooCoarse at the depth cap).
-    """
-    idx, prod = next((i, p) for _, i, p, err, _ in sk_depths(gs, target, params, eps)
-                     if err <= eps)
-    return GateWord(params.net.gather(idx, extended_inverse(gs)), prod)

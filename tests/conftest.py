@@ -16,7 +16,7 @@ def ht_gateset():
 
 @pytest.fixture(scope="session")
 def ht_params(ht_gateset):
-    # inverse-extended base net; length 14 keeps sk_compile at eps = 1e-4 fast
+    # inverse-extended base net; length 14 keeps sk_depths at eps = 1e-4 fast
     return base_params(ht_gateset, 14)
 
 

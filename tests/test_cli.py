@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import irrepsk.cli
+import irrepsk.net
 from irrepsk import errors
 from irrepsk.cli import main
 from irrepsk.gateset import load_gateset
@@ -91,6 +92,37 @@ def test_net_auto_gives_up_when_density_stalls(capsys, tmp_path):
     rc, _, err = run(capsys, "net", "--gateset", str(p), "--auto")
     assert rc == 2
     assert "error:" in err
+
+
+def _no_net(*args, **kwargs):
+    raise AssertionError("a net was built or loaded")
+
+
+def test_net_auto_refuses_a_set_outside_su_mode(capsys, monkeypatch):
+    # an sl set's probed density against SU(2) targets stays at 0.92-0.95
+    # up to length 10, far above eps0, so --auto never ended; it is refused
+    # before anything is built
+    monkeypatch.setattr(irrepsk.net, "_nets", _no_net)
+    rc, out, err = run(capsys, "net", "--gateset", SLP, "--auto")
+    assert rc == 1 and out == ""
+    assert err == "error: --auto probes SU(d) targets and needs su mode, not sl\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("compile", "--target", "[[1,0],[0,0],[0,0],[1,0]]", "--epsilon", "1e-3"),
+    ("bench", "--epsilon", "1e-3", "--trials", "2"),
+], ids=["compile", "bench"])
+@pytest.mark.parametrize("nets", [("--base-length", "10", "--refine-length", "6"),
+                                  ("--base-net", "base.net", "--refine-net", "refine.net")],
+                         ids=["built", "loaded"])
+def test_base_compiler_refuses_an_sl_set_before_any_net(capsys, monkeypatch, argv, nets):
+    # the base compiler needs d = 2, su mode; compile and bench built (or
+    # loaded) both nets before they found out.  Exit code 2 as before
+    monkeypatch.setattr(irrepsk.cli, "build_gateset_net", _no_net)
+    monkeypatch.setattr(irrepsk.cli, "load_net", _no_net)
+    rc, out, err = run(capsys, argv[0], "--gateset", SLP, *argv[1:], *nets)
+    assert rc == 2 and out == ""
+    assert err == "error: the base compiler handles d = 2, su mode only\n"
 
 
 def test_refine_inverse_needs_finer_net(capsys, tmp_path):

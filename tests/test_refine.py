@@ -303,7 +303,7 @@ def test_compile_target_report(ht_gateset, ht_params, ht_refine_net):
 
 
 def test_compile_target_empty_base_word(ht_gateset):
-    # the identity is the empty net word, so sk_compile stops at depth 0 and
+    # the identity is the empty net word, so the base stage stops at depth 0 and
     # the output assembly gathers from an empty base word
     params = base_params(ht_gateset, 12)
     refine_net = build_gateset_net(ht_gateset, 6)

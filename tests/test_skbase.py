@@ -11,20 +11,29 @@ import pytest
 import irrepsk.skbase as skbase
 from irrepsk import EpsNet, SKParams, base_params, build_gateset_net, parse_gateset
 from irrepsk.errors import ClassError, DimError, NetTooCoarse, TooFar
-from irrepsk.gateset import load_gateset, make_word, word_product
+from irrepsk.gateset import GateWord, load_gateset, make_word, word_product
 from irrepsk.linalg import dist, qmul, quaternion_to_su2, random_su, su2_to_quaternion
 from irrepsk.net import extended_generators, extended_inverse
 from irrepsk.skbase import (
     NEAR_MISS,
     balanced_commutator_decompose,
     rotation,
-    sk_compile,
     sk_depths,
 )
 
 # the angles sk_depths searches at ROTATIONS = 16: pi r / 16, the 16 pairs
 # at even r and their midpoints at odd r
 ANGLES = np.pi * np.arange(32) / 16
+
+
+def _first_within(gs, target, eps, params):
+    """The first word sk_depths (given eps) yields within eps, as a GateWord
+    over extended_generators(gs): its freely reduced tokens and its tracked
+    product as a matrix.  sk_depths' errors propagate (NetTooCoarse at the
+    depth cap)."""
+    signed, q = next((i, p) for _, i, p, err, _ in sk_depths(gs, target, params, eps)
+                     if err <= eps)
+    return GateWord(params.net.gather(signed, extended_inverse(gs)), quaternion_to_su2(q))
 
 
 def _plain(monkeypatch):
@@ -286,11 +295,11 @@ def test_params_guardrails(ht_gateset):
 
 
 def test_sk_compile_identity_and_net_points(ht_gateset, ht_params):
-    w = sk_compile(ht_gateset, np.eye(2), 1e-6, ht_params)
+    w = _first_within(ht_gateset, np.eye(2), 1e-6, ht_params)
     assert dist(w.product, np.eye(2)) <= 1e-6
     # a net point compiles to itself at depth zero
     target = ht_params.net.products[37]
-    w = sk_compile(ht_gateset, target, 1e-9, ht_params)
+    w = _first_within(ht_gateset, target, 1e-9, ht_params)
     assert dist(w.product, target) <= 1e-9
 
 
@@ -299,7 +308,7 @@ def test_sk_compile_random_targets(ht_gateset, ht_params, eps):
     rng = np.random.default_rng(35)
     for _ in range(5):
         t = random_su(2, rng)
-        w = sk_compile(ht_gateset, t, eps, ht_params)
+        w = _first_within(ht_gateset, t, eps, ht_params)
         assert dist(w.product, t) <= eps
 
 
@@ -308,7 +317,7 @@ def test_sk_compile_rejects_hopeless_net(ht_gateset):
                       max_depth=2)
     rng = np.random.default_rng(36)
     with pytest.raises(NetTooCoarse):
-        sk_compile(ht_gateset, random_su(2, rng), 1e-6, pocket)
+        _first_within(ht_gateset, random_su(2, rng), 1e-6, pocket)
 
 
 def _counted_calls(monkeypatch):
@@ -338,7 +347,7 @@ def test_sk_compile_reuses_the_previous_depth(ht_gateset, monkeypatch):
     _plain(monkeypatch)
     params = dataclasses.replace(base_params(ht_gateset, 10), max_depth=3)
     with pytest.raises(NetTooCoarse):
-        sk_compile(ht_gateset, random_su(2, np.random.default_rng(0)), 1e-12, params)
+        _first_within(ht_gateset, random_su(2, np.random.default_rng(0)), 1e-12, params)
     assert sum(calls["nearest"]) == 27 and sum(calls["commutator"]) == 13
     assert len(calls["nearest"]) == 8 and len(calls["commutator"]) == 7
 
@@ -352,7 +361,7 @@ def test_the_search_adds_rows_not_calls(ht_gateset, monkeypatch):
     k = skbase.ROTATIONS
     assert k == 16
     with pytest.raises(NetTooCoarse):
-        sk_compile(ht_gateset, random_su(2, np.random.default_rng(0)), 1e-12, params)
+        _first_within(ht_gateset, random_su(2, np.random.default_rng(0)), 1e-12, params)
     assert calls["nearest"] == [1, 2 * k, 2 * k, 4 * k, 2 * k, 4 * k, 4 * k, 8 * k]
     assert calls["commutator"] == [1, 1, 2 * k, 1, 2 * k, 2 * k, 4 * k]
 
@@ -363,7 +372,7 @@ def test_sk_compile_rejects_targets_off_su2(ht_gateset, ht_params):
     hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     for t, residual in ((hadamard, "1.414e+00"), (1.5 * np.eye(2), "1.250e+00")):
         with pytest.raises(ClassError, match=re.escape(f"residual {residual}")):
-            sk_compile(ht_gateset, t, 1e-3, ht_params)
+            _first_within(ht_gateset, t, 1e-3, ht_params)
 
 
 def test_base_words_hold_no_inverted_irrep_token(ht_gateset, ht_params):
@@ -380,7 +389,8 @@ def test_base_words_hold_no_inverted_irrep_token(ht_gateset, ht_params):
         for _, signed, product, *_ in itertools.islice(sk_depths(gs, t, ht_params), 4):
             base = ht_params.net.gather(signed, inv)
             assert all(inv[e] >= gs.rep.order for e in base if e >= n)
-            assert dist(word_product(gens, base), product, gs.phase_candidates) <= 1e-10
+            assert dist(word_product(gens, base), quaternion_to_su2(product),
+                        gs.phase_candidates) <= 1e-10
 
 
 def test_sk_compile_tracks_the_product_of_its_tokens(ht_gateset, ht_params):
@@ -390,7 +400,7 @@ def test_sk_compile_tracks_the_product_of_its_tokens(ht_gateset, ht_params):
     gens = extended_generators(ht_gateset)
     for seed in (0, 1, 2, 3):
         t = random_su(2, np.random.default_rng(seed))
-        w = sk_compile(ht_gateset, t, 1e-3, ht_params)
+        w = _first_within(ht_gateset, t, 1e-3, ht_params)
         assert all(0 <= e < len(gens) for e in w.tokens)
         tol = 4 * w.length * 2.0 ** -52
         p = word_product(gens, w.tokens)
@@ -404,7 +414,7 @@ def test_word_length_growth_per_depth(ht_gateset, ht_params, monkeypatch):
     t = random_su(2, rng)
     lengths = []
     for eps in (1e-2, 1e-3, 1e-4):
-        w = sk_compile(ht_gateset, t, eps, ht_params)
+        w = _first_within(ht_gateset, t, eps, ht_params)
         lengths.append(w.length)
     assert lengths == sorted(lengths)
     # 5 recursive subwords per level: growth stays under that with slack
@@ -415,8 +425,8 @@ def test_word_length_growth_per_depth(ht_gateset, ht_params, monkeypatch):
 def test_word_length_growth_per_depth_with_the_search(ht_gateset, ht_params):
     """Each extra recursion level multiplies length by a bounded factor.
 
-    With the search, sk_compile at eps = 1e-3 and 1e-4 may end two depths
-    apart (259 -> 6,619 tokens for the target above), so consecutive depths
+    With the search, the first words within eps = 1e-3 and 1e-4 may be two
+    depths apart (259 -> 6,619 tokens for the target above), so consecutive depths
     are read from sk_depths instead, at each eps."""
     inv = np.asarray(extended_inverse(ht_gateset))
     rng = np.random.default_rng(38)
@@ -469,9 +479,9 @@ def test_the_closed_form_error_is_dist(ht_gateset, ht_params):
     # sk_depths scores its words by |q - q_target|, which is dist on SU(2):
     # to 4 ulps on random stacks.  A tracked quaternion's norm drifts from 1
     # by round-off (to about 4e-13 at depth 4 here, far inside the tie
-    # width), but the yielded product is that quaternion's matrix, so
-    # its difference to the target is |q - q_target| times an SU(2) matrix
-    # all the same, and the two agree to 4 ulps there too
+    # width), but the difference of that quaternion's matrix to the target
+    # is |q - q_target| times an SU(2) matrix all the same, and the two
+    # agree to 4 ulps there too
     ulps = 4 * 2.0 ** -52
     rng = np.random.default_rng(61)
     p, t = np.stack([random_su(2, rng) for _ in range(500)]), random_su(2, rng)
@@ -480,8 +490,8 @@ def test_the_closed_form_error_is_dist(ht_gateset, ht_params):
     for _ in range(6):
         t = random_su(2, rng)
         for _, _, product, err, _ in itertools.islice(sk_depths(ht_gateset, t, ht_params), 5):
-            assert abs(np.linalg.norm(su2_to_quaternion(product)) - 1) < 1e-12
-            assert abs(err - dist(product, t)) <= ulps
+            assert abs(np.linalg.norm(product) - 1) < 1e-12
+            assert abs(err - dist(quaternion_to_su2(product), t)) <= ulps
 
 
 @pytest.mark.parametrize("nudge,pick", [
@@ -609,7 +619,7 @@ def test_sk_compile_passes_the_old_plateau(ht_gateset):
     params = dataclasses.replace(base_params(ht_gateset, 12), max_depth=6)
     for seed in (0, 1, 2):
         t = random_su(2, np.random.default_rng(seed))
-        w = sk_compile(ht_gateset, t, 1e-7, params)
+        w = _first_within(ht_gateset, t, 1e-7, params)
         assert dist(w.product, t) <= 1e-7
         assert dist(word_product(extended_generators(ht_gateset), w.tokens), t,
                     ht_gateset.phase_candidates) <= 1e-7
@@ -622,5 +632,5 @@ def test_sk_compile_deep_recursion(ht_gateset):
     gens = extended_generators(ht_gateset)
     for seed in (0, 1, 2):
         t = random_su(2, np.random.default_rng(seed))
-        w = sk_compile(ht_gateset, t, 1e-10, params)
+        w = _first_within(ht_gateset, t, 1e-10, params)
         assert dist(word_product(gens, w.tokens), t, ht_gateset.phase_candidates) <= 1e-10

@@ -3,7 +3,8 @@
 The tracer wraps irrepsk names by attribute: a wrapped name that is gone
 fails at install, and one that still exists but that nothing calls any more
 reads 0 calls in every traced run.  This runs one traced compile and checks
-that each layer the benchmark reports is timed.
+that each layer the benchmark reports is timed, inside the stage it belongs
+to.
 """
 
 import types
@@ -17,11 +18,10 @@ from irrepsk.skbase import rotation
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
-# skbase.sk_compile and skbase.rewrite are wrapped too but known to be dead:
-# the compile path calls sk_depths, and the irrep rewrite is gone (ROADMAP
-# item 5)
-LIVE_SPANS = ("refine.compile_target", "net.nearest", "skbase.commutator", "refine.inverse",
-              "gateset.fold")
+# skbase.rewrite is wrapped too but known to be dead: the irrep rewrite is
+# gone (ROADMAP item 2)
+LIVE_SPANS = ("refine.compile_target", "skbase.sk_compile", "net.nearest", "skbase.commutator",
+              "refine.inverse", "gateset.fold")
 
 
 def load_tracing() -> types.ModuleType:
@@ -30,6 +30,15 @@ def load_tracing() -> types.ModuleType:
     module = types.ModuleType("tracing")
     exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"), module.__dict__)
     return module
+
+
+def _ancestors(spans, span):
+    """Names of the spans enclosing span, innermost first."""
+    names = []
+    while span[3] >= 0:
+        span = spans[span[3]]
+        names.append(span[0])
+    return names
 
 
 def test_traced_compile_times_every_live_layer(ht_gateset):
@@ -43,5 +52,15 @@ def test_traced_compile_times_every_live_layer(ht_gateset):
     finally:
         tracer.remove()
     assert report.error <= 1e-2
-    names = {span[0] for span in tracer.spans}
+    spans = tracer.spans
+    names = {span[0] for span in spans}
     assert set(LIVE_SPANS) <= names, sorted(set(LIVE_SPANS) - names)
+    # the base stage is one span under the compile, every refined inverse is
+    # taken inside it, and the verification fold is the one fold that
+    # compile_target makes itself
+    parents = {name: [_ancestors(spans, s)[:1] for s in spans if s[0] == name]
+               for name in ("skbase.sk_compile", "gateset.fold")}
+    assert parents["skbase.sk_compile"] == [["refine.compile_target"]]
+    assert parents["gateset.fold"].count(["refine.compile_target"]) == 1
+    assert all("skbase.sk_compile" in _ancestors(spans, s) for s in spans
+               if s[0] == "refine.inverse")

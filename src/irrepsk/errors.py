@@ -95,7 +95,7 @@ class StaleGateSet(CacheError):
 
 
 class EmptyNet(CompileFailure):
-    """Nearest-neighbour query against an empty store."""
+    """An EpsNet built with no stored words."""
 
 
 class BudgetExceeded(CompileFailure):

@@ -99,9 +99,9 @@ def net_fingerprint(gs: GateSet, with_inverses: bool) -> str:
 class EpsNet:
     """Products of all deduplicated generator words up to word_length, on an
     SU(2) net the k-d tree over their quaternions and their negations that
-    answers nearest and whose rows signed reads (a net from build_net comes
-    with it; a loaded one builds it on first use), and lazily the refinement
-    trajectories seeded from them (refine_inverse).
+    answers nearest (a net from build_net comes with it; a loaded one builds
+    it on first use), and lazily the refinement trajectories seeded from
+    them (refine_inverse).
 
     The words are one flat token array: word i is
     tokens[offsets[i]:offsets[i + 1]], in store order, which is breadth-first
@@ -142,31 +142,27 @@ class EpsNet:
         """Whether this is an SU(2) net, which works up to sign."""
         return self.dim == 2 and self.mode == "su"
 
-    def nearest(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Hits and distances of the nearest products, up to sign, to an
-        (n, 4) stack of SU(2) quaternions: the net's one lookup.  One k-d
-        tree over the products' quaternions q_0 .. q_(N-1) and then
-        -q_0 .. -q_(N-1) answers it: hit j is word j mod N, and signed(j) is
-        its quaternion with the sign, +1 below N and -1 from N.  Within TIE
-        of the nearest tie, the lowest word index wins, and of its two signs
-        +1.  Raises DimUnsupported on any other net (sl mode, d >= 3), whose
-        products have no quaternions."""
+    def nearest(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(words, signed, distances) of the nearest products, up to sign, to
+        an (n, 4) stack of SU(2) quaternions: the net's one lookup.  words
+        holds each hit's word index in [0, N), signed its quaternion (n, 4)
+        with the sign that is near, and distances how near.  One k-d tree
+        over the products' quaternions q_0 .. q_(N-1) and then
+        -q_0 .. -q_(N-1) answers it, and signed is the hits' rows.  Within
+        TIE of the nearest tie, the lowest word index wins, and of its two
+        signs +1.  Raises DimUnsupported on any other net (sl mode, d >= 3),
+        whose products have no quaternions."""
         if self._tree is None:
             if not self.su2:
                 raise DimUnsupported(f"a d = {self.dim} {self.mode} net has no lookup")
             self._tree = _sheet_tree(self.products)
+        n = len(self)
         d, j = self._tree.query(q, k=2)
         d, j, tied = d[:, 0], j[:, 0], np.flatnonzero(d[:, 1] - d[:, 0] <= TIE)
         if len(tied):
-            n = len(self)
             balls = self._tree.query_ball_point(q[tied], d[tied] + TIE)
             j[tied] = [min(b, key=lambda k: (k % n, k)) for b in balls]
-        return j, d
-
-    def signed(self, hits) -> np.ndarray:
-        """The signed quaternions (n, 4) of nearest's hits, its tree's rows:
-        products[j mod N]'s quaternion, times -1 from N."""
-        return self._tree.data[hits]
+        return j % n, self._tree.data[j], d
 
     def gather(self, signed: np.ndarray, inverse: np.ndarray) -> np.ndarray:
         """The tokens of stored words laid end to end, freely reduced: i >= 0
@@ -539,7 +535,7 @@ def probe_density(net: EpsNet, probes: int, rng: np.random.Generator) -> float:
     each probe.  The draws are those of one probe at a time."""
     targets = [random_su(net.dim, rng) for _ in range(probes)]
     if net.su2 and probes:
-        d = net.nearest(su2_to_quaternion(np.array(targets)))[1]
+        d = net.nearest(su2_to_quaternion(np.array(targets)))[2]
     else:
         d = [dist(net.products, t).min() for t in targets]
     worst = float(np.max(d, initial=0.0))

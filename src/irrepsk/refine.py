@@ -52,15 +52,16 @@ rewrite_irrep_inverses = None
 
 
 def symmetrize_matrix(rep: FiniteGroupRep, w: np.ndarray, order=None) -> np.ndarray:
-    """Product of rho(g) w rho(g)^{-1} over the group, identity factor last.
+    """Product of rho(g) w rho(g)^{-1} over the group, identity factor last,
+    of a (d, d) w, or of each matrix of an (S, d, d) stack (bit-equal to single calls).
 
     Uses exact inverses, so this is the analysis object; the word-level
     version below substitutes table elements and can differ by a global
     d-th root of unity when the irrep is projective.
     """
     w = np.asarray(w, dtype=complex)
-    if w.shape != (rep.dim, rep.dim):
-        raise DimError(f"expected shape {(rep.dim, rep.dim)}, got {w.shape}")
+    if w.shape[-2:] != (rep.dim, rep.dim):
+        raise DimError(f"expected trailing shape {(rep.dim, rep.dim)}, got {w.shape}")
     if order is None:
         order = tuple(range(1, rep.order)) + (0,)
     p = np.eye(rep.dim, dtype=complex)
@@ -275,7 +276,9 @@ def naive_inverse_length(gs: GateSet, gen_index: int, eps: float,
     Distances are aligned over the global phase set.  Closed form for
     d = 2 unitaries: U^m has eigenvalues exp(-+ i m theta / 2), so the
     aligned distance is 2 sin of the distance of m theta / 4 to the nearest
-    multiple of pi / 2.  Other cases run a plain power loop.
+    multiple of pi / 2.  Other cases run a plain power loop, after
+    NonConvergent for an eigenvalue lambda with ||lambda| - 1| > eps, which
+    keeps every power farther than eps from each phase times I.
     """
     u = gs.matrices[gen_index]
     phases = gs.phase_candidates
@@ -292,6 +295,10 @@ def naive_inverse_length(gs: GateSet, gen_index: int, eps: float,
             if ok.size:
                 return int(ms[ok[0]]) - 1
         raise NonConvergent(f"no power of the gate inverts it within {cap} steps")
+    modulus = max(np.abs(np.linalg.eigvals(u)), key=lambda m: abs(m - 1.0))
+    if abs(modulus - 1.0) > eps:
+        raise NonConvergent(f"no power of the gate inverts it: an eigenvalue has modulus "
+                            f"{modulus:.6g}, off 1 by more than {eps:.3e}")
     eye = np.eye(gs.dim)
     p = u.copy()
     for k in range(cap):
@@ -455,7 +462,8 @@ def scan_orderings(rep: FiniteGroupRep, samples: int = 24, rng=None):
 
     The identity factor stays last; the other n - 1 elements are permuted.
     For each ordering the coefficient is the mean over random near-identity
-    perturbations W = exp(i eps H), eps in SCAN_EPS, of dist(f(W), I) / eps^2.
+    perturbations W = exp(i eps H), eps in SCAN_EPS, of dist(f(W), I) / eps^2:
+    each W computed once, and each ordering's f one stacked symmetrize_matrix.
     Returns a list of (ordering, coefficient) sorted ascending and the vanish
     threshold (SCAN_VANISH times the median coefficient).
     """
@@ -471,17 +479,13 @@ def scan_orderings(rep: FiniteGroupRep, samples: int = 24, rng=None):
     for _ in range(samples):
         h = random_traceless_hermitian(rep.dim, rng)
         perturbations.append(h / op_norm(h))
+    w = np.array([expm(1j * eps * h) for h in perturbations for eps in SCAN_EPS])
+    eps2 = np.tile(np.square(SCAN_EPS), samples)
     results = []
     for perm in itertools.permutations(range(1, n)):
         order = perm + (0,)
-        coeffs = []
-        for h in perturbations:
-            for eps in SCAN_EPS:
-                w = expm(1j * eps * h)
-                f = symmetrize_matrix(rep, w, order)
-                r = dist(f, eye, rep.phase_candidates)
-                coeffs.append(r / eps ** 2)
-        results.append((order, float(np.mean(coeffs))))
+        r = dist(symmetrize_matrix(rep, w, order), eye, rep.phase_candidates)
+        results.append((order, float(np.mean(r / eps2))))
     results.sort(key=lambda t: t[1])
     med = float(np.median([c for _, c in results]))
     return results, SCAN_VANISH * med

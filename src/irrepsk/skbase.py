@@ -222,14 +222,14 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
     if not residual < DEFAULT_TOL:
         raise ClassError(f"target is not in SU(2): residual {residual:.3e}")
     net = params.net
-    words, k = len(net), ROTATIONS
+    k = ROTATIONS
 
     def level(q: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
         """Signed net indices (n, 5^depth) and product quaternions (n, 4) of
         the plain words for an (n, 4) stack of target quaternions."""
         if depth == 0:
-            hits, _ = net.nearest(q)
-            return (hits % words)[:, None], net.signed(hits)
+            i, signed, _ = net.nearest(q)
+            return i[:, None], signed
         idx1, p1 = level(q, depth - 1)
         ab = balanced_commutator_decompose(qmul(q, qconj(p1)))
         (ia, ib), p = commutators(ab, p1, depth)

@@ -169,6 +169,20 @@ def test_refine_inverse_sl_mode(capsys):
     assert "inverse word for P: length 21" in out
 
 
+@pytest.mark.parametrize("path, gate, modulus", [(SL, "D", "modulus 2,"),
+                                                 (SLP, "P", "modulus 2.002")])
+def test_naive_compare_refuses_an_eigenvalue_modulus_off_one(capsys, path, gate, modulus):
+    # no power of a gate with an eigenvalue modulus off 1 by more than eps
+    # comes within eps of a phase times I: exit 2 naming the modulus, before
+    # a power loop that would overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc, _, err = run(capsys, "refine-inverse", "--gateset", path, "--gate", gate,
+                         "--epsilon", "1e-6", "--length", "3", "--naive-compare")
+    assert rc == 2
+    assert modulus in err
+
+
 def test_refine_inverse_exact_table(capsys):
     rc, out, _ = run(capsys, "refine-inverse", "--gateset", HT,
                      "--gate", "X", "--epsilon", "1e-8", "--length", "2")

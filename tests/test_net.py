@@ -32,8 +32,8 @@ TPRIME = ROOT / "perfbench" / "gatesets" / "pauli_ht_tprime.json"
 def nearest_of(net, targets):
     """Store indices and distances of net.nearest for a stack of SU(2)
     matrices."""
-    hits, d = net.nearest(su2_to_quaternion(np.asarray(targets)))
-    return hits % len(net), d
+    words, _, d = net.nearest(su2_to_quaternion(np.asarray(targets)))
+    return words, d
 
 
 def words_of(net) -> list[tuple[int, ...]]:
@@ -184,14 +184,15 @@ def test_query_matches_a_two_sheet_brute_force(ht_gateset, ht_base8):
     for store, q in ((ht_base8, np.concatenate([haar, equator])), (net, np.concatenate(
             [p, -p, mid[rng.choice(len(mid), 600, replace=False)]]))):
         q = q / np.linalg.norm(q, axis=1, keepdims=True)
-        hits, d = store.nearest(q)
+        i, signed, d = store.nearest(q)
         ref = two_sheets(store, q)
-        i, sign = hits % len(store), np.where(hits < len(store), 1.0, -1.0)
+        # signed is the word's quaternion or its negation, exactly
+        plus = su2_to_quaternion(store.products[i])
+        sign = np.where((signed == plus).all(axis=1), 1.0, -1.0)
         assert i.tolist() == [r[0] for r in ref] and sign.tolist() == [r[1] for r in ref]
         assert np.abs(d - [r[2] for r in ref]).max() <= 1e-15
         # the signed quaternion is the near one
-        signed = store.signed(hits)
-        assert np.array_equal(signed, sign[:, None] * su2_to_quaternion(store.products[i]))
+        assert np.array_equal(signed, sign[:, None] * plus)
         assert np.abs(np.linalg.norm(signed - q, axis=1) - d).max() <= 1e-15
         ties += sum(r[3] > 1 for r in ref)
     assert ties > 100
@@ -209,10 +210,10 @@ def test_batched_query_keeps_the_tie_rule(ht_gateset, ht_base8):
     rng = np.random.default_rng(29)
     haar = su2_to_quaternion(np.array([random_su(2, rng) for _ in range(200)]))
     for store, targets in ((net, mid), (ht_base8, haar)):
-        hits, d = store.nearest(targets)
-        for t, j, dj in zip(targets, hits, d):
-            (one,), (one_d,) = store.nearest(t[None])
-            assert one == j and one_d == dj
+        words, signed, d = store.nearest(targets)
+        for t, j, sj, dj in zip(targets, words, signed, d):
+            (one,), (one_signed,), (one_d,) = store.nearest(t[None])
+            assert one == j and one_signed.tobytes() == sj.tobytes() and one_d == dj
     d, _ = net._tree.query(mid, k=2)
     assert np.count_nonzero(d[:, 1] - d[:, 0] <= 1e-12) > 500
 
@@ -526,8 +527,9 @@ def test_reloaded_base_net_answers_like_the_built_one(tmp_path, ht_gateset):
     back = load_net(p, ht_gateset, with_inverses=True)
     rng = np.random.default_rng(27)
     q = su2_to_quaternion(np.array([random_su(2, rng) for _ in range(50)]))
-    (hits, d), (back_hits, back_d) = net.nearest(q), back.nearest(q)
-    assert np.array_equal(back_hits, hits) and back_d.tobytes() == d.tobytes()
+    (words, signed, d), (back_words, back_signed, back_d) = net.nearest(q), back.nearest(q)
+    assert np.array_equal(back_words, words)
+    assert back_signed.tobytes() == signed.tobytes() and back_d.tobytes() == d.tobytes()
 
 
 def test_built_su2_net_queries_on_the_builders_tree(tmp_path, ht_gateset):
@@ -549,11 +551,11 @@ def test_built_su2_net_queries_on_the_builders_tree(tmp_path, ht_gateset):
                    fingerprint=net.fingerprint, tokens=net.tokens, offsets=net.offsets,
                    parents=net.parents, products=net.products,
                    _tree=cKDTree(q))
-    hits, d = net.nearest(haar)
+    words, signed, d = net.nearest(haar)
     for other in (fresh, back):
-        other_hits, other_d = other.nearest(haar)
-        assert np.array_equal(other_hits, hits) and other_d.tobytes() == d.tobytes()
-        assert other.signed(hits).tobytes() == net.signed(hits).tobytes()
+        other_words, other_signed, other_d = other.nearest(haar)
+        assert np.array_equal(other_words, words) and other_d.tobytes() == d.tobytes()
+        assert other_signed.tobytes() == signed.tobytes()
 
 
 def test_distances_match_aligned_queries(ht_gateset):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import irrepsk.skbase as skbase
 from irrepsk import base_params, build_gateset_net, compile_target, refine_inverse
@@ -19,9 +20,12 @@ from irrepsk.errors import (
 )
 from irrepsk.finitegroup import build_builtin
 from irrepsk.gateset import contraction_constant, eps0_constant, load_gateset, make_word
-from irrepsk.linalg import dist, random_sl_near_identity, random_su
+from irrepsk.linalg import (dist, op_norm, random_sl_near_identity, random_su,
+                            random_traceless_hermitian)
 from irrepsk.net import extended_inverse
 from irrepsk.refine import (
+    SCAN_EPS,
+    SCAN_VANISH,
     check_smalltrace,
     naive_inverse_length,
     scan_orderings,
@@ -50,6 +54,29 @@ def test_contraction_constants():
 def test_symmetrize_matrix_fixes_identity():
     rep = build_builtin("pauli")
     assert np.allclose(symmetrize_matrix(rep, np.eye(2)), np.eye(2), atol=1e-12)
+
+
+@pytest.mark.parametrize("name, dim", [("s3", None), ("pauli", None), ("weyl", 3)])
+def test_symmetrize_matrix_on_a_stack_matches_single_calls(name, dim):
+    # matmul runs the one-matrix product on each matrix of a stack, so each
+    # stacked result is byte-equal to the single call's, in any order
+    rep = build_builtin(name, dim)
+    rng = np.random.default_rng(46)
+    w = np.array([random_su(rep.dim, rng) for _ in range(5)] + [np.eye(rep.dim)])
+    rest = [int(g) for g in rng.permutation(np.arange(1, rep.order))]
+    for order in (None, tuple(rest) + (0,)):
+        stacked = symmetrize_matrix(rep, w, order)
+        assert stacked.shape == w.shape
+        for row, one in zip(stacked, w):
+            assert row.tobytes() == symmetrize_matrix(rep, one, order).tobytes()
+
+
+def test_symmetrize_matrix_checks_the_trailing_shape():
+    rep = build_builtin("s3")
+    assert symmetrize_matrix(rep, np.eye(2)).shape == (2, 2)
+    for bad in (np.eye(3), np.zeros((4, 2, 3)), np.zeros(2)):
+        with pytest.raises(DimError):
+            symmetrize_matrix(rep, bad)
 
 
 def test_symmetrize_word_matches_matrix_map(ht_gateset):
@@ -500,6 +527,44 @@ def test_scan_orderings_s3():
         assert coeff >= 0
     assert threshold > 0
     assert any(c <= threshold for _, c in results)
+
+
+def _scan_one_at_a_time(rep, samples, rng):
+    """scan_orderings as a loop: each exponential, symmetrization product
+    and distance taken one matrix at a time, per ordering."""
+    eye = np.eye(rep.dim)
+    perturbations = []
+    for _ in range(samples):
+        h = random_traceless_hermitian(rep.dim, rng)
+        perturbations.append(h / op_norm(h))
+    results = []
+    for perm in itertools.permutations(range(1, rep.order)):
+        order = perm + (0,)
+        coeffs = []
+        for h in perturbations:
+            for eps in SCAN_EPS:
+                f = symmetrize_matrix(rep, expm(1j * eps * h), order)
+                coeffs.append(dist(f, eye, rep.phase_candidates) / eps ** 2)
+        results.append((order, float(np.mean(coeffs))))
+    results.sort(key=lambda t: t[1])
+    return results, SCAN_VANISH * float(np.median([c for _, c in results]))
+
+
+@pytest.mark.parametrize("name, samples, seed", [("s3", 4, 1), ("s3", 6, 45), ("pauli", 24, 0)])
+def test_scan_orderings_matches_the_loop_bitwise(monkeypatch, name, samples, seed):
+    # one exponential per perturbation and eps, shared by every ordering
+    import irrepsk.refine as refine_mod
+    rep = build_builtin(name)
+    calls = []
+
+    def counted_expm(a):
+        calls.append(1)
+        return expm(a)
+
+    monkeypatch.setattr(refine_mod, "expm", counted_expm)
+    got = scan_orderings(rep, samples=samples, rng=np.random.default_rng(seed))
+    assert len(calls) == samples * len(SCAN_EPS)
+    assert got == _scan_one_at_a_time(rep, samples, np.random.default_rng(seed))
 
 
 def test_scan_orderings_rejects_large_groups():

@@ -83,6 +83,13 @@ RECORDS = {
         "the per-net table of signed 2x2 products is gone), and the "
         "refinement seed is one scan of the net's products in every mode; "
         "claims no gain",
+    "BENCH_call_overhead.json":
+        "each SK recursion step costs what its kernels need: the commutator "
+        "decomposition reads its factor axes from index tables over the "
+        "products r_i r_j and fills preallocated stacks, and the compile path "
+        "calls array methods and ufuncs in place of numpy's Python-level "
+        "helpers (flatnonzero, moveaxis, broadcast_to, linalg.norm, the "
+        "function forms of repeat and cumsum); every word is unchanged",
 }
 # --out files that also record "sample": SAMPLE_TARGETS targets of one gate
 # set at the small eps of the sweep, one compile per target and side, with

@@ -99,7 +99,7 @@ def word_product(gens: np.ndarray, tokens) -> np.ndarray:
     for j in range(1, b):
         block = block * len(gens) + t[j:q * b:b]
     m = np.empty((q + (q * b < len(t)),) + gens.shape[1:], dtype=gens.dtype)
-    np.take(table, block, axis=0, out=m[:q])
+    table.take(block, axis=0, out=m[:q])
     m[q:] = _tree(gens[t[q * b:]])
     m = _tree(m)
     return m[0] if len(m) else np.eye(gens.shape[1], dtype=complex)
@@ -146,9 +146,9 @@ def matmul_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def gather_segments(flat: np.ndarray, starts, lengths) -> np.ndarray:
     """flat[s:s + n] for each (s, n) of zip(starts, lengths), laid end to end
-    by one np.repeat instead of a loop over segments."""
-    lead = np.cumsum(lengths) - lengths
-    return flat[np.repeat(starts - lead, lengths) + np.arange(lengths.sum())]
+    by one repeat instead of a loop over segments."""
+    lead = lengths.cumsum() - lengths
+    return flat[(starts - lead).repeat(lengths) + np.arange(lengths.sum())]
 
 
 def make_word(gens: np.ndarray, tokens) -> GateWord:

@@ -136,16 +136,20 @@ def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ab.reshape(ab.shape[:-2] + (16,)) @ _QMUL
 
 
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+
+
 def qconj(q: np.ndarray) -> np.ndarray:
-    """Conjugate quaternions (w, -x, -y, -z): the adjoint, on SU(2)."""
-    return q * [1.0, -1.0, -1.0, -1.0]
+    """Conjugate quaternions (w, -x, -y, -z), the adjoint on SU(2): one
+    product with the module constant _CONJ, with no list to convert."""
+    return q * _CONJ
 
 
 def su2_residual(u: np.ndarray) -> tuple[np.ndarray, float]:
     """The quaternion q of a (2, 2) matrix's first row, and the larger of
-    |q.q - 1| and max |quaternion_to_su2(q) - u|, which is 0 on SU(2)."""
+    |q.q - 1| and max |quaternion_to_su2(q) - u|: 0 on SU(2), NaN if either is."""
     q = su2_to_quaternion(u)
-    return q, float(np.max([abs(q @ q - 1.0), np.abs(quaternion_to_su2(q) - u).max()]))
+    return q, float(np.maximum(abs(q @ q - 1.0), np.abs(quaternion_to_su2(q) - u).max()))
 
 
 # --- seeded samplers used by probes, benchmarks and tests ---

@@ -158,7 +158,7 @@ class EpsNet:
             self._tree = _sheet_tree(self.products)
         n = len(self)
         d, j = self._tree.query(q, k=2)
-        d, j, tied = d[:, 0], j[:, 0], np.flatnonzero(d[:, 1] - d[:, 0] <= TIE)
+        d, j, tied = d[:, 0], j[:, 0], (d[:, 1] - d[:, 0] <= TIE).nonzero()[0]
         if len(tied):
             balls = self._tree.query_ball_point(q[tied], d[tied] + TIE)
             j[tied] = [min(b, key=lambda k: (k % n, k)) for b in balls]
@@ -180,9 +180,9 @@ class EpsNet:
         n = end - start
         # a word read back to front starts at its last token and steps by -1
         first = np.where(back, end - 1, start)
-        step = np.repeat(np.where(back, -1, 1), n)
-        k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-        tokens = self.tokens[np.repeat(first, n) + step * k]
+        step = np.where(back, -1, 1).repeat(n)
+        k = np.arange(n.sum()) - (n.cumsum() - n).repeat(n)
+        tokens = self.tokens[first.repeat(n) + step * k]
         return free_reduce(np.where(step < 0, inverse[tokens], tokens), inverse)
 
 
@@ -204,7 +204,7 @@ def free_reduce(tokens: np.ndarray, inverse: np.ndarray) -> np.ndarray:
     t = np.concatenate([pad, tokens, pad - 1])
     it = np.concatenate([pad - 2, inverse[tokens], pad - 3])  # it[j] = inverse of t[j]
     while True:
-        c = np.flatnonzero(t[1:] == it[:-1])
+        c = (t[1:] == it[:-1]).nonzero()[0]
         if not len(c):
             return t[REACH:-REACH]
         half = (t[c[:, None] + 1 + steps] == it[c[:, None] - steps]).cumprod(1).sum(1)
@@ -215,7 +215,7 @@ def free_reduce(tokens: np.ndarray, inverse: np.ndarray) -> np.ndarray:
         free[1:] = start[1:] >= np.maximum.accumulate(end)[:-1]
         start, n = start[free], 2 * half[order][free]
         keep = np.ones(len(t), bool)
-        keep[np.repeat(start - np.cumsum(n) + n, n) + np.arange(n.sum())] = False
+        keep[(start - n.cumsum() + n).repeat(n) + np.arange(n.sum())] = False
         t, it = t[keep], it[keep]
 
 

@@ -396,7 +396,7 @@ def sk_compile(gs: GateSet, target, eps: float, params: SKParams, refine_net: Ep
         counts = np.bincount(inv[base[base >= n]], minlength=n)
         m = int(counts.sum())
         refined = {i: refine_inverse(gs, refine_net, i, (eps / 2.0) / m)
-                   for i in np.flatnonzero(counts).tolist()}
+                   for i in counts.nonzero()[0].tolist()}
         if base_error + sum(counts[i] * r[1] for i, r in refined.items()) <= eps:
             return depth, rotation, base_error, base, counts, refined
 
@@ -430,7 +430,7 @@ def compile_target(gs: GateSet, target, eps: float, params: SKParams,
     segments = [np.array([e]) if e < n else refined[inv[e]][0].tokens if inv[e] in refined
                 else empty for e in range(len(inv))]
     seg_len = np.array([len(s) for s in segments], dtype=np.intp)
-    seg_start = np.cumsum(seg_len) - seg_len
+    seg_start = seg_len.cumsum() - seg_len
     word = make_word(gs.matrices, gather_segments(np.concatenate(segments),
                                                   seg_start[base], seg_len[base]))
     return CompileReport(

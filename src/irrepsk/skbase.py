@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClassError, DimError, DimUnsupported, NetTooCoarse, TooFar
+from .errors import ClassError, DimError, DimUnsupported, InvalidMatrix, NetTooCoarse, TooFar
 from .gateset import GateSet
 from .net import TIE, EpsNet, build_gateset_net
 from .linalg import DEFAULT_TOL, qconj, qmul, quaternion_to_su2, su2_residual
@@ -71,7 +71,8 @@ def balanced_commutator_decompose(deltas: np.ndarray, angles=None) -> np.ndarray
     """Exact A, B in SU(2) with A B A^dag B^dag = delta for each delta of an
     (n, 4) stack of quaternions; the quaternions of A and of B as one
     (2, n, 4) array, or (2, n, k, 4) given k angles.  Any other input, such
-    as an (n, 2, 2) stack of matrices, raises DimError.
+    as an (n, 2, 2) stack of matrices, raises DimError, and a non-finite row
+    InvalidMatrix; an empty stack gives (2, 0, 4) or (2, 0, k, 4).
 
     Requires dist(delta, I) <= 1/4.  Both factors are rotations by
     phi = 2 arcsin(sqrt(sin(theta/4))) about an orthogonal axis pair, so
@@ -82,7 +83,8 @@ def balanced_commutator_decompose(deltas: np.ndarray, angles=None) -> np.ndarray
     near the identity.  Rotations by phi about x and y, with (c, s) =
     (cos(phi/2), sin(phi/2)), have a commutator of angle theta about
     m = (s, -s, c) / sqrt(1 + s^2); the smallest rotation R taking m to
-    n = v / |v| sends the x/y pair to the axes of A and B.
+    n = v / |v| sends the x/y pair to the axes of A and B, which are read
+    from the products r_i r_j of R's quaternion r by index tables (_AXES).
 
     Given angles, the pair is conjugated by the rotation S about n by each
     alpha (sk_depths passes pi r / ROTATIONS): S commutes with delta, so the
@@ -90,16 +92,19 @@ def balanced_commutator_decompose(deltas: np.ndarray, angles=None) -> np.ndarray
     so R's quaternion r becomes qmul((cos(alpha/2), sin(alpha/2) n), r)
     before the axes are read.  At alpha = 0 that multiplies by 1 and adds
     products with 0: the plain pair bit for bit.  At delta = I both factors
-    are I at every alpha.
+    are I at every alpha.  Each step is elementwise over the rows, so a
+    row's factors do not depend on the stack it is in.
     """
     deltas = np.asarray(deltas)
-    if deltas.ndim != 2 or deltas.shape[1] != 4 or not np.isrealobj(deltas):
+    if deltas.ndim != 2 or deltas.shape[1] != 4 or deltas.dtype.kind == "c":
         raise DimError(f"expected a real (n, 4) stack, got {deltas.dtype} {deltas.shape}")
     q = np.ascontiguousarray(deltas.T)  # rows w, x, y, z: unit-stride reads
     w, v = q[0], q[1:]
     vv = (v * v).sum(0)
     gap = np.sqrt((w - 1.0) ** 2 + vv)
-    if gap.max() > 0.25 + 1e-12:
+    if not (gap <= 0.25 + 1e-12).all():
+        if not np.isfinite(gap).all():
+            raise InvalidMatrix("delta contains non-finite entries")
         raise TooFar(f"dist(delta, I) = {gap.max():.4f} > 1/4")
     vn = np.sqrt(vv)
     s = np.sqrt(np.sin(0.5 * np.arctan2(vn, w)))
@@ -111,35 +116,47 @@ def balanced_commutator_decompose(deltas: np.ndarray, angles=None) -> np.ndarray
     # rounding taken off m so that R m = n stays accurate as n nears -m.
     # Its quaternion is (|m + n|, |m - n| k / |k|) / 2.  If n = +-m exactly,
     # any k normal to m serves; (1, 1, 0) is, and for n = -m R swaps x and y
-    k = _cross(m, n)
+    k = m[_NEXT] * n[_PREV] - m[_PREV] * n[_NEXT]
     k -= (m * k).sum(0) * m
     kn = np.sqrt((k * k).sum(0))
     if not kn.all():
         k[:, kn == 0] = [[1.0], [1.0], [0.0]]
         kn[kn == 0] = math.sqrt(2.0)
-    h = 0.5 * np.sqrt((np.array([m + n, m - n]) ** 2).sum(1))
+    mn = np.empty((2,) + m.shape)
+    np.add(m, n, out=mn[0])
+    np.subtract(m, n, out=mn[1])
+    h = 0.5 * np.sqrt((mn ** 2).sum(1))
     r = np.concatenate([h[:1], h[1] / kn * k])
+    shape = r.shape[1:]
     if angles is not None:
         half = 0.5 * np.asarray(angles)
-        sv = np.sin(half)[:, None] * n.T[:, None]
-        sw = np.broadcast_to(np.cos(half)[:, None], sv.shape[:-1] + (1,))
-        r = np.moveaxis(qmul(np.concatenate([sw, sv], -1), r.T[:, None]), -1, 0)
-        c, s = np.broadcast_to(c[:, None], r.shape[1:]), s[:, None]
+        sq = np.empty(shape + half.shape + (4,))
+        sq[..., 0] = np.cos(half)
+        np.multiply(np.sin(half)[:, None], n.T[:, None], out=sq[..., 1:])
+        shape = sq.shape[:-1]
+        r = qmul(sq, r.T[:, None]).reshape(-1, 4).T
+        c, s = c[:, None], s[:, None]
     # A and B turn by phi about the first two columns of R's rotation
-    # matrix, written with the products rr[i, j] = r_i r_j
-    rr = r[:, None] * r
-    q = np.array([[c, 1 - 2 * (rr[2, 2] + rr[3, 3]), 2 * (rr[1, 2] + rr[0, 3]),
-                   2 * (rr[1, 3] - rr[0, 2])],
-                  [c, 2 * (rr[1, 2] - rr[0, 3]), 1 - 2 * (rr[1, 1] + rr[3, 3]),
-                   2 * (rr[2, 3] + rr[0, 1])]])
-    q[:, 1:] *= s
-    return np.moveaxis(q, 1, -1)
+    # matrix: entry e is scale (rr[i] + sign rr[j]), plus 1 on the diagonal,
+    # by row e of _AXES, from the products rr[4 a + b] = r_a r_b
+    rr = (r[:, None] * r).reshape(16, r.shape[1])
+    i, j, sign, scale = _AXES
+    axes = scale * (rr[i] + sign * rr[j])
+    axes[::4] += 1.0
+    ab = np.empty((2, 4) + shape)
+    ab[:, 0] = c
+    np.multiply(axes.reshape((2, 3) + shape), s, out=ab[:, 1:])
+    return ab.transpose(0, *range(2, ab.ndim), 1)
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b for 3-vectors along the first axis."""
-    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+# a x b = a[_NEXT] b[_PREV] - a[_PREV] b[_NEXT] along axis 0
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+# (i, j, sign, scale) of the rotation matrix's first two columns, rows 0 and
+# 4 diagonal: 1 - 2 (r2 r2 + r3 r3), 2 (r1 r2 + r0 r3), 2 (r1 r3 - r0 r2);
+# 2 (r1 r2 - r0 r3), 1 - 2 (r1 r1 + r3 r3), 2 (r2 r3 + r0 r1)
+_AXES = (np.array([10, 6, 7, 6, 5, 11]), np.array([15, 3, 2, 3, 15, 1]),
+         np.array([[1.0], [1.0], [-1.0], [-1.0], [1.0], [1.0]]),
+         np.array([[-2.0], [2.0], [2.0], [2.0], [-2.0], [2.0]]))
 
 
 # the number K of top-level commutator pairs each depth tries (1 is the plain
@@ -251,7 +268,7 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
 
     def error(p: np.ndarray) -> np.ndarray:
         """Distances ||A - B|| = |q_A - q_B| of (n, 4) quaternions to the target."""
-        return np.linalg.norm(p - target_q, axis=-1)
+        return np.sqrt(((p - target_q) ** 2).sum(-1))
 
     def search(family: np.ndarray, w1, depth: int, rs) -> tuple[tuple, float, int]:
         """The best of the top-level pairs r of rs from w1, the depth - 1
@@ -263,12 +280,12 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
         idx1, p1 = w1
         (ia, ib), p = commutators(family[:, rs], p1[None], depth)
         errors = error(p)
-        tied = np.flatnonzero(errors <= errors.min() + TIE)
+        tied = (errors <= errors.min() + TIE).nonzero()[0]
         j = tied[0]
         if len(tied) > 1:  # rs ascends: the first of the fewest has the lowest r
             i = np.concatenate([ia[tied], ib[tied]], axis=-1)
             i = np.where(i < 0, ~i, i)
-            j = tied[np.argmin((net.offsets[i + 1] - net.offsets[i]).sum(-1))]
+            j = tied[(net.offsets[i + 1] - net.offsets[i]).sum(-1).argmin()]
         return (commutator_word(ia[j], ib[j], idx1), p[j]), float(errors[j]), int(rs[j])
 
     # depth d starts from the depth-(d - 1) word, so each deepening step

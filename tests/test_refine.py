@@ -1,8 +1,10 @@
 """Inverse refinement: symmetrization, contraction, traces, the scan."""
 
 import hashlib
+import inspect
 import itertools
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -327,6 +329,60 @@ def test_compile_target_report(ht_gateset, ht_params, ht_refine_net):
     assert doc["rotation"] == report.rotation
     assert 0 <= report.rotation < 2 * skbase.ROTATIONS
     assert doc["inverted_counts"] == {str(i): c for i, c in report.inverted_counts.items()}
+
+
+class _TreeFrame:
+    """A k-d tree called from a Python frame of its own.  The tree's compiled
+    methods call numpy's Python functions (np.max among them) with no frame
+    between them and their caller, so without this they would read as calls
+    from EpsNet.nearest."""
+
+    def __init__(self, tree):
+        self.tree, self.data = tree, tree.data
+
+    def query(self, *args, **kwargs):
+        return self.tree.query(*args, **kwargs)
+
+    def query_ball_point(self, *args, **kwargs):
+        return self.tree.query_ball_point(*args, **kwargs)
+
+
+# numpy's Python-level wrappers that the compile path does without: each
+# costs more than the C call or array method it wraps, on stacks of 1-256 rows
+SLOW_HELPERS = (np.moveaxis, np.flatnonzero, np.broadcast_to, np.isrealobj, np.linalg.norm,
+                np.repeat, np.cumsum, np.max)
+
+
+def test_compile_path_calls_no_python_level_numpy_helper(ht_gateset, ht_params, ht_refine_net,
+                                                         monkeypatch):
+    # one warm compile, profiled: no call to a SLOW_HELPERS function may come
+    # from a frame of an irrepsk module.  The count is deterministic
+    target = random_su(2, np.random.default_rng(61))
+    compile_target(ht_gateset, target, 1e-4, ht_params, ht_refine_net)
+    for net in (ht_params.net, ht_refine_net):
+        if net._tree is not None:
+            monkeypatch.setattr(net, "_tree", _TreeFrame(net._tree))
+    helpers = {inspect.unwrap(f).__code__: f.__name__ for f in SLOW_HELPERS}
+    decompose = skbase.balanced_commutator_decompose.__code__
+    seen, decompositions = [], []
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        if frame.f_code is decompose:
+            decompositions.append(frame)
+        caller = frame.f_back
+        if frame.f_code in helpers and caller.f_globals["__name__"].startswith("irrepsk"):
+            seen.append((helpers[frame.f_code], caller.f_globals["__name__"],
+                         caller.f_code.co_name, caller.f_lineno))
+
+    sys.setprofile(profile)
+    try:
+        compile_target(ht_gateset, target, 1e-4, ht_params, ht_refine_net)
+    finally:
+        sys.setprofile(None)
+    assert len(decompositions) > 1
+    assert seen == []
 
 
 def test_compile_target_empty_base_word(ht_gateset):

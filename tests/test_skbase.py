@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import re
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 
 import irrepsk.skbase as skbase
 from irrepsk import EpsNet, SKParams, base_params, build_gateset_net, parse_gateset
-from irrepsk.errors import ClassError, DimError, NetTooCoarse, TooFar
+from irrepsk.errors import ClassError, DimError, InvalidMatrix, NetTooCoarse, TooFar
 from irrepsk.gateset import GateWord, load_gateset, make_word, word_product
 from irrepsk.linalg import dist, qmul, quaternion_to_su2, random_su, su2_to_quaternion
 from irrepsk.net import extended_generators, extended_inverse
@@ -93,6 +94,59 @@ def _commutators(ab):
     a, b = quaternion_to_su2(ab)
     dag = np.swapaxes(np.conj(np.stack([a, b])), -1, -2)
     return a @ b @ dag[0] @ dag[1]
+
+
+def _reference_decompose(deltas: np.ndarray, angles=None) -> np.ndarray:
+    """balanced_commutator_decompose as it was before its factor axes were
+    read from index tables, kept verbatim as the bit-for-bit reference."""
+    deltas = np.asarray(deltas)
+    if deltas.ndim != 2 or deltas.shape[1] != 4 or not np.isrealobj(deltas):
+        raise DimError(f"expected a real (n, 4) stack, got {deltas.dtype} {deltas.shape}")
+    q = np.ascontiguousarray(deltas.T)  # rows w, x, y, z: unit-stride reads
+    w, v = q[0], q[1:]
+    vv = (v * v).sum(0)
+    gap = np.sqrt((w - 1.0) ** 2 + vv)
+    if gap.max() > 0.25 + 1e-12:
+        raise TooFar(f"dist(delta, I) = {gap.max():.4f} > 1/4")
+    vn = np.sqrt(vv)
+    s = np.sqrt(np.sin(0.5 * np.arctan2(vn, w)))
+    c = np.sqrt(1.0 - s * s)
+    m = np.array([s, -s, c]) / np.sqrt(1.0 + s * s)
+    # at delta = I, s = 0 makes A = B = I whatever n is; n = 0 keeps it finite
+    n = v / (vn + (vn == 0))
+    # R turns by the angle between m and n about k = m x n, with k's
+    # rounding taken off m so that R m = n stays accurate as n nears -m.
+    # Its quaternion is (|m + n|, |m - n| k / |k|) / 2.  If n = +-m exactly,
+    # any k normal to m serves; (1, 1, 0) is, and for n = -m R swaps x and y
+    k = _reference_cross(m, n)
+    k -= (m * k).sum(0) * m
+    kn = np.sqrt((k * k).sum(0))
+    if not kn.all():
+        k[:, kn == 0] = [[1.0], [1.0], [0.0]]
+        kn[kn == 0] = math.sqrt(2.0)
+    h = 0.5 * np.sqrt((np.array([m + n, m - n]) ** 2).sum(1))
+    r = np.concatenate([h[:1], h[1] / kn * k])
+    if angles is not None:
+        half = 0.5 * np.asarray(angles)
+        sv = np.sin(half)[:, None] * n.T[:, None]
+        sw = np.broadcast_to(np.cos(half)[:, None], sv.shape[:-1] + (1,))
+        r = np.moveaxis(qmul(np.concatenate([sw, sv], -1), r.T[:, None]), -1, 0)
+        c, s = np.broadcast_to(c[:, None], r.shape[1:]), s[:, None]
+    # A and B turn by phi about the first two columns of R's rotation
+    # matrix, written with the products rr[i, j] = r_i r_j
+    rr = r[:, None] * r
+    q = np.array([[c, 1 - 2 * (rr[2, 2] + rr[3, 3]), 2 * (rr[1, 2] + rr[0, 3]),
+                   2 * (rr[1, 3] - rr[0, 2])],
+                  [c, 2 * (rr[1, 2] - rr[0, 3]), 1 - 2 * (rr[1, 1] + rr[3, 3]),
+                   2 * (rr[2, 3] + rr[0, 1])]])
+    q[:, 1:] *= s
+    return np.moveaxis(q, 1, -1)
+
+
+def _reference_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b for 3-vectors along the first axis."""
+    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
 
 
 def test_quaternion_roundtrip():
@@ -240,6 +294,40 @@ def test_commutator_takes_only_a_real_stack_of_quaternions():
             balanced_commutator_decompose(bad)
 
 
+def _same_bits(a, b):
+    """Equal shapes and equal values, the signs of zeros included."""
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def test_commutator_factors_are_the_reference_bit_for_bit():
+    # the index tables, the preallocated stacks and the in-place products
+    # keep every floating-point operation of the reference on every element
+    rng = np.random.default_rng(57)
+    s = np.sqrt(np.sin(1e-3 / 4))
+    m = np.array([s, -s, np.sqrt(1 - s * s)]) / np.sqrt(1 + s * s)
+    singular = np.array([np.concatenate([[np.cos(1e-3 / 2)], sign * np.sin(1e-3 / 2) * m])
+                         for sign in (1, -1)])
+    identity = np.array([[1.0, 0, 0, 0]] * 3)
+    stacks = [_rotations(rng, height - 1) for height in (1, 2, 32, 128)]
+    stacks += [identity, singular, rng.permutation(np.concatenate(stacks + [identity, singular]))]
+    for deltas in stacks:
+        assert _same_bits(balanced_commutator_decompose(deltas), _reference_decompose(deltas))
+        assert _same_bits(balanced_commutator_decompose(deltas, ANGLES),
+                          _reference_decompose(deltas, ANGLES))
+
+
+def test_commutator_edge_inputs():
+    # an empty stack gives empty factors, as EpsNet.nearest takes them; a
+    # non-finite row is an invalid input, not a small or a far delta
+    for angles, shape in ((None, (2, 0, 4)), (ANGLES, (2, 0, 32, 4))):
+        assert balanced_commutator_decompose(np.zeros((0, 4)), angles).shape == shape
+        for bad in (np.nan, np.inf):
+            deltas = np.array([[1.0, 0, 0, 0], [bad, 0, 0, 0]])
+            with pytest.raises(InvalidMatrix):
+                balanced_commutator_decompose(deltas, angles)
+
+
 def test_symbol_words(ht_gateset, slp_gateset):
     # base-compiler words index extended_generators, and extended_inverse
     # names the index of each entry's inverse, up to a global phase
@@ -369,8 +457,12 @@ def test_the_search_adds_rows_not_calls(ht_gateset, monkeypatch):
 def test_sk_compile_rejects_targets_off_su2(ht_gateset, ht_params):
     # plain H has det -1 and 1.5 I is not unitary; neither may reach the
     # quaternion recursion, which would read only the first row
+    # neither may a NaN in the second row, which the first row's quaternion
+    # does not see
     hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    for t, residual in ((hadamard, "1.414e+00"), (1.5 * np.eye(2), "1.250e+00")):
+    half_nan = np.array([[1, 0], [np.nan, 1]], dtype=complex)
+    for t, residual in ((hadamard, "1.414e+00"), (1.5 * np.eye(2), "1.250e+00"),
+                        (half_nan, "nan")):
         with pytest.raises(ClassError, match=re.escape(f"residual {residual}")):
             _first_within(ht_gateset, t, 1e-3, ht_params)
 

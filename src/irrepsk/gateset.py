@@ -51,11 +51,10 @@ class GateWord:
 
     Tokens index whichever array the word was built over, a gate set's
     matrices for the inverse-free words the compiler returns; the base
-    compiler's words are plain token arrays over extended_generators.  The
-    product is whatever its builder computed: word_product for make_word (a
-    full product of the generator matrices, whole blocks of tokens read from
-    a cached table of their products), the parts' products for concat_words
-    and symmetrize_word.
+    compiler's words are plain token arrays over extended_generators.  Every
+    word is built by make_word, so its product is word_product of its tokens:
+    a full product of the generator matrices, whole blocks of tokens read
+    from a cached table of their products.
 
     tokens is a 1-D intp array that the word owns: every builder passes an
     array it made.  Other token sequences are converted, but an intp array
@@ -156,10 +155,6 @@ def make_word(gens: np.ndarray, tokens) -> GateWord:
     is copied: the word never aliases the caller's array."""
     idx = np.array(tokens, dtype=np.intp)
     return GateWord(idx, word_product(gens, idx))
-
-
-def concat_words(a: GateWord, b: GateWord) -> GateWord:
-    return GateWord(np.concatenate([a.tokens, b.tokens]), a.product @ b.product)
 
 
 @dataclass(frozen=True, eq=False)

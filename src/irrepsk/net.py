@@ -33,7 +33,7 @@ from scipy.spatial import cKDTree
 
 from .errors import (BudgetExceeded, DimUnsupported, EmptyNet, FormatError, SchemaError,
                      StaleGateSet)
-from .gateset import GateSet, GateWord, eps0_constant
+from .gateset import GateSet, eps0_constant
 from .linalg import dist, random_su, su2_to_quaternion
 
 NET_FORMAT = "irrepsk-net-v3"
@@ -132,10 +132,6 @@ class EpsNet:
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
-
-    def word(self, i: int) -> GateWord:
-        """Stored word i with its product."""
-        return GateWord(self.tokens[self.offsets[i]:self.offsets[i + 1]], self.products[i])
 
     @property
     def su2(self) -> bool:
@@ -574,8 +570,8 @@ def load_net(path, gs: GateSet, with_inverses: bool = False) -> EpsNet:
     the builder stores) and checking them against the stored digest.
 
     Raises StaleGateSet when the cache was built against a different gate set
-    and FormatError on any structural damage, a malformed header field or a
-    file of an older format, which must be rebuilt.
+    or alphabet and FormatError on any structural damage, a malformed header
+    field or a file of an older format, which must be rebuilt.
     """
     with open(path, "r", encoding="utf-8") as f:
         head, _, body = f.read().partition("\n")
@@ -588,6 +584,12 @@ def load_net(path, gs: GateSet, with_inverses: bool = False) -> EpsNet:
         raise FormatError(f"net file format is {fmt!r}, not {NET_FORMAT!r}: rebuild it "
                           "with irrepsk net --out")
     gens, _, expected = _gateset_recipe(gs, with_inverses)
+    if header.get("fingerprint") == net_fingerprint(gs, not with_inverses):
+        raise StaleGateSet(
+            "net file is a net without inverses; this needs one built with irrepsk net "
+            "--with-inverses" if with_inverses else
+            "net file is a net with inverses (irrepsk net --with-inverses); this needs one "
+            "built without --with-inverses")
     if header.get("fingerprint") != expected:
         raise StaleGateSet(
             "net cache was built for a different gate set "

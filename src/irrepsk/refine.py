@@ -39,8 +39,7 @@ from .errors import (
     Stalled,
 )
 from .finitegroup import FiniteGroupRep
-from .gateset import (GateSet, GateWord, concat_words, eps0_constant, gather_segments,
-                      make_word)
+from .gateset import GateSet, GateWord, eps0_constant, gather_segments, make_word
 from .linalg import dist, op_norm, random_traceless_hermitian, su2_to_quaternion
 from .net import TIE, EpsNet, extended_inverse
 from .skbase import SKParams, sk_depths
@@ -70,26 +69,21 @@ def symmetrize_matrix(rep: FiniteGroupRep, w: np.ndarray, order=None) -> np.ndar
     return p
 
 
-def symmetrize_word(gs: GateSet, word: GateWord) -> GateWord:
-    """One inverse-free symmetrization pass at the word level.
+def symmetrize_word(rep: FiniteGroupRep, tokens: np.ndarray) -> np.ndarray:
+    """Tokens of one inverse-free symmetrization pass over a word's tokens.
 
-    For each non-identity group element in listed order the word
-    g . word . g^{-1} is appended, with g^{-1} drawn from the group's own
+    For each non-identity group element g in listed order the word
+    g . word . g^{-1} is laid down, with g^{-1} drawn from the group's own
     multiplication table; the identity factor comes last and contributes the
-    bare word.  Output length is n * len + 2 (n - 1).
+    bare word, so the output ends in the input's last token.  Output length
+    is n * len + 2 (n - 1).
     """
-    rep = gs.rep
     # row g - 1 is g . word . g^-1; the bare word follows the last row
-    pieces = np.empty((rep.order - 1, word.length + 2), dtype=np.intp)
+    pieces = np.empty((rep.order - 1, len(tokens) + 2), dtype=np.intp)
     pieces[:, 0] = np.arange(1, rep.order)
-    pieces[:, 1:-1] = word.tokens
+    pieces[:, 1:-1] = tokens
     pieces[:, -1] = rep.inverse_index[1:]
-    tokens = np.concatenate([pieces.ravel(), word.tokens])
-    p = np.eye(gs.dim, dtype=complex)
-    for g in range(1, rep.order):
-        p = p @ rep.elements[g] @ word.product @ rep.elements[int(rep.inverse_index[g])]
-    p = p @ word.product
-    return GateWord(tokens, p)
+    return np.concatenate([pieces.ravel(), tokens])
 
 
 def symmetrized_length(group_order: int, length: int) -> int:
@@ -124,18 +118,20 @@ def _table_inverse_word(gs: GateSet, gen_index: int):
 
 
 def _best_start(gs: GateSet, net: EpsNet, u: np.ndarray):
-    """Net word V minimizing the aligned distance of V U to the identity.
-    Among distances within TIE of the smallest, the lowest store index
+    """Tokens of the net word V minimizing the aligned distance of V U to I,
+    and that distance.  Within TIE of the smallest, the lowest store index
     wins, which is the shortest word (the store is breadth-first)."""
     starts = dist(net.products @ u, np.eye(gs.dim), gs.phase_candidates)
     i = int(np.flatnonzero(starts <= starts.min() + TIE)[0])
-    return net.word(i), float(starts[i])
+    return net.tokens[net.offsets[i]:net.offsets[i + 1]], float(starts[i])
 
 
 class _Trajectory:
-    """One gate's refinement from one seed net, extended a pass at a time:
-    the seed W_0 = V U, then each pass's iterate with its error, direct
-    error and determinant residual, and each entry's stripped tail.
+    """One gate's refinement from one seed net, extended a pass at a time.
+    Entry k is the word V_k that refine_inverse returns there, folded by
+    make_word: the seed, then each pass over V_(k-1) U without its last U
+    token.  Its errors dist(V_k U, I) (the seed scan's for k = 0) and
+    dist(V_k, U^-1) and V_k U's determinant residual are read from that fold.
 
     Seeding and passes never read the tolerance, so the first entry that
     meets one is where a fresh run for it stops.  A NetTooCoarse, Stalled or
@@ -147,14 +143,13 @@ class _Trajectory:
         self.gs, self.gen_index, self.u_inv = gs, gen_index, u_inv
         self.words: list[GateWord] = []
         self.errors: list[float] = []
-        self.direct: list[float] = []
+        self.achieved: list[float] = []
         self.det_residuals: list[float] = []
-        self.tails: dict[int, tuple[GateWord, float]] = {}
         self.failure = None
 
     def result(self, net: EpsNet, eps_target: float
                ) -> tuple[GateWord, float, RefineTrace]:
-        """The tail, its error and a new trace at the first entry meeting
+        """The word, its error and a new trace at the first entry meeting
         eps_target, extending the trajectory as far as that needs."""
         k = 0
         while True:
@@ -163,7 +158,7 @@ class _Trajectory:
                     self._extend(net)
                 if self.failure is not None:
                     raise self.failure()
-            if not (self.errors[k] > eps_target or self.direct[k] > eps_target):
+            if not (self.errors[k] > eps_target or self.achieved[k] > eps_target):
                 break
             if k >= _MAX_PASSES:
                 raise NonConvergent(
@@ -172,41 +167,43 @@ class _Trajectory:
                 )
             k += 1
         trace = RefineTrace(start_error=self.errors[0], errors=self.errors[:k + 1],
-                            lengths=[w.length for w in self.words[:k + 1]],
+                            lengths=[w.length + 1 for w in self.words[:k + 1]],
                             det_residuals=self.det_residuals[:k + 1])
-        return (*self._tail(k), trace)
+        return self.words[k], self.achieved[k], trace
 
     def _extend(self, net: EpsNet) -> None:
         """Append the seed, or one more pass, or set failure instead."""
         gs, phases = self.gs, self.gs.phase_candidates
+        u = gs.matrices[self.gen_index]
         if not self.words:
             eps0 = eps0_constant(gs)
-            v_word, err = _best_start(gs, net, gs.matrices[self.gen_index])
+            tokens, err = _best_start(gs, net, u)
             if err > eps0:
                 self.failure = functools.partial(
                     NetTooCoarse,
                     f"best net start error {err:.3e} exceeds the basin radius "
                     f"{eps0:.3e}; rebuild the net with longer words")
                 return
-            # W_0 = V U; identity-last symmetrization appends the bare word at
-            # the end of every pass, so each iterate still ends in the U token
-            word = concat_words(v_word, make_word(gs.matrices, (self.gen_index,)))
+            word = make_word(gs.matrices, tokens)
+            w = word.product @ u
         else:
-            word = symmetrize_word(gs, self.words[-1])
-            if gs.mode == "sl" and op_norm(word.product) > gs.sl_radius + 1.0:
+            # the pass over W = V U ends in the bare W, so in U's token
+            iterate = np.append(self.words[-1].tokens, self.gen_index)
+            word = make_word(gs.matrices, symmetrize_word(gs.rep, iterate)[:-1])
+            w = word.product @ u
+            if gs.mode == "sl" and op_norm(w) > gs.sl_radius + 1.0:
                 self.failure = functools.partial(
                     BallExit,
-                    f"iterate left the working ball (operator norm "
-                    f"{op_norm(word.product):.3f})")
+                    f"iterate left the working ball (operator norm {op_norm(w):.3f})")
                 return
-            err = dist(word.product, np.eye(gs.dim), phases)
+            err = dist(w, np.eye(gs.dim), phases)
             # this pass and the one before it both failed to contract; a
             # non-contracting pass is never a new best, so the best iterate
             # is among the kept ones
             if len(self.errors) >= 2 and err >= self.errors[-1] >= self.errors[-2]:
                 best_pass = int(np.argmin(self.errors))
                 best_error = self.errors[best_pass]
-                floor = self.words[best_pass].length * 2.0 ** -52
+                floor = (self.words[best_pass].length + 1) * 2.0 ** -52
                 self.failure = functools.partial(
                     Stalled,
                     f"two consecutive non-contracting passes: best error "
@@ -216,18 +213,8 @@ class _Trajectory:
                 return
         self.words.append(word)
         self.errors.append(err)
-        self.direct.append(dist(word.product @ self.u_inv, self.u_inv, phases))
-        self.det_residuals.append(abs(np.linalg.det(word.product) - 1.0))
-
-    def _tail(self, k: int) -> tuple[GateWord, float]:
-        """Entry k's word without its trailing U token, and its error."""
-        if k not in self.tails:
-            word = self.words[k]
-            if word.tokens[-1] != self.gen_index:
-                raise NonConvergent("internal error: trailing refined-gate token lost")
-            tail = make_word(self.gs.matrices, word.tokens[:-1])
-            self.tails[k] = (tail, dist(tail.product, self.u_inv, self.gs.phase_candidates))
-        return self.tails[k]
+        self.achieved.append(dist(word.product, self.u_inv, phases))
+        self.det_residuals.append(abs(np.linalg.det(w) - 1.0))
 
 
 def refine_inverse(gs: GateSet, net: EpsNet, gen_index: int,
@@ -239,8 +226,9 @@ def refine_inverse(gs: GateSet, net: EpsNet, gen_index: int,
     most eps_target.  Irrep members short-circuit to their exact table
     inverse.  Otherwise: scan the net for the seed V with V U closest to
     the identity, require that start inside the quadratic basin
-    (NetTooCoarse if not), iterate word symmetrization with measured
-    errors, and strip the trailing gate token from the converged word.
+    (NetTooCoarse if not), and iterate word symmetrization on W = V U, each
+    pass's V being the pass without its trailing gate token.  Every error is
+    measured on V's own fold (make_word), a re-multiplication of its tokens.
 
     The seed and passes are kept on net per gate set and gate, and extended
     only as far as a tolerance needs, so every call, in any order, returns
@@ -250,9 +238,9 @@ def refine_inverse(gs: GateSet, net: EpsNet, gen_index: int,
     In sl mode the gates are determinant-one matrices inside a ball in
     SL(d): non-unitary inverses are taken by np.linalg.inv, every iterate
     gets a ball-exit check (BallExit), and convergence requires both the
-    conjugated error dist(W, I) and the direct error against the exact
-    inverse to pass eps_target (they differ by up to the operator norm of
-    the inverse when the gate is not unitary).
+    conjugated error dist(V U, I) and the returned error dist(V, U^-1) to
+    pass eps_target (they differ by up to the operator norm of the inverse
+    when the gate is not unitary).
     """
     u = gs.matrices[gen_index]
     u_inv = u.conj().T if gs.mode == "su" else np.linalg.inv(u)

@@ -280,6 +280,25 @@ def test_compile_with_saved_nets(capsys, tmp_path):
     assert rc == 0
 
 
+def test_a_net_over_the_other_alphabet_is_named_as_such(capsys, tmp_path):
+    # compile's base net holds the inverses, refine-inverse's net does not;
+    # each refuses the other kind with exit 3, naming --with-inverses
+    fwd, inv = tmp_path / "fwd.net", tmp_path / "inv.net"
+    assert run(capsys, "net", "--gateset", HT, "--length", "6", "--out", str(fwd))[0] == 0
+    assert run(capsys, "net", "--gateset", HT, "--length", "6", "--with-inverses",
+               "--out", str(inv))[0] == 0
+    rc, _, err = run(capsys, "compile", "--gateset", HT, "--target", "axis:0,0,1:0.7",
+                     "--epsilon", "1e-2", "--base-net", str(fwd))
+    assert rc == 3
+    assert "net without inverses" in err and "--with-inverses" in err
+    assert "different gate set" not in err
+    rc, _, err = run(capsys, "refine-inverse", "--gateset", HT, "--gate", "T",
+                     "--epsilon", "1e-6", "--net", str(inv))
+    assert rc == 3
+    assert "net with inverses" in err and "--with-inverses" in err
+    assert "different gate set" not in err
+
+
 def test_bench_csv_is_deterministic(capsys, tmp_path):
     args = ("bench", "--gateset", HT, "--epsilon", "1e-2,1e-3", "--trials", "2",
             "--seed", "9", "--base-length", "10", "--refine-length", "8",

@@ -12,7 +12,6 @@ from irrepsk.errors import BallError, ClassError, IrrepError, SchemaError
 from irrepsk.finitegroup import build_builtin
 from irrepsk.gateset import (
     GateWord,
-    concat_words,
     eps0_constant,
     make_word,
     matmul_stack,
@@ -174,11 +173,6 @@ def test_word_monoid(request, gateset, length):
     for t in (w.tokens, wa.tokens):
         assert t.dtype == np.intp and t.ndim == 1 and not t.flags.writeable
     assert np.array_equal(wa.product, w.product)
-    a = make_word(gens, idx[:3])
-    b = make_word(gens, idx[3:])
-    ab = concat_words(a, b)
-    assert ab.tokens.tolist() == list(idx)
-    assert np.linalg.norm(ab.product - oracle, 2) <= tol
 
 
 def test_word_product_reads_current_entries():

@@ -80,7 +80,7 @@ def test_nearest_matches_brute_force(ht_gateset):
     for t, i, got in zip(targets, *nearest_of(net, targets)):
         brute = dist(net.products, t, SIGNS).min()
         assert got == pytest.approx(brute, abs=1e-8)
-        assert dist(net.word(i).product, t, SIGNS) == pytest.approx(got, abs=1e-8)
+        assert dist(net.products[i], t, SIGNS) == pytest.approx(got, abs=1e-8)
 
 
 def test_nearest_on_near_identity_target(pauli_only):
@@ -88,7 +88,7 @@ def test_nearest_on_near_identity_target(pauli_only):
     net = build_gateset_net(pauli_only, 1)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     (i,), (got,) = nearest_of(net, [expm(0.1j * x)])
-    assert net.word(i).tokens.tolist() == []
+    assert words_of(net)[i] == ()
     assert got == pytest.approx(2 * np.sin(0.05), abs=1e-9)
 
 
@@ -97,7 +97,7 @@ def test_nearest_tie_break_prefers_store_order(ht_gateset):
     # the identity product duplicates many times; dedup keeps the first,
     # so an exact identity query returns the empty word
     (i,), (got,) = nearest_of(net, [np.eye(2)])
-    assert i == 0 and net.word(i).tokens.tolist() == []
+    assert i == 0 and words_of(net)[i] == ()
     # the quaternion distance has no cancellation, so an exact hit reads 0
     assert got == 0.0
 
@@ -278,7 +278,8 @@ def _laid_out(net, signed, inverse) -> list[int]:
     ~i read back to front through inverse, one word at a time."""
     out = []
     for s in np.asarray(signed).tolist():
-        w = net.word(s if s >= 0 else ~s).tokens.tolist()
+        i = s if s >= 0 else ~s
+        w = net.tokens[net.offsets[i]:net.offsets[i + 1]].tolist()
         out += w if s >= 0 else [int(inverse[t]) for t in reversed(w)]
     return out
 

@@ -21,7 +21,8 @@ from irrepsk.errors import (
     Stalled,
 )
 from irrepsk.finitegroup import build_builtin
-from irrepsk.gateset import contraction_constant, eps0_constant, load_gateset, make_word
+from irrepsk.gateset import (contraction_constant, eps0_constant, load_gateset, make_word,
+                             matrix_to_literal, parse_gateset)
 from irrepsk.linalg import (dist, op_norm, random_sl_near_identity, random_su,
                             random_traceless_hermitian)
 from irrepsk.net import extended_inverse
@@ -81,17 +82,35 @@ def test_symmetrize_matrix_checks_the_trailing_shape():
             symmetrize_matrix(rep, bad)
 
 
-def test_symmetrize_word_matches_matrix_map(ht_gateset):
-    gs = ht_gateset
+def test_symmetrize_word_matches_matrix_map(ht_gateset, skew_gateset):
     rng = np.random.default_rng(41)
-    idx = tuple(int(i) for i in rng.integers(len(gs.matrices), size=3))
-    w = make_word(gs.matrices, idx)
-    f = symmetrize_word(gs, w)
-    assert f.length == symmetrized_length(gs.rep.order, w.length)
-    # word form uses table inverses, matrix form exact ones: equal up to
-    # a determinant root of unity
-    want = symmetrize_matrix(gs.rep, w.product)
-    assert dist(f.product, want, gs.phase_candidates) <= 1e-10
+    for gs, length in itertools.product((ht_gateset, skew_gateset), (1, 3, 8)):
+        tokens = rng.integers(len(gs.matrices), size=length)
+        out = symmetrize_word(gs.rep, tokens)
+        # the bare word comes last, so a pass keeps the refined gate's
+        # token at the end of every iterate
+        assert out[-1] == tokens[-1]
+        assert len(out) == symmetrized_length(gs.rep.order, length)
+        # word form uses table inverses, matrix form exact ones: equal up to
+        # a determinant root of unity
+        want = symmetrize_matrix(gs.rep, make_word(gs.matrices, tokens).product)
+        assert dist(make_word(gs.matrices, out).product, want, gs.phase_candidates) <= 1e-10
+
+
+def test_refined_error_is_that_of_an_independent_product(skew_gateset, skew_net):
+    # achieved is measured on the returned word's own fold; a plain
+    # left-to-right product of its gate matrices must read the same
+    gs = skew_gateset
+    gen = gs.name_index("S")
+    u_inv = gs.matrices[gen].conj().T
+    passes = []
+    for eps in (1e-3, 1e-8, 1e-13):
+        word, achieved, trace = refine_inverse(gs, skew_net, gen, eps)
+        passes.append(len(trace.errors) - 1)
+        product = np.linalg.multi_dot(list(gs.matrices[word.tokens]))
+        assert abs(dist(product, u_inv, gs.phase_candidates) - achieved) <= 1e-12
+        assert trace.lengths[-1] == word.length + 1
+    assert passes == [1, 2, 3]
 
 
 def test_symmetrize_contracts_near_identity():
@@ -260,6 +279,22 @@ def test_naive_inverse_length_matches_power_loop(rz_gateset):
             break
         p = p @ u
     assert got == brute
+
+
+def test_naive_inverse_length_power_loop_off_su2():
+    # the generic power loop: a d = 3 su set, whose Weyl elements have order
+    # 3, and an sl gate E = S R(pi/3) S^-1 with R(t) = exp(-i t Y / 2), a
+    # non-unitary conjugate of a rotation, with E^6 = -I and -1 a phase
+    weyl = parse_gateset({"dimension": 3, "mode": "su", "irrep": {"builtin": "weyl"}})
+    for name in ("W01", "W02", "W10"):
+        assert naive_inverse_length(weyl, weyl.name_index(name), 1e-9) == 2
+    c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
+    scale = np.diag([1.2, 1 / 1.2])
+    e = scale @ np.array([[c, -s], [s, c]]) @ np.linalg.inv(scale)
+    sl = parse_gateset({"dimension": 2, "mode": "sl", "sl_radius": 2,
+                        "irrep": {"builtin": "pauli"},
+                        "gates": [{"name": "E", "matrix": matrix_to_literal(e)}]})
+    assert naive_inverse_length(sl, sl.name_index("E"), 1e-9) == 5
 
 
 def test_naive_inverse_length_cap(rz_gateset):

@@ -13,11 +13,14 @@ sign, the global phase -1 that every SU(2) gate set's words are compared
 up to (GateSet.phase_candidates): it stores each rotation once, the
 shortest word the breadth-first build finds for U or -U, deduplicating its
 products' quaternions q and -q alike.  Its one lookup, EpsNet.nearest,
-answers a stack of SU(2) target quaternions up to sign, in O(log N) each,
-from one k-d tree over the stored quaternions and their negations.  Any
-other net (sl mode, d >= 3) is deduplicated over its products' Frobenius
-vectors and has no lookup: probe_density, its only reader, scans dist over
-all products.
+answers a stack of SU(2) target quaternions up to sign with rows of one k-d
+tree over the stored quaternions and their negations, in one of two ways
+with the same result: a stack whose rows all lie near the identity, as the
+SK recursion's commutator factors do, by one dot-product scan of the SCAN
+tree rows nearest the identity (EpsNet._scan says why that is exact), and
+any other stack by a tree query, O(log N) a row.  Any other net (sl mode,
+d >= 3) is deduplicated over its products' Frobenius vectors and has no
+lookup: probe_density and the refinement seed scan dist over all products.
 """
 
 from __future__ import annotations
@@ -44,6 +47,13 @@ CHUNK = 1 << 15
 TIE = 1e-12
 # the most steps one round of free_reduce grows a cancelling pair outward
 REACH = 16
+# tree rows nearest the identity that EpsNet.nearest scans for a stack near
+# it.  On pauli_ht the 512th lies 0.83 from I on the length-12 base net, so
+# every SK factor stack scans there, and 0.31 on the length-20 one.  In
+# perfbench throughput (one BLAS thread, 2 shared vCPUs, 4 runs each) 1024
+# read 0.96x of 512 on compile_skewed, whose scans then make dot matrices of
+# up to 2 MB, and 256 read 0.99x on compile_deep
+SCAN = 512
 
 
 def extended_generators(gs: GateSet) -> np.ndarray:
@@ -99,9 +109,9 @@ def net_fingerprint(gs: GateSet, with_inverses: bool) -> str:
 class EpsNet:
     """Products of all deduplicated generator words up to word_length, on an
     SU(2) net the k-d tree over their quaternions and their negations that
-    answers nearest (a net from build_net comes with it; a loaded one builds
-    it on first use), and lazily the refinement trajectories seeded from
-    them (refine_inverse).
+    answers nearest, with its SCAN rows nearest the identity (a net from
+    build_net comes with both; a loaded one builds them on first use), and
+    lazily the refinement trajectories seeded from them (refine_inverse).
 
     The words are one flat token array: word i is
     tokens[offsets[i]:offsets[i + 1]], in store order, which is breadth-first
@@ -124,6 +134,8 @@ class EpsNet:
     products: np.ndarray             # (n, d, d)
     achieved_density: float | None = None
     _tree: cKDTree | None = field(default=None, repr=False)
+    # the identity's nearest tree rows: distances (ascending), rows, quaternions
+    _near: tuple | None = field(default=None, repr=False)
     _refined: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -142,23 +154,77 @@ class EpsNet:
         """(words, signed, distances) of the nearest products, up to sign, to
         an (n, 4) stack of SU(2) quaternions: the net's one lookup.  words
         holds each hit's word index in [0, N), signed its quaternion (n, 4)
-        with the sign that is near, and distances how near.  One k-d tree
-        over the products' quaternions q_0 .. q_(N-1) and then
-        -q_0 .. -q_(N-1) answers it, and signed is the hits' rows.  Within
-        TIE of the nearest tie, the lowest word index wins, and of its two
-        signs +1.  Raises DimUnsupported on any other net (sl mode, d >= 3),
-        whose products have no quaternions."""
-        if self._tree is None:
-            if not self.su2:
-                raise DimUnsupported(f"a d = {self.dim} {self.mode} net has no lookup")
-            self._tree = _sheet_tree(self.products)
+        with the sign that is near, and distances how near.  The hits are
+        rows of one k-d tree over the products' quaternions q_0 .. q_(N-1)
+        and then -q_0 .. -q_(N-1), and signed is those rows.  Within TIE of
+        the nearest tie, the lowest word index wins, and of its two signs
+        +1.  Raises DimUnsupported on any other net (sl mode, d >= 3), whose
+        products have no quaternions.
+
+        A stack whose rows all lie near the identity, as the SK recursion's
+        commutator factors do, is answered by one dot-product scan (_scan),
+        any other stack and any row the scan leaves open by a tree query
+        (_query), with the same words, signs and distance bits."""
+        if self._near is None:
+            if self._tree is None:
+                if not self.su2:
+                    raise DimUnsupported(f"a d = {self.dim} {self.mode} net has no lookup")
+                self._tree = _sheet_tree(self.products)
+            self._near = _near_identity(self._tree)
+        scanned = self._scan(q)
+        if scanned is None:
+            j, d = self._query(q)
+        else:
+            j, d, rest = scanned
+            if len(rest):
+                j[rest], d[rest] = self._query(q[rest])
+        return j % len(self), self._tree.data[j], d
+
+    def _scan(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """For a stack q near the identity, the tree rows and distances of
+        nearest's hits from a scan of the tree rows nearest the identity,
+        and the indices of the rows that the scan leaves to the tree; None
+        for an empty stack or one not near enough.
+
+        Why it is exact.  Every net stores the empty word, so (1, 0, 0, 0)
+        is a tree row and a row x's nearest distance is at most
+        |x - 1| <= r, the largest over the stack.  A stored row within that
+        plus TIE of x lies within 2 r + TIE of the identity, so the m kept
+        rows within 2 r + 2 TIE hold each row's hit and its whole tie set,
+        once m < SCAN shows that no row past them is that near.  Dot
+        products rank the squared distances to within round-off, far below
+        TIE, so with d1 and d2 the distances of the first and second by dot
+        product, measured as the tree measures (_tree_dist), every other
+        kept row lies at least d2 - TIE / d2 from x.  Where that is more
+        than TIE past d1, the row has no tie and its hit is the one at d1,
+        as the tree finds it.  The rest (ties, near ties, and two rows that
+        round-off ranks the wrong way) go to the tree."""
+        if not len(q):
+            return None
+        near_d, rows, quats = self._near
+        r = np.sqrt(((q - _IDENTITY) ** 2).sum(1).max())
+        m = near_d.searchsorted(2 * r + 2 * TIE, "right")
+        if m >= SCAN:
+            return None
+        g = q @ quats[:m].T
+        a = g.argmax(1)
+        d1, d2 = _tree_dist(q, quats[a]), np.inf  # the identity alone has no second
+        if m > 1:
+            g[np.arange(len(q)), a] = -np.inf
+            d2 = _tree_dist(q, quats[g.argmax(1)])
+        sure = (d2 - d1 - TIE) * d2 > TIE
+        return rows[a], d1, (~sure).nonzero()[0]
+
+    def _query(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Tree rows and distances of nearest's hits by a tree query, the
+        ties resolved by a ball query over the whole tree."""
         n = len(self)
         d, j = self._tree.query(q, k=2)
         d, j, tied = d[:, 0], j[:, 0], (d[:, 1] - d[:, 0] <= TIE).nonzero()[0]
         if len(tied):
             balls = self._tree.query_ball_point(q[tied], d[tied] + TIE)
             j[tied] = [min(b, key=lambda k: (k % n, k)) for b in balls]
-        return j % n, self._tree.data[j], d
+        return j, d
 
     def gather(self, signed: np.ndarray, inverse: np.ndarray) -> np.ndarray:
         """The tokens of stored words laid end to end, freely reduced: i >= 0
@@ -220,6 +286,24 @@ def _sheet_tree(products: np.ndarray) -> cKDTree:
     then over their negations."""
     q = su2_to_quaternion(products)
     return cKDTree(np.concatenate([q, -q]), balanced_tree=False)
+
+
+_IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def _near_identity(tree: cKDTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The identity's SCAN nearest rows of EpsNet.nearest's tree (all rows of
+    a smaller one), nearest first: their distances, tree rows and
+    quaternions."""
+    d, i = tree.query(_IDENTITY, k=min(SCAN, tree.n))
+    return d, i, tree.data[i]
+
+
+def _tree_dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|x - y| row by row, with the bits of a k-d tree query: the squared
+    differences summed in the order w, x, y, z, then the square root."""
+    s = (x - y) ** 2
+    return np.sqrt(s[:, 0] + s[:, 1] + s[:, 2] + s[:, 3])
 
 
 def _times(mats: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -495,7 +579,8 @@ def build_net(gens: np.ndarray, dim: int, mode: str, word_length: int,
     an SU(2) net, 2 d^2 for any other, and an index per word) and their
     record of cell hashes (16 bytes per word), a build holds one chunk's
     candidates at a time.  A built SU(2) net comes with the k-d tree of its
-    lookup (EpsNet.nearest), so that building it is part of the build.
+    lookup (EpsNet.nearest) and that tree's rows nearest the identity, so
+    that building them is part of the build.
     Raises BudgetExceeded as soon as a chunk would take the store past
     budget words, so budget bounds the memory of a build as well as its
     words.  A negative word_length or a budget below 1 raises SchemaError
@@ -507,6 +592,7 @@ def build_net(gens: np.ndarray, dim: int, mode: str, word_length: int,
     net = next(itertools.islice(nets, word_length, None))
     if net.su2:  # the lookup's tree is part of the build
         net._tree = _sheet_tree(net.products)
+        net._near = _near_identity(net._tree)
     return net
 
 

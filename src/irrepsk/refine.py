@@ -40,7 +40,7 @@ from .errors import (
 )
 from .finitegroup import FiniteGroupRep
 from .gateset import GateSet, GateWord, eps0_constant, gather_segments, make_word
-from .linalg import dist, op_norm, random_traceless_hermitian, su2_to_quaternion
+from .linalg import dist, op_norm, qconj, random_traceless_hermitian, su2_to_quaternion
 from .net import TIE, EpsNet, extended_inverse
 from .skbase import SKParams, sk_depths
 
@@ -120,17 +120,25 @@ def _table_inverse_word(gs: GateSet, gen_index: int):
 def _best_start(gs: GateSet, net: EpsNet, u: np.ndarray):
     """Tokens of the net word V minimizing the aligned distance of V U to I,
     and that distance.  Within TIE of the smallest, the lowest store index
-    wins, which is the shortest word (the store is breadth-first)."""
-    starts = dist(net.products @ u, np.eye(gs.dim), gs.phase_candidates)
-    i = int(np.flatnonzero(starts <= starts.min() + TIE)[0])
-    return net.tokens[net.offsets[i]:net.offsets[i + 1]], float(starts[i])
+    wins, which is the shortest word (the store is breadth-first).  On an
+    SU(2) net that distance up to sign is |q_V -+ conj(q_U)|, so V is one
+    EpsNet.nearest of U^-1; any other net scans dist over its products."""
+    eye = np.eye(gs.dim)
+    if net.su2:
+        (i,), _, _ = net.nearest(qconj(su2_to_quaternion(u))[None])
+        err = dist(net.products[i] @ u, eye, gs.phase_candidates)
+    else:
+        starts = dist(net.products @ u, eye, gs.phase_candidates)
+        i = int(np.flatnonzero(starts <= starts.min() + TIE)[0])
+        err = starts[i]
+    return net.tokens[net.offsets[i]:net.offsets[i + 1]], float(err)
 
 
 class _Trajectory:
     """One gate's refinement from one seed net, extended a pass at a time.
     Entry k is the word V_k that refine_inverse returns there, folded by
     make_word: the seed, then each pass over V_(k-1) U without its last U
-    token.  Its errors dist(V_k U, I) (the seed scan's for k = 0) and
+    token.  Its errors dist(V_k U, I) (the seed's for k = 0) and
     dist(V_k, U^-1) and V_k U's determinant residual are read from that fold.
 
     Seeding and passes never read the tolerance, so the first entry that
@@ -266,7 +274,11 @@ def naive_inverse_length(gs: GateSet, gen_index: int, eps: float,
     aligned distance is 2 sin of the distance of m theta / 4 to the nearest
     multiple of pi / 2.  Other cases run a plain power loop, after
     NonConvergent for an eigenvalue lambda with ||lambda| - 1| > eps, which
-    keeps every power farther than eps from each phase times I.
+    keeps every power farther than eps from each phase times I.  A parabolic
+    d = 2 gate, U = s (I + N) for s = +-1 and N != 0 nilpotent, raises
+    NonConvergent once U and U^2 miss: ||U^m - z I|| = ||(1 - z s^m) I + m N||
+    is convex in m and at least |1 - z s^m|, its value at m = 0, so it
+    never falls as m grows within a parity.
     """
     u = gs.matrices[gen_index]
     phases = gs.phase_candidates
@@ -288,12 +300,29 @@ def naive_inverse_length(gs: GateSet, gen_index: int, eps: float,
         raise NonConvergent(f"no power of the gate inverts it: an eigenvalue has modulus "
                             f"{modulus:.6g}, off 1 by more than {eps:.3e}")
     eye = np.eye(gs.dim)
+    parabolic = gs.dim == 2 and _parabolic(u)
     p = u.copy()
     for k in range(cap):
         if dist(p, eye, phases) <= eps:
             return k
+        if k == 1 and parabolic:
+            raise NonConvergent("no power of the gate inverts it: the gate is parabolic, "
+                                "+-(I + N) with N nilpotent, and its powers +-(I + k N) "
+                                "only move away")
         p = p @ u
     raise NonConvergent(f"no power of the gate inverts it within {cap} steps")
+
+
+def _parabolic(u: np.ndarray) -> bool:
+    """Whether the 2 x 2 u is s (I + N) for s = +-1 and a nilpotent N:
+    tr u = 2 s and (u - s I)^2 = 0, to a few ulps of ||u||^2, not to a gate
+    set's tolerance.  An elliptic u of determinant 1 by a small angle theta
+    misses both by about theta^2 / 4 (Cayley-Hamilton gives
+    (u - s I)^2 = (tr u - 2 s) u), so it still runs the power loop."""
+    s = 1.0 if np.trace(u).real >= 0 else -1.0
+    n = u - s * np.eye(2)
+    tol = 8 * np.finfo(float).eps * np.linalg.norm(u, 2) ** 2
+    return abs(np.trace(n)) <= tol and np.abs(n @ n).max() <= tol
 
 
 def check_smalltrace(m: np.ndarray) -> tuple[float, float]:

@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 
 import irrepsk.net
-from irrepsk import (EpsNet, build_gateset_net, load_gateset, load_net, parse_gateset,
-                     save_net)
+from irrepsk import (EpsNet, build_gateset_net, compile_target, load_gateset, load_net,
+                     parse_gateset, save_net)
 from irrepsk.errors import BudgetExceeded, DimUnsupported, EmptyNet, FormatError, StaleGateSet
 from irrepsk.linalg import dist, quaternion_to_su2, random_su, su2_to_quaternion
 from irrepsk.gateset import word_product
 from irrepsk.net import (REACH, auto_net, build_net, extended_generators, extended_inverse,
                          free_reduce, probe_density)
-from irrepsk.skbase import rotation, sk_depths
+from irrepsk.skbase import SKParams, balanced_commutator_decompose, rotation, sk_depths
 from scipy.linalg import expm
 from scipy.spatial import cKDTree
 
@@ -216,6 +216,147 @@ def test_batched_query_keeps_the_tie_rule(ht_gateset, ht_base8):
             assert one == j and one_signed.tobytes() == sj.tobytes() and one_d == dj
     d, _ = net._tree.query(mid, k=2)
     assert np.count_nonzero(d[:, 1] - d[:, 0] <= 1e-12) > 500
+
+
+@pytest.fixture(scope="module")
+def ht_base12(ht_gateset):
+    return build_gateset_net(ht_gateset, 12, with_inverses=True)
+
+
+@pytest.fixture(scope="module")
+def ht_base20(ht_gateset):
+    return build_gateset_net(ht_gateset, 20, with_inverses=True)
+
+
+def tree_nearest(net, q):
+    """EpsNet.nearest answered by its k-d tree alone, as every lookup was
+    answered before the near-identity scan: the two nearest tree rows, and
+    where they lie within 1e-12, the lowest word index of a ball query,
+    then sign +1."""
+    tree, n = net._tree, len(net)
+    d2, j2 = tree.query(q, k=2)
+    d, j = d2[:, 0].copy(), j2[:, 0].copy()
+    for t in (d2[:, 1] - d2[:, 0] <= 1e-12).nonzero()[0]:
+        j[t] = min(tree.query_ball_point(q[t], d[t] + 1e-12), key=lambda k: (k % n, k))
+    return j % n, tree.data[j], d
+
+
+def assert_answers_as_the_tree(net, q):
+    words, signed, d = net.nearest(q)
+    ref_words, ref_signed, ref_d = tree_nearest(net, q)
+    assert np.array_equal(words, ref_words)
+    assert signed.tobytes() == ref_signed.tobytes() and d.tobytes() == ref_d.tobytes()
+
+
+def small_deltas(rng, count, largest):
+    """count quaternions of rotations by angles log-uniform in
+    [1e-9, largest] about Haar-random axes."""
+    theta = largest * 10.0 ** rng.uniform(-9, 0, count)
+    axis = rng.normal(size=(count, 3))
+    axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+    return np.concatenate([np.cos(theta / 2)[:, None], np.sin(theta / 2)[:, None] * axis], 1)
+
+
+@pytest.mark.parametrize("angles", [None, np.arange(32) * np.pi / 16])
+def test_scan_answers_factor_stacks_as_the_tree(ht_base12, ht_base20, angles):
+    # the SK recursion's lookups past depth 0: the factors of balanced
+    # commutators of deltas within 1/4 of I (rotations by up to
+    # 4 asin(1/8)), with and without its 32-angle family, and of ever smaller
+    # deltas, as deeper levels see them
+    rng = np.random.default_rng(35)
+    scanned = {}
+    for net in (ht_base12, ht_base20):
+        for largest in (4 * np.arcsin(0.125), 1e-2, 1e-4, 1e-7):
+            q = balanced_commutator_decompose(small_deltas(rng, 40, largest), angles)
+            q = q.reshape(-1, 4)
+            assert_answers_as_the_tree(net, q)
+            scanned[net.word_length, largest] = net._scan(q) is not None
+    # the length-12 net scans every factor stack; the length-20 one, whose
+    # SCAN rows nearest I reach less far, only the smaller ones
+    assert all(v for (length, _), v in scanned.items() if length == 12)
+    assert scanned[20, 1e-4] and not scanned[20, 4 * np.arcsin(0.125)]
+
+
+def test_scan_answers_identity_rows_from_the_identity_alone(ht_base12):
+    # a delta = I gives factors I, whose stack keeps one row: the identity's
+    q = balanced_commutator_decompose(np.tile([1.0, 0, 0, 0], (5, 1))).reshape(-1, 4)
+    assert ht_base12._near[0].searchsorted(2e-12, "right") == 1
+    words, _, d = ht_base12.nearest(q)
+    assert words.tolist() == [0] * 10 and not d.any()
+    assert_answers_as_the_tree(ht_base12, q)
+
+
+def test_scan_keeps_the_tie_rule_near_the_identity(ht_base12):
+    # midpoints of pairs of the products nearest I tie between the two, and
+    # so do points moved off a midpoint by 1e-13 toward either, whose nearer
+    # product is not always the lower word index; the scan must leave them
+    # all to the tree's tie rule, in one stack or one at a time
+    near = ht_base12._near[2][:60]
+    i, j = np.triu_indices(60, 1)
+    mid, off = near[i] + near[j], near[i] - near[j]
+    off /= np.linalg.norm(off, axis=1, keepdims=True)
+    q = np.concatenate([mid, mid + 1e-13 * off, mid - 1e-13 * off])
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    q = q[np.linalg.norm(q - [1.0, 0, 0, 0], axis=1) < 0.3]
+    assert ht_base12._scan(q) is not None
+    d, nearer = ht_base12._tree.query(q, k=2)
+    tied = d[:, 1] - d[:, 0] <= 1e-12
+    words = tree_nearest(ht_base12, q)[0]
+    assert np.count_nonzero(tied) > 50
+    assert np.count_nonzero(words != nearer[:, 0] % len(ht_base12)) > 10
+    assert_answers_as_the_tree(ht_base12, q)
+    words, signed, d = ht_base12.nearest(q)
+    for t, j, sj, dj in zip(q, words, signed, d):
+        (one,), (one_signed,), (one_d,) = ht_base12.nearest(t[None])
+        assert one == j and one_signed.tobytes() == sj.tobytes() and one_d == dj
+
+
+def test_nearest_answers_an_empty_stack(ht_base12):
+    words, signed, d = ht_base12.nearest(np.empty((0, 4)))
+    assert words.shape == (0,) and signed.shape == (0, 4) and d.shape == (0,)
+
+
+def test_mixed_stack_answers_as_one_row_at_a_time(ht_base12, ht_base20):
+    # a stack with a far row goes to the tree whole; each of its near rows
+    # alone goes to the scan
+    rng = np.random.default_rng(36)
+    near = balanced_commutator_decompose(small_deltas(rng, 30, 0.5)).reshape(-1, 4)
+    haar = rng.normal(size=(20, 4))
+    q = np.concatenate([near, haar / np.linalg.norm(haar, axis=1, keepdims=True)])
+    q = q[rng.permutation(len(q))]
+    for net in (ht_base12, ht_base20):
+        assert net._scan(q) is None
+        assert_answers_as_the_tree(net, q)
+        words, signed, d = net.nearest(q)
+        for t, j, sj, dj in zip(q, words, signed, d):
+            (one,), (one_signed,), (one_d,) = net.nearest(t[None])
+            assert one == j and one_signed.tobytes() == sj.tobytes() and one_d == dj
+
+
+class CountingTree:
+    """A k-d tree that counts its query calls."""
+
+    def __init__(self, tree):
+        self.tree, self.queries = tree, 0
+
+    def query(self, *args, **kwargs):
+        self.queries += 1
+        return self.tree.query(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.tree, name)
+
+
+def test_scan_serves_the_factor_lookups(ht_gateset, ht_base12, monkeypatch):
+    # a warm compile on the length-12 net queries the tree once, for the
+    # depth-0 target; every commutator factor stack is scanned
+    params, refine_net = SKParams(net=ht_base12), build_gateset_net(ht_gateset, 6)
+    target = rotation([1.0, 2.0, 3.0], 2.5)  # far from I: the tree answers it
+    compile_target(ht_gateset, target, 1e-4, params, refine_net)
+    tree = CountingTree(ht_base12._tree)
+    monkeypatch.setattr(ht_base12, "_tree", tree)
+    report = compile_target(ht_gateset, target, 1e-4, params, refine_net)
+    assert report.depth >= 3 and tree.queries == 1
 
 
 def test_index_is_exact_near_a_stored_product(ht_base8):

@@ -297,6 +297,44 @@ def test_naive_inverse_length_power_loop_off_su2():
     assert naive_inverse_length(sl, sl.name_index("E"), 1e-9) == 5
 
 
+def test_naive_inverse_length_refuses_a_parabolic_gate():
+    # N = [[1, 1/2], [0, 1]] has both eigenvalues 1 and is no phase times I:
+    # N^k = I + k (N - I) only moves away, so the power loop, 20,000 steps in
+    # 0.5 s, would run to its cap of 50,000,000 before raising (here 200,000,
+    # whose message does not name the gate parabolic).  Conjugated
+    # and negated copies are parabolic to round-off; an sl conjugate of a
+    # rotation by 2 pi / 25, elliptic with trace 2 cos(pi / 25), still loops
+    n = np.array([[1.0, 0.5], [0.0, 1.0]])
+    s = np.array([[1.2, 0.3], [0.1, 0.9]]) / np.sqrt(1.05)
+    c, t = np.cos(np.pi / 25), np.sin(np.pi / 25)
+    e = s @ np.array([[c, -t], [t, c]]) @ np.linalg.inv(s)
+    for name, m in (("N", n), ("M", -s @ n @ np.linalg.inv(s)), ("E", e)):
+        gs = parse_gateset({"dimension": 2, "mode": "sl", "sl_radius": 3,
+                            "irrep": {"builtin": "pauli"},
+                            "gates": [{"name": name, "matrix": matrix_to_literal(m)}]})
+        if name == "E":
+            assert naive_inverse_length(gs, gs.name_index(name), 1e-9) == 24
+            continue
+        with pytest.raises(NonConvergent, match="parabolic"):
+            naive_inverse_length(gs, gs.name_index(name), 1e-9, cap=200_000)
+
+
+def test_seed_on_an_su2_net_is_the_dist_scan(ht_gateset, ht_refine_net, skew_gateset):
+    # on an SU(2) net the seed is one nearest lookup of U^-1; it must pick
+    # the word and give the error bits that a dist scan over every net word
+    # gives, lowest store index within TIE of the smallest
+    import irrepsk.refine as refine_mod
+    tprime = load_gateset(TPRIME)
+    for gs, net in ((ht_gateset, ht_refine_net), (skew_gateset, build_gateset_net(skew_gateset, 8)),
+                    (tprime, build_gateset_net(tprime, 6)), (tprime, build_gateset_net(tprime, 10))):
+        for gen, u in enumerate(gs.matrices):
+            starts = dist(net.products @ u, np.eye(2), gs.phase_candidates)
+            i = int(np.flatnonzero(starts <= starts.min() + 1e-12)[0])
+            tokens, err = refine_mod._best_start(gs, net, u)
+            assert tokens.tolist() == net.tokens[net.offsets[i]:net.offsets[i + 1]].tolist()
+            assert err == starts[i]
+
+
 def test_naive_inverse_length_cap(rz_gateset):
     idx = rz_gateset.names.index("G")
     with pytest.raises(NonConvergent):

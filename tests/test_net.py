@@ -248,6 +248,13 @@ def assert_answers_as_the_tree(net, q):
     assert signed.tobytes() == ref_signed.tobytes() and d.tobytes() == ref_d.tobytes()
 
 
+def assert_answers_one_row_at_a_time(net, q):
+    words, signed, d = net.nearest(q)
+    for t, j, sj, dj in zip(q, words, signed, d):
+        (one,), (one_signed,), (one_d,) = net.nearest(t[None])
+        assert one == j and one_signed.tobytes() == sj.tobytes() and one_d == dj
+
+
 def small_deltas(rng, count, largest):
     """count quaternions of rotations by angles log-uniform in
     [1e-9, largest] about Haar-random axes."""
@@ -305,10 +312,7 @@ def test_scan_keeps_the_tie_rule_near_the_identity(ht_base12):
     assert np.count_nonzero(tied) > 50
     assert np.count_nonzero(words != nearer[:, 0] % len(ht_base12)) > 10
     assert_answers_as_the_tree(ht_base12, q)
-    words, signed, d = ht_base12.nearest(q)
-    for t, j, sj, dj in zip(q, words, signed, d):
-        (one,), (one_signed,), (one_d,) = ht_base12.nearest(t[None])
-        assert one == j and one_signed.tobytes() == sj.tobytes() and one_d == dj
+    assert_answers_one_row_at_a_time(ht_base12, q)
 
 
 def test_nearest_answers_an_empty_stack(ht_base12):
@@ -317,20 +321,18 @@ def test_nearest_answers_an_empty_stack(ht_base12):
 
 
 def test_mixed_stack_answers_as_one_row_at_a_time(ht_base12, ht_base20):
-    # a stack with a far row goes to the tree whole; each of its near rows
-    # alone goes to the scan
+    # a stack with a far row goes to the tree whole; on the length-12 net
+    # each of its near rows alone goes to the scan
     rng = np.random.default_rng(36)
     near = balanced_commutator_decompose(small_deltas(rng, 30, 0.5)).reshape(-1, 4)
+    assert all(ht_base12._scan(t[None]) is not None for t in near)
     haar = rng.normal(size=(20, 4))
     q = np.concatenate([near, haar / np.linalg.norm(haar, axis=1, keepdims=True)])
     q = q[rng.permutation(len(q))]
     for net in (ht_base12, ht_base20):
         assert net._scan(q) is None
         assert_answers_as_the_tree(net, q)
-        words, signed, d = net.nearest(q)
-        for t, j, sj, dj in zip(q, words, signed, d):
-            (one,), (one_signed,), (one_d,) = net.nearest(t[None])
-            assert one == j and one_signed.tobytes() == sj.tobytes() and one_d == dj
+        assert_answers_one_row_at_a_time(net, q)
 
 
 class CountingTree:

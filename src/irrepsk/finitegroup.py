@@ -36,6 +36,7 @@ from .linalg import (
     DEFAULT_TOL,
     check_class,
     dist,
+    matmul_stack,
     require_matrix,
     su_normalize,
 )
@@ -113,7 +114,7 @@ def _tables(stack: np.ndarray, tol: float, up_to_phase: bool):
     phase = np.zeros((n, n), dtype=float)
     worst = 0.0
     for i in range(n):
-        k, z, r = _match(stack, stack[i] @ stack, up_to_phase)
+        k, z, r = _match(stack, matmul_stack(stack[i], stack), up_to_phase)
         j = int(np.argmax(r))
         if r[j] > tol:
             raise NotClosed(
@@ -291,14 +292,6 @@ _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def _weyl_pair(d: int):
-    shift = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        shift[(j + 1) % d, j] = 1.0
-    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-    return shift, clock
-
-
 def builtin_matrices(name: str, dim: int | None = None):
     """Element matrices and display names for a builtin group."""
     if name == "pauli":
@@ -328,12 +321,13 @@ def builtin_matrices(name: str, dim: int | None = None):
     if name == "weyl":
         if dim is None or dim < 2:
             raise ValueError("weyl needs an explicit dimension >= 2")
-        shift, clock = _weyl_pair(dim)
+        # S^a C^b, for the shift S e_j = e_(j+1) and the clock C = diag(w^j),
+        # w = e^(2 pi i / d): S^a with column j scaled by w^(b j), no product
         mats, names = [], []
         for a in range(dim):
             for b in range(dim):
-                mats.append(su_normalize(np.linalg.matrix_power(shift, a)
-                                         @ np.linalg.matrix_power(clock, b)))
+                mats.append(su_normalize(np.roll(np.eye(dim), a, axis=0)
+                                         * np.exp(2j * np.pi * b * np.arange(dim) / dim)))
                 names.append(f"W{a}{b}")
         return mats, names
     raise ValueError(f"unknown builtin group {name!r}; choose from {BUILTIN_GROUPS}")

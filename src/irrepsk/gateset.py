@@ -40,6 +40,7 @@ from .linalg import (
     DEFAULT_TOL,
     check_class,
     dist,
+    matmul_stack,
     require_matrix,
     su_normalize,
 )
@@ -131,16 +132,6 @@ def _block_table(shape, dtype, data) -> tuple[np.ndarray, int]:
         b *= 2
     table.flags.writeable = False
     return table, b
-
-
-def matmul_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over two (n, d, d) stacks, as the sum over k < d of the
-    broadcast outer products of column k of a with row k of b: for small d
-    several times faster than np.matmul, whose cost is per matrix."""
-    out = a[:, :, 0, None] * b[:, None, 0, :]
-    for k in range(1, a.shape[-1]):
-        out += a[:, :, k, None] * b[:, None, k, :]
-    return out
 
 
 def gather_segments(flat: np.ndarray, starts, lengths) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Dense complex-matrix primitives used by every stage of the compiler.
 
 Matrices are plain numpy arrays of shape (d, d) and dtype complex128.  There
-is one distance routine, dist: the operator-norm (largest singular value)
-distance taken up to a set of global phases, over one matrix or a stack.
-That is the unitarily invariant metric the contraction analysis is stated
-in, up to the d-th roots of unity a projective irrep's products pick up.
+is one product kernel, matmul_stack, which forms every complex matrix product
+of the program, and one distance routine, dist: the operator-norm (largest
+singular value) distance taken up to a set of global phases, over one matrix
+or a stack.  That is the unitarily invariant metric the contraction analysis
+is stated in, up to the d-th roots of unity a projective irrep's products
+pick up.
 """
 
 from __future__ import annotations
@@ -55,6 +57,22 @@ def dist(a, b, phases=(1.0,)):
     return float(d) if a.ndim == 2 else d
 
 
+def matmul_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The matrix product a b, broadcasting as np.matmul does (one (d, d)
+    matrix against a stack, or (n, 1, d, d) against (g, d, d)): the
+    program's one complex matrix-product kernel.  Entry (i, j) is the sum
+    over k < d, in order, of a[i, k] b[k, j], formed elementwise as broadcast
+    outer products of the columns of a with the rows of b.  So a product's
+    bits depend neither on the CPU's BLAS kernel nor on the stack it is in
+    (only on numpy's complex multiply, which fuses its multiply-adds on CPUs
+    with FMA), and for small d this is several times faster than np.matmul,
+    whose cost is per matrix."""
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    for k in range(1, a.shape[-1]):
+        out += a[..., :, k, None] * b[..., None, k, :]
+    return out
+
+
 def determinant(m) -> complex:
     """Determinant via LU factorisation."""
     return complex(np.linalg.det(require_matrix(m)))
@@ -62,7 +80,7 @@ def determinant(m) -> complex:
 
 def unitarity_residual(m) -> float:
     a = require_matrix(m)
-    return dist(a.conj().T @ a, np.eye(a.shape[0]))
+    return dist(matmul_stack(a.conj().T, a), np.eye(a.shape[0]))
 
 
 def sl_residual(m) -> float:

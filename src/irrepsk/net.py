@@ -37,9 +37,9 @@ from scipy.spatial import cKDTree
 from .errors import (BudgetExceeded, DimUnsupported, EmptyNet, FormatError, SchemaError,
                      StaleGateSet)
 from .gateset import GateSet, eps0_constant
-from .linalg import dist, random_su, su2_to_quaternion
+from .linalg import dist, matmul_stack, random_su, su2_to_quaternion
 
-NET_FORMAT = "irrepsk-net-v3"
+NET_FORMAT = "irrepsk-net-v4"
 DEFAULT_BUDGET = 2_000_000
 # candidates built and tested at a time: sets the builder's working memory
 CHUNK = 1 << 15
@@ -306,13 +306,6 @@ def _tree_dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sqrt(s[:, 0] + s[:, 1] + s[:, 2] + s[:, 3])
 
 
-def _times(mats: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Each matrix of the stack mats times g, as one 2-D BLAS product.  The
-    builder and load_net form every product this way, so both get the same
-    bits."""
-    return (mats.reshape(-1, mats.shape[-1]) @ g).reshape(mats.shape)
-
-
 def _rows(mats: np.ndarray, su2: bool) -> np.ndarray:
     """The builder's dedup rows of a stack of products: for an SU(2) net
     unit quaternions turned to w >= 0 (4 floats, at 1 / sqrt(2) of the
@@ -528,7 +521,7 @@ def _nets(gens: np.ndarray, dim: int, mode: str, dedup_tol: float, fingerprint: 
             for s in range(0, total, CHUNK):
                 e = min(s + CHUNK, total)
                 a, b = s // n_gens, -(-e // n_gens)  # parents of candidates s..e-1
-                cand = np.stack([_times(frontier_p[a:b], g) for g in gens], axis=1)
+                cand = matmul_stack(frontier_p[a:b, None], gens)
                 cand = cand.reshape(-1, dim, dim)[s - a * n_gens:e - a * n_gens]
                 cv = _rows(cand, su2)
                 k, hashes = _new_elements(cv, trees, tol, su2)
@@ -726,8 +719,7 @@ def load_net(path, gs: GateSet, with_inverses: bool = False) -> EpsNet:
     for n in range(1, len(levels) - 1):
         a, b = levels[n], levels[n + 1]
         p, t = parent[a - 1:b - 1], last[a - 1:b - 1]
-        for j, g in enumerate(gens):
-            products[a:b][t == j] = _times(products[p[t == j]], g)
+        products[a:b] = matmul_stack(products[p], gens[t])
         words.append(np.column_stack([words[-1][p - levels[n - 1]], t]))
     if header.get("product_digest") != _product_digest(products):
         raise FormatError("recomputed products do not match the stored digest")

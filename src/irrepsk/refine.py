@@ -40,7 +40,8 @@ from .errors import (
 )
 from .finitegroup import FiniteGroupRep
 from .gateset import GateSet, GateWord, eps0_constant, gather_segments, make_word
-from .linalg import dist, op_norm, qconj, random_traceless_hermitian, su2_to_quaternion
+from .linalg import (dist, matmul_stack, op_norm, qconj, random_traceless_hermitian,
+                     su2_to_quaternion)
 from .net import TIE, EpsNet, extended_inverse
 from .skbase import SKParams, sk_depths
 
@@ -65,7 +66,8 @@ def symmetrize_matrix(rep: FiniteGroupRep, w: np.ndarray, order=None) -> np.ndar
         order = tuple(range(1, rep.order)) + (0,)
     p = np.eye(rep.dim, dtype=complex)
     for g in order:
-        p = p @ rep.elements[g] @ w @ rep.inv_elements[g]
+        p = matmul_stack(matmul_stack(matmul_stack(p, rep.elements[g]), w),
+                         rep.inv_elements[g])
     return p
 
 
@@ -126,9 +128,9 @@ def _best_start(gs: GateSet, net: EpsNet, u: np.ndarray):
     eye = np.eye(gs.dim)
     if net.su2:
         (i,), _, _ = net.nearest(qconj(su2_to_quaternion(u))[None])
-        err = dist(net.products[i] @ u, eye, gs.phase_candidates)
+        err = dist(matmul_stack(net.products[i], u), eye, gs.phase_candidates)
     else:
-        starts = dist(net.products @ u, eye, gs.phase_candidates)
+        starts = dist(matmul_stack(net.products, u), eye, gs.phase_candidates)
         i = int(np.flatnonzero(starts <= starts.min() + TIE)[0])
         err = starts[i]
     return net.tokens[net.offsets[i]:net.offsets[i + 1]], float(err)
@@ -193,12 +195,12 @@ class _Trajectory:
                     f"{eps0:.3e}; rebuild the net with longer words")
                 return
             word = make_word(gs.matrices, tokens)
-            w = word.product @ u
+            w = matmul_stack(word.product, u)
         else:
             # the pass over W = V U ends in the bare W, so in U's token
             iterate = np.append(self.words[-1].tokens, self.gen_index)
             word = make_word(gs.matrices, symmetrize_word(gs.rep, iterate)[:-1])
-            w = word.product @ u
+            w = matmul_stack(word.product, u)
             if gs.mode == "sl" and op_norm(w) > gs.sl_radius + 1.0:
                 self.failure = functools.partial(
                     BallExit,
@@ -309,7 +311,7 @@ def naive_inverse_length(gs: GateSet, gen_index: int, eps: float,
             raise NonConvergent("no power of the gate inverts it: the gate is parabolic, "
                                 "+-(I + N) with N nilpotent, and its powers +-(I + k N) "
                                 "only move away")
-        p = p @ u
+        p = matmul_stack(p, u)
     raise NonConvergent(f"no power of the gate inverts it within {cap} steps")
 
 
@@ -322,7 +324,7 @@ def _parabolic(u: np.ndarray) -> bool:
     s = 1.0 if np.trace(u).real >= 0 else -1.0
     n = u - s * np.eye(2)
     tol = 8 * np.finfo(float).eps * np.linalg.norm(u, 2) ** 2
-    return abs(np.trace(n)) <= tol and np.abs(n @ n).max() <= tol
+    return abs(np.trace(n)) <= tol and np.abs(matmul_stack(n, n)).max() <= tol
 
 
 def check_smalltrace(m: np.ndarray) -> tuple[float, float]:

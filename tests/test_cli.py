@@ -526,7 +526,14 @@ def test_net_budget_is_a_compile_failure(capsys, tmp_path):
 
 # SHA-256 of the CSV below.  Its coefficients print to 10 digits, so it
 # changes with the scan's perturbations, eps values or orderings.
-SCAN_CSV_SHA256 = "1c56c9c38ca8a887432b9e8125f26f3c64a697c49137d1216189b35c0867fba2"
+# Re-recorded once (1c56c9c3... before) when symmetrize_matrix began to
+# multiply with linalg.matmul_stack instead of BLAS: the same 6 of 120
+# orderings vanish, the other coefficients moved by at most 6.2e-9 relative
+# and the 6 at the round-off floor (about 1.124e-4) by at most 4.7e-5.  Unlike
+# the other pins this one still depends on the CPU: scipy's expm forms the
+# perturbations W with BLAS, and they already differ between the SkylakeX
+# OpenBLAS kernel, which it was recorded under, and the Haswell one.
+SCAN_CSV_SHA256 = "640296f60d5d0c01fe5931f938bf3f27b2228967574067277c00bf6a40c908ec"
 
 
 def test_scan_orderings_cli(capsys, tmp_path):

@@ -14,12 +14,11 @@ from irrepsk.gateset import (
     GateWord,
     eps0_constant,
     make_word,
-    matmul_stack,
     matrix_to_literal,
     parse_matrix_literal,
     word_product,
 )
-from irrepsk.linalg import random_su
+from irrepsk.linalg import matmul_stack, random_su
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 

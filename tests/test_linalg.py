@@ -1,5 +1,7 @@
 """Norm, distance, class-check and sampler behavior."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from irrepsk.linalg import (
     check_class,
     determinant,
     dist,
+    matmul_stack,
     op_norm,
     qconj,
     qmul,
@@ -104,6 +107,39 @@ def test_dist_pairs_stacks():
     assert all(got[i] == dist(a[i], b[i], roots) for i in range(20))
     with pytest.raises(DimError):
         dist(a, b[:5])
+
+
+def random_stack(rng, n, d):
+    return rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+
+
+@pytest.mark.parametrize("n", [1, 64, 4096])
+@pytest.mark.parametrize("d", [2, 3])
+def test_matmul_stack_rows_are_their_one_row_calls(n, d):
+    # the kernel is elementwise, so a product's bits do not depend on the
+    # stack it is in; it is the matrix product up to round-off
+    rng = np.random.default_rng(n + d)
+    a, b = random_stack(rng, n, d), random_stack(rng, n, d)
+    got = matmul_stack(a, b)
+    assert got.shape == (n, d, d)
+    for i in range(n):
+        assert got[i].tobytes() == matmul_stack(a[i], b[i]).tobytes()
+    assert np.abs(got - a @ b).max() <= 8 * d * 2.0 ** -52 * np.abs(a).max() * np.abs(b).max()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_matmul_stack_broadcasts_as_the_loop_of_single_products(d):
+    rng = np.random.default_rng(40 + d)
+    a, g = random_stack(rng, 9, d), random_stack(rng, 5, d)
+    cand = matmul_stack(a[:, None], g)  # (n, 1, d, d) x (g, d, d), frontier-major
+    assert cand.shape == (9, 5, d, d)
+    for i, j in itertools.product(range(9), range(5)):
+        assert cand[i, j].tobytes() == matmul_stack(a[i], g[j]).tobytes()
+    left = matmul_stack(g[0], a)  # (d, d) x (S, d, d), and the other way round
+    right = matmul_stack(a, g[0])
+    for i in range(9):
+        assert left[i].tobytes() == matmul_stack(g[0], a[i]).tobytes()
+        assert right[i].tobytes() == matmul_stack(a[i], g[0]).tobytes()
 
 
 def test_qmul_and_qconj_match_the_matrix_product_and_adjoint():

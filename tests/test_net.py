@@ -3,7 +3,11 @@
 import hashlib
 import itertools
 import json
+import os
+import platform
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -14,7 +18,7 @@ import irrepsk.net
 from irrepsk import (EpsNet, build_gateset_net, compile_target, load_gateset, load_net,
                      parse_gateset, save_net)
 from irrepsk.errors import BudgetExceeded, DimUnsupported, EmptyNet, FormatError, StaleGateSet
-from irrepsk.linalg import dist, quaternion_to_su2, random_su, su2_to_quaternion
+from irrepsk.linalg import dist, matmul_stack, quaternion_to_su2, random_su, su2_to_quaternion
 from irrepsk.gateset import word_product
 from irrepsk.net import (REACH, auto_net, build_net, extended_generators, extended_inverse,
                          free_reduce, probe_density)
@@ -611,9 +615,10 @@ def test_load_net_rejects_corrupt_file(tmp_path, ht_gateset):
                        ("levels", [0, 1, 0.5, 9, 30]), ("levels", [0, 1, 9, 5, 30])):
         rejects(lines[1:], "bad net header field", head=json.dumps(header | {key: value}))
     # caches of the earlier formats must be rebuilt: v1 held text of tokens,
-    # and v2 held sign twins numbered in the 11-letter alphabet
-    for old in ("irrepsk-net-v1", "irrepsk-net-v2"):
-        rejects(lines[1:], f"'{old}', not 'irrepsk-net-v3': rebuild it with irrepsk net --out",
+    # v2 held sign twins numbered in the 11-letter alphabet, and v3's product
+    # digest was of products formed by the BLAS kernel
+    for old in ("irrepsk-net-v1", "irrepsk-net-v2", "irrepsk-net-v3"):
+        rejects(lines[1:], f"'{old}', not 'irrepsk-net-v4': rebuild it with irrepsk net --out",
                 head=json.dumps(header | {"format": old}))
 
 
@@ -733,14 +738,19 @@ def net_sha256(net) -> str:
 # the inverses no generator gives up to a phase (7 letters, not 11, for both
 # Pauli sets): 4128, 527, 67488 and 37816 words -> 2064, 320, 33744 and
 # 18967, with hashes 35dc8ef5..., 0d6dc92d..., a5c2a1d8... and daa2ad9e...
-# before.  The sl-mode net is unchanged.
+# before.  All five were re-recorded once more when products began to be
+# formed by linalg.matmul_stack instead of BLAS: every word is unchanged,
+# only the products' last bits moved (by at most 1.8e-15), and the hashes
+# are now the same under every OpenBLAS kernel.  They were be1901f4...,
+# d5426ae4..., 76848c1e..., 22467485... and 036cfd6c... before, recorded
+# under the SkylakeX kernel.
 NETS_SHA256 = {
-    "pauli_ht L12 with inverses": "be1901f4c37a9b6cfd84fc4e3412270b072f4a0cd817eede5593195d59492e72",
-    "pauli_ht_tprime L6": "d5426ae4f9059ba2afca59e4794bf5c9a60bf8bc5771736b025f4d17b8efb82e",
-    "sl_perturbed L3": "76848c1e7c1d381a9871f4de5f212b9297097fd7baf82760cae5f87a2a34688e",
-    "pauli_ht L20 with inverses": "224674855451b5cffdafdfdad5c721457da266028800ec601829ec8a520e2336",
+    "pauli_ht L12 with inverses": "b82a103b4463f16ab4a859fad140b7fdf4d55c6b5228a2b6780f3d4ba96ec6ed",
+    "pauli_ht_tprime L6": "5df06d3edd75f2953a0f7545ccd7ebc58b4d6533264e9b11439fcff6f96d772f",
+    "sl_perturbed L3": "5ee6644c687e776ac3eda79a432e2e3f8d09b04cc6031074eadc87cb101f0370",
+    "pauli_ht L20 with inverses": "778bfc7580fe016b7c60c27284acd39af688104ded8a7f6d79bc115a3743f06a",
     "pauli_ht_tprime L12 with inverses":
-        "036cfd6cf5e639ddf6ffbb452e81d4c4e6c0e381277edd9baec4641cd4aee100",
+        "aaa03ba14c411de7b802aab2d28b935733a78f2357a5e59fc074c43b7fcb5c21",
 }
 
 
@@ -775,7 +785,7 @@ def reference_net(gens, dim, word_length, tol, signs=SIGNS):
     for _ in range(word_length):
         if not frontier_w:
             break
-        cand = np.matmul(frontier_p[:, None], gens[None]).reshape(-1, dim, dim)
+        cand = matmul_stack(frontier_p[:, None], gens).reshape(-1, dim, dim)
         cand_words = [w + (m,) for w in frontier_w for m in range(len(gens))]
         cv = _vec(cand)
         stored = np.concatenate([z * _vec(products) for z in signs])
@@ -1032,17 +1042,51 @@ def test_builder_matches_reference_when_the_frontier_empties(pauli_only, monkeyp
 
 @pytest.mark.parametrize("path", sorted(GATESETS.glob("*.json")) + [TPRIME],
                          ids=lambda p: p.stem)
-def test_per_generator_products_are_matmul_bytes(path):
-    # the builder and load_net multiply a stack of products by generator j
-    # as one 2-D BLAS product; NETS_SHA256 was recorded from np.matmul over
-    # the broadcast (frontier, generator) stack, which it must match exactly
+def test_net_products_are_the_kernel_of_parent_and_last(path, tmp_path):
+    # the builder forms a level's products in stacks of candidates and
+    # load_net in one stack per level; either way each product must be the
+    # one-row kernel call on its parent's product and its last generator
     gs = load_gateset(path)
     gens = extended_generators(gs)
-    net = build_gateset_net(gs, 3, with_inverses=True)
-    frontier = net.products[np.diff(net.offsets) == 3]
-    assert len(frontier)
-    per_gen = np.stack([irrepsk.net._times(frontier, g) for g in gens], axis=1)
-    assert per_gen.tobytes() == np.matmul(frontier[:, None], gens[None]).tobytes()
+    built = build_gateset_net(gs, 8, with_inverses=True)
+    save_net(built, tmp_path / "n.net")
+    loaded = load_net(tmp_path / "n.net", gs, with_inverses=True)
+    for net in (built, loaded):
+        last = net.tokens[net.offsets[2:] - 1]
+        for i, (p, t) in enumerate(zip(net.parents[1:], last), 1):
+            assert net.products[i].tobytes() == matmul_stack(net.products[p], gens[t]).tobytes()
+
+
+# a net's products are formed without BLAS, so one saved under one OpenBLAS
+# kernel must load under another: the digest save_net stores is recomputed
+# from the words, bit for bit.  Haswell and Sandybridge are the kernels
+# x86-64 CPUs without AVX-512 get
+SAVE_LOAD = """
+import hashlib, sys
+from irrepsk import build_gateset_net, load_gateset, load_net, save_net
+gs = load_gateset(sys.argv[2])
+if sys.argv[1] == "save":
+    save_net(build_gateset_net(gs, 12, with_inverses=True), sys.argv[3])
+else:
+    net = load_net(sys.argv[3], gs, with_inverses=True)
+    tokens, offsets = net.tokens.tolist(), net.offsets.tolist()
+    h = hashlib.sha256(repr([tuple(tokens[a:b]) for a, b in zip(offsets, offsets[1:])]).encode())
+    h.update(net.products.tobytes())
+    print(h.hexdigest())
+"""
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_net_saved_under_one_blas_kernel_loads_under_another(ht_gateset, tmp_path):
+    path, out = str(GATESETS / "pauli_ht.json"), str(tmp_path / "l12.net")
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
+    subprocess.run([sys.executable, "-c", SAVE_LOAD, "save", path, out], check=True,
+                   env=env | {"OPENBLAS_CORETYPE": "Haswell"})
+    got = subprocess.run([sys.executable, "-c", SAVE_LOAD, "load", path, out], check=True,
+                         env=env | {"OPENBLAS_CORETYPE": "Sandybridge"},
+                         capture_output=True, text=True).stdout.strip()
+    assert got == net_sha256(build_gateset_net(ht_gateset, 12, with_inverses=True))
 
 
 def test_auto_net_extends_to_the_built_net(ht_gateset):

@@ -23,7 +23,7 @@ from irrepsk.errors import (
 from irrepsk.finitegroup import build_builtin
 from irrepsk.gateset import (contraction_constant, eps0_constant, load_gateset, make_word,
                              matrix_to_literal, parse_gateset)
-from irrepsk.linalg import (dist, op_norm, random_sl_near_identity, random_su,
+from irrepsk.linalg import (dist, matmul_stack, op_norm, random_sl_near_identity, random_su,
                             random_traceless_hermitian)
 from irrepsk.net import extended_inverse
 from irrepsk.refine import (
@@ -328,7 +328,7 @@ def test_seed_on_an_su2_net_is_the_dist_scan(ht_gateset, ht_refine_net, skew_gat
     for gs, net in ((ht_gateset, ht_refine_net), (skew_gateset, build_gateset_net(skew_gateset, 8)),
                     (tprime, build_gateset_net(tprime, 6)), (tprime, build_gateset_net(tprime, 10))):
         for gen, u in enumerate(gs.matrices):
-            starts = dist(net.products @ u, np.eye(2), gs.phase_candidates)
+            starts = dist(matmul_stack(net.products, u), np.eye(2), gs.phase_candidates)
             i = int(np.flatnonzero(starts <= starts.min() + 1e-12)[0])
             tokens, err = refine_mod._best_start(gs, net, u)
             assert tokens.tolist() == net.tokens[net.offsets[i]:net.offsets[i + 1]].tolist()

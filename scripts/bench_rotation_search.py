@@ -28,11 +28,15 @@ histogram, and how many outputs are longer than the parent's.
 
 --sweep-side CHECKOUT GATESET runs one side alone and prints its JSON: per
 eps, one [length, depth, seconds] row per target.
+
+Records named in BUILDS also get "builds": the build times of a few nets,
+with both checkouts' packages imported in one fresh process (--builds).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -90,12 +94,26 @@ RECORDS = {
         "calls array methods and ufuncs in place of numpy's Python-level "
         "helpers (flatnonzero, moveaxis, broadcast_to, linalg.norm, the "
         "function forms of repeat and cumsum); every word is unchanged",
+    "BENCH_net_record_retired.json":
+        "the net builder no longer keeps a record of each stored row's cell "
+        "hash: every duplicate group's first member is measured against the "
+        "stored rows by a k-d tree query, the path the record only short-cut; "
+        "every net, word and saved net file is byte-identical; claims no gain",
 }
 # --out files that also record "sample": SAMPLE_TARGETS targets of one gate
 # set at the small eps of the sweep, one compile per target and side, with
 # the counts of targets that end longer, shorter, deeper or shallower
 SAMPLES = {"BENCH_sign_free.json": ("pauli_ht_tprime", (1e-5, 1e-6, 1e-7))}
 SAMPLE_TARGETS, SAMPLE_SEED = 30, 11
+# --out files that also record "builds": per net (gate set, word length, with
+# inverses), BUILD_PAIRS pairs of builds in one process that imports both
+# checkouts' packages (the parent's as irrepsk_parent), after one warm-up
+# build per side; pair k builds with the parent first when k is odd
+BUILDS = {"BENCH_net_record_retired.json": (("pauli_ht", 20, True),
+                                            ("pauli_ht_tprime", 12, True),
+                                            ("pauli_ht", 12, True),
+                                            ("pauli_ht_tprime", 6, False))}
+BUILD_PAIRS = 20
 
 
 def perfbench(checkout: Path, workload: str, seed: int, seconds: float,
@@ -233,6 +251,49 @@ def sample(parent: Path, name: str, eps_list) -> dict:
     return result
 
 
+def builds_side_by_side(parent: Path, nets) -> dict:
+    """Time BUILD_PAIRS interleaved builds of each net of nets with this
+    checkout's package and parent's, in this process: per net, the seconds
+    of each build, the medians, the median and quartiles of the per-pair
+    change / parent ratios, and whether the two sides' last nets have the
+    same tokens, offsets, parents and product bytes."""
+    sys.path.insert(0, str(ROOT / "src"))
+    import irrepsk
+    spec = importlib.util.spec_from_file_location(
+        "irrepsk_parent", parent / "src" / "irrepsk" / "__init__.py",
+        submodule_search_locations=[str(parent / "src" / "irrepsk")])
+    sys.modules[spec.name] = irrepsk_parent = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(irrepsk_parent)
+    packages = {"parent": irrepsk_parent, "change": irrepsk}
+    out = {}
+    for name, length, with_inverses in nets:
+        gs = {side: pkg.load_gateset(ROOT / SWEEP_GATESETS[name])
+              for side, pkg in packages.items()}
+
+        def build(side):
+            t0 = time.perf_counter()
+            net = packages[side].build_gateset_net(gs[side], length, with_inverses)
+            return net, time.perf_counter() - t0
+
+        built = {side: build(side)[0] for side in packages}  # warm-up
+        seconds = {side: [] for side in packages}
+        for k in range(1, BUILD_PAIRS + 1):
+            for side in (("parent", "change") if k % 2 else ("change", "parent")):
+                built[side], t = build(side)
+                seconds[side].append(t)
+        ratios = [c / p for p, c in zip(seconds["parent"], seconds["change"])]
+        out[f"{name} L{length}" + (" with inverses" if with_inverses else "")] = {
+            "words": len(built["change"]),
+            "identical": all(getattr(built["parent"], a).tobytes()
+                             == getattr(built["change"], a).tobytes()
+                             for a in ("tokens", "offsets", "parents", "products")),
+            "parent_median_s": statistics.median(seconds["parent"]),
+            "change_median_s": statistics.median(seconds["change"]),
+            "ratio_median": statistics.median(ratios), "ratio_q1_q3": quartiles(ratios),
+            "parent_s": seconds["parent"], "change_s": seconds["change"]}
+    return out
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, help="checkout of the parent commit")
@@ -243,6 +304,7 @@ def main() -> int:
     ap.add_argument("--sweep-side", nargs=2, metavar=("CHECKOUT", "GATESET"),
                     help=argparse.SUPPRESS)
     ap.add_argument("--sample", nargs="+", type=float, metavar="EPS", help=argparse.SUPPRESS)
+    ap.add_argument("--builds", metavar="RECORD", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.sweep_side:
         checkout, gateset = Path(args.sweep_side[0]).resolve(), args.sweep_side[1]
@@ -252,6 +314,9 @@ def main() -> int:
         return 0
     if args.parent is None:
         ap.error("--parent is required")
+    if args.builds:
+        print(json.dumps(builds_side_by_side(args.parent.resolve(), BUILDS[args.builds])))
+        return 0
     if args.out.name not in RECORDS:
         ap.error(f"--out must be one of {', '.join(RECORDS)}")
     parent = args.parent.resolve()
@@ -294,6 +359,11 @@ def main() -> int:
     }
     if args.out.name in SAMPLES:
         doc["sample"] = sample(parent, *SAMPLES[args.out.name])
+    if args.out.name in BUILDS:
+        out = subprocess.run(
+            [sys.executable, __file__, "--parent", str(parent), "--builds", args.out.name],
+            check=True, capture_output=True, text=True, env={**os.environ, **ONE_THREAD})
+        doc["builds"] = json.loads(out.stdout)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="build the refinement net up to this word length")
         sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="net size cap")
-        sp.add_argument("--max-depth", type=int, default=10,
+        sp.add_argument("--max-depth", type=int, default=SKParams.max_depth,
                         help="recursion depth cap for the base compiler")
 
     sp = sub.add_parser("validate", help="parse and check a gate-set file")

@@ -272,19 +272,6 @@ def central_extend(rep: FiniteGroupRep) -> FiniteGroupRep:
     return _assemble(cover, rep.tolerance, rep.unitary, allow_projective=False)
 
 
-def check_cover_equivalence(rep: FiniteGroupRep, m,
-                            cover: FiniteGroupRep | None = None) -> float:
-    """||average(cover, M) - k * average(rep, M)|| for k = |cover|/|G|.
-
-    The cover's sum runs over each phase class k times, and conjugation kills
-    the phases, so the two averages agree up to the factor k.
-    """
-    if cover is None:
-        cover = central_extend(rep)
-    k = cover.order // rep.order
-    return dist(average(cover, m), k * average(rep, m))
-
-
 # --- builtin groups ---
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)

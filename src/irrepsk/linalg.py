@@ -14,7 +14,6 @@ from __future__ import annotations
 from functools import reduce
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ClassError, DimError, InvalidMatrix
 
@@ -190,21 +189,3 @@ def random_traceless_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
     h = (a + a.conj().T) / 2
     h -= np.trace(h) / d * np.eye(d)
     return h / np.linalg.norm(h, 2)
-
-
-def random_traceless(d: int, rng: np.random.Generator) -> np.ndarray:
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    a -= np.trace(a) / d * np.eye(d)
-    return a / np.linalg.norm(a, 2)
-
-
-def random_sl_near_identity(d: int, rng: np.random.Generator,
-                            max_dist: float) -> np.ndarray:
-    """Random determinant-1 matrix with dist(M, I) <= max_dist."""
-    a = random_traceless(d, rng)
-    t = rng.uniform(0.0, 0.8 * max_dist)
-    m = scipy.linalg.expm(t * a)
-    while dist(m, np.eye(d)) > max_dist:
-        t *= 0.5
-        m = scipy.linalg.expm(t * a)
-    return m

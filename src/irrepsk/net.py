@@ -353,52 +353,28 @@ def _pairs(x: np.ndarray, r: float, mirror: bool) -> tuple[np.ndarray, np.ndarra
     return pairs, np.minimum(d, np.linalg.norm(a + b, axis=1)) if mirror else d
 
 
-class _Stored:
-    """A k-d tree over stored rows and the record of each row's cell hash
-    (_groups), 16 bytes a row with its sort order.  Both stay with the
-    builder.
-
-    The tree's cells are split at the sliding midpoint (balanced_tree=False),
-    not at the median: on a net's rows that builds in about half the time
-    and answers queries no slower, and no result depends on the tree's
-    shape, only on distances."""
-
-    def __init__(self, rows: np.ndarray, hashes: np.ndarray):
-        self.tree = cKDTree(rows, balanced_tree=False)
-        self.hashes, self.order = hashes, np.argsort(hashes)
-
-    def in_cell(self, x: np.ndarray, hashes: np.ndarray, r: float) -> np.ndarray:
-        """Whether each row of x lies within r of the stored row that its
-        hash finds in the record."""
-        pos = np.searchsorted(self.hashes, hashes, sorter=self.order)
-        i = self.order[np.minimum(pos, self.tree.n - 1)]
-        return np.linalg.norm(x - self.tree.data[i], axis=1) <= r
-
-
-def _stored_dist(trees: list[_Stored], x: np.ndarray, tol: float, band: float,
+def _stored_dist(trees: list[cKDTree], x: np.ndarray, tol: float, band: float,
                  mirror: bool) -> np.ndarray:
     """Distance from each row of x to the nearest stored row (up to sign
     with mirror, as _dist), exact where it exceeds tol - band (no verdict
     depends on a smaller one) and inf past tol + band.  trees[0] holds the
     earlier levels; the rest hold this level's kept rows and are asked only
     about the rows still open."""
-    d = _dist(trees[0].tree, x, tol + band, mirror)
+    d = _dist(trees[0], x, tol + band, mirror)
     for t in trees[1:]:
         rows = np.flatnonzero(d > tol - band)
-        d[rows] = np.minimum(d[rows], _dist(t.tree, x[rows], tol + band, mirror))
+        d[rows] = np.minimum(d[rows], _dist(t, x[rows], tol + band, mirror))
     return d
 
 
-def _store_rows(trees: list[_Stored], rows: np.ndarray, hashes: np.ndarray) -> None:
+def _store_rows(trees: list[cKDTree], rows: np.ndarray) -> None:
     """Add one chunk's kept rows to this level's trees (trees[1:]).  The
     last trees are merged into the new one while they are no larger, so a
     row is rebuilt into a new tree O(log chunks) times and a level keeps
     O(log chunks) trees."""
-    while len(trees) > 1 and trees[-1].tree.n <= len(rows):
-        last = trees.pop()
-        rows = np.concatenate([last.tree.data, rows])
-        hashes = np.concatenate([last.hashes, hashes])
-    trees.append(_Stored(rows, hashes))
+    while len(trees) > 1 and trees[-1].n <= len(rows):
+        rows = np.concatenate([trees.pop().data, rows])
+    trees.append(cKDTree(rows, balanced_tree=False))
 
 
 # odd 64-bit multipliers that hash a row of 1e-9 cells
@@ -407,33 +383,31 @@ _CELL_HASH = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F
                        0xC4CEB9FE1A85EC53, 0x94D049BB133111EB], dtype=np.uint64)
 
 
-def _groups(cv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _groups(cv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First member and group index of every row of cv, grouped by the
     nearest multiples of 1e-9 of its entries (the cells np.round(cv, 9)
-    rounds to), and the hash of every row's cells.  Rows are sorted by that
-    hash, stably, and a group is a run of equal cells in that order, so a
-    hash collision can only split a cell into several groups, each with its
-    own first member."""
+    rounds to).  Rows are sorted by a hash of their cells, stably, and a
+    group is a run of equal cells in that order, so a hash collision can
+    only split a cell into several groups, each with its own first member."""
     cells = np.rint(cv * 1e9).astype(np.int64)
-    hashes = cells.view(np.uint64) @ np.resize(_CELL_HASH, cv.shape[1])
-    order = np.argsort(hashes, kind="stable")
+    order = np.argsort(cells.view(np.uint64) @ np.resize(_CELL_HASH, cv.shape[1]),
+                       kind="stable")
     cells = cells[order]
     start = np.ones(len(cv), bool)
     start[1:] = np.any(cells[1:] != cells[:-1], axis=1)
     group = np.empty(len(cv), np.intp)
     group[order] = np.cumsum(start) - 1
-    return order[start], group, hashes
+    return order[start], group
 
 
-def _new_elements(cv: np.ndarray, trees: list[_Stored], tol: float,
-                  mirror: bool) -> tuple[np.ndarray, np.ndarray]:
+def _new_elements(cv: np.ndarray, trees: list[cKDTree], tol: float,
+                  mirror: bool) -> np.ndarray:
     """Indices of the candidate rows cv (_rows, in enumeration order) that
-    first-wins dedup keeps, and the cell hashes of all rows: a candidate is
-    kept when no stored row (the rows of trees) and no earlier kept candidate
-    lies within tol of it, up to sign with mirror (an SU(2) net's rows; the
-    distance up to sign obeys the triangle inequality, so all below holds
-    for it).  tol, the 1e-9 cells, radius and band are all in the units of
-    the rows.
+    first-wins dedup keeps: a candidate is kept when no stored row (the rows
+    of trees) and no earlier kept candidate lies within tol of it, up to
+    sign with mirror (an SU(2) net's rows; the distance up to sign obeys the
+    triangle inequality, so all below holds for it).  tol, the 1e-9 cells,
+    radius and band are all in the units of the rows.
 
     Rows whose entries round to the same multiples of 1e-9 form a group, all
     within radius of its first member, and only first members are tested: one
@@ -447,21 +421,11 @@ def _new_elements(cv: np.ndarray, trees: list[_Stored], tol: float,
     Pair distances are those np.linalg.norm gives, stored distances those of
     cKDTree; another distance routine could judge differently only a
     distance within round-off of tol.
-
-    Most first members repeat a stored row's cell.  Unless tol is within a
-    few bands, a first member within radius of the stored row that its hash
-    finds in a tree's record is settled without a tree query: its stored
-    distance is far below tol - band, so its group is removed and not loose.
     """
     radius = 1e-9 * np.sqrt(cv.shape[1])
     band = 2 * radius
-    first, group, hashes = _groups(cv)
-    open_ = np.ones(len(first), bool)
-    if tol > 3 * band:
-        for tree in trees:
-            open_ &= ~tree.in_cell(cv[first], hashes[first], radius)
-    dd = np.zeros(len(first))
-    dd[open_] = _stored_dist(trees, cv[first[open_]], tol, band, mirror)
+    first, group = _groups(cv)
+    dd = _stored_dist(trees, cv[first], tol, band, mirror)
     loose = (np.abs(dd - tol) <= band) | (tol <= band)
     while True:
         unit = loose[group]
@@ -480,7 +444,7 @@ def _new_elements(cv: np.ndarray, trees: list[_Stored], tol: float,
     for i, j in pairs[d <= tol].tolist():
         if i not in removed:
             removed.add(j)
-    return np.delete(alive, list(removed)), hashes
+    return np.delete(alive, list(removed))
 
 
 def _nets(gens: np.ndarray, dim: int, mode: str, dedup_tol: float, fingerprint: str,
@@ -507,15 +471,17 @@ def _nets(gens: np.ndarray, dim: int, mode: str, dedup_tol: float, fingerprint: 
     tokens, offsets = np.zeros(0, dtype), np.zeros(2, np.intp)  # the empty word
     parents = np.full(1, -1, np.intp)
     frontier_t, frontier_p = np.zeros((1, 0), dtype), products
-    rows = _rows(products, su2)
-    trees = [_Stored(rows, _groups(rows)[2])]
+    # the builder's k-d trees split cells at the sliding midpoint, not at the
+    # median: on a net's rows that builds in about half the time and answers
+    # queries no slower, and no result depends on a tree's shape, only on
+    # distances
+    trees = [cKDTree(_rows(products, su2), balanced_tree=False)]
     for level in itertools.count():
         if level and len(frontier_p):
             if len(trees) > 1:  # one tree over the earlier levels
-                rows = np.concatenate([t.tree.data for t in trees])
-                hashes = np.concatenate([t.hashes for t in trees])
+                rows = np.concatenate([t.data for t in trees])
                 trees.clear()  # frees the old trees before the new one is built
-                trees.append(_Stored(rows, hashes))
+                trees.append(cKDTree(rows, balanced_tree=False))
             total = len(frontier_p) * n_gens
             kept, kept_p, found = [], [], 0
             for s in range(0, total, CHUNK):
@@ -524,7 +490,7 @@ def _nets(gens: np.ndarray, dim: int, mode: str, dedup_tol: float, fingerprint: 
                 cand = matmul_stack(frontier_p[a:b, None], gens)
                 cand = cand.reshape(-1, dim, dim)[s - a * n_gens:e - a * n_gens]
                 cv = _rows(cand, su2)
-                k, hashes = _new_elements(cv, trees, tol, su2)
+                k = _new_elements(cv, trees, tol, su2)
                 found += len(k)
                 if len(products) + found > budget:
                     raise BudgetExceeded(
@@ -533,7 +499,7 @@ def _nets(gens: np.ndarray, dim: int, mode: str, dedup_tol: float, fingerprint: 
                         f"first {e} of {total} candidates"
                     )
                 if len(k):
-                    _store_rows(trees, cv[k], hashes[k])
+                    _store_rows(trees, cv[k])
                 kept.append(s + k)
                 kept_p.append(cand[k])
             kept = np.concatenate(kept)
@@ -568,12 +534,11 @@ def build_net(gens: np.ndarray, dim: int, mode: str, word_length: int,
     1e-9 and tests one member per group, and expands a group into all its
     members wherever a distance near dedup_tol could tell them apart
     (_new_elements), so the kept set is exactly that of testing every
-    candidate.  Beyond the stored net, its k-d trees (a row of 4 floats for
-    an SU(2) net, 2 d^2 for any other, and an index per word) and their
-    record of cell hashes (16 bytes per word), a build holds one chunk's
-    candidates at a time.  A built SU(2) net comes with the k-d tree of its
-    lookup (EpsNet.nearest) and that tree's rows nearest the identity, so
-    that building them is part of the build.
+    candidate.  Beyond the stored net and its k-d trees (a row of 4 floats
+    for an SU(2) net, 2 d^2 for any other, and an index per word), a build
+    holds one chunk's candidates at a time.  A built SU(2) net comes with
+    the k-d tree of its lookup (EpsNet.nearest) and that tree's rows nearest
+    the identity, so that building them is part of the build.
     Raises BudgetExceeded as soon as a chunk would take the store past
     budget words, so budget bounds the memory of a build as well as its
     words.  A negative word_length or a budget below 1 raises SchemaError

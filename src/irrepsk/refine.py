@@ -88,10 +88,6 @@ def symmetrize_word(rep: FiniteGroupRep, tokens: np.ndarray) -> np.ndarray:
     return np.concatenate([pieces.ravel(), tokens])
 
 
-def symmetrized_length(group_order: int, length: int) -> int:
-    return group_order * length + 2 * (group_order - 1)
-
-
 @dataclass(eq=False)
 class RefineTrace:
     """Per-iteration diagnostics from one inverse refinement run."""
@@ -325,17 +321,6 @@ def _parabolic(u: np.ndarray) -> bool:
     n = u - s * np.eye(2)
     tol = 8 * np.finfo(float).eps * np.linalg.norm(u, 2) ** 2
     return abs(np.trace(n)) <= tol and np.abs(matmul_stack(n, n)).max() <= tol
-
-
-def check_smalltrace(m: np.ndarray) -> tuple[float, float]:
-    """(|tr m - d|, (2^d + d!) * dist(m, I)^2) for a determinant-one matrix."""
-    m = np.asarray(m, dtype=complex)
-    d = m.shape[0]
-    if abs(np.linalg.det(m) - 1.0) > 1e-6:
-        raise DimError("trace bound needs determinant one")
-    lhs = abs(np.trace(m) - d)
-    rhs = (2.0 ** d + math.factorial(d)) * dist(m, np.eye(d)) ** 2
-    return lhs, rhs
 
 
 # --- full compile pipeline ---

@@ -16,24 +16,27 @@ from irrepsk.finitegroup import (
     average,
     build_builtin,
     central_extend,
-    check_cover_equivalence,
 )
 from irrepsk.gateset import contraction_constant, eps0_constant
 from irrepsk.linalg import (
     dist,
     op_norm,
-    random_sl_near_identity,
     random_su,
     random_traceless_hermitian,
 )
 from irrepsk.refine import (
-    check_smalltrace,
     naive_inverse_length,
     scan_orderings,
     symmetrize_matrix,
-    symmetrized_length,
 )
 from scipy.linalg import expm
+
+from helpers import (
+    check_cover_equivalence,
+    check_smalltrace,
+    random_sl_near_identity,
+    symmetrized_length,
+)
 
 
 def _line(label: str, ok: bool, detail: str = "") -> None:

@@ -20,12 +20,13 @@ from irrepsk.finitegroup import (
     build_builtin,
     builtin_matrices,
     central_extend,
-    check_cover_equivalence,
     check_irreducible,
     check_schur_orthogonality,
     infer_group,
 )
 from irrepsk.linalg import dist, op_norm, su_normalize
+
+from helpers import check_cover_equivalence
 
 BUILTIN_SHAPES = {
     # name -> (dim, order, projective)

@@ -15,7 +15,6 @@ from irrepsk.linalg import (
     qconj,
     qmul,
     quaternion_to_su2,
-    random_sl_near_identity,
     random_su,
     random_traceless_hermitian,
     sl_residual,
@@ -23,6 +22,8 @@ from irrepsk.linalg import (
     su_normalize,
     unitarity_residual,
 )
+
+from helpers import random_sl_near_identity
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)

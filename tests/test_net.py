@@ -644,7 +644,7 @@ def test_build_memory_is_bounded_by_the_chunk(ht_gateset, monkeypatch):
     # beyond the net's own arrays a build holds one chunk of candidates, each
     # under 512 B (product, Frobenius row, rounded key, sort and group
     # indices), and under 256 B per stored word (its k-d tree row and index,
-    # its cell hash and sort order, and the copies a level's end makes).
+    # and the copies a level's end makes).
     # tracemalloc sees numpy arrays, not the k-d trees' nodes
     for chunk in (irrepsk.net.CHUNK, 4096):
         monkeypatch.setattr(irrepsk.net, "CHUNK", chunk)
@@ -685,7 +685,7 @@ def test_built_su2_net_queries_on_the_builders_tree(tmp_path, ht_gateset):
     # build_net builds the lookup's tree, over the quaternions of every stored
     # product in store order and then their negations
     net = build_gateset_net(ht_gateset, 10, with_inverses=True)
-    assert type(net._tree) is cKDTree  # the builder's record of cells stays behind
+    assert type(net._tree) is cKDTree  # a plain tree over the lookup's two sheets
     q = su2_to_quaternion(net.products)
     q = np.concatenate([q, -q])
     assert net._tree.data.tobytes() == q.tobytes()
@@ -974,62 +974,45 @@ def test_builder_is_exact_when_every_cell_hash_collides(ht_gateset, monkeypatch)
     assert net.products.tobytes() == products.tobytes()
 
 
-def settle_counts(monkeypatch) -> dict:
-    """Live counts of the first members that the stored rows' cell record
-    settles, from the earlier levels' tree and from the trees over a level's
-    own chunks, and the set of widths of the stored rows."""
-    counts = {"earlier": 0, "level": 0, "widths": set()}
-    in_cell, store_rows = irrepsk.net._Stored.in_cell, irrepsk.net._store_rows
-
-    def store(trees, rows, hashes):
-        store_rows(trees, rows, hashes)
-        trees[-1].this_level = True
-        counts["widths"].add(rows.shape[1])
-
-    def count(tree, x, hashes, r):
-        hit = in_cell(tree, x, hashes, r)
-        counts["level" if getattr(tree, "this_level", False) else "earlier"] += int(hit.sum())
-        return hit
-
-    monkeypatch.setattr(irrepsk.net, "_store_rows", store)
-    monkeypatch.setattr(irrepsk.net._Stored, "in_cell", count)
-    return counts
-
-
-def test_record_settles_groups_as_the_reference_does(ht_gateset, slp_gateset, monkeypatch):
+def test_builder_matches_reference_across_64_candidate_chunks(ht_gateset, slp_gateset,
+                                                             monkeypatch):
     # with 64-candidate chunks duplicate groups span chunks, and many first
     # members repeat a cell that an earlier chunk of their own level stored.
     # The su nets are deduplicated over quaternions (4 floats a row), the sl
     # net over Frobenius vectors (8); the reference tests Frobenius vectors
     monkeypatch.setattr(irrepsk.net, "CHUNK", 64)
-    counts = settle_counts(monkeypatch)
+    widths, store_rows = set(), irrepsk.net._store_rows
+
+    def store(trees, rows):
+        widths.add(rows.shape[1])
+        store_rows(trees, rows)
+
+    monkeypatch.setattr(irrepsk.net, "_store_rows", store)
     for gs, length, with_inverses, width in ((ht_gateset, 8, True, 4),
                                              (load_gateset(TPRIME), 6, False, 4),
                                              (slp_gateset, 5, True, 8)):
-        counts.update(earlier=0, level=0, widths=set())
+        widths.clear()
         net = build_gateset_net(gs, length, with_inverses=with_inverses)
         gens = extended_generators(gs) if with_inverses else gs.matrices
         words, products = reference_net(gens, gs.dim, length, net.dedup_tol, signs_of(gs))
         assert words_of(net) == words
         assert net.products.tobytes() == products.tobytes()
-        assert counts["earlier"] > 0 and counts["level"] > 0
-        assert counts["widths"] == {width}
+        assert widths == {width}
 
 
-def test_record_settles_nothing_when_tol_is_within_a_few_bands(ht_gateset, monkeypatch):
-    counts = settle_counts(monkeypatch)
+def test_builder_matches_reference_when_every_group_is_loose(ht_gateset, monkeypatch):
+    # at dedup_tol 1e-9 the tolerance lies within the band around it, so
+    # every group is loose and every candidate is tested
     gens = extended_generators(ht_gateset)
-    net = build_net(gens, 2, "su", 6, 1e-9)
     words, products = reference_net(gens, 2, 6, 1e-9)
-    assert words_of(net) == words
-    assert net.products.tobytes() == products.tobytes()
-    assert counts["earlier"] == counts["level"] == 0
+    for net in at_each_chunk_size(monkeypatch, lambda: build_net(gens, 2, "su", 6, 1e-9)):
+        assert words_of(net) == words
+        assert net.products.tobytes() == products.tobytes()
 
 
 def test_builder_matches_reference_when_the_frontier_empties(pauli_only, monkeypatch):
-    # the su-form Paulis close into 4 products up to sign at length 1: the
-    # record settles every candidate of length 2, and the frontier empties
-    counts = settle_counts(monkeypatch)
+    # the su-form Paulis close into 4 products up to sign at length 1: every
+    # candidate of length 2 is a duplicate, and the frontier empties
     nets = at_each_chunk_size(
         monkeypatch, lambda: build_gateset_net(pauli_only, 5, with_inverses=True))
     words, products = reference_net(extended_generators(pauli_only), 2, 5, nets[0].dedup_tol)
@@ -1037,7 +1020,6 @@ def test_builder_matches_reference_when_the_frontier_empties(pauli_only, monkeyp
     for net in nets:
         assert words_of(net) == words
         assert net.products.tobytes() == products.tobytes()
-    assert counts["earlier"] > 0
 
 
 @pytest.mark.parametrize("path", sorted(GATESETS.glob("*.json")) + [TPRIME],

@@ -23,20 +23,19 @@ from irrepsk.errors import (
 from irrepsk.finitegroup import build_builtin
 from irrepsk.gateset import (contraction_constant, eps0_constant, load_gateset, make_word,
                              matrix_to_literal, parse_gateset)
-from irrepsk.linalg import (dist, matmul_stack, op_norm, random_sl_near_identity, random_su,
-                            random_traceless_hermitian)
+from irrepsk.linalg import dist, matmul_stack, op_norm, random_su, random_traceless_hermitian
 from irrepsk.net import extended_inverse
 from irrepsk.refine import (
     SCAN_EPS,
     SCAN_VANISH,
-    check_smalltrace,
     naive_inverse_length,
     scan_orderings,
     symmetrize_matrix,
     symmetrize_word,
-    symmetrized_length,
 )
 from irrepsk.skbase import sk_depths
+
+from helpers import check_smalltrace, random_sl_near_identity, symmetrized_length
 
 TPRIME = Path(__file__).resolve().parent.parent / "perfbench" / "gatesets" / "pauli_ht_tprime.json"
 

@@ -99,6 +99,11 @@ RECORDS = {
         "hash: every duplicate group's first member is measured against the "
         "stored rows by a k-d tree query, the path the record only short-cut; "
         "every net, word and saved net file is byte-identical; claims no gain",
+    "BENCH_near_identity_scan.json":
+        "EpsNet.nearest answers a stack of rows near the identity, as the SK "
+        "recursion's commutator factors are, by one dot-product scan of the "
+        "512 tree rows nearest I, and leaves ties and any other stack to the "
+        "k-d tree; every word, sign and distance bit is unchanged",
 }
 # --out files that also record "sample": SAMPLE_TARGETS targets of one gate
 # set at the small eps of the sweep, one compile per target and side, with

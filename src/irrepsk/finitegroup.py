@@ -203,22 +203,12 @@ def infer_group(mats, tol: float = DEFAULT_TOL, unitary: bool = True) -> FiniteG
     return _assemble(checked, tol, unitary)
 
 
-def average(rep: FiniteGroupRep, m) -> np.ndarray:
-    """sum over g of rho(g) M rho(g)^{-1} (adjoint conjugation when unitary).
-
-    For an irrep this equals |G| (tr M / d) I for every M, projective or not.
-    """
-    a = require_matrix(m)
-    if a.shape[0] != rep.dim:
-        raise DimError(f"matrix dimension {a.shape[0]} != rep dimension {rep.dim}")
-    return np.einsum("gij,jk,gkl->il", rep.elements, a, rep.inv_elements)
-
-
 def check_irreducible(rep: FiniteGroupRep) -> IrreducibilityReport:
     """Averaging criterion on all d^2 matrix units.
 
-    The rep is irreducible iff average(E_jl) = |G| delta_jl / d * I for every
-    matrix unit E_jl; the report carries the worst deviation.
+    The rep is irreducible iff the average sum over g of rho(g) E_jl
+    rho(g)^{-1} is |G| delta_jl / d * I for every matrix unit E_jl; the
+    report carries the worst deviation.
     """
     d, n = rep.dim, rep.order
     # average all matrix units at once: S[j,l] = sum_g rho(g) E_jl rho(g)^{-1}

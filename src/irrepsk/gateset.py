@@ -200,13 +200,18 @@ def eps0_constant(gs_or_rep) -> float:
     return 1.0 / (2 * contraction_constant(rep))
 
 
+def is_number(x, kind=(int, float)) -> bool:
+    """Whether x is a JSON number of kind.  Python counts a bool as an int,
+    but JSON's true and false are no numbers."""
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 def parse_matrix_literal(entries, d: int, where: str) -> np.ndarray:
     if not isinstance(entries, list) or len(entries) != d * d:
         raise SchemaError(f"{where}: matrix literal must have {d * d} [re, im] pairs")
     vals = []
     for pair in entries:
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(x, (int, float)) for x in pair)):
+        if not isinstance(pair, list) or len(pair) != 2 or not all(map(is_number, pair)):
             raise SchemaError(f"{where}: entries must be [re, im] pairs")
         vals.append(complex(pair[0], pair[1]))
     return np.array(vals, dtype=complex).reshape(d, d)
@@ -249,18 +254,18 @@ def parse_gateset(doc) -> GateSet:
         raise SchemaError("gate-set document must be a JSON object")
 
     dim = doc.get("dimension")
-    if not isinstance(dim, int) or dim < 1:
+    if not is_number(dim, int) or dim < 1:
         raise SchemaError("'dimension' must be a positive integer")
     mode = doc.get("mode")
     if mode not in ("su", "sl"):
         raise SchemaError("'mode' must be 'su' or 'sl'")
     tol = doc.get("tolerance", DEFAULT_TOL)
-    if not isinstance(tol, (int, float)) or tol <= 0:
+    if not is_number(tol) or tol <= 0:
         raise SchemaError("'tolerance' must be a positive number")
     tol = float(tol)
     sl_radius = doc.get("sl_radius")
     if mode == "sl":
-        if not isinstance(sl_radius, (int, float)) or sl_radius <= 0:
+        if not is_number(sl_radius) or sl_radius <= 0:
             raise SchemaError("sl mode requires a positive 'sl_radius'")
         sl_radius = float(sl_radius)
     else:

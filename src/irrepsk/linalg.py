@@ -6,7 +6,8 @@ of the program, and one distance routine, dist: the operator-norm (largest
 singular value) distance taken up to a set of global phases, over one matrix
 or a stack.  That is the unitarily invariant metric the contraction analysis
 is stated in, up to the d-th roots of unity a projective irrep's products
-pick up.
+pick up.  On SU(2) quaternions (su2_to_quaternion) dist has the closed form
+qdist, the Euclidean distance, which the SK stage and the net lookup use.
 """
 
 from __future__ import annotations
@@ -72,18 +73,13 @@ def matmul_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def determinant(m) -> complex:
-    """Determinant via LU factorisation."""
-    return complex(np.linalg.det(require_matrix(m)))
-
-
 def unitarity_residual(m) -> float:
     a = require_matrix(m)
     return dist(matmul_stack(a.conj().T, a), np.eye(a.shape[0]))
 
 
 def sl_residual(m) -> float:
-    return abs(determinant(m) - 1.0)
+    return abs(complex(np.linalg.det(require_matrix(m))) - 1.0)
 
 
 def check_class(m, mode: str, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -151,6 +147,15 @@ def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     does (one row against n): the quaternion of the matrix product A B."""
     ab = a[..., :, None] * b[..., None, :]
     return ab.reshape(ab.shape[:-2] + (16,)) @ _QMUL
+
+
+def qdist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|x - y| over the last axis of (..., 4) quaternion stacks, broadcasting
+    as qmul does: dist(A, B) for A, B in SU(2).  It has the bits of a k-d
+    tree query: the squared differences summed in the order w, x, y, z,
+    then the square root."""
+    s = (x - y) ** 2
+    return np.sqrt(s[..., 0] + s[..., 1] + s[..., 2] + s[..., 3])
 
 
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])

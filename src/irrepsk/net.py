@@ -36,8 +36,8 @@ from scipy.spatial import cKDTree
 
 from .errors import (BudgetExceeded, DimUnsupported, EmptyNet, FormatError, SchemaError,
                      StaleGateSet)
-from .gateset import GateSet, eps0_constant
-from .linalg import dist, matmul_stack, random_su, su2_to_quaternion
+from .gateset import GateSet, eps0_constant, is_number
+from .linalg import dist, matmul_stack, qdist, random_su, su2_to_quaternion
 
 NET_FORMAT = "irrepsk-net-v4"
 DEFAULT_BUDGET = 2_000_000
@@ -194,7 +194,7 @@ class EpsNet:
         once m < SCAN shows that no row past them is that near.  Dot
         products rank the squared distances to within round-off, far below
         TIE, so with d1 and d2 the distances of the first and second by dot
-        product, measured as the tree measures (_tree_dist), every other
+        product, measured as the tree measures (qdist), every other
         kept row lies at least d2 - TIE / d2 from x.  Where that is more
         than TIE past d1, the row has no tie and its hit is the one at d1,
         as the tree finds it.  The rest (ties, near ties, and two rows that
@@ -202,16 +202,16 @@ class EpsNet:
         if not len(q):
             return None
         near_d, rows, quats = self._near
-        r = np.sqrt(((q - _IDENTITY) ** 2).sum(1).max())
+        r = qdist(q, _IDENTITY).max()
         m = near_d.searchsorted(2 * r + 2 * TIE, "right")
         if m >= SCAN:
             return None
         g = q @ quats[:m].T
         a = g.argmax(1)
-        d1, d2 = _tree_dist(q, quats[a]), np.inf  # the identity alone has no second
+        d1, d2 = qdist(q, quats[a]), np.inf  # the identity alone has no second
         if m > 1:
             g[np.arange(len(q)), a] = -np.inf
-            d2 = _tree_dist(q, quats[g.argmax(1)])
+            d2 = qdist(q, quats[g.argmax(1)])
         sure = (d2 - d1 - TIE) * d2 > TIE
         return rows[a], d1, (~sure).nonzero()[0]
 
@@ -297,13 +297,6 @@ def _near_identity(tree: cKDTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     quaternions."""
     d, i = tree.query(_IDENTITY, k=min(SCAN, tree.n))
     return d, i, tree.data[i]
-
-
-def _tree_dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """|x - y| row by row, with the bits of a k-d tree query: the squared
-    differences summed in the order w, x, y, z, then the square root."""
-    s = (x - y) ** 2
-    return np.sqrt(s[:, 0] + s[:, 1] + s[:, 2] + s[:, 3])
 
 
 def _rows(mats: np.ndarray, su2: bool) -> np.ndarray:
@@ -641,11 +634,12 @@ def load_net(path, gs: GateSet, with_inverses: bool = False) -> EpsNet:
         )
     for key, types in (("word_length", int), ("dedup_tol", (int, float)),
                        ("achieved_density", (int, float, type(None))), ("levels", list)):
-        if not isinstance(header.get(key), types):
-            raise FormatError(f"bad net header field {key!r}: {header.get(key)!r}")
+        value = header.get(key)
+        if not isinstance(value, types) or isinstance(value, bool):  # a bool is an int
+            raise FormatError(f"bad net header field {key!r}: {value!r}")
     levels = header["levels"]
     if (len(levels) != header["word_length"] + 2 or levels[:2] != [0, 1]
-            or not all(isinstance(n, int) for n in levels) or np.any(np.diff(levels) < 0)):
+            or not all(is_number(n, int) for n in levels) or np.any(np.diff(levels) < 0)):
         raise FormatError(f"bad net header field 'levels': {levels!r}")
     count = levels[-1]
     lines = body.splitlines()

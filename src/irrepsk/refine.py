@@ -28,7 +28,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     BallExit,
@@ -115,21 +114,18 @@ def _table_inverse_word(gs: GateSet, gen_index: int):
     return make_word(gs.matrices, (int(gs.rep.inverse_index[gen_index]),))
 
 
-def _best_start(gs: GateSet, net: EpsNet, u: np.ndarray):
-    """Tokens of the net word V minimizing the aligned distance of V U to I,
-    and that distance.  Within TIE of the smallest, the lowest store index
-    wins, which is the shortest word (the store is breadth-first).  On an
-    SU(2) net that distance up to sign is |q_V -+ conj(q_U)|, so V is one
-    EpsNet.nearest of U^-1; any other net scans dist over its products."""
-    eye = np.eye(gs.dim)
+def _best_start(gs: GateSet, net: EpsNet, u: np.ndarray) -> np.ndarray:
+    """Tokens of the net word V minimizing the aligned distance of V U to I.
+    Within TIE of the smallest, the lowest store index wins, which is the
+    shortest word (the store is breadth-first).  On an SU(2) net that
+    distance up to sign is |q_V -+ conj(q_U)|, so V is one EpsNet.nearest of
+    U^-1; any other net scans dist over its products."""
     if net.su2:
         (i,), _, _ = net.nearest(qconj(su2_to_quaternion(u))[None])
-        err = dist(matmul_stack(net.products[i], u), eye, gs.phase_candidates)
     else:
-        starts = dist(matmul_stack(net.products, u), eye, gs.phase_candidates)
+        starts = dist(matmul_stack(net.products, u), np.eye(gs.dim), gs.phase_candidates)
         i = int(np.flatnonzero(starts <= starts.min() + TIE)[0])
-        err = starts[i]
-    return net.tokens[net.offsets[i]:net.offsets[i + 1]], float(err)
+    return net.tokens[net.offsets[i]:net.offsets[i + 1]]
 
 
 class _Trajectory:
@@ -181,42 +177,39 @@ class _Trajectory:
         """Append the seed, or one more pass, or set failure instead."""
         gs, phases = self.gs, self.gs.phase_candidates
         u = gs.matrices[self.gen_index]
-        if not self.words:
-            eps0 = eps0_constant(gs)
-            tokens, err = _best_start(gs, net, u)
-            if err > eps0:
-                self.failure = functools.partial(
-                    NetTooCoarse,
-                    f"best net start error {err:.3e} exceeds the basin radius "
-                    f"{eps0:.3e}; rebuild the net with longer words")
-                return
-            word = make_word(gs.matrices, tokens)
-            w = matmul_stack(word.product, u)
-        else:
+        if self.words:
             # the pass over W = V U ends in the bare W, so in U's token
             iterate = np.append(self.words[-1].tokens, self.gen_index)
-            word = make_word(gs.matrices, symmetrize_word(gs.rep, iterate)[:-1])
-            w = matmul_stack(word.product, u)
-            if gs.mode == "sl" and op_norm(w) > gs.sl_radius + 1.0:
-                self.failure = functools.partial(
-                    BallExit,
-                    f"iterate left the working ball (operator norm {op_norm(w):.3f})")
-                return
-            err = dist(w, np.eye(gs.dim), phases)
-            # this pass and the one before it both failed to contract; a
-            # non-contracting pass is never a new best, so the best iterate
-            # is among the kept ones
-            if len(self.errors) >= 2 and err >= self.errors[-1] >= self.errors[-2]:
-                best_pass = int(np.argmin(self.errors))
-                best_error = self.errors[best_pass]
-                floor = (self.words[best_pass].length + 1) * 2.0 ** -52
-                self.failure = functools.partial(
-                    Stalled,
-                    f"two consecutive non-contracting passes: best error "
-                    f"{best_error:.3e} at pass {best_pass} (round-off floor "
-                    f"{floor:.1e}), last {err:.3e}",
-                    best_error=best_error, best_pass=best_pass, floor=floor)
-                return
+            tokens = symmetrize_word(gs.rep, iterate)[:-1]
+        else:
+            tokens = _best_start(gs, net, u)
+        word = make_word(gs.matrices, tokens)
+        w = matmul_stack(word.product, u)
+        if self.words and gs.mode == "sl" and op_norm(w) > gs.sl_radius + 1.0:
+            self.failure = functools.partial(
+                BallExit, f"iterate left the working ball (operator norm {op_norm(w):.3f})")
+            return
+        err = dist(w, np.eye(gs.dim), phases)
+        if not self.words and err > eps0_constant(gs):
+            self.failure = functools.partial(
+                NetTooCoarse,
+                f"best net start error {err:.3e} exceeds the basin radius "
+                f"{eps0_constant(gs):.3e}; rebuild the net with longer words")
+            return
+        # this pass and the one before it both failed to contract; a
+        # non-contracting pass is never a new best, so the best iterate is
+        # among the kept ones
+        if len(self.errors) >= 2 and err >= self.errors[-1] >= self.errors[-2]:
+            best_pass = int(np.argmin(self.errors))
+            best_error = self.errors[best_pass]
+            floor = (self.words[best_pass].length + 1) * 2.0 ** -52
+            self.failure = functools.partial(
+                Stalled,
+                f"two consecutive non-contracting passes: best error "
+                f"{best_error:.3e} at pass {best_pass} (round-off floor "
+                f"{floor:.1e}), last {err:.3e}",
+                best_error=best_error, best_pass=best_pass, floor=floor)
+            return
         self.words.append(word)
         self.errors.append(err)
         self.achieved.append(dist(word.product, self.u_inv, phases))
@@ -461,13 +454,27 @@ def compile_target(gs: GateSet, target, eps: float, params: SKParams,
 SCAN_EPS, SCAN_VANISH = (3e-4, 1e-4), 1e-3
 
 
+def _exp_series(x: np.ndarray) -> np.ndarray:
+    """exp(x) of a (d, d) x, or of each matrix of a stack, by its Taylor
+    series to degree 6 in Horner form, I + x (I + x / 2 (... (I + x / 6))),
+    multiplied by matmul_stack, so its bits are the same on every CPU and
+    in every stack.  For the scan's ||x|| <= max(SCAN_EPS) = 3e-4 the first
+    term left out, ||x||^7 / 7!, is below 1e-28."""
+    eye = np.eye(x.shape[-1])
+    w = eye + x / 6
+    for k in (5, 4, 3, 2, 1):
+        w = eye + matmul_stack(x, w) / k
+    return w
+
+
 def scan_orderings(rep: FiniteGroupRep, samples: int = 24, rng=None):
     """Measure the quadratic error coefficient per group-element ordering.
 
     The identity factor stays last; the other n - 1 elements are permuted.
     For each ordering the coefficient is the mean over random near-identity
     perturbations W = exp(i eps H), eps in SCAN_EPS, of dist(f(W), I) / eps^2:
-    each W computed once, and each ordering's f one stacked symmetrize_matrix.
+    each W computed once (_exp_series), and each ordering's f one stacked
+    symmetrize_matrix.
     Returns a list of (ordering, coefficient) sorted ascending and the vanish
     threshold (SCAN_VANISH times the median coefficient).
     """
@@ -483,7 +490,7 @@ def scan_orderings(rep: FiniteGroupRep, samples: int = 24, rng=None):
     for _ in range(samples):
         h = random_traceless_hermitian(rep.dim, rng)
         perturbations.append(h / op_norm(h))
-    w = np.array([expm(1j * eps * h) for h in perturbations for eps in SCAN_EPS])
+    w = _exp_series(np.array([1j * eps * h for h in perturbations for eps in SCAN_EPS]))
     eps2 = np.tile(np.square(SCAN_EPS), samples)
     results = []
     for perm in itertools.permutations(range(1, n)):

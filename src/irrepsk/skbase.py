@@ -57,7 +57,7 @@ import numpy as np
 from .errors import ClassError, DimError, DimUnsupported, InvalidMatrix, NetTooCoarse, TooFar
 from .gateset import GateSet
 from .net import TIE, EpsNet, build_gateset_net
-from .linalg import DEFAULT_TOL, qconj, qmul, quaternion_to_su2, su2_residual
+from .linalg import DEFAULT_TOL, qconj, qdist, qmul, quaternion_to_su2, su2_residual
 
 
 def rotation(axis, angle: float) -> np.ndarray:
@@ -266,10 +266,6 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
         """The signed words A B A^dag B^dag W along the last axis."""
         return np.concatenate([ia, ib, ~ia[..., ::-1], ~ib[..., ::-1], idx1], axis=-1)
 
-    def error(p: np.ndarray) -> np.ndarray:
-        """Distances ||A - B|| = |q_A - q_B| of (n, 4) quaternions to the target."""
-        return np.sqrt(((p - target_q) ** 2).sum(-1))
-
     def search(family: np.ndarray, w1, depth: int, rs) -> tuple[tuple, float, int]:
         """The best of the top-level pairs r of rs from w1, the depth - 1
         word, given the factor quaternions (2, 2K, 4) of the pairs at every
@@ -279,7 +275,7 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
         lowest r, win."""
         idx1, p1 = w1
         (ia, ib), p = commutators(family[:, rs], p1[None], depth)
-        errors = error(p)
+        errors = qdist(p, target_q)
         tied = (errors <= errors.min() + TIE).nonzero()[0]
         j = tied[0]
         if len(tied) > 1:  # rs ascends: the first of the fewest has the lowest r
@@ -294,7 +290,7 @@ def sk_depths(gs: GateSet, target, params: SKParams, eps: float = 0.0):
     pairs, midpoints = np.arange(0, 2 * k, 2), np.arange(1, 2 * k, 2)
     angles = np.arange(2 * k) * (math.pi / k)
     i, p = level(target_q[None], 0)
-    word, err, r = (i[0], p[0]), float(error(p)[0]), 0
+    word, err, r = (i[0], p[0]), float(qdist(p[0], target_q)), 0
     best = err
     yield 0, word[0], word[1], err, r
     try:

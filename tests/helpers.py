@@ -1,6 +1,6 @@
 """Checks and samplers that only the tests use: the length formula of one
-symmetrization pass, the trace bound, the cover's averaging identity and
-random determinant-one matrices near the identity."""
+symmetrization pass, the trace bound, the group average, the cover's
+averaging identity and random determinant-one matrices near the identity."""
 
 from __future__ import annotations
 
@@ -10,8 +10,8 @@ import numpy as np
 import scipy.linalg
 
 from irrepsk.errors import DimError
-from irrepsk.finitegroup import FiniteGroupRep, average, central_extend
-from irrepsk.linalg import dist
+from irrepsk.finitegroup import FiniteGroupRep, central_extend
+from irrepsk.linalg import dist, require_matrix
 
 
 def symmetrized_length(group_order: int, length: int) -> int:
@@ -27,6 +27,17 @@ def check_smalltrace(m: np.ndarray) -> tuple[float, float]:
     lhs = abs(np.trace(m) - d)
     rhs = (2.0 ** d + math.factorial(d)) * dist(m, np.eye(d)) ** 2
     return lhs, rhs
+
+
+def average(rep: FiniteGroupRep, m) -> np.ndarray:
+    """sum over g of rho(g) M rho(g)^{-1} (adjoint conjugation when unitary).
+
+    For an irrep this equals |G| (tr M / d) I for every M, projective or not.
+    """
+    a = require_matrix(m)
+    if a.shape[0] != rep.dim:
+        raise DimError(f"matrix dimension {a.shape[0]} != rep dimension {rep.dim}")
+    return np.einsum("gij,jk,gkl->il", rep.elements, a, rep.inv_elements)
 
 
 def check_cover_equivalence(rep: FiniteGroupRep, m,

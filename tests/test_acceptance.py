@@ -12,11 +12,7 @@ import numpy as np
 import pytest
 
 from irrepsk import compile_target, refine_inverse
-from irrepsk.finitegroup import (
-    average,
-    build_builtin,
-    central_extend,
-)
+from irrepsk.finitegroup import build_builtin, central_extend
 from irrepsk.gateset import contraction_constant, eps0_constant
 from irrepsk.linalg import (
     dist,
@@ -32,6 +28,7 @@ from irrepsk.refine import (
 from scipy.linalg import expm
 
 from helpers import (
+    average,
     check_cover_equivalence,
     check_smalltrace,
     random_sl_near_identity,

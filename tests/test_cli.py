@@ -265,6 +265,28 @@ def test_compile_bad_axis_spec(capsys):
     assert "axis" in err
 
 
+def test_booleans_for_numbers_exit_as_their_file_is_refused(capsys, tmp_path):
+    # a boolean in a gate set or a target exits 1 (SchemaError), in a net
+    # header 3 (FormatError), each naming the field
+    doc = json.loads(Path(HT).read_text()) | {"tolerance": True}
+    (tmp_path / "gs.json").write_text(json.dumps(doc))
+    rc, _, err = run(capsys, "validate", "--gateset", str(tmp_path / "gs.json"))
+    assert rc == 1 and "'tolerance'" in err
+    target = "[[true,false],[false,false],[false,false],[true,false]]"
+    rc, _, err = run(capsys, "compile", "--gateset", HT, "--target", target,
+                     "--epsilon", "1e-2", "--base-length", "4", "--refine-length", "4")
+    assert rc == 1 and "target: entries must be" in err
+    net = tmp_path / "net.json"
+    assert run(capsys, "net", "--gateset", HT, "--length", "4", "--out", str(net))[0] == 0
+    head, body = net.read_text().split("\n", 1)
+    header = json.loads(head)
+    header["levels"][:2] = [False, True]
+    net.write_text(json.dumps(header) + "\n" + body)
+    rc, _, err = run(capsys, "refine-inverse", "--gateset", HT, "--gate", "T",
+                     "--epsilon", "1e-6", "--net", str(net))
+    assert rc == 3 and "'levels'" in err
+
+
 def test_compile_with_saved_nets(capsys, tmp_path):
     base_file = tmp_path / "base.json"
     refine_file = tmp_path / "refine.json"
@@ -526,14 +548,17 @@ def test_net_budget_is_a_compile_failure(capsys, tmp_path):
 
 # SHA-256 of the CSV below.  Its coefficients print to 10 digits, so it
 # changes with the scan's perturbations, eps values or orderings.
-# Re-recorded once (1c56c9c3... before) when symmetrize_matrix began to
-# multiply with linalg.matmul_stack instead of BLAS: the same 6 of 120
-# orderings vanish, the other coefficients moved by at most 6.2e-9 relative
-# and the 6 at the round-off floor (about 1.124e-4) by at most 4.7e-5.  Unlike
-# the other pins this one still depends on the CPU: scipy's expm forms the
-# perturbations W with BLAS, and they already differ between the SkylakeX
-# OpenBLAS kernel, which it was recorded under, and the Haswell one.
-SCAN_CSV_SHA256 = "640296f60d5d0c01fe5931f938bf3f27b2228967574067277c00bf6a40c908ec"
+# Re-recorded (1c56c9c3... before) when symmetrize_matrix began to multiply
+# with linalg.matmul_stack instead of BLAS: the same 6 of 120 orderings
+# vanish, the other coefficients moved by at most 6.2e-9 relative and the 6
+# at the round-off floor (about 1.124e-4) by at most 4.7e-5.  Re-recorded
+# again (640296f6... under the SkylakeX OpenBLAS kernel, 8c89b33d... under
+# Haswell) when the perturbations W began to be formed by a degree-6 Taylor
+# series with matmul_stack instead of scipy's expm, which used BLAS: the same
+# 6 orderings vanish, the other 114 print the same 10 digits, and the 6 at
+# the floor moved by at most 1.8e-8 relative.  Like the other pins it now
+# holds under every BLAS kernel.
+SCAN_CSV_SHA256 = "3bf60af5a3b303c3f1664c8abe38a76ca33a99cb0f8d760549d4cb8082c127f7"
 
 
 def test_scan_orderings_cli(capsys, tmp_path):

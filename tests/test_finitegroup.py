@@ -16,7 +16,6 @@ from irrepsk.errors import (
 )
 from irrepsk.finitegroup import (
     BUILTIN_GROUPS,
-    average,
     build_builtin,
     builtin_matrices,
     central_extend,
@@ -26,7 +25,7 @@ from irrepsk.finitegroup import (
 )
 from irrepsk.linalg import dist, op_norm, su_normalize
 
-from helpers import check_cover_equivalence
+from helpers import average, check_cover_equivalence
 
 BUILTIN_SHAPES = {
     # name -> (dim, order, projective)

@@ -83,6 +83,25 @@ def test_parse_requires_schema_fields():
         parse_gateset("not valid json {")
 
 
+def test_parse_refuses_booleans_for_numbers():
+    # Python counts a bool as an int, but a JSON true or false is no number:
+    # "tolerance": true was read as 1.0 and "dimension": true as 1
+    for doc, field in (({**doc_su(), "dimension": True}, "'dimension'"),
+                       ({**doc_su(), "tolerance": True}, "'tolerance'"),
+                       ({**doc_su(), "mode": "sl", "sl_radius": True}, "'sl_radius'")):
+        with pytest.raises(SchemaError, match=field):
+            parse_gateset(json.dumps(doc))
+
+
+def test_matrix_literal_refuses_booleans():
+    # [true, false] was read as 1 + 0j, so a gate of booleans parsed
+    eye = [[True, False], [False, False], [False, False], [True, False]]
+    with pytest.raises(SchemaError, match="target: entries must be"):
+        parse_matrix_literal(eye, 2, "target")
+    with pytest.raises(SchemaError, match="gate 'B': entries must be"):
+        parse_gateset(json.dumps(doc_su(gates=[{"name": "B", "matrix": eye}])))
+
+
 def test_parse_rejects_duplicate_names():
     d = doc_su(gates=[gate("X", H)])  # clashes with the irrep element name
     with pytest.raises(SchemaError):

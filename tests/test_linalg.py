@@ -4,15 +4,16 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from irrepsk.errors import ClassError, DimError, InvalidMatrix
 from irrepsk.linalg import (
     check_class,
-    determinant,
     dist,
     matmul_stack,
     op_norm,
     qconj,
+    qdist,
     qmul,
     quaternion_to_su2,
     random_su,
@@ -167,6 +168,34 @@ def test_qmul_by_the_identity_is_bit_exact():
     assert np.array_equal(qmul(one, q), q) and np.array_equal(qmul(q, one[None]), q)
 
 
+def _unit_rows(rng, n):
+    q = rng.normal(size=(n, 4))
+    return q / np.sqrt((q * q).sum(1))[:, None]
+
+
+def test_qdist_has_the_bits_of_a_tree_query():
+    # EpsNet._scan measures its candidates with qdist and settles a row
+    # only if it would rank them as the k-d tree does, so the two must give
+    # the same distance bits
+    rng = np.random.default_rng(14)
+    data, x = _unit_rows(rng, 2000), _unit_rows(rng, 1000)
+    d, j = cKDTree(data).query(x, k=2)
+    for k in (0, 1):
+        assert qdist(x, data[j[:, k]]).tobytes() == d[:, k].tobytes()
+
+
+def test_qdist_is_the_summed_form_and_the_operator_norm():
+    # sk_depths measures (1, 4) and (K, 4) stacks, and one row, against the
+    # target's (4,); the distance is the operator-norm dist of the matrices
+    rng = np.random.default_rng(15)
+    q, t = _unit_rows(rng, 512), _unit_rows(rng, 1)[0]
+    for p in (q[:1], q[:16], q, q[0]):
+        assert qdist(p, t).tobytes() == np.sqrt(((p - t) ** 2).sum(-1)).tobytes()
+    want = dist(quaternion_to_su2(q), quaternion_to_su2(t))
+    assert np.abs(qdist(q, t) - want).max() <= 1e-14
+    assert qdist(q[:, None], q[:3]).shape == (512, 3)
+
+
 def test_su_normalize_pauli_branch():
     # det X = -1; the principal square root is i, so X maps to -iX
     assert np.allclose(su_normalize(X), -1j * X, atol=1e-12)
@@ -180,7 +209,7 @@ def test_su_normalize_idempotent_and_det_one():
     for _ in range(20):
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
         m = su_normalize(q)
-        assert determinant(m) == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-10)
         assert np.allclose(su_normalize(m), m, atol=1e-12)
 
 
@@ -210,7 +239,7 @@ def test_random_su_is_special_unitary_and_seeded():
     for d in (2, 3):
         m = random_su(d, rng)
         assert unitarity_residual(m) <= 1e-10
-        assert determinant(m) == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-10)
     a = random_su(2, np.random.default_rng(42))
     b = random_su(2, np.random.default_rng(42))
     assert np.array_equal(a, b)
@@ -229,4 +258,4 @@ def test_random_sl_near_identity_respects_radius():
     for _ in range(50):
         m = random_sl_near_identity(2, rng, 0.3)
         assert dist(m, np.eye(2)) <= 0.3
-        assert determinant(m) == pytest.approx(1.0, abs=1e-9)
+        assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-9)

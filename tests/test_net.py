@@ -622,6 +622,22 @@ def test_load_net_rejects_corrupt_file(tmp_path, ht_gateset):
                 head=json.dumps(header | {"format": old}))
 
 
+def test_load_net_refuses_booleans_in_the_header(tmp_path, ht_gateset):
+    # a bool is an int to isinstance, and [false, true] == [0, 1], so each
+    # of these passed the header's type checks
+    net = build_gateset_net(ht_gateset, 3)
+    p = tmp_path / "net.json"
+    save_net(net, p)
+    head, body = p.read_text().split("\n", 1)
+    header = json.loads(head)
+    for key, value in (("word_length", True), ("dedup_tol", True),
+                       ("achieved_density", False),
+                       ("levels", [False, True] + header["levels"][2:])):
+        p.write_text(json.dumps(header | {key: value}) + "\n" + body)
+        with pytest.raises(FormatError, match=f"bad net header field '{key}'"):
+            load_net(p, ht_gateset)
+
+
 def test_budget_raises_budget_exceeded(ht_gateset):
     with pytest.raises(BudgetExceeded, match="budget 20 exceeded at word length"):
         build_gateset_net(ht_gateset, 4, budget=20)

@@ -28,6 +28,7 @@ from irrepsk.net import extended_inverse
 from irrepsk.refine import (
     SCAN_EPS,
     SCAN_VANISH,
+    _exp_series,
     naive_inverse_length,
     scan_orderings,
     symmetrize_matrix,
@@ -320,8 +321,8 @@ def test_naive_inverse_length_refuses_a_parabolic_gate():
 
 def test_seed_on_an_su2_net_is_the_dist_scan(ht_gateset, ht_refine_net, skew_gateset):
     # on an SU(2) net the seed is one nearest lookup of U^-1; it must pick
-    # the word and give the error bits that a dist scan over every net word
-    # gives, lowest store index within TIE of the smallest
+    # the word that a dist scan over every net word picks, lowest store
+    # index within TIE of the smallest
     import irrepsk.refine as refine_mod
     tprime = load_gateset(TPRIME)
     for gs, net in ((ht_gateset, ht_refine_net), (skew_gateset, build_gateset_net(skew_gateset, 8)),
@@ -329,9 +330,31 @@ def test_seed_on_an_su2_net_is_the_dist_scan(ht_gateset, ht_refine_net, skew_gat
         for gen, u in enumerate(gs.matrices):
             starts = dist(matmul_stack(net.products, u), np.eye(2), gs.phase_candidates)
             i = int(np.flatnonzero(starts <= starts.min() + 1e-12)[0])
-            tokens, err = refine_mod._best_start(gs, net, u)
+            tokens = refine_mod._best_start(gs, net, u)
             assert tokens.tolist() == net.tokens[net.offsets[i]:net.offsets[i + 1]].tolist()
-            assert err == starts[i]
+
+
+@pytest.mark.parametrize("gateset,length,gate,eps", [("skew_gateset", 6, "S", 1e-8),
+                                                     ("slp_gateset", 3, "P", 1e-6)])
+def test_every_trajectory_error_is_read_from_its_own_fold(request, gateset, length, gate, eps):
+    # errors[0], the seed's, is dist(V_0 U, I) on the fold of the seed's
+    # tokens, as every pass's error is on the fold of its own word.  On the
+    # L6 net S's seed is 5 tokens long, and the net's stored product of it
+    # differs from the fold in its last bits
+    import irrepsk.refine as refine_mod
+    gs = request.getfixturevalue(gateset)
+    net = build_gateset_net(gs, length)
+    gen = gs.name_index(gate)
+    u = gs.matrices[gen]
+    trace = refine_inverse(gs, net, gen, eps)[2]
+    assert len(trace.errors) >= 2
+    assert trace.start_error == trace.errors[0]
+    tokens = refine_mod._best_start(gs, net, u)
+    for k, err in enumerate(trace.errors):
+        if k:
+            tokens = symmetrize_word(gs.rep, np.append(tokens, gen))[:-1]
+        w = matmul_stack(make_word(gs.matrices, tokens).product, u)
+        assert err == dist(w, np.eye(gs.dim), gs.phase_candidates)
 
 
 def test_naive_inverse_length_cap(rz_gateset):
@@ -671,7 +694,7 @@ def _scan_one_at_a_time(rep, samples, rng):
         coeffs = []
         for h in perturbations:
             for eps in SCAN_EPS:
-                f = symmetrize_matrix(rep, expm(1j * eps * h), order)
+                f = symmetrize_matrix(rep, _exp_series(1j * eps * h), order)
                 coeffs.append(dist(f, eye, rep.phase_candidates) / eps ** 2)
         results.append((order, float(np.mean(coeffs))))
     results.sort(key=lambda t: t[1])
@@ -680,19 +703,30 @@ def _scan_one_at_a_time(rep, samples, rng):
 
 @pytest.mark.parametrize("name, samples, seed", [("s3", 4, 1), ("s3", 6, 45), ("pauli", 24, 0)])
 def test_scan_orderings_matches_the_loop_bitwise(monkeypatch, name, samples, seed):
-    # one exponential per perturbation and eps, shared by every ordering
+    # one exponential series over every perturbation and eps, shared by
+    # every ordering
     import irrepsk.refine as refine_mod
     rep = build_builtin(name)
     calls = []
 
-    def counted_expm(a):
-        calls.append(1)
-        return expm(a)
+    def counted_series(x):
+        calls.append(len(x))
+        return _exp_series(x)
 
-    monkeypatch.setattr(refine_mod, "expm", counted_expm)
+    monkeypatch.setattr(refine_mod, "_exp_series", counted_series)
     got = scan_orderings(rep, samples=samples, rng=np.random.default_rng(seed))
-    assert len(calls) == samples * len(SCAN_EPS)
+    assert calls == [samples * len(SCAN_EPS)]
     assert got == _scan_one_at_a_time(rep, samples, np.random.default_rng(seed))
+
+
+def test_exp_series_is_expm_at_the_scan_sizes():
+    # the degree-6 series leaves out terms below 1e-28 at ||x|| <= 3e-4, so
+    # it stays within an ulp of 1 of scipy's expm
+    rng = np.random.default_rng(3)
+    for d in (2, 3):
+        for eps in SCAN_EPS:
+            x = 1j * eps * random_traceless_hermitian(d, rng)
+            assert np.abs(_exp_series(x) - expm(x)).max() <= 2.0 ** -52
 
 
 def test_scan_orderings_rejects_large_groups():

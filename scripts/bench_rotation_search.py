@@ -104,6 +104,15 @@ RECORDS = {
         "recursion's commutator factors are, by one dot-product scan of the "
         "512 tree rows nearest I, and leaves ties and any other stack to the "
         "k-d tree; every word, sign and distance bit is unchanged",
+    "BENCH_net_pairs.json":
+        "the net builder finds its near pairs with array queries: one bounded "
+        "k-nearest query for the rows that have a neighbour, asked again at a "
+        "wider k only where the k-th is still within r, the same for the "
+        "negations of the rows near the equator, and the pairs put in order by "
+        "one np.unique of i n + j keys, not a ball query per row and a sorted "
+        "Python set; EpsNet.nearest sends a stack whose lowest w puts it past "
+        "the SCAN-th row to the tree without measuring its radius; every net "
+        "is byte-identical",
 }
 # --out files that also record "sample": SAMPLE_TARGETS targets of one gate
 # set at the small eps of the sweep, one compile per target and side, with
@@ -117,7 +126,11 @@ SAMPLE_TARGETS, SAMPLE_SEED = 30, 11
 BUILDS = {"BENCH_net_record_retired.json": (("pauli_ht", 20, True),
                                             ("pauli_ht_tprime", 12, True),
                                             ("pauli_ht", 12, True),
-                                            ("pauli_ht_tprime", 6, False))}
+                                            ("pauli_ht_tprime", 6, False)),
+          "BENCH_net_pairs.json": (("pauli_ht_tprime", 12, True),
+                                   ("pauli_ht_tprime", 14, True),
+                                   ("pauli_ht", 20, True),
+                                   ("pauli_ht", 12, True))}
 BUILD_PAIRS = 20
 
 

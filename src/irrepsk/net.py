@@ -54,6 +54,9 @@ REACH = 16
 # read 0.96x of 512 on compile_skewed, whose scans then make dot matrices of
 # up to 2 MB, and 256 read 0.99x on compile_deep
 SCAN = 512
+# neighbours the builder's pair search first asks each row for (_within),
+# itself included; on the T' length-12 base net no row has more than 6 others
+PAIRS_K = 8
 
 
 def extended_generators(gs: GateSet) -> np.ndarray:
@@ -202,6 +205,11 @@ class EpsNet:
         if not len(q):
             return None
         near_d, rows, quats = self._near
+        # |x - 1|^2 = 2 - 2 w on the unit sphere, so a stack whose lowest w
+        # puts 2 r past the SCAN-th row, by more than round-off, goes to the
+        # tree before its radius is measured
+        if len(near_d) == SCAN and 2 - 2 * q[:, 0].min() > (near_d[-1] / 2) ** 2 + TIE:
+            return None
         r = qdist(q, _IDENTITY).max()
         m = near_d.searchsorted(2 * r + 2 * TIE, "right")
         if m >= SCAN:
@@ -324,26 +332,49 @@ def _dist(tree: cKDTree, x: np.ndarray, bound: float, mirror: bool) -> np.ndarra
     return d
 
 
+def _within(tree: cKDTree, y: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """(a, j) for every tree row j within r of row a of y, as the tree
+    measures.  One bounded k-nearest query answers all rows; only the rows
+    whose k-th neighbour is still within r are asked again, at 4 k."""
+    rows, k = np.arange(len(y)), PAIRS_K
+    found_a, found_j = [rows[:0]], [rows[:0]]
+    bound = np.nextafter(r, np.inf)  # the query keeps only distances below its bound
+    while len(rows):
+        d, j = tree.query(y[rows], k=k, distance_upper_bound=bound)
+        done = d[:, -1] > r
+        a, b = (d[done] <= r).nonzero()
+        found_a.append(rows[done][a])
+        found_j.append(j[done][a, b])
+        rows, k = rows[~done], 4 * k
+    return np.concatenate(found_a), np.concatenate(found_j)
+
+
 def _pairs(x: np.ndarray, r: float, mirror: bool) -> tuple[np.ndarray, np.ndarray]:
-    """All (i, j), i < j, with rows i and j of x within r, up to sign with
-    mirror (as _dist), in lexicographic order, and their distances.  One
-    nearest-other query per row finds the few rows that have such a
-    neighbour, and a ball query lists their neighbours; a cKDTree pair query
-    walks the whole tree even when it finds nothing."""
+    """All (i, j), i < j, with rows i and j of x within r (as a k-d tree
+    measures), up to sign with mirror (as _dist), in lexicographic order,
+    and their distances by np.linalg.norm.  One nearest-other query per row
+    finds the few rows that have such a neighbour, and _within lists their
+    neighbours; with mirror it also lists the neighbours of -x for the rows
+    with w <= r.  Each pair is keyed i n + j and one np.unique puts the keys
+    in order, so no step loops over rows in Python.  A cKDTree pair query
+    finds the same pairs about as fast on a T' chunk, but walks the whole
+    tree even on a chunk with none, as nearly all of pauli_ht's are."""
+    n = len(x)
     tree = cKDTree(x, balanced_tree=False)
     d = tree.query(x, k=2, distance_upper_bound=2 * r)[0]
     rows = np.flatnonzero(d[:, 1] <= r)
-    pairs = {(i, j) for i, ball in zip(rows.tolist(), tree.query_ball_point(x[rows], r))
-             for j in ball if j > i}
+    a, j = _within(tree, x[rows], r)
+    i = rows[a]
+    keys = [(i * n + j)[j > i]]
     if mirror:
         near = np.flatnonzero(x[:, 0] <= r)
-        rows = near[tree.query(-x[near], distance_upper_bound=r)[0] <= r]
-        pairs |= {(min(i, j), max(i, j)) for i, ball in
-                  zip(rows.tolist(), tree.query_ball_point(-x[rows], r)) for j in ball if j != i}
-    pairs = np.array(sorted(pairs), dtype=np.intp).reshape(-1, 2)
-    a, b = x[pairs[:, 0]], x[pairs[:, 1]]
+        a, j = _within(tree, -x[near], r)
+        i = near[a]
+        keys.append((np.minimum(i, j) * n + np.maximum(i, j))[j != i])
+    i, j = np.divmod(np.unique(np.concatenate(keys)), n)
+    a, b = x[i], x[j]
     d = np.linalg.norm(a - b, axis=1)
-    return pairs, np.minimum(d, np.linalg.norm(a + b, axis=1)) if mirror else d
+    return np.column_stack([i, j]), np.minimum(d, np.linalg.norm(a + b, axis=1)) if mirror else d
 
 
 def _stored_dist(trees: list[cKDTree], x: np.ndarray, tol: float, band: float,

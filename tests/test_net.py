@@ -18,7 +18,8 @@ import irrepsk.net
 from irrepsk import (EpsNet, build_gateset_net, compile_target, load_gateset, load_net,
                      parse_gateset, save_net)
 from irrepsk.errors import BudgetExceeded, DimUnsupported, EmptyNet, FormatError, StaleGateSet
-from irrepsk.linalg import dist, matmul_stack, quaternion_to_su2, random_su, su2_to_quaternion
+from irrepsk.linalg import (dist, matmul_stack, qdist, quaternion_to_su2, random_su,
+                            su2_to_quaternion)
 from irrepsk.gateset import word_product
 from irrepsk.net import (REACH, auto_net, build_net, extended_generators, extended_inverse,
                          free_reduce, probe_density)
@@ -363,6 +364,30 @@ def test_scan_serves_the_factor_lookups(ht_gateset, ht_base12, monkeypatch):
     monkeypatch.setattr(ht_base12, "_tree", tree)
     report = compile_target(ht_gateset, target, 1e-4, params, refine_net)
     assert report.depth >= 3 and tree.queries == 1
+
+
+def test_scan_leaves_a_far_stack_unmeasured(ht_base12, monkeypatch):
+    # |x - 1|^2 = 2 - 2 w: a Haar stack's lowest w puts it past the SCAN-th
+    # row nearest I, so _scan hands it to the tree without a distance; a
+    # factor stack is measured as before, its radius and its first and second
+    # rows by dot product.  Rows a hair either side of the SCAN-th row's reach
+    # get the verdict that their measured radius gives
+    rng = np.random.default_rng(39)
+    haar = rng.normal(size=(20, 4))
+    haar /= np.linalg.norm(haar, axis=1, keepdims=True)
+    factors = balanced_commutator_decompose(small_deltas(rng, 20, 0.5)).reshape(-1, 4)
+    near_d = ht_base12._near[0]
+    theta = 4 * np.arcsin(near_d[-1] / 4 + np.array([-1e-9, -1e-13, 0, 1e-13, 1e-9]))
+    edge = np.column_stack([np.cos(theta / 2), np.sin(theta / 2), np.zeros((len(theta), 2))])
+    calls = []
+    monkeypatch.setattr(irrepsk.net, "qdist", lambda x, y: calls.append(len(x)) or qdist(x, y))
+    assert ht_base12._scan(haar) is None and calls == []
+    assert ht_base12._scan(factors) is not None and calls == [40, 40, 40]
+    for x in edge:
+        reach = 2 * qdist(x, np.array([1.0, 0, 0, 0])) + 2e-12
+        assert (ht_base12._scan(x[None]) is None) == (near_d[-1] <= reach)
+    assert_answers_as_the_tree(ht_base12, haar)
+    assert_answers_as_the_tree(ht_base12, factors)
 
 
 def test_index_is_exact_near_a_stored_product(ht_base8):
@@ -951,6 +976,120 @@ def test_builder_matches_reference_on_the_equator(monkeypatch):
         for net in at_each_chunk_size(monkeypatch, lambda: build_net(gens, 2, "su", 4, tol)):
             assert words_of(net) == words
             assert net.products.tobytes() == products.tobytes()
+
+
+def brute_pairs(x, r, mirror):
+    """_pairs by brute force: every i < j whose rows lie within r, up to sign
+    with mirror, measured by np.linalg.norm.  Rows within r have w's within
+    r, so it measures every pair of rows that sorting by w puts that close;
+    with mirror, rows with w >= 0 lie within r of each other's negation only
+    if both have w <= r, so it measures every pair of those as well."""
+
+    def distances(i, j):
+        a, b = x[i], x[j]
+        d = np.linalg.norm(a - b, axis=1)
+        return np.minimum(d, np.linalg.norm(a + b, axis=1)) if mirror else d
+
+    order = np.argsort(x[:, 0], kind="stable")
+    w = x[order, 0]
+    pairs = [np.zeros((0, 2), np.intp)]
+    candidates = []
+    for step in range(1, len(x)):
+        k = np.flatnonzero(w[step:] - w[:-step] <= r)
+        if not len(k):
+            break
+        candidates.append((order[k], order[k + step]))
+    if mirror:
+        near = np.flatnonzero(x[:, 0] <= r)
+        a, b = np.triu_indices(len(near), 1)
+        candidates.append((near[a], near[b]))
+    for i, j in candidates:
+        within = distances(i, j) <= r
+        pairs.append(np.column_stack([np.minimum(i, j), np.maximum(i, j)])[within])
+    pairs = np.unique(np.concatenate(pairs), axis=0)
+    return pairs, distances(pairs[:, 0], pairs[:, 1])
+
+
+def unit_rows(q):
+    """Rows of q normalised and turned to w >= 0, as _rows turns them."""
+    q = q / np.linalg.norm(q, axis=1, keepdims=True)
+    return np.where(q[:, :1] < 0, -q, q)
+
+
+def tprime_pair_calls():
+    """The (rows, r, mirror) arguments of every _pairs call of the T'
+    length-12 base net's build (the compile_skewed base net)."""
+    calls = []
+
+    def record(x, r, mirror):
+        calls.append((x, r, mirror))
+        return pairs(x, r, mirror)
+
+    pairs = irrepsk.net._pairs
+    irrepsk.net._pairs = record
+    try:
+        build_gateset_net(load_gateset(TPRIME), 12, with_inverses=True)
+    finally:
+        irrepsk.net._pairs = pairs
+    return calls
+
+
+def equator_rows(rng, r):
+    """300 rows near the equator w = 0, each with a partner within r of its
+    negation, both with w in [0, r / 4] (rows as _rows turns them, w >= 0),
+    among 200 Haar rows: each partner lies within r of its row only up to
+    sign."""
+    x = rng.normal(size=(300, 4))
+    x[:, 0] = rng.uniform(0, r / 4, 300)
+    x = unit_rows(x)
+    partner = rng.normal(scale=r / 8, size=x.shape) - x
+    partner[:, 0] = rng.uniform(0, r / 4, 300)
+    return unit_rows(np.concatenate([x, partner, rng.normal(size=(200, 4))]))
+
+
+def cluster_rows(rng, r):
+    """Two clusters of 40 rows within r / 4 of a point, one inside the sphere
+    and one on the equator with rows of both signs turned to w >= 0, among
+    200 Haar rows: each clustered row has more neighbours than PAIRS_K, up to
+    sign, for _pairs to widen its queries."""
+    centre = unit_rows(rng.normal(size=(2, 4)))
+    centre[1, 0] = 0
+    spread = rng.normal(scale=r / 16, size=(80, 4))
+    return unit_rows(np.concatenate([centre.repeat(40, axis=0) + spread,
+                                     rng.normal(size=(200, 4))]))
+
+
+@pytest.mark.parametrize("case", ["tprime_chunks", "equator", "cluster"])
+def test_pairs_match_a_brute_force(case):
+    # _pairs against brute_pairs: the same pairs in the same order, and the
+    # same distance bits, on the candidate chunks of the T' length-12 build
+    # (12,495 pairs in 13 calls), on rows near the equator, where pairs lie
+    # within r up to sign only, and on clusters denser than PAIRS_K, where
+    # the k-nearest queries widen, directly and up to sign.  No pair of these
+    # rows lies within round-off of r, where a k-d tree's sum and
+    # np.linalg.norm's could round apart
+    rng, r = np.random.default_rng(39), 1e-3
+    if case == "tprime_chunks":
+        calls = tprime_pair_calls()
+    else:
+        calls = [((equator_rows if case == "equator" else cluster_rows)(rng, r), r, mirror)
+                 for mirror in (True, False)]
+    found = []
+    for x, r, mirror in calls:
+        pairs, d = irrepsk.net._pairs(x, r, mirror)
+        ref_pairs, ref_d = brute_pairs(x, r, mirror)
+        assert pairs.dtype == np.intp and pairs.shape == ref_pairs.shape
+        assert np.array_equal(pairs, ref_pairs) and d.tobytes() == ref_d.tobytes()
+        a, b = x[pairs[:, 0]], x[pairs[:, 1]]
+        found.append((len(pairs), np.count_nonzero(np.linalg.norm(a - b, axis=1) > r),
+                      np.bincount(pairs.ravel(), minlength=len(x)).max()))
+    count, signed_only, most = np.array(found).T
+    if case == "tprime_chunks":
+        assert len(calls) == 13 and count.sum() == 12495
+    elif case == "equator":
+        assert signed_only[0] > 250 and count[1] == 0
+    else:
+        assert most.min() > irrepsk.net.PAIRS_K and signed_only[0] > 100
 
 
 def close_pairs_up_to_sign(net):

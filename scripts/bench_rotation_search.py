@@ -113,6 +113,13 @@ RECORDS = {
         "Python set; EpsNet.nearest sends a stack whose lowest w puts it past "
         "the SCAN-th row to the tree without measuring its radius; every net "
         "is byte-identical",
+    "BENCH_one_scan.json":
+        "EpsNet.nearest is one dot-product scan of a lookup array, the stored "
+        "quaternions and their negations sorted by distance to I, over the "
+        "rows within 2 r + 2 TIE of I (all of them for a stack far from I), "
+        "with ties settled by an exact qdist pass; the lookup's k-d tree, the "
+        "SCAN cap and the 2 - 2 w pre-filter are gone; every word, sign and "
+        "distance bit is unchanged; claims no gain",
 }
 # --out files that also record "sample": SAMPLE_TARGETS targets of one gate
 # set at the small eps of the sweep, one compile per target and side, with
@@ -127,6 +134,9 @@ BUILDS = {"BENCH_net_record_retired.json": (("pauli_ht", 20, True),
                                             ("pauli_ht_tprime", 12, True),
                                             ("pauli_ht", 12, True),
                                             ("pauli_ht_tprime", 6, False)),
+          "BENCH_one_scan.json": (("pauli_ht", 20, True),
+                                  ("pauli_ht_tprime", 12, True),
+                                  ("pauli_ht", 12, True)),
           "BENCH_net_pairs.json": (("pauli_ht_tprime", 12, True),
                                    ("pauli_ht_tprime", 14, True),
                                    ("pauli_ht", 20, True),

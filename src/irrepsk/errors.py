@@ -109,7 +109,8 @@ class NetTooCoarse(CompileFailure):
 
 
 class DimUnsupported(CompileFailure):
-    """The base compiler and a net's lookup (EpsNet.nearest) handle SU(2) only."""
+    """The base compiler and a net's lookup (EpsNet.nearest, a scan of the
+    products' unit quaternions) handle SU(2) only."""
 
 
 class TooFar(CompileFailure):

@@ -13,12 +13,12 @@ sign, the global phase -1 that every SU(2) gate set's words are compared
 up to (GateSet.phase_candidates): it stores each rotation once, the
 shortest word the breadth-first build finds for U or -U, deduplicating its
 products' quaternions q and -q alike.  Its one lookup, EpsNet.nearest,
-answers a stack of SU(2) target quaternions up to sign with rows of one k-d
-tree over the stored quaternions and their negations, in one of two ways
-with the same result: a stack whose rows all lie near the identity, as the
-SK recursion's commutator factors do, by one dot-product scan of the SCAN
-tree rows nearest the identity (EpsNet._scan says why that is exact), and
-any other stack by a tree query, O(log N) a row.  Any other net (sl mode,
+answers a stack of SU(2) target quaternions up to sign by one dot-product
+scan of the stored quaternions and their negations, ordered by distance to
+the identity: the scan reads only the rows that the stack's distance to the
+identity lets hold a hit (EpsNet.nearest says why that is exact), so a stack
+near the identity, as the SK recursion's commutator factors are, reads only
+the rows near it, and a stack far from it all of them.  Any other net (sl mode,
 d >= 3) is deduplicated over its products' Frobenius vectors and has no
 lookup: probe_density and the refinement seed scan dist over all products.
 """
@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import (BudgetExceeded, DimUnsupported, EmptyNet, FormatError, SchemaError,
-                     StaleGateSet)
+from .errors import (BudgetExceeded, DimUnsupported, EmptyNet, FormatError, InvalidMatrix,
+                     SchemaError, StaleGateSet)
 from .gateset import GateSet, eps0_constant, is_number
 from .linalg import dist, matmul_stack, qdist, random_su, su2_to_quaternion
 
@@ -47,13 +47,6 @@ CHUNK = 1 << 15
 TIE = 1e-12
 # the most steps one round of free_reduce grows a cancelling pair outward
 REACH = 16
-# tree rows nearest the identity that EpsNet.nearest scans for a stack near
-# it.  On pauli_ht the 512th lies 0.83 from I on the length-12 base net, so
-# every SK factor stack scans there, and 0.31 on the length-20 one.  In
-# perfbench throughput (one BLAS thread, 2 shared vCPUs, 4 runs each) 1024
-# read 0.96x of 512 on compile_skewed, whose scans then make dot matrices of
-# up to 2 MB, and 256 read 0.99x on compile_deep
-SCAN = 512
 # neighbours the builder's pair search first asks each row for (_within),
 # itself included; on the T' length-12 base net no row has more than 6 others
 PAIRS_K = 8
@@ -111,10 +104,10 @@ def net_fingerprint(gs: GateSet, with_inverses: bool) -> str:
 @dataclass(eq=False)
 class EpsNet:
     """Products of all deduplicated generator words up to word_length, on an
-    SU(2) net the k-d tree over their quaternions and their negations that
-    answers nearest, with its SCAN rows nearest the identity (a net from
-    build_net comes with both; a loaded one builds them on first use), and
-    lazily the refinement trajectories seeded from them (refine_inverse).
+    SU(2) net the lookup array over their quaternions and their negations
+    that nearest scans (a net from build_net comes with it; a loaded one
+    builds it on first use), and lazily the refinement trajectories seeded
+    from them (refine_inverse).
 
     The words are one flat token array: word i is
     tokens[offsets[i]:offsets[i + 1]], in store order, which is breadth-first
@@ -136,9 +129,8 @@ class EpsNet:
     parents: np.ndarray              # (n,) intp, parents[0] == -1
     products: np.ndarray             # (n, d, d)
     achieved_density: float | None = None
-    _tree: cKDTree | None = field(default=None, repr=False)
-    # the identity's nearest tree rows: distances (ascending), rows, quaternions
-    _near: tuple | None = field(default=None, repr=False)
+    # nearest's rows by distance to the identity (_lookup): distances, rows, quaternions
+    _lookup: tuple | None = field(default=None, repr=False)
     _refined: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -157,82 +149,59 @@ class EpsNet:
         """(words, signed, distances) of the nearest products, up to sign, to
         an (n, 4) stack of SU(2) quaternions: the net's one lookup.  words
         holds each hit's word index in [0, N), signed its quaternion (n, 4)
-        with the sign that is near, and distances how near.  The hits are
-        rows of one k-d tree over the products' quaternions q_0 .. q_(N-1)
-        and then -q_0 .. -q_(N-1), and signed is those rows.  Within TIE of
-        the nearest tie, the lowest word index wins, and of its two signs
-        +1.  Raises DimUnsupported on any other net (sl mode, d >= 3), whose
-        products have no quaternions.
+        with the sign that is near, and distances how near, with qdist's
+        bits.  The rows are the products' quaternions q_0 .. q_(N-1) and then
+        -q_0 .. -q_(N-1), row k naming word k % N, and signed is those rows.
+        Within TIE of the nearest tie, the lowest word index wins, and of its
+        two signs +1 (the lowest k % N, then k).  Raises DimUnsupported on
+        any other net (sl mode, d >= 3), whose products have no quaternions,
+        and InvalidMatrix on a stack with a non-finite entry.
 
-        A stack whose rows all lie near the identity, as the SK recursion's
-        commutator factors do, is answered by one dot-product scan (_scan),
-        any other stack and any row the scan leaves open by a tree query
-        (_query), with the same words, signs and distance bits."""
-        if self._near is None:
-            if self._tree is None:
-                if not self.su2:
-                    raise DimUnsupported(f"a d = {self.dim} {self.mode} net has no lookup")
-                self._tree = _sheet_tree(self.products)
-            self._near = _near_identity(self._tree)
-        scanned = self._scan(q)
-        if scanned is None:
-            j, d = self._query(q)
-        else:
-            j, d, rest = scanned
-            if len(rest):
-                j[rest], d[rest] = self._query(q[rest])
-        return j % len(self), self._tree.data[j], d
-
-    def _scan(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """For a stack q near the identity, the tree rows and distances of
-        nearest's hits from a scan of the tree rows nearest the identity,
-        and the indices of the rows that the scan leaves to the tree; None
-        for an empty stack or one not near enough.
-
-        Why it is exact.  Every net stores the empty word, so (1, 0, 0, 0)
-        is a tree row and a row x's nearest distance is at most
-        |x - 1| <= r, the largest over the stack.  A stored row within that
-        plus TIE of x lies within 2 r + TIE of the identity, so the m kept
-        rows within 2 r + 2 TIE hold each row's hit and its whole tie set,
-        once m < SCAN shows that no row past them is that near.  Dot
-        products rank the squared distances to within round-off, far below
-        TIE, so with d1 and d2 the distances of the first and second by dot
-        product, measured as the tree measures (qdist), every other
-        kept row lies at least d2 - TIE / d2 from x.  Where that is more
-        than TIE past d1, the row has no tie and its hit is the one at d1,
-        as the tree finds it.  The rest (ties, near ties, and two rows that
-        round-off ranks the wrong way) go to the tree."""
-        if not len(q):
-            return None
-        near_d, rows, quats = self._near
-        # |x - 1|^2 = 2 - 2 w on the unit sphere, so a stack whose lowest w
-        # puts 2 r past the SCAN-th row, by more than round-off, goes to the
-        # tree before its radius is measured
-        if len(near_d) == SCAN and 2 - 2 * q[:, 0].min() > (near_d[-1] / 2) ** 2 + TIE:
-            return None
-        r = qdist(q, _IDENTITY).max()
+        One dot-product scan answers the stack, and it is exact.  Every net
+        stores the empty word, so (1, 0, 0, 0) is a row and a row x's nearest
+        distance is at most |x - 1| <= r, the largest over the stack.  A row
+        within that plus TIE of x lies within 2 r + TIE of the identity, so
+        the m rows within 2 r + 2 TIE (_lookup keeps them first) hold each
+        x's hit and its whole tie set; far from the identity they are all
+        the rows.  Dot products rank the squared distances to within
+        round-off, far below TIE, so with d1 and d2 the distances of the
+        first and second by dot product, measured by qdist, every other
+        scanned row lies at least d2 - TIE / d2 from x.  Where that is more
+        than TIE past d1, x has no tie and its hit is the row at d1.  The
+        rest (ties, near ties, and two rows that round-off ranks the wrong
+        way) are measured against every scanned row and take the tie rule.
+        The stack is scanned in blocks of rows whose dot products with the m
+        rows number at most 8 CHUNK (2 MB), so no block's matrix grows with
+        the stack."""
+        if self._lookup is None:
+            if not self.su2:
+                raise DimUnsupported(f"a d = {self.dim} {self.mode} net has no lookup")
+            self._lookup = _lookup(self.products)
+        n, (near_d, rows, quats) = len(self), self._lookup
+        r = qdist(q, _IDENTITY).max(initial=0.0)
+        if not r < np.inf:  # NaN compares false
+            raise InvalidMatrix("lookup rows contain non-finite entries")
         m = near_d.searchsorted(2 * r + 2 * TIE, "right")
-        if m >= SCAN:
-            return None
-        g = q @ quats[:m].T
-        a = g.argmax(1)
-        d1, d2 = qdist(q, quats[a]), np.inf  # the identity alone has no second
-        if m > 1:
-            g[np.arange(len(q)), a] = -np.inf
-            d2 = qdist(q, quats[g.argmax(1)])
-        sure = (d2 - d1 - TIE) * d2 > TIE
-        return rows[a], d1, (~sure).nonzero()[0]
-
-    def _query(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Tree rows and distances of nearest's hits by a tree query, the
-        ties resolved by a ball query over the whole tree."""
-        n = len(self)
-        d, j = self._tree.query(q, k=2)
-        d, j, tied = d[:, 0], j[:, 0], (d[:, 1] - d[:, 0] <= TIE).nonzero()[0]
-        if len(tied):
-            balls = self._tree.query_ball_point(q[tied], d[tied] + TIE)
-            j[tied] = [min(b, key=lambda k: (k % n, k)) for b in balls]
-        return j, d
+        quats_m = quats[:m]
+        block = max(1, 8 * CHUNK // m)
+        hits, d = np.empty(len(q), np.intp), np.empty(len(q))
+        for s in range(0, len(q), block):
+            x = q[s:s + block]
+            g = x @ quats_m.T
+            a = g.argmax(1)
+            d1, d2 = qdist(x, quats[a]), np.inf  # the identity alone has no second
+            if m > 1:
+                g[np.arange(len(x)), a] = -np.inf
+                d2 = qdist(x, quats[g.argmax(1)])
+            rest = ((d2 - d1 - TIE) * d2 <= TIE).nonzero()[0]
+            if len(rest):
+                e = qdist(x[rest, None], quats_m)
+                d1[rest] = e.min(1)
+                k = rows[:m]
+                key = np.where(e <= d1[rest, None] + TIE, k % n * 2 + k // n, 2 * n)
+                a[rest] = key.argmin(1)
+            hits[s:s + block], d[s:s + block] = a, d1
+        return rows[hits] % n, quats[hits], d
 
     def gather(self, signed: np.ndarray, inverse: np.ndarray) -> np.ndarray:
         """The tokens of stored words laid end to end, freely reduced: i >= 0
@@ -289,22 +258,18 @@ def free_reduce(tokens: np.ndarray, inverse: np.ndarray) -> np.ndarray:
         t, it = t[keep], it[keep]
 
 
-def _sheet_tree(products: np.ndarray) -> cKDTree:
-    """EpsNet.nearest's k-d tree: over the quaternions of the SU(2) products,
-    then over their negations."""
-    q = su2_to_quaternion(products)
-    return cKDTree(np.concatenate([q, -q]), balanced_tree=False)
-
-
 _IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 
-def _near_identity(tree: cKDTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The identity's SCAN nearest rows of EpsNet.nearest's tree (all rows of
-    a smaller one), nearest first: their distances, tree rows and
-    quaternions."""
-    d, i = tree.query(_IDENTITY, k=min(SCAN, tree.n))
-    return d, i, tree.data[i]
+def _lookup(products: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """EpsNet.nearest's rows, the quaternions of the SU(2) products and then
+    their negations, nearest the identity first (a stable sort): their
+    distances to the identity by qdist, their row indices and the rows."""
+    q = su2_to_quaternion(products)
+    q = np.concatenate([q, -q])
+    d = qdist(q, _IDENTITY)
+    order = d.argsort(kind="stable")
+    return d[order], order, q[order]
 
 
 def _rows(mats: np.ndarray, su2: bool) -> np.ndarray:
@@ -361,7 +326,7 @@ def _pairs(x: np.ndarray, r: float, mirror: bool) -> tuple[np.ndarray, np.ndarra
     tree even on a chunk with none, as nearly all of pauli_ht's are."""
     n = len(x)
     tree = cKDTree(x, balanced_tree=False)
-    d = tree.query(x, k=2, distance_upper_bound=2 * r)[0]
+    d = tree.query(x, k=2, distance_upper_bound=np.nextafter(r, np.inf))[0]
     rows = np.flatnonzero(d[:, 1] <= r)
     a, j = _within(tree, x[rows], r)
     i = rows[a]
@@ -561,8 +526,8 @@ def build_net(gens: np.ndarray, dim: int, mode: str, word_length: int,
     candidate.  Beyond the stored net and its k-d trees (a row of 4 floats
     for an SU(2) net, 2 d^2 for any other, and an index per word), a build
     holds one chunk's candidates at a time.  A built SU(2) net comes with
-    the k-d tree of its lookup (EpsNet.nearest) and that tree's rows nearest
-    the identity, so that building them is part of the build.
+    the lookup array of EpsNet.nearest, so that building it is part of the
+    build.
     Raises BudgetExceeded as soon as a chunk would take the store past
     budget words, so budget bounds the memory of a build as well as its
     words.  A negative word_length or a budget below 1 raises SchemaError
@@ -572,9 +537,8 @@ def build_net(gens: np.ndarray, dim: int, mode: str, word_length: int,
         raise SchemaError(f"net word length must be at least 0, got {word_length}")
     nets = _nets(np.asarray(gens, dtype=complex), dim, mode, dedup_tol, fingerprint, budget)
     net = next(itertools.islice(nets, word_length, None))
-    if net.su2:  # the lookup's tree is part of the build
-        net._tree = _sheet_tree(net.products)
-        net._near = _near_identity(net._tree)
+    if net.su2:  # the lookup array is part of the build
+        net._lookup = _lookup(net.products)
     return net
 
 
@@ -663,10 +627,11 @@ def load_net(path, gs: GateSet, with_inverses: bool = False) -> EpsNet:
             "net cache was built for a different gate set "
             f"({str(header.get('fingerprint'))[:12]}... vs {expected[:12]}...)"
         )
-    for key, types in (("word_length", int), ("dedup_tol", (int, float)),
-                       ("achieved_density", (int, float, type(None))), ("levels", list)):
+    for key, ok in (("word_length", lambda v: is_number(v, int)), ("dedup_tol", is_number),
+                    ("achieved_density", lambda v: v is None or is_number(v)),
+                    ("levels", lambda v: isinstance(v, list))):
         value = header.get(key)
-        if not isinstance(value, types) or isinstance(value, bool):  # a bool is an int
+        if not ok(value):
             raise FormatError(f"bad net header field {key!r}: {value!r}")
     levels = header["levels"]
     if (len(levels) != header["word_length"] + 2 or levels[:2] != [0, 1]

@@ -174,9 +174,9 @@ def _unit_rows(rng, n):
 
 
 def test_qdist_has_the_bits_of_a_tree_query():
-    # EpsNet._scan measures its candidates with qdist and settles a row
-    # only if it would rank them as the k-d tree does, so the two must give
-    # the same distance bits
+    # EpsNet.nearest measures its candidates with qdist, and its answers
+    # must keep the distance bits of the k-d tree query that the lookup
+    # reference in test_net.py answers by
     rng = np.random.default_rng(14)
     data, x = _unit_rows(rng, 2000), _unit_rows(rng, 1000)
     d, j = cKDTree(data).query(x, k=2)

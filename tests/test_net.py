@@ -1,5 +1,6 @@
 """Word-product nets: enumeration, nearest queries, persistence."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -15,15 +16,16 @@ import numpy as np
 import pytest
 
 import irrepsk.net
-from irrepsk import (EpsNet, build_gateset_net, compile_target, load_gateset, load_net,
-                     parse_gateset, save_net)
-from irrepsk.errors import BudgetExceeded, DimUnsupported, EmptyNet, FormatError, StaleGateSet
+from irrepsk import (EpsNet, build_gateset_net, load_gateset, load_net, parse_gateset,
+                     save_net)
+from irrepsk.errors import (BudgetExceeded, DimUnsupported, EmptyNet, FormatError, InvalidMatrix,
+                            StaleGateSet)
 from irrepsk.linalg import (dist, matmul_stack, qdist, quaternion_to_su2, random_su,
                             su2_to_quaternion)
 from irrepsk.gateset import word_product
 from irrepsk.net import (REACH, auto_net, build_net, extended_generators, extended_inverse,
                          free_reduce, probe_density)
-from irrepsk.skbase import SKParams, balanced_commutator_decompose, rotation, sk_depths
+from irrepsk.skbase import balanced_commutator_decompose, rotation, sk_depths
 from scipy.linalg import expm
 from scipy.spatial import cKDTree
 
@@ -219,7 +221,7 @@ def test_batched_query_keeps_the_tie_rule(ht_gateset, ht_base8):
         for t, j, sj, dj in zip(targets, words, signed, d):
             (one,), (one_signed,), (one_d,) = store.nearest(t[None])
             assert one == j and one_signed.tobytes() == sj.tobytes() and one_d == dj
-    d, _ = net._tree.query(mid, k=2)
+    d, _ = reference_tree(net).query(mid, k=2)
     assert np.count_nonzero(d[:, 1] - d[:, 0] <= 1e-12) > 500
 
 
@@ -233,12 +235,18 @@ def ht_base20(ht_gateset):
     return build_gateset_net(ht_gateset, 20, with_inverses=True)
 
 
+def reference_tree(net):
+    """A k-d tree over the net's quaternions q_0 .. q_(N-1) and then their
+    negations, the rows of EpsNet.nearest."""
+    q = su2_to_quaternion(net.products)
+    return cKDTree(np.concatenate([q, -q]))
+
+
 def tree_nearest(net, q):
-    """EpsNet.nearest answered by its k-d tree alone, as every lookup was
-    answered before the near-identity scan: the two nearest tree rows, and
-    where they lie within 1e-12, the lowest word index of a ball query,
-    then sign +1."""
-    tree, n = net._tree, len(net)
+    """Reference for EpsNet.nearest, kept as the lookup answered before it
+    became one scan: the two nearest rows of reference_tree, and where they
+    lie within 1e-12, the lowest word index of a ball query, then sign +1."""
+    tree, n = reference_tree(net), len(net)
     d2, j2 = tree.query(q, k=2)
     d, j = d2[:, 0].copy(), j2[:, 0].copy()
     for t in (d2[:, 1] - d2[:, 0] <= 1e-12).nonzero()[0]:
@@ -249,7 +257,7 @@ def tree_nearest(net, q):
 def assert_answers_as_the_tree(net, q):
     words, signed, d = net.nearest(q)
     ref_words, ref_signed, ref_d = tree_nearest(net, q)
-    assert np.array_equal(words, ref_words)
+    assert np.array_equal(words, ref_words) and words.shape == (len(q),)
     assert signed.tobytes() == ref_signed.tobytes() and d.tobytes() == ref_d.tobytes()
 
 
@@ -276,23 +284,16 @@ def test_scan_answers_factor_stacks_as_the_tree(ht_base12, ht_base20, angles):
     # 4 asin(1/8)), with and without its 32-angle family, and of ever smaller
     # deltas, as deeper levels see them
     rng = np.random.default_rng(35)
-    scanned = {}
     for net in (ht_base12, ht_base20):
         for largest in (4 * np.arcsin(0.125), 1e-2, 1e-4, 1e-7):
             q = balanced_commutator_decompose(small_deltas(rng, 40, largest), angles)
-            q = q.reshape(-1, 4)
-            assert_answers_as_the_tree(net, q)
-            scanned[net.word_length, largest] = net._scan(q) is not None
-    # the length-12 net scans every factor stack; the length-20 one, whose
-    # SCAN rows nearest I reach less far, only the smaller ones
-    assert all(v for (length, _), v in scanned.items() if length == 12)
-    assert scanned[20, 1e-4] and not scanned[20, 4 * np.arcsin(0.125)]
+            assert_answers_as_the_tree(net, q.reshape(-1, 4))
 
 
 def test_scan_answers_identity_rows_from_the_identity_alone(ht_base12):
     # a delta = I gives factors I, whose stack keeps one row: the identity's
     q = balanced_commutator_decompose(np.tile([1.0, 0, 0, 0], (5, 1))).reshape(-1, 4)
-    assert ht_base12._near[0].searchsorted(2e-12, "right") == 1
+    assert ht_base12._lookup[0].searchsorted(2e-12, "right") == 1
     words, _, d = ht_base12.nearest(q)
     assert words.tolist() == [0] * 10 and not d.any()
     assert_answers_as_the_tree(ht_base12, q)
@@ -301,17 +302,16 @@ def test_scan_answers_identity_rows_from_the_identity_alone(ht_base12):
 def test_scan_keeps_the_tie_rule_near_the_identity(ht_base12):
     # midpoints of pairs of the products nearest I tie between the two, and
     # so do points moved off a midpoint by 1e-13 toward either, whose nearer
-    # product is not always the lower word index; the scan must leave them
-    # all to the tree's tie rule, in one stack or one at a time
-    near = ht_base12._near[2][:60]
+    # product is not always the lower word index; the scan must give them
+    # all the tree's tie rule, in one stack or one at a time
+    near = ht_base12._lookup[2][:60]
     i, j = np.triu_indices(60, 1)
     mid, off = near[i] + near[j], near[i] - near[j]
     off /= np.linalg.norm(off, axis=1, keepdims=True)
     q = np.concatenate([mid, mid + 1e-13 * off, mid - 1e-13 * off])
     q /= np.linalg.norm(q, axis=1, keepdims=True)
     q = q[np.linalg.norm(q - [1.0, 0, 0, 0], axis=1) < 0.3]
-    assert ht_base12._scan(q) is not None
-    d, nearer = ht_base12._tree.query(q, k=2)
+    d, nearer = reference_tree(ht_base12).query(q, k=2)
     tied = d[:, 1] - d[:, 0] <= 1e-12
     words = tree_nearest(ht_base12, q)[0]
     assert np.count_nonzero(tied) > 50
@@ -326,68 +326,82 @@ def test_nearest_answers_an_empty_stack(ht_base12):
 
 
 def test_mixed_stack_answers_as_one_row_at_a_time(ht_base12, ht_base20):
-    # a stack with a far row goes to the tree whole; on the length-12 net
-    # each of its near rows alone goes to the scan
+    # a stack with a far row scans every row; each of its near rows alone
+    # scans only the rows near the identity
     rng = np.random.default_rng(36)
     near = balanced_commutator_decompose(small_deltas(rng, 30, 0.5)).reshape(-1, 4)
-    assert all(ht_base12._scan(t[None]) is not None for t in near)
     haar = rng.normal(size=(20, 4))
     q = np.concatenate([near, haar / np.linalg.norm(haar, axis=1, keepdims=True)])
     q = q[rng.permutation(len(q))]
     for net in (ht_base12, ht_base20):
-        assert net._scan(q) is None
         assert_answers_as_the_tree(net, q)
         assert_answers_one_row_at_a_time(net, q)
 
 
-class CountingTree:
-    """A k-d tree that counts its query calls."""
-
-    def __init__(self, tree):
-        self.tree, self.queries = tree, 0
-
-    def query(self, *args, **kwargs):
-        self.queries += 1
-        return self.tree.query(*args, **kwargs)
-
-    def __getattr__(self, name):
-        return getattr(self.tree, name)
+def unit(rows):
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
-def test_scan_serves_the_factor_lookups(ht_gateset, ht_base12, monkeypatch):
-    # a warm compile on the length-12 net queries the tree once, for the
-    # depth-0 target; every commutator factor stack is scanned
-    params, refine_net = SKParams(net=ht_base12), build_gateset_net(ht_gateset, 6)
-    target = rotation([1.0, 2.0, 3.0], 2.5)  # far from I: the tree answers it
-    compile_target(ht_gateset, target, 1e-4, params, refine_net)
-    tree = CountingTree(ht_base12._tree)
-    monkeypatch.setattr(ht_base12, "_tree", tree)
-    report = compile_target(ht_gateset, target, 1e-4, params, refine_net)
-    assert report.depth >= 3 and tree.queries == 1
+@pytest.mark.parametrize("length", [12, 20])
+def test_lookup_answers_as_the_reference_tree(ht_base12, ht_base20, length):
+    # every kind of stack the lookup sees, each against the reference tree,
+    # word, signed row and distance bit for bit: Haar stacks (of 300 rows,
+    # as a probe_density run sends, which on these nets scan in blocks of 63
+    # and 3 rows), factor stacks at all 32 angles, identity rows, the tie
+    # set near I, rows orthogonal to a stored quaternion (q and -q of it lie
+    # sqrt(2) away, a tie of signs), an empty stack and a mixed one
+    net = {12: ht_base12, 20: ht_base20}[length]
+    rng = np.random.default_rng(40 + length)
+    p = su2_to_quaternion(net.products)
+    haar = unit(rng.normal(size=(300, 4)))
+    factors = balanced_commutator_decompose(small_deltas(rng, 10, 0.5),
+                                            np.arange(32) * np.pi / 16).reshape(-1, 4)
+    near = net._lookup[2][:40]
+    i, j = np.triu_indices(40, 1)
+    ties = unit(near[i] + near[j])
+    stored = p[rng.choice(len(net), 50, replace=False)]
+    v = rng.normal(size=(50, 4))
+    orthogonal = unit(v - (v * stored).sum(1, keepdims=True) * stored)
+    assert np.abs((orthogonal * stored).sum(1)).max() < 1e-14
+    identity = np.tile([1.0, 0, 0, 0], (3, 1))
+    mixed = np.concatenate([factors[:40], haar[:3], identity, ties[:40]])
+    for q in (haar, factors, identity, ties, orthogonal, np.empty((0, 4)), mixed):
+        assert_answers_as_the_tree(net, q)
+    assert 8 * irrepsk.net.CHUNK // (2 * len(net)) == {12: 63, 20: 3}[length]
 
 
-def test_scan_leaves_a_far_stack_unmeasured(ht_base12, monkeypatch):
-    # |x - 1|^2 = 2 - 2 w: a Haar stack's lowest w puts it past the SCAN-th
-    # row nearest I, so _scan hands it to the tree without a distance; a
-    # factor stack is measured as before, its radius and its first and second
-    # rows by dot product.  Rows a hair either side of the SCAN-th row's reach
-    # get the verdict that their measured radius gives
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nearest_refuses_a_non_finite_row(ht_base12, bad):
+    # as the commutator decomposition does, whether the stack is near the
+    # identity or not
+    for q in ([1.0, 0, 0, 0], [0.5, 0.5, 0.5, 0.5]):
+        stack = np.array([[1.0, 0, 0, 0], q, q])
+        stack[2, 1] = bad
+        with pytest.raises(InvalidMatrix):
+            ht_base12.nearest(stack)
+
+
+def test_a_factor_stack_scans_only_the_rows_within_its_reach(ht_base12, ht_base20):
+    # nearest reads the rows within 2 r + 2e-12 of the identity, r the
+    # stack's largest distance to it, and no other: with every row past
+    # that reach made NaN it answers a factor stack as before, which on the
+    # length-12 net reaches fewer than 512 of its rows.  A Haar stack reaches
+    # every row
     rng = np.random.default_rng(39)
-    haar = rng.normal(size=(20, 4))
-    haar /= np.linalg.norm(haar, axis=1, keepdims=True)
-    factors = balanced_commutator_decompose(small_deltas(rng, 20, 0.5)).reshape(-1, 4)
-    near_d = ht_base12._near[0]
-    theta = 4 * np.arcsin(near_d[-1] / 4 + np.array([-1e-9, -1e-13, 0, 1e-13, 1e-9]))
-    edge = np.column_stack([np.cos(theta / 2), np.sin(theta / 2), np.zeros((len(theta), 2))])
-    calls = []
-    monkeypatch.setattr(irrepsk.net, "qdist", lambda x, y: calls.append(len(x)) or qdist(x, y))
-    assert ht_base12._scan(haar) is None and calls == []
-    assert ht_base12._scan(factors) is not None and calls == [40, 40, 40]
-    for x in edge:
-        reach = 2 * qdist(x, np.array([1.0, 0, 0, 0])) + 2e-12
-        assert (ht_base12._scan(x[None]) is None) == (near_d[-1] <= reach)
-    assert_answers_as_the_tree(ht_base12, haar)
-    assert_answers_as_the_tree(ht_base12, factors)
+    identity = np.array([1.0, 0, 0, 0])
+    haar = unit(rng.normal(size=(20, 4)))
+    for net in (ht_base12, ht_base20):
+        near_d, rows, quats = net._lookup
+        q = balanced_commutator_decompose(small_deltas(rng, 20, 0.5)).reshape(-1, 4)
+        reach = near_d.searchsorted(2 * qdist(q, identity).max() + 2e-12, "right")
+        beyond = np.arange(len(quats))[:, None] >= reach
+        poisoned = dataclasses.replace(net, _lookup=(near_d, rows,
+                                                     np.where(beyond, np.nan, quats)))
+        (words, signed, d), (p_words, p_signed, p_d) = net.nearest(q), poisoned.nearest(q)
+        assert np.array_equal(p_words, words)
+        assert p_signed.tobytes() == signed.tobytes() and p_d.tobytes() == d.tobytes()
+        assert reach < 2 * len(net) and (reach < 512 or net is ht_base20)
+        assert near_d.searchsorted(2 * qdist(haar, identity).max() + 2e-12) == 2 * len(net)
 
 
 def test_index_is_exact_near_a_stored_product(ht_base8):
@@ -406,12 +420,12 @@ def test_index_is_exact_near_a_stored_product(ht_base8):
 
 
 def test_sl_net_has_no_lookup(slp_net):
-    # an sl net's products are not unitary: a tree over their first rows
+    # an sl net's products are not unitary: a scan of their first rows
     # would answer with wrong distances, so the lookup refuses before
-    # building one
+    # building its array
     with pytest.raises(DimUnsupported):
         slp_net.nearest(np.array([[1.0, 0, 0, 0]]))
-    assert slp_net._tree is None
+    assert slp_net._lookup is None
 
 
 def test_words_do_not_exceed_length(ht_gateset):
@@ -722,30 +736,29 @@ def test_reloaded_base_net_answers_like_the_built_one(tmp_path, ht_gateset):
     assert back_signed.tobytes() == signed.tobytes() and back_d.tobytes() == d.tobytes()
 
 
-def test_built_su2_net_queries_on_the_builders_tree(tmp_path, ht_gateset):
-    # build_net builds the lookup's tree, over the quaternions of every stored
-    # product in store order and then their negations
+def test_built_su2_net_carries_its_lookup_array(tmp_path, ht_gateset):
+    # build_net builds the lookup array: the quaternions of every stored
+    # product in store order and then their negations, nearest the identity
+    # first, with their row indices and distances to it; a reloaded net
+    # builds the same array on its first lookup
     net = build_gateset_net(ht_gateset, 10, with_inverses=True)
-    assert type(net._tree) is cKDTree  # a plain tree over the lookup's two sheets
     q = su2_to_quaternion(net.products)
     q = np.concatenate([q, -q])
-    assert net._tree.data.tobytes() == q.tobytes()
+    near_d, rows, quats = net._lookup
+    assert np.array_equal(np.sort(rows), np.arange(len(q)))
+    assert quats.tobytes() == q[rows].tobytes()
+    assert near_d.tobytes() == qdist(quats, np.array([1.0, 0, 0, 0])).tobytes()
+    assert (np.diff(near_d) >= 0).all()
     p = tmp_path / "net.json"
     save_net(net, p)
     back = load_net(p, ht_gateset, with_inverses=True)
-    assert back._tree is None
+    assert back._lookup is None
     rng = np.random.default_rng(30)
-    haar = rng.normal(size=(1000, 4))
-    haar /= np.linalg.norm(haar, axis=1, keepdims=True)
-    fresh = EpsNet(dim=2, mode="su", word_length=net.word_length, dedup_tol=net.dedup_tol,
-                   fingerprint=net.fingerprint, tokens=net.tokens, offsets=net.offsets,
-                   parents=net.parents, products=net.products,
-                   _tree=cKDTree(q))
-    words, signed, d = net.nearest(haar)
-    for other in (fresh, back):
-        other_words, other_signed, other_d = other.nearest(haar)
-        assert np.array_equal(other_words, words) and other_d.tobytes() == d.tobytes()
-        assert other_signed.tobytes() == signed.tobytes()
+    haar = unit(rng.normal(size=(1000, 4)))
+    (words, signed, d), (b_words, b_signed, b_d) = net.nearest(haar), back.nearest(haar)
+    assert np.array_equal(b_words, words) and b_d.tobytes() == d.tobytes()
+    assert b_signed.tobytes() == signed.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(back._lookup, net._lookup))
 
 
 def test_distances_match_aligned_queries(ht_gateset):

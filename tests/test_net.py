@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 import irrepsk.net
-from irrepsk import (EpsNet, build_gateset_net, load_gateset, load_net, parse_gateset,
-                     save_net)
+from irrepsk import (EpsNet, build_gateset_net, compile_target, load_gateset, load_net,
+                     parse_gateset, save_net)
 from irrepsk.errors import (BudgetExceeded, DimUnsupported, EmptyNet, FormatError, InvalidMatrix,
                             StaleGateSet)
 from irrepsk.linalg import (dist, matmul_stack, qdist, quaternion_to_su2, random_su,
@@ -25,7 +25,7 @@ from irrepsk.linalg import (dist, matmul_stack, qdist, quaternion_to_su2, random
 from irrepsk.gateset import word_product
 from irrepsk.net import (REACH, auto_net, build_net, extended_generators, extended_inverse,
                          free_reduce, probe_density)
-from irrepsk.skbase import balanced_commutator_decompose, rotation, sk_depths
+from irrepsk.skbase import SKParams, balanced_commutator_decompose, rotation, sk_depths
 from scipy.linalg import expm
 from scipy.spatial import cKDTree
 
@@ -402,6 +402,76 @@ def test_a_factor_stack_scans_only_the_rows_within_its_reach(ht_base12, ht_base2
         assert p_signed.tobytes() == signed.tobytes() and p_d.tobytes() == d.tobytes()
         assert reach < 2 * len(net) and (reach < 512 or net is ht_base20)
         assert near_d.searchsorted(2 * qdist(haar, identity).max() + 2e-12) == 2 * len(net)
+
+
+
+class CountingDistances:
+    """A lookup's distances to the identity that record how many rows each
+    nearest call reads (the count its searchsorted returns)."""
+
+    def __init__(self, near_d):
+        self.near_d, self.reads = near_d, []
+
+    def searchsorted(self, *args, **kwargs):
+        m = self.near_d.searchsorted(*args, **kwargs)
+        self.reads.append(int(m))
+        return m
+
+
+def counting_reads(net, monkeypatch) -> list[int]:
+    near_d, rows, quats = net._lookup
+    counting = CountingDistances(near_d)
+    monkeypatch.setattr(net, "_lookup", (counting, rows, quats))
+    return counting.reads
+
+
+def test_scan_serves_the_factor_lookups(ht_gateset, ht_base12, monkeypatch):
+    # a warm compile on the length-12 net reads the whole lookup array once,
+    # for the depth-0 target; every commutator factor stack reads only the
+    # rows near the identity, fewer than 512
+    params, refine_net = SKParams(net=ht_base12), build_gateset_net(ht_gateset, 6)
+    target = rotation([1.0, 2.0, 3.0], 2.5)  # far from I: it reaches every row
+    compile_target(ht_gateset, target, 1e-4, params, refine_net)
+    reads = counting_reads(ht_base12, monkeypatch)
+    report = compile_target(ht_gateset, target, 1e-4, params, refine_net)
+    assert report.depth >= 3 and reads[0] == 2 * len(ht_base12)
+    assert len(reads) > 1 and max(reads[1:]) < 512
+
+
+def test_scan_leaves_a_far_stack_unmeasured(ht_base12, monkeypatch):
+    # a Haar stack reads every row but measures by qdist only its radius and
+    # its first and second rows by dot product, never the rows it scans, and
+    # so does a factor stack.  Rows a hair either side of a stored row's reach
+    # read that row or not as their measured radius gives
+    rng = np.random.default_rng(39)
+    haar = unit(rng.normal(size=(20, 4)))
+    factors = balanced_commutator_decompose(small_deltas(rng, 20, 0.5)).reshape(-1, 4)
+    near_d = ht_base12._lookup[0]
+    k = int(near_d.searchsorted(near_d[500]))  # the first row at its distance
+    assert near_d[k - 1] < near_d[k]
+    delta = np.array([-1e-9, -1e-13, 0, 1e-13, 1e-9])
+    theta = 4 * np.arcsin((near_d[k] - 2e-12 + delta) / 4)
+    edge = np.column_stack([np.cos(theta / 2), np.sin(theta / 2), np.zeros((len(theta), 2))])
+    calls = []
+    monkeypatch.setattr(irrepsk.net, "qdist",
+                        lambda x, y: calls.append((np.shape(x), np.shape(y))) or qdist(x, y))
+    reads = counting_reads(ht_base12, monkeypatch)
+    ht_base12.nearest(haar)
+    assert reads == [2 * len(ht_base12)]
+    assert calls == [((20, 4), (4,)), ((20, 4), (20, 4)), ((20, 4), (20, 4))]
+    calls.clear()
+    ht_base12.nearest(factors)
+    assert calls == [((40, 4), (4,)), ((40, 4), (40, 4)), ((40, 4), (40, 4))]
+    verdicts = []
+    for x in edge:
+        ht_base12.nearest(x[None])
+        reach = 2 * qdist(x, np.array([1.0, 0, 0, 0])) + 2e-12
+        verdicts.append(near_d[k] <= reach)
+        assert (reads[-1] > k) == verdicts[-1]
+    assert any(verdicts) and not all(verdicts)
+    monkeypatch.undo()
+    for q in (haar, factors, edge):
+        assert_answers_as_the_tree(ht_base12, q)
 
 
 def test_index_is_exact_near_a_stored_product(ht_base8):

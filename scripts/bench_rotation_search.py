@@ -31,6 +31,8 @@ eps, one [length, depth, seconds] row per target.
 
 Records named in BUILDS also get "builds": the build times of a few nets,
 with both checkouts' packages imported in one fresh process (--builds).
+Records named in STACKS also get "stack": the time of one nearest call on a
+Haar stack against one call per row of it, in the same way (--stack).
 """
 
 from __future__ import annotations
@@ -120,6 +122,14 @@ RECORDS = {
         "with ties settled by an exact qdist pass; the lookup's k-d tree, the "
         "SCAN cap and the 2 - 2 w pre-filter are gone; every word, sign and "
         "distance bit is unchanged; claims no gain",
+    "BENCH_annulus.json":
+        "EpsNet.nearest scans a shell of its lookup array, the rows whose "
+        "distance to I is within h + 2 TIE of a target's (and within its "
+        "reach), h the largest distance the net's lookups have returned, and "
+        "scans a target past h again within its first distance; a stack too "
+        "large for one block is sorted by distance to I and cut into runs; "
+        "the lookup holds its quaternions as one (4, 2N) array; every word, "
+        "sign and distance bit is unchanged",
 }
 # --out files that also record "sample": SAMPLE_TARGETS targets of one gate
 # set at the small eps of the sweep, one compile per target and side, with
@@ -137,11 +147,21 @@ BUILDS = {"BENCH_net_record_retired.json": (("pauli_ht", 20, True),
           "BENCH_one_scan.json": (("pauli_ht", 20, True),
                                   ("pauli_ht_tprime", 12, True),
                                   ("pauli_ht", 12, True)),
+          "BENCH_annulus.json": (("pauli_ht", 20, True),
+                                 ("pauli_ht_tprime", 12, True),
+                                 ("pauli_ht", 12, True)),
           "BENCH_net_pairs.json": (("pauli_ht_tprime", 12, True),
                                    ("pauli_ht_tprime", 14, True),
                                    ("pauli_ht", 20, True),
                                    ("pauli_ht", 12, True))}
 BUILD_PAIRS = 20
+# --out files that also record "stack": per side, in one process that imports
+# both checkouts' packages, the time of one nearest call on a (STACK_ROWS, 4)
+# Haar stack and of STACK_ROWS one-row calls on the same rows, on a base net
+# (gate set, word length) that first answered a STACK_WARM-row Haar stack, the
+# best and the median of STACK_REPEATS interleaved timings
+STACKS = {"BENCH_annulus.json": ("pauli_ht", 20)}
+STACK_ROWS, STACK_WARM, STACK_REPEATS, STACK_SEED = 40, 2000, 15, 5
 
 
 def perfbench(checkout: Path, workload: str, seed: int, seconds: float,
@@ -279,12 +299,9 @@ def sample(parent: Path, name: str, eps_list) -> dict:
     return result
 
 
-def builds_side_by_side(parent: Path, nets) -> dict:
-    """Time BUILD_PAIRS interleaved builds of each net of nets with this
-    checkout's package and parent's, in this process: per net, the seconds
-    of each build, the medians, the median and quartiles of the per-pair
-    change / parent ratios, and whether the two sides' last nets have the
-    same tokens, offsets, parents and product bytes."""
+def both_packages(parent: Path) -> dict:
+    """This checkout's package and parent's (as irrepsk_parent), imported
+    into this process."""
     sys.path.insert(0, str(ROOT / "src"))
     import irrepsk
     spec = importlib.util.spec_from_file_location(
@@ -292,7 +309,16 @@ def builds_side_by_side(parent: Path, nets) -> dict:
         submodule_search_locations=[str(parent / "src" / "irrepsk")])
     sys.modules[spec.name] = irrepsk_parent = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(irrepsk_parent)
-    packages = {"parent": irrepsk_parent, "change": irrepsk}
+    return {"parent": irrepsk_parent, "change": irrepsk}
+
+
+def builds_side_by_side(parent: Path, nets) -> dict:
+    """Time BUILD_PAIRS interleaved builds of each net of nets with this
+    checkout's package and parent's, in this process: per net, the seconds
+    of each build, the medians, the median and quartiles of the per-pair
+    change / parent ratios, and whether the two sides' last nets have the
+    same tokens, offsets, parents and product bytes."""
+    packages = both_packages(parent)
     out = {}
     for name, length, with_inverses in nets:
         gs = {side: pkg.load_gateset(ROOT / SWEEP_GATESETS[name])
@@ -322,6 +348,46 @@ def builds_side_by_side(parent: Path, nets) -> dict:
     return out
 
 
+def stack_side_by_side(parent: Path, name: str, length: int) -> dict:
+    """Time, with this checkout's package and parent's in this process, one
+    nearest call on a (STACK_ROWS, 4) Haar stack and STACK_ROWS one-row
+    calls on its rows, on the base net of gate set name at word length,
+    after each net answered a STACK_WARM-row Haar stack: per side and way,
+    the best and median milliseconds of STACK_REPEATS interleaved timings,
+    the change's stack against the parent's one-row calls, and whether the
+    two sides' answers agree bit for bit."""
+    import numpy as np
+    packages = both_packages(parent)
+    nets = {side: pkg.base_params(pkg.load_gateset(ROOT / SWEEP_GATESETS[name]), length).net
+            for side, pkg in packages.items()}
+    rng = np.random.default_rng(STACK_SEED)
+    warm, stack = (rng.normal(size=(k, 4)) for k in (STACK_WARM, STACK_ROWS))
+    warm, stack = (q / np.linalg.norm(q, axis=1, keepdims=True) for q in (warm, stack))
+    for net in nets.values():
+        net.nearest(warm)
+    ways = {"stack": lambda net: [net.nearest(stack)],
+            "one_row_calls": lambda net: [net.nearest(row[None]) for row in stack]}
+    ms = {(side, way): [] for side in nets for way in ways}
+    answers = {}
+    for k in range(STACK_REPEATS):
+        for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
+            for way, call in ways.items():
+                t0 = time.perf_counter()
+                answers[side, way] = call(nets[side])
+                ms[side, way].append(1e3 * (time.perf_counter() - t0))
+    same = all(a.tobytes() == b.tobytes()
+               for way in ways for pa, pb in zip(answers["parent", way], answers["change", way])
+               for a, b in zip(pa, pb))
+    out = {"net": f"{name} L{length} with inverses", "rows": 2 * len(nets["change"]),
+           "stack_rows": STACK_ROWS, "warm_rows": STACK_WARM, "seed": STACK_SEED,
+           "identical": same}
+    for (side, way), times in ms.items():
+        out[f"{side}_{way}_ms"] = {"best": min(times), "median": statistics.median(times)}
+    out["change_stack_over_parent_one_row_calls"] = (
+        min(ms["change", "stack"]) / min(ms["parent", "one_row_calls"]))
+    return out
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, help="checkout of the parent commit")
@@ -333,6 +399,7 @@ def main() -> int:
                     help=argparse.SUPPRESS)
     ap.add_argument("--sample", nargs="+", type=float, metavar="EPS", help=argparse.SUPPRESS)
     ap.add_argument("--builds", metavar="RECORD", help=argparse.SUPPRESS)
+    ap.add_argument("--stack", metavar="RECORD", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.sweep_side:
         checkout, gateset = Path(args.sweep_side[0]).resolve(), args.sweep_side[1]
@@ -344,6 +411,9 @@ def main() -> int:
         ap.error("--parent is required")
     if args.builds:
         print(json.dumps(builds_side_by_side(args.parent.resolve(), BUILDS[args.builds])))
+        return 0
+    if args.stack:
+        print(json.dumps(stack_side_by_side(args.parent.resolve(), *STACKS[args.stack])))
         return 0
     if args.out.name not in RECORDS:
         ap.error(f"--out must be one of {', '.join(RECORDS)}")
@@ -392,6 +462,11 @@ def main() -> int:
             [sys.executable, __file__, "--parent", str(parent), "--builds", args.out.name],
             check=True, capture_output=True, text=True, env={**os.environ, **ONE_THREAD})
         doc["builds"] = json.loads(out.stdout)
+    if args.out.name in STACKS:
+        out = subprocess.run(
+            [sys.executable, __file__, "--parent", str(parent), "--stack", args.out.name],
+            check=True, capture_output=True, text=True, env={**os.environ, **ONE_THREAD})
+        doc["stack"] = json.loads(out.stdout)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

@@ -13,14 +13,17 @@ sign, the global phase -1 that every SU(2) gate set's words are compared
 up to (GateSet.phase_candidates): it stores each rotation once, the
 shortest word the breadth-first build finds for U or -U, deduplicating its
 products' quaternions q and -q alike.  Its one lookup, EpsNet.nearest,
-answers a stack of SU(2) target quaternions up to sign by one dot-product
-scan of the stored quaternions and their negations, ordered by distance to
-the identity: the scan reads only the rows that the stack's distance to the
-identity lets hold a hit (EpsNet.nearest says why that is exact), so a stack
-near the identity, as the SK recursion's commutator factors are, reads only
-the rows near it, and a stack far from it all of them.  Any other net (sl mode,
-d >= 3) is deduplicated over its products' Frobenius vectors and has no
-lookup: probe_density and the refinement seed scan dist over all products.
+answers a stack of SU(2) target quaternions up to sign by a dot-product scan
+of the stored quaternions and their negations, ordered by distance to the
+identity.  The scan reads only a shell of them: the rows whose distance to
+the identity is within h of a target's, h the largest distance the net's
+lookups have returned, and never farther from the identity than a hit can
+lie (EpsNet.nearest says why that is exact, and how a target past h is
+scanned again).  So a stack near the identity, as the SK recursion's
+commutator factors are, reads only the rows near it, and a target far from
+it a band of rows at its own distance.  Any other net (sl mode, d >= 3) is
+deduplicated over its products' Frobenius vectors and has no lookup:
+probe_density and the refinement seed scan dist over all products.
 """
 
 from __future__ import annotations
@@ -129,8 +132,12 @@ class EpsNet:
     parents: np.ndarray              # (n,) intp, parents[0] == -1
     products: np.ndarray             # (n, d, d)
     achieved_density: float | None = None
-    # nearest's rows by distance to the identity (_lookup): distances, rows, quaternions
+    # nearest's rows by distance to the identity (_lookup): distances, rows,
+    # quaternions (4, 2N)
     _lookup: tuple | None = field(default=None, repr=False)
+    # h, the largest distance nearest has returned, which bounds the shell it
+    # scans (None before its first call)
+    _h: float | None = field(default=None, repr=False)
     _refined: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -157,51 +164,105 @@ class EpsNet:
         any other net (sl mode, d >= 3), whose products have no quaternions,
         and InvalidMatrix on a stack with a non-finite entry.
 
-        One dot-product scan answers the stack, and it is exact.  Every net
-        stores the empty word, so (1, 0, 0, 0) is a row and a row x's nearest
-        distance is at most |x - 1| <= r, the largest over the stack.  A row
-        within that plus TIE of x lies within 2 r + TIE of the identity, so
-        the m rows within 2 r + 2 TIE (_lookup keeps them first) hold each
-        x's hit and its whole tie set; far from the identity they are all
-        the rows.  Dot products rank the squared distances to within
-        round-off, far below TIE, so with d1 and d2 the distances of the
-        first and second by dot product, measured by qdist, every other
-        scanned row lies at least d2 - TIE / d2 from x.  Where that is more
-        than TIE past d1, x has no tie and its hit is the row at d1.  The
-        rest (ties, near ties, and two rows that round-off ranks the wrong
-        way) are measured against every scanned row and take the tie rule.
-        The stack is scanned in blocks of rows whose dot products with the m
-        rows number at most 8 CHUNK (2 MB), so no block's matrix grows with
-        the stack."""
+        A dot-product scan of a shell of the lookup array answers the stack,
+        and it is exact.  f(s) = |s - 1|, the distance to the identity, is
+        1-Lipschitz, and the array is sorted by f.  So for any b at least a
+        row x's nearest distance d1, x's hit and its whole tie set (the rows
+        within d1 + TIE) lie among the rows with f within f(x) +- (b + 2 TIE),
+        one slice of the array (the second TIE covers round-off).  Every net
+        stores the empty word, so (1, 0, 0, 0) is a row and d1 <= f(x); b =
+        f(x) gives the reach, [0, 2 f(x) + 2 TIE].  The scan takes b =
+        min(f(x), h), h the largest distance that nearest has returned on
+        this net; its first call (or one while h is 0) takes h from the
+        stack's row nearest I, scanned over its reach.  A row whose measured
+        distance d1' is at most
+        h has d1 <= d1' <= h, so its slice held its hit.  A row past h is
+        scanned again at b = min(f(x), d1'), which d1 cannot exceed either (a
+        slice with no rows gives d1' = inf, and the reach), and h grows to
+        its distance.  So h moves only the time, never the answer.
+
+        A stack whose shell, the slices of all its rows, holds at most
+        8 CHUNK (2 MB) dot products with them is scanned in one block.  A
+        larger one is sorted by f and cut into runs of rows whose slices all
+        meet the first row's and together stay within that (one row's slice
+        may be more), so no block's matrix grows with the stack.  Dot
+        products rank the squared distances to within round-off, far below
+        TIE, so with d1 and d2 the distances of the first and second by dot
+        product, measured by qdist, every other scanned row lies at least
+        d2 - TIE / d2 from x.  Where that is more than TIE past d1, x has no
+        tie and its hit is the row at d1.  The rest (ties, near ties, and two
+        rows that round-off ranks the wrong way) are measured against every
+        scanned row of their block and take the tie rule."""
         if self._lookup is None:
             if not self.su2:
                 raise DimUnsupported(f"a d = {self.dim} {self.mode} net has no lookup")
             self._lookup = _lookup(self.products)
-        n, (near_d, rows, quats) = len(self), self._lookup
-        r = qdist(q, _IDENTITY).max(initial=0.0)
-        if not r < np.inf:  # NaN compares false
+        n, (near_d, rows, qt) = len(self), self._lookup
+        f = qdist(q, _IDENTITY)
+        f_max = f.max(initial=0.0)
+        if not f_max < np.inf:  # NaN compares false
             raise InvalidMatrix("lookup rows contain non-finite entries")
-        m = near_d.searchsorted(2 * r + 2 * TIE, "right")
-        quats_m = quats[:m]
-        block = max(1, 8 * CHUNK // m)
-        hits, d = np.empty(len(q), np.intp), np.empty(len(q))
-        for s in range(0, len(q), block):
-            x = q[s:s + block]
-            g = x @ quats_m.T
-            a = g.argmax(1)
-            d1, d2 = qdist(x, quats[a]), np.inf  # the identity alone has no second
-            if m > 1:
-                g[np.arange(len(x)), a] = -np.inf
-                d2 = qdist(x, quats[g.argmax(1)])
-            rest = ((d2 - d1 - TIE) * d2 <= TIE).nonzero()[0]
-            if len(rest):
-                e = qdist(x[rest, None], quats_m)
-                d1[rest] = e.min(1)
-                k = rows[:m]
-                key = np.where(e <= d1[rest, None] + TIE, k % n * 2 + k // n, 2 * n)
-                a[rest] = key.argmin(1)
-            hits[s:s + block], d[s:s + block] = a, d1
-        return rows[hits] % n, quats[hits], d
+        if not self._h and len(q):  # no lookup yet, or only exact hits
+            i = f.argmin(keepdims=True)
+            self._h = self._scan(q[i], f[i], f[i])[1][0]
+        h = self._h or 0.0  # an empty first stack leaves h unset
+        lo = near_d.searchsorted(f.min() - h - 2 * TIE) if f_max > h else 0
+        hi = near_d.searchsorted(min(2 * f_max, f_max + h) + 2 * TIE, "right")
+        if len(q) * (hi - lo) <= 8 * CHUNK:
+            hits, d = self._block(q, lo, hi)
+        else:
+            hits, d = self._scan(q, f, np.minimum(f, h))
+        far = (d > h).nonzero()[0]
+        if len(far):
+            hits[far], d[far] = self._scan(q[far], f[far], np.minimum(f[far], d[far]))
+            self._h = max(h, d[far].max())
+        return rows[hits] % n, qt.T[hits], d
+
+    def _scan(self, x: np.ndarray, f: np.ndarray,
+              b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """_block's answers for rows x, each scanned over the lookup rows
+        whose distance to the identity is within its f +- (b + 2 TIE): in
+        order of f, in runs of rows whose slices all meet the first row's and
+        together hold at most 8 CHUNK dot products with them, or one row."""
+        near_d = self._lookup[0]
+        order = f.argsort()
+        lo = near_d.searchsorted((f - b)[order] - 2 * TIE)
+        hi = near_d.searchsorted((f + b)[order] + 2 * TIE, "right")
+        hits, d = np.empty(len(x), np.intp), np.empty(len(x))
+        s = 0
+        while s < len(x):
+            # no run of more rows than e - s fits
+            e = min(len(x), s + 1 + 8 * CHUNK // max(1, hi[s] - lo[s]))
+            first, last = np.minimum.accumulate(lo[s:e]), np.maximum.accumulate(hi[s:e])
+            fits = (last - first) * np.arange(1, e - s + 1) <= 8 * CHUNK
+            k = max(1, np.count_nonzero(fits & (np.maximum.accumulate(lo[s:e]) < hi[s])))
+            run = order[s:s + k]
+            hits[run], d[run] = self._block(x[run], first[k - 1], last[k - 1])
+            s += k
+        return hits, d
+
+    def _block(self, x: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """(positions in the lookup array, distances) of the hits of rows x
+        among the lookup rows lo .. hi - 1, by the tie rule; distance inf
+        where there are none."""
+        _, rows, qt = self._lookup
+        if hi <= lo:
+            return np.full(len(x), lo), np.full(len(x), np.inf)
+        scanned = qt.T[lo:hi]
+        g = x @ scanned.T
+        a = g.argmax(1)
+        d1, d2 = qdist(x, scanned[a]), np.inf  # one row has no second
+        if hi - lo > 1:
+            g[np.arange(len(x)), a] = -np.inf
+            d2 = qdist(x, scanned[g.argmax(1)])
+        rest = ((d2 - d1 - TIE) * d2 <= TIE).nonzero()[0]
+        if len(rest):
+            e = qdist(x[rest, None], scanned)
+            d1[rest] = e.min(1)
+            k, n = rows[lo:hi], len(self)
+            key = np.where(e <= d1[rest, None] + TIE, k % n * 2 + k // n, 2 * n)
+            a[rest] = key.argmin(1)
+        return lo + a, d1
 
     def gather(self, signed: np.ndarray, inverse: np.ndarray) -> np.ndarray:
         """The tokens of stored words laid end to end, freely reduced: i >= 0
@@ -263,13 +324,16 @@ _IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 def _lookup(products: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """EpsNet.nearest's rows, the quaternions of the SU(2) products and then
-    their negations, nearest the identity first (a stable sort): their
-    distances to the identity by qdist, their row indices and the rows."""
-    q = su2_to_quaternion(products)
-    q = np.concatenate([q, -q])
-    d = qdist(q, _IDENTITY)
-    order = d.argsort(kind="stable")
-    return d[order], order, q[order]
+    their negations, nearest the identity first: their distances to the
+    identity by qdist, their row indices and the rows, as the columns of one
+    C-contiguous (4, 2N) array (its dot products with a stack rank faster
+    than those of a (2N, 4) one).  Rows at equal distances may come in any
+    order: no answer depends on it."""
+    q = su2_to_quaternion(products).T  # (4, N), C-contiguous
+    q = np.concatenate([q, -q], axis=1)
+    d = qdist(q.T, _IDENTITY)
+    order = d.argsort()
+    return d[order], order, np.take(q, order, axis=1)
 
 
 def _rows(mats: np.ndarray, su2: bool) -> np.ndarray:
@@ -558,9 +622,11 @@ def build_gateset_net(gs: GateSet, word_length: int, with_inverses: bool = False
 def probe_density(net: EpsNet, probes: int, rng: np.random.Generator) -> float:
     """Empirical covering radius: max over random SU(d) probes of the nearest
     stored distance (up to sign on an SU(2) net).  Only meaningful in su
-    mode.  An SU(2) net answers all probes with one EpsNet.nearest; any
-    other net, which has no lookup, scans dist over all its products for
-    each probe.  The draws are those of one probe at a time."""
+    mode.  An SU(2) net answers all probes with one EpsNet.nearest, which
+    reads each probe's shell of the lookup array, in runs of probes sorted by
+    distance to the identity; any other net, which has no lookup, scans dist
+    over all its products for each probe.  The draws are those of one probe
+    at a time."""
     targets = [random_su(net.dim, rng) for _ in range(probes)]
     if net.su2 and probes:
         d = net.nearest(su2_to_quaternion(np.array(targets)))[2]

@@ -304,7 +304,7 @@ def test_scan_keeps_the_tie_rule_near_the_identity(ht_base12):
     # so do points moved off a midpoint by 1e-13 toward either, whose nearer
     # product is not always the lower word index; the scan must give them
     # all the tree's tie rule, in one stack or one at a time
-    near = ht_base12._lookup[2][:60]
+    near = ht_base12._lookup[2].T[:60]
     i, j = np.triu_indices(60, 1)
     mid, off = near[i] + near[j], near[i] - near[j]
     off /= np.linalg.norm(off, axis=1, keepdims=True)
@@ -326,8 +326,8 @@ def test_nearest_answers_an_empty_stack(ht_base12):
 
 
 def test_mixed_stack_answers_as_one_row_at_a_time(ht_base12, ht_base20):
-    # a stack with a far row scans every row; each of its near rows alone
-    # scans only the rows near the identity
+    # a stack with a far row scans a shell wider than each of its near rows
+    # alone scans, the rows near the identity
     rng = np.random.default_rng(36)
     near = balanced_commutator_decompose(small_deltas(rng, 30, 0.5)).reshape(-1, 4)
     haar = rng.normal(size=(20, 4))
@@ -342,21 +342,43 @@ def unit(rows):
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
+def counting_reads(net, monkeypatch) -> list[tuple[int, int]]:
+    """The lookup rows lo .. hi - 1 that each dot-product block of
+    net.nearest reads, as (lo, hi)."""
+    reads, block = [], net._block
+    monkeypatch.setattr(net, "_block",
+                        lambda x, lo, hi: reads.append((int(lo), int(hi))) or block(x, lo, hi))
+    return reads
+
+
+def nudged(x, p, steps):
+    """x moved along the line from p through it by each of steps, as unit
+    quaternions: for p the hit of x, rows whose distance is that of x plus
+    about each step."""
+    u = (x - p) / np.linalg.norm(x - p)
+    return unit(x + np.asarray(steps)[:, None] * u)
+
+
 @pytest.mark.parametrize("length", [12, 20])
-def test_lookup_answers_as_the_reference_tree(ht_base12, ht_base20, length):
+def test_lookup_answers_as_the_reference_tree(ht_gateset, ht_base12, ht_base20, length,
+                                              tmp_path, monkeypatch):
     # every kind of stack the lookup sees, each against the reference tree,
     # word, signed row and distance bit for bit: Haar stacks (of 300 rows,
-    # as a probe_density run sends, which on these nets scan in blocks of 63
-    # and 3 rows), factor stacks at all 32 angles, identity rows, the tie
-    # set near I, rows orthogonal to a stored quaternion (q and -q of it lie
-    # sqrt(2) away, a tie of signs), an empty stack and a mixed one
+    # as a probe_density run sends, which span several blocks), factor
+    # stacks at all 32 angles, identity rows, the tie set near I, rows
+    # orthogonal to a stored quaternion (q and -q of it lie sqrt(2) away, a
+    # tie of signs), an empty stack and a mixed one; the first lookup of a
+    # fresh and of a reloaded net, where h is unset, and one after a lookup
+    # that hit exactly (h = 0), which reads as the fresh net's; and rows whose
+    # distance lies just below and just above h, the largest distance
+    # returned so far
     net = {12: ht_base12, 20: ht_base20}[length]
     rng = np.random.default_rng(40 + length)
     p = su2_to_quaternion(net.products)
     haar = unit(rng.normal(size=(300, 4)))
     factors = balanced_commutator_decompose(small_deltas(rng, 10, 0.5),
                                             np.arange(32) * np.pi / 16).reshape(-1, 4)
-    near = net._lookup[2][:40]
+    near = net._lookup[2].T[:40]
     i, j = np.triu_indices(40, 1)
     ties = unit(near[i] + near[j])
     stored = p[rng.choice(len(net), 50, replace=False)]
@@ -365,9 +387,29 @@ def test_lookup_answers_as_the_reference_tree(ht_base12, ht_base20, length):
     assert np.abs((orthogonal * stored).sum(1)).max() < 1e-14
     identity = np.tile([1.0, 0, 0, 0], (3, 1))
     mixed = np.concatenate([factors[:40], haar[:3], identity, ties[:40]])
+    fresh, exact = dataclasses.replace(net, _h=None), dataclasses.replace(net, _h=None)
+    assert not exact.nearest(identity[:1])[2].any() and exact._h == 0.0
+    path = tmp_path / "net.json"
+    save_net(net, path)
+    back = load_net(path, ht_gateset, with_inverses=True)
+    assert back._h is None
+    reads = {first: counting_reads(first, monkeypatch) for first in (fresh, exact)}
+    for first in (fresh, back, exact):
+        assert_answers_as_the_tree(first, haar)
+        assert first._h == first.nearest(haar)[2].max()
+    assert reads[exact] == reads[fresh] and len(reads[fresh]) >= 4
+    assert reads[fresh][0][0] == 0  # the row nearest I over its reach
     for q in (haar, factors, identity, ties, orthogonal, np.empty((0, 4)), mixed):
         assert_answers_as_the_tree(net, q)
-    assert 8 * irrepsk.net.CHUNK // (2 * len(net)) == {12: 63, 20: 3}[length]
+    _, signed, d = fresh.nearest(haar)
+    h, far = fresh._h, d.argmax()
+    edge = nudged(haar[far], signed[far], [-1e-9, -1e-13, 1e-13, 1e-9])
+    edge_d = tree_nearest(net, edge)[2]
+    assert (edge_d[:2] < h).all() and (edge_d[2:] > h).all()
+    for x, x_d in zip(edge, edge_d):
+        warm = dataclasses.replace(fresh)
+        assert_answers_as_the_tree(warm, x[None])
+        assert warm._h == max(h, x_d)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -381,96 +423,107 @@ def test_nearest_refuses_a_non_finite_row(ht_base12, bad):
             ht_base12.nearest(stack)
 
 
+def shell(net, q):
+    """The lookup rows lo .. hi - 1 that a warm net's nearest reads for a
+    stack q whose rows all lie within its h: those whose distance to the
+    identity is within h + 2e-12 of a row's and within the row's reach."""
+    near_d, h = net._lookup[0], net._h
+    f = qdist(q, np.array([1.0, 0, 0, 0]))
+    return (near_d.searchsorted(max(f.min() - h, 0.0) - 2e-12),
+            near_d.searchsorted(min(2 * f.max(), f.max() + h) + 2e-12, "right"))
+
+
 def test_a_factor_stack_scans_only_the_rows_within_its_reach(ht_base12, ht_base20):
-    # nearest reads the rows within 2 r + 2e-12 of the identity, r the
-    # stack's largest distance to it, and no other: with every row past
-    # that reach made NaN it answers a factor stack as before, which on the
-    # length-12 net reaches fewer than 512 of its rows.  A Haar stack reaches
-    # every row
+    # a warm net's nearest reads the rows whose distance to the identity is
+    # within h + 2e-12 of a stack row's (and within its reach, 2 f + 2e-12),
+    # h the largest distance it has returned, and no other: with every
+    # column of the (4, 2N) lookup array outside that shell made NaN it
+    # answers as before a factor stack, whose shell on the length-12 net
+    # holds fewer than 512 rows, one of rows so near the identity that their
+    # reach bounds it, and one Haar row, whose shell holds fewer than a third
+    # of the rows
     rng = np.random.default_rng(39)
-    identity = np.array([1.0, 0, 0, 0])
-    haar = unit(rng.normal(size=(20, 4)))
     for net in (ht_base12, ht_base20):
-        near_d, rows, quats = net._lookup
-        q = balanced_commutator_decompose(small_deltas(rng, 20, 0.5)).reshape(-1, 4)
-        reach = near_d.searchsorted(2 * qdist(q, identity).max() + 2e-12, "right")
-        beyond = np.arange(len(quats))[:, None] >= reach
-        poisoned = dataclasses.replace(net, _lookup=(near_d, rows,
-                                                     np.where(beyond, np.nan, quats)))
-        (words, signed, d), (p_words, p_signed, p_d) = net.nearest(q), poisoned.nearest(q)
-        assert np.array_equal(p_words, words)
-        assert p_signed.tobytes() == signed.tobytes() and p_d.tobytes() == d.tobytes()
-        assert reach < 2 * len(net) and (reach < 512 or net is ht_base20)
-        assert near_d.searchsorted(2 * qdist(haar, identity).max() + 2e-12) == 2 * len(net)
-
-
-
-class CountingDistances:
-    """A lookup's distances to the identity that record how many rows each
-    nearest call reads (the count its searchsorted returns)."""
-
-    def __init__(self, near_d):
-        self.near_d, self.reads = near_d, []
-
-    def searchsorted(self, *args, **kwargs):
-        m = self.near_d.searchsorted(*args, **kwargs)
-        self.reads.append(int(m))
-        return m
-
-
-def counting_reads(net, monkeypatch) -> list[int]:
-    near_d, rows, quats = net._lookup
-    counting = CountingDistances(near_d)
-    monkeypatch.setattr(net, "_lookup", (counting, rows, quats))
-    return counting.reads
+        net = dataclasses.replace(net, _h=None)
+        net.nearest(unit(rng.normal(size=(500, 4))))
+        near_d, rows, qt = net._lookup
+        factors = balanced_commutator_decompose(small_deltas(rng, 20, 0.5)).reshape(-1, 4)
+        w = 1 - (0.6 * net._h) ** 2 / 2  # rows 0.6 h from the identity
+        axes = unit(rng.normal(size=(10, 3)))
+        near = np.column_stack([np.full(10, w), np.sqrt(1 - w * w) * axes])
+        for q in (factors, near, unit(rng.normal(size=(1, 4)))):
+            lo, hi = shell(net, q)
+            outside = (np.arange(qt.shape[1]) < lo) | (np.arange(qt.shape[1]) >= hi)
+            poisoned = dataclasses.replace(net, _lookup=(near_d, rows,
+                                                         np.where(outside, np.nan, qt)))
+            (words, signed, d), (p_words, p_signed, p_d) = net.nearest(q), poisoned.nearest(q)
+            assert d.max() <= net._h and np.array_equal(p_words, words)
+            assert p_signed.tobytes() == signed.tobytes() and p_d.tobytes() == d.tobytes()
+            assert hi - lo < (512 if len(q) > 1 and net.word_length == 12 else len(rows) // 3)
 
 
 def test_scan_serves_the_factor_lookups(ht_gateset, ht_base12, monkeypatch):
-    # a warm compile on the length-12 net reads the whole lookup array once,
-    # for the depth-0 target; every commutator factor stack reads only the
-    # rows near the identity, fewer than 512
-    params, refine_net = SKParams(net=ht_base12), build_gateset_net(ht_gateset, 6)
-    target = rotation([1.0, 2.0, 3.0], 2.5)  # far from I: it reaches every row
+    # a warm compile on the length-12 net reads a shell of the lookup array
+    # for the depth-0 target, at most a quarter of its rows, and for every
+    # commutator factor stack fewer than 512 rows near the identity
+    net = dataclasses.replace(ht_base12, _h=None)
+    params, refine_net = SKParams(net=net), build_gateset_net(ht_gateset, 6)
+    target = rotation([1.0, 2.0, 3.0], 2.5)  # far from I: its reach is every row
     compile_target(ht_gateset, target, 1e-4, params, refine_net)
-    reads = counting_reads(ht_base12, monkeypatch)
+    reads = counting_reads(net, monkeypatch)
     report = compile_target(ht_gateset, target, 1e-4, params, refine_net)
-    assert report.depth >= 3 and reads[0] == 2 * len(ht_base12)
-    assert len(reads) > 1 and max(reads[1:]) < 512
+    width = [hi - lo for lo, hi in reads]
+    assert report.depth >= 3 and 0 < reads[0][0] and width[0] <= len(net) // 2
+    assert len(reads) > 1 and max(width[1:]) < 512
 
 
 def test_scan_leaves_a_far_stack_unmeasured(ht_base12, monkeypatch):
-    # a Haar stack reads every row but measures by qdist only its radius and
-    # its first and second rows by dot product, never the rows it scans, and
-    # so does a factor stack.  Rows a hair either side of a stored row's reach
-    # read that row or not as their measured radius gives
+    # a Haar stack on a warm net reads one shell and measures by qdist only
+    # its radius and its first and second rows by dot product, never the
+    # rows it scans, and so does a factor stack.  Rows a hair either side of
+    # a stored row's shell edge read that row or not as their measured
+    # distance to the identity gives.  A row whose distance is just past h
+    # is scanned again, over the rows within its first block's distance of
+    # its own (within its reach), which hold its hit
     rng = np.random.default_rng(39)
+    net = dataclasses.replace(ht_base12, _h=None)
+    warm = unit(rng.normal(size=(500, 4)))
+    _, warm_signed, warm_d = net.nearest(warm)
+    h, near_d, identity = net._h, net._lookup[0], np.array([1.0, 0, 0, 0])
     haar = unit(rng.normal(size=(20, 4)))
     factors = balanced_commutator_decompose(small_deltas(rng, 20, 0.5)).reshape(-1, 4)
-    near_d = ht_base12._lookup[0]
-    k = int(near_d.searchsorted(near_d[500]))  # the first row at its distance
-    assert near_d[k - 1] < near_d[k]
+    k = int(near_d.searchsorted(near_d[3000]))  # the first row at its distance
+    assert near_d[k - 1] < near_d[k] and near_d[k] > 3 * h
     delta = np.array([-1e-9, -1e-13, 0, 1e-13, 1e-9])
-    theta = 4 * np.arcsin((near_d[k] - 2e-12 + delta) / 4)
+    theta = 4 * np.arcsin((near_d[k] - h - 2e-12 + delta) / 2)
     edge = np.column_stack([np.cos(theta / 2), np.sin(theta / 2), np.zeros((len(theta), 2))])
     calls = []
     monkeypatch.setattr(irrepsk.net, "qdist",
                         lambda x, y: calls.append((np.shape(x), np.shape(y))) or qdist(x, y))
-    reads = counting_reads(ht_base12, monkeypatch)
-    ht_base12.nearest(haar)
-    assert reads == [2 * len(ht_base12)]
-    assert calls == [((20, 4), (4,)), ((20, 4), (20, 4)), ((20, 4), (20, 4))]
-    calls.clear()
-    ht_base12.nearest(factors)
-    assert calls == [((40, 4), (4,)), ((40, 4), (40, 4)), ((40, 4), (40, 4))]
+    reads = counting_reads(net, monkeypatch)
+    for q in (haar, factors):
+        calls.clear()
+        assert net.nearest(q)[2].max() <= h
+        assert reads[-1] == shell(net, q)
+        assert calls == [(q.shape, (4,)), (q.shape, q.shape), (q.shape, q.shape)]
     verdicts = []
     for x in edge:
-        ht_base12.nearest(x[None])
-        reach = 2 * qdist(x, np.array([1.0, 0, 0, 0])) + 2e-12
-        verdicts.append(near_d[k] <= reach)
-        assert (reads[-1] > k) == verdicts[-1]
+        one = dataclasses.replace(net)
+        one_reads = counting_reads(one, monkeypatch)
+        one.nearest(x[None])
+        verdicts.append(near_d[k] <= qdist(x, identity) + h + 2e-12)
+        assert (one_reads[0][1] > k) == verdicts[-1]
     assert any(verdicts) and not all(verdicts)
+    i = warm_d.argmax()
+    x = nudged(warm[i], warm_signed[i], [1e-9])
+    n = len(reads)
+    _, _, (x_d,) = net.nearest(x)
+    (lo1, hi1), (lo2, hi2) = reads[n:]
+    assert warm_d[i] == h < x_d == net._h
+    assert lo2 <= lo1 and hi1 <= hi2 <= near_d.searchsorted(2 * qdist(x[0], identity) + 2e-12,
+                                                              "right")
     monkeypatch.undo()
-    for q in (haar, factors, edge):
+    for q in (haar, factors, edge, x):
         assert_answers_as_the_tree(ht_base12, q)
 
 
@@ -809,15 +862,17 @@ def test_reloaded_base_net_answers_like_the_built_one(tmp_path, ht_gateset):
 def test_built_su2_net_carries_its_lookup_array(tmp_path, ht_gateset):
     # build_net builds the lookup array: the quaternions of every stored
     # product in store order and then their negations, nearest the identity
-    # first, with their row indices and distances to it; a reloaded net
-    # builds the same array on its first lookup
+    # first, as the columns of one C-contiguous (4, 2N) array, with their row
+    # indices and distances to it; a reloaded net builds the same array on
+    # its first lookup
     net = build_gateset_net(ht_gateset, 10, with_inverses=True)
     q = su2_to_quaternion(net.products)
     q = np.concatenate([q, -q])
-    near_d, rows, quats = net._lookup
+    near_d, rows, qt = net._lookup
     assert np.array_equal(np.sort(rows), np.arange(len(q)))
-    assert quats.tobytes() == q[rows].tobytes()
-    assert near_d.tobytes() == qdist(quats, np.array([1.0, 0, 0, 0])).tobytes()
+    assert qt.shape == (4, len(q)) and qt.flags.c_contiguous
+    assert qt.tobytes() == q[rows].T.tobytes()
+    assert near_d.tobytes() == qdist(qt.T, np.array([1.0, 0, 0, 0])).tobytes()
     assert (np.diff(near_d) >= 0).all()
     p = tmp_path / "net.json"
     save_net(net, p)
